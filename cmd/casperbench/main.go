@@ -248,18 +248,34 @@ type shardPoint struct {
 // small but nonzero.
 const allocGateSlack = 0.05
 
-// checkAllocGate compares the serial measurement against a committed
-// baseline JSON and errors when allocs/event regressed by more than
-// allocGateSlack — the CI regression gate for the zero-alloc event loop.
-func checkAllocGate(path string, m bench.Measurement) error {
+// loadGateBaseline reads the committed baseline a gate compares
+// against and refuses one measured at another scale: allocs/event and
+// events/sec both move with the sweep size (world setup amortises over
+// fewer events at a small scale), so such a comparison says nothing
+// about the code. An empty path (gate not requested) yields nil.
+func loadGateBaseline(gate, path string, scale float64) (*baseline, error) {
+	if path == "" {
+		return nil, nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("allocgate: %w", err)
+		return nil, fmt.Errorf("%s: %w", gate, err)
 	}
 	var base baseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("allocgate: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("%s: parsing %s: %w", gate, path, err)
 	}
+	if base.Scale != scale {
+		return nil, fmt.Errorf("%s: scale mismatch: this run is at -scale %g but %s was measured at scale %g; rerun with -scale %g",
+			gate, scale, path, base.Scale, base.Scale)
+	}
+	return &base, nil
+}
+
+// checkAllocGate compares the serial measurement against a committed
+// baseline and errors when allocs/event regressed by more than
+// allocGateSlack — the CI regression gate for the zero-alloc event loop.
+func checkAllocGate(base *baseline, path string, m bench.Measurement) error {
 	limit := base.Serial.AllocsPerEvent + allocGateSlack
 	if m.AllocsPerEvent > limit {
 		return fmt.Errorf("allocgate: allocs/event %.4f exceeds baseline %.4f + %.2f slack (%s)",
@@ -286,20 +302,12 @@ const shardGateSlack = 0.15
 // both within shardGateSlack. Gating on the ratio rather than absolute
 // events/sec keeps the gate portable across machines: both numbers
 // come from the same process on the same host seconds apart.
-func checkShardGate(path string, b *baseline) error {
+func checkShardGate(base *baseline, path string, b *baseline) error {
 	ratio, point, err := shardRatio(b)
 	if err != nil {
 		return fmt.Errorf("shardgate: current run: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("shardgate: %w", err)
-	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("shardgate: parsing %s: %w", path, err)
-	}
-	baseRatio, _, err := shardRatio(&base)
+	baseRatio, _, err := shardRatio(base)
 	if err != nil {
 		return fmt.Errorf("shardgate: %s: %w", path, err)
 	}
@@ -332,17 +340,9 @@ func checkShardGate(path string, b *baseline) error {
 const schedGateSlack = 0.15
 
 // checkSchedGate compares the serial events/sec of the current run
-// against the committed baseline JSON and errors on a drop beyond
+// against the committed baseline and errors on a drop beyond
 // schedGateSlack — the CI regression gate for scheduler throughput.
-func checkSchedGate(path string, m bench.Measurement) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("schedgate: %w", err)
-	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("schedgate: parsing %s: %w", path, err)
-	}
+func checkSchedGate(base *baseline, path string, m bench.Measurement) error {
 	if base.Serial.EventsPerSec <= 0 {
 		return fmt.Errorf("schedgate: %s has no serial events/sec", path)
 	}
@@ -382,6 +382,20 @@ type benchConfig struct {
 }
 
 func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
+	// Load the gates' baselines first: a gate that cannot compare (missing
+	// file, other scale) should say so before minutes of measurement.
+	allocBase, err := loadGateBaseline("allocgate", c.allocGate, o.Scale)
+	if err != nil {
+		return err
+	}
+	shardBase, err := loadGateBaseline("shardgate", c.shardGate, o.Scale)
+	if err != nil {
+		return err
+	}
+	schedBase, err := loadGateBaseline("schedgate", c.schedGate, o.Scale)
+	if err != nil {
+		return err
+	}
 	// Both named measurements run on the serial engine: the allocgate's
 	// 0.05 slack is only meaningful against a single-goroutine run (see
 	// bench.Measurement), and "parallel" measures sweep workers, not
@@ -454,18 +468,18 @@ func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
 			}
 		}
 	}
-	if c.allocGate != "" {
-		if err := checkAllocGate(c.allocGate, ms); err != nil {
+	if allocBase != nil {
+		if err := checkAllocGate(allocBase, c.allocGate, ms); err != nil {
 			return err
 		}
 	}
-	if c.shardGate != "" {
-		if err := checkShardGate(c.shardGate, &b); err != nil {
+	if shardBase != nil {
+		if err := checkShardGate(shardBase, c.shardGate, &b); err != nil {
 			return err
 		}
 	}
-	if c.schedGate != "" {
-		if err := checkSchedGate(c.schedGate, ms); err != nil {
+	if schedBase != nil {
+		if err := checkSchedGate(schedBase, c.schedGate, ms); err != nil {
 			return err
 		}
 	}

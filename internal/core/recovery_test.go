@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -166,5 +167,25 @@ func TestSequencerKillMidWindowConstruction(t *testing.T) {
 	assertSameTables(t, got, base, "sequencer kill mid-construction")
 	if sum.Successions == 0 {
 		t.Fatal("sequencer died during construction but no succession happened")
+	}
+}
+
+// TestCrashedRanksReleasedAfterRun: a ghost killed mid-run stays parked
+// mid-call and a crashed-and-recovered app rank spends the outage
+// frozen; once World.Run returns cleanly neither may pin a goroutine
+// (and through it the world).
+func TestCrashedRanksReleasedAfterRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, sum := recoveryRun(t, &fault.Plan{
+		Seed:       9,
+		Crashes:    []fault.Crash{{Rank: recUsers/2 + 1, At: sim.Time(60 * sim.Microsecond)}}, // ghost 3
+		AppCrashes: []fault.AppCrash{{Rank: 1, At: sim.Time(90 * sim.Microsecond)}},
+	})
+	if sum.RanksFailed != 1 || sum.AppRecoveries != 1 {
+		t.Fatalf("RanksFailed = %d, AppRecoveries = %d, want 1 and 1: the plan did not bite",
+			sum.RanksFailed, sum.AppRecoveries)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after World.Run, %d before: crashed ranks still parked", after, before)
 	}
 }

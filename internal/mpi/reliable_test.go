@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -228,6 +229,55 @@ func TestCrashedPeerP2PSilent(t *testing.T) {
 	})
 	if s := w.Summary(); s.P2PLost == 0 {
 		t.Fatalf("lost p2p send not counted: %v", s)
+	}
+}
+
+// TestCrashedRankTeardown: World.Run releases a crashed rank once the run
+// is over. The rank's deferred calls run then and stop at their first MPI
+// call, so the summary read afterwards is the one a rank without them
+// leaves; a deferred call that panics becomes Run's error.
+func TestCrashedRankTeardown(t *testing.T) {
+	run := func(cleanup func(win Window)) (string, error) {
+		cfg := testConfig(2, 2)
+		cfg.Fault = &fault.Plan{Seed: 3, Crashes: []fault.Crash{{Rank: 1, At: sim.Time(50 * sim.Microsecond)}}}
+		w, err := Run(cfg, func(r *Rank) {
+			c := r.CommWorld()
+			win, _ := r.WinAllocate(c, 8, nil)
+			c.Barrier()
+			if r.Rank() == 1 {
+				defer cleanup(win)
+				r.Compute(sim.Microseconds(1000)) // parked when the crash fires
+				return
+			}
+			r.Compute(sim.Microseconds(500))
+		})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%+v", w.Summary()), nil
+	}
+	want, err := run(func(Window) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unwound, freed bool
+	got, err := run(func(win Window) {
+		unwound = true
+		win.Free()
+		freed = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unwound || freed {
+		t.Fatalf("unwound=%v freed=%v, want the deferred call started and stopped inside Free", unwound, freed)
+	}
+	if got != want {
+		t.Fatalf("teardown moved the summary:\n got %s\nwant %s", got, want)
+	}
+	_, err = run(func(Window) { panic("cleanup failed") })
+	if err == nil || !strings.Contains(err.Error(), "rank1") || !strings.Contains(err.Error(), "cleanup failed") {
+		t.Fatalf("Run returned %v, want rank1's deferred panic as an error", err)
 	}
 }
 

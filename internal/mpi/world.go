@@ -22,7 +22,7 @@ var worldEvents atomic.Int64
 func TotalEventsExecuted() int64 { return worldEvents.Load() }
 
 // worldInlined accumulates inline run-to-completion advances (events
-// that skipped the heap and the goroutine switch entirely) across all
+// that skipped the queue and the process switch entirely) across all
 // World.Run calls, mirroring worldEvents.
 var worldInlined atomic.Int64
 
@@ -554,6 +554,15 @@ func (w *World) Run() error {
 	}
 	for _, e := range w.allEngines() {
 		notePeakResidency(e.PeakQueueResidency())
+		if err == nil {
+			// Crashed ranks and ghosts are still parked mid-call; release
+			// them so the world can be collected. Their deferred calls
+			// (defer win.Free()) run here and stop at their first park,
+			// after the counters above are taken and without moving the
+			// clock. After an error they stay, for the deadlock/watchdog
+			// report to describe.
+			err = e.Close()
+		}
 	}
 	return err
 }

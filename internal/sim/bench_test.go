@@ -122,7 +122,7 @@ func BenchmarkScheduler(b *testing.B) {
 // b.N times. "inline" completes every call without parking or touching
 // the heap; "parked" forces the classic park → heap push → pop → resume
 // round trip via DisableFastPaths. The gap between the two is the
-// goroutine-switch tax the fast path removes per MPI-call-shaped event.
+// process-switch tax the fast path removes per MPI-call-shaped event.
 func BenchmarkInlineCompletion(b *testing.B) {
 	run := func(b *testing.B, fastOff bool) {
 		b.ReportAllocs()
@@ -145,6 +145,30 @@ func BenchmarkInlineCompletion(b *testing.B) {
 	}
 	b.Run("inline", func(b *testing.B) { run(b, false) })
 	b.Run("parked", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkProcSwitch is the cost of handing the simulation from one
+// process to another: two processes advance in lockstep, so each of the
+// b.N advances parks its caller (event loop takes over) and resumes the
+// other process. ns/op is per such switch — two coroutine switches, one
+// scheduler push and one pop. Fast paths stay on; neither process can
+// advance inline because the other's wake-up is always due first.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := New(1)
+	body := func(n int) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Advance(Microsecond)
+			}
+		}
+	}
+	e.Spawn("a", body((b.N+1)/2))
+	e.Spawn("b", body(b.N/2))
+	e.MustRun()
+	if b.N > 4 && e.InlinedAdvances() > 2 {
+		b.Fatalf("%d of %d advances completed inline; the processes did not alternate", e.InlinedAdvances(), b.N)
+	}
 }
 
 // BenchmarkSameTimeFusion isolates same-time event fusion: a chain of

@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with cooperatively scheduled goroutine processes running in virtual time.
+// with cooperatively scheduled coroutine processes running in virtual time.
 //
 // The engine executes exactly one goroutine at a time: either the event
-// loop itself or a single resumed process. Processes hand control back by
-// parking (blocking on a simulation primitive) or by returning. Because of
-// this strict alternation, simulation state — including state shared
-// between processes — needs no locking, and runs are fully deterministic
-// given a seed.
+// loop itself (Run, or runWindow under a ShardGroup) or the single process
+// it switched into. Processes are runtime coroutines (iter.Pull): resuming
+// one is a direct goroutine-to-goroutine switch on the same thread, and a
+// process hands control back by parking (blocking on a simulation
+// primitive) or by returning. Because of this strict alternation,
+// simulation state — including state shared between processes — needs no
+// locking, and runs are fully deterministic given a seed.
 //
 // All simulated time is virtual: a Proc that calls Advance consumes
 // simulated nanoseconds, not wall-clock time.
@@ -14,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -377,7 +380,6 @@ type Engine struct {
 	events schedQ
 	nowq   nowQueue // same-time events, run before the scheduler
 	seq    uint64
-	yield  chan struct{}
 	procs  []*Proc
 	live   int
 	rng    *rand.Rand
@@ -400,16 +402,14 @@ type Engine struct {
 	panicVal interface{}
 
 	// Sharded execution (see ShardGroup). limit is the exclusive upper
-	// bound of the current safe window: runWindow and a driving process
-	// stop before executing any event at limit or beyond. limited gates
-	// the per-iteration window check out of the serial hot loops; shard
-	// is this engine's index within its group; bgDiscard is set by the
-	// coordinator once no process anywhere in the group is alive, so
-	// background housekeeping stops exactly as in a serial run; wdErr
-	// records a watchdog trip inside runWindow for the coordinator.
+	// bound of the current safe window: runWindow stops before executing
+	// any event at limit or beyond. shard is this engine's index within
+	// its group; bgDiscard is set by the coordinator once no process
+	// anywhere in the group is alive, so background housekeeping stops
+	// exactly as in a serial run; wdErr records a watchdog trip inside
+	// runWindow for the coordinator.
 	limit     Time
 	winCap    int64 // absolute executed-events bound for this window (0 = none)
-	limited   bool
 	shard     int
 	bgDiscard bool
 	wdErr     *WatchdogError
@@ -421,14 +421,8 @@ const timeMax = Time(math.MaxInt64)
 
 // New returns an Engine whose random source is seeded with seed, so that
 // any randomized model decisions are reproducible.
-//
-// The yield channel is a one-slot semaphore, not a rendezvous: strict
-// alternation guarantees at most one token is ever in flight, so a
-// deposit never blocks and every park/resume costs one blocking channel
-// operation instead of two (see transfer and Proc.park).
 func New(seed int64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}, 1),
 		rng:   rand.New(rand.NewSource(seed)),
 		limit: timeMax,
 	}
@@ -501,7 +495,7 @@ func (e *Engine) schedule(ev event) {
 // nextEvent pops the globally next event by (at, seq) into *ev,
 // merging the now-queue with the scheduler queue; it reports false,
 // leaving *ev untouched, when both are empty. The pointer form exists
-// for the hot loops (Run, runWindow, Proc.drive): writing through a
+// for the hot loops (Run, runWindow): writing through a
 // caller-owned slot instead of returning a 56-byte event by value
 // spares two struct copies per pop across non-inlined frames.
 // The now-queue drains before the clock can advance: its entries carry
@@ -694,15 +688,41 @@ func (e *Engine) noteInlineAdvance(t Time) {
 
 // Kill terminates a process from engine context without resuming it:
 // the process is removed from the live count and every future attempt
-// to wake or resume it becomes a no-op. Its goroutine stays parked for
-// the remainder of the program — the simulation analogue of a process
-// that died with state intact. Killing a finished process is a no-op.
+// to wake or resume it becomes a no-op. Its coroutine stays parked, stack
+// and state intact — the simulation analogue of a process that died
+// mid-call — until Close releases it. Killing a finished process is a
+// no-op.
 func (e *Engine) Kill(p *Proc) {
 	if p.state == stateDone || p.killed {
 		return
 	}
 	p.killed = true
 	e.live--
+}
+
+// Close releases every process that has not finished — killed, frozen,
+// deadlocked or never started — so its goroutine exits and its stack,
+// with everything the stack references, can be collected. A parked
+// process unwinds through its deferred calls, which are user code running
+// after the run is over: none of them gets past its first park (see
+// Proc.park), and with the fast paths off an Advance always parks, so the
+// clock and the event count stay where Run left them. Whatever else such
+// a call touches before it parks is the caller's to have read already.
+// Close returns the first panic a deferred call raised, as an error. Call
+// it once the run is over and its results are read; the engine must not
+// be used afterwards.
+func (e *Engine) Close() error {
+	e.fastOff = true
+	var err error
+	for i := 0; i < len(e.procs); i++ { // by index: a deferred call may Spawn
+		p := e.procs[i]
+		e.panicked = false
+		p.stop()
+		if e.panicked && err == nil {
+			err = fmt.Errorf("sim: %s panicked while Close was releasing it: %v", p.name, e.panicVal)
+		}
+	}
+	return err
 }
 
 // Freeze suspends a process from engine context without terminating it:
@@ -755,42 +775,44 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}, 1),
-		state:  stateNew,
+		eng:   e,
+		id:    len(e.procs),
+		name:  name,
+		state: stateNew,
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
+	// The body starts lazily, at the first next() (the evStart transfer).
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
-			if r := recover(); r != nil {
+			r := recover()
+			if _, stopped := r.(procStopped); stopped {
+				return // released by Close: the engine's bookkeeping is over
+			}
+			if r != nil {
 				e.panicVal = r
 				e.panicked = true
 			}
 			p.state = stateDone
 			e.live--
-			e.yield <- struct{}{}
 		}()
-		<-p.resume
+		p.yield = yield
 		fn(p)
-	}()
+	})
 	e.seq++
 	e.schedule(event{at: t, seq: e.seq, p: p, kind: evStart})
 	return p
 }
 
-// transfer hands control to p and blocks until p parks or terminates.
-// It must only be called from engine context (inside an event callback).
-// A panic inside the process is re-raised here, in the engine's
-// goroutine, so it propagates out of Run to the harness or test.
+// transfer switches into p and returns when p parks or terminates. It
+// must only be called from the event loop. A panic inside the process
+// is re-raised here, in the event loop's goroutine, so it propagates
+// out of Run to the harness or test.
 func (e *Engine) transfer(p *Proc) {
 	if p.killed {
 		return
 	}
-	p.resume <- struct{}{}
-	<-e.yield
+	p.next()
 	if e.panicked {
 		panic(e.panicVal)
 	}
@@ -850,21 +872,10 @@ func (e *Engine) stuckProcs() []string {
 	return out
 }
 
-// driveOK reports whether run-to-completion driving is enabled: a
-// parked process may then execute the event loop itself (see
-// Proc.drive). Disabled alongside the other fast paths whenever a
-// watchdog is armed, because the Run loop checks its limits between
-// events and a driving process does not.
-func (e *Engine) driveOK() bool {
-	return !e.fastOff && e.maxEvents == 0 && e.maxTime == 0 && e.stallEvents == 0
-}
-
 // execOne commits the clock/bookkeeping mutation for ev and runs it if
 // it is an engine-context event (fn or Runner). For resume/start events
-// it only does the bookkeeping and returns the process to transfer to —
-// the caller decides how to hand control over (the engine blocks in
-// transfer; a driving process hands off directly). A nil return with
-// ok=true means the event is fully handled.
+// it only does the bookkeeping and returns the process to transfer to;
+// a nil return means the event is fully handled.
 func (e *Engine) execOne(ev event) *Proc {
 	if ev.at > e.now || e.executed == 0 {
 		e.lastAdvance = ev.at

@@ -2,6 +2,11 @@ package sim
 
 import "fmt"
 
+// procStopped is the private panic value park raises when Engine.Close
+// stops a parked process: it unwinds the process's stack (running its
+// deferred calls) and is swallowed by the spawn wrapper.
+type procStopped struct{}
+
 type procState int
 
 const (
@@ -11,14 +16,23 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// Engine. All Proc methods must be called from the process's own
-// goroutine while it is running.
+// Proc is a simulated process: a runtime coroutine (iter.Pull) that the
+// Engine's event loop switches into directly, with no run queue and no
+// channel in between. All Proc methods must be called from the
+// process's own goroutine while it is running.
 type Proc struct {
-	eng        *Engine
-	id         int
-	name       string
-	resume     chan struct{}
+	eng  *Engine
+	id   int
+	name string
+
+	// The coroutine: next switches into the process and returns when it
+	// parks or finishes, yield switches back to whoever called next
+	// (false once stop was called), stop releases an unfinished process
+	// (see Engine.Close). yield is set when the body first runs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
 	state      procState
 	parkReason string
 	killed     bool // Engine.Kill called: never resume again
@@ -52,7 +66,7 @@ func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 // now+d, the park/resume round trip is pure overhead — the engine would
 // immediately pop this process's own resume event and switch straight
 // back. In that case the clock advances inline and the process keeps
-// running, eliding two goroutine switches and a heap push/pop. The
+// running, eliding two coroutine switches and a queue push/pop. The
 // observable schedule is identical (see Engine.advanceInlineOK).
 func (p *Proc) Advance(d Duration) {
 	if d < 0 {
@@ -79,75 +93,19 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-// park blocks the process until something resumes it. reason appears in
-// deadlock reports. With the run-to-completion fast paths enabled the
-// parked process drives the event loop itself instead of bouncing
-// through the engine goroutine (see drive); otherwise the yield deposit
-// never blocks (one-slot semaphore under strict alternation), so a park
-// is a single blocking channel operation.
+// park blocks the process until a resume event addressed to it fires:
+// a single coroutine switch back to the event loop that resumed it.
+// reason appears in deadlock reports. A false yield means Engine.Close
+// is releasing the process; that holds for every later park too, so one
+// reached from a deferred call during the unwinding re-raises at once.
 func (p *Proc) park(reason string) {
 	p.state = stateParked
 	p.parkReason = reason
-	e := p.eng
-	if e.driveOK() {
-		p.drive()
-	} else {
-		e.yield <- struct{}{}
-		<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
 	}
 	p.state = stateRunning
 	p.parkReason = ""
-}
-
-// drive runs the event loop from the parked process's own goroutine.
-// fn/Runner events execute inline with no channel traffic at all; when
-// the process's own resume event comes up it simply keeps running; a
-// resume of a different process is handed off goroutine-to-goroutine,
-// halving the switch cost of the park → engine → resume round trip.
-// Event order is exactly Run's — drive pops the same queues in the same
-// order and shares Run's bookkeeping (execOne) — so a run is
-// bit-identical whether the engine or a process drives. The engine
-// goroutine stays blocked in transfer throughout and only takes over
-// again when a process exits or the queues drain.
-func (p *Proc) drive() {
-	e := p.eng
-	var ev event
-	for {
-		if e.limited {
-			// Sharded execution: stop at the window boundary (or the
-			// window event cap) and hand back to runWindow, exactly like
-			// the empty-queue case — the window barrier must observe a
-			// quiescent shard.
-			if e.winCap > 0 && e.executed >= e.winCap {
-				e.yield <- struct{}{}
-				<-p.resume
-				return
-			}
-			if t, ok := e.peekTime(); !ok || t >= e.limit {
-				e.yield <- struct{}{}
-				<-p.resume
-				return
-			}
-		}
-		if !e.nextEvent(&ev) {
-			// Nothing can ever wake us: hand back to Run, which
-			// reports the deadlock (or finishes, after a kill).
-			e.yield <- struct{}{}
-			<-p.resume
-			return
-		}
-		if ev.bg && e.live <= 0 {
-			continue
-		}
-		if q := e.execOne(ev); q != nil {
-			if q == p {
-				return // own wakeup: keep running, zero channel ops
-			}
-			q.resume <- struct{}{}
-			<-p.resume
-			return
-		}
-	}
 }
 
 // wake schedules the parked process to resume at the current virtual

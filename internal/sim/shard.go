@@ -218,7 +218,6 @@ func NewShardGroup(engines []*Engine, window Duration, workers int) *ShardGroup 
 			panic("sim: NewShardGroup engine already used")
 		}
 		e.shard = i
-		e.limited = true
 		e.seq = uint64(i) << 48
 		g.rings[i] = make([]mailRing, n)
 		g.pend[i] = timeMax
