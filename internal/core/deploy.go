@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -24,8 +25,9 @@ const (
 )
 
 // deployment is the per-rank view of the ghost-process carving performed
-// at Init (Section II-A): which world ranks are ghosts, the node-local
-// communicator used for shared-memory windows, and COMM_USER_WORLD.
+// at Init (Section II-A): the node-local communicator used for
+// shared-memory windows, COMM_USER_WORLD, and this rank's role. The
+// carving itself and the window records are world-global (deployShared).
 type deployment struct {
 	cfg      Config
 	place    *cluster.Placement
@@ -33,15 +35,47 @@ type deployment struct {
 	nodeComm *mpi.Comm // users + ghosts of this node
 	userComm *mpi.Comm // COMM_USER_WORLD (nil on ghosts)
 
-	isGhost      bool
-	ghostsByNode [][]int // node -> ghost world ranks
-	usersByNode  [][]int // node -> user world ranks
-	maxUsers     int     // max users on any node (internal window count, III-A)
+	isGhost bool
+	*deployShared
 
 	// journal is the replayable command log enabling sequencer
 	// succession; nil in fault-free worlds (see journal.go).
 	journal *cmdJournal
 }
+
+// partition is the ghost/user carving of a world, a function of the
+// placement and the ghost count alone. It is computed once per world
+// and read-only afterwards.
+type partition struct {
+	ghostsByNode [][]int // node -> ghost world ranks
+	usersByNode  [][]int // node -> user world ranks
+	maxUsers     int     // max users on any node (internal window count, III-A)
+
+	ghosts   []int // every ghost world rank, ascending
+	users    []int // every user world rank, ascending
+	localIdx []int // world rank -> position among its node's users (the i of "the ith user process", III-A); -1 for ghosts
+	bound    []int // world rank -> statically bound ghost world rank (see bindGhost); -1 for ghosts
+}
+
+// deployShared is the part of a deployment that a real Casper computes
+// identically on every rank and the simulator, one address space, keeps
+// once per world: the partition and one record per Casper window. Every
+// rank reaches it through mpi.World.SharedState; mu orders the window
+// table between shard engines. Records stay for the life of the world,
+// as mpi's own communicator and window registries do.
+type deployShared struct {
+	numGhosts int
+	partition
+
+	mu     sync.Mutex
+	byComm map[winID]*winMeta    // user side: (communicator, n-th window on it)
+	byKey  map[string][]*winMeta // ghost side: creation key -> records by creation index
+}
+
+// winID names a Casper window from the user side without touching its
+// member list: window creation is collective, so the n-th Casper window
+// a member creates on a communicator is the same window on every member.
+type winID struct{ comm, nth int }
 
 // ghostLocalIndices returns the node-local indices (0..ppn-1) reserved
 // for ghost processes: the last core of each NUMA domain first, so that
@@ -79,34 +113,84 @@ func ghostLocalIndices(ppn, numaPerNode, coresPerNUMA, g int) []int {
 // partitionGhosts computes the ghost/user partition for every node from
 // the placement alone — the deterministic rule both Init and external
 // harnesses (via GhostRanks) must agree on.
-func partitionGhosts(place *cluster.Placement, numGhosts int) (ghostsByNode, usersByNode [][]int, maxUsers int, err error) {
+func partitionGhosts(place *cluster.Placement, numGhosts int) (partition, error) {
 	m := place.Machine()
 	nodes := place.NodesUsed()
-	ghostsByNode = make([][]int, nodes)
-	usersByNode = make([][]int, nodes)
-	perNUMA := m.CoresPerNUMA()
+	n := place.N()
+	pt := partition{
+		ghostsByNode: make([][]int, nodes),
+		usersByNode:  make([][]int, nodes),
+		// Capacities are upper bounds: the per-node lists below are
+		// windows into the flat ones, so those must never move.
+		ghosts:   make([]int, 0, nodes*numGhosts),
+		users:    make([]int, 0, n),
+		localIdx: make([]int, n),
+		bound:    make([]int, n),
+	}
+	// Ranks are placed in blocks, so walking the nodes in order visits the
+	// world ranks in order and the flat lists come out ascending.
+	var ghostIdx []int
+	lastPPN := -1
 	for node := 0; node < nodes; node++ {
 		ranks := place.NodeRanks(node)
-		ghostIdx := ghostLocalIndices(len(ranks), m.NUMAPerNode, perNUMA, numGhosts)
-		isG := make(map[int]bool, len(ghostIdx))
-		for _, i := range ghostIdx {
-			isG[i] = true
+		if len(ranks) != lastPPN {
+			lastPPN = len(ranks)
+			ghostIdx = ghostLocalIndices(lastPPN, m.NUMAPerNode, m.CoresPerNUMA(), numGhosts)
 		}
+		g0, u0 := len(pt.ghosts), len(pt.users)
+		next := 0 // ghostIdx is ascending
 		for i, wr := range ranks {
-			if isG[i] {
-				ghostsByNode[node] = append(ghostsByNode[node], wr)
+			if next < len(ghostIdx) && ghostIdx[next] == i {
+				next++
+				pt.ghosts = append(pt.ghosts, wr)
+				pt.localIdx[wr] = -1
+				pt.bound[wr] = -1
 			} else {
-				usersByNode[node] = append(usersByNode[node], wr)
+				pt.localIdx[wr] = len(pt.users) - u0
+				pt.users = append(pt.users, wr)
 			}
 		}
-		if len(usersByNode[node]) == 0 && len(ranks) > 0 {
-			return nil, nil, 0, fmt.Errorf("casper: node %d has no user processes", node)
+		pt.ghostsByNode[node] = pt.ghosts[g0:len(pt.ghosts):len(pt.ghosts)]
+		pt.usersByNode[node] = pt.users[u0:len(pt.users):len(pt.users)]
+		if len(pt.usersByNode[node]) == 0 && len(ranks) > 0 {
+			return partition{}, fmt.Errorf("casper: node %d has no user processes", node)
 		}
-		if n := len(usersByNode[node]); n > maxUsers {
-			maxUsers = n
+		if nu := len(pt.usersByNode[node]); nu > pt.maxUsers {
+			pt.maxUsers = nu
 		}
 	}
-	return ghostsByNode, usersByNode, maxUsers, nil
+	for node, us := range pt.usersByNode {
+		for _, u := range us {
+			pt.bound[u] = bindGhost(place, pt.ghostsByNode[node], u, pt.localIdx[u])
+		}
+	}
+	return pt, nil
+}
+
+// bindGhost returns the statically bound ghost (world rank) of a user
+// process under rank binding: prefer ghosts in the user's NUMA domain,
+// balance within the preferred set by local index (topology-aware
+// binding, Section II-A).
+func bindGhost(place *cluster.Placement, ghosts []int, user, localIdx int) int {
+	same := 0
+	for _, g := range ghosts {
+		if place.SameNUMA(g, user) {
+			same++
+		}
+	}
+	if same == 0 {
+		return ghosts[localIdx%len(ghosts)]
+	}
+	pick := localIdx % same
+	for _, g := range ghosts {
+		if place.SameNUMA(g, user) {
+			if pick == 0 {
+				return g
+			}
+			pick--
+		}
+	}
+	panic("unreachable")
 }
 
 // GhostRanks returns, per node, the world ranks Init will carve out as
@@ -122,12 +206,15 @@ func GhostRanks(m cluster.Machine, n, ppn, numGhosts int) ([][]int, error) {
 		return nil, fmt.Errorf("casper: %d ghosts per node leaves no user processes (ppn %d)",
 			numGhosts, ppn)
 	}
-	ghosts, _, _, err := partitionGhosts(place, numGhosts)
-	return ghosts, err
+	pt, err := partitionGhosts(place, numGhosts)
+	if err != nil {
+		return nil, err
+	}
+	return pt.ghostsByNode, nil
 }
 
-// buildDeployment computes the ghost/user partition deterministically on
-// every rank from the placement alone.
+// buildDeployment attaches this rank to the world's shared deployment,
+// computing the ghost/user partition if it is the first rank to ask.
 func buildDeployment(r *mpi.Rank, cfg Config) (*deployment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -137,19 +224,33 @@ func buildDeployment(r *mpi.Rank, cfg Config) (*deployment, error) {
 		return nil, fmt.Errorf("casper: %d ghosts per node leaves no user processes (ppn %d)",
 			cfg.NumGhosts, place.PPN())
 	}
-	d := &deployment{cfg: cfg, place: place, world: r.CommWorld()}
-	var err error
-	d.ghostsByNode, d.usersByNode, d.maxUsers, err = partitionGhosts(place, cfg.NumGhosts)
-	if err != nil {
-		return nil, err
-	}
-	node := place.Node(r.Rank())
-	for _, g := range d.ghostsByNode[node] {
-		if g == r.Rank() {
-			d.isGhost = true
+	v := r.World().SharedState("casper.deployment", func() interface{} {
+		pt, err := partitionGhosts(place, cfg.NumGhosts)
+		if err != nil {
+			return err
 		}
+		return &deployShared{
+			numGhosts: cfg.NumGhosts,
+			partition: pt,
+			byComm:    map[winID]*winMeta{},
+			byKey:     map[string][]*winMeta{},
+		}
+	})
+	sh, ok := v.(*deployShared)
+	if !ok {
+		return nil, v.(error)
 	}
-	return d, nil
+	if sh.numGhosts != cfg.NumGhosts {
+		return nil, fmt.Errorf("casper: rank %d deploys %d ghosts per node, the world %d",
+			r.Rank(), cfg.NumGhosts, sh.numGhosts)
+	}
+	return &deployment{
+		cfg:          cfg,
+		place:        place,
+		world:        r.CommWorld(),
+		isGhost:      sh.localIdx[r.Rank()] < 0,
+		deployShared: sh,
+	}, nil
 }
 
 // Init deploys Casper on this rank. On user processes it returns a
@@ -187,20 +288,12 @@ func Init(r *mpi.Rank, cfg Config) (*Process, bool) {
 	}
 	// User processes monitor ghost health so routing can fail over after
 	// a detected ghost crash. No-op unless a fault plan is installed.
-	var ghosts []int
-	for _, gs := range d.ghostsByNode {
-		ghosts = append(ghosts, gs...)
-	}
-	r.World().TrackHealth(ghosts)
+	r.World().TrackHealth(d.ghosts)
 	if appCrashesPlanned(r) {
 		// Recoverable app crashes must be confirmed by the detector
 		// before the recovery pipeline can start, so the user ranks are
 		// monitored too.
-		var users []int
-		for _, us := range d.usersByNode {
-			users = append(users, us...)
-		}
-		r.World().TrackHealth(users)
+		r.World().TrackHealth(d.users)
 	}
 	return &Process{r: r, d: d}, false
 }
@@ -209,17 +302,7 @@ func Init(r *mpi.Rank, cfg Config) (*Process, bool) {
 // the smallest world rank. Users send commands to it; it forwards them
 // to every other ghost, so all ghosts observe commands in one global
 // order even when disjoint user groups create windows concurrently.
-func (d *deployment) sequencer() int {
-	best := -1
-	for _, gs := range d.ghostsByNode {
-		for _, g := range gs {
-			if best == -1 || g < best {
-				best = g
-			}
-		}
-	}
-	return best
-}
+func (d *deployment) sequencer() int { return d.ghosts[0] }
 
 // ghostLoop is the ghost process service loop (Section II-A): wait for
 // commands inside MPI_RECV so the MPI runtime can progress any RMA
@@ -303,12 +386,11 @@ func handleGhostCmd(r *mpi.Rank, d *deployment, wins map[string][]*ghostWinSet, 
 	case cmdShutdown:
 		return true
 	case cmdWinCreate:
-		epochs, users, err := parseWinCmd(data[1:])
-		if err != nil {
-			panic(err)
-		}
+		// The command names the window's record: its payload is the
+		// creation key, and this is the ghost's len(wins[key])-th
+		// creation under that key.
 		key := string(data[1:])
-		set := ghostJoinWindow(r, d, epochs, users)
+		set := ghostJoinWindow(r, d, d.ghostWindow(key, len(wins[key])))
 		wins[key] = append(wins[key], &set)
 	case cmdWinFree:
 		key, idx, err := parseFreeCmd(data[1:])
@@ -348,21 +430,24 @@ func (s ghostWinSet) free() {
 	s.shared.Free()
 }
 
-// encodeWinCmd/parseWinCmd carry the window-creation parameters to the
-// ghosts: the epochs_used hint and the window's user world ranks (the
-// window may live on any subset of COMM_USER_WORLD).
+// encodeWinCmd builds the window-creation command: the epochs_used hint
+// and the window's user world ranks (the window may live on any subset
+// of COMM_USER_WORLD). Ghosts do not parse it — its payload is the key
+// under which they find the window's record — but its length is what
+// the command costs on the wire.
 func encodeWinCmd(epochs epochSet, users []int) []byte {
-	var b strings.Builder
-	b.WriteByte(cmdWinCreate)
-	b.WriteString(epochs.String())
-	b.WriteByte(0)
+	e := epochs.String()
+	b := make([]byte, 0, 2+len(e)+4*len(users))
+	b = append(b, cmdWinCreate)
+	b = append(b, e...)
+	b = append(b, 0)
 	for i, u := range users {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", u)
+		b = strconv.AppendInt(b, int64(u), 10)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // encodeFreeCmd/parseFreeCmd address a window by its creation key and
@@ -383,102 +468,135 @@ func parseFreeCmd(payload []byte) (string, int, error) {
 	return parts[1], idx, nil
 }
 
-func parseWinCmd(payload []byte) (epochSet, []int, error) {
-	parts := strings.SplitN(string(payload), "\x00", 2)
-	if len(parts) != 2 {
-		return epochSet{}, nil, fmt.Errorf("casper: malformed window command")
+// winMeta is the immutable record of one Casper window (Section III-A),
+// built once and shared by the handles of every user and ghost that
+// joins it. The topology half is filled when the first member asks for
+// the record, because the creation collectives need it; the routing
+// layout needs the exchanged sizes and is filled by whichever member
+// leaves the size allgather first (see layoutFor in window.go). What an
+// origin mutates while routing lives in its own casperWin, never here.
+type winMeta struct {
+	epochs epochSet
+	users  []int  // window user world ranks, in user-comm rank order
+	cmd    []byte // creation command sent to the ghosts
+	key    string // cmd's payload; keys the ghost-side tables and the free protocol
+	idx    int    // creation index among the windows sharing key (windows may free in any order)
+
+	usersByNode [][]int // node -> window user world ranks, ascending
+	maxUsers    int     // max window users on any node
+	nodeRanks   [][]int // node -> members of the node's shared window: its window users plus its ghosts, ascending
+	internal    []int   // members of the internal overlapping windows: every window user plus every ghost, ascending
+	internalIdx []int   // world rank -> rank in the internal communicator; -1 for non-members
+	nLock       int     // number of per-user-process overlapping windows
+
+	layoutOnce sync.Once
+	layout     []tinfo // per user comm rank
+}
+
+// userWindow returns the record of the nth Casper window on comm,
+// building its topology if the caller is the first member to arrive.
+func (d *deployment) userWindow(comm *mpi.Comm, nth int, epochs epochSet) *winMeta {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id := winID{comm.ID(), nth}
+	m := d.byComm[id]
+	if m == nil {
+		m = d.newWinMeta(comm.Group(), epochs)
+		m.idx = len(d.byKey[m.key])
+		d.byKey[m.key] = append(d.byKey[m.key], m)
+		d.byComm[id] = m
 	}
-	epochs, err := parseEpochs(parts[0])
-	if err != nil {
-		return epochSet{}, nil, err
+	if m.epochs != epochs {
+		panic(fmt.Sprintf("casper: %s hint %q differs from %q given by another rank of the window",
+			InfoEpochsUsed, epochs, m.epochs))
 	}
-	var users []int
-	for _, f := range strings.Split(parts[1], ",") {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return epochSet{}, nil, fmt.Errorf("casper: bad rank %q in window command", f)
+	return m
+}
+
+// ghostWindow returns the record a creation command addresses. The
+// commanding user obtained it before sending, so it always exists.
+func (d *deployment) ghostWindow(key string, idx int) *winMeta {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if ms := d.byKey[key]; idx < len(ms) {
+		return ms[idx]
+	}
+	panic(fmt.Sprintf("casper: creation command for unknown window instance %d", idx))
+}
+
+// newWinMeta computes a window's topology: which of its users live on
+// which node, and the member lists of the communicators its internal
+// windows are built on.
+func (d *deployment) newWinMeta(users []int, epochs epochSet) *winMeta {
+	m := &winMeta{epochs: epochs, users: users, cmd: encodeWinCmd(epochs, users)}
+	m.key = string(m.cmd[1:])
+
+	nodes := d.place.NodesUsed()
+	sorted := users
+	if !sort.IntsAreSorted(sorted) { // e.g. a Split with descending keys
+		sorted = append([]int(nil), users...)
+		sort.Ints(sorted)
+	}
+	// Block placement: ascending world ranks are grouped by node.
+	m.usersByNode = make([][]int, nodes)
+	for lo := 0; lo < len(sorted); {
+		node := d.place.Node(sorted[lo])
+		hi := lo + 1
+		for hi < len(sorted) && d.place.Node(sorted[hi]) == node {
+			hi++
 		}
-		users = append(users, v)
-	}
-	return epochs, users, nil
-}
-
-// winTopology is the per-window view of which user world ranks live on
-// which node, shared by users and ghosts when constructing a window.
-type winTopology struct {
-	usersByNode map[int][]int // node -> window user world ranks (ascending)
-	maxUsers    int           // max window users on any node
-	allGhosts   []int         // every ghost world rank, ascending
-}
-
-func (d *deployment) topologyFor(users []int) winTopology {
-	t := winTopology{usersByNode: map[int][]int{}}
-	for _, u := range users {
-		node := d.place.Node(u)
-		t.usersByNode[node] = append(t.usersByNode[node], u)
-	}
-	for _, us := range t.usersByNode {
-		sort.Ints(us)
-		if len(us) > t.maxUsers {
-			t.maxUsers = len(us)
+		m.usersByNode[node] = sorted[lo:hi:hi]
+		if hi-lo > m.maxUsers {
+			m.maxUsers = hi - lo
 		}
+		lo = hi
 	}
-	for _, gs := range d.ghostsByNode {
-		t.allGhosts = append(t.allGhosts, gs...)
+	// Both member lists are merges of ascending lists; node by node they
+	// are one and the same merge.
+	m.nodeRanks = make([][]int, nodes)
+	m.internal = make([]int, 0, len(users)+len(d.ghosts))
+	m.internalIdx = make([]int, d.place.N())
+	for i := range m.internalIdx {
+		m.internalIdx[i] = -1
 	}
-	sort.Ints(t.allGhosts)
-	return t
-}
-
-// nodeWinRanks returns the members of the per-node shared window for
-// this window: the window's users on the node plus the node's ghosts.
-func (t winTopology) nodeWinRanks(d *deployment, node int) []int {
-	ranks := append([]int(nil), t.usersByNode[node]...)
-	ranks = append(ranks, d.ghostsByNode[node]...)
-	sort.Ints(ranks)
-	return ranks
-}
-
-// internalRanks returns the members of the internal overlapping
-// windows: every window user plus every ghost.
-func (t winTopology) internalRanks(users []int) []int {
-	ranks := append([]int(nil), users...)
-	ranks = append(ranks, t.allGhosts...)
-	sort.Ints(ranks)
-	return ranks
-}
-
-// windowLocalIndex returns the position of worldRank among the window's
-// users on its node (the i of "the ith user process", III-A).
-func (t winTopology) windowLocalIndex(d *deployment, worldRank int) int {
-	for i, u := range t.usersByNode[d.place.Node(worldRank)] {
-		if u == worldRank {
-			return i
+	for node := 0; node < nodes; node++ {
+		lo := len(m.internal)
+		us, gs := m.usersByNode[node], d.ghostsByNode[node]
+		for len(us) > 0 || len(gs) > 0 {
+			var wr int
+			if len(gs) == 0 || (len(us) > 0 && us[0] < gs[0]) {
+				wr, us = us[0], us[1:]
+			} else {
+				wr, gs = gs[0], gs[1:]
+			}
+			m.internalIdx[wr] = len(m.internal)
+			m.internal = append(m.internal, wr)
 		}
+		m.nodeRanks[node] = m.internal[lo:len(m.internal):len(m.internal)]
 	}
-	panic(fmt.Sprintf("casper: rank %d not a user of this window", worldRank))
+	m.nLock = d.lockWindowCount(epochs, m.maxUsers)
+	return m
 }
 
 // ghostJoinWindow mirrors, on the ghost side, the collective window
 // construction the user processes perform in Process.WinAllocate. The
 // two sides must stay in lockstep.
-func ghostJoinWindow(r *mpi.Rank, d *deployment, epochs epochSet, users []int) ghostWinSet {
-	topo := d.topologyFor(users)
+func ghostJoinWindow(r *mpi.Rank, d *deployment, m *winMeta) ghostWinSet {
 	node := d.place.Node(r.Rank())
 	var set ghostWinSet
 	// 1. Node shared window; ghosts contribute zero bytes but gain
 	// load/store access to the whole node segment (Fig. 2).
-	nodeComm := r.CommFromGroup(topo.nodeWinRanks(d, node))
+	nodeComm := r.CommFromGroup(m.nodeRanks[node])
 	shared, _ := r.WinAllocateShared(nodeComm, 0, nil)
 	set.shared = shared
 	root := shared.Region().Root()
 	// 2. Internal overlapping windows over users + all ghosts: the
 	// ghost exposes the entire node segment in each.
-	internal := r.CommFromGroup(topo.internalRanks(users))
-	for i := 0; i < d.lockWindowCount(epochs, topo.maxUsers); i++ {
+	internal := r.CommFromGroup(m.internal)
+	for i := 0; i < m.nLock; i++ {
 		set.lockWins = append(set.lockWins, r.WinCreate(internal, root, nil))
 	}
-	if epochs.needActive() {
+	if m.epochs.needActive() {
 		set.active = r.WinCreate(internal, root, nil)
 	}
 	// 3. The user-visible window is over the users' communicator only;
@@ -500,38 +618,15 @@ func (d *deployment) lockWindowCount(epochs epochSet, maxUsers int) int {
 	return maxUsers
 }
 
-// ghostsOf returns the ghost world ranks of the node hosting world rank.
-func (d *deployment) ghostsOf(worldRank int) []int {
-	return d.ghostsByNode[d.place.Node(worldRank)]
-}
-
 // userLocalIndex returns the position of worldRank among the user
 // processes of its node (the i in "the ith user process", III-A).
 func (d *deployment) userLocalIndex(worldRank int) int {
-	users := d.usersByNode[d.place.Node(worldRank)]
-	for i, u := range users {
-		if u == worldRank {
-			return i
-		}
+	if i := d.localIdx[worldRank]; i >= 0 {
+		return i
 	}
 	panic(fmt.Sprintf("casper: world rank %d is not a user process", worldRank))
 }
 
 // boundGhost returns the statically bound ghost (world rank) of a user
-// process under rank binding: prefer ghosts in the target's NUMA domain,
-// balance within the preferred set by local index (topology-aware
-// binding, Section II-A).
-func (d *deployment) boundGhost(worldRank int) int {
-	ghosts := d.ghostsOf(worldRank)
-	var sameNUMA []int
-	for _, g := range ghosts {
-		if d.place.SameNUMA(g, worldRank) {
-			sameNUMA = append(sameNUMA, g)
-		}
-	}
-	pool := ghosts
-	if len(sameNUMA) > 0 {
-		pool = sameNUMA
-	}
-	return pool[d.userLocalIndex(worldRank)%len(pool)]
-}
+// process under rank binding.
+func (d *deployment) boundGhost(worldRank int) int { return d.bound[worldRank] }

@@ -62,13 +62,11 @@ func journalFor(r *mpi.Rank, d *deployment) *cmdJournal {
 		j := &cmdJournal{
 			w:       r.World(),
 			comm:    d.world,
+			ghosts:  d.ghosts,
 			seqRank: d.sequencer(),
 			pending: map[int][]*cmdEntry{},
 			next:    map[int]int{},
 			exited:  map[int]bool{},
-		}
-		for _, gs := range d.ghostsByNode {
-			j.ghosts = append(j.ghosts, gs...)
 		}
 		r.World().AddDeathHook(j.onDeath)
 		return j

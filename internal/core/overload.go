@@ -111,7 +111,7 @@ func (p *Process) attachOverload(cw *casperWin) *winShared {
 		}
 	}).(*rebalancer)
 
-	key := "casper.overload.win/" + cw.cmdKey + "#" + fmt.Sprint(cw.cmdIdx)
+	key := "casper.overload.win/" + cw.meta.key + "#" + fmt.Sprint(cw.meta.idx)
 	sh := world.SharedState(key, func() interface{} {
 		nt := cw.comm.Size()
 		s := &winShared{

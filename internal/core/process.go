@@ -17,7 +17,7 @@ type Process struct {
 	d *deployment
 
 	finalized bool
-	winCounts map[string]int // per creation-key window instance counters
+	winCounts map[int]int // communicator ID -> Casper windows created on it so far
 	stats     Stats
 }
 
@@ -106,20 +106,22 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	if err != nil {
 		panic(err)
 	}
-	users := comm.Group()
-	topo := p.d.topologyFor(users)
+	if p.winCounts == nil {
+		p.winCounts = map[int]int{}
+	}
+	m := p.d.userWindow(comm, p.winCounts[comm.ID()], epochs)
+	p.winCounts[comm.ID()]++
 
 	// Summon the ghosts into the creation collectives, via the
 	// sequencer so every ghost sees window creations in one global
 	// order even when disjoint groups allocate concurrently.
-	cmd := encodeWinCmd(epochs, users)
 	if comm.Rank() == 0 {
-		p.d.sendCmd(cmd)
+		p.d.sendCmd(m.cmd)
 	}
 
 	// Step 1: node shared window (window users + ghosts), Fig. 2.
 	node := p.d.place.Node(p.r.Rank())
-	nodeComm := p.r.CommFromGroup(topo.nodeWinRanks(p.d, node))
+	nodeComm := p.r.CommFromGroup(m.nodeRanks[node])
 	shared, buf := p.r.WinAllocateShared(nodeComm, size, nil)
 	root := shared.Region().Root()
 
@@ -129,9 +131,8 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	// that loses all its ghosts can degrade to target-side progress.
 	// Operations target only ghost ranks on these windows while any
 	// ghost of the node survives.
-	internal := p.r.CommFromGroup(topo.internalRanks(users))
-	nLock := p.d.lockWindowCount(epochs, topo.maxUsers)
-	lockWins := make([]*mpi.Win, nLock)
+	internal := p.r.CommFromGroup(m.internal)
+	lockWins := make([]*mpi.Win, m.nLock)
 	for i := range lockWins {
 		lockWins[i] = p.r.WinCreate(internal, root, nil)
 	}
@@ -171,6 +172,7 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 
 	cw := &casperWin{
 		p:        p,
+		meta:     m,
 		epochs:   epochs,
 		shared:   shared,
 		lockWins: lockWins,
@@ -182,15 +184,8 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 		binding:  binding,
 		lb:       lb,
 		targets:  make([]*ctarget, comm.Size()),
-		nodeLB:   map[int][]lbCount{},
-		cmdKey:   string(cmd[1:]),
 	}
-	if p.winCounts == nil {
-		p.winCounts = map[string]int{}
-	}
-	cw.cmdIdx = p.winCounts[cw.cmdKey]
-	p.winCounts[cw.cmdKey]++
-	cw.buildLayout(size, topo)
+	cw.layout = m.layoutFor(p.d, comm.AllgatherInt(size))
 	if appCrashesPlanned(p.r) {
 		// Guard this rank's exposed region for rollback-replay recovery:
 		// the bound ghost snapshots it at epoch closes, a buddy ghost on

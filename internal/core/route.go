@@ -256,15 +256,14 @@ func (cw *casperWin) chooseDynamic(ti *tinfo) int {
 }
 
 func (cw *casperWin) lbCounts(ti *tinfo) []lbCount {
-	if ti.lbc != nil {
-		return ti.lbc
+	if cw.nodeLB == nil {
+		cw.nodeLB = make([][]lbCount, cw.p.d.place.NodesUsed())
 	}
-	c, ok := cw.nodeLB[ti.node]
-	if !ok {
+	c := cw.nodeLB[ti.node]
+	if c == nil {
 		c = make([]lbCount, len(ti.ghosts))
 		cw.nodeLB[ti.node] = c
 	}
-	ti.lbc = c // cache on the target: counting stays per-node (shared slice)
 	return c
 }
 

@@ -12,6 +12,7 @@ import (
 // internal windows (Sections II-C, III).
 type casperWin struct {
 	p      *Process
+	meta   *winMeta // the window's shared immutable record
 	epochs epochSet
 
 	shared   *mpi.Win   // node shared-memory window (window users + ghosts)
@@ -25,7 +26,13 @@ type casperWin struct {
 	binding Binding
 	lb      LoadBalance
 
-	layout []tinfo // per user comm rank
+	layout []tinfo // per user comm rank; meta's, shared by every handle: read-only
+
+	// Per-origin routing state, kept beside the shared layout and
+	// allocated on first use: which targets' routing preference already
+	// failed over once, and the per-node load-balancing counters.
+	rebound []bool      // per user comm rank
+	nodeLB  [][]lbCount // per node, per ghost of the node
 
 	// Epoch state.
 	fenceActive   bool
@@ -36,7 +43,6 @@ type casperWin struct {
 	// nil entries mean "untouched". A flat slice keeps the per-op epoch
 	// lookup off the map hash path.
 	targets []*ctarget
-	nodeLB  map[int][]lbCount
 	freed   bool
 
 	// Request-collection state for RPut/RGet.
@@ -49,9 +55,6 @@ type casperWin struct {
 	// operation without allocating.
 	routeBuf []piece
 
-	cmdKey string // creation command payload; keys the free protocol
-	cmdIdx int    // per-key creation index (windows may free in any order)
-
 	// sh is the shared overload state of this window (all ranks'
 	// handles point at the same object); nil without Config.Overload.
 	sh *winShared
@@ -63,21 +66,21 @@ type casperWin struct {
 
 var _ mpi.Window = (*casperWin)(nil)
 
-// tinfo is the routing metadata of one user target.
+// tinfo is the routing metadata of one user target. It is part of the
+// window's shared record: identical for every origin, never written
+// after layoutFor.
 type tinfo struct {
+	rank         int   // the target's user comm rank (its index in the layout)
 	world        int   // world rank of the target user process
 	node         int   // its node
 	base         int   // offset of its memory in the node's shared segment
 	size         int   // its window size
-	ghosts       []int // ghost ranks of its node, as internal-comm ranks
+	ghosts       []int // ghost ranks of its node, as internal-comm ranks (one slice per node)
 	bound        int   // rank-binding ghost (internal-comm rank)
 	selfInternal int   // the target user itself, as an internal-comm rank (degraded routing)
 	lockWinIdx   int   // which overlapping window serves lock epochs to it
 	nodeTotal    int   // total user bytes exposed on its node
 	chunk        int   // segment-binding chunk size on its node (16-aligned)
-	rebound      bool  // a routing preference for this target already failed over once
-
-	lbc []lbCount // cached per-node LB counters (see lbCounts)
 }
 
 // ctarget is per-target epoch state at this origin.
@@ -92,67 +95,67 @@ type ctarget struct {
 
 type lbCount struct{ ops, bytes int64 }
 
-// buildLayout computes, at window creation, the routing metadata for
-// every user target: shared-segment base offsets (exchanged sizes),
-// ghost sets (as internal-comm ranks), bindings, and segment chunking.
-func (cw *casperWin) buildLayout(mySize int, topo winTopology) {
-	d := cw.p.d
-	sizes := cw.comm.AllgatherInt(mySize)
-	n := cw.comm.Size()
-	cw.layout = make([]tinfo, n)
-	type nodeAcc struct {
-		off   int
-		total int
-	}
-	accs := map[int]*nodeAcc{}
+// layoutFor returns the window's routing layout: for every user target
+// the shared-segment base offset (from the exchanged sizes), the ghost
+// set and bindings as internal-comm ranks, and the segment chunking.
+// Every member passes the sizes it gathered — the same vector — and the
+// first one through builds the layout for all.
+func (m *winMeta) layoutFor(d *deployment, sizes []int) []tinfo {
+	m.layoutOnce.Do(func() { m.layout = m.buildLayout(d, sizes) })
+	return m.layout
+}
+
+func (m *winMeta) buildLayout(d *deployment, sizes []int) []tinfo {
 	align := func(x int) int { return (x + mpi.MaxBasicSize - 1) / mpi.MaxBasicSize * mpi.MaxBasicSize }
-	worldToUser := map[int]int{}
-	for t := 0; t < n; t++ {
-		worldToUser[cw.comm.WorldRank(t)] = t
+	layout := make([]tinfo, len(m.users))
+	userRank := make([]int, d.place.N()) // world rank -> user comm rank
+	for t, wr := range m.users {
+		userRank[wr] = t
 	}
-	// Per node: walk the node window's members in world-rank order,
-	// accumulating 16-aligned offsets exactly as WinAllocateShared
-	// does (ghosts contribute zero bytes).
-	for node, winUsers := range topo.usersByNode {
-		acc := &nodeAcc{}
-		accs[node] = acc
-		for _, wr := range winUsers { // ascending world rank
-			ut := worldToUser[wr]
-			cw.layout[ut] = tinfo{
-				world: wr,
-				node:  node,
-				base:  acc.off,
-				size:  sizes[ut],
+	// Every ghost as an internal-comm rank, in d.ghosts order: a node's
+	// ghost set is a window into this list.
+	ghosts := make([]int, len(d.ghosts))
+	for i, g := range d.ghosts {
+		ghosts[i] = m.internalIdx[g]
+	}
+	g0 := 0
+	for node, winUsers := range m.usersByNode {
+		ng := len(d.ghostsByNode[node])
+		nodeGhosts := ghosts[g0 : g0+ng : g0+ng]
+		g0 += ng
+		// Walk the node window's users in world-rank order, accumulating
+		// 16-aligned offsets exactly as WinAllocateShared does (ghosts
+		// contribute zero bytes).
+		off := 0
+		for i, wr := range winUsers {
+			t := userRank[wr]
+			ti := &layout[t]
+			*ti = tinfo{
+				rank:         t,
+				world:        wr,
+				node:         node,
+				base:         off,
+				size:         sizes[t],
+				ghosts:       nodeGhosts,
+				bound:        m.internalIdx[d.bound[wr]],
+				selfInternal: m.internalIdx[wr],
 			}
-			acc.off += align(sizes[ut])
-			acc.total += align(sizes[ut])
+			if m.nLock > 0 {
+				ti.lockWinIdx = i % m.nLock
+			}
+			off += align(sizes[t])
+		}
+		chunk := align((off + d.cfg.NumGhosts - 1) / d.cfg.NumGhosts)
+		if chunk == 0 {
+			chunk = mpi.MaxBasicSize
+		}
+		for _, wr := range winUsers {
+			ti := &layout[userRank[wr]]
+			ti.nodeTotal = off
+			ti.chunk = chunk
 		}
 	}
-	toInternal := func(worldRank int) int {
-		cr, ok := cw.internal.CommRankOf(worldRank)
-		if !ok {
-			panic(fmt.Sprintf("casper: rank %d missing from internal comm", worldRank))
-		}
-		return cr
-	}
-	g := d.cfg.NumGhosts
-	for t := range cw.layout {
-		ti := &cw.layout[t]
-		for _, gw := range d.ghostsOf(ti.world) {
-			ti.ghosts = append(ti.ghosts, toInternal(gw))
-		}
-		ti.bound = toInternal(d.boundGhost(ti.world))
-		ti.selfInternal = toInternal(ti.world)
-		if len(cw.lockWins) > 0 {
-			ti.lockWinIdx = topo.windowLocalIndex(d, ti.world) % len(cw.lockWins)
-		}
-		ti.nodeTotal = accs[ti.node].total
-		per := (ti.nodeTotal + g - 1) / g
-		ti.chunk = align(per)
-		if ti.chunk == 0 {
-			ti.chunk = mpi.MaxBasicSize
-		}
-	}
+	return layout
 }
 
 func (cw *casperWin) target(t int) *ctarget {
@@ -279,8 +282,11 @@ func (cw *casperWin) progressTarget(ti *tinfo, preferred int) int {
 	if !w.HealthFailed(cw.internal.WorldRank(preferred)) {
 		return preferred
 	}
-	if !ti.rebound {
-		ti.rebound = true
+	if cw.rebound == nil {
+		cw.rebound = make([]bool, len(cw.layout))
+	}
+	if !cw.rebound[ti.rank] {
+		cw.rebound[ti.rank] = true
 		w.NoteRebind(cw.p.r.Rank())
 	}
 	alive := cw.progressRanks(ti)
@@ -620,7 +626,7 @@ func (cw *casperWin) Free() {
 	}
 	cw.freed = true
 	if cw.comm.Rank() == 0 {
-		cw.p.d.sendCmd(encodeFreeCmd(cw.cmdKey, cw.cmdIdx))
+		cw.p.d.sendCmd(encodeFreeCmd(cw.meta.key, cw.meta.idx))
 	}
 	if cw.active != nil {
 		cw.active.UnlockAll()

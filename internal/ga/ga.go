@@ -28,6 +28,29 @@ type Array struct {
 	rows, cols int
 	pr, pc     int // process grid
 	tr, tc     int // nominal tile dims (last row/col of grid may be smaller)
+
+	// Staging reused by every patch operation on this handle (see stage).
+	scratch []byte
+	pieces  []piece
+}
+
+// piece is one owner's share of a patch operation in flight.
+type piece struct {
+	rank               int
+	or0, or1, oc0, oc1 int // overlap rectangle, global coordinates
+	off                int // Get: where its bytes land in the scratch buffer
+}
+
+// stage returns n bytes of the handle's scratch buffer, valid until the
+// next call. A window copies an origin payload before Put/Accumulate
+// return (see mpi.Window), so rmw stages one piece after another in the
+// same bytes; a result buffer belongs to its Get until the flush, so Get
+// stages the whole patch at once and gives every piece its own part.
+func (a *Array) stage(n int) []byte {
+	if cap(a.scratch) < n {
+		a.scratch = make([]byte, n)
+	}
+	return a.scratch[:n]
 }
 
 // procGrid factors n into pr x pc with pr <= pc and pr maximal.
@@ -119,9 +142,16 @@ func (a *Array) Distribution() (r0, r1, c0, c1 int) {
 // Local returns the caller's local tile data (row-major).
 func (a *Array) Local() []float64 { return mpi.GetFloat64s(a.loc) }
 
-// SetLocal overwrites the caller's local tile data.
+// SetLocal overwrites the caller's local tile data (row-major, exactly
+// the tile's size).
 func (a *Array) SetLocal(vals []float64) {
-	copy(a.loc, mpi.PutFloat64s(vals))
+	if 8*len(vals) != len(a.loc) {
+		panic(fmt.Sprintf("ga: SetLocal of %d values into the %d-element local tile of %q",
+			len(vals), len(a.loc)/8, a.name))
+	}
+	for i, v := range vals {
+		mpi.EncodeFloat64(a.loc[8*i:], v)
+	}
 }
 
 func (a *Array) checkPatch(r0, r1, c0, c1 int, buf []float64) {
@@ -165,17 +195,18 @@ func (a *Array) pieceType(rank, or0, or1, oc0, oc1 int) (disp int, dt mpi.Dataty
 	return disp, mpi.Vector(mpi.Float64, rows, cols, tileCols)
 }
 
-// packPatch extracts the overlap sub-rectangle from the caller's patch
-// buffer (row-major over the full patch).
-func packPatch(buf []float64, r0, c0, pc int, or0, or1, oc0, oc1 int, scale float64) []float64 {
-	out := make([]float64, 0, (or1-or0)*(oc1-oc0))
+// packPiece encodes the overlap sub-rectangle of the caller's patch
+// buffer (row-major over the full patch, whose origin is (r0, c0) and
+// width pcols), scaled, as the packed payload of one owner's piece.
+func packPiece(dst []byte, buf []float64, r0, c0, pcols int, or0, or1, oc0, oc1 int, scale float64) {
+	k := 0
 	for i := or0; i < or1; i++ {
-		row := (i-r0)*pc + (oc0 - c0)
-		for j := 0; j < oc1-oc0; j++ {
-			out = append(out, buf[row+j]*scale)
+		row := (i-r0)*pcols + (oc0 - c0)
+		for _, v := range buf[row : row+oc1-oc0] {
+			mpi.EncodeFloat64(dst[k:], v*scale)
+			k += 8
 		}
 	}
-	return out
 }
 
 // Put writes buf (row-major, (r1-r0)x(c1-c0)) into the global patch. It
@@ -195,19 +226,20 @@ func (a *Array) Acc(r0, r1, c0, c1 int, buf []float64, alpha float64) {
 
 func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op) {
 	pcols := c1 - c0
-	var touched []int
+	a.pieces = a.pieces[:0]
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
-		data := packPatch(buf, r0, c0, pcols, or0, or1, oc0, oc1, alpha)
+		data := a.stage(dt.Size())
+		packPiece(data, buf, r0, c0, pcols, or0, or1, oc0, oc1, alpha)
 		if op == mpi.OpReplace {
-			a.win.Put(mpi.PutFloat64s(data), rank, disp, dt)
+			a.win.Put(data, rank, disp, dt)
 		} else {
-			a.win.Accumulate(mpi.PutFloat64s(data), rank, disp, dt, op)
+			a.win.Accumulate(data, rank, disp, dt, op)
 		}
-		touched = append(touched, rank)
+		a.pieces = append(a.pieces, piece{rank: rank})
 	})
-	for _, rank := range touched {
-		a.win.Flush(rank)
+	for _, p := range a.pieces {
+		a.win.Flush(p.rank)
 	}
 }
 
@@ -215,30 +247,27 @@ func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op)
 func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 	a.checkPatch(r0, r1, c0, c1, buf)
 	pcols := c1 - c0
-	type pending struct {
-		raw                []byte
-		or0, or1, oc0, oc1 int
-	}
-	var waits []pending
-	var touched []int
+	raw := a.stage((r1 - r0) * pcols * 8)
+	a.pieces = a.pieces[:0]
+	off := 0
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
-		raw := make([]byte, dt.Size())
-		a.win.Get(raw, rank, disp, dt)
-		waits = append(waits, pending{raw, or0, or1, oc0, oc1})
-		touched = append(touched, rank)
+		n := dt.Size()
+		a.win.Get(raw[off:off+n], rank, disp, dt)
+		a.pieces = append(a.pieces, piece{rank, or0, or1, oc0, oc1, off})
+		off += n
 	})
-	for _, rank := range touched {
-		a.win.Flush(rank)
+	for _, p := range a.pieces {
+		a.win.Flush(p.rank)
 	}
-	for _, p := range waits {
-		vals := mpi.GetFloat64s(p.raw)
-		k := 0
+	for _, p := range a.pieces {
+		k := p.off
 		for i := p.or0; i < p.or1; i++ {
 			row := (i-r0)*pcols + (p.oc0 - c0)
-			for j := 0; j < p.oc1-p.oc0; j++ {
-				buf[row+j] = vals[k]
-				k++
+			dst := buf[row : row+p.oc1-p.oc0]
+			for j := range dst {
+				dst[j] = mpi.DecodeFloat64(raw[k:])
+				k += 8
 			}
 		}
 	}
@@ -246,13 +275,12 @@ func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 
 // Fill sets every element the caller owns to v (collective with Sync).
 func (a *Array) Fill(v float64) {
-	r0, r1, c0, c1 := a.Distribution()
-	n := (r1 - r0) * (c1 - c0)
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = v
+	if len(a.loc) > 0 {
+		mpi.EncodeFloat64(a.loc, v)
+		for n := 8; n < len(a.loc); n *= 2 {
+			copy(a.loc[n:], a.loc[:n])
+		}
 	}
-	a.SetLocal(vals)
 	a.Sync()
 }
 
@@ -275,6 +303,8 @@ type Counter struct {
 	env  mpi.Env
 	win  mpi.Window
 	home int // rank holding the counter
+
+	one, res [8]byte // Next's operand and result buffers
 }
 
 // NewCounter collectively creates a counter starting at zero, hosted on
@@ -292,16 +322,17 @@ func NewCounter(env mpi.Env) *Counter {
 	}
 	win.LockAll(mpi.AssertNone)
 	env.CommWorld().Barrier()
-	return &Counter{env: env, win: win, home: 0}
+	c := &Counter{env: env, win: win, home: 0}
+	copy(c.one[:], mpi.PutInt64(1))
+	return c
 }
 
 // Next atomically fetches and increments the counter, returning the
 // fetched value. Safe to call concurrently from all ranks.
 func (c *Counter) Next() int64 {
-	res := make([]byte, 8)
-	c.win.FetchAndOp(mpi.PutInt64(1), res, c.home, 0, mpi.Int64, mpi.OpSum)
+	c.win.FetchAndOp(c.one[:], c.res[:], c.home, 0, mpi.Int64, mpi.OpSum)
 	c.win.Flush(c.home)
-	return mpi.GetInt64(res)
+	return mpi.GetInt64(c.res[:])
 }
 
 // Destroy releases the counter (collective).

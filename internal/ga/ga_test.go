@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -39,8 +40,13 @@ func runPlain(t *testing.T, n, ppn int, main func(env mpi.Env)) *mpi.World {
 // runCasper runs main over Casper with g ghosts per node.
 func runCasper(t *testing.T, n, ppn, g int, main func(env mpi.Env)) *mpi.World {
 	t.Helper()
+	return runCasperCfg(t, n, ppn, core.Config{NumGhosts: g}, main)
+}
+
+func runCasperCfg(t *testing.T, n, ppn int, ccfg core.Config, main func(env mpi.Env)) *mpi.World {
+	t.Helper()
 	w, err := mpi.Run(gaConfig(n, ppn), func(r *mpi.Rank) {
-		p, ghost := core.Init(r, core.Config{NumGhosts: g})
+		p, ghost := core.Init(r, ccfg)
 		if ghost {
 			return
 		}
@@ -285,7 +291,7 @@ func TestCounterOverCasper(t *testing.T) {
 	}
 }
 
-// Property: packPatch extracts exactly the overlap rectangle, scaled.
+// Property: packPiece encodes exactly the overlap rectangle, scaled.
 func TestPackPatchProperty(t *testing.T) {
 	f := func(rows, cols uint8, alpha int8) bool {
 		pr := int(rows%6) + 2
@@ -297,10 +303,9 @@ func TestPackPatchProperty(t *testing.T) {
 		// Overlap: inner rectangle.
 		or0, or1 := 1, pr
 		oc0, oc1 := 1, pc
-		out := packPatch(buf, 0, 0, pc, or0, or1, oc0, oc1, float64(alpha))
-		if len(out) != (or1-or0)*(oc1-oc0) {
-			return false
-		}
+		raw := make([]byte, 8*(or1-or0)*(oc1-oc0))
+		packPiece(raw, buf, 0, 0, pc, or0, or1, oc0, oc1, float64(alpha))
+		out := mpi.GetFloat64s(raw)
 		k := 0
 		for i := or0; i < or1; i++ {
 			for j := oc0; j < oc1; j++ {
@@ -329,5 +334,163 @@ func TestBadPatchPanics(t *testing.T) {
 			a.Get(0, 9, 0, 1, make([]float64, 100))
 		}
 		a.Sync()
+	})
+}
+
+// TestPatchOpsMatchDenseReference drives Put, Acc and Get with seeded
+// random patches and checks every Get, and the final tiles, against a
+// dense local matrix. Every rank draws the same stream and applies every
+// rank's operation to its own copy of the reference, so all copies agree.
+// Values are small multiples of 0.5: every sum is exact in any order.
+func TestPatchOpsMatchDenseReference(t *testing.T) {
+	const rows, cols, rounds = 23, 19, 12
+	program := func(env mpi.Env) {
+		me, n := env.Rank(), env.Size()
+		a := MustCreate(env, "prop", rows, cols)
+		a.Fill(0.5)
+		ref := make([]float64, rows*cols)
+		for i := range ref {
+			ref[i] = 0.5
+		}
+		rng := rand.New(rand.NewSource(20150525))
+		type patch struct {
+			r0, r1, c0, c1 int
+			vals           []float64
+		}
+		draw := func() patch {
+			r0, c0 := rng.Intn(rows), rng.Intn(cols)
+			p := patch{r0: r0, r1: r0 + 1 + rng.Intn(rows-r0), c0: c0, c1: c0 + 1 + rng.Intn(cols-c0)}
+			p.vals = make([]float64, (p.r1-p.r0)*(p.c1-p.c0))
+			for i := range p.vals {
+				p.vals[i] = float64(rng.Intn(9) - 4)
+			}
+			return p
+		}
+		apply := func(p patch, alpha float64, replace bool) {
+			k := 0
+			for i := p.r0; i < p.r1; i++ {
+				for j := p.c0; j < p.c1; j++ {
+					if replace {
+						ref[i*cols+j] = p.vals[k]
+					} else {
+						ref[i*cols+j] += alpha * p.vals[k]
+					}
+					k++
+				}
+			}
+		}
+		check := func(p patch, what string) {
+			got := make([]float64, len(p.vals))
+			a.Get(p.r0, p.r1, p.c0, p.c1, got)
+			k := 0
+			for i := p.r0; i < p.r1; i++ {
+				for j := p.c0; j < p.c1; j++ {
+					if got[k] != ref[i*cols+j] {
+						t.Errorf("rank %d %s: Get [%d,%d)x[%d,%d) elem (%d,%d) = %v, reference %v",
+							me, what, p.r0, p.r1, p.c0, p.c1, i, j, got[k], ref[i*cols+j])
+						return
+					}
+					k++
+				}
+			}
+		}
+		whole := patch{0, rows, 0, cols, make([]float64, rows*cols)}
+		for i := range whole.vals {
+			whole.vals[i] = float64(i % 7)
+		}
+		one := patch{rows / 2, rows/2 + 1, cols / 2, cols/2 + 1, []float64{-3}}
+
+		// The staging buffer grows to the whole array, serves a single
+		// element, then the whole array again.
+		if me == 0 {
+			a.Put(whole.r0, whole.r1, whole.c0, whole.c1, whole.vals)
+		}
+		apply(whole, 1, true)
+		a.Sync()
+		check(whole, "large")
+		a.Acc(one.r0, one.r1, one.c0, one.c1, one.vals, 0.5)
+		for q := 0; q < n; q++ {
+			apply(one, 0.5, false)
+		}
+		a.Sync()
+		check(one, "small after large")
+		check(whole, "large after small")
+		a.Sync()
+
+		alphas := []float64{1, -2, 0.5, 3}
+		for round := 0; round < rounds; round++ {
+			// One writer replaces a patch.
+			p := draw()
+			if me == round%n {
+				a.Put(p.r0, p.r1, p.c0, p.c1, p.vals)
+			}
+			apply(p, 1, true)
+			a.Sync()
+			// Everyone accumulates its own patch, concurrently.
+			for q := 0; q < n; q++ {
+				p, alpha := draw(), alphas[rng.Intn(len(alphas))]
+				if q == me {
+					a.Acc(p.r0, p.r1, p.c0, p.c1, p.vals, alpha)
+				}
+				apply(p, alpha, false)
+			}
+			a.Sync()
+			// Everyone reads its own patch.
+			for q := 0; q < n; q++ {
+				if p := draw(); q == me {
+					check(p, "random")
+				}
+			}
+			a.Sync()
+		}
+		r0, r1, c0, c1 := a.Distribution()
+		loc := a.Local()
+		for i := r0; i < r1; i++ {
+			for j := c0; j < c1; j++ {
+				if got := loc[(i-r0)*(c1-c0)+(j-c0)]; got != ref[i*cols+j] {
+					t.Errorf("rank %d: local (%d,%d) = %v, reference %v", me, i, j, got, ref[i*cols+j])
+					return
+				}
+			}
+		}
+		a.Destroy()
+	}
+	t.Run("mpi", func(t *testing.T) { runPlain(t, 12, 6, program) }) // 3x4 grid, uneven 8x5 tiles
+	for _, b := range []core.Binding{core.BindRank, core.BindSegment} {
+		b := b
+		t.Run("casper/"+b.String(), func(t *testing.T) {
+			// 12 users on two nodes; under segment binding each node's two
+			// ghosts own half of the node's tiles, so pieces split.
+			var split int64
+			runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2, Binding: b}, func(env mpi.Env) {
+				program(env)
+				split += env.(*core.Process).Stats().Split
+			})
+			if (b == core.BindSegment) != (split > 0) {
+				t.Errorf("%v binding split %d pieces", b, split)
+			}
+		})
+	}
+}
+
+func TestSetLocalRejectsWrongLength(t *testing.T) {
+	runPlain(t, 4, 4, func(env mpi.Env) {
+		a := MustCreate(env, "tile", 4, 4) // 2x2 tiles
+		for _, n := range []int{3, 5} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SetLocal accepted %d values for a 4-element tile", n)
+					}
+				}()
+				a.SetLocal(make([]float64, n))
+			}()
+		}
+		a.SetLocal([]float64{1, 2, 3, 4})
+		if got := a.Local(); got[0] != 1 || got[3] != 4 {
+			t.Errorf("Local() = %v", got)
+		}
+		a.Sync()
+		a.Destroy()
 	})
 }

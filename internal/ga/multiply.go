@@ -3,6 +3,7 @@ package ga
 import (
 	"fmt"
 
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -71,12 +72,12 @@ func MustMultiply(a, b, c *Array, panel int, nsPerFlop float64) {
 // global coordinates (collective with Sync).
 func (a *Array) FillPattern(fn func(i, j int) float64) {
 	r0, r1, c0, c1 := a.Distribution()
-	vals := make([]float64, 0, (r1-r0)*(c1-c0))
+	k := 0
 	for i := r0; i < r1; i++ {
 		for j := c0; j < c1; j++ {
-			vals = append(vals, fn(i, j))
+			mpi.EncodeFloat64(a.loc[k:], fn(i, j))
+			k += 8
 		}
 	}
-	a.SetLocal(vals)
 	a.Sync()
 }

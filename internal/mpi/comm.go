@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -395,10 +396,10 @@ func (c *Comm) AllreduceFloat64(vals []float64, op Op) []float64 {
 			}
 			for i := range out {
 				// Reuse the element combiner for exact MPI semantics.
-				putF64(acc, out[i])
-				putF64(buf, vv[i])
+				EncodeFloat64(acc, out[i])
+				EncodeFloat64(buf, vv[i])
 				applyElem(op, Float64, acc, buf)
-				out[i] = getF64(acc)
+				out[i] = DecodeFloat64(acc)
 			}
 		}
 		return out
@@ -549,9 +550,12 @@ func (c *Comm) Split(color, key int) *Comm {
 func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 	r.mpiEnter()
 	defer r.mpiLeave()
-	sorted := append([]int(nil), worldRanks...)
-	sort.Ints(sorted)
-	key := fmt.Sprint(sorted)
+	sorted := worldRanks
+	if !sort.IntsAreSorted(sorted) {
+		sorted = append([]int(nil), worldRanks...)
+		sort.Ints(sorted)
+	}
+	key := groupKey(sorted)
 	w := r.w
 	if s := w.sharded; s != nil {
 		// The check-then-create below must be atomic against members on
@@ -575,6 +579,18 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 	return insts[idx].handleFor(r)
 }
 
+// groupKey is the CommFromGroup registry key of an ascending rank list:
+// the decimal ranks, each followed by a comma, so {1,23} and {12,3}
+// cannot collide.
+func groupKey(sorted []int) string {
+	buf := make([]byte, 0, 4*len(sorted))
+	for _, wr := range sorted {
+		buf = strconv.AppendInt(buf, int64(wr), 10)
+		buf = append(buf, ',')
+	}
+	return string(buf)
+}
+
 // Dup duplicates the communicator (MPI_COMM_DUP).
 func (c *Comm) Dup() *Comm {
 	res := c.collective("MPI_Comm_dup", nil, c.barrierCost(),
@@ -592,12 +608,4 @@ func (g *commGlobal) handleFor(r *Rank) *Comm {
 		panic(fmt.Sprintf("mpi: rank %d not in comm%d", r.id, g.id))
 	}
 	return &Comm{g: g, me: me, r: r}
-}
-
-func putF64(b []byte, v float64) {
-	copy(b, PutFloat64s([]float64{v}))
-}
-
-func getF64(b []byte) float64 {
-	return GetFloat64s(b[:8])[0]
 }

@@ -380,6 +380,48 @@ func TestCommFromGroup(t *testing.T) {
 	})
 }
 
+// TestCommFromGroupKeying pins the registry key: rank lists whose
+// decimal digits concatenate identically are different groups, the
+// caller's order does not matter, and a rank's n-th use of a group joins
+// the group's n-th communicator.
+func TestCommFromGroupKeying(t *testing.T) {
+	first := map[int]*Comm{}
+	second := map[int]*Comm{}
+	mustRun(t, testConfig(24, 24), func(r *Rank) {
+		switch r.Rank() {
+		case 1, 23:
+			first[r.Rank()] = r.CommFromGroup([]int{1, 23})
+			second[r.Rank()] = r.CommFromGroup([]int{1, 23})
+		case 3:
+			first[3] = r.CommFromGroup([]int{3, 12})
+			second[3] = r.CommFromGroup([]int{12, 3})
+		case 12:
+			first[12] = r.CommFromGroup([]int{12, 3}) // unsorted: same group
+			second[12] = r.CommFromGroup([]int{3, 12})
+		default:
+			return
+		}
+		first[r.Rank()].Barrier()
+		second[r.Rank()].Barrier()
+	})
+	for _, pair := range [][2]int{{1, 23}, {3, 12}} {
+		a, b := pair[0], pair[1]
+		if first[a].ID() != first[b].ID() || second[a].ID() != second[b].ID() {
+			t.Errorf("ranks %d and %d disagree: first %d/%d second %d/%d", a, b,
+				first[a].ID(), first[b].ID(), second[a].ID(), second[b].ID())
+		}
+		if first[a].ID() == second[a].ID() {
+			t.Errorf("rank %d: second use returned the first instance", a)
+		}
+		if got := first[a].Group(); len(got) != 2 || got[0] != a || got[1] != b {
+			t.Errorf("group of {%d,%d} = %v", a, b, got)
+		}
+	}
+	if first[1].ID() == first[3].ID() {
+		t.Error("{1,23} and {12,3} share a communicator")
+	}
+}
+
 func TestCommFromGroupP2P(t *testing.T) {
 	mustRun(t, testConfig(4, 4), func(r *Rank) {
 		if r.Rank() == 0 || r.Rank() == 3 {

@@ -383,7 +383,7 @@ func gatherInto(out []byte, d Datatype, target []byte, disp int) {
 func PutFloat64s(vals []float64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		EncodeFloat64(out[8*i:], v)
 	}
 	return out
 }
@@ -392,9 +392,20 @@ func PutFloat64s(vals []float64) []byte {
 func GetFloat64s(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = DecodeFloat64(b[8*i:])
 	}
 	return out
+}
+
+// EncodeFloat64 writes v, in window byte order, into the first 8 bytes
+// of dst.
+func EncodeFloat64(dst []byte, v float64) {
+	binary.LittleEndian.PutUint64(dst, math.Float64bits(v))
+}
+
+// DecodeFloat64 reads the float64 in the first 8 bytes of src.
+func DecodeFloat64(src []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(src))
 }
 
 // PutInt64 encodes one int64.

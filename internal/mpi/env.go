@@ -102,7 +102,11 @@ type Window interface {
 
 	// Communication operations. src/dst are origin-side contiguous
 	// buffers; dt describes the target-side layout at byte
-	// displacement disp of the target's window memory.
+	// displacement disp of the target's window memory. An origin
+	// payload (src, compare, origin) is copied before the call returns,
+	// so the caller may overwrite it at once; a result buffer (dst,
+	// result) belongs to the operation until a flush or the end of the
+	// epoch completes it.
 	Put(src []byte, target int, disp int, dt Datatype)
 	Get(dst []byte, target int, disp int, dt Datatype)
 	RPut(src []byte, target int, disp int, dt Datatype) *RMARequest
