@@ -45,3 +45,58 @@ func BenchmarkCasperWinAllocate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCasperLockAllEpoch measures the host cost of the Fig. 6(a)
+// epoch: per iteration every one of 32 users (2 nodes) opens a lockall
+// epoch, accumulates once to every other user and closes it. With lock
+// epochs declared too (the default hints) the lockall becomes a lock and
+// an unlock on every ghost of every target's node, of which one in
+// `ghosts` carries the operation; ns/op should grow far slower than the
+// ghost count. ns/lock-call divides by those calls.
+func BenchmarkCasperLockAllEpoch(b *testing.B) {
+	const nodes, usersPerNode = 2, 16
+	one := mpi.PutFloat64s([]float64{1})
+	for _, ghosts := range []int{2, 8} {
+		b.Run(fmt.Sprintf("ghosts=%d", ghosts), func(b *testing.B) {
+			b.ReportAllocs()
+			ppn := usersPerNode + ghosts
+			mcfg := mpi.Config{
+				Machine: cluster.Machine{Nodes: nodes, CoresPerNode: 24, NUMAPerNode: 2},
+				N:       nodes * ppn, PPN: ppn, Net: netmodel.CrayXC30(), Seed: 1,
+			}
+			_, err := mpi.Run(mcfg, func(r *mpi.Rank) {
+				p, ghost := Init(r, Config{NumGhosts: ghosts})
+				if ghost {
+					return
+				}
+				c := p.CommWorld()
+				win, _ := p.WinAllocate(c, 8, nil)
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.ResetTimer() // one process at a time runs: the epochs start now
+				}
+				for i := 0; i < b.N; i++ {
+					win.LockAll(mpi.AssertNone)
+					for tg := 0; tg < c.Size(); tg++ {
+						if tg != c.Rank() {
+							win.Accumulate(one, tg, 0, mpi.Scalar(mpi.Float64), mpi.OpSum)
+						}
+					}
+					win.UnlockAll()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.StopTimer()
+				}
+				win.Free()
+				p.Finalize()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			users := nodes * usersPerNode
+			calls := float64(b.N) * float64(users*(users-1)*ghosts*2)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/lock-call")
+		})
+	}
+}

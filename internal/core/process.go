@@ -183,7 +183,7 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 		root:     root,
 		binding:  binding,
 		lb:       lb,
-		targets:  make([]*ctarget, comm.Size()),
+		targets:  make([]ctarget, comm.Size()),
 	}
 	cw.layout = m.layoutFor(p.d, comm.AllgatherInt(size))
 	if appCrashesPlanned(p.r) {

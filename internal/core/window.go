@@ -39,10 +39,10 @@ type casperWin struct {
 	lockAllActive bool
 	accessGroup   []int
 	exposureGroup []int
-	// targets holds per-target epoch state indexed by user comm rank;
-	// nil entries mean "untouched". A flat slice keeps the per-op epoch
-	// lookup off the map hash path.
-	targets []*ctarget
+	// targets holds per-target epoch state indexed by user comm rank,
+	// by value; the zero ctarget means "untouched". A flat slice keeps
+	// the per-op epoch lookup off the map hash path.
+	targets []ctarget
 	freed   bool
 
 	// Request-collection state for RPut/RGet.
@@ -85,12 +85,16 @@ type tinfo struct {
 
 // ctarget is per-target epoch state at this origin.
 type ctarget struct {
-	locked       bool
-	lt           mpi.LockType
-	viaAll       bool
-	ghostsLkd    bool  // ghost locks issued on the target's window
-	lockedGhosts []int // exactly which internal ranks we locked this epoch
-	dynamicOK    bool  // a flush completed: static-binding-free interval open
+	locked    bool
+	lt        mpi.LockType
+	viaAll    bool
+	ghostsLkd bool // ghost locks issued on the target's window
+	dynamicOK bool // a flush completed: static-binding-free interval open
+
+	// lockedGhosts is exactly which internal ranks we locked this epoch;
+	// nil means the layout's ghosts (every epoch of a world without a
+	// detected failure). It is materialized only to differ from them.
+	lockedGhosts []int
 }
 
 type lbCount struct{ ops, bytes int64 }
@@ -158,23 +162,23 @@ func (m *winMeta) buildLayout(d *deployment, sizes []int) []tinfo {
 	return layout
 }
 
-func (cw *casperWin) target(t int) *ctarget {
-	ts := cw.targets[t]
-	if ts == nil {
-		ts = &ctarget{}
-		cw.targets[t] = ts
-	}
-	return ts
-}
+func (cw *casperWin) target(t int) *ctarget { return &cw.targets[t] }
 
-// lookupTarget returns the existing per-target state, or nil when none
-// has been created (no allocation; out-of-range targets map to nil so
-// callers keep their own diagnostics).
+// lookupTarget is target for a t that may be out of range, which maps to
+// nil so callers keep their own diagnostics.
 func (cw *casperWin) lookupTarget(t int) *ctarget {
 	if t < 0 || t >= len(cw.targets) {
 		return nil
 	}
-	return cw.targets[t]
+	return &cw.targets[t]
+}
+
+// lockedGhosts returns the internal ranks locked for target t this epoch.
+func (cw *casperWin) lockedGhosts(t int, ts *ctarget) []int {
+	if ts.lockedGhosts != nil {
+		return ts.lockedGhosts
+	}
+	return cw.layout[t].ghosts
 }
 
 // winFor returns the internal window carrying operations to target t
@@ -207,12 +211,13 @@ func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) {
 		// state is created lazily by the ops themselves.
 		return
 	}
-	lt := ts.lt
-	ghosts := cw.progressRanks(&cw.layout[t])
-	for _, g := range ghosts {
-		w.Lock(g, lt, mpi.AssertNone)
+	ti := &cw.layout[t]
+	ghosts := cw.progressRanks(ti)
+	w.LockEach(ghosts, ts.lt, mpi.AssertNone)
+	ts.lockedGhosts = nil
+	if &ghosts[0] != &ti.ghosts[0] {
+		ts.lockedGhosts = ghosts // not the layout's list: progressRanks built it for us
 	}
-	ts.lockedGhosts = append([]int(nil), ghosts...)
 	ts.ghostsLkd = true
 }
 
@@ -229,10 +234,10 @@ func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) {
 	if !ts.ghostsLkd || w == cw.active || !cw.p.r.World().AnyHealthFailure() {
 		return
 	}
-	ti := &cw.layout[t]
-	for _, g := range cw.progressRanks(ti) {
+	for _, g := range cw.progressRanks(&cw.layout[t]) {
+		locked := cw.lockedGhosts(t, ts)
 		have := false
-		for _, l := range ts.lockedGhosts {
+		for _, l := range locked {
 			if l == g {
 				have = true
 				break
@@ -242,7 +247,9 @@ func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) {
 			continue
 		}
 		w.Lock(g, ts.lt, mpi.AssertNone)
-		ts.lockedGhosts = append(ts.lockedGhosts, g)
+		// Full-slice expression: the layout's ghost list is shared, so the
+		// append must copy.
+		ts.lockedGhosts = append(locked[:len(locked):len(locked)], g)
 		cw.p.r.World().NoteEpochRelock(cw.p.r.Rank())
 	}
 }
@@ -342,8 +349,8 @@ func (cw *casperWin) rerouteGhost(origin, oldTarget, disp int) (int, bool) {
 func (cw *casperWin) flushRanks(t int, ts *ctarget, w *mpi.Win) []int {
 	ti := &cw.layout[t]
 	base := ti.ghosts
-	if ts != nil && ts.lockedGhosts != nil {
-		base = ts.lockedGhosts
+	if ts != nil {
+		base = cw.lockedGhosts(t, ts)
 	}
 	if cw.sh != nil && w == cw.active && cw.sh.everDeg[ti.node] {
 		// The node ran degraded at some point: operations may be
@@ -491,15 +498,8 @@ func (cw *casperWin) Unlock(t int) {
 	if ts == nil || !ts.locked || ts.viaAll {
 		panic(fmt.Sprintf("casper: Unlock of target %d without Lock", t))
 	}
-	w := cw.winFor(t, ts)
-	locked := ts.lockedGhosts
-	if locked == nil {
-		locked = cw.layout[t].ghosts
-	}
-	for _, g := range locked {
-		w.Unlock(g)
-	}
-	cw.targets[t] = nil
+	cw.winFor(t, ts).UnlockEach(cw.lockedGhosts(t, ts))
+	*ts = ctarget{}
 	if cw.sh != nil {
 		cw.sh.lockHolds[t]--
 	}
@@ -524,26 +524,20 @@ func (cw *casperWin) UnlockAll() {
 		panic("casper: UnlockAll without LockAll")
 	}
 	if cw.epochs.lock {
-		for t, ts := range cw.targets { // ascending target order
-			if ts != nil && ts.viaAll && ts.locked {
+		for t := range cw.targets { // ascending target order
+			ts := &cw.targets[t]
+			if ts.viaAll && ts.locked {
 				if ts.ghostsLkd {
-					w := cw.lockWins[cw.layout[t].lockWinIdx]
-					locked := ts.lockedGhosts
-					if locked == nil {
-						locked = cw.layout[t].ghosts
-					}
-					for _, g := range locked {
-						w.Unlock(g)
-					}
+					cw.lockWins[cw.layout[t].lockWinIdx].UnlockEach(cw.lockedGhosts(t, ts))
 				}
-				cw.targets[t] = nil
+				*ts = ctarget{}
 			}
 		}
 	} else {
 		cw.active.FlushAll()
-		for t, ts := range cw.targets {
-			if ts != nil && ts.viaAll {
-				cw.targets[t] = nil
+		for t := range cw.targets {
+			if cw.targets[t].viaAll {
+				cw.targets[t] = ctarget{}
 			}
 		}
 	}
@@ -581,8 +575,9 @@ func (cw *casperWin) Flush(t int) {
 
 // FlushAll flushes every target this origin has touched.
 func (cw *casperWin) FlushAll() {
-	for t, ts := range cw.targets { // ascending target order
-		if ts == nil || !ts.locked {
+	for t := range cw.targets { // ascending target order
+		ts := &cw.targets[t]
+		if !ts.locked {
 			continue
 		}
 		w := cw.winFor(t, ts)
@@ -660,9 +655,7 @@ func (cw *casperWin) snapshotEpoch() {
 }
 
 func (cw *casperWin) resetDynamic() {
-	for _, ts := range cw.targets {
-		if ts != nil {
-			ts.dynamicOK = false
-		}
+	for t := range cw.targets {
+		cw.targets[t].dynamicOK = false
 	}
 }

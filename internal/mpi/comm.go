@@ -3,8 +3,8 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/sim"
 )
@@ -555,7 +555,6 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 		sorted = append([]int(nil), worldRanks...)
 		sort.Ints(sorted)
 	}
-	key := groupKey(sorted)
 	w := r.w
 	if s := w.sharded; s != nil {
 		// The check-then-create below must be atomic against members on
@@ -563,32 +562,53 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	if w.groupComms == nil {
-		w.groupComms = map[string][]*commGlobal{}
+	hash := groupHash
+	if w.groupHashHook != nil {
+		hash = w.groupHashHook
+	}
+	h := hash(sorted)
+	var grp *groupComms
+	for _, c := range w.groupComms[h] {
+		if slices.Equal(c.insts[0].ranks, sorted) { // a hash hit is confirmed, never trusted
+			grp = c
+			break
+		}
+	}
+	if grp == nil {
+		if w.groupComms == nil {
+			w.groupComms = map[uint64][]*groupComms{}
+		}
+		grp = &groupComms{insts: []*commGlobal{w.newCommGlobalLocked(sorted)}}
+		w.groupComms[h] = append(w.groupComms[h], grp)
 	}
 	if r.groupUses == nil {
-		r.groupUses = map[string]int{}
+		r.groupUses = map[*groupComms]int{}
 	}
-	idx := r.groupUses[key]
-	r.groupUses[key]++
-	insts := w.groupComms[key]
-	if idx >= len(insts) {
-		insts = append(insts, w.newCommGlobalLocked(sorted))
-		w.groupComms[key] = insts
+	idx := r.groupUses[grp]
+	r.groupUses[grp]++
+	if idx >= len(grp.insts) {
+		grp.insts = append(grp.insts, w.newCommGlobalLocked(sorted))
 	}
-	return insts[idx].handleFor(r)
+	return grp.insts[idx].handleFor(r)
 }
 
-// groupKey is the CommFromGroup registry key of an ascending rank list:
-// the decimal ranks, each followed by a comma, so {1,23} and {12,3}
-// cannot collide.
-func groupKey(sorted []int) string {
-	buf := make([]byte, 0, 4*len(sorted))
+// groupComms is the CommFromGroup registry entry of one rank set: the
+// communicators built over it so far, in creation order. insts[0].ranks
+// is the set itself (ascending).
+type groupComms struct {
+	insts []*commGlobal
+}
+
+// groupHash is the CommFromGroup registry hash of an ascending rank
+// list: FNV-1a over the length and the members, one word at a time — no
+// per-call key to build or keep.
+func groupHash(sorted []int) uint64 {
+	const prime = 1099511628211
+	h := (uint64(14695981039346656037) ^ uint64(len(sorted))) * prime
 	for _, wr := range sorted {
-		buf = strconv.AppendInt(buf, int64(wr), 10)
-		buf = append(buf, ',')
+		h = (h ^ uint64(wr)) * prime
 	}
-	return string(buf)
+	return h
 }
 
 // Dup duplicates the communicator (MPI_COMM_DUP).

@@ -383,11 +383,24 @@ func TestCommFromGroup(t *testing.T) {
 // TestCommFromGroupKeying pins the registry key: rank lists whose
 // decimal digits concatenate identically are different groups, the
 // caller's order does not matter, and a rank's n-th use of a group joins
-// the group's n-th communicator.
+// the group's n-th communicator. The registry is keyed by a hash it never
+// trusts: with every rank set forced into one bucket the same must hold.
 func TestCommFromGroupKeying(t *testing.T) {
+	t.Run("hashed", func(t *testing.T) { testCommFromGroupKeying(t, nil) })
+	t.Run("colliding", func(t *testing.T) {
+		testCommFromGroupKeying(t, func([]int) uint64 { return 7 })
+	})
+}
+
+func testCommFromGroupKeying(t *testing.T, hash func([]int) uint64) {
 	first := map[int]*Comm{}
 	second := map[int]*Comm{}
-	mustRun(t, testConfig(24, 24), func(r *Rank) {
+	w, err := NewWorld(testConfig(24, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.groupHashHook = hash
+	w.Launch(func(r *Rank) {
 		switch r.Rank() {
 		case 1, 23:
 			first[r.Rank()] = r.CommFromGroup([]int{1, 23})
@@ -404,6 +417,12 @@ func TestCommFromGroupKeying(t *testing.T) {
 		first[r.Rank()].Barrier()
 		second[r.Rank()].Barrier()
 	})
+	if err := w.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if hash != nil && len(w.groupComms) != 1 {
+		t.Fatalf("hook not in effect: %d buckets", len(w.groupComms))
+	}
 	for _, pair := range [][2]int{{1, 23}, {3, 12}} {
 		a, b := pair[0], pair[1]
 		if first[a].ID() != first[b].ID() || second[a].ID() != second[b].ID() {

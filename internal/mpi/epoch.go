@@ -190,53 +190,105 @@ func (w *Win) Wait() {
 // immediately"); a lock to self is acquired eagerly, which MPI requires
 // so local load/store access is immediately legal.
 func (w *Win) Lock(target int, lock LockType, assert Assert) {
+	t := [1]int{target}
+	w.LockEach(t[:], lock, assert)
+}
+
+// LockEach makes len(targets) consecutive MPI_WIN_LOCK calls, one per
+// target in order, and is indistinguishable from that loop in virtual
+// time: every call still costs its MPI entry. What it saves is host
+// work. Opening an epoch on a lazily locked target is bookkeeping only
+// this rank can see, so the entry costs of such calls are owed rather
+// than paid one by one, and settled — one advance chain — immediately
+// before anything another rank or a later event could observe: a lock
+// request leaving (eager or self target), a misuse panic, the return.
+func (w *Win) LockEach(targets []int, lock LockType, assert Assert) {
 	r := w.r
-	r.mpiEnter()
+	r.engine.enterMPI()
 	defer r.mpiLeave()
-	ts := w.target(target)
-	if ts.locked {
-		panic(fmt.Sprintf("mpi: nested Lock to target %d (disallowed by MPI)", target))
+	flags := epLocked
+	if lock == LockExclusive {
+		flags |= epExcl
 	}
-	ts.locked = true
-	ts.viaAll = false
-	ts.lock = lock
-	if target == w.me || !r.w.net.LockLazy {
-		w.requestLock(target, ts)
+	owed := 0 // entry costs of the calls made so far, not yet paid
+	for _, target := range targets {
+		owed++
+		ep := w.epochOf(target)
+		if *ep&epLocked != 0 {
+			w.settle(owed)
+			panic(fmt.Sprintf("mpi: nested Lock to target %d (disallowed by MPI)", target))
+		}
+		*ep = flags
+		if target == w.me || !r.w.net.LockLazy {
+			w.settle(owed)
+			owed = 0
+			w.requestLock(target)
+		}
+	}
+	w.settle(owed)
+}
+
+// settle pays the entry cost of n consecutive MPI calls.
+func (w *Win) settle(n int) {
+	if n > 0 {
+		w.r.proc.AdvanceRepeat(w.r.callCost(), n)
 	}
 }
 
 // Unlock implements Window: MPI_WIN_UNLOCK, completing all operations to
 // the target and releasing the lock.
 func (w *Win) Unlock(target int) {
-	r := w.r
-	r.mpiEnter()
-	defer r.mpiLeave()
-	ts := w.lookupTarget(target)
-	if ts == nil || !ts.locked || ts.viaAll {
-		panic(fmt.Sprintf("mpi: Unlock of target %d without Lock", target))
-	}
-	w.closeTarget(target, ts)
-	w.targets[target] = nil
+	t := [1]int{target}
+	w.UnlockEach(t[:])
 }
 
-// closeTarget finishes the passive epoch to one target: force lock
-// acquisition if any op needs it, wait for acks, release the lock.
-func (w *Win) closeTarget(target int, ts *targetState) {
+// UnlockEach makes len(targets) consecutive MPI_WIN_UNLOCK calls, one
+// per target in order, under the same rule as LockEach: the entry costs
+// of calls that only drop a never-requested lock are owed, and settled
+// before a requested target is closed (which waits, and sends the
+// release), before a misuse panic, and before returning.
+func (w *Win) UnlockEach(targets []int) {
 	r := w.r
-	if ts.requested {
-		ts.granted.Await(r.proc, "MPI_Win_unlock awaiting lock grant")
-		ts.pending.Wait(r.proc, "MPI_Win_unlock awaiting remote completion")
-		// Release travels to the target's lock manager (on its engine).
-		mgr := w.g.lockMgr(target)
-		origin := w.me
-		excl := ts.lock == LockExclusive
-		wire := r.transferTo(w.g.comm.ranks[target], 16)
-		tr := w.g.rankOf(target)
-		r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire), func() { mgr.release(origin, excl) })
+	r.engine.enterMPI()
+	defer r.mpiLeave()
+	owed := 0
+	for _, target := range targets {
+		owed++
+		if ep := w.epochFlags(target); ep&epLocked == 0 || ep&epViaAll != 0 {
+			w.settle(owed)
+			panic(fmt.Sprintf("mpi: Unlock of target %d without Lock", target))
+		}
+		if ch := w.lookupChannel(target); ch != nil && ch.lock.requested {
+			w.settle(owed)
+			owed = 0
+			w.closeTarget(ch)
+		}
+		w.clearTarget(target)
 	}
-	ts.locked = false
-	ts.requested = false
-	ts.granted = sim.Completion{}
+	w.settle(owed)
+}
+
+// clearTarget ends the passive epoch to target at this origin, dropping
+// the channel state with it.
+func (w *Win) clearTarget(target int) {
+	w.epoch[target] = 0
+	if target < len(w.chans) {
+		w.chans[target] = nil
+	}
+}
+
+// closeTarget finishes the passive epoch to one requested target: wait
+// for the lock and for the acks of everything issued under it, then
+// release it. The release is the channel's lock message on its third
+// leg, so the channel state outlives the epoch by that one event.
+func (w *Win) closeTarget(ch *chanState) {
+	r := w.r
+	q := &ch.lock
+	q.granted.Await(r.proc, "MPI_Win_unlock awaiting lock grant")
+	ch.pending.Wait(r.proc, "MPI_Win_unlock awaiting remote completion")
+	wire := r.transferTo(w.g.comm.ranks[q.target], 16)
+	q.phase = lockPhaseRelease
+	r.w.scheduleRun(r.eng, w.g.rankOf(int(q.target)).eng, r.eng.Now().Add(wire), q)
 }
 
 // LockAll implements Window: MPI_WIN_LOCK_ALL (shared mode on every
@@ -259,10 +311,12 @@ func (w *Win) UnlockAll() {
 	if !w.lockAll {
 		panic("mpi: UnlockAll without LockAll")
 	}
-	for t, ts := range w.targets {
-		if ts != nil && ts.locked && ts.viaAll {
-			w.closeTarget(t, ts)
-			w.targets[t] = nil
+	for t, ep := range w.epoch {
+		if ep&epLocked != 0 && ep&epViaAll != 0 {
+			if ch := w.lookupChannel(t); ch != nil && ch.lock.requested {
+				w.closeTarget(ch)
+			}
+			w.clearTarget(t)
 		}
 	}
 	w.lockAll = false
@@ -276,17 +330,24 @@ func (w *Win) Flush(target int) {
 	r := w.r
 	r.mpiEnter()
 	defer r.mpiLeave()
-	ts := w.lookupTarget(target)
-	if ts == nil || !ts.locked {
+	if w.epochFlags(target)&epLocked == 0 {
 		if w.lockAll {
 			return // no ops issued to this target yet; nothing to flush
 		}
 		panic(fmt.Sprintf("mpi: Flush of target %d without passive epoch", target))
 	}
-	if ts.requested {
-		ts.granted.Await(r.proc, "MPI_Win_flush awaiting lock grant")
+	if ch := w.lookupChannel(target); ch != nil {
+		ch.flush(r.proc, "MPI_Win_flush")
 	}
-	ts.pending.Wait(r.proc, "MPI_Win_flush")
+}
+
+// flush waits for the channel's lock (if requested) and for the remote
+// completion of everything issued on it.
+func (ch *chanState) flush(p *sim.Proc, call string) {
+	if ch.lock.requested {
+		ch.lock.granted.Await(p, call+" awaiting lock grant")
+	}
+	ch.pending.Wait(p, call)
 }
 
 // FlushAll implements Window: MPI_WIN_FLUSH_ALL.
@@ -294,14 +355,10 @@ func (w *Win) FlushAll() {
 	r := w.r
 	r.mpiEnter()
 	defer r.mpiLeave()
-	for _, ts := range w.targets {
-		if ts == nil || !ts.locked {
-			continue
+	for t, ch := range w.chans {
+		if ch != nil && w.epochFlags(t)&epLocked != 0 {
+			ch.flush(r.proc, "MPI_Win_flush_all")
 		}
-		if ts.requested {
-			ts.granted.Await(r.proc, "MPI_Win_flush_all awaiting lock grant")
-		}
-		ts.pending.Wait(r.proc, "MPI_Win_flush_all")
 	}
 }
 
@@ -333,55 +390,46 @@ func (w *Win) Acquire(target int) {
 	r := w.r
 	r.mpiEnter()
 	defer r.mpiLeave()
-	ts := w.lookupTarget(target)
-	if ts == nil || !ts.locked {
-		if w.lockAll {
-			ts = w.target(target)
-			ts.locked = true
-			ts.viaAll = true
-			ts.lock = LockShared
-		} else {
-			panic(fmt.Sprintf("mpi: Acquire of target %d without passive epoch", target))
-		}
+	if _, ok := w.coverTarget(target); !ok {
+		panic(fmt.Sprintf("mpi: Acquire of target %d without passive epoch", target))
 	}
-	if !ts.requested {
-		w.requestLock(target, ts)
+	q := &w.channel(target).lock
+	if !q.requested {
+		w.requestLock(target)
 	}
-	ts.granted.Await(r.proc, "MPI_Win lock acquire")
+	q.granted.Await(r.proc, "MPI_Win lock acquire")
 }
 
-// requestLock sends the (possibly deferred) lock request to the
-// target's lock manager and arranges for ts.granted to complete when the
-// grant message returns. Queued operations are released on grant.
-func (w *Win) requestLock(target int, ts *targetState) {
+// coverTarget returns the flags of the passive epoch covering target,
+// or false when there is none; under LockAll a target joins the epoch
+// (shared) here, on first use.
+func (w *Win) coverTarget(target int) (uint8, bool) {
+	ep := w.epochFlags(target)
+	if ep&epLocked == 0 {
+		if !w.lockAll {
+			return 0, false
+		}
+		ep = epLocked | epViaAll
+		*w.epochOf(target) = ep
+	}
+	return ep, true
+}
+
+// requestLock sends the (possibly deferred) lock request of the epoch
+// covering target to the target's lock manager. The grant comes back as
+// the same message (lockMsg.grant), completing granted and releasing the
+// operations queued behind it. The manager is instantiated now, not when
+// the request arrives: whether it starts in dead mode depends on what
+// the detector has confirmed by this instant.
+func (w *Win) requestLock(target int) {
 	r := w.r
-	ts.requested = true
-	mgr := w.g.lockMgr(target)
-	excl := ts.lock == LockExclusive
-	origin := w.me
+	w.g.lockMgr(target)
+	q := &w.channel(target).lock
+	*q = lockMsg{win: w, target: int32(target),
+		excl: w.epoch[target]&epExcl != 0, phase: lockPhaseRequest, requested: true}
 	var wire sim.Duration
 	if target != w.me {
 		wire = r.transferTo(w.g.comm.ranks[target], 16)
 	}
-	tr := w.g.rankOf(target)
-	grant := func() {
-		// Runs at the target's engine (where the manager arbitrates); the
-		// grant delivery travels back to the origin's engine.
-		var back sim.Duration
-		if target != w.me {
-			back = tr.transferTo(w.g.comm.ranks[origin], 16)
-		}
-		r.w.schedule(tr.eng, r.eng, tr.eng.Now().Add(back), func() {
-			ts.granted.Complete()
-			queued := ts.queued
-			ts.queued = nil
-			for _, op := range queued {
-				// Re-issue from the origin's window handle; the op
-				// already carries all its state.
-				w.send(op)
-			}
-		})
-	}
-	r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire),
-		func() { mgr.request(&lockReq{origin: origin, excl: excl, grant: grant}) })
+	r.w.scheduleRun(r.eng, w.g.rankOf(target).eng, r.eng.Now().Add(wire), q)
 }

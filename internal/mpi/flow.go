@@ -158,25 +158,28 @@ func (w *World) waitDiagnostics() []string {
 			continue
 		}
 		for _, win := range g.handles {
-			for _, st := range win.targetStatesSorted() {
-				if n := st.ts.pending.Pending(); n > 0 {
+			for t, ch := range win.chans { // ascending target order
+				if ch == nil {
+					continue
+				}
+				if n := ch.pending.Pending(); n > 0 {
 					edges = append(edges, waitInfo{
 						from:  g.comm.ranks[win.me],
-						to:    g.comm.ranks[st.target],
+						to:    g.comm.ranks[t],
 						label: fmt.Sprintf("win %d: %d unacked RMA op(s)", g.id, n),
 					})
 				}
-				if st.ts.requested && !st.ts.granted.Done() {
+				if ch.lock.requested && !ch.lock.granted.Done() {
 					edges = append(edges, waitInfo{
 						from:  g.comm.ranks[win.me],
-						to:    g.comm.ranks[st.target],
+						to:    g.comm.ranks[t],
 						label: fmt.Sprintf("win %d: awaiting lock grant", g.id),
 					})
 				}
 			}
 		}
 		for t, mgr := range g.lockMgrs {
-			if mgr == nil || len(mgr.queue) == 0 {
+			if mgr == nil || len(mgr.waiting()) == 0 {
 				continue
 			}
 			shared, excl := mgr.held()
@@ -184,9 +187,9 @@ func (w *World) waitDiagnostics() []string {
 			if excl {
 				hold = "exclusive"
 			}
-			for _, req := range mgr.queue {
+			for _, req := range mgr.waiting() {
 				edges = append(edges, waitInfo{
-					from:  g.comm.ranks[req.origin],
+					from:  g.comm.ranks[req.win.me],
 					to:    g.comm.ranks[t],
 					label: fmt.Sprintf("win %d: queued behind %s lock", g.id, hold),
 				})
@@ -212,23 +215,4 @@ func (w *World) waitDiagnostics() []string {
 	lines = append(lines, trace.RenderWaitGraph(tedges)...)
 	lines = append(lines, trace.RenderSchedulerStates(states)...)
 	return lines
-}
-
-// targetStatesSorted returns this handle's per-target passive-epoch
-// states in sorted target order — a deterministic iteration over the
-// lazily built map.
-type targetStateRef struct {
-	target int
-	ts     *targetState
-}
-
-func (w *Win) targetStatesSorted() []targetStateRef {
-	refs := make([]targetStateRef, 0, len(w.targets))
-	for t, ts := range w.targets { // slice: already in ascending target order
-		if ts == nil {
-			continue
-		}
-		refs = append(refs, targetStateRef{target: t, ts: ts})
-	}
-	return refs
 }

@@ -238,7 +238,19 @@ func TestDeadlockErrorCarriesWaitGraph(t *testing.T) {
 	if !strings.Contains(msg, "wait-for graph") {
 		t.Fatalf("deadlock report has no wait-for graph:\n%s", msg)
 	}
-	if !strings.Contains(msg, "queued behind exclusive lock") {
-		t.Fatalf("wait-for graph does not name the blocking lock:\n%s", msg)
+	// Both edges of rank 2's wait come from the channel state and the
+	// manager's queue: it awaits a grant, which is queued behind rank 1's
+	// exclusive hold at rank 0.
+	for _, edge := range []string{
+		"rank2 waits on rank0: win 1: queued behind exclusive lock",
+		"rank2 waits on rank0: win 1: awaiting lock grant",
+		"rank2 waits on rank0: win 1: 1 unacked RMA op(s)",
+	} {
+		if !strings.Contains(msg, edge) {
+			t.Fatalf("wait-for graph lacks %q:\n%s", edge, msg)
+		}
+	}
+	if strings.Contains(msg, "rank1 waits on rank0: win 1: awaiting lock grant") {
+		t.Fatalf("wait-for graph reports the lock holder as awaiting its grant:\n%s", msg)
 	}
 }

@@ -84,27 +84,27 @@ func TestCrashSuspectedThenConfirmed(t *testing.T) {
 // shared holds, later requests must grant immediately, and releases
 // must stay balanced — no origin may stay parked on a corpse's grant.
 func TestLockManagerReclaim(t *testing.T) {
-	m := &lockManager{}
-	granted := make([]bool, 3)
-	m.request(&lockReq{origin: 0, excl: true, grant: func() { granted[0] = true }})
-	m.request(&lockReq{origin: 1, excl: true, grant: func() { granted[1] = true }})
-	m.request(&lockReq{origin: 2, excl: false, grant: func() { granted[2] = true }})
-	if !granted[0] || granted[1] || granted[2] {
-		t.Fatalf("pre-reclaim grants = %v, want only the first", granted)
+	m, req := lockFixture(t, 3)
+	reqs := []*lockMsg{req(0, true), req(1, true), req(2, false)}
+	for _, q := range reqs {
+		m.request(q)
+	}
+	if g := grantedOrigins(reqs); len(g) != 1 || g[0] != 0 {
+		t.Fatalf("pre-reclaim grants = %v, want only the first", g)
 	}
 	if n := m.reclaim(); n != 3 {
 		t.Fatalf("reclaim() = %d, want 3 (1 hold + 2 waiters)", n)
 	}
-	if !granted[1] || !granted[2] {
-		t.Fatalf("queued waiters not granted on reclaim: %v", granted)
+	if g := grantedOrigins(reqs); len(g) != 3 {
+		t.Fatalf("queued waiters not granted on reclaim: %v", g)
 	}
 	if sh, ex := m.held(); ex || sh != 3 {
 		t.Fatalf("post-reclaim holds = %d shared, excl=%v; want 3 shared", sh, ex)
 	}
 	// Dead mode: new requests grant immediately, even exclusive ones.
-	var late bool
-	m.request(&lockReq{origin: 1, excl: true, grant: func() { late = true }})
-	if !late {
+	late := req(1, true)
+	m.request(late)
+	if late.phase != lockPhaseGrant {
 		t.Fatal("dead-mode request not granted immediately")
 	}
 	for i := 0; i < 4; i++ {

@@ -1,5 +1,11 @@
 package mpi
 
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
+
 // lockManager arbitrates passive-target locks for one target rank of one
 // window. Shared locks coexist; an exclusive lock excludes everything.
 // Requests are granted in arrival order (FIFO fairness), so exclusive
@@ -9,8 +15,13 @@ package mpi
 type lockManager struct {
 	shared    int
 	exclusive bool
-	queue     []*lockReq
 	grants    int64 // total grants, for tests/inspection
+
+	// Requests waiting for the lock are queue[head:], in arrival order.
+	// A popped slot is cleared so a granted request is not pinned, and
+	// the backing array is reused once the queue drains.
+	queue []*lockMsg
+	head  int
 
 	// dead marks the manager's target as confirmed crashed. A dead
 	// target cannot serialize anything, so the manager stops
@@ -21,26 +32,113 @@ type lockManager struct {
 	dead bool
 }
 
-type lockReq struct {
-	origin int
-	excl   bool
-	grant  func() // invoked in engine context at grant time
+// lockPhase is where a lockMsg is in the lock protocol; the phases
+// follow one another strictly (an origin releases only what it was
+// granted), so one message serves all three legs.
+type lockPhase uint8
+
+const (
+	lockPhaseNone    lockPhase = iota
+	lockPhaseRequest           // request crossing to the target's lock manager
+	lockPhaseGrant             // grant crossing back to the origin
+	lockPhaseRelease           // release crossing to the lock manager
+)
+
+// lockMsg is the lock protocol of one (origin, target) channel: the
+// origin-side acquisition state and, as a sim.Runner, the message that
+// carries request, grant and release across the wire. It is embedded in
+// the channel state, so a lock request allocates nothing of its own.
+type lockMsg struct {
+	win       *Win  // the origin's handle
+	target    int32 // comm rank
+	excl      bool
+	phase     lockPhase
+	requested bool
+	granted   sim.Completion
+
+	// Ops issued before the grant arrived, in issue order, linked through
+	// rmaOp.wireNext (an op is queued here or on the wire, never both).
+	queuedHead, queuedTail *rmaOp
+}
+
+// queue holds op back until the grant arrives.
+func (q *lockMsg) queue(op *rmaOp) {
+	if q.queuedTail == nil {
+		q.queuedHead = op
+	} else {
+		q.queuedTail.wireNext = op
+	}
+	q.queuedTail = op
+}
+
+// Step implements sim.Runner: the message arrives.
+func (q *lockMsg) Step() {
+	switch q.phase {
+	case lockPhaseRequest:
+		q.mgr().request(q)
+	case lockPhaseGrant:
+		q.granted.Complete()
+		op := q.queuedHead
+		q.queuedHead, q.queuedTail = nil, nil
+		for op != nil {
+			// Re-issue from the origin's window handle; the op already
+			// carries all its state.
+			next := op.wireNext
+			op.wireNext = nil
+			q.win.send(op)
+			op = next
+		}
+	case lockPhaseRelease:
+		q.mgr().release(q.win.me, q.excl)
+	default:
+		panic(fmt.Sprintf("mpi: lockMsg.Step in phase %d", q.phase))
+	}
+}
+
+// mgr returns the target's lock manager, which requestLock instantiated.
+func (q *lockMsg) mgr() *lockManager { return q.win.g.lockMgrs[q.target] }
+
+// grant runs at the target's engine, where the manager arbitrates: the
+// grant travels back to the origin's engine.
+func (q *lockMsg) grant() {
+	w := q.win
+	tr := w.g.rankOf(int(q.target))
+	var back sim.Duration
+	if int(q.target) != w.me {
+		back = tr.transferTo(w.g.comm.ranks[w.me], 16)
+	}
+	q.phase = lockPhaseGrant
+	w.r.w.scheduleRun(tr.eng, w.r.eng, tr.eng.Now().Add(back), q)
+}
+
+// waiting returns the queued requests in arrival order.
+func (m *lockManager) waiting() []*lockMsg { return m.queue[m.head:] }
+
+// pop removes the head of the queue.
+func (m *lockManager) pop() *lockMsg {
+	head := m.queue[m.head]
+	m.queue[m.head] = nil
+	m.head++
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
+	}
+	return head
 }
 
 // compatible reports whether a request can be granted now. To preserve
 // FIFO fairness a shared request behind a queued exclusive one waits.
-func (m *lockManager) compatible(req *lockReq) bool {
+func (m *lockManager) compatible(req *lockMsg) bool {
 	if m.exclusive {
 		return false
 	}
 	if req.excl {
 		return m.shared == 0
 	}
-	return len(m.queue) == 0
+	return len(m.waiting()) == 0
 }
 
 // request is invoked in engine context when a lock request arrives.
-func (m *lockManager) request(req *lockReq) {
+func (m *lockManager) request(req *lockMsg) {
 	if m.dead {
 		// The target is confirmed dead: grant immediately as a counted
 		// shared hold so the origin's epoch can open, reroute its
@@ -57,7 +155,7 @@ func (m *lockManager) request(req *lockReq) {
 	m.queue = append(m.queue, req)
 }
 
-func (m *lockManager) admit(req *lockReq) {
+func (m *lockManager) admit(req *lockMsg) {
 	if req.excl {
 		m.exclusive = true
 	} else {
@@ -90,9 +188,8 @@ func (m *lockManager) reclaim() int {
 		m.shared++
 		n++
 	}
-	for len(m.queue) > 0 {
-		head := m.queue[0]
-		m.queue = m.queue[1:]
+	for len(m.waiting()) > 0 {
+		head := m.pop()
 		m.shared++
 		m.grants++
 		head.grant()
@@ -124,8 +221,8 @@ func (m *lockManager) release(origin int, excl bool) {
 		m.shared--
 	}
 	// Admit from the queue head while compatible.
-	for len(m.queue) > 0 {
-		head := m.queue[0]
+	for len(m.waiting()) > 0 {
+		head := m.queue[m.head]
 		if head.excl {
 			if m.exclusive || m.shared > 0 {
 				break
@@ -133,8 +230,7 @@ func (m *lockManager) release(origin int, excl bool) {
 		} else if m.exclusive {
 			break
 		}
-		m.queue = m.queue[1:]
-		m.admit(head)
+		m.admit(m.pop())
 	}
 }
 

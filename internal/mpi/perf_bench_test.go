@@ -87,6 +87,44 @@ func BenchmarkAccumulate(b *testing.B) {
 	}
 }
 
+// BenchmarkLockEpoch is the host cost of one passive-target epoch on a
+// busy engine (four origins in step toward one target): "lazy" opens and
+// closes epochs on a target it never uses — two MPI calls of pure
+// bookkeeping, no message, no allocation — and "eager" forces the
+// acquisition (Acquire), paying the request/grant/release messages and
+// the channel state.
+func BenchmarkLockEpoch(b *testing.B) {
+	for _, eager := range []bool{false, true} {
+		name := "lazy"
+		if eager {
+			name = "eager"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			const origins = 4
+			epochs := (b.N + origins - 1) / origins
+			_, err := Run(benchConfig(origins+1, origins+1), func(rk *Rank) {
+				c := rk.CommWorld()
+				win, _ := rk.WinAllocateRegion(c, 8, nil)
+				c.Barrier()
+				if rk.Rank() != 0 {
+					for i := 0; i < epochs; i++ {
+						win.Lock(0, LockShared, AssertNone)
+						if eager {
+							win.Acquire(0)
+						}
+						win.Unlock(0)
+					}
+				}
+				c.Barrier()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkDatatypePack measures the apply-path datatype engine:
 // contiguous replace (the new single-memmove fast path), strided
 // replace, and elementwise accumulate.

@@ -85,11 +85,12 @@ type rmaOp struct {
 	phase   opPhase
 	arrived sim.Time // NIC delivery time at the target (software AM path)
 
-	// Wire-chain bookkeeping (see targetState.wireHead): while crossing
+	// Wire-chain bookkeeping (see chanState.wireTail): while crossing
 	// the wire the op may be queued behind earlier ops of its channel
-	// instead of holding its own heap event.
+	// instead of holding its own heap event. Before that, wireNext links
+	// the ops held back behind a pending lock grant (lockMsg.queue).
 	wireNext *rmaOp
-	wireTS   *targetState
+	wireTS   *chanState
 	evSeq    uint64 // event seq reserved at send time
 
 	pending *sim.CompletionSet // origin-side ack tracking (flush)
@@ -230,9 +231,9 @@ func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp in
 // the op or queues it behind a pending lazy lock acquisition.
 func (w *Win) issue(op *rmaOp) {
 	r := w.r
-	r.mpiEnter()
+	r.engine.enterMPI()
 	defer r.mpiLeave()
-	r.proc.Advance(r.issueCost())
+	r.proc.AdvanceChain(r.callCost(), r.issueCost())
 
 	if err := op.dt.Validate(); err != nil {
 		panic(err)
@@ -306,7 +307,7 @@ func (w *Win) issue(op *rmaOp) {
 	}
 	r.stats.OpsIssued++
 
-	var queueOn *targetState
+	var queueOn *lockMsg
 	switch {
 	case w.access != nil: // PSCW access epoch
 		if !inGroup(w.access.group, op.target) {
@@ -314,28 +315,22 @@ func (w *Win) issue(op *rmaOp) {
 		}
 		op.pscw = true
 		w.access.issued[op.target]++
-		op.pending = &w.target(op.target).pending
+		op.pending = &w.channel(op.target).pending
 	case w.fenceActive:
-		op.pending = &w.target(op.target).pending
+		op.pending = &w.channel(op.target).pending
 	default: // passive target
-		ts := w.lookupTarget(op.target)
-		if ts == nil || !ts.locked {
-			if w.lockAll {
-				ts = w.target(op.target)
-				ts.locked = true
-				ts.viaAll = true
-				ts.lock = LockShared
-			} else {
-				panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, op.target))
-			}
+		ep, ok := w.coverTarget(op.target)
+		if !ok {
+			panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, op.target))
 		}
-		op.excl = ts.lock == LockExclusive
-		op.pending = &ts.pending
-		if !ts.requested {
-			w.requestLock(op.target, ts)
+		ch := w.channel(op.target)
+		op.excl = ep&epExcl != 0
+		op.pending = &ch.pending
+		if !ch.lock.requested {
+			w.requestLock(op.target)
 		}
-		if !ts.granted.Done() {
-			queueOn = ts
+		if !ch.lock.granted.Done() {
+			queueOn = &ch.lock
 		}
 	}
 
@@ -351,7 +346,7 @@ func (w *Win) issue(op *rmaOp) {
 		op.req.pending.Add(1)
 	}
 	if queueOn != nil {
-		queueOn.queued = append(queueOn.queued, op)
+		queueOn.queue(op)
 		return
 	}
 	w.send(op)
@@ -375,7 +370,7 @@ func (w *Win) send(op *rmaOp) {
 	eng := r.eng
 	targetWorld := g.comm.ranks[op.target]
 	wire := r.transferTo(targetWorld, op.wireOutBytes())
-	ts := w.target(op.target)
+	ts := w.channel(op.target)
 	arrival := eng.Now().Add(wire)
 	if arrival <= ts.lastArrival {
 		arrival = ts.lastArrival + 1
@@ -417,7 +412,7 @@ func (w *Win) send(op *rmaOp) {
 		ts.wireTail = op
 		return
 	}
-	ts.wireHead, ts.wireTail = op, op
+	ts.wireTail = op
 	eng.AtRunReserved(arrival, op.evSeq, op)
 }
 
@@ -433,7 +428,6 @@ func (o *rmaOp) promoteWire() {
 	o.wireTS = nil
 	next := o.wireNext
 	o.wireNext = nil
-	ts.wireHead = next
 	if next == nil {
 		ts.wireTail = nil
 		return

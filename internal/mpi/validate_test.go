@@ -139,23 +139,53 @@ func TestValidatorRingBounded(t *testing.T) {
 	}
 }
 
+// lockFixture builds a lock manager for comm rank 0 of a hand-made
+// window over an n-rank world that is never run, and returns it with a
+// constructor for requests from any origin. A grant only schedules the
+// grant message on the idle engine, so the tests read grants off the
+// message's phase.
+func lockFixture(t *testing.T, n int) (*lockManager, func(origin int, excl bool) *lockMsg) {
+	t.Helper()
+	w, err := NewWorld(testConfig(n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &winGlobal{w: w, comm: w.commWorld, lockMgrs: make([]*lockManager, n)}
+	m := g.lockMgr(0)
+	return m, func(origin int, excl bool) *lockMsg {
+		win := &Win{g: g, r: w.ranks[origin], me: origin}
+		return &lockMsg{win: win, target: 0, excl: excl, phase: lockPhaseRequest}
+	}
+}
+
+// grantedOrigins lists the origins of the granted requests, in request
+// order.
+func grantedOrigins(reqs []*lockMsg) []int {
+	var out []int
+	for _, q := range reqs {
+		if q.phase == lockPhaseGrant {
+			out = append(out, q.win.me)
+		}
+	}
+	return out
+}
+
 func TestLockManagerExclusiveExcludes(t *testing.T) {
-	m := &lockManager{}
-	var granted []int
-	g := func(id int) func() { return func() { granted = append(granted, id) } }
-	m.request(&lockReq{origin: 0, excl: true, grant: g(0)})
-	m.request(&lockReq{origin: 1, excl: true, grant: g(1)})
-	m.request(&lockReq{origin: 2, excl: false, grant: g(2)})
-	if len(granted) != 1 || granted[0] != 0 {
-		t.Fatalf("granted = %v", granted)
+	m, req := lockFixture(t, 3)
+	reqs := []*lockMsg{req(0, true), req(1, true), req(2, false)}
+	for _, q := range reqs {
+		m.request(q)
+	}
+	if g := grantedOrigins(reqs); len(g) != 1 || g[0] != 0 {
+		t.Fatalf("granted = %v", g)
 	}
 	m.release(0, true)
-	if len(granted) != 2 || granted[1] != 1 {
-		t.Fatalf("granted = %v (FIFO violated)", granted)
+	if g := grantedOrigins(reqs); len(g) != 2 || g[1] != 1 {
+		t.Fatalf("granted = %v (FIFO violated)", g)
 	}
 	m.release(1, true)
-	if len(granted) != 3 || granted[2] != 2 {
-		t.Fatalf("granted = %v", granted)
+	if g := grantedOrigins(reqs); len(g) != 3 || g[2] != 2 {
+		t.Fatalf("granted = %v", g)
 	}
 	m.release(2, false)
 	if s, e := m.held(); s != 0 || e {
@@ -164,12 +194,13 @@ func TestLockManagerExclusiveExcludes(t *testing.T) {
 }
 
 func TestLockManagerSharedCoexist(t *testing.T) {
-	m := &lockManager{}
-	n := 0
+	m, req := lockFixture(t, 3)
+	var reqs []*lockMsg
 	for i := 0; i < 3; i++ {
-		m.request(&lockReq{origin: i, excl: false, grant: func() { n++ }})
+		reqs = append(reqs, req(i, false))
+		m.request(reqs[i])
 	}
-	if n != 3 {
+	if n := len(grantedOrigins(reqs)); n != 3 {
 		t.Fatalf("granted %d shared locks, want 3", n)
 	}
 	if s, _ := m.held(); s != 3 {
@@ -178,22 +209,25 @@ func TestLockManagerSharedCoexist(t *testing.T) {
 }
 
 func TestLockManagerSharedWaitsBehindQueuedExclusive(t *testing.T) {
-	m := &lockManager{}
-	var granted []int
-	g := func(id int) func() { return func() { granted = append(granted, id) } }
-	m.request(&lockReq{origin: 0, excl: false, grant: g(0)}) // granted
-	m.request(&lockReq{origin: 1, excl: true, grant: g(1)})  // queued
-	m.request(&lockReq{origin: 2, excl: false, grant: g(2)}) // must queue behind excl (fairness)
-	if len(granted) != 1 {
-		t.Fatalf("granted = %v", granted)
+	m, req := lockFixture(t, 3)
+	reqs := []*lockMsg{
+		req(0, false), // granted
+		req(1, true),  // queued
+		req(2, false), // must queue behind excl (fairness)
+	}
+	for _, q := range reqs {
+		m.request(q)
+	}
+	if g := grantedOrigins(reqs); len(g) != 1 {
+		t.Fatalf("granted = %v", g)
 	}
 	m.release(0, false)
-	if len(granted) != 2 || granted[1] != 1 {
-		t.Fatalf("granted = %v", granted)
+	if g := grantedOrigins(reqs); len(g) != 2 || g[1] != 1 {
+		t.Fatalf("granted = %v", g)
 	}
 	m.release(1, true)
-	if len(granted) != 3 || granted[2] != 2 {
-		t.Fatalf("granted = %v", granted)
+	if g := grantedOrigins(reqs); len(g) != 3 || g[2] != 2 {
+		t.Fatalf("granted = %v", g)
 	}
 }
 
@@ -211,15 +245,25 @@ func TestLockManagerReleaseUnderflowPanics(t *testing.T) {
 }
 
 func TestLockManagerBatchReleaseAdmitsRunOfShared(t *testing.T) {
-	m := &lockManager{}
-	var granted []int
-	g := func(id int) func() { return func() { granted = append(granted, id) } }
-	m.request(&lockReq{origin: 0, excl: true, grant: g(0)})
+	m, req := lockFixture(t, 4)
+	reqs := []*lockMsg{req(0, true)}
 	for i := 1; i <= 3; i++ {
-		m.request(&lockReq{origin: i, excl: false, grant: g(i)})
+		reqs = append(reqs, req(i, false))
+	}
+	for _, q := range reqs {
+		m.request(q)
 	}
 	m.release(0, true)
-	if len(granted) != 4 {
-		t.Fatalf("granted = %v; run of shared requests should all admit", granted)
+	if g := grantedOrigins(reqs); len(g) != 4 {
+		t.Fatalf("granted = %v; run of shared requests should all admit", g)
+	}
+	// The drained queue pins no granted request and reuses its array.
+	if len(m.waiting()) != 0 || m.head != 0 {
+		t.Fatalf("drained queue not reset: %d waiting, head %d", len(m.waiting()), m.head)
+	}
+	for i, q := range m.queue[:cap(m.queue)] {
+		if q != nil {
+			t.Fatalf("queue slot %d still pins a granted request", i)
+		}
 	}
 }

@@ -117,11 +117,15 @@ type Win struct {
 	exposure    *pscwExposure // open exposure epoch (Post..Wait)
 	opSeq       int64
 
-	// targets holds the per-target passive-epoch state, indexed by comm
-	// rank. Allocated on first use (most handles of most windows never
-	// issue), nil entries mean "no state" — a flat slice keeps the
-	// per-op lookup off the map hash path.
-	targets []*targetState
+	// Passive-epoch state per target, indexed by comm rank and split by
+	// what an epoch actually touches: epoch holds one byte of flags per
+	// target — all a lazily locked target that is never used needs — and
+	// chans the channel state of the targets that carry a lock request or
+	// an operation. Both are allocated on first use (most handles of most
+	// windows never issue); flat slices keep the per-op lookup off the map
+	// hash path.
+	epoch []uint8
+	chans []*chanState
 }
 
 type pscwAccess struct {
@@ -135,53 +139,85 @@ type pscwExposure struct {
 	assert Assert
 }
 
-// targetState is the origin-side per-target state of a passive epoch.
-type targetState struct {
-	lock      LockType
-	locked    bool // Lock() called (or implied by LockAll)
-	viaAll    bool
-	requested bool
-	granted   sim.Completion
-	queued    []*rmaOp
-	pending   sim.CompletionSet // issued ops not yet remotely acked
+// Passive-epoch flags of one target (Win.epoch).
+const (
+	epLocked uint8 = 1 << iota // Lock() called (or implied by LockAll)
+	epViaAll                   // the implied kind: closed by UnlockAll
+	epExcl                     // LockExclusive
+)
+
+// chanState is the origin-side state of one (origin, target) channel:
+// the lock protocol's message and everything that orders and tracks the
+// operations on the wire. It exists from the first lock request or
+// operation to the target until the Unlock that closes its epoch. Every
+// channel of a lockall epoch is live until UnlockAll, so its size is
+// most of an all-to-all world's heap: it is kept within the 128-byte
+// size class (TestChanStateSize).
+type chanState struct {
+	lock    lockMsg
+	pending sim.CompletionSet // issued ops not yet remotely acked
 
 	// lastArrival enforces FIFO delivery on the (origin, target)
 	// channel: a small message must not overtake a large one, or
 	// same-origin accumulate ordering (MPI-3 §11.7.1) would break.
 	lastArrival sim.Time
 
-	// wireHead/wireTail chain the ops currently crossing the wire on
-	// this channel. Arrivals are strictly monotone (see lastArrival), so
-	// only the head op keeps an arrival event in the engine's heap; each
-	// arrival promotes its successor under the seq reserved at send time
-	// (see Win.send and rmaOp.promoteWire). Heap residency per channel
-	// is O(1) instead of one entry per op on the wire.
-	wireHead *rmaOp
+	// wireTail is the last of the ops currently crossing the wire on this
+	// channel, which are chained through rmaOp.wireNext. Arrivals are
+	// strictly monotone (see lastArrival), so only the chain's head keeps
+	// an arrival event in the engine's heap; each arrival promotes its
+	// successor under the seq reserved at send time (see Win.send and
+	// rmaOp.promoteWire). Heap residency per channel is O(1) instead of
+	// one entry per op on the wire.
 	wireTail *rmaOp
 }
 
-func (w *Win) target(t int) *targetState {
+func (w *Win) checkTarget(t int) {
 	if t < 0 || t >= len(w.g.comm.ranks) {
 		panic(fmt.Sprintf("mpi: window target %d out of range [0,%d)", t, len(w.g.comm.ranks)))
 	}
-	if w.targets == nil {
-		w.targets = make([]*targetState, len(w.g.comm.ranks))
-	}
-	ts := w.targets[t]
-	if ts == nil {
-		ts = &targetState{}
-		w.targets[t] = ts
-	}
-	return ts
 }
 
-// lookupTarget returns the existing per-target state, or nil when none
-// has been created (no allocation, no bounds panic).
-func (w *Win) lookupTarget(t int) *targetState {
-	if t < 0 || t >= len(w.targets) {
+// epochOf returns the passive-epoch flags of target t, for writing.
+func (w *Win) epochOf(t int) *uint8 {
+	w.checkTarget(t)
+	if w.epoch == nil {
+		w.epoch = make([]uint8, len(w.g.comm.ranks))
+	}
+	return &w.epoch[t]
+}
+
+// epochFlags reads the passive-epoch flags of target t: zero when no
+// epoch covers it (no allocation, no bounds panic).
+func (w *Win) epochFlags(t int) uint8 {
+	if t < 0 || t >= len(w.epoch) {
+		return 0
+	}
+	return w.epoch[t]
+}
+
+// channel returns the channel state toward target t, creating it.
+func (w *Win) channel(t int) *chanState {
+	w.checkTarget(t)
+	if w.chans == nil {
+		w.chans = make([]*chanState, len(w.g.comm.ranks))
+	}
+	ch := w.chans[t]
+	if ch == nil {
+		ch = &chanState{}
+		w.chans[t] = ch
+	}
+	return ch
+}
+
+// lookupChannel returns the existing channel state, or nil when the
+// target carries no request or operation (no allocation, no bounds
+// panic).
+func (w *Win) lookupChannel(t int) *chanState {
+	if t < 0 || t >= len(w.chans) {
 		return nil
 	}
-	return w.targets[t]
+	return w.chans[t]
 }
 
 // Region returns this rank's exposed memory region (used by Casper when

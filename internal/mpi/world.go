@@ -167,7 +167,11 @@ type World struct {
 	commSeq    int
 	validator  *Validator
 	tracer     *trace.Tracer
-	groupComms map[string][]*commGlobal // CommFromGroup instances by rank set
+	groupComms map[uint64][]*groupComms // CommFromGroup registry by groupHash of the rank set
+
+	// groupHashHook replaces groupHash when set; tests force collisions
+	// through it.
+	groupHashHook func(sorted []int) uint64
 
 	comms []*commGlobal // every live comm, for failure reaping
 	wins  []*winGlobal  // every window, for wait-for diagnostics
@@ -658,9 +662,9 @@ type Rank struct {
 	engine  rankEngine
 	mailbox mailbox
 
-	groupUses map[string]int   // per-rank CommFromGroup call counts
-	p2pLast   map[int]sim.Time // per-destination FIFO delivery horizon
-	locTo     []uint8          // lazy per-destination locality class (0xFF unset)
+	groupUses map[*groupComms]int // per-rank CommFromGroup call counts
+	p2pLast   map[int]sim.Time    // per-destination FIFO delivery horizon
+	locTo     []uint8             // lazy per-destination locality class (0xFF unset)
 
 	failed       bool     // ground-truth crash (see health.go)
 	down         bool     // recoverable app crash in progress (see crashAppRank)

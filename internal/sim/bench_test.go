@@ -171,6 +171,45 @@ func BenchmarkProcSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceChain is BenchmarkProcSwitch for back-to-back
+// advances: two processes in lockstep each consume k durations per round,
+// so no step can complete inline. "chain" hands the k steps to the engine
+// and parks once per round; "plain" is the k Advance calls the chain
+// stands for, parking at each. ns/op is per step either way — the events,
+// keys and clock are identical, only k-1 of k switch pairs are gone.
+func BenchmarkAdvanceChain(b *testing.B) {
+	for _, k := range []int{2, 8} {
+		for _, chain := range []bool{true, false} {
+			name := fmt.Sprintf("k=%d", k)
+			if !chain {
+				name += "/plain"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				e := New(1)
+				rounds := (b.N + 2*k - 1) / (2 * k)
+				body := func(p *Proc) {
+					for i := 0; i < rounds; i++ {
+						if chain {
+							p.AdvanceRepeat(Microsecond, k)
+							continue
+						}
+						for j := 0; j < k; j++ {
+							p.Advance(Microsecond)
+						}
+					}
+				}
+				e.Spawn("a", body)
+				e.Spawn("b", body)
+				e.MustRun()
+				if e.InlinedAdvances() > int64(k) {
+					b.Fatalf("%d advances completed inline; the processes did not alternate", e.InlinedAdvances())
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSameTimeFusion isolates same-time event fusion: a chain of
 // b.N callbacks all scheduled at the current instant. "fused" routes
 // every equal-timestamp event through the nowQueue ring — no heap

@@ -686,6 +686,33 @@ func (e *Engine) noteInlineAdvance(t Time) {
 	e.inlined++
 }
 
+// serveChain takes p's advance chain (see Proc.AdvanceChain) as far as it
+// goes without anything else running: each remaining step either
+// completes inline or gets its resume event. It is called by the process
+// for the first step and by execOne, as the previous step's resume event
+// pops, for the rest — the instant the process itself would have woken
+// and called Advance, with the same now, the same queue and the next
+// seq, so both make the same decision and leave the same engine state. It
+// reports true when a resume event is pending (the process stays
+// parked), false when the chain is done.
+func (e *Engine) serveChain(p *Proc) bool {
+	for p.chainPos < len(p.chain) {
+		d := p.chain[p.chainPos]
+		p.chainPos++
+		if d == 0 {
+			continue
+		}
+		t := e.now.Add(d)
+		if e.advanceInlineOK(t) {
+			e.noteInlineAdvance(t)
+			continue
+		}
+		e.atResume(t, p)
+		return true
+	}
+	return false
+}
+
 // Kill terminates a process from engine context without resuming it:
 // the process is removed from the live count and every future attempt
 // to wake or resume it becomes a no-op. Its coroutine stays parked, stack
@@ -896,6 +923,9 @@ func (e *Engine) execOne(ev event) *Proc {
 			}
 			if p.state != stateParked {
 				panic(fmt.Sprintf("sim: waking %s which is not parked", p.name))
+			}
+			if p.chainPos < len(p.chain) && e.serveChain(p) {
+				return nil // mid-chain: the next step's resume is scheduled
 			}
 			return p
 		}

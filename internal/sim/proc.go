@@ -42,6 +42,12 @@ type Proc struct {
 	// one was, so Thaw can replay a single coalesced wakeup.
 	frozen       bool
 	deferredWake bool
+
+	// Advance chain (see AdvanceChain): the steps of the chain in flight
+	// and the index of the next one. chain[chainPos:] is what the event
+	// loop still has to serve before it switches back into the process.
+	chain    []Duration
+	chainPos int
 }
 
 // Engine returns the engine this process belongs to.
@@ -83,6 +89,54 @@ func (p *Proc) Advance(d Duration) {
 	}
 	e.atResume(t, p)
 	p.park("advancing")
+}
+
+// AdvanceChain consumes the durations in ds back to back: the clock, the
+// event count, every (time, seq) key and every statistic end up exactly
+// where
+//
+//	for _, d := range ds { p.Advance(d) }
+//
+// leaves them, but the process parks at most once. A process that wakes
+// from one Advance only to call the next does nothing in between that
+// anyone can observe, so the event loop does it in the process's stead:
+// when the resume event of a step pops, execOne itself makes the next
+// step's inline-or-schedule decision (Engine.serveChain) and switches
+// into the coroutine only after the last step. With the fast paths
+// disabled the chain is the loop above, literally — which makes the
+// fast-path on/off identity tests its differential oracle.
+func (p *Proc) AdvanceChain(ds ...Duration) {
+	p.chain = append(p.chain[:0], ds...)
+	p.runChain()
+}
+
+// AdvanceRepeat is AdvanceChain over n steps of d each.
+func (p *Proc) AdvanceRepeat(d Duration, n int) {
+	p.chain = p.chain[:0]
+	for ; n > 0; n-- {
+		p.chain = append(p.chain, d)
+	}
+	p.runChain()
+}
+
+func (p *Proc) runChain() {
+	e := p.eng
+	if e.fastOff {
+		p.chainPos = len(p.chain) // nothing for the event loop to serve
+		for i := 0; i < len(p.chain); i++ {
+			p.Advance(p.chain[i])
+		}
+		return
+	}
+	for _, d := range p.chain {
+		if d < 0 {
+			panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
+		}
+	}
+	p.chainPos = 0
+	if e.serveChain(p) {
+		p.park("advancing")
+	}
 }
 
 // AdvanceTo consumes virtual time until at least time t. It is a no-op if
@@ -132,25 +186,36 @@ func (p *Proc) Frozen() bool { return p.frozen }
 // re-check their predicate after waking (wakeups can be spurious when
 // several processes share a Signal).
 type Signal struct {
-	waiters []*Proc
+	// first is the oldest waiter, held inline: most signals only ever
+	// have one (an origin awaiting its own lock grant or its own acks),
+	// and for those waiting allocates nothing. It is nil exactly when
+	// nobody waits.
+	first   *Proc
+	waiters []*Proc // the waiters after first, in arrival order
 }
 
 // Wait parks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc, reason string) {
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.waiters = append(s.waiters, p)
+	}
 	p.park(reason)
 }
 
-// Broadcast wakes every current waiter.
+// Broadcast wakes every current waiter, in arrival order.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	if len(ws) == 0 {
+	first := s.first
+	if first == nil {
 		return
 	}
 	// Reuse the backing array: wake only schedules resume events, so no
 	// waiter re-registers until after this loop returns (strict
 	// alternation), and re-Waits then overwrite slots already consumed.
-	s.waiters = ws[:0]
+	ws := s.waiters
+	s.first, s.waiters = nil, ws[:0]
+	first.wake()
 	for _, p := range ws {
 		p.wake()
 	}
