@@ -26,10 +26,21 @@ import (
 // window, so Casper's overlapping windows over the same memory are
 // checked coherently.
 type Validator struct {
-	recent     map[int][]applyRec // segment id -> recent applies (ring)
+	recent     map[int]*applyRing // segment id -> recent applies
 	violations []string
 	ringSize   int
 }
+
+// applyRing holds a segment's last ringSize applies: it grows to that size
+// and is circular from then on. Nearly every apply overlaps none of them, so
+// the byte ranges the scan reads sit in an array of their own.
+type applyRing struct {
+	spans []byteSpan // spans[i] is recs[i]'s [lo, hi)
+	recs  []applyRec
+	next  int // once full: the oldest record, which the next apply replaces
+}
+
+type byteSpan struct{ lo, hi int }
 
 type applyRec struct {
 	lo, hi     int // absolute byte range in the segment, [lo, hi)
@@ -42,7 +53,7 @@ type applyRec struct {
 }
 
 func newValidator() *Validator {
-	return &Validator{recent: map[int][]applyRec{}, ringSize: 512}
+	return &Validator{recent: map[int]*applyRing{}, ringSize: 512}
 }
 
 // Violations returns human-readable descriptions of every detected
@@ -56,9 +67,7 @@ func (v *Validator) addViolation(format string, args ...interface{}) {
 	v.violations = append(v.violations, fmt.Sprintf(format, args...))
 }
 
-func overlaps(a, b applyRec) bool { return a.lo < b.hi && b.lo < a.hi }
-
-func timeOverlaps(a, b applyRec) bool { return a.start < b.end && b.start < a.end }
+func timeOverlaps(a, b *applyRec) bool { return a.start < b.end && b.start < a.end }
 
 // recordApply registers one applied operation. It runs in engine
 // context; the op carries its service interval and owner. disp is the
@@ -79,35 +88,53 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	if rec.end == rec.start {
 		rec.end++ // give instantaneous applies a non-empty interval
 	}
-	segID := reg.seg.id
-	for _, prev := range v.recent[segID] {
-		if !overlaps(prev, rec) {
-			continue
-		}
-		bothAtomic := prev.kind.isAtomicFamily() && rec.kind.isAtomicFamily()
-		anyWrite := prev.kind.isWrite() || rec.kind.isWrite()
-		if bothAtomic && anyWrite && timeOverlaps(prev, rec) && prev.owner != rec.owner {
-			v.addViolation(
-				"atomicity: %v from rank %d (server %d, %v-%v) and %v from rank %d (server %d, %v-%v) overlap on bytes [%d,%d)x[%d,%d)",
-				prev.kind, prev.origin, prev.owner, prev.start, prev.end,
-				rec.kind, rec.origin, rec.owner, rec.start, rec.end,
-				prev.lo, prev.hi, rec.lo, rec.hi)
-		}
-		if bothAtomic && prev.origin == rec.origin && prev.seq > rec.seq {
-			v.addViolation(
-				"ordering: rank %d's %v seq %d applied after seq %d on overlapping bytes [%d,%d)",
-				rec.origin, rec.kind, rec.seq, prev.seq, rec.lo, rec.hi)
-		}
-		if anyWrite && prev.origin != rec.origin && (prev.excl || rec.excl) &&
-			timeOverlaps(prev, rec) {
-			v.addViolation(
-				"exclusivity: concurrent %v from rank %d and %v from rank %d on bytes [%d,%d) while an exclusive lock was held",
-				prev.kind, prev.origin, rec.kind, rec.origin, rec.lo, rec.hi)
+	ring := v.recent[reg.seg.id]
+	if ring == nil {
+		ring = &applyRing{}
+		v.recent[reg.seg.id] = ring
+	}
+	// Oldest first — [next, len) then [0, next) — so that violations are
+	// reported in the order the applies ran.
+	for _, part := range [2][2]int{{ring.next, len(ring.spans)}, {0, ring.next}} {
+		for i := part[0]; i < part[1]; i++ {
+			if sp := ring.spans[i]; sp.lo < rec.hi && rec.lo < sp.hi {
+				v.check(&ring.recs[i], &rec)
+			}
 		}
 	}
-	ring := append(v.recent[segID], rec)
-	if len(ring) > v.ringSize {
-		ring = ring[len(ring)-v.ringSize:]
+	if len(ring.recs) < v.ringSize {
+		ring.spans = append(ring.spans, byteSpan{rec.lo, rec.hi})
+		ring.recs = append(ring.recs, rec)
+		return
 	}
-	v.recent[segID] = ring
+	ring.spans[ring.next] = byteSpan{rec.lo, rec.hi}
+	ring.recs[ring.next] = rec
+	if ring.next++; ring.next == v.ringSize {
+		ring.next = 0
+	}
+}
+
+// check reports what an apply violates against an earlier one on
+// overlapping bytes.
+func (v *Validator) check(prev, rec *applyRec) {
+	bothAtomic := prev.kind.isAtomicFamily() && rec.kind.isAtomicFamily()
+	anyWrite := prev.kind.isWrite() || rec.kind.isWrite()
+	if bothAtomic && anyWrite && timeOverlaps(prev, rec) && prev.owner != rec.owner {
+		v.addViolation(
+			"atomicity: %v from rank %d (server %d, %v-%v) and %v from rank %d (server %d, %v-%v) overlap on bytes [%d,%d)x[%d,%d)",
+			prev.kind, prev.origin, prev.owner, prev.start, prev.end,
+			rec.kind, rec.origin, rec.owner, rec.start, rec.end,
+			prev.lo, prev.hi, rec.lo, rec.hi)
+	}
+	if bothAtomic && prev.origin == rec.origin && prev.seq > rec.seq {
+		v.addViolation(
+			"ordering: rank %d's %v seq %d applied after seq %d on overlapping bytes [%d,%d)",
+			rec.origin, rec.kind, rec.seq, prev.seq, rec.lo, rec.hi)
+	}
+	if anyWrite && prev.origin != rec.origin && (prev.excl || rec.excl) &&
+		timeOverlaps(prev, rec) {
+		v.addViolation(
+			"exclusivity: concurrent %v from rank %d and %v from rank %d on bytes [%d,%d) while an exclusive lock was held",
+			prev.kind, prev.origin, rec.kind, rec.origin, rec.lo, rec.hi)
+	}
 }

@@ -131,11 +131,33 @@ func TestValidatorRingBounded(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		rec(g, v, reg, KindAcc, 0, 5, 0, i*10, i*10+10, i+1, false)
 	}
-	if len(v.recent[1]) > 8 {
-		t.Fatalf("ring grew to %d", len(v.recent[1]))
+	if n := len(v.recent[1].recs); n > 8 {
+		t.Fatalf("ring grew to %d", n)
 	}
 	if !v.Ok() {
 		t.Fatalf("violations: %v", v.Violations())
+	}
+}
+
+// TestValidatorRingIsTheLastApplies: once full the ring is circular, and it
+// must still be the window of the last ringSize applies, scanned oldest
+// first — what was evicted is not reported against, and violations against
+// survivors come in the order those applies ran, wherever the wrap put them.
+func TestValidatorRingIsTheLastApplies(t *testing.T) {
+	v := newValidator()
+	v.ringSize = 4
+	g, reg := fakeWin(v)
+	for i, disp := range []int{0, 8, 0, 16, 0, 24} { // seqs 10..60; the first two are evicted
+		rec(g, v, reg, KindAcc, 0, 5, disp, int64(i*10), int64(i*10+10), int64(10*(i+1)), false)
+	}
+	if !v.Ok() {
+		t.Fatalf("violations: %v", v.Violations())
+	}
+	rec(g, v, reg, KindAcc, 0, 5, 0, 60, 70, 5, false) // issued before all of them, on bytes [0,8)
+	got := v.Violations()
+	if len(got) != 2 || !strings.Contains(got[0], "seq 5 applied after seq 30") ||
+		!strings.Contains(got[1], "seq 5 applied after seq 50") {
+		t.Fatalf("violations %q, want ordering against seq 30 then seq 50", got)
 	}
 }
 

@@ -179,13 +179,6 @@ func (h *eventHeap) popInto(dst *event) {
 	}
 }
 
-// pop is popInto for callers off the hot path (tests, the fuzz oracle).
-func (h *eventHeap) pop() event {
-	var ev event
-	h.popInto(&ev)
-	return ev
-}
-
 func (h *eventHeap) siftDown() {
 	k, v := h.k, h.v
 	n := len(k)
@@ -277,7 +270,18 @@ type schedQ struct {
 	useHeap bool
 	lad     ladder
 	heap    eventHeap
+
+	// shadow, when set, makes the queue keep both stores: the heap answers
+	// and every pop hands the popped key to shadow, which pops the ladder
+	// behind it and panics unless it yields the same (at, seq).
+	shadow func(q *schedQ, popped evKey)
 }
+
+// shadowOracle is the shadow every engine is built with: nil, except while
+// a test has set it (export_test.go). A differential run compares what two
+// schedulers render, which hides a misordered pop whenever the swapped
+// events commute; the lockstep compares the pops themselves.
+var shadowOracle func(q *schedQ, popped evKey)
 
 func (q *schedQ) len() int { return q.n }
 
@@ -316,9 +320,11 @@ func (q *schedQ) push(ev event) {
 	}
 	if q.useHeap {
 		q.heap.push(ev)
-	} else {
-		q.lad.push(ev)
+		if q.shadow == nil {
+			return
+		}
 	}
+	q.lad.push(ev)
 }
 
 // popInto removes the minimum, writing it to *dst (see ladder.popInto).
@@ -326,16 +332,12 @@ func (q *schedQ) popInto(dst *event) {
 	q.n--
 	if q.useHeap {
 		q.heap.popInto(dst)
+		if q.shadow != nil {
+			q.shadow(q, evKey{at: dst.at, seq: dst.seq})
+		}
 		return
 	}
 	q.lad.popInto(dst)
-}
-
-// pop is popInto for callers off the hot path (tests, the fuzz oracle).
-func (q *schedQ) pop() event {
-	var ev event
-	q.popInto(&ev)
-	return ev
 }
 
 // nowQueue is a FIFO of events scheduled at exactly the current virtual
@@ -422,10 +424,12 @@ const timeMax = Time(math.MaxInt64)
 // New returns an Engine whose random source is seeded with seed, so that
 // any randomized model decisions are reproducible.
 func New(seed int64) *Engine {
-	return &Engine{
+	e := &Engine{
 		rng:   rand.New(rand.NewSource(seed)),
 		limit: timeMax,
 	}
+	e.events.useHeap, e.events.shadow = shadowOracle != nil, shadowOracle
+	return e
 }
 
 // SetScheduler selects the scheduler backing store. It must be called
@@ -435,7 +439,7 @@ func (e *Engine) SetScheduler(kind SchedulerKind) {
 	if e.events.len() != 0 || e.executed != 0 {
 		panic("sim: SetScheduler on an engine already in use")
 	}
-	e.events.useHeap = kind == SchedHeap
+	e.events.useHeap = kind == SchedHeap || e.events.shadow != nil
 }
 
 // Scheduler reports the selected scheduler kind.
@@ -904,7 +908,11 @@ func (e *Engine) stuckProcs() []string {
 // it only does the bookkeeping and returns the process to transfer to;
 // a nil return means the event is fully handled.
 func (e *Engine) execOne(ev event) *Proc {
-	if ev.at > e.now || e.executed == 0 {
+	if ev.at != e.now || e.executed == 0 {
+		if ev.at < e.now {
+			// The scheduler handed back an event out of (at, seq) order.
+			panic(fmt.Sprintf("sim: event (%v, seq %d) is before the clock %v", ev.at, ev.seq, e.now))
+		}
 		e.lastAdvance = ev.at
 		e.lastAdvanceExec = e.executed
 	}

@@ -15,30 +15,42 @@ import "math/bits"
 // unique (seq is monotone per engine, banded per shard). Any correct
 // implementation therefore yields byte-identical runs — bucketing
 // cannot reorder anything a heap would not, it only changes how much
-// work finding the minimum costs. The lockstep fuzz test in
-// ladder_test.go drives this structure and the retained heap oracle
-// through randomized workloads asserting exactly that.
+// work finding the minimum costs. The lockstep fuzz in ladder_test.go
+// and the shadow oracle (schedQ.shadow) assert exactly that, pop by pop.
 //
-// Quantization: rung-0 buckets span 2^ladShift ns (~1us), chosen to
-// match the repository's cost models — AM service and issue costs are
-// hundreds of ns, cross-node transfers a few us, so the resident
-// working set of an experiment (tens to hundreds of events after the
-// PR-4 reserved-seq chaining) spreads over a few dozen rung-0 buckets
-// at a handful of events each. Each coarser rung widens the span by
-// 2^ladBits; ladRungs rungs reach 2^(ladShift+ladBits*ladRungs) ns
-// (~9 virtual years), with an unsorted top list beyond that for
-// far-future housekeeping (heartbeat horizons, watchdog sentinels).
+// Quantization: rung-0 buckets span 2^ladShift = 16 ns, the span the six
+// BENCHMARK.json rows run fastest at (EXPERIMENTS.md, "The event
+// scheduler"): the lockstep all-to-all rows put hundreds of events on a
+// few instants per microsecond, and a bucket holding one or two instants
+// mostly arrives in (at, seq) order and is not sorted at all. Each coarser
+// rung widens the span by 2^ladBits — 4 us, 1 ms, 268 ms, ... buckets —
+// and ladRungs rungs reach 2^(ladShift+ladBits*ladRungs) > 2^63 ns, so the
+// last rung's window covers every Time and there is no list beyond it (the
+// matrix touches rungs 0-2; a rung is allocated when first filed into).
 const (
-	ladShift   = 7 // rung-0 bucket span: 2^7 ns
+	ladShift   = 4 // rung-0 bucket span: 2^4 ns
+	ladSpan    = 1 << ladShift
 	ladBits    = 8 // buckets per rung: 2^8
 	ladBuckets = 1 << ladBits
 	ladMask    = ladBuckets - 1
-	ladRungs   = 6
+	ladRungs   = 8
+
+	// ladEarlyMax bounds the events the bottom may hold from before the
+	// cursor. Finding the minimum moves the cursor to the earliest queued
+	// bucket, which may lie far past the clock (a retransmit timer, a
+	// heartbeat); what the running processes then schedule lands before
+	// the cursor, where the wheel has no buckets, and is merge-inserted
+	// into the bottom. A few such events are cheapest kept there — the next
+	// pops take them — but left unbounded the bottom becomes an
+	// insertion-sorted array of everything pending until the clock reaches
+	// the cursor. Past this many, push moves the cursor back under them
+	// (retreat) and they go to the wheel like any other event.
+	ladEarlyMax = 8
 )
 
 // ladRung is one wheel level: ladBuckets FIFO buckets plus an
 // occupancy bitmap so find-first-non-empty is a handful of word scans
-// instead of a 256-slot walk.
+// instead of a 256-slot walk. A slot owns storage only while occupied.
 type ladRung struct {
 	bucket [ladBuckets][]event
 	occ    [ladBuckets / 64]uint64
@@ -65,46 +77,74 @@ func (r *ladRung) firstFrom(base uint64) uint64 {
 	panic("sim: ladder rung bitmap empty with count > 0")
 }
 
-// ladder is the queue proper. Invariant: when n > 0 the bottom (cur)
-// is non-empty — pop refills it eagerly — so the minimum is always
-// cur[head] and minTime is O(1).
+// take empties bucket b and returns its events, storage and all.
+func (r *ladRung) take(b int) []event {
+	box := r.bucket[b]
+	r.bucket[b] = nil
+	r.occ[b>>6] &^= 1 << uint(b&63)
+	r.count -= len(box)
+	return box
+}
+
+// ladder is the queue proper. The wheel is positioned by cursor: rung k
+// holds events whose rung-k bucket index lies within ladBuckets of the
+// cursor's, each event in the lowest rung that covers it, and nothing in
+// the wheel is earlier than curHi. Everything earlier is in the bottom, so
+// when n > 0 the bottom is non-empty — pop refills it eagerly — the
+// minimum is cur[head] and minTime is O(1).
 type ladder struct {
-	cur    []event // active bucket, sorted ascending by (at, seq)
+	cur    []event // bottom: every event before curHi, ascending by (at, seq)
 	head   int     // consumed prefix of cur
 	cursor Time    // start of the active bucket's span (wheel position)
 	curHi  Time    // exclusive end of the active bucket's span
 	n      int
 	rungs  [ladRungs]*ladRung
-	top    []event // beyond the highest rung's window; unsorted
-	topMin Time
+	// free is the storage of emptied buckets, handed to the next slots that
+	// fill: what the wheel allocates follows the buckets occupied at once,
+	// not the slots the clock sweeps over (a fault-plan pass builds
+	// hundreds of short worlds, each sweeping every slot of two rungs).
+	free [][]event
 }
 
 func (l *ladder) len() int { return l.n }
 
-// push inserts ev. Events landing inside the active bucket's span are
-// merge-inserted into the sorted bottom (binary search + memmove, with
-// an O(1) prepend slot when the new event precedes everything — the
-// resume-chain case); everything else is an O(1) bucket append.
+// push inserts ev. Events before the end of the active bucket's span are
+// merge-inserted into the sorted bottom; everything else is an O(1)
+// bucket append.
 func (l *ladder) push(ev event) {
 	if l.n == 0 {
 		// Empty queue: re-anchor the wheel at the event. The common
 		// near-empty regime therefore lives entirely in the bottom.
-		l.cursor = ev.at &^ (1<<ladShift - 1)
-		l.curHi = l.cursor + (1 << ladShift)
+		l.anchor(ev.at)
 		l.cur = append(l.cur[:0], ev)
 		l.head = 0
 		l.n = 1
 		return
 	}
 	l.n++
-	if ev.at < l.curHi {
-		l.insertCur(ev)
+	if ev.at >= l.curHi {
+		l.spill(ev)
 		return
 	}
-	l.spill(ev)
+	// The bottom is sorted, so ladEarlyMax pending events from before the
+	// cursor show as the ladEarlyMax-th pending one lying before it.
+	if i := l.head + ladEarlyMax - 1; ev.at < l.cursor && i < len(l.cur) && l.cur[i].at < l.cursor {
+		l.retreat(ev)
+		return
+	}
+	l.insertCur(ev)
 }
 
-// insertCur merge-inserts ev into the sorted bottom.
+// anchor positions the wheel at the bucket holding t.
+func (l *ladder) anchor(t Time) {
+	l.cursor = t &^ (ladSpan - 1)
+	l.curHi = l.cursor + ladSpan
+}
+
+// insertCur merge-inserts ev into the sorted bottom: binary search, then
+// whichever side of the insertion point is shorter moves over by one — the
+// consumed prefix is the room on the left, so an event that precedes
+// everything (the resume-chain case) costs one store.
 func (l *ladder) insertCur(ev event) {
 	k := evKey{at: ev.at, seq: ev.seq}
 	cur := l.cur
@@ -117,9 +157,10 @@ func (l *ladder) insertCur(ev event) {
 			hi = m
 		}
 	}
-	if lo == l.head && l.head > 0 {
+	if l.head > 0 && lo-l.head <= len(cur)-lo {
+		copy(cur[l.head-1:], cur[l.head:lo])
 		l.head--
-		cur[l.head] = ev
+		cur[lo-1] = ev
 		return
 	}
 	cur = append(cur, event{})
@@ -129,7 +170,7 @@ func (l *ladder) insertCur(ev event) {
 }
 
 // spill files ev into the lowest rung whose window (relative to the
-// wheel cursor) covers it, or the top list beyond all rungs.
+// wheel cursor) covers it.
 func (l *ladder) spill(ev event) {
 	base := uint64(l.cursor) >> ladShift
 	idx := uint64(ev.at) >> ladShift
@@ -141,7 +182,11 @@ func (l *ladder) spill(ev event) {
 				l.rungs[k] = r
 			}
 			b := int(idx & ladMask)
-			r.bucket[b] = append(r.bucket[b], ev)
+			box := r.bucket[b]
+			if cap(box) == 0 {
+				box = l.grab()
+			}
+			r.bucket[b] = append(box, ev)
 			r.occ[b>>6] |= 1 << uint(b&63)
 			r.count++
 			return
@@ -149,10 +194,69 @@ func (l *ladder) spill(ev event) {
 		base >>= ladBits
 		idx >>= ladBits
 	}
-	if len(l.top) == 0 || ev.at < l.topMin {
-		l.topMin = ev.at
+	panic("sim: event before the ladder's cursor or at a negative time")
+}
+
+// grab takes storage off the free list; nil when there is none.
+func (l *ladder) grab() []event {
+	n := len(l.free)
+	if n == 0 {
+		return nil
 	}
-	l.top = append(l.top, ev)
+	box := l.free[n-1]
+	l.free = l.free[:n-1]
+	return box
+}
+
+// spillAll files every event of box and puts the storage, cleared so that
+// it retains nothing, on the free list.
+func (l *ladder) spillAll(box []event) {
+	for i := range box {
+		l.spill(box[i])
+		box[i] = event{}
+	}
+	l.free = append(l.free, box[:0])
+}
+
+// retreat moves the wheel back under ev, which lies before the cursor, and
+// re-files the bottom from there. A rung's window only reaches ladBuckets
+// past the cursor and the bucket slots are shared modulo ladBuckets, so
+// first every bucket the earlier window no longer covers is lifted into a
+// coarser rung — coarsest rung first, so that a lifted event lands where
+// the windows are already the new ones. Those buckets, the bottom and ev
+// are all that moves: what the look-aheads since the last retreat cascaded
+// into the finer rungs, plus the bottom — never the resident population.
+func (l *ladder) retreat(ev event) {
+	to := ev.at
+	if first := l.cur[l.head].at; first < to {
+		to = first
+	}
+	was := uint64(l.cursor) >> ladShift
+	l.anchor(to)
+	now := uint64(l.cursor) >> ladShift
+	for k := ladRungs - 1; k >= 0; k-- {
+		r := l.rungs[k]
+		if r == nil || r.count == 0 {
+			continue
+		}
+		shift := uint(k * ladBits)
+		wasK, end := was>>shift, now>>shift+ladBuckets
+		for w, word := range r.occ {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 + bits.TrailingZeros64(word)
+				// Occupied slots held indices in [wasK, wasK+ladBuckets).
+				if idx := wasK + (uint64(b)-wasK)&ladMask; idx >= end {
+					l.spillAll(r.take(b))
+				}
+			}
+		}
+	}
+	pend := l.cur[l.head:]
+	l.cur, l.head = nil, 0
+	l.curHi = l.cursor // no active bucket: everything goes through the wheel
+	l.spillAll(pend)
+	l.spill(ev)
+	l.refill()
 }
 
 // minKey returns the (at, seq) key of the earliest event; the ladder
@@ -192,79 +296,49 @@ func (l *ladder) popInto(dst *event) {
 	}
 }
 
-// pop is popInto for callers off the hot path (tests, the fuzz oracle).
-func (l *ladder) pop() event {
-	var ev event
-	l.popInto(&ev)
-	return ev
-}
-
-// refill activates the next non-empty bucket as the bottom. It finds
-// the rung holding the earliest bucket span; a rung-0 bucket is sorted
-// and swapped in directly, while a coarser bucket is first re-bucketed
-// one or more rungs down (the lazy "first touch" of the overflow
-// ladder: each event moves at most once per rung on its way to the
-// bottom, never per pop).
+// refill activates the next non-empty bucket as the bottom; the bottom
+// must be empty. It finds the rung holding the earliest bucket span; a
+// rung-0 bucket is put in order and becomes the bottom, while a coarser
+// bucket is first re-bucketed one or more rungs down (the lazy "first
+// touch" of the overflow ladder: on its way to the bottom an event moves
+// once per rung, never per pop).
+//
+// Two buckets of different rungs can start at the same instant — a coarse
+// bucket filed from far away, and a finer one filed into its first span
+// once the cursor had come close. The coarser one must go first: it may
+// hold events of that first span, and taking the finer bucket would pop
+// past them. So ties go to the coarser rung, whose re-bucketing then
+// merges the two.
 func (l *ladder) refill() {
 	for {
 		bestK := -1
 		var bestIdx uint64
-		bestStart := Time(timeMax)
+		bestStart := timeMax
 		base := uint64(l.cursor) >> ladShift
 		for k := 0; k < ladRungs; k++ {
 			if r := l.rungs[k]; r != nil && r.count > 0 {
 				idx := r.firstFrom(base)
-				if start := Time(idx << uint(ladShift+k*ladBits)); start < bestStart {
+				if start := Time(idx << uint(ladShift+k*ladBits)); start <= bestStart {
 					bestK, bestIdx, bestStart = k, idx, start
 				}
 			}
 			base >>= ladBits
 		}
-		if len(l.top) > 0 && l.topMin < bestStart {
-			l.rebaseTop()
+		l.cursor = bestStart
+		box := l.rungs[bestK].take(int(bestIdx & ladMask))
+		if bestK > 0 {
+			// Every event shares this bucket's span, so each lands within
+			// a lower rung's window from the advanced cursor.
+			l.spillAll(box)
 			continue
 		}
-		r := l.rungs[bestK]
-		b := int(bestIdx & ladMask)
-		box := r.bucket[b]
-		r.occ[b>>6] &^= 1 << uint(b&63)
-		r.count -= len(box)
-		l.cursor = bestStart
-		if bestK == 0 {
-			// Swap the bucket in as the new bottom, handing the old
-			// bottom's capacity back to the slot — steady state moves
-			// slice headers, never memory.
-			r.bucket[b] = l.cur[:0]
-			l.cur = box
-			l.head = 0
-			l.curHi = bestStart + (1 << ladShift)
-			sortEvents(l.cur)
-			return
+		if cap(l.cur) > 0 {
+			l.free = append(l.free, l.cur[:0])
 		}
-		// Coarser rung: re-bucket its contents downward. Every event
-		// shares this bucket's span, so each lands within a lower
-		// rung's window from the advanced cursor — spill never refiles
-		// into this bucket, so handing its capacity back first is safe.
-		r.bucket[b] = box[:0]
-		for i := range box {
-			l.spill(box[i])
-			box[i] = event{}
-		}
-	}
-}
-
-// rebaseTop re-anchors the wheel at the top list's minimum and files
-// its events into the rungs. Reached only when every rung has drained
-// — i.e. the clock is jumping a span longer than the highest rung's
-// window — so the O(len(top)) re-push amortizes to nothing.
-func (l *ladder) rebaseTop() {
-	l.cursor = l.topMin &^ (1<<ladShift - 1)
-	box := l.top
-	l.top = nil // spill may re-append; rare enough that a fresh slab is fine
-	l.topMin = 0
-	for i := range box {
-		l.spill(box[i])
-		box[i] = event{}
+		l.cur, l.head = box, 0
+		l.curHi = bestStart + ladSpan
+		l.sortCur()
+		return
 	}
 }
 
@@ -272,53 +346,50 @@ func (l *ladder) rebaseTop() {
 // diagnostics.
 func (l *ladder) activeSpan() (lo, hi Time) { return l.cursor, l.curHi }
 
-// sortEvents sorts a bucket ascending by (at, seq): insertion sort for
-// the small buckets the quantization aims at, median-of-three
-// quicksort (recursing into the smaller side) when a bucket grows
-// past that. Keys are unique, so the order is total and the sort's
-// stability is irrelevant. No allocation on any path.
-//
+// sortCur puts the bucket that just became the bottom in (at, seq) order.
 // A bucket holds events in push order, and pushes are near-monotone in
 // (at, seq) — seq increases monotonically and same-instant bursts (a
-// collective fan-out, a fault schedule) append an already ordered run —
-// so most buckets arrive fully sorted. The linear presorted scan makes
-// that case O(n) instead of paying quicksort's partition walk.
-func sortEvents(a []event) {
-	sorted := true
-	for i := 1; i < len(a); i++ {
-		if (evKey{at: a[i].at, seq: a[i].seq}).before(evKey{at: a[i-1].at, seq: a[i-1].seq}) {
-			sorted = false
-			break
-		}
+// collective fan-out, a fault schedule) append an already ordered run — so
+// most buckets arrive sorted and the first scan is all they cost. A small
+// bucket is insertion-sorted from where that scan stopped. A large one
+// first takes a stable counting pass on at - cursor (ladSpan possible
+// values) into storage off the free list: what is left out of order then is
+// seq within one instant — events that reached the bucket by cascade
+// behind ones pushed directly — and the same insertion pass finishes it in
+// near-linear time (0.3 moves per event on the all-to-all rows).
+func (l *ladder) sortCur() {
+	a := l.cur
+	i := 1
+	for i < len(a) && !(evKey{at: a[i].at, seq: a[i].seq}).before(evKey{at: a[i-1].at, seq: a[i-1].seq}) {
+		i++
 	}
-	if sorted {
+	if i == len(a) {
 		return
 	}
-	sortEventsRec(a)
-}
-
-func sortEventsRec(a []event) {
-	for len(a) > 24 {
-		p := pivotEvents(a)
-		k := evKey{at: a[p].at, seq: a[p].seq}
-		a[p], a[len(a)-1] = a[len(a)-1], a[p]
-		i := 0
-		for j := 0; j < len(a)-1; j++ {
-			if (evKey{at: a[j].at, seq: a[j].seq}).before(k) {
-				a[i], a[j] = a[j], a[i]
-				i++
-			}
+	if len(a) > 24 {
+		var next [ladSpan + 1]int // next[o]: where the next event at cursor+o goes
+		for j := range a {
+			next[a[j].at-l.cursor+1]++
 		}
-		a[i], a[len(a)-1] = a[len(a)-1], a[i]
-		if i < len(a)-1-i {
-			sortEventsRec(a[:i])
-			a = a[i+1:]
-		} else {
-			sortEventsRec(a[i+1:])
-			a = a[:i]
+		for o := 1; o < ladSpan; o++ {
+			next[o] += next[o-1]
 		}
+		out := l.grab()
+		if cap(out) < len(a) {
+			out = make([]event, len(a))
+		}
+		out = out[:len(a)]
+		for j := range a {
+			o := a[j].at - l.cursor
+			out[next[o]] = a[j]
+			next[o]++
+			a[j] = event{}
+		}
+		l.free = append(l.free, a[:0])
+		l.cur, a = out, out
+		i = 1
 	}
-	for i := 1; i < len(a); i++ {
+	for ; i < len(a); i++ {
 		ev := a[i]
 		k := evKey{at: ev.at, seq: ev.seq}
 		j := i - 1
@@ -328,22 +399,4 @@ func sortEventsRec(a []event) {
 		}
 		a[j+1] = ev
 	}
-}
-
-// pivotEvents picks a median-of-three pivot index for sortEvents.
-func pivotEvents(a []event) int {
-	lo, mid, hi := 0, len(a)/2, len(a)-1
-	kl := evKey{at: a[lo].at, seq: a[lo].seq}
-	km := evKey{at: a[mid].at, seq: a[mid].seq}
-	kh := evKey{at: a[hi].at, seq: a[hi].seq}
-	if km.before(kl) {
-		lo, kl, mid, km = mid, km, lo, kl
-	}
-	if kh.before(km) {
-		mid, km = hi, kh
-	}
-	if km.before(kl) {
-		mid = lo
-	}
-	return mid
 }

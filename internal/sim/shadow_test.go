@@ -1,0 +1,48 @@
+package sim_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/sim"
+)
+
+// TestShadowOracleOnExperiments runs real experiments with the heap popped
+// in lockstep behind every engine's ladder (sim.SetShadowOracle): the first
+// pop on which the two disagree panics with both keys. Comparing rendered
+// CSVs under -sched heap and -sched ladder is not enough — the shipped
+// ladder popped (327707, seq 9465) before (327702, seq 1190) on fig5a and
+// the bytes still agreed, because the two events commuted. fig5a is the
+// lockstep all-to-all whose instants land on coarse bucket starts; the
+// faultchaos slice is 40 fault-plan worlds of resident far timers under
+// near-future churn.
+func TestShadowOracleOnExperiments(t *testing.T) {
+	defer sim.SetShadowOracle()()
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 2
+	}
+	for _, c := range []struct {
+		id     string
+		scale  float64
+		shards int
+	}{
+		{"fig5a", 0.12, 0},
+		{"fig5a", 0.12, 2},
+		{"faultchaos", 40.0 / 240, 0},
+	} {
+		e, ok := bench.Get(c.id)
+		if !ok {
+			t.Fatalf("%s not registered", c.id)
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/shards%d/seed%d", c.id, c.shards, seed), func(t *testing.T) {
+				res := e.Run(bench.Options{Scale: c.scale, Seed: seed, Parallel: 1, Shards: c.shards})
+				if res.Failed {
+					t.Errorf("%s seed %d failed:\n%s", c.id, seed, res.CSV())
+				}
+			})
+		}
+	}
+}
