@@ -222,16 +222,21 @@ func worldConfig(net *netmodel.Params, n, ppn int, prog mpi.ProgressMode,
 	}
 }
 
-// runPlain runs main on a plain MPI world and returns the world.
+// runPlain runs main on a plain MPI world and returns the world, closed:
+// its counters stay readable, its window memory goes to the next sweep
+// point's world (no experiment reads window bytes after the run; what a
+// rank body wants to keep, it copies out).
 func runPlain(cfg mpi.Config, main func(env mpi.Env)) *mpi.World {
 	w, err := mpi.Run(cfg, func(r *mpi.Rank) { main(r) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
+	w.Close()
 	return w
 }
 
-// runCasper runs main on the user processes of a Casper world.
+// runCasper runs main on the user processes of a Casper world and
+// returns it closed, like runPlain.
 func runCasper(cfg mpi.Config, ccfg core.Config, main func(env mpi.Env)) *mpi.World {
 	w, err := mpi.Run(cfg, func(r *mpi.Rank) {
 		p, ghost := core.Init(r, ccfg)
@@ -244,6 +249,7 @@ func runCasper(cfg mpi.Config, ccfg core.Config, main func(env mpi.Env)) *mpi.Wo
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
+	w.Close()
 	return w
 }
 

@@ -119,6 +119,7 @@ func runChaosWorld(wi int, engineSeed int64, plan *fault.Plan, tr *trace.Tracer,
 	if rerr := w.Run(); rerr != nil {
 		return out, rerr
 	}
+	w.Close()
 	out.sig = chaosSig(data)
 	out.summary = w.Summary()
 	if v := w.Validator(); v != nil {

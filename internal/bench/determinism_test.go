@@ -56,8 +56,11 @@ func TestParallelSweepIdentical(t *testing.T) {
 	// the most likely to betray an index mix-up under parallel order.
 	// faultchaos adds hundreds of seeded fault worlds whose invariant
 	// checks compare against serially-built baselines — chaos recovery
-	// itself must be bit-stable under any worker count.
-	for _, id := range []string{"fig5a", "overload", "faultrecover", "faultchaos"} {
+	// itself must be bit-stable under any worker count. fig8a and fig8c
+	// are the sweeps whose worlds hand window memory to each other through
+	// mpi's process-wide free list (World.Close), the one piece of state
+	// concurrent sweep points share.
+	for _, id := range []string{"fig5a", "overload", "faultrecover", "faultchaos", "fig8a", "fig8c"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

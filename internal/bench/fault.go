@@ -62,6 +62,7 @@ func runStencilFault(users, g int, p stencil.Params, seed int64, plan *fault.Pla
 	if err := w.Run(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
+	w.Close()
 	out.summary = w.Summary()
 	return out
 }
@@ -384,5 +385,6 @@ func runFaultSweep(a approach, procs int, rate float64, seed int64) (float64, mp
 	if err := w.Run(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
+	w.Close()
 	return maxEl.Millis(), w.Summary()
 }

@@ -103,6 +103,7 @@ func runScaling(a approach, kind mpi.OpKind, procs int, seed int64, shards int) 
 		if err := w.Run(); err != nil {
 			panic(err)
 		}
+		w.Close()
 	} else {
 		cfg := worldConfig(a.net(), procs, 1, a.prog, a.oversub, seed)
 		cfg.Shards = shards
@@ -114,6 +115,7 @@ func runScaling(a approach, kind mpi.OpKind, procs int, seed int64, shards int) 
 		if err := w.Run(); err != nil {
 			panic(err)
 		}
+		w.Close()
 	}
 	return maxEl.Millis()
 }

@@ -149,9 +149,7 @@ func (a *Array) SetLocal(vals []float64) {
 		panic(fmt.Sprintf("ga: SetLocal of %d values into the %d-element local tile of %q",
 			len(vals), len(a.loc)/8, a.name))
 	}
-	for i, v := range vals {
-		mpi.EncodeFloat64(a.loc[8*i:], v)
-	}
+	mpi.EncodeFloat64s(a.loc, vals, 1)
 }
 
 func (a *Array) checkPatch(r0, r1, c0, c1 int, buf []float64) {
@@ -199,13 +197,11 @@ func (a *Array) pieceType(rank, or0, or1, oc0, oc1 int) (disp int, dt mpi.Dataty
 // buffer (row-major over the full patch, whose origin is (r0, c0) and
 // width pcols), scaled, as the packed payload of one owner's piece.
 func packPiece(dst []byte, buf []float64, r0, c0, pcols int, or0, or1, oc0, oc1 int, scale float64) {
-	k := 0
+	w := oc1 - oc0
 	for i := or0; i < or1; i++ {
 		row := (i-r0)*pcols + (oc0 - c0)
-		for _, v := range buf[row : row+oc1-oc0] {
-			mpi.EncodeFloat64(dst[k:], v*scale)
-			k += 8
-		}
+		mpi.EncodeFloat64s(dst, buf[row:row+w], scale)
+		dst = dst[8*w:]
 	}
 }
 
@@ -261,14 +257,11 @@ func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 		a.win.Flush(p.rank)
 	}
 	for _, p := range a.pieces {
-		k := p.off
+		src, w := raw[p.off:], p.oc1-p.oc0
 		for i := p.or0; i < p.or1; i++ {
 			row := (i-r0)*pcols + (p.oc0 - c0)
-			dst := buf[row : row+p.oc1-p.oc0]
-			for j := range dst {
-				dst[j] = mpi.DecodeFloat64(raw[k:])
-				k += 8
-			}
+			mpi.DecodeFloat64s(buf[row:row+w], src)
+			src = src[8*w:]
 		}
 	}
 }
@@ -339,18 +332,4 @@ func (c *Counter) Next() int64 {
 func (c *Counter) Destroy() {
 	c.win.UnlockAll()
 	c.win.Free()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

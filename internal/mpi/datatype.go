@@ -178,22 +178,34 @@ func (d Datatype) Elems() int { return d.blocks() * d.BlockLen }
 // Blocks calls fn for each contiguous block as (byteOffset, byteLength)
 // relative to the start of the type, in ascending offset order.
 func (d Datatype) Blocks(fn func(off, n int)) {
-	es := d.Basic.Size()
-	bl := d.BlockLen * es
+	es, n, stride, count := d.layout()
+	for i := 0; i < count; i++ {
+		fn(d.blockOff(i, es, stride), n)
+	}
+}
+
+// layout is the block structure Blocks walks, for the loops that run
+// once per block of every software RMA operation and cannot afford a
+// closure call there: count blocks of n bytes each, block i at byte
+// offset blockOff(i, es, stride). A contiguous type is one block.
+func (d Datatype) layout() (es, n, stride, count int) {
+	es = d.Basic.Size()
+	n = d.BlockLen * es
+	switch {
+	case d.Index != nil:
+		return es, n, 0, len(d.Index)
+	case d.Contiguous():
+		return es, d.Count * n, 0, 1
+	default:
+		return es, n, d.Stride * es, d.Count
+	}
+}
+
+func (d *Datatype) blockOff(i, es, stride int) int {
 	if d.Index != nil {
-		for _, off := range d.Index {
-			fn(off*es, bl)
-		}
-		return
+		return d.Index[i] * es
 	}
-	if d.Contiguous() {
-		fn(0, d.Count*bl)
-		return
-	}
-	st := d.Stride * es
-	for i := 0; i < d.Count; i++ {
-		fn(i*st, bl)
-	}
+	return i * stride
 }
 
 // String implements fmt.Stringer.
@@ -253,148 +265,325 @@ func (o Op) String() string {
 	}
 }
 
-// applyElem combines one basic element: dst = dst (op) src.
+// applyElem combines one basic element: dst = dst (op) src — the
+// one-element call of the block kernels accumulate runs.
 func applyElem(op Op, b BasicType, dst, src []byte) {
-	if op == OpNoOp {
-		return
-	}
-	if op == OpReplace {
+	switch op {
+	case OpNoOp:
+	case OpReplace:
 		copy(dst, src[:b.Size()])
-		return
+	default:
+		k := blockKernel(op, b)
+		es := b.Size()
+		k(dst[:es], src[:es])
 	}
+}
+
+// blockKernel resolves the (op, basic type) pair of an accumulate, once
+// per operation, to the loop that combines one contiguous run of packed
+// elements: dst[i] = dst[i] (op) src[i] over the whole elements of dst,
+// src being at least as long. OpReplace and OpNoOp carry no element
+// arithmetic and have no kernel. The invalid pairs panic here, before
+// any byte moves.
+func blockKernel(op Op, b BasicType) func(dst, src []byte) {
+	var k func(dst, src []byte)
 	switch b {
 	case Float64:
 		if op == OpBAnd || op == OpBOr || op == OpBXor {
 			panic(fmt.Sprintf("mpi: bitwise %v on MPI_DOUBLE is invalid", op))
 		}
-		d := math.Float64frombits(binary.LittleEndian.Uint64(dst))
-		s := math.Float64frombits(binary.LittleEndian.Uint64(src))
-		binary.LittleEndian.PutUint64(dst, math.Float64bits(combineF64(op, d, s)))
+		if k = f64Kernels.of(op); k == nil {
+			panic(fmt.Sprintf("mpi: bad float op %v", op))
+		}
+		return k
 	case Int64:
-		d := int64(binary.LittleEndian.Uint64(dst))
-		s := int64(binary.LittleEndian.Uint64(src))
-		binary.LittleEndian.PutUint64(dst, uint64(combineI64(op, d, s)))
+		k = i64Kernels.of(op)
 	case Int32:
-		d := int32(binary.LittleEndian.Uint32(dst))
-		s := int32(binary.LittleEndian.Uint32(src))
-		binary.LittleEndian.PutUint32(dst, uint32(combineI64(op, int64(d), int64(s))))
+		k = i32Kernels.of(op)
 	case Byte:
-		dst[0] = byte(combineI64(op, int64(dst[0]), int64(src[0])))
+		k = byteKernels.of(op)
 	default:
 		panic(fmt.Sprintf("mpi: accumulate on unknown basic type %v", b))
 	}
-}
-
-func combineF64(op Op, d, s float64) float64 {
-	switch op {
-	case OpSum:
-		return d + s
-	case OpProd:
-		return d * s
-	case OpMin:
-		return math.Min(d, s)
-	case OpMax:
-		return math.Max(d, s)
-	default:
-		panic(fmt.Sprintf("mpi: bad float op %v", op))
-	}
-}
-
-func combineI64(op Op, d, s int64) int64 {
-	switch op {
-	case OpSum:
-		return d + s
-	case OpProd:
-		return d * s
-	case OpMin:
-		if s < d {
-			return s
-		}
-		return d
-	case OpMax:
-		if s > d {
-			return s
-		}
-		return d
-	case OpBAnd:
-		return d & s
-	case OpBOr:
-		return d | s
-	case OpBXor:
-		return d ^ s
-	default:
+	if k == nil {
 		panic(fmt.Sprintf("mpi: bad int op %v", op))
 	}
+	return k
+}
+
+// kernelTable holds one basic type's block kernels by Op; nil marks the
+// ops that are not arithmetic on it.
+type kernelTable [OpNoOp]func(dst, src []byte)
+
+func (t *kernelTable) of(op Op) func(dst, src []byte) {
+	if op < 0 || int(op) >= len(t) {
+		return nil
+	}
+	return t[op]
+}
+
+// The kernels all have one shape: an index-stepped loop whose loads and
+// stores are single little-endian moves, with the machine's own
+// arithmetic — two's-complement wrap for the integers (MPI_BYTE is
+// unsigned), math.Min/math.Max NaN and signed-zero rules for MPI_DOUBLE.
+
+func stI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
+func ldI32(b []byte) int32    { return int32(binary.LittleEndian.Uint32(b)) }
+func stI32(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }
+
+var f64Kernels = kernelTable{
+	OpSum: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			EncodeFloat64(d, DecodeFloat64(d)+DecodeFloat64(s))
+		}
+	},
+	OpProd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			EncodeFloat64(d, DecodeFloat64(d)*DecodeFloat64(s))
+		}
+	},
+	OpMin: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			EncodeFloat64(d, math.Min(DecodeFloat64(d), DecodeFloat64(s)))
+		}
+	},
+	OpMax: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			EncodeFloat64(d, math.Max(DecodeFloat64(d), DecodeFloat64(s)))
+		}
+	},
+}
+
+var i64Kernels = kernelTable{
+	OpSum: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, GetInt64(d)+GetInt64(s))
+		}
+	},
+	OpProd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, GetInt64(d)*GetInt64(s))
+		}
+	},
+	OpMin: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, min(GetInt64(d), GetInt64(s)))
+		}
+	},
+	OpMax: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, max(GetInt64(d), GetInt64(s)))
+		}
+	},
+	OpBAnd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, GetInt64(d)&GetInt64(s))
+		}
+	},
+	OpBOr: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, GetInt64(d)|GetInt64(s))
+		}
+	},
+	OpBXor: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+8 <= len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			stI64(d, GetInt64(d)^GetInt64(s))
+		}
+	},
+}
+
+var i32Kernels = kernelTable{
+	OpSum: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, ldI32(d)+ldI32(s))
+		}
+	},
+	OpProd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, ldI32(d)*ldI32(s))
+		}
+	},
+	OpMin: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, min(ldI32(d), ldI32(s)))
+		}
+	},
+	OpMax: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, max(ldI32(d), ldI32(s)))
+		}
+	},
+	OpBAnd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, ldI32(d)&ldI32(s))
+		}
+	},
+	OpBOr: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, ldI32(d)|ldI32(s))
+		}
+	},
+	OpBXor: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			stI32(d, ldI32(d)^ldI32(s))
+		}
+	},
+}
+
+var byteKernels = kernelTable{
+	OpSum: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] + src[i]
+		}
+	},
+	OpProd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] * src[i]
+		}
+	},
+	OpMin: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = min(dst[i], src[i])
+		}
+	},
+	OpMax: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = max(dst[i], src[i])
+		}
+	},
+	OpBAnd: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] & src[i]
+		}
+	},
+	OpBOr: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] | src[i]
+		}
+	},
+	OpBXor: func(dst, src []byte) {
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] ^ src[i]
+		}
+	},
 }
 
 // accumulate applies src (packed, contiguous) onto the target buffer at
-// disp with layout d, element-by-element with op. For OpReplace this is a
-// datatype-scattered put; replace carries no element arithmetic, so each
-// block moves with one copy instead of a per-element loop (and a fully
-// contiguous type is a single memmove).
+// disp with layout d: one kernel call — for OpReplace, a datatype-
+// scattered put, one memmove — per contiguous block.
 func accumulate(op Op, d Datatype, target []byte, disp int, src []byte) {
 	if op == OpNoOp {
 		return
 	}
-	if op == OpReplace {
-		si := 0
-		d.Blocks(func(off, n int) {
-			copy(target[disp+off:disp+off+n], src[si:si+n])
-			si += n
-		})
-		return
+	src = src[:d.Size()]
+	var k func(dst, src []byte)
+	if op != OpReplace {
+		k = blockKernel(op, d.Basic)
 	}
-	es := d.Basic.Size()
-	si := 0
-	d.Blocks(func(off, n int) {
-		for b := 0; b < n; b += es {
-			applyElem(op, d.Basic, target[disp+off+b:disp+off+b+es], src[si:si+es])
-			si += es
+	es, n, stride, count := d.layout()
+	for i := 0; i < count; i++ {
+		at := disp + d.blockOff(i, es, stride)
+		if k == nil {
+			copy(target[at:at+n], src[:n])
+		} else {
+			k(target[at:at+n], src[:n])
 		}
-	})
+		src = src[n:]
+	}
 }
 
-// gather packs the bytes described by d at disp in target into a new
-// contiguous buffer (the Get path).
-func gather(d Datatype, target []byte, disp int) []byte {
-	out := make([]byte, d.Size())
-	gatherInto(out, d, target, disp)
-	return out
-}
-
-// gatherPooled is gather into a recycled buffer from pool; the caller
-// returns it via pool.put when the op reaches its terminal state.
-func gatherPooled(d Datatype, target []byte, disp int, pool *bufPool) []byte {
-	out := pool.get(d.Size())
-	gatherInto(out, d, target, disp)
-	return out
-}
-
+// gatherInto packs the bytes described by d at disp in target into out
+// (the Get path). An out shorter than the type takes the leading bytes
+// that fit.
 func gatherInto(out []byte, d Datatype, target []byte, disp int) {
-	oi := 0
-	d.Blocks(func(off, n int) {
-		copy(out[oi:oi+n], target[disp+off:disp+off+n])
-		oi += n
-	})
+	es, n, stride, count := d.layout()
+	for i := 0; i < count; i++ {
+		at := disp + d.blockOff(i, es, stride)
+		out = out[copy(out, target[at:at+n]):]
+	}
 }
 
 // PutFloat64s encodes a float64 slice into bytes (little endian), the
 // wire format used throughout this runtime.
 func PutFloat64s(vals []float64) []byte {
 	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		EncodeFloat64(out[8*i:], v)
-	}
+	EncodeFloat64s(out, vals, 1)
 	return out
 }
 
 // GetFloat64s decodes bytes into float64s.
 func GetFloat64s(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = DecodeFloat64(b[8*i:])
-	}
+	DecodeFloat64s(out, b)
 	return out
+}
+
+// EncodeFloat64s writes scale*src[i], in window byte order, into
+// dst[8*i:] for every element of src; dst must hold 8*len(src) bytes. A
+// scale of exactly 1 stores the values' own bits.
+func EncodeFloat64s(dst []byte, src []float64, scale float64) {
+	dst = dst[:8*len(src)]
+	if scale == 1 {
+		for i := 0; i < len(src) && len(dst) >= 8; i, dst = i+1, dst[8:] {
+			EncodeFloat64(dst, src[i])
+		}
+		return
+	}
+	for i := 0; i < len(src) && len(dst) >= 8; i, dst = i+1, dst[8:] {
+		EncodeFloat64(dst, src[i]*scale)
+	}
+}
+
+// DecodeFloat64s reads len(dst) float64s from the first 8*len(dst) bytes
+// of src.
+func DecodeFloat64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := 0; i < len(dst) && len(src) >= 8; i, src = i+1, src[8:] {
+		dst[i] = DecodeFloat64(src)
+	}
 }
 
 // EncodeFloat64 writes v, in window byte order, into the first 8 bytes
@@ -411,7 +600,7 @@ func DecodeFloat64(src []byte) float64 {
 // PutInt64 encodes one int64.
 func PutInt64(v int64) []byte {
 	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, uint64(v))
+	stI64(out, v)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -389,7 +390,7 @@ func TestPutGatherRoundTripProperty(t *testing.T) {
 		}
 		accumulate(OpReplace, dt, tgt, 8, src)
 		got := gather(dt, tgt, 8)
-		return bytesEqual(got, src)
+		return bytes.Equal(got, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -106,7 +106,10 @@ type Window interface {
 	// payload (src, compare, origin) is copied before the call returns,
 	// so the caller may overwrite it at once; a result buffer (dst,
 	// result) belongs to the operation until a flush or the end of the
-	// epoch completes it.
+	// epoch completes it — the runtime writes it when the operation
+	// takes effect at the target, which is before that, so until then
+	// the caller may neither read nor write it. A result buffer shorter
+	// than dt receives the leading bytes that fit.
 	Put(src []byte, target int, disp int, dt Datatype)
 	Get(dst []byte, target int, disp int, dt Datatype)
 	RPut(src []byte, target int, disp int, dt Datatype) *RMARequest

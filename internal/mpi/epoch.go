@@ -337,15 +337,17 @@ func (w *Win) Flush(target int) {
 		panic(fmt.Sprintf("mpi: Flush of target %d without passive epoch", target))
 	}
 	if ch := w.lookupChannel(target); ch != nil {
-		ch.flush(r.proc, "MPI_Win_flush")
+		ch.flush(r.proc, "MPI_Win_flush", "MPI_Win_flush awaiting lock grant")
 	}
 }
 
 // flush waits for the channel's lock (if requested) and for the remote
-// completion of everything issued on it.
-func (ch *chanState) flush(p *sim.Proc, call string) {
+// completion of everything issued on it. Both park reasons are the
+// caller's constants: a flush that finds nothing to wait for — most of
+// them — must not build a string on its way through.
+func (ch *chanState) flush(p *sim.Proc, call, callAwaitingGrant string) {
 	if ch.lock.requested {
-		ch.lock.granted.Await(p, call+" awaiting lock grant")
+		ch.lock.granted.Await(p, callAwaitingGrant)
 	}
 	ch.pending.Wait(p, call)
 }
@@ -357,7 +359,7 @@ func (w *Win) FlushAll() {
 	defer r.mpiLeave()
 	for t, ch := range w.chans {
 		if ch != nil && w.epochFlags(t)&epLocked != 0 {
-			ch.flush(r.proc, "MPI_Win_flush_all")
+			ch.flush(r.proc, "MPI_Win_flush_all", "MPI_Win_flush_all awaiting lock grant")
 		}
 	}
 }

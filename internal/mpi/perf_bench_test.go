@@ -125,9 +125,9 @@ func BenchmarkLockEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkDatatypePack measures the apply-path datatype engine:
-// contiguous replace (the new single-memmove fast path), strided
-// replace, and elementwise accumulate.
+// BenchmarkDatatypePack measures the apply-path datatype engine — block
+// kernels over contiguous, strided and indexed layouts, the Get gather —
+// and the bulk float64 codecs GA patches run on either side of it.
 func BenchmarkDatatypePack(b *testing.B) {
 	const elems = 512
 	target := make([]byte, elems*8*2)
@@ -140,6 +140,8 @@ func BenchmarkDatatypePack(b *testing.B) {
 		{"contig-replace", TypeOf(Float64, elems), OpReplace},
 		{"vector-replace", Vector(Float64, elems/4, 4, 8), OpReplace},
 		{"contig-sum", TypeOf(Float64, elems), OpSum},
+		{"vector-sum", Vector(Float64, elems/4, 4, 8), OpSum},
+		{"contig-sum/int64", TypeOf(Int64, elems), OpSum},
 		{"indexed-replace", Indexed(Float64, 2, evenOffsets(elems/2)), OpReplace},
 	}
 	for _, tc := range cases {
@@ -155,10 +157,23 @@ func BenchmarkDatatypePack(b *testing.B) {
 		b.ReportAllocs()
 		dt := TypeOf(Float64, elems)
 		b.SetBytes(int64(dt.Size()))
-		var pool bufPool
 		for i := 0; i < b.N; i++ {
-			out := gatherPooled(dt, target, 0, &pool)
-			pool.put(out)
+			gatherInto(src, dt, target, 0)
+		}
+	})
+	vals := make([]float64, elems)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			EncodeFloat64s(src, vals, 0.5)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			DecodeFloat64s(vals, src)
 		}
 	})
 }

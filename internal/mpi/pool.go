@@ -1,11 +1,10 @@
 package mpi
 
 // bufPool is a size-classed free list for the transient byte buffers of
-// the RMA message path: the packed origin payload copied at issue time
-// and the result buffer gathered at apply time. Both have a precisely
-// bounded lifetime — from issue to the op's terminal state — so they
-// recycle through the pool instead of pressuring the garbage collector
-// once per operation.
+// the RMA message path: the packed origin payload (and a CAS compare
+// value) copied at issue time. They have a precisely bounded lifetime —
+// from issue to the op's terminal state — so they recycle through the
+// pool instead of pressuring the garbage collector once per operation.
 //
 // The pool is per-World: a world runs on one goroutine (the strict
 // alternation of the simulation engine), so no locking is needed, and

@@ -29,11 +29,11 @@ import (
 //     in-flight ones it just re-arms. This keeps a zero-rate plan
 //     bit-identical to no fault layer (no spurious retransmissions,
 //     no perturbed counters).
-//   - An op applied at a target that dies before its ack survives as
-//     op.result in shared memory, so failover can synthesize the
-//     completion. This is the durable operation journal a real
-//     implementation would have to replicate; the simulator gets it
-//     for free.
+//   - An op applied at a target that dies before its ack has already
+//     left its result in the origin's buffer (rmaOp.apply writes it
+//     there), so failover can synthesize the completion. This is the
+//     durable operation journal a real implementation would have to
+//     replicate; the simulator gets it for free.
 //
 // All reliability housekeeping (timers, duplicate arrivals,
 // retransmissions, protocol acks) is scheduled as background events,
@@ -411,9 +411,6 @@ func (rel *reliability) deliverAck(pkt *packet) {
 	pkt.acked = true
 	delete(pkt.st.unacked, pkt.seq)
 	if op := pkt.op; op != nil {
-		if op.dst != nil && op.result != nil {
-			copy(op.dst, op.result)
-		}
 		op.pending.Done()
 		if op.req != nil {
 			op.req.pending.Done()
@@ -501,8 +498,8 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 	op := pkt.op
 	if op.applied {
 		// Applied before the target died; only the ack was lost.
-		// Synthesize completion from the captured result (see the
-		// journal note in the package comment).
+		// Synthesize the completion (see the journal note in the
+		// package comment).
 		rel.deliverAck(pkt)
 		return
 	}

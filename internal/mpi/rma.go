@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
@@ -75,8 +76,7 @@ type rmaOp struct {
 	op     Op
 	data   []byte // packed origin payload (put/acc/getacc/fao src; cas new value)
 	cmp    []byte // cas compare value (pooled copy)
-	dst    []byte // origin result destination (get/getacc/fao/cas)
-	result []byte // captured at apply time, delivered at ack
+	dst    []byte // origin result destination (get/getacc/fao/cas), written at apply time
 
 	excl bool // origin held an exclusive lock on the target when issuing
 	pscw bool // issued within a PSCW access epoch
@@ -464,26 +464,26 @@ func (o *rmaOp) apply() bool {
 	}
 	mem := reg.seg.data
 	base := reg.off + disp
-	pool := o.win.rankOf(o.target).pool
+	// Result bytes land in the origin's buffer here, once: MPI forbids the
+	// origin to read it before the flush that follows the ack, so the ack
+	// carries the completion only (its wire time still pays for the bytes).
 	switch o.kind {
 	case KindPut:
 		accumulate(OpReplace, o.dt, mem, base, o.data)
 	case KindGet:
-		o.result = gatherPooled(o.dt, mem, base, pool)
+		gatherInto(o.dst, o.dt, mem, base)
 	case KindAcc:
 		accumulate(o.op, o.dt, mem, base, o.data)
-	case KindGetAcc:
-		o.result = gatherPooled(o.dt, mem, base, pool)
-		accumulate(o.op, o.dt, mem, base, o.data)
-	case KindFetchOp:
-		o.result = gatherPooled(o.dt, mem, base, pool)
+	case KindGetAcc, KindFetchOp:
+		gatherInto(o.dst, o.dt, mem, base)
 		accumulate(o.op, o.dt, mem, base, o.data)
 	case KindCAS:
 		es := o.dt.Basic.Size()
-		o.result = pool.get(es)
-		copy(o.result, mem[base:base+es])
-		if bytesEqual(o.result, o.cmp[:es]) {
-			copy(mem[base:base+es], o.data[:es])
+		old := mem[base : base+es]
+		swap := bytes.Equal(old, o.cmp[:es])
+		copy(o.dst, old)
+		if swap {
+			copy(old, o.data[:es])
 		}
 	}
 	if o.kind.isWrite() && o.win.w.guards != nil {
@@ -498,18 +498,6 @@ func (o *rmaOp) apply() bool {
 		}
 		p.applied[o.target][o.origin]++
 		o.win.sigFor(o.target).Broadcast()
-	}
-	return true
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
 	}
 	return true
 }
@@ -586,13 +574,10 @@ func (o *rmaOp) ack() {
 	tr.eng.AfterRun(wire, o)
 }
 
-// ackDelivered lands the completion ack at the origin: result data is
-// copied out, flush/request trackers release, and the op reaches its
-// terminal state.
+// ackDelivered lands the completion ack at the origin: flush/request
+// trackers release and the op reaches its terminal state. Any result
+// bytes are already in the origin's buffer (see apply).
 func (o *rmaOp) ackDelivered() {
-	if o.dst != nil && o.result != nil {
-		copy(o.dst, o.result)
-	}
 	o.pending.Done()
 	if o.req != nil {
 		o.req.pending.Done()
@@ -606,11 +591,9 @@ func (o *rmaOp) ackDelivered() {
 // it returns the flow-control credit, recycles the op's pooled
 // buffers, and notifies the op observer. Runs in engine context.
 func (g *winGlobal) opTerminal(o *rmaOp) {
-	// Buffers recycle into the origin's pool: terminal state is reached
-	// in the origin's engine context, whose pool is the only one legal to
-	// touch. A result buffer drawn from the target's pool migrates here —
-	// harmless for a size-classed freelist, and the outstanding counters
-	// still balance in aggregate (see World.PoolOutstanding).
+	// Buffers recycle into the origin's pool, where they were drawn:
+	// terminal state is reached in the origin's engine context, whose
+	// pool is the only one legal to touch.
 	or := g.rankOf(o.origin)
 	if o.credit != nil {
 		o.credit.release()
@@ -623,10 +606,6 @@ func (g *winGlobal) opTerminal(o *rmaOp) {
 	if o.cmp != nil {
 		or.pool.put(o.cmp)
 		o.cmp = nil
-	}
-	if o.result != nil {
-		or.pool.put(o.result)
-		o.result = nil
 	}
 	if g.onOpDone != nil {
 		g.onOpDone(o.origin, o.target, o.disp)

@@ -1,7 +1,10 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -162,6 +165,8 @@ type World struct {
 	cfg        Config
 	ranks      []*Rank
 	commWorld  *commGlobal
+	segs       *segment // every segment allocated, for Close
+	closed     bool
 	segSeq     int
 	winSeq     int
 	commSeq    int
@@ -572,7 +577,8 @@ func (w *World) Run() error {
 }
 
 // Run is the convenience harness: build a world, run main on every rank,
-// and return the world for inspection.
+// and return the world for inspection — statistics, the validator, and
+// the window memory main kept references to, until the caller Closes it.
 func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -591,7 +597,8 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 // offset) so aliased windows are checked coherently.
 type segment struct {
 	id   int
-	data []byte
+	data []byte   // nil once the world is closed
+	next *segment // the world's segments, newest first (World.segs)
 }
 
 func (w *World) newSegment(n int) *segment {
@@ -599,8 +606,114 @@ func (w *World) newSegment(n int) *segment {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
+	if w.closed {
+		panic("mpi: window memory allocated on a closed world")
+	}
 	w.segSeq++
-	return &segment{id: w.segSeq, data: make([]byte, n)}
+	w.segs = &segment{id: w.segSeq, data: takeSegment(n), next: w.segs}
+	return w.segs
+}
+
+// Close releases the world's window memory for the next world to reuse
+// (the segments of 32 KB and more that the world wrote more than half of;
+// see segPool) and must follow Run; it is idempotent. Everything else
+// about a finished world — rank statistics, the validator, counters —
+// stays readable, but
+// window memory does not: slices returned by WinAllocate and Region.Bytes
+// now alias memory another world may own, and any access through a window
+// or region of this world panics. A harness that builds worlds in a loop
+// and is done with each one's window bytes calls Close; a caller that
+// inspects window memory after Run simply does not.
+func (w *World) Close() {
+	if w.closed {
+		return
+	}
+	w.closed = true
+	var free map[int][][]byte
+	for s := w.segs; s != nil; s = s.next {
+		if c, half := cap(s.data), len(s.data)/2; c >= segPoolMin {
+			if d := dirtyLen(s.data, half); d > half {
+				if free == nil {
+					free = make(map[int][][]byte)
+				}
+				free[c] = append(free[c], s.data[:d])
+			}
+		}
+		s.data = nil
+	}
+	w.segs = nil
+	segPool.Lock()
+	segPool.free = free
+	segPool.Unlock()
+}
+
+// segPool is the process-wide free list of window memory, by capacity
+// class: the segments the most recently closed world had written and
+// handed back, less what a later world has taken — nothing older, so it
+// never holds more than one world's windows. A sweep builds world after world of like shape, each
+// mapping (and first-touching) tens of megabytes of windows the previous
+// one just dropped; reusing them costs a clear. Worlds of parallel sweep
+// points share the list, hence the mutex; it is taken once per segment
+// and once per Close.
+var segPool struct {
+	sync.Mutex
+	free map[int][][]byte
+}
+
+// segPoolMin is the smallest segment worth pooling: below it a fresh
+// allocation is a size-classed span the runtime recycles cheaply itself,
+// and a world of many small windows (the fault sweeps build hundreds)
+// pays nothing here.
+const segPoolMin = 32 << 10
+
+// segClass rounds a poolable size up to its capacity class: eight classes
+// per power of two, so a class wastes under an eighth of its bytes and the
+// slightly different tile sizes of successive worlds still meet.
+func segClass(n int) int {
+	step := 1 << (bits.Len(uint(n-1)) - 4)
+	return (n + step - 1) &^ (step - 1)
+}
+
+// dirtyLen returns the length of b's prefix that ends at its last nonzero
+// byte, or floor if that prefix is no longer than floor (the scan stops
+// there). Close lists a segment as that prefix, so reuse clears what a
+// world wrote and no more (everything past it, up to the capacity, is
+// zero) — and lists it only when the world wrote past its midpoint. A
+// window allocated large and touched in one corner (fig7's 128 KB windows
+// carry one double) was never faulted in and costs nothing to allocate
+// afresh; kept, its untouched pages would count toward the collector's
+// heap goal and let that much real garbage pile up (dyn_binding's
+// peak_rss_mb 74 -> 91 when every segment was listed).
+func dirtyLen(b []byte, floor int) int {
+	n := len(b)
+	for n-8 >= floor && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > floor && b[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// takeSegment returns n zeroed bytes of window memory, recycled when the
+// free list has a buffer of n's class.
+func takeSegment(n int) []byte {
+	if n < segPoolMin {
+		return make([]byte, n)
+	}
+	c := segClass(n)
+	segPool.Lock()
+	var buf []byte
+	if l := segPool.free[c]; len(l) > 0 {
+		buf, l[len(l)-1] = l[len(l)-1], nil
+		segPool.free[c] = l[:len(l)-1]
+	}
+	segPool.Unlock()
+	if buf == nil {
+		return make([]byte, n, c)
+	}
+	clear(buf)
+	return buf[:n]
 }
 
 // Region is a window's view of one rank's exposed memory.

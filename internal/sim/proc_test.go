@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Process lifecycle on coroutines: panics, teardown, freeze/thaw, nested
@@ -54,29 +53,12 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// goroutinesAtRest returns the goroutine count once it holds still. The
-// shard workers of an earlier test (TestProcessPanicSurfacesFromRun's) are
-// told to exit, not waited for, and one still on its way out made the
-// counts below come out one short about one run in four.
-func goroutinesAtRest() int {
-	n := runtime.NumGoroutine()
-	for still := 0; still < 5; {
-		time.Sleep(time.Millisecond)
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
-		}
-	}
-	return n
-}
-
 // TestCloseReleasesUnfinishedProcesses: killed processes — one parked
 // mid-call with a deferred call that parks again, one whose deferred call
 // spawns, one that never started — keep their goroutines until Close, and
 // lose them there without the clock or the event count moving.
 func TestCloseReleasesUnfinishedProcesses(t *testing.T) {
-	before := goroutinesAtRest()
+	before := runtime.NumGoroutine()
 	e := New(1)
 	var never Signal
 	var unwound, ranPastPark, lateRan bool
@@ -131,7 +113,7 @@ func TestCloseReleasesUnfinishedProcesses(t *testing.T) {
 // Close unwinds a process is reported, and the other processes are still
 // released.
 func TestCloseReportsPanicFromDeferredCall(t *testing.T) {
-	before := goroutinesAtRest()
+	before := runtime.NumGoroutine()
 	e := New(1)
 	var never Signal
 	victim := e.Spawn("victim", func(p *Proc) {

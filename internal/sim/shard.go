@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -168,6 +169,7 @@ type ShardGroup struct {
 	fixedWin bool  // A/B: single global window [h, h+lookahead) per round
 
 	spawned int
+	workers sync.WaitGroup // the spawned worker goroutines; shutdown waits on it
 	panics  []interface{}
 	horizon Time
 }
@@ -259,6 +261,7 @@ func (g *ShardGroup) spawnWorkers(n int) {
 		n = len(g.slots)
 	}
 	for w := g.spawned + 1; w <= n; w++ {
+		g.workers.Add(1)
 		go g.workerLoop(w)
 	}
 	if n > g.spawned {
@@ -374,6 +377,7 @@ func (g *ShardGroup) inject(src, dst *Engine, at Time, fn func(), r Runner) {
 // workerLoop is the body of workers 1..spawned: wait for release, run
 // the strided share of this round's active shards, report done.
 func (g *ShardGroup) workerLoop(w int) {
+	defer g.workers.Done()
 	slot := &g.slots[w-1]
 	last := uint32(0)
 	for {
@@ -530,13 +534,14 @@ func (g *ShardGroup) mergedDiagnostics() []string {
 	return out
 }
 
-// shutdown releases every worker with the stop flag set; they exit
-// after observing it.
+// shutdown releases every worker with the stop flag set and waits for
+// them to exit, so a finished Run leaves no goroutine behind.
 func (g *ShardGroup) shutdown() {
 	g.stop.Store(true)
 	for w := range g.slots {
 		g.slots[w].post()
 	}
+	g.workers.Wait()
 }
 
 // Run executes windows until every shard drains. It returns a
