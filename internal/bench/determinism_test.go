@@ -59,8 +59,10 @@ func TestParallelSweepIdentical(t *testing.T) {
 	// itself must be bit-stable under any worker count. fig8a and fig8c
 	// are the sweeps whose worlds hand window memory to each other through
 	// mpi's process-wide free list (World.Close), the one piece of state
-	// concurrent sweep points share.
-	for _, id := range []string{"fig5a", "overload", "faultrecover", "faultchaos", "fig8a", "fig8c"} {
+	// concurrent sweep points share. fig7b keeps the deepest ghost backlogs
+	// of any sweep: the row whose in-flight operations recycle the most
+	// headers through per-rank freelists.
+	for _, id := range []string{"fig5a", "overload", "faultrecover", "faultchaos", "fig8a", "fig8c", "fig7b"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -28,6 +28,7 @@ func TestSchedHeapLadderIdentical(t *testing.T) {
 	}{
 		{"fig5a", Options{Scale: 0.12, Seed: 42, Parallel: 1}, []int{0, 2}},
 		{"fig5b", Options{Scale: 0.12, Seed: 42, Parallel: 1}, []int{0}},
+		{"fig7b", Options{Scale: 0.12, Seed: 42, Parallel: 1}, []int{0}},
 		{"faultrecover", Options{Scale: 0.25, Seed: 42, Parallel: 1}, []int{0}},
 	}
 	for _, c := range cases {

@@ -100,3 +100,52 @@ func BenchmarkCasperLockAllEpoch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBackloggedTarget is mpi's benchmark of the same name through
+// Casper: 40 users each send 1024 accumulates to user 0, whose node's 4
+// ghosts service them (static rank binding sends them all to one). One
+// world per iteration; ns/AM divides its host time by the operations.
+func BenchmarkBackloggedTarget(b *testing.B) {
+	const origins, ops, ghosts, ppn = 40, 1024, 4, 25
+	b.Run(fmt.Sprintf("origins=%d/ops=%d", origins, ops), func(b *testing.B) {
+		b.ReportAllocs()
+		one := mpi.PutFloat64s([]float64{1})
+		mcfg := mpi.Config{
+			Machine: cluster.Machine{Nodes: 2, CoresPerNode: ppn, NUMAPerNode: 1},
+			N:       2 * ppn, PPN: ppn, Net: netmodel.CrayXC30(), Seed: 1,
+		}
+		for i := 0; i < b.N; i++ {
+			var sum float64
+			w, err := mpi.Run(mcfg, func(r *mpi.Rank) {
+				p, ghost := Init(r, Config{NumGhosts: ghosts})
+				if ghost {
+					return
+				}
+				c := p.CommWorld()
+				win, buf := p.WinAllocate(c, 8, nil)
+				c.Barrier()
+				if me := c.Rank(); me >= 1 && me <= origins {
+					win.Lock(0, mpi.LockShared, mpi.AssertNone)
+					for i := 0; i < ops; i++ {
+						win.Accumulate(one, 0, 0, mpi.Scalar(mpi.Float64), mpi.OpSum)
+					}
+					win.Unlock(0)
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					sum = mpi.GetFloat64s(buf)[0]
+				}
+				win.Free()
+				p.Finalize()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sum != origins*ops {
+				b.Fatalf("user 0 holds %v, want %d", sum, origins*ops)
+			}
+			w.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(origins*ops), "ns/AM")
+	})
+}

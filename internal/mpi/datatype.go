@@ -222,7 +222,7 @@ func (d Datatype) String() string {
 }
 
 // Op is an MPI reduction operation used by accumulate-style calls.
-type Op int
+type Op int32
 
 // Supported reduction operations. OpReplace corresponds to MPI_REPLACE
 // (put semantics under accumulate ordering rules); OpNoOp to MPI_NO_OP

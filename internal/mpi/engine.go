@@ -12,7 +12,7 @@ import (
 //
 //   - ProgressNone: the rank's own core services AMs, but only while the
 //     rank is inside an MPI call (inMPI > 0). AMs arriving while the rank
-//     computes wait in pending.
+//     computes wait in the deferred list.
 //   - ProgressThread: a background thread services AMs immediately, with
 //     the ThreadAM lock-contention multiplier; when oversubscribed it
 //     also steals the host's compute cycles.
@@ -24,11 +24,14 @@ import (
 // forever, so inMPI is always > 0 and its AMs are serviced on arrival at
 // full speed — the paper's central mechanism.
 type rankEngine struct {
-	r       *Rank
-	srv     *sim.Server // serial AM service pipeline of this rank
-	inMPI   int         // MPI call nesting depth
-	pending []*rmaOp    // software AMs deferred until the next MPI entry
-	stolen  sim.Duration
+	r      *Rank
+	srv    *sim.Server // serial AM service pipeline of this rank
+	inMPI  int         // MPI call nesting depth
+	stolen sim.Duration
+
+	// Software AMs deferred until the next MPI entry, in arrival order,
+	// linked through rmaOp.link (whose At keeps the arrival time).
+	deferredHead, deferredTail *rmaOp
 
 	// Load telemetry for the overload rebalancer: AMs submitted to the
 	// pipeline but not yet serviced, the high-water mark, and an EWMA
@@ -87,27 +90,46 @@ func (r *Rank) BacklogEstimate() sim.Duration {
 // service pipeline (the poll that blocking MPI calls perform).
 func (e *rankEngine) enterMPI() {
 	e.inMPI++
-	if e.inMPI == 1 && len(e.pending) > 0 {
-		ops := e.pending
-		e.pending = nil
-		for _, op := range ops {
-			e.service(op, 1.0, 0)
-		}
+	if e.inMPI == 1 {
+		e.drainDeferred()
 	}
 }
 
-// drainDeferred services any deferred AMs if the rank is currently
-// inside MPI — the revive-time analogue of the enterMPI poll, needed
-// because a rank frozen while parked inside an MPI call re-enters
-// nothing on thaw.
-func (e *rankEngine) drainDeferred() {
-	if e.inMPI > 0 && len(e.pending) > 0 {
-		ops := e.pending
-		e.pending = nil
-		for _, op := range ops {
-			e.service(op, 1.0, 0)
-		}
+// deferAM holds op back until the rank next polls (drainDeferred).
+func (e *rankEngine) deferAM(op *rmaOp) {
+	op.link.Next = nil
+	if e.deferredTail == nil {
+		e.deferredHead = op
+	} else {
+		e.deferredTail.link.Next = op
 	}
+	e.deferredTail = op
+}
+
+// drainDeferred submits the deferred AMs for service if the rank is
+// inside MPI: the poll every MPI entry performs, and what a revived rank
+// runs at thaw — one frozen while parked inside an MPI call re-enters
+// nothing.
+func (e *rankEngine) drainDeferred() {
+	if e.inMPI == 0 {
+		return
+	}
+	op := e.deferredHead
+	e.deferredHead, e.deferredTail = nil, nil
+	for op != nil {
+		next := op.next() // service relinks the op into the backlog
+		e.service(op, 1.0, 0)
+		op = next
+	}
+}
+
+// release drops everything queued at a rank that died: the deferred AMs
+// and the service backlog, whose completions could only ever be
+// discarded. The ops' links must be free by the time stream failover
+// resubmits them to a replacement engine.
+func (e *rankEngine) release() {
+	e.deferredHead, e.deferredTail = nil, nil
+	e.srv.Release()
 }
 
 func (e *rankEngine) leaveMPI() {
@@ -118,7 +140,7 @@ func (e *rankEngine) leaveMPI() {
 }
 
 // deliver is invoked (in engine context) when a software AM arrives at
-// this rank. The op's arrived field carries the NIC delivery time.
+// this rank. The op's link.At carries the NIC delivery time.
 func (e *rankEngine) deliver(op *rmaOp) {
 	r := e.r
 	if r.failed {
@@ -126,10 +148,10 @@ func (e *rankEngine) deliver(op *rmaOp) {
 		return
 	}
 	if r.down {
-		// Down-recoverable target: the AM waits in pending and is
-		// serviced once the revived rank drains it (drainDeferred at
-		// thaw, or its next MPI entry).
-		e.pending = append(e.pending, op)
+		// Down-recoverable target: the AM is deferred and serviced once
+		// the revived rank drains it (drainDeferred at thaw, or its next
+		// MPI entry).
+		e.deferAM(op)
 		return
 	}
 	if now := r.eng.Now(); now < r.stalledUntil {
@@ -148,7 +170,7 @@ func (e *rankEngine) deliver(op *rmaOp) {
 		if e.inMPI > 0 {
 			e.service(op, 1.0, 0)
 		} else {
-			e.pending = append(e.pending, op)
+			e.deferAM(op)
 		}
 	case ProgressThread:
 		cost := e.service(op, e.r.w.net.ThreadAM, 0)
@@ -182,11 +204,19 @@ func (e *rankEngine) service(op *rmaOp, factor float64, extra sim.Duration) sim.
 		e.ewma = 0.75*e.ewma + 0.25*float64(cost)
 	}
 	// The op itself is the completion event (phase opPhaseSvcDone pops
-	// the depth and applies+acks), so queuing a job allocates nothing.
+	// the depth and applies+acks) and waits in the server's backlog
+	// through its own link, so queuing a job allocates nothing however
+	// deep the backlog. From here on link.At is the completion time; the
+	// eager schedule of a world with the fast paths off leaves the link
+	// alone, so it is set here for both.
 	op.phase = opPhaseSvcDone
-	op.svcOwner = e.r.id
-	end := e.srv.SubmitRun(op.arrived, cost, op)
-	op.svcStart, op.svcEnd = end.Add(-cost), end
+	op.owner = int32(e.r.id)
+	arrived := op.link.At
+	end := e.srv.SubmitRun(arrived, cost, op)
+	op.link.At = end
+	if e.r.w.validator != nil {
+		op.extra().svcStart = end.Add(-cost)
+	}
 	e.r.stats.SoftwareAMs++
 	e.r.stats.BytesIn += int64(op.bytes())
 	if tr := e.r.w.tracer; tr.Enabled() {
@@ -195,9 +225,9 @@ func (e *rankEngine) service(op *rmaOp, factor float64, extra sim.Duration) sim.
 			Origin:    op.win.comm.ranks[op.origin],
 			Kind:      op.kind.String(),
 			Bytes:     op.bytes(),
-			Arrived:   op.arrived,
-			Start:     op.svcStart,
-			End:       op.svcEnd,
+			Arrived:   arrived,
+			Start:     end.Add(-cost),
+			End:       end,
 			Interrupt: extra > 0,
 		})
 	}

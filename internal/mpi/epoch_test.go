@@ -325,6 +325,22 @@ func TestChanStateSize(t *testing.T) {
 	}
 }
 
+// TestRMAOpSize: an all-to-all backlog is thousands of these at once; the
+// header, inline payload and queue link included, stays within the
+// 224-byte size class.
+func TestRMAOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(rmaOp{}); n > 224 {
+		t.Fatalf("rmaOp is %d bytes, want at most 224", n)
+	}
+	// A CAS keeps its origin and compare values side by side in the
+	// inline payload, one basic element each.
+	for _, b := range []BasicType{Byte, Int32, Int64, Float64} {
+		if b.Size() > opInline/2 {
+			t.Fatalf("%v does not fit half the %d-byte inline payload", b, opInline)
+		}
+	}
+}
+
 // TestEpochAllocations guards what an epoch costs the host: opening and
 // closing an epoch on a lazy target nobody uses allocates nothing, and
 // one whose lock is requested allocates its channel state and nothing

@@ -108,3 +108,52 @@ func TestFastPathOnOffIdenticalUnderFlowControl(t *testing.T) {
 		t.Fatalf("flow-control run diverged:\nfast: %+v\nslow: %+v", a, b)
 	}
 }
+
+// TestFastPathOnOffIdenticalWithDeepBacklog repeats the A/B check where
+// the intrusive queues carry the most: sixteen origins each send 64
+// accumulates, and a put beside each, to one target, so wire chains and
+// the target's service backlog run hundreds of ops deep. The eager
+// schedule — every arrival and every completion its own heap event — is
+// the reference.
+func TestFastPathOnOffIdenticalWithDeepBacklog(t *testing.T) {
+	run := func(off bool) (WorldSummary, int64) {
+		cfg := testConfig(17, 6)
+		cfg.NoSimFastPath = off
+		var peak int
+		w := mustRun(t, cfg, func(r *Rank) {
+			c := r.CommWorld()
+			win, buf := r.WinAllocate(c, 17*8, nil)
+			c.Barrier()
+			if r.Rank() != 0 {
+				win.LockAll(AssertNone)
+				for i := 0; i < 64; i++ {
+					win.Accumulate(PutFloat64s([]float64{1}), 0, 0, Scalar(Float64), OpSum)
+					win.Put(PutFloat64s([]float64{float64(i)}), 0, r.Rank()*8, Scalar(Float64))
+				}
+				win.UnlockAll()
+			}
+			c.Barrier()
+			if r.Rank() == 0 {
+				peak = r.PeakLoadDepth()
+				if got := GetFloat64s(buf); got[0] != 16*64 || got[16] != 63 {
+					t.Errorf("target window = %v", got)
+				}
+			}
+			win.Free()
+		})
+		if peak < 256 {
+			t.Fatalf("target's service backlog peaked at %d, want hundreds", peak)
+		}
+		s := w.Summary()
+		s.PeakQueueResidency = 0 // scheduler occupancy, not system state
+		return s, w.Engine().EventsExecuted()
+	}
+	fast, fastEvents := run(false)
+	slow, slowEvents := run(true)
+	if fast != slow {
+		t.Fatalf("fast-path run diverged from heap-only run:\nfast: %+v\nslow: %+v", fast, slow)
+	}
+	if fastEvents != slowEvents {
+		t.Fatalf("event counts differ: fast %d, slow %d", fastEvents, slowEvents)
+	}
+}

@@ -325,7 +325,7 @@ func (w *World) killRank(id int) {
 	if r.proc != nil {
 		w.eng.Kill(r.proc)
 	}
-	r.engine.pending = nil
+	r.engine.release()
 	if t := w.tracer; t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "crash", Rank: id, Peer: -1, At: w.eng.Now()})
 	}

@@ -57,7 +57,7 @@ type lockMsg struct {
 	granted   sim.Completion
 
 	// Ops issued before the grant arrived, in issue order, linked through
-	// rmaOp.wireNext (an op is queued here or on the wire, never both).
+	// rmaOp.link (an op is queued here or on the wire, never both).
 	queuedHead, queuedTail *rmaOp
 }
 
@@ -66,7 +66,7 @@ func (q *lockMsg) queue(op *rmaOp) {
 	if q.queuedTail == nil {
 		q.queuedHead = op
 	} else {
-		q.queuedTail.wireNext = op
+		q.queuedTail.link.Next = op
 	}
 	q.queuedTail = op
 }
@@ -83,8 +83,8 @@ func (q *lockMsg) Step() {
 		for op != nil {
 			// Re-issue from the origin's window handle; the op already
 			// carries all its state.
-			next := op.wireNext
-			op.wireNext = nil
+			next := op.next()
+			op.link.Next = nil
 			q.win.send(op)
 			op = next
 		}

@@ -185,3 +185,42 @@ func evenOffsets(blocks int) []int {
 	}
 	return out
 }
+
+// BenchmarkBackloggedTarget is one world per iteration in which 40
+// origins each send 1024 accumulates to rank 0, far faster than it
+// services them: the steady state of the paper's all-to-all curves, with
+// tens of thousands of operations in flight on wire chains and in one
+// service backlog. B/op and allocs/op are what that backlog costs the
+// allocator (one header per op in flight at the peak); ns/AM divides the
+// world's host time by the operations.
+func BenchmarkBackloggedTarget(b *testing.B) {
+	const origins, ops = 40, 1024
+	b.Run(fmt.Sprintf("origins=%d/ops=%d", origins, ops), func(b *testing.B) {
+		b.ReportAllocs()
+		one := PutFloat64s([]float64{1})
+		for i := 0; i < b.N; i++ {
+			w, err := Run(benchConfig(origins+1, 24), func(rk *Rank) {
+				c := rk.CommWorld()
+				win, _ := rk.WinAllocate(c, 8, nil)
+				c.Barrier()
+				if rk.Rank() != 0 {
+					win.Lock(0, LockShared, AssertNone)
+					for i := 0; i < ops; i++ {
+						win.Accumulate(one, 0, 0, Scalar(Float64), OpSum)
+					}
+					win.Unlock(0)
+				}
+				c.Barrier()
+				win.Free()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := w.RankByID(0).Stats().SoftwareAMs; got != origins*ops {
+				b.Fatalf("target serviced %d AMs, want %d", got, origins*ops)
+			}
+			w.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(origins*ops), "ns/AM")
+	})
+}

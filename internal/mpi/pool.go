@@ -1,24 +1,29 @@
 package mpi
 
+import "math/bits"
+
 // bufPool is a size-classed free list for the transient byte buffers of
-// the RMA message path: the packed origin payload (and a CAS compare
-// value) copied at issue time. They have a precisely bounded lifetime —
-// from issue to the op's terminal state — so they recycle through the
-// pool instead of pressuring the garbage collector once per operation.
+// the RMA message path: the packed origin payload copied at issue time,
+// when it is too large for the op header (more than opInline bytes). It
+// has a precisely bounded lifetime — from issue to the op's terminal
+// state — so it recycles through the pool instead of pressuring the
+// garbage collector once per operation.
 //
-// The pool is per-World: a world runs on one goroutine (the strict
-// alternation of the simulation engine), so no locking is needed, and
-// parallel sweep runs in separate worlds never share buffers. Buffers
-// are handed out at exact request length over power-of-two capacity
-// classes; callers always overwrite the full length, so stale contents
-// can never leak into results.
+// There is one pool per simulation engine — the world's, or one per shard
+// of a sharded world — and every rank reaches its own engine's through
+// Rank.pool. An engine runs on one goroutine (strict alternation), so no
+// locking is needed, and parallel sweep runs in separate worlds never
+// share buffers. Buffers are handed out at exact request length over
+// power-of-two capacity classes; callers always overwrite the full
+// length, so stale contents can never leak into results.
 type bufPool struct {
 	classes [poolClasses][][]byte
 
 	// gets/puts count buffers handed out and returned. Their difference
 	// is the number of live (leaked, if the world is idle) buffers —
 	// the leak audit in pool_test.go asserts it reaches zero after every
-	// experiment. Zero-length gets return nil and count as neither.
+	// experiment. Zero-length gets return nil and count as neither, and
+	// payloads inlined in the op header never come here.
 	gets, puts int64
 }
 
@@ -28,8 +33,8 @@ type bufPool struct {
 func (p *bufPool) Outstanding() int64 { return p.gets - p.puts }
 
 const (
-	poolMinShift = 4 // smallest class: 16 bytes
-	poolClasses  = 17
+	poolMinShift = 5 // smallest class: 32 bytes (up to opInline, payloads are inline)
+	poolClasses  = 16
 	poolMaxSize  = 1 << (poolMinShift + poolClasses - 1) // 1 MiB
 
 	// Retention is byte-budgeted per class rather than a flat count: an
@@ -56,11 +61,10 @@ func classFor(n int) int {
 	if n <= 0 || n > poolMaxSize {
 		return -1
 	}
-	c := 0
-	for size := 1 << poolMinShift; size < n; size <<= 1 {
-		c++
+	if n <= 1<<poolMinShift {
+		return 0
 	}
-	return c
+	return bits.Len(uint(n-1)) - poolMinShift
 }
 
 // get returns a buffer of length n. Contents are unspecified — the

@@ -122,6 +122,17 @@ func auditPool(t *testing.T, w *World, label string) {
 	}
 }
 
+// auditPoolUsed is auditPool for a workload whose payloads are meant to
+// be pooled: more than opInline bytes, or they ride in the op header and
+// the audit holds vacuously.
+func auditPoolUsed(t *testing.T, w *World, label string) {
+	t.Helper()
+	auditPool(t, w, label)
+	if w.pool.gets == 0 {
+		t.Errorf("%s: no pooled buffer was ever drawn; the audit is vacuous", label)
+	}
+}
+
 // TestPoolNoLeakAfterRMAWorkload runs every op kind through lock and
 // fence epochs and asserts the pool balances.
 func TestPoolNoLeakAfterRMAWorkload(t *testing.T) {
@@ -134,6 +145,8 @@ func TestPoolNoLeakAfterRMAWorkload(t *testing.T) {
 			win.Put(PutFloat64s([]float64{1, 2}), 0, 0, TypeOf(Float64, 2))
 			dst := make([]byte, 16)
 			win.Get(dst, 0, 0, TypeOf(Float64, 2))
+			win.Put(PutFloat64s([]float64{1, 2, 3}), 0, 64, TypeOf(Float64, 3)) // past opInline: pooled
+			win.Accumulate(PutFloat64s([]float64{1, 2, 3, 4}), 0, 64, TypeOf(Float64, 4), OpSum)
 			win.Accumulate(PutFloat64s([]float64{1}), 0, 16, Scalar(Float64), OpSum)
 			got := make([]byte, 8)
 			win.GetAccumulate(PutFloat64s([]float64{2}), got, 0, 16, Scalar(Float64), OpSum)
@@ -149,7 +162,7 @@ func TestPoolNoLeakAfterRMAWorkload(t *testing.T) {
 		win.Fence(AssertNone)
 		win.Free()
 	})
-	auditPool(t, w, "rma workload")
+	auditPoolUsed(t, w, "rma workload")
 }
 
 // TestPoolNoLeakOnRangeError drives the ErrRMARange early return in
@@ -197,7 +210,7 @@ func TestPoolNoLeakOnCreditTimeout(t *testing.T) {
 			// second op times out waiting for the first's ack.
 			win.LockAll(AssertNone)
 			for i := 0; i < 16; i++ {
-				win.Accumulate(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64), OpSum)
+				win.Accumulate(PutFloat64s([]float64{1, 2, 3}), 1, 0, TypeOf(Float64, 3), OpSum)
 			}
 			win.UnlockAll()
 			drops = r.Stats().BacklogDropped
@@ -212,7 +225,7 @@ func TestPoolNoLeakOnCreditTimeout(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("no op was ever dropped on credit timeout; the early-return path was not covered")
 	}
-	auditPool(t, w, "credit timeout")
+	auditPoolUsed(t, w, "credit timeout")
 }
 
 // TestPoolNoLeakAfterFlushHeavyWorkload asserts the leak audit holds for
@@ -228,7 +241,7 @@ func TestPoolNoLeakAfterFlushHeavyWorkload(t *testing.T) {
 				if tgt == r.Rank() {
 					continue
 				}
-				win.Accumulate(PutFloat64s([]float64{1}), tgt, 0, Scalar(Float64), OpSum)
+				win.Accumulate(PutFloat64s([]float64{1, 2, 3}), tgt, 0, TypeOf(Float64, 3), OpSum)
 			}
 			win.FlushAll()
 		}
@@ -236,5 +249,5 @@ func TestPoolNoLeakAfterFlushHeavyWorkload(t *testing.T) {
 		c.Barrier()
 		win.Free()
 	})
-	auditPool(t, w, "flush-heavy workload")
+	auditPoolUsed(t, w, "flush-heavy workload")
 }

@@ -151,7 +151,7 @@ func (rel *reliability) sendOp(op *rmaOp, arrival sim.Time) {
 	pkt := &packet{st: st, seq: st.nextSeq, op: op}
 	st.nextSeq++
 	st.unacked[pkt.seq] = pkt
-	op.relPkt = pkt
+	op.extra().relPkt = pkt
 	if rel.w.HealthFailed(key.target) && !rel.w.ranks[key.target].down {
 		// The target was already confirmed dead when this op issued —
 		// the origin's goroutine ran ahead of the detection sweep in
@@ -339,7 +339,7 @@ func (rel *reliability) dispatch(pkt *packet) {
 		op.applyHardware(dst)
 		return
 	}
-	op.arrived = w.eng.Now()
+	op.link.At = w.eng.Now()
 	dst.engine.deliver(op)
 }
 
@@ -411,10 +411,8 @@ func (rel *reliability) deliverAck(pkt *packet) {
 	pkt.acked = true
 	delete(pkt.st.unacked, pkt.seq)
 	if op := pkt.op; op != nil {
-		op.pending.Done()
-		if op.req != nil {
-			op.req.pending.Done()
-		}
+		op.ch.pending.Done()
+		op.reqDone()
 		op.win.opTerminal(op)
 	}
 }
@@ -457,9 +455,9 @@ func (rel *reliability) returnCredits(worldRank int) {
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, s := range seqs {
-			if op := st.unacked[s].op; op != nil && op.credit != nil {
-				op.credit.release()
-				op.credit = nil
+			if op := st.unacked[s].op; op != nil && op.ext.credit != nil {
+				op.ext.credit.release()
+				op.ext.credit = nil
 			}
 		}
 	}
@@ -509,7 +507,7 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 			fmt.Sprintf("target rank %d failed with no failover route", pkt.st.key.target))
 		return
 	}
-	newTarget, ok := g.reroute(op.origin, op.target, op.disp)
+	newTarget, ok := g.reroute(int(op.origin), int(op.target), op.disp)
 	if !ok || g.comm.ranks[newTarget] == pkt.st.key.target {
 		rel.abandon(pkt, ErrProcFailed,
 			fmt.Sprintf("target rank %d failed with no surviving replacement", pkt.st.key.target))
@@ -523,12 +521,12 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 	}
 	pkt.abandoned = true
 	delete(pkt.st.unacked, pkt.seq)
-	op.target = newTarget
+	op.target = int32(newTarget)
 	ns := rel.stream(streamKey{win: g, origin: pkt.st.key.origin, target: g.comm.ranks[newTarget]})
 	npkt := &packet{st: ns, seq: ns.nextSeq, op: op}
 	ns.nextSeq++
 	ns.unacked[npkt.seq] = npkt
-	op.relPkt = npkt
+	op.ext.relPkt = npkt
 	wire := origin.transferTo(ns.key.target, op.wireOutBytes())
 	rel.transmit(npkt, w.eng.Now().Add(wire), false)
 }
@@ -547,10 +545,8 @@ func (rel *reliability) abandon(pkt *packet, class ErrClass, msg string) {
 	}
 	if op := pkt.op; op != nil {
 		op.win.inflight.Done()
-		op.pending.Done()
-		if op.req != nil {
-			op.req.pending.Done()
-		}
+		op.ch.pending.Done()
+		op.reqDone()
 		op.win.opTerminal(op)
 	} else {
 		rel.w.p2pLost++

@@ -127,3 +127,138 @@ func TestResultsLandAtApply(t *testing.T) {
 		})
 	}
 }
+
+// scratchWorkload is the scratch-ownership rule of mpi.Window from the
+// origin's side: every buffer handed to an RMA call is the caller's again
+// the moment the call returns, because issue snapshots the payload — into
+// the op header up to 16 bytes, into a pooled buffer beyond. Rank 0 runs
+// every operand-carrying kind at every payload size from 1 to 64 bytes
+// against rank 1's window and scribbles over each operand right after
+// the call; a byte-for-byte model of the window says what must be there.
+func scratchWorkload(fail func(format string, args ...interface{})) func(r *Rank) {
+	const span = 64
+	return func(r *Rank) {
+		c := r.CommWorld()
+		win, _ := r.WinAllocate(c, 4*span, nil)
+		c.Barrier()
+		if r.Rank() == 0 {
+			var model [4 * span]byte
+			scribble := func(bufs ...[]byte) {
+				for _, b := range bufs {
+					for i := range b {
+						b[i] = 0xA5
+					}
+				}
+			}
+			operand := func(n, salt int) []byte {
+				b := make([]byte, n)
+				for i := range b {
+					b[i] = byte(salt + 7*i + n)
+				}
+				return b
+			}
+			win.LockAll(AssertNone)
+			for n := 1; n <= span; n++ {
+				dt := TypeOf(Byte, n)
+
+				src := operand(n, 1)
+				copy(model[:n], src)
+				win.Put(src, 1, 0, dt)
+				scribble(src)
+
+				src = operand(n, 2)
+				for i, v := range src {
+					model[span+i] += v
+				}
+				win.Accumulate(src, 1, span, dt, OpSum)
+				scribble(src)
+
+				src = operand(n, 3)
+				old := append([]byte(nil), model[2*span:2*span+n]...)
+				for i, v := range src {
+					model[2*span+i] ^= v
+				}
+				fetched := make([]byte, n)
+				win.GetAccumulate(src, fetched, 1, 2*span, dt, OpBXor)
+				scribble(src)
+
+				// Scalars: one of each width per round, at an aligned slot.
+				b := []BasicType{Byte, Int32, Int64}[n%3]
+				es := b.Size()
+				at := 3*span + 8*(n%8)
+				src = operand(es, 4)
+				fold := append([]byte(nil), model[at:at+es]...)
+				for i, v := range src {
+					model[at+i] |= v
+				}
+				fao := make([]byte, es)
+				win.FetchAndOp(src, fao, 1, at, b, OpBOr)
+				scribble(src)
+
+				// CAS twice with the value the slot holds now as compare value:
+				// the first swap lands, the second finds what the first left.
+				held := append([]byte(nil), model[at:at+es]...)
+				first, second := operand(es, 5), operand(es, 6)
+				copy(model[at:], first)
+				if bytes.Equal(first, held) {
+					copy(model[at:], second)
+				}
+				cas1, cas2 := make([]byte, es), make([]byte, es)
+				cmp, swap := append([]byte(nil), held...), append([]byte(nil), first...)
+				win.CompareAndSwap(cmp, swap, cas1, 1, at, b)
+				scribble(cmp, swap)
+				cmp, swap = append([]byte(nil), held...), append([]byte(nil), second...)
+				win.CompareAndSwap(cmp, swap, cas2, 1, at, b)
+				scribble(cmp, swap)
+
+				win.Flush(1)
+				if !bytes.Equal(fetched, old) {
+					fail("n=%d: GetAccumulate fetched %x, want %x", n, fetched, old)
+				}
+				if !bytes.Equal(fao, fold) {
+					fail("n=%d: FetchAndOp fetched %x, want %x", n, fao, fold)
+				}
+				if !bytes.Equal(cas1, held) || !bytes.Equal(cas2, first) {
+					fail("n=%d: CompareAndSwap returned %x then %x, want %x then %x", n, cas1, cas2, held, first)
+				}
+				got := make([]byte, len(model))
+				win.Get(got, 1, 0, TypeOf(Byte, len(model)))
+				win.Flush(1)
+				if !bytes.Equal(got, model[:]) {
+					fail("n=%d: target window\n got %x\nwant %x", n, got, model)
+				}
+			}
+			win.UnlockAll()
+		}
+		c.Barrier()
+		win.Free()
+	}
+}
+
+func TestOriginBuffersAreScratchAfterIssue(t *testing.T) {
+	sharded := testConfig(2, 1)
+	sharded.Shards = 2
+	lossy := testConfig(2, 1)
+	lossy.Fault = &fault.Plan{Seed: 3, DropRate: 0.25}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"serial", testConfig(2, 1)},
+		{"two shards", sharded},
+		{"25% drops", lossy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := mustRun(t, tc.cfg, scratchWorkload(t.Errorf))
+			if tc.cfg.Shards > 0 && w.ShardCount() != 2 {
+				t.Fatalf("world ran on %d shards, want 2", w.ShardCount())
+			}
+			if tc.cfg.Fault != nil && w.Summary().Retransmits == 0 {
+				t.Fatal("the plan dropped nothing that had to be retransmitted")
+			}
+			if n := w.PoolOutstanding(); n != 0 {
+				t.Errorf("%d message-path buffers outstanding after the run", n)
+			}
+		})
+	}
+}

@@ -9,7 +9,7 @@ import (
 )
 
 // OpKind enumerates RMA communication operations.
-type OpKind int
+type OpKind uint8
 
 // RMA operation kinds.
 const (
@@ -65,45 +65,86 @@ const (
 	opPhaseAck             // completion ack crossing back to the origin
 )
 
-// rmaOp is one in-flight RMA operation.
+// opInline is the largest packed payload an op carries in its own header
+// instead of a pooled buffer: two 8-byte basic elements, which covers a
+// CAS (origin value and compare value) and every scalar or 16-byte op.
+const opInline = 16
+
+// rmaOp is one in-flight RMA operation, and the only object one costs:
+// small payloads live in the header, every queue the op waits in runs
+// through its one link, and what only optional machinery needs sits
+// behind ext. The fields the arrive, service and ack events read come
+// first; the whole header stays within the 224-byte size class
+// (TestRMAOpSize).
 type rmaOp struct {
-	win    *winGlobal
-	kind   OpKind
-	origin int // comm rank
-	target int
-	disp   int
-	dt     Datatype
-	op     Op
-	data   []byte // packed origin payload (put/acc/getacc/fao src; cas new value)
-	cmp    []byte // cas compare value (pooled copy)
-	dst    []byte // origin result destination (get/getacc/fao/cas), written at apply time
+	win *winGlobal
+	ch  *chanState // the origin's channel to the target: ack tracking, wire chain
 
-	excl bool // origin held an exclusive lock on the target when issuing
-	pscw bool // issued within a PSCW access epoch
-	seq  int64
+	// link is the op's place in the one queue it is waiting in (see the
+	// lifecycle table in DESIGN.md): the origin's freelist, the ops held
+	// behind a pending lock grant (lockMsg), the channel's wire chain
+	// (chanState.wireTail), the target's deferred-AM list
+	// (rankEngine.deferredHead) or its service backlog (sim.Server). link.At
+	// is the NIC delivery time at the target until the op is submitted
+	// for service, and the service completion time from then on.
+	link sim.Link
 
+	kind    OpKind
 	phase   opPhase
-	arrived sim.Time // NIC delivery time at the target (software AM path)
+	excl    bool // origin held an exclusive lock on the target when issuing
+	pscw    bool // issued within a PSCW access epoch
+	op      Op
+	origin  int32 // comm rank
+	target  int32
+	applied bool  // took effect at a target exactly once
+	chained bool  // in the channel's wire chain (see promoteWire)
+	owner   int32 // world rank of the servicing engine; -1 for NIC
 
-	// Wire-chain bookkeeping (see chanState.wireTail): while crossing
-	// the wire the op may be queued behind earlier ops of its channel
-	// instead of holding its own heap event. Before that, wireNext links
-	// the ops held back behind a pending lock grant (lockMsg.queue).
-	wireNext *rmaOp
-	wireTS   *chanState
-	evSeq    uint64 // event seq reserved at send time
+	disp int
+	dt   Datatype
+	data []byte // packed origin payload (put/acc/getacc/fao src; cas new value): inl or pooled
+	dst  []byte // origin result destination (get/getacc/fao/cas), written at apply time
 
-	pending *sim.CompletionSet // origin-side ack tracking (flush)
-	req     *RMARequest        // request-based op handle (Rput/Rget), or nil
-	credit  *creditChan        // flow-control credit held, or nil
+	// inl holds a payload of at most opInline bytes; for a CAS the compare
+	// value follows the origin value at inl[8:].
+	inl [opInline]byte
 
-	// Reliability bookkeeping (fault plans only).
-	applied bool    // took effect at a target exactly once
-	relPkt  *packet // current packet carrying the op
+	ext *opExt
+}
 
-	// Service bookkeeping for the validator.
-	svcStart, svcEnd sim.Time
-	svcOwner         int // world rank of the servicing engine; -1 for NIC
+// opExt is the part of an op only optional machinery uses: request-based
+// operations, flow control, the reliable transport and the validator. It
+// is allocated on first need and stays with the header across recycling.
+type opExt struct {
+	req      *RMARequest // request-based op handle (Rput/Rget), or nil
+	credit   *creditChan // flow-control credit held, or nil
+	relPkt   *packet     // current packet carrying the op (fault plans)
+	seq      int64       // issue order on the origin's handle (validator)
+	svcStart sim.Time    // start of the service interval (validator)
+}
+
+// extra returns the op's extension, allocating it on first use.
+func (o *rmaOp) extra() *opExt {
+	if o.ext == nil {
+		o.ext = &opExt{}
+	}
+	return o.ext
+}
+
+// QueueLink implements sim.Linked.
+func (o *rmaOp) QueueLink() *sim.Link { return &o.link }
+
+// next returns the op queued behind o, or nil.
+func (o *rmaOp) next() *rmaOp {
+	n, _ := o.link.Next.(*rmaOp)
+	return n
+}
+
+// reqDone releases the op's request handle, if it has one.
+func (o *rmaOp) reqDone() {
+	if x := o.ext; x != nil && x.req != nil {
+		x.req.pending.Done()
+	}
 }
 
 // Step implements sim.Runner: it advances the op through whichever
@@ -113,23 +154,25 @@ func (o *rmaOp) Step() {
 	switch o.phase {
 	case opPhaseArrive:
 		o.promoteWire()
-		o.win.rankOf(o.target).engine.deliver(o)
+		o.win.rankOf(int(o.target)).engine.deliver(o)
 	case opPhaseHW:
 		o.promoteWire()
-		o.applyHardware(o.win.rankOf(o.target))
+		o.applyHardware(o.win.rankOf(int(o.target)))
 	case opPhaseSvcDone:
-		if o.win.w.ranks[o.svcOwner].eng.Now() != o.svcEnd {
-			// Stale completion: the op was submitted to a rank that died
-			// with this event still queued, then failed over and
-			// resubmitted to a replacement engine (overwriting svcOwner
-			// and svcEnd). Only the current submission's completion —
-			// the one scheduled at o.svcEnd — may apply the op; letting
-			// the orphaned event through would apply it early, against
-			// the replacement's accounting, and out of stream order.
+		owner := o.win.w.ranks[o.owner]
+		if owner.eng.Now() != o.link.At {
+			// Stale completion: with the fast paths off every completion
+			// is its own event, and this one was scheduled on a rank that
+			// died before it fired; the op has since failed over and been
+			// resubmitted to a replacement engine (overwriting owner and
+			// link.At). Only the current submission's completion — the one
+			// scheduled at link.At — may apply the op; letting the
+			// orphaned event through would apply it early, against the
+			// replacement's accounting, and out of stream order. (A dead
+			// rank's service backlog is released outright, see killRank.)
 			return
 		}
-		e := &o.win.w.ranks[o.svcOwner].engine
-		e.noteDepth(-1)
+		owner.engine.noteDepth(-1)
 		o.applyAndAck()
 	case opPhaseAck:
 		o.ackDelivered()
@@ -181,7 +224,7 @@ func (o *rmaOp) ackBytes() int {
 // heap when recycling is off) and fills the fields common to every kind.
 func (w *Win) newOp(kind OpKind, target, disp int, dt Datatype, op Op) *rmaOp {
 	o := w.r.getOp()
-	o.kind, o.target, o.disp, o.dt, o.op = kind, target, disp, dt, op
+	o.kind, o.target, o.disp, o.dt, o.op = kind, int32(target), disp, dt, op
 	return o
 }
 
@@ -189,47 +232,50 @@ func (w *Win) newOp(kind OpKind, target, disp int, dt Datatype, op Op) *rmaOp {
 func (w *Win) Put(src []byte, target int, disp int, dt Datatype) {
 	o := w.newOp(KindPut, target, disp, dt, OpReplace)
 	o.data = src
-	w.issue(o)
+	w.issue(o, nil)
 }
 
 // Get implements Window.
 func (w *Win) Get(dst []byte, target int, disp int, dt Datatype) {
 	o := w.newOp(KindGet, target, disp, dt, OpNoOp)
 	o.dst = dst
-	w.issue(o)
+	w.issue(o, nil)
 }
 
 // Accumulate implements Window.
 func (w *Win) Accumulate(src []byte, target int, disp int, dt Datatype, op Op) {
 	o := w.newOp(KindAcc, target, disp, dt, op)
 	o.data = src
-	w.issue(o)
+	w.issue(o, nil)
 }
 
 // GetAccumulate implements Window.
 func (w *Win) GetAccumulate(src, result []byte, target int, disp int, dt Datatype, op Op) {
 	o := w.newOp(KindGetAcc, target, disp, dt, op)
 	o.data, o.dst = src, result
-	w.issue(o)
+	w.issue(o, nil)
 }
 
 // FetchAndOp implements Window.
 func (w *Win) FetchAndOp(src, result []byte, target int, disp int, b BasicType, op Op) {
 	o := w.newOp(KindFetchOp, target, disp, Scalar(b), op)
 	o.data, o.dst = src, result
-	w.issue(o)
+	w.issue(o, nil)
 }
 
 // CompareAndSwap implements Window.
 func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp int, b BasicType) {
 	o := w.newOp(KindCAS, target, disp, Scalar(b), OpReplace)
-	o.data, o.cmp, o.dst = origin, compare, result
-	w.issue(o)
+	o.data, o.dst = origin, result
+	w.issue(o, compare)
 }
 
 // issue validates the epoch, charges origin-side cost, and either sends
-// the op or queues it behind a pending lazy lock acquisition.
-func (w *Win) issue(op *rmaOp) {
+// the op or queues it behind a pending lazy lock acquisition. op.data and
+// cmp (the compare value of a CAS, nil otherwise) still alias the
+// caller's buffers; issue snapshots both, so the caller owns them again
+// as soon as the call returns.
+func (w *Win) issue(op *rmaOp, cmp []byte) {
 	r := w.r
 	r.engine.enterMPI()
 	defer r.mpiLeave()
@@ -238,12 +284,13 @@ func (w *Win) issue(op *rmaOp) {
 	if err := op.dt.Validate(); err != nil {
 		panic(err)
 	}
+	target := int(op.target)
 	if !w.g.dynamic {
 		// Dynamic windows cannot be bounds-checked at the origin; the
 		// target resolves the address at apply time.
-		reg := w.g.regions[op.target]
+		reg := w.g.regions[target]
 		if op.disp < 0 || op.disp+op.dt.Extent() > reg.n {
-			if tw := w.g.comm.ranks[op.target]; op.disp >= 0 &&
+			if tw := w.g.comm.ranks[target]; op.disp >= 0 &&
 				w.g.w.FaultsEnabled() && w.g.w.ranks[tw].failed {
 				// The target crashed before it could expose this window,
 				// so the region on record is the empty one a dead member
@@ -255,9 +302,9 @@ func (w *Win) issue(op *rmaOp) {
 				// reliable transport recover the op.
 			} else {
 				r.raise(ErrRMARange, "mpi: %v at disp %d extent %d outside %d-byte window of target %d",
-					op.kind, op.disp, op.dt.Extent(), reg.n, op.target)
-				// ErrorsReturn: drop the op before any accounting. data/cmp
-				// still alias the caller's buffers here, so there is
+					op.kind, op.disp, op.dt.Extent(), reg.n, target)
+				// ErrorsReturn: drop the op before any accounting. data
+				// still aliases the caller's buffer here, so there is
 				// nothing pooled to release — just the op header.
 				r.putOp(op)
 				return
@@ -270,64 +317,66 @@ func (w *Win) issue(op *rmaOp) {
 		// virtual time while the window is exhausted. We are inside an
 		// MPI call here, so self-targeted AMs keep draining while the
 		// proc is parked.
-		ch := f.acquire(r, w.g.comm.ranks[op.target])
-		if ch == nil {
+		credit := f.acquire(r, w.g.comm.ranks[target])
+		if credit == nil {
 			// Credit timeout under ErrorsReturn (ErrBacklog raised):
 			// drop before any accounting so flushes cannot hang on the
 			// op, but still notify the observer so layered in-flight
 			// counters do not leak.
 			if w.g.onOpDone != nil {
-				w.g.onOpDone(w.me, op.target, op.disp)
+				w.g.onOpDone(w.me, target, op.disp)
 			}
 			r.putOp(op)
 			return
 		}
-		op.credit = ch
+		op.extra().credit = credit
 	}
 
 	op.win = w.g
-	op.origin = w.me
+	op.origin = int32(w.me)
 	w.opSeq++
-	op.seq = w.opSeq
-	if op.data != nil {
-		// Pool the packed payload copy: it lives exactly until the op's
-		// terminal state (opTerminal), where it is recycled.
-		n := op.dt.Size()
-		buf := r.pool.get(n)
-		copy(buf, op.data[:n])
-		op.data = buf
+	if w.g.w.validator != nil {
+		op.extra().seq = w.opSeq
 	}
-	if op.cmp != nil {
-		// The compare value is snapshotted through the pool too, so the
-		// whole op (header and payloads) recycles without garbage.
-		n := len(op.cmp)
-		buf := r.pool.get(n)
-		copy(buf, op.cmp)
-		op.cmp = buf
+	if op.data != nil {
+		// Snapshot the packed payload: into the header when it fits, else
+		// into a pooled buffer that lives exactly until the op's terminal
+		// state (opTerminal), where it is recycled.
+		n := op.dt.Size()
+		buf := op.inl[:]
+		if n > opInline {
+			buf = r.pool.get(n)
+		}
+		op.data = buf[:copy(buf, op.data[:n])]
+	}
+	if cmp != nil {
+		// A CAS moves one basic element, so its origin value (above) and
+		// the compare value share the header.
+		copy(op.inl[opInline/2:], cmp[:op.dt.Basic.Size()])
 	}
 	r.stats.OpsIssued++
 
 	var queueOn *lockMsg
 	switch {
 	case w.access != nil: // PSCW access epoch
-		if !inGroup(w.access.group, op.target) {
-			panic(fmt.Sprintf("mpi: PSCW op to target %d outside access group", op.target))
+		if !inGroup(w.access.group, target) {
+			panic(fmt.Sprintf("mpi: PSCW op to target %d outside access group", target))
 		}
 		op.pscw = true
-		w.access.issued[op.target]++
-		op.pending = &w.channel(op.target).pending
+		w.access.issued[target]++
+		op.ch = w.channel(target)
 	case w.fenceActive:
-		op.pending = &w.channel(op.target).pending
+		op.ch = w.channel(target)
 	default: // passive target
-		ep, ok := w.coverTarget(op.target)
+		ep, ok := w.coverTarget(target)
 		if !ok {
-			panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, op.target))
+			panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, target))
 		}
-		ch := w.channel(op.target)
+		ch := w.channel(target)
 		op.excl = ep&epExcl != 0
-		op.pending = &ch.pending
+		op.ch = ch
 		if !ch.lock.requested {
-			w.requestLock(op.target)
+			w.requestLock(target)
 		}
 		if !ch.lock.granted.Done() {
 			queueOn = &ch.lock
@@ -341,9 +390,9 @@ func (w *Win) issue(op *rmaOp) {
 	if w.g.w.sharded == nil {
 		w.g.inflight.Add(1)
 	}
-	op.pending.Add(1)
-	if op.req != nil {
-		op.req.pending.Add(1)
+	op.ch.pending.Add(1)
+	if x := op.ext; x != nil && x.req != nil {
+		x.req.pending.Add(1)
 	}
 	if queueOn != nil {
 		queueOn.queue(op)
@@ -370,7 +419,7 @@ func (w *Win) send(op *rmaOp) {
 	eng := r.eng
 	targetWorld := g.comm.ranks[op.target]
 	wire := r.transferTo(targetWorld, op.wireOutBytes())
-	ts := w.channel(op.target)
+	ts := op.ch
 	arrival := eng.Now().Add(wire)
 	if arrival <= ts.lastArrival {
 		arrival = ts.lastArrival + 1
@@ -382,13 +431,13 @@ func (w *Win) send(op *rmaOp) {
 	}
 	// The op is its own arrival event (see Step), so putting it on the
 	// wire allocates nothing.
-	op.arrived = arrival
+	op.link.At = arrival
 	if op.hardwareEligible() {
 		op.phase = opPhaseHW
 	} else {
 		op.phase = opPhaseArrive
 	}
-	if tr := g.rankOf(op.target); tr.eng != eng {
+	if tr := g.w.ranks[targetWorld]; tr.eng != eng {
 		// Cross-shard: the op travels through the mailbox system instead
 		// of the wire chain (whose chained heap events are an engine-local
 		// optimization). The injection key reserved on the origin engine
@@ -405,37 +454,36 @@ func (w *Win) send(op *rmaOp) {
 	// channel's head op holds a heap event; later ops queue behind it
 	// with their event seq reserved here, at the instant an eager
 	// schedule would have assigned it (keeping the timeline identical).
-	op.evSeq = eng.ReserveSeq()
-	op.wireTS = ts
+	op.link.Seq = eng.ReserveSeq()
+	op.chained = true
 	if ts.wireTail != nil {
-		ts.wireTail.wireNext = op
+		ts.wireTail.link.Next = op
 		ts.wireTail = op
 		return
 	}
 	ts.wireTail = op
-	eng.AtRunReserved(arrival, op.evSeq, op)
+	eng.AtRunReserved(arrival, op.link.Seq, op)
 }
 
 // promoteWire unlinks the op from its channel's wire chain as its
 // arrival event fires, scheduling the successor's arrival under the seq
 // reserved at send time. No-op for ops that never chained (reliable
-// transport, fast paths disabled).
+// transport, cross-shard, fast paths disabled).
 func (o *rmaOp) promoteWire() {
-	ts := o.wireTS
-	if ts == nil {
+	if !o.chained {
 		return
 	}
-	o.wireTS = nil
-	next := o.wireNext
-	o.wireNext = nil
+	o.chained = false
+	next := o.next()
 	if next == nil {
-		ts.wireTail = nil
+		o.ch.wireTail = nil
 		return
 	}
+	o.link.Next = nil
 	// The chain only ever forms on same-engine channels (cross-shard ops
 	// go through the mailboxes), so the origin's engine is the one whose
 	// seq was reserved and whose heap we are standing in.
-	o.win.rankOf(o.origin).eng.AtRunReserved(next.arrived, next.evSeq, next)
+	o.win.rankOf(int(o.origin)).eng.AtRunReserved(next.link.At, next.link.Seq, next)
 }
 
 // --- Apply path (target side) ----------------------------------------
@@ -446,7 +494,7 @@ func (o *rmaOp) promoteWire() {
 // was already raised on the target rank).
 func (o *rmaOp) targetRegion() (Region, int, bool) {
 	if o.win.dynamic {
-		return o.win.resolveDynamic(o.target, o.disp, o.dt.Extent())
+		return o.win.resolveDynamic(int(o.target), o.disp, o.dt.Extent())
 	}
 	return o.win.regions[o.target], o.disp, true
 }
@@ -480,7 +528,7 @@ func (o *rmaOp) apply() bool {
 	case KindCAS:
 		es := o.dt.Basic.Size()
 		old := mem[base : base+es]
-		swap := bytes.Equal(old, o.cmp[:es])
+		swap := bytes.Equal(old, o.inl[opInline/2:opInline/2+es])
 		copy(o.dst, old)
 		if swap {
 			copy(old, o.data[:es])
@@ -493,11 +541,12 @@ func (o *rmaOp) apply() bool {
 	}
 	if o.pscw {
 		p := o.win.pscwState()
-		if p.applied[o.target] == nil {
-			p.applied[o.target] = map[int]int64{}
+		target, origin := int(o.target), int(o.origin)
+		if p.applied[target] == nil {
+			p.applied[target] = map[int]int64{}
 		}
-		p.applied[o.target][o.origin]++
-		o.win.sigFor(o.target).Broadcast()
+		p.applied[target][origin]++
+		o.win.sigFor(target).Broadcast()
 	}
 	return true
 }
@@ -512,7 +561,7 @@ func (o *rmaOp) applyAndAck() {
 		// through a second delivery): exactly-once semantics.
 		return
 	}
-	if o.svcOwner >= 0 && o.win.w.ranks[o.svcOwner].failed {
+	if o.owner >= 0 && o.win.w.ranks[o.owner].failed {
 		// The servicing rank died between queuing and service; the op
 		// is recovered through stream failover instead.
 		return
@@ -520,7 +569,7 @@ func (o *rmaOp) applyAndAck() {
 	ok := o.apply()
 	if v := o.win.w.validator; v != nil && ok {
 		reg, disp, _ := o.targetRegion()
-		v.recordApply(o, reg, disp, o.svcOwner)
+		v.recordApply(o, reg, disp, int(o.owner))
 	}
 	if o.win.w.sharded == nil {
 		o.win.inflight.Done()
@@ -534,11 +583,12 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 		return
 	}
 	now := tr.eng.Now()
-	o.svcStart, o.svcEnd, o.svcOwner = now, now, -1
+	o.link.At, o.owner = now, -1
 	ok := o.apply()
 	tr.stats.HardwareOps++
 	tr.stats.BytesIn += int64(o.bytes())
 	if v := o.win.w.validator; v != nil && ok {
+		o.extra().svcStart = now
 		reg, disp, _ := o.targetRegion()
 		v.recordApply(o, reg, disp, -1)
 	}
@@ -562,7 +612,7 @@ func (o *rmaOp) ack() {
 	tr := g.w.ranks[targetWorld]
 	wire := tr.transferTo(originWorld, o.ackBytes())
 	if rel := g.w.rel; rel != nil {
-		rel.sendAck(o.relPkt, wire, true)
+		rel.sendAck(o.ext.relPkt, wire, true)
 		return
 	}
 	o.phase = opPhaseAck
@@ -578,10 +628,8 @@ func (o *rmaOp) ack() {
 // trackers release and the op reaches its terminal state. Any result
 // bytes are already in the origin's buffer (see apply).
 func (o *rmaOp) ackDelivered() {
-	o.pending.Done()
-	if o.req != nil {
-		o.req.pending.Done()
-	}
+	o.ch.pending.Done()
+	o.reqDone()
 	o.win.opTerminal(o)
 }
 
@@ -589,26 +637,22 @@ func (o *rmaOp) ackDelivered() {
 // validation, when it reaches its terminal state (ack delivered at the
 // origin, abandoned by the transport, or dropped on credit timeout):
 // it returns the flow-control credit, recycles the op's pooled
-// buffers, and notifies the op observer. Runs in engine context.
+// buffer, and notifies the op observer. Runs in engine context.
 func (g *winGlobal) opTerminal(o *rmaOp) {
-	// Buffers recycle into the origin's pool, where they were drawn:
+	// The buffer recycles into the origin's pool, where it was drawn:
 	// terminal state is reached in the origin's engine context, whose
 	// pool is the only one legal to touch.
-	or := g.rankOf(o.origin)
-	if o.credit != nil {
-		o.credit.release()
-		o.credit = nil
+	or := g.rankOf(int(o.origin))
+	if x := o.ext; x != nil && x.credit != nil {
+		x.credit.release()
+		x.credit = nil
 	}
-	if o.data != nil {
+	if len(o.data) > opInline {
 		or.pool.put(o.data)
-		o.data = nil
 	}
-	if o.cmp != nil {
-		or.pool.put(o.cmp)
-		o.cmp = nil
-	}
+	o.data = nil
 	if g.onOpDone != nil {
-		g.onOpDone(o.origin, o.target, o.disp)
+		g.onOpDone(int(o.origin), int(o.target), o.disp)
 	}
 	// Recycle the header last: putOp zeroes the op. Under a fault plan
 	// recycling is disabled (packets hold op pointers past this point).

@@ -47,8 +47,8 @@ func (q *RMARequest) Wait() {
 func (w *Win) RPut(src []byte, target int, disp int, dt Datatype) *RMARequest {
 	q := &RMARequest{r: w.r}
 	o := w.newOp(KindPut, target, disp, dt, OpReplace)
-	o.data, o.req = src, q
-	w.issue(o)
+	o.data, o.extra().req = src, q
+	w.issue(o, nil)
 	return q
 }
 
@@ -57,7 +57,7 @@ func (w *Win) RPut(src []byte, target int, disp int, dt Datatype) *RMARequest {
 func (w *Win) RGet(dst []byte, target int, disp int, dt Datatype) *RMARequest {
 	q := &RMARequest{r: w.r}
 	o := w.newOp(KindGet, target, disp, dt, OpNoOp)
-	o.dst, o.req = dst, q
-	w.issue(o)
+	o.dst, o.extra().req = dst, q
+	w.issue(o, nil)
 	return q
 }

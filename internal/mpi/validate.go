@@ -77,11 +77,11 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	rec := applyRec{
 		lo:     lo,
 		hi:     lo + o.dt.Extent(),
-		start:  o.svcStart,
-		end:    o.svcEnd,
+		start:  o.ext.svcStart,
+		end:    o.link.At,
 		owner:  ownerWorld,
 		origin: o.win.comm.ranks[o.origin],
-		seq:    o.seq,
+		seq:    o.ext.seq,
 		kind:   o.kind,
 		excl:   o.excl,
 	}

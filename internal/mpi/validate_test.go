@@ -23,9 +23,10 @@ func fakeWin(v *Validator) (*winGlobal, Region) {
 func rec(g *winGlobal, v *Validator, reg Region, kind OpKind, origin, owner int,
 	disp int, start, end int64, seq int64, excl bool) {
 	op := &rmaOp{
-		win: g, kind: kind, origin: origin, target: 1, disp: disp,
-		dt: Scalar(Float64), seq: seq, excl: excl,
-		svcStart: sim.Time(start * 1000), svcEnd: sim.Time(end * 1000), svcOwner: owner,
+		win: g, kind: kind, origin: int32(origin), target: 1, disp: disp,
+		dt: Scalar(Float64), excl: excl, owner: int32(owner),
+		link: sim.Link{At: sim.Time(end * 1000)},
+		ext:  &opExt{seq: seq, svcStart: sim.Time(start * 1000)},
 	}
 	v.recordApply(op, reg, disp, owner)
 }

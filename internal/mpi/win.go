@@ -163,7 +163,7 @@ type chanState struct {
 	lastArrival sim.Time
 
 	// wireTail is the last of the ops currently crossing the wire on this
-	// channel, which are chained through rmaOp.wireNext. Arrivals are
+	// channel, which are chained through rmaOp.link. Arrivals are
 	// strictly monotone (see lastArrival), so only the chain's head keeps
 	// an arrival event in the engine's heap; each arrival promotes its
 	// successor under the seq reserved at send time (see Win.send and

@@ -768,9 +768,9 @@ type Rank struct {
 	memo *netmodel.Memo
 
 	// opFree recycles rmaOp headers issued by this rank (acks always land
-	// back at the origin, so the freelist never crosses ranks). See
-	// getOp/putOp.
-	opFree []*rmaOp
+	// back at the origin, so the freelist never crosses ranks): a stack
+	// linked through rmaOp.link. See getOp/putOp.
+	opFree *rmaOp
 
 	engine  rankEngine
 	mailbox mailbox
@@ -965,13 +965,23 @@ func (r *Rank) transferTo(dest, n int) sim.Duration {
 // (ackDelivered runs there), so recycling needs no locking even with
 // shards issuing in parallel.
 func (r *Rank) getOp() *rmaOp {
-	if n := len(r.opFree); n > 0 {
-		o := r.opFree[n-1]
-		r.opFree[n-1] = nil
-		r.opFree = r.opFree[:n-1]
-		return o
+	o := r.opFree
+	if o == nil {
+		if cfg := &r.w.cfg; cfg.Fault != nil || cfg.Flow != nil || cfg.Validate {
+			// Every op of such a world needs its extension (a packet, a
+			// credit, a validator record): one object for both.
+			both := &struct {
+				op rmaOp
+				x  opExt
+			}{}
+			both.op.ext = &both.x
+			return &both.op
+		}
+		return &rmaOp{}
 	}
-	return &rmaOp{}
+	r.opFree = o.next()
+	o.link.Next = nil
+	return o
 }
 
 // putOp returns an op header to the issuing rank's freelist once nothing
@@ -980,6 +990,14 @@ func (r *Rank) putOp(o *rmaOp) {
 	if !r.w.opRecycle {
 		return
 	}
+	x := o.ext
 	*o = rmaOp{}
-	r.opFree = append(r.opFree, o)
+	if x != nil {
+		*x = opExt{}
+		o.ext = x
+	}
+	if r.opFree != nil { // a nil *rmaOp stored in the interface would not read as nil
+		o.link.Next = r.opFree
+	}
+	r.opFree = o
 }

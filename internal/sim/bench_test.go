@@ -330,3 +330,55 @@ func BenchmarkSameTimeFusion(b *testing.B) {
 	b.Run("fused", func(b *testing.B) { run(b, false) })
 	b.Run("heap", func(b *testing.B) { run(b, true) })
 }
+
+// benchJob resubmits itself to its server until the shared budget is
+// spent; linkedBenchJob is the same job carrying its own queue link.
+type benchJob struct {
+	s    *Server
+	left *int
+}
+
+func (j *benchJob) Step() { j.resubmit(j) }
+
+func (j *benchJob) resubmit(self Runner) {
+	if *j.left > 0 {
+		*j.left--
+		j.s.SubmitRun(j.s.eng.now, 100*Nanosecond, self)
+	}
+}
+
+type linkedBenchJob struct {
+	link Link
+	benchJob
+}
+
+func (j *linkedBenchJob) QueueLink() *Link { return &j.link }
+func (j *linkedBenchJob) Step()            { j.resubmit(j) }
+
+// BenchmarkServerBacklog is a serial server with a standing backlog of
+// 1024 self-resubmitting jobs — the AM service queue of a saturated
+// target — per completed job. "linked" jobs wait through their own link
+// (what an RMA op does), "plain" ones through a node of the server's.
+func BenchmarkServerBacklog(b *testing.B) {
+	const backlog = 1024
+	run := func(b *testing.B, job func(s *Server, left *int) Runner) {
+		b.ReportAllocs()
+		e := New(1)
+		s := NewServer(e)
+		left := b.N
+		for i := 0; i < backlog; i++ {
+			s.SubmitRun(0, 100*Nanosecond, job(s, &left))
+		}
+		b.ResetTimer()
+		e.MustRun()
+		if left != 0 || s.Jobs() != b.N+backlog {
+			b.Fatalf("%d jobs ran with %d left, want %d and 0", s.Jobs(), left, b.N+backlog)
+		}
+	}
+	b.Run("linked", func(b *testing.B) {
+		run(b, func(s *Server, left *int) Runner { return &linkedBenchJob{benchJob: benchJob{s: s, left: left}} })
+	})
+	b.Run("plain", func(b *testing.B) {
+		run(b, func(s *Server, left *int) Runner { return &benchJob{s: s, left: left} })
+	})
+}

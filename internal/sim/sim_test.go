@@ -197,65 +197,6 @@ func TestCompletionSetUnderflowPanics(t *testing.T) {
 	cs.Done()
 }
 
-func TestQueueFIFO(t *testing.T) {
-	e := New(1)
-	var q Queue[int]
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p, "consuming"))
-		}
-	})
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Advance(Microsecond)
-			q.Put(i)
-		}
-	})
-	e.MustRun()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("got %v, want 0..4 in order", got)
-		}
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	var q Queue[string]
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	if q.Len() != 1 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q, %v", v, ok)
-	}
-}
-
-func TestQueueMultipleBlockedGetters(t *testing.T) {
-	e := New(1)
-	var q Queue[int]
-	sum := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("g%d", i), func(p *Proc) {
-			sum += q.Get(p, "get")
-		})
-	}
-	e.Spawn("put", func(p *Proc) {
-		p.Advance(Microsecond)
-		q.Put(1)
-		q.Put(2)
-		q.Put(3)
-	})
-	e.MustRun()
-	if sum != 6 {
-		t.Fatalf("sum = %d, want 6", sum)
-	}
-}
-
 func TestServerSerializesJobs(t *testing.T) {
 	e := New(1)
 	s := NewServer(e)
