@@ -199,6 +199,34 @@ func chaosLockloop(env mpi.Env) []byte {
 	return sig
 }
 
+// chaosFaultCandidates lists the chaos world's ghost and user ranks: whom
+// a schedule may crash or stall, and whom it may crash recoverably.
+func chaosFaultCandidates() (ghosts, apps []int) {
+	nodeGhosts, err := core.GhostRanks(machineFor(chaosN, chaosPPN), chaosN, chaosPPN, chaosGhosts)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	for _, ng := range nodeGhosts {
+		ghosts = append(ghosts, ng...)
+	}
+	return ghosts, userRanks(chaosN, nodeGhosts)
+}
+
+// chaosPlanFor derives seed's fault schedule for a chaos world whose
+// fault-free twin ends at horizon.
+func chaosPlanFor(seed int64, horizon sim.Time, ghosts, apps []int) *fault.Plan {
+	return fault.ChaosPlan(seed, fault.ChaosSpec{
+		Ghosts:        ghosts,
+		Apps:          apps,
+		Nodes:         chaosNodes,
+		Horizon:       horizon,
+		MaxCrashes:    3,
+		MaxAppCrashes: 2,
+		MaxStalls:     2,
+		Rates:         true,
+	})
+}
+
 // chaosCheck evaluates the four invariants for one chaos world against
 // its workload baseline, returning the violated ones.
 func chaosCheck(out chaosOutcome, err error, base chaosOutcome) []string {
@@ -254,15 +282,7 @@ func init() {
 				base[wi] = out
 			}
 
-			nodeGhosts, err := core.GhostRanks(machineFor(chaosN, chaosPPN), chaosN, chaosPPN, chaosGhosts)
-			if err != nil {
-				panic(fmt.Sprintf("bench: %v", err))
-			}
-			var ghosts []int
-			for _, ng := range nodeGhosts {
-				ghosts = append(ghosts, ng...)
-			}
-			apps := userRanks(chaosN, nodeGhosts)
+			ghosts, apps := chaosFaultCandidates()
 
 			type chaosRun struct {
 				out  chaosOutcome
@@ -276,16 +296,7 @@ func init() {
 			o.points(len(seeds), func(i int) {
 				seed := seeds[i]
 				wi := int((seed - 1) % 4)
-				plan := fault.ChaosPlan(seed, fault.ChaosSpec{
-					Ghosts:        ghosts,
-					Apps:          apps,
-					Nodes:         chaosNodes,
-					Horizon:       base[wi].summary.EndTime,
-					MaxCrashes:    3,
-					MaxAppCrashes: 2,
-					MaxStalls:     2,
-					Rates:         true,
-				})
+				plan := chaosPlanFor(seed, base[wi].summary.EndTime, ghosts, apps)
 				var tr *trace.Tracer
 				if verbose {
 					tr = trace.New()

@@ -332,6 +332,9 @@ func TestRMAOpSize(t *testing.T) {
 	if n := unsafe.Sizeof(rmaOp{}); n > 224 {
 		t.Fatalf("rmaOp is %d bytes, want at most 224", n)
 	}
+	if n := unsafe.Sizeof(faultOp{}); n > 320 {
+		t.Fatalf("an op of a fault-plan world is %d bytes, want at most 320", n)
+	}
 	// A CAS keeps its origin and compare values side by side in the
 	// inline payload, one basic element each.
 	for _, b := range []BasicType{Byte, Int32, Int64, Float64} {

@@ -22,6 +22,32 @@ type RegionGuard struct {
 	reg     Region
 	snap    []byte // region bytes at the last Snapshot
 	entries []redoEntry
+
+	// arena holds the entries' post-images back to back. The journal is
+	// emptied as a whole (Snapshot, Restore), and so is the arena; one that
+	// fills up mid-epoch is replaced by a larger one, never regrown, so the
+	// images already handed out stay where their entries point.
+	arena []byte
+}
+
+// guardArenaMin is the first arena of a guard that journals anything.
+const guardArenaMin = 1 << 10
+
+// image copies b into the arena and returns the copy.
+func (g *RegionGuard) image(b []byte) []byte {
+	if len(g.arena)+len(b) > cap(g.arena) {
+		n := max(2*cap(g.arena), len(b), guardArenaMin)
+		g.arena = make([]byte, 0, n)
+	}
+	at := len(g.arena)
+	g.arena = append(g.arena, b...)
+	return g.arena[at:len(g.arena):len(g.arena)]
+}
+
+// reset empties the journal.
+func (g *RegionGuard) reset() {
+	g.entries = g.entries[:0]
+	g.arena = g.arena[:0]
 }
 
 // redoEntry is one journaled mutation: the post-image a remote RMA op
@@ -63,7 +89,7 @@ func (w *World) journalWrite(seg *segment, base, n int) {
 		}
 		g.entries = append(g.entries, redoEntry{
 			off:  lo - g.reg.off,
-			post: append([]byte(nil), seg.data[lo:hi]...),
+			post: g.image(seg.data[lo:hi]),
 		})
 	}
 }
@@ -73,7 +99,7 @@ func (w *World) journalWrite(seg *segment, base, n int) {
 // bytes (what the owning ghost ships to its buddy).
 func (g *RegionGuard) Snapshot() int {
 	copy(g.snap, g.reg.Bytes())
-	g.entries = g.entries[:0]
+	g.reset()
 	return len(g.snap)
 }
 
@@ -98,7 +124,7 @@ func (g *RegionGuard) MarkCrash() {
 		}
 		g.entries = append(g.entries, redoEntry{
 			off:   i,
-			post:  append([]byte(nil), live[i:j]...),
+			post:  g.image(live[i:j]),
 			local: true,
 		})
 		i = j
@@ -130,7 +156,7 @@ func (g *RegionGuard) Restore() (bytes, replayed int) {
 				i, live[i], want[i]))
 		}
 	}
-	g.entries = g.entries[:0]
+	g.reset()
 	copy(g.snap, live)
 	return len(g.snap), replayed
 }

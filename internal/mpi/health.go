@@ -42,20 +42,35 @@ const (
 	defaultRespawnDelay = 150 * sim.Microsecond
 )
 
-// healthState is the world-global failure detector.
+// healthState is the world-global failure detector. Its per-rank tables
+// are indexed by world rank: the monitor walks every tracked rank each
+// interval.
 type healthState struct {
 	w          *World
 	interval   sim.Duration
 	grace      sim.Duration
 	probeRTT   sim.Duration
-	tracked    []int // world ranks, in registration order
-	lastSeen   map[int]sim.Time
-	lastAck    map[int]sim.Time // last probe echo per suspected rank
-	suspected  map[int]bool
-	failed     map[int]bool
+	tracked    []int      // world ranks, in registration order
+	isTracked  []bool     // by world rank
+	lastSeen   []sim.Time // last beacon
+	lastAck    []sim.Time // last probe echo of a suspected rank; 0 = none
+	suspected  []bool
+	failed     []bool
 	nfailed    int
 	monitoring bool
 }
+
+// beaconEv is the recurring heartbeat of one tracked rank: one object,
+// re-armed every interval.
+type beaconEv struct {
+	h  *healthState
+	id int
+}
+
+// monitorEv is the health state as its own recurring monitor event.
+type monitorEv healthState
+
+func (m *monitorEv) Step() { (*healthState)(m).monitor() }
 
 // TrackHealth begins heartbeat liveness monitoring of the given world
 // ranks (typically Casper's ghosts). No-op unless the world has a fault
@@ -66,33 +81,33 @@ func (w *World) TrackHealth(worldRanks []int) {
 		return
 	}
 	if w.health == nil {
+		n := len(w.ranks)
 		w.health = &healthState{
 			w:         w,
 			interval:  defaultBeaconInterval,
 			grace:     defaultGracePeriod,
 			probeRTT:  defaultProbeRTT,
-			lastSeen:  map[int]sim.Time{},
-			lastAck:   map[int]sim.Time{},
-			suspected: map[int]bool{},
-			failed:    map[int]bool{},
+			isTracked: make([]bool, n),
+			lastSeen:  make([]sim.Time, n),
+			lastAck:   make([]sim.Time, n),
+			suspected: make([]bool, n),
+			failed:    make([]bool, n),
 		}
 	}
 	h := w.health
 	now := w.eng.Now()
 	for _, id := range worldRanks {
-		if id < 0 || id >= len(w.ranks) {
-			continue
-		}
-		if _, ok := h.lastSeen[id]; ok {
+		if id < 0 || id >= len(w.ranks) || h.isTracked[id] {
 			continue
 		}
 		h.tracked = append(h.tracked, id)
+		h.isTracked[id] = true
 		h.lastSeen[id] = now
-		h.beacon(id)
+		(&beaconEv{h: h, id: id}).Step()
 	}
 	if !h.monitoring && len(h.tracked) > 0 {
 		h.monitoring = true
-		w.eng.AfterBG(h.interval, h.monitor)
+		w.eng.AfterBGRun(h.interval, (*monitorEv)(h))
 	}
 }
 
@@ -120,17 +135,14 @@ func (w *World) AnyHealthFailure() bool {
 
 // healthTracked reports whether the rank is under heartbeat monitoring.
 func (w *World) healthTracked(worldRank int) bool {
-	if w.health == nil {
-		return false
-	}
-	_, ok := w.health.lastSeen[worldRank]
-	return ok
+	return w.health != nil && w.health.isTracked[worldRank]
 }
 
-// beacon is the recurring per-rank heartbeat. A crashed rank stops
-// beating forever; a stalled one skips beats until the stall ends.
-func (h *healthState) beacon(id int) {
-	r := h.w.ranks[id]
+// Step is one beat. A crashed rank stops beating forever; a stalled one
+// skips beats until the stall ends.
+func (b *beaconEv) Step() {
+	h := b.h
+	r := h.w.ranks[b.id]
 	if r.failed {
 		return
 	}
@@ -138,9 +150,9 @@ func (h *healthState) beacon(id int) {
 	if now >= r.stalledUntil && !r.down {
 		// A down rank is frozen: it emits no beacons, so the detector
 		// confirms its death; the beat resumes by itself after revival.
-		h.lastSeen[id] = now
+		h.lastSeen[b.id] = now
 	}
-	h.w.eng.AfterBG(h.interval, func() { h.beacon(id) })
+	h.w.eng.AfterBGRun(h.interval, b)
 }
 
 // monitor is the recurring suspect→confirm sweep. Tracked ranks are
@@ -160,13 +172,12 @@ func (h *healthState) monitor() {
 		if h.suspected[id] {
 			if quiet <= h.grace/2 {
 				// Beacons resumed: the rank was stalled, not dead.
-				delete(h.suspected, id)
-				delete(h.lastAck, id)
+				h.suspected[id], h.lastAck[id] = false, 0
 				h.w.ranks[id].stats.FalseSuspects++
 				continue
 			}
 			alive := h.lastSeen[id]
-			if ack, ok := h.lastAck[id]; ok && ack > alive {
+			if ack := h.lastAck[id]; ack > alive {
 				alive = ack
 			}
 			if now.Sub(alive) > h.grace {
@@ -185,7 +196,7 @@ func (h *healthState) monitor() {
 			h.probe(id)
 		}
 	}
-	h.w.eng.AfterBG(h.interval, h.monitor)
+	h.w.eng.AfterBGRun(h.interval, (*monitorEv)(h))
 }
 
 // probe sends one direct liveness probe to a suspected rank. The echo
@@ -209,8 +220,7 @@ func (h *healthState) markFailed(id int) {
 	}
 	h.failed[id] = true
 	h.nfailed++
-	delete(h.suspected, id)
-	delete(h.lastAck, id)
+	h.suspected[id], h.lastAck[id] = false, 0
 	if t := h.w.tracer; t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "detect", Rank: id, Peer: -1, At: h.w.eng.Now()})
 	}
@@ -294,12 +304,11 @@ func (h *healthState) reviveRank(id int) {
 	}
 	r.down = false
 	if h.failed[id] {
-		delete(h.failed, id)
+		h.failed[id] = false
 		h.nfailed--
 	}
 	h.lastSeen[id] = w.eng.Now()
-	delete(h.lastAck, id)
-	delete(h.suspected, id)
+	h.suspected[id], h.lastAck[id] = false, 0
 	r.stats.AppRecoveries++
 	if t := w.tracer; t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "revive", Rank: id, Peer: -1, At: w.eng.Now()})

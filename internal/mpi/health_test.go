@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -157,5 +158,34 @@ func TestLockReclaimUnblocksWaiters(t *testing.T) {
 	if lockedAt == 0 || lockedAt >= unlockedAt {
 		t.Fatalf("waiter granted at %v, holder released at %v: reclaim waited for the epoch boundary",
 			lockedAt, unlockedAt)
+	}
+}
+
+// TestHeartbeatsAllocateNothingPerBeat: a tracked rank's beacon and the
+// monitor sweep are objects re-armed every interval, so a world that idles
+// twice as long — thousands more beats and sweeps — allocates no more.
+func TestHeartbeatsAllocateNothingPerBeat(t *testing.T) {
+	if underRace {
+		t.Skip("the race detector allocates on its own account")
+	}
+	mallocs := func(idle sim.Duration) uint64 {
+		cfg := testConfig(4, 4)
+		cfg.Fault = &fault.Plan{Seed: 3}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustRun(t, cfg, func(r *Rank) {
+			r.World().TrackHealth([]int{1, 2, 3})
+			r.Compute(idle)
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(sim.Millisecond) // warm up whatever the first world pays for
+	short, long := mallocs(20*sim.Millisecond), mallocs(40*sim.Millisecond)
+	// 20 ms more is 1000 more beats of each of three ranks and 1000 more
+	// sweeps; the slack is for the event queue's own growth.
+	t.Logf("mallocs: %d idling 20 ms, %d idling 40 ms", short, long)
+	if long > short+50 {
+		t.Fatalf("%d mallocs idling 20 ms, %d idling 40 ms: heartbeats allocate", short, long)
 	}
 }

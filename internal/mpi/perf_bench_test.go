@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/netmodel"
+	"repro/internal/sim"
 )
 
 // Go micro-benchmarks for the message-path hot spots the perf baseline
@@ -223,4 +225,102 @@ func BenchmarkBackloggedTarget(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(origins*ops), "ns/AM")
 	})
+}
+
+// BenchmarkReliableAcc is BenchmarkAccumulate with the reliable transport
+// under it — the in-tree twin of the observatory's
+// mpi.reliable_acc_ns_per_op: "plain" has no fault plan, "zero-rate" a
+// plan that never fires (every op still travels as a sequence-numbered
+// packet with a retransmission timer), "drop5" loses one transmission in
+// twenty. The issue loop flushes every 64 operations, as the probe does.
+// allocs/op is per operation: one object under a plan (header, extension
+// and first packet together), none without.
+func BenchmarkReliableAcc(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"plain", nil},
+		{"zero-rate", &fault.Plan{Seed: 1}},
+		{"drop5", &fault.Plan{Seed: 1, DropRate: 0.05}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			one := PutFloat64s([]float64{1})
+			cfg := benchConfig(2, 1)
+			if tc.plan != nil {
+				plan := *tc.plan
+				cfg.Fault = &plan
+			}
+			_, err := Run(cfg, func(rk *Rank) {
+				c := rk.CommWorld()
+				win, _ := rk.WinAllocate(c, 64, nil)
+				c.Barrier()
+				if rk.Rank() == 0 {
+					win.LockAll(AssertNone)
+					for i := 0; i < b.N; i++ {
+						win.Accumulate(one, 1, 0, Scalar(Float64), OpSum)
+						if i%64 == 63 {
+							win.Flush(1)
+						}
+					}
+					win.UnlockAll()
+				}
+				c.Barrier()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkValidatorRecordApply is the validator's cost per applied
+// operation with the ring full, on the three shapes that bound it:
+// "disjoint" cycles through 64 separate words (no byte range overlaps the
+// new one within reach), "hot-word" hits one word every time (every ring
+// entry overlaps in bytes, none in time — the observatory's
+// mpi.validate_acc_ns_per_op world), "wrapped" interleaves four origins on
+// eight words so the scan straddles the ring's wrap point with applies
+// that do overlap in time, on one server.
+func BenchmarkValidatorRecordApply(b *testing.B) {
+	for _, tc := range []struct {
+		name             string
+		words, origins   int
+		duration, stride sim.Time
+	}{
+		{"disjoint", 64, 1, 10, 10},
+		{"hot-word", 1, 1, 10, 10},
+		{"wrapped", 8, 4, 25, 10},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			v := newValidator()
+			seg := &segment{id: 1, data: make([]byte, 8*tc.words)}
+			reg := Region{seg: seg, n: len(seg.data)}
+			g := &winGlobal{comm: &commGlobal{ranks: []int{0, 1, 2, 3}}, w: &World{validator: v}}
+			ops := make([]*rmaOp, tc.origins)
+			for i := range ops {
+				ops[i] = &rmaOp{win: g, kind: KindAcc, origin: int32(i), dt: Scalar(Float64), owner: 5, ext: &opExt{}}
+			}
+			var now sim.Time
+			apply := func(i int) {
+				op := ops[i%tc.origins]
+				now += tc.stride
+				op.ext.seq++
+				op.ext.svcStart, op.link.At = now-tc.duration, now
+				v.recordApply(op, reg, (i%tc.words)*8, 5)
+			}
+			for i := 0; i < 2*v.ringSize; i++ {
+				apply(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(i)
+			}
+			if !v.Ok() {
+				b.Fatalf("violations: %v", v.Violations()[0])
+			}
+		})
+	}
 }

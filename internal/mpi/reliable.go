@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -36,11 +35,23 @@ import (
 //     replicate; the simulator gets it for free.
 //
 // All reliability housekeeping (timers, duplicate arrivals,
-// retransmissions, protocol acks) is scheduled as background events,
-// so it can never extend a run beyond what the application produced;
-// the first transmission and first RMA ack reuse the regular event
-// path of the fault-free runtime, at the exact times it would have
-// used.
+// retransmissions, protocol acks) runs as background events, so it can
+// never extend a run beyond what the application produced; the first
+// transmission and first RMA ack reuse the regular event path of the
+// fault-free runtime, at the exact times it would have used. Every one of
+// these events is the packet itself (see pktRecv, pktAck, pktTimeout).
+// Duplicate arrivals, retransmissions, acks and back-off timers are
+// scheduled eagerly, one engine event each. The first-attempt
+// retransmission timers — one per packet, nearly all of which pop only to
+// find the packet acknowledged — are chained instead: their deadlines
+// (now + rtoBase) are monotone in arming order, so they wait in one
+// per-world FIFO linked through the packets, each under the event seq
+// reserved when it was armed; only the head holds an engine event, and an
+// entry whose packet is already acked or abandoned when its turn comes is
+// dropped rather than scheduled (it could only have returned at timeout's
+// first line). The executed timeline — every (time, seq) of every event
+// that does anything — is the eager schedule's; a world with the fast
+// paths off keeps the eager schedule and is the oracle for that claim.
 
 // Default retransmission parameters.
 const (
@@ -57,25 +68,57 @@ type streamKey struct {
 	target int
 }
 
-// packet is one payload on a stream: exactly one of op, msg is set.
+// packet is one payload on a stream: exactly one of op, msg is set. It is
+// also every event of its own life: the arrival at the destination, the
+// ack back at the origin and the retransmission timer are the packet
+// under three Runner types (pktRecv, pktAck, pktTimeout), so a duplicate
+// arrival, a late ack and a timer can all be pending at once and none of
+// them allocates. The first packet of an RMA op lives in the op's own
+// allocation (Rank.getOp); failover and p2p packets are objects of their
+// own.
 type packet struct {
 	st  *stream
 	seq int64
 	op  *rmaOp
 	msg *inMsg
 
-	attempts  int
-	dataLost  bool // last data transmission dropped by the injector
-	ackLost   bool // last ack transmission dropped by the injector
-	delivered bool // p2p: accepted into the destination mailbox
-	acked     bool
-	abandoned bool
+	// The packet's place in the world's timer chain (reliability.timerTail)
+	// while chained is set: the packet armed behind it, and the (tAt, tSeq)
+	// its timeout fires under. A packet has at most one timer pending — the
+	// next is armed only as the previous fires — so one link is enough.
+	tNext *packet
+	tAt   sim.Time
+	tSeq  uint64
 
 	// wireCRC is the CRC32 checksum stamped on the packet at (re)
 	// transmission. A corrupting injector flips it on the wire; the
 	// receiver recomputes the payload checksum and drops mismatches.
 	wireCRC uint32
+
+	attempts  int32
+	dataLost  bool // last data transmission dropped by the injector
+	ackLost   bool // last ack transmission dropped by the injector
+	delivered bool // p2p: accepted into the destination mailbox
+	acked     bool
+	abandoned bool
+	chained   bool // pending timer waits in the timer chain (else: its own event)
 }
+
+// settled reports whether the packet reached a terminal state: nothing
+// will ever be retransmitted, failed over or timed out on its behalf.
+func (pkt *packet) settled() bool { return pkt.acked || pkt.abandoned }
+
+// The three events of a packet. The type is the phase, so the same packet
+// can be scheduled under several at once.
+type (
+	pktRecv    packet // a transmission reaches the destination
+	pktAck     packet // an ack reaches the origin
+	pktTimeout packet // the retransmission timer expires
+)
+
+func (p *pktRecv) Step()    { pkt := (*packet)(p); pkt.st.rel.receive(pkt) }
+func (p *pktAck) Step()     { pkt := (*packet)(p); pkt.st.rel.deliverAck(pkt) }
+func (p *pktTimeout) Step() { pkt := (*packet)(p); pkt.st.rel.timerFired(pkt) }
 
 // payloadCRC is the CRC32 checksum of the packet's payload as the
 // receiver would compute it.
@@ -104,12 +147,55 @@ func (pkt *packet) wireBytes() int {
 // stream is the sender+receiver state of one streamKey (one simulated
 // address space holds both ends).
 type stream struct {
+	rel      *reliability
 	key      streamKey
 	nextSeq  int64
 	expected int64
-	held     map[int64]*packet // receiver: arrived out of order
-	unacked  map[int64]*packet // sender: transmitted, not acknowledged
+	held     map[int64]*packet // receiver: arrived out of order; made on first use
+
+	// Sender: packets transmitted and not yet settled, in seq order from
+	// unacked[head]; live counts them. Settled packets stay in place (nil'd
+	// once they fall off the front) until the ones before them settle too,
+	// so failover and credit return walk the slice in sequence order.
+	unacked []*packet
+	head    int
+	live    int
 }
+
+// newPacket numbers pkt as the stream's next and lists it as
+// unacknowledged. The list's array is reused: a settled prefix is closed
+// up before the array would grow.
+func (st *stream) newPacket(pkt *packet) *packet {
+	pkt.st, pkt.seq = st, st.nextSeq
+	st.nextSeq++
+	if st.head > 0 && len(st.unacked) == cap(st.unacked) {
+		n := copy(st.unacked, st.unacked[st.head:])
+		clear(st.unacked[n:])
+		st.unacked, st.head = st.unacked[:n], 0
+	}
+	st.unacked = append(st.unacked, pkt)
+	st.live++
+	return pkt
+}
+
+// settle accounts for one listed packet having just been acked or
+// abandoned, and trims the settled prefix of the list.
+func (st *stream) settle() {
+	if st.live--; st.live == 0 {
+		clear(st.unacked)
+		st.unacked, st.head = st.unacked[:0], 0
+		return
+	}
+	for st.unacked[st.head].settled() {
+		st.unacked[st.head] = nil
+		st.head++
+	}
+}
+
+// pending returns the unsettled packets in sequence order. The slice is a
+// view: settling a packet while walking it may nil entries, never move
+// them.
+func (st *stream) pending() []*packet { return st.unacked[st.head:] }
 
 // reliability is the world's reliable-transport state.
 type reliability struct {
@@ -118,6 +204,20 @@ type reliability struct {
 	order       []*stream // creation order, for deterministic failover
 	rtoBase     sim.Duration
 	maxAttempts int
+
+	// timerTail is the last packet of the timer chain (see the package
+	// comment and armTimer); nil when no chained timer is pending. The
+	// chain's head is the one whose pktTimeout event is in the engine.
+	timerTail *packet
+	timers    timerCensus
+}
+
+// timerCensus counts what became of the retransmission timers: every armed
+// timer either fired (noop of them only to find the packet settled), was
+// dropped from the chain unscheduled, or was still pending when the world
+// ended.
+type timerCensus struct {
+	armed, fired, noop, dropped int64
 }
 
 func newReliability(w *World) *reliability {
@@ -132,27 +232,44 @@ func newReliability(w *World) *reliability {
 func (rel *reliability) stream(key streamKey) *stream {
 	st, ok := rel.streams[key]
 	if !ok {
-		st = &stream{key: key, held: map[int64]*packet{}, unacked: map[int64]*packet{}}
+		st = &stream{rel: rel, key: key}
 		rel.streams[key] = st
 		rel.order = append(rel.order, st)
 	}
 	return st
 }
 
+// relStream returns the stream from this handle to comm rank target. The
+// map is consulted once per (handle, target); after that the window's
+// table answers.
+func (w *Win) relStream(rel *reliability, target int) *stream {
+	g := w.g
+	if g.streams == nil {
+		g.streams = make([][]*stream, len(g.comm.ranks))
+	}
+	row := g.streams[w.me]
+	if row == nil {
+		row = make([]*stream, len(g.comm.ranks))
+		g.streams[w.me] = row
+	}
+	st := row[target]
+	if st == nil {
+		st = rel.stream(streamKey{win: g, origin: w.r.id, target: g.comm.ranks[target]})
+		row[target] = st
+	}
+	return st
+}
+
 // --- Send side --------------------------------------------------------
 
-// sendOp puts an RMA op on its stream. arrival is the FIFO-adjusted
+// sendOp puts an RMA op on its stream st. arrival is the FIFO-adjusted
 // arrival time Win.send computed — the first transmission lands exactly
 // when the fault-free runtime would deliver it.
-func (rel *reliability) sendOp(op *rmaOp, arrival sim.Time) {
-	g := op.win
-	key := streamKey{win: g, origin: g.comm.ranks[op.origin], target: g.comm.ranks[op.target]}
-	st := rel.stream(key)
-	pkt := &packet{st: st, seq: st.nextSeq, op: op}
-	st.nextSeq++
-	st.unacked[pkt.seq] = pkt
-	op.extra().relPkt = pkt
-	if rel.w.HealthFailed(key.target) && !rel.w.ranks[key.target].down {
+func (rel *reliability) sendOp(op *rmaOp, st *stream, arrival sim.Time) {
+	pkt := op.ext.relPkt // allocated with the op, see Rank.getOp
+	pkt.op = op
+	st.newPacket(pkt)
+	if rel.w.HealthFailed(st.key.target) && !rel.w.ranks[st.key.target].down {
 		// The target was already confirmed dead when this op issued —
 		// the origin's goroutine ran ahead of the detection sweep in
 		// virtual time, so its routing predates the failure verdict.
@@ -169,10 +286,7 @@ func (rel *reliability) sendOp(op *rmaOp, arrival sim.Time) {
 // sendMsg puts a point-to-point message on its stream.
 func (rel *reliability) sendMsg(r *Rank, destWorld int, msg *inMsg, arrival sim.Time) {
 	st := rel.stream(streamKey{origin: r.id, target: destWorld})
-	pkt := &packet{st: st, seq: st.nextSeq, msg: msg}
-	st.nextSeq++
-	st.unacked[pkt.seq] = pkt
-	rel.transmit(pkt, arrival, true)
+	rel.transmit(st.newPacket(&packet{msg: msg}), arrival, true)
 }
 
 // transmit puts one packet on the wire, consulting the injector, and
@@ -195,28 +309,68 @@ func (rel *reliability) transmit(pkt *packet, arrival sim.Time, first bool) {
 	} else {
 		at := arrival.Add(dec.Extra)
 		if first && dec.Extra == 0 {
-			eng.At(at, func() { rel.receive(pkt) })
+			eng.AtRun(at, (*pktRecv)(pkt))
 		} else {
-			eng.AtBG(at, func() { rel.receive(pkt) })
+			eng.AtBGRun(at, (*pktRecv)(pkt))
 		}
 		if dec.Dup {
-			eng.AtBG(at.Add(1), func() { rel.receive(pkt) })
+			eng.AtBGRun(at.Add(1), (*pktRecv)(pkt))
 		}
 	}
 	rel.armTimer(pkt)
 }
 
+// armTimer starts the packet's retransmission timer. A first-attempt
+// timer joins the timer chain under the event seq an eager schedule would
+// give it here; a back-off timer, and every timer of a world with the
+// fast paths off, is its own engine event.
 func (rel *reliability) armTimer(pkt *packet) {
 	shift := pkt.attempts - 1
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	rel.w.eng.AfterBG(rel.rtoBase<<uint(shift), func() { rel.timeout(pkt) })
+	eng := rel.w.eng
+	rel.timers.armed++
+	if shift > 0 || eng.FastPathsDisabled() {
+		eng.AfterBGRun(rel.rtoBase<<uint(shift), (*pktTimeout)(pkt))
+		return
+	}
+	pkt.tAt, pkt.tSeq, pkt.chained = eng.Now().Add(rel.rtoBase), eng.ReserveSeq(), true
+	if tail := rel.timerTail; tail != nil {
+		tail.tNext = pkt
+		rel.timerTail = pkt
+		return
+	}
+	rel.timerTail = pkt
+	eng.AtBGRunReserved(pkt.tAt, pkt.tSeq, (*pktTimeout)(pkt))
+}
+
+// timerFired runs as a packet's timer event pops. The chain's head first
+// hands the engine event to its successor: the next chained timer whose
+// packet is not settled yet (one settled by now would pop as a no-op, so it
+// is never scheduled).
+func (rel *reliability) timerFired(pkt *packet) {
+	if pkt.chained {
+		next := pkt.tNext
+		pkt.tNext, pkt.chained = nil, false
+		for next != nil && next.settled() {
+			rel.timers.dropped++
+			next, next.tNext, next.chained = next.tNext, nil, false
+		}
+		if next != nil {
+			rel.w.eng.AtBGRunReserved(next.tAt, next.tSeq, (*pktTimeout)(next))
+		} else {
+			rel.timerTail = nil
+		}
+	}
+	rel.timers.fired++
+	rel.timeout(pkt)
 }
 
 // timeout decides what to do about a still-unacknowledged packet.
 func (rel *reliability) timeout(pkt *packet) {
-	if pkt.acked || pkt.abandoned {
+	if pkt.settled() {
+		rel.timers.noop++
 		return
 	}
 	w := rel.w
@@ -243,7 +397,7 @@ func (rel *reliability) timeout(pkt *packet) {
 		rel.armTimer(pkt)
 	case pkt.dataLost || pkt.ackLost:
 		origin.stats.RetryTimeouts++
-		if pkt.attempts >= rel.maxAttempts {
+		if int(pkt.attempts) >= rel.maxAttempts {
 			rel.abandon(pkt, ErrMessageLost,
 				fmt.Sprintf("message to rank %d lost after %d attempts", st.key.target, pkt.attempts))
 			return
@@ -295,6 +449,9 @@ func (rel *reliability) receive(pkt *packet) {
 			// duplicate of a held packet
 			dst.stats.DupsSuppressed++
 			return
+		}
+		if st.held == nil {
+			st.held = map[int64]*packet{}
 		}
 		st.held[pkt.seq] = pkt
 		return
@@ -378,12 +535,12 @@ func (rel *reliability) sendAck(pkt *packet, wire sim.Duration, first bool) {
 	}
 	eng := rel.w.eng
 	if first && dec.Extra == 0 {
-		eng.After(wire, func() { rel.deliverAck(pkt) })
+		eng.AfterRun(wire, (*pktAck)(pkt))
 	} else {
-		eng.AfterBG(wire+dec.Extra, func() { rel.deliverAck(pkt) })
+		eng.AfterBGRun(wire+dec.Extra, (*pktAck)(pkt))
 	}
 	if dec.Dup {
-		eng.AfterBG(wire+dec.Extra+1, func() { rel.deliverAck(pkt) })
+		eng.AfterBGRun(wire+dec.Extra+1, (*pktAck)(pkt))
 	}
 }
 
@@ -396,20 +553,20 @@ func (rel *reliability) sendP2PAck(pkt *packet) {
 		return
 	}
 	wire := rel.ackWire(pkt)
-	rel.w.eng.AfterBG(wire+dec.Extra, func() { rel.deliverAck(pkt) })
+	rel.w.eng.AfterBGRun(wire+dec.Extra, (*pktAck)(pkt))
 	if dec.Dup {
-		rel.w.eng.AfterBG(wire+dec.Extra+1, func() { rel.deliverAck(pkt) })
+		rel.w.eng.AfterBGRun(wire+dec.Extra+1, (*pktAck)(pkt))
 	}
 }
 
 // deliverAck lands an ack at the origin: completes the op's
 // origin-side bookkeeping exactly once (duplicate acks are no-ops).
 func (rel *reliability) deliverAck(pkt *packet) {
-	if pkt.acked || pkt.abandoned {
+	if pkt.settled() {
 		return
 	}
 	pkt.acked = true
-	delete(pkt.st.unacked, pkt.seq)
+	pkt.st.settle()
 	if op := pkt.op; op != nil {
 		op.ch.pending.Done()
 		op.reqDone()
@@ -446,16 +603,14 @@ func (rel *reliability) onDeath(worldRank int) {
 // it a second time.
 func (rel *reliability) returnCredits(worldRank int) {
 	for _, st := range rel.order {
-		if st.key.target != worldRank || len(st.unacked) == 0 {
+		if st.key.target != worldRank {
 			continue
 		}
-		seqs := make([]int64, 0, len(st.unacked))
-		for s := range st.unacked {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs {
-			if op := st.unacked[s].op; op != nil && op.ext.credit != nil {
+		for _, pkt := range st.pending() {
+			if pkt.settled() {
+				continue
+			}
+			if op := pkt.op; op != nil && op.ext.credit != nil {
 				op.ext.credit.release()
 				op.ext.credit = nil
 			}
@@ -463,17 +618,12 @@ func (rel *reliability) returnCredits(worldRank int) {
 	}
 }
 
+// failoverStream fails over the stream's unsettled packets in sequence
+// order. Each one settles as it goes (rerouted onto another stream,
+// completed or abandoned), which trims the list under the walk.
 func (rel *reliability) failoverStream(st *stream) {
-	if len(st.unacked) == 0 {
-		return
-	}
-	seqs := make([]int64, 0, len(st.unacked))
-	for s := range st.unacked {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		if pkt, ok := st.unacked[s]; ok {
+	for _, pkt := range st.pending() {
+		if pkt != nil {
 			rel.failoverPacket(pkt)
 		}
 	}
@@ -481,7 +631,7 @@ func (rel *reliability) failoverStream(st *stream) {
 
 // failoverPacket recovers one unacknowledged packet whose target died.
 func (rel *reliability) failoverPacket(pkt *packet) {
-	if pkt.acked || pkt.abandoned {
+	if pkt.settled() {
 		return
 	}
 	w := rel.w
@@ -489,7 +639,7 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 		// P2p to a dead process is silently dropped (e.g. the shutdown
 		// fan-out Finalize sends to already-dead ghosts); never fatal.
 		pkt.abandoned = true
-		delete(pkt.st.unacked, pkt.seq)
+		pkt.st.settle()
 		w.p2pLost++
 		return
 	}
@@ -520,12 +670,10 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 			Peer: g.comm.ranks[newTarget], At: w.eng.Now()})
 	}
 	pkt.abandoned = true
-	delete(pkt.st.unacked, pkt.seq)
+	pkt.st.settle()
 	op.target = int32(newTarget)
 	ns := rel.stream(streamKey{win: g, origin: pkt.st.key.origin, target: g.comm.ranks[newTarget]})
-	npkt := &packet{st: ns, seq: ns.nextSeq, op: op}
-	ns.nextSeq++
-	ns.unacked[npkt.seq] = npkt
+	npkt := ns.newPacket(&packet{op: op})
 	op.ext.relPkt = npkt
 	wire := origin.transferTo(ns.key.target, op.wireOutBytes())
 	rel.transmit(npkt, w.eng.Now().Add(wire), false)
@@ -536,7 +684,7 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 // (panic under ErrorsAreFatal, a typed *MPIError under ErrorsReturn).
 func (rel *reliability) abandon(pkt *packet, class ErrClass, msg string) {
 	pkt.abandoned = true
-	delete(pkt.st.unacked, pkt.seq)
+	pkt.st.settle()
 	origin := rel.w.ranks[pkt.st.key.origin]
 	origin.stats.Abandoned++
 	if t := rel.w.tracer; t.Enabled() {

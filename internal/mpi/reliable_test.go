@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,5 +336,140 @@ func TestStragglerSlowsCompute(t *testing.T) {
 	}
 	if t1 != sim.Time(400*sim.Microsecond) {
 		t.Fatalf("straggler time %v, want 4x slowdown", t1)
+	}
+}
+
+// TestUnackedOrderSurvivesFailover: a stream's unacknowledged packets are
+// kept in sequence order with no index beside them, so acknowledging from
+// the middle leaves holes. Credit return and failover must walk what is
+// left in sequence order — same-origin accumulate ordering rides on it —
+// skip the holes, and leave the list empty.
+func TestUnackedOrderSurvivesFailover(t *testing.T) {
+	cfg := testConfig(3, 3)
+	cfg.Errors = ErrorsReturn
+	cfg.Fault = &fault.Plan{Seed: 3}
+	cfg.Flow = &FlowConfig{Credits: 16}
+	var rerouted []int
+	mustRun(t, cfg, func(r *Rank) {
+		c := r.CommWorld()
+		window, buf := r.WinAllocate(c, 8*8, nil)
+		win := window.(*Win)
+		c.Barrier()
+		switch r.Rank() {
+		case 1:
+			r.Compute(sim.Microseconds(10000)) // parked when it is killed
+			return
+		case 2:
+			c.Barrier()
+			if got, want := GetFloat64s(buf), []float64{0, 2, 0, 0, 5, 0, 7, 8}; !reflect.DeepEqual(got, want) {
+				t.Errorf("replacement target holds %v, want %v", got, want)
+			}
+			return
+		}
+		win.SetReroute(func(origin, old, disp int) (int, bool) {
+			rerouted = append(rerouted, disp/8)
+			return 2, true
+		})
+		win.LockAll(AssertNone)
+		for i := 0; i < 8; i++ {
+			win.Accumulate(PutFloat64s([]float64{float64(i + 1)}), 1, i*8, Scalar(Float64), OpSum)
+		}
+		rel, st := r.w.rel, win.relStream(r.w.rel, 1)
+		pkts := append([]*packet(nil), st.pending()...)
+		if len(pkts) != 8 || st.live != 8 {
+			t.Fatalf("%d packets pending, %d live, want 8 and 8", len(pkts), st.live)
+		}
+		for i, pkt := range pkts {
+			if pkt.seq != int64(i) || pkt.op.disp != i*8 {
+				t.Fatalf("pending[%d] is seq %d, disp %d", i, pkt.seq, pkt.op.disp)
+			}
+		}
+		credits := pkts[0].op.ext.credit
+		// The target dies with everything in flight; acks for 2, 3, 5 and
+		// then 0 had already made it back.
+		r.w.killRank(1)
+		for _, i := range []int{2, 3, 5} {
+			rel.deliverAck(pkts[i])
+		}
+		if st.live != 5 || st.head != 0 || len(st.pending()) != 8 {
+			t.Fatalf("after acking the middle: live %d, head %d, %d listed", st.live, st.head, len(st.pending()))
+		}
+		rel.deliverAck(pkts[0])
+		if st.live != 4 || st.head != 1 || st.pending()[0] != pkts[1] {
+			t.Fatalf("after acking the head: live %d, head %d", st.live, st.head)
+		}
+		if credits.available != 16-4 {
+			t.Fatalf("%d credits available with 4 ops in flight", credits.available)
+		}
+		rel.returnCredits(1)
+		rel.returnCredits(1) // each credit goes back once
+		if credits.available != 16 {
+			t.Fatalf("%d credits available after the eager return, want 16", credits.available)
+		}
+		for _, i := range []int{1, 4, 6, 7} {
+			if pkts[i].op.ext.credit != nil {
+				t.Fatalf("op %d still holds its credit", i)
+			}
+		}
+		rel.failoverStream(st)
+		if want := []int{1, 4, 6, 7}; !reflect.DeepEqual(rerouted, want) {
+			t.Fatalf("failed over in order %v, want %v", rerouted, want)
+		}
+		if st.live != 0 || len(st.unacked) != 0 || st.head != 0 {
+			t.Fatalf("failed-over stream still lists %d packets (live %d, head %d)", len(st.unacked), st.live, st.head)
+		}
+		for i, pkt := range win.relStream(rel, 2).pending() {
+			if want := []int{1, 4, 6, 7}[i]; pkt.seq != int64(i) || pkt.op.disp != want*8 {
+				t.Fatalf("replacement stream seq %d carries disp %d, want %d", pkt.seq, pkt.op.disp, want*8)
+			}
+		}
+		win.UnlockAll()
+		c.Barrier()
+	})
+}
+
+// TestUnackedListReusesItsArray: a stream that keeps a few packets in
+// flight forever must not grow its list with the packets it has sent.
+func TestUnackedListReusesItsArray(t *testing.T) {
+	st := &stream{}
+	var inflight []*packet
+	for i := 0; i < 10_000; i++ {
+		inflight = append(inflight, st.newPacket(&packet{}))
+		if len(inflight) == 5 { // settle the second-oldest, then the oldest
+			for _, k := range []int{1, 0} {
+				inflight[k].acked = true
+				st.settle()
+			}
+			inflight = append(inflight[:0], inflight[2:]...)
+		}
+		if st.live != len(inflight) || st.pending()[0] != inflight[0] {
+			t.Fatalf("packet %d: live %d, want %d; head of list is not the oldest in flight", i, st.live, len(inflight))
+		}
+	}
+	if cap(st.unacked) > 16 {
+		t.Fatalf("list capacity grew to %d for 5 packets in flight", cap(st.unacked))
+	}
+}
+
+// TestTimerChainQuiescesWithWorld: the chained timers are background
+// housekeeping like the eager ones were. When the last process finishes
+// the chain's resident event is discarded unrun, nothing behind it is ever
+// promoted, and the run ends at the instant the fault-free world ends —
+// with timers still pending, or the test shows nothing.
+func TestTimerChainQuiescesWithWorld(t *testing.T) {
+	base := mustRun(t, faultWorkloadConfig(nil), reliabilityWorkload)
+	w := mustRun(t, faultWorkloadConfig(&fault.Plan{Seed: 7}), reliabilityWorkload)
+	if got, want := w.Engine().Now(), base.Engine().Now(); got != want {
+		t.Fatalf("fault-plan world ended at %v, fault-free at %v", got, want)
+	}
+	c := w.rel.timers
+	if pending := c.armed - c.fired - c.dropped; pending <= 0 || w.rel.timerTail == nil {
+		t.Fatalf("census %+v: no timer was pending when the world ended", c)
+	}
+	if c.fired-c.noop != 0 {
+		t.Fatalf("census %+v: a timer acted under a zero-rate plan", c)
+	}
+	if s := w.Engine().SchedulerState(); s.Depth != 0 {
+		t.Fatalf("%d events resident after the run: %v", s.Depth, s)
 	}
 }

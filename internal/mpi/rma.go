@@ -426,7 +426,7 @@ func (w *Win) send(op *rmaOp) {
 	}
 	ts.lastArrival = arrival
 	if rel := r.w.rel; rel != nil {
-		rel.sendOp(op, arrival)
+		rel.sendOp(op, w.relStream(rel, int(op.target)), arrival)
 		return
 	}
 	// The op is its own arrival event (see Step), so putting it on the

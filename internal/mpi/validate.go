@@ -32,15 +32,44 @@ type Validator struct {
 }
 
 // applyRing holds a segment's last ringSize applies: it grows to that size
-// and is circular from then on. Nearly every apply overlaps none of them, so
-// the byte ranges the scan reads sit in an array of their own.
+// and is circular from then on. Nearly every apply conflicts with none of
+// them, so what the scan reads to find that out — byte range and end time —
+// sits in an array of its own.
+//
+// Applies are recorded as they complete, on one engine, so ring order is
+// end-time order to within the one tick an instantaneous apply is widened
+// by: an entry never ends more than a tick after a later one. The entries
+// that can overlap a new apply in time are therefore a suffix of the ring,
+// and two of the three checks need a time overlap. The third — same-origin
+// ordering — needs an earlier entry of the same origin with a higher seq,
+// which maxSeq rules out for all but an origin whose seq steps back (it
+// does whenever two servers apply one origin's operations out of issue
+// order, on different bytes). Both shortcuts are checked, not assumed:
+// fullFor forces the whole-ring scan while the ring holds an entry recorded
+// out of end-time order.
 type applyRing struct {
-	spans []byteSpan // spans[i] is recs[i]'s [lo, hi)
-	recs  []applyRec
-	next  int // once full: the oldest record, which the next apply replaces
+	spans   []byteSpan // spans[i] is recs[i]'s [lo, hi) and end time
+	recs    []applyRec
+	next    int           // once full: the oldest record, which the next apply replaces
+	maxSeq  map[int]int64 // by origin world rank: highest seq recorded so far
+	maxEnd  sim.Time      // latest end time recorded
+	fullFor int           // applies still to be scanned against the whole ring
 }
 
-type byteSpan struct{ lo, hi int }
+// seqSteppedBack records origin's seq and reports whether the origin has
+// recorded a higher one on this ring before.
+func (ring *applyRing) seqSteppedBack(origin int, seq int64) bool {
+	if top, ok := ring.maxSeq[origin]; ok && seq < top {
+		return true
+	}
+	ring.maxSeq[origin] = seq
+	return false
+}
+
+type byteSpan struct {
+	lo, hi int
+	end    sim.Time
+}
 
 type applyRec struct {
 	lo, hi     int // absolute byte range in the segment, [lo, hi)
@@ -90,24 +119,59 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	}
 	ring := v.recent[reg.seg.id]
 	if ring == nil {
-		ring = &applyRing{}
+		ring = &applyRing{maxSeq: map[int]int64{}}
 		v.recent[reg.seg.id] = ring
 	}
-	// Oldest first — [next, len) then [0, next) — so that violations are
-	// reported in the order the applies ran.
-	for _, part := range [2][2]int{{ring.next, len(ring.spans)}, {0, ring.next}} {
-		for i := part[0]; i < part[1]; i++ {
-			if sp := ring.spans[i]; sp.lo < rec.hi && rec.lo < sp.hi {
-				v.check(&ring.recs[i], &rec)
+	// The entries to check are the last `scan` of the ring: all of it when
+	// the ordering check could fire or the end times are out of order, else
+	// those that end late enough to overlap rec in time.
+	n := len(ring.spans)
+	scan := n
+	full := ring.seqSteppedBack(rec.origin, rec.seq)
+	if ring.fullFor > 0 {
+		ring.fullFor--
+		full = true
+	}
+	if !full {
+		scan = 0
+		for i := ring.next - 1; scan < n; i-- {
+			if i < 0 {
+				i = n - 1
 			}
+			if ring.spans[i].end+1 <= rec.start {
+				break
+			}
+			scan++
 		}
 	}
-	if len(ring.recs) < v.ringSize {
-		ring.spans = append(ring.spans, byteSpan{rec.lo, rec.hi})
+	// Oldest first, so that violations are reported in the order the
+	// applies ran: the ring reads [next, n) then [0, next).
+	i := ring.next - scan
+	if i < 0 {
+		i += n
+	}
+	for ; scan > 0; scan-- {
+		if sp := ring.spans[i]; sp.lo < rec.hi && rec.lo < sp.hi {
+			v.check(&ring.recs[i], &rec)
+		}
+		if i++; i == n {
+			i = 0
+		}
+	}
+	if rec.end+1 < ring.maxEnd {
+		// Recorded out of end-time order (no engine-driven apply is): until
+		// this entry leaves the ring, a suffix is not enough.
+		ring.fullFor = v.ringSize
+	} else if rec.end > ring.maxEnd {
+		ring.maxEnd = rec.end
+	}
+	sp := byteSpan{rec.lo, rec.hi, rec.end}
+	if n < v.ringSize {
+		ring.spans = append(ring.spans, sp)
 		ring.recs = append(ring.recs, rec)
 		return
 	}
-	ring.spans[ring.next] = byteSpan{rec.lo, rec.hi}
+	ring.spans[ring.next] = sp
 	ring.recs[ring.next] = rec
 	if ring.next++; ring.next == v.ringSize {
 		ring.next = 0

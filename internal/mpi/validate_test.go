@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,6 +161,236 @@ func TestValidatorRingIsTheLastApplies(t *testing.T) {
 	if len(got) != 2 || !strings.Contains(got[0], "seq 5 applied after seq 30") ||
 		!strings.Contains(got[1], "seq 5 applied after seq 50") {
 		t.Fatalf("violations %q, want ordering against seq 30 then seq 50", got)
+	}
+}
+
+// fullScanValidator is the validator as it stood before the suffix scan:
+// every apply is compared with every entry of its segment's ring, oldest
+// first. Its recordApply is that loop, verbatim; it is the oracle the scan
+// that reads only what can conflict is held against.
+type fullScanValidator struct {
+	Validator // check, addViolation and the violation list
+	rings     map[int]*fullScanRing
+}
+
+type fullScanRing struct {
+	spans [][2]int // spans[i] is recs[i]'s [lo, hi)
+	recs  []applyRec
+	next  int
+}
+
+func newFullScanValidator(ringSize int) *fullScanValidator {
+	return &fullScanValidator{Validator: Validator{ringSize: ringSize}, rings: map[int]*fullScanRing{}}
+}
+
+func (v *fullScanValidator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
+	lo := reg.off + disp
+	rec := applyRec{
+		lo:     lo,
+		hi:     lo + o.dt.Extent(),
+		start:  o.ext.svcStart,
+		end:    o.link.At,
+		owner:  ownerWorld,
+		origin: o.win.comm.ranks[o.origin],
+		seq:    o.ext.seq,
+		kind:   o.kind,
+		excl:   o.excl,
+	}
+	if rec.end == rec.start {
+		rec.end++ // give instantaneous applies a non-empty interval
+	}
+	ring := v.rings[reg.seg.id]
+	if ring == nil {
+		ring = &fullScanRing{}
+		v.rings[reg.seg.id] = ring
+	}
+	// Oldest first — [next, len) then [0, next) — so that violations are
+	// reported in the order the applies ran.
+	for _, part := range [2][2]int{{ring.next, len(ring.spans)}, {0, ring.next}} {
+		for i := part[0]; i < part[1]; i++ {
+			if sp := ring.spans[i]; sp[0] < rec.hi && rec.lo < sp[1] {
+				v.check(&ring.recs[i], &rec)
+			}
+		}
+	}
+	if len(ring.recs) < v.ringSize {
+		ring.spans = append(ring.spans, [2]int{rec.lo, rec.hi})
+		ring.recs = append(ring.recs, rec)
+		return
+	}
+	ring.spans[ring.next] = [2]int{rec.lo, rec.hi}
+	ring.recs[ring.next] = rec
+	if ring.next++; ring.next == v.ringSize {
+		ring.next = 0
+	}
+}
+
+// applyStream generates the applies of one simulated engine: the clock
+// never steps back, a software apply ends now and started up to maxDur
+// earlier, a hardware apply is instantaneous. Two windows expose each of
+// two segments (Casper's overlapping windows), so one origin reaches the
+// same bytes under two seq counters; several servers service them.
+type applyStream struct {
+	rng      *rand.Rand
+	wins     []*winGlobal // wins[2*s], wins[2*s+1] expose segment s
+	regs     []Region
+	seq      map[[2]int]int64 // (window, origin) -> last seq issued
+	now      int64
+	maxDur   int64 // longest service interval
+	maxGap   int64 // longest idle time between applies; 0 gaps are common
+	stepBack int   // one apply in stepBack reuses an older seq (0 = never)
+	timeBack int   // one apply in timeBack is recorded with a stale end time
+}
+
+func newApplyStream(seed int64) *applyStream {
+	s := &applyStream{rng: rand.New(rand.NewSource(seed)), seq: map[[2]int]int64{}}
+	for id := 1; id <= 2; id++ {
+		seg := &segment{id: id, data: make([]byte, 256)}
+		// The second window of a segment exposes it from byte 64 on, to a
+		// communicator that numbers the ranks the other way round.
+		for k, g := range []*winGlobal{
+			{comm: &commGlobal{ranks: []int{0, 1, 2, 3}}},
+			{comm: &commGlobal{ranks: []int{3, 2, 1, 0}}},
+		} {
+			g.w = &World{}
+			s.wins = append(s.wins, g)
+			s.regs = append(s.regs, Region{seg: seg, off: 64 * k, n: 256 - 64*k})
+		}
+	}
+	return s
+}
+
+// next returns the next apply: the op, the region and displacement it
+// lands on, and the servicing rank.
+func (s *applyStream) next() (*rmaOp, Region, int, int) {
+	rng := s.rng
+	if rng.Intn(3) > 0 {
+		s.now += rng.Int63n(s.maxGap + 1)
+	}
+	wi := rng.Intn(len(s.wins))
+	origin := rng.Intn(4)
+	key := [2]int{wi, origin}
+	s.seq[key]++
+	seq := s.seq[key]
+	if s.stepBack > 0 && rng.Intn(s.stepBack) == 0 {
+		seq -= 1 + rng.Int63n(40)
+	}
+	dt := Scalar(Float64)
+	if rng.Intn(4) == 0 {
+		dt = TypeOf(Float64, 1+rng.Intn(6))
+	}
+	kinds := []OpKind{KindAcc, KindAcc, KindAcc, KindGetAcc, KindFetchOp, KindCAS, KindPut, KindGet}
+	op := &rmaOp{
+		win: s.wins[wi], kind: kinds[rng.Intn(len(kinds))], origin: int32(origin), target: 1,
+		disp: 8 * rng.Intn(12), dt: dt, excl: rng.Intn(8) == 0,
+		link: sim.Link{At: sim.Time(s.now)},
+		ext:  &opExt{seq: seq, svcStart: sim.Time(s.now)},
+	}
+	owner := -1 // hardware: instantaneous, no servicing rank
+	if rng.Intn(5) > 0 {
+		owner = 4 + rng.Intn(3)
+		op.ext.svcStart = sim.Time(s.now - 1 - rng.Int63n(s.maxDur))
+	}
+	if s.timeBack > 0 && rng.Intn(s.timeBack) == 0 {
+		back := sim.Time(2 + rng.Int63n(4*s.maxDur))
+		op.link.At -= back
+		op.ext.svcStart -= back
+	}
+	op.owner = int32(owner)
+	return op, s.regs[wi], op.disp, owner
+}
+
+// TestValidatorScanMatchesFullRing drives the validator and the full-ring
+// oracle with the same seeded apply streams and demands the same violation
+// strings in the same order after every apply: dense and sparse timelines
+// (overlapping and disjoint service intervals), equal-instant and
+// instantaneous applies, several servers, an origin's seq stepping back, two
+// windows over one segment, rings small enough to wrap hundreds of times and
+// the production size wrapping a few, and end times recorded out of order,
+// which must fall back to the full scan.
+func TestValidatorScanMatchesFullRing(t *testing.T) {
+	for _, tc := range []struct {
+		name                                          string
+		ring, applies                                 int
+		maxDur, maxGap                                int64
+		stepBack, timeBack, minViolations, minPerKind int
+	}{
+		{name: "dense", ring: 512, applies: 3000, maxDur: 40, maxGap: 3, minViolations: 1000, minPerKind: 1},
+		{name: "sparse", ring: 512, applies: 3000, maxDur: 6, maxGap: 30, minViolations: 1},
+		{name: "instants", ring: 64, applies: 2000, maxDur: 1, maxGap: 1, minViolations: 100},
+		{name: "seq-steps-back", ring: 32, applies: 3000, maxDur: 10, maxGap: 8, stepBack: 6, minViolations: 100, minPerKind: 1},
+		{name: "small-ring", ring: 8, applies: 4000, maxDur: 20, maxGap: 5, stepBack: 50, minViolations: 100},
+		{name: "time-steps-back", ring: 16, applies: 4000, maxDur: 12, maxGap: 6, stepBack: 30, timeBack: 40, minViolations: 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				s := newApplyStream(seed)
+				s.maxDur, s.maxGap, s.stepBack, s.timeBack = tc.maxDur, tc.maxGap, tc.stepBack, tc.timeBack
+				v, oracle := newValidator(), newFullScanValidator(tc.ring)
+				v.ringSize = tc.ring
+				for i := 0; i < tc.applies; i++ {
+					op, reg, disp, owner := s.next()
+					v.recordApply(op, reg, disp, owner)
+					oracle.recordApply(op, reg, disp, owner)
+					got, want := v.Violations(), oracle.Violations()
+					if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+						t.Fatalf("seed %d, apply %d: %d violations, the full scan has %d\nlast: %q\nwant: %q",
+							seed, i, len(got), len(want), last(got), last(want))
+					}
+				}
+				got, want := v.Violations(), oracle.Violations()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: violation lists differ", seed)
+				}
+				if len(got) < tc.minViolations {
+					t.Fatalf("seed %d: only %d violations; the stream tests too little", seed, len(got))
+				}
+				for _, kind := range []string{"atomicity", "ordering", "exclusivity"} {
+					n := 0
+					for _, s := range got {
+						if strings.HasPrefix(s, kind) {
+							n++
+						}
+					}
+					if n < tc.minPerKind {
+						t.Fatalf("seed %d: %d %s violations, want at least %d", seed, n, kind, tc.minPerKind)
+					}
+				}
+			}
+		})
+	}
+}
+
+func last(s []string) string {
+	if len(s) == 0 {
+		return ""
+	}
+	return s[len(s)-1]
+}
+
+// TestValidatorSteadyStateApplyAllocatesNothing: with the ring full and no
+// violation to format, recording an apply touches only the ring.
+func TestValidatorSteadyStateApplyAllocatesNothing(t *testing.T) {
+	v := newValidator()
+	g, reg := fakeWin(v)
+	op := &rmaOp{
+		win: g, kind: KindAcc, origin: 0, target: 1, dt: Scalar(Float64), owner: 5,
+		ext: &opExt{},
+	}
+	apply := func() {
+		op.ext.seq++
+		op.ext.svcStart = op.link.At
+		op.link.At += 10
+		v.recordApply(op, reg, int(op.ext.seq%8)*8, 5)
+	}
+	for i := 0; i < 2*v.ringSize; i++ {
+		apply()
+	}
+	if n := testing.AllocsPerRun(1000, apply); n != 0 {
+		t.Fatalf("%v allocations per apply", n)
+	}
+	if !v.Ok() {
+		t.Fatalf("violations: %v", v.Violations())
 	}
 }
 

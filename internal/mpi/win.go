@@ -50,6 +50,12 @@ type winGlobal struct {
 	onOpDone func(origin, target, disp int)
 
 	handles []*Win // every rank's handle, for diagnostics
+
+	// streams caches the reliable-transport stream of each (origin, target)
+	// pair of comm ranks (fault plans only, filled on first use; see
+	// relStream). It sits here, not in the handle, because a wide world
+	// has a handle per rank per window and most never issue.
+	streams [][]*stream
 }
 
 type pscwGlobal struct {

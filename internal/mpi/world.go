@@ -960,6 +960,16 @@ func (r *Rank) transferTo(dest, n int) sim.Duration {
 	return r.memo.TransferLoc(r.localityTo(dest), n)
 }
 
+// faultOp is what one RMA operation of a fault-plan world allocates. Every
+// op of such a world travels as a packet, so header, extension and the
+// op's first packet are one object, within the 320-byte size class
+// (TestRMAOpSize).
+type faultOp struct {
+	op  rmaOp
+	x   opExt
+	pkt packet
+}
+
 // getOp fetches a zeroed rmaOp, reusing a recycled header when one is
 // available. The freelist is per-rank: every op returns to its origin
 // (ackDelivered runs there), so recycling needs no locking even with
@@ -967,9 +977,15 @@ func (r *Rank) transferTo(dest, n int) sim.Duration {
 func (r *Rank) getOp() *rmaOp {
 	o := r.opFree
 	if o == nil {
-		if cfg := &r.w.cfg; cfg.Fault != nil || cfg.Flow != nil || cfg.Validate {
-			// Every op of such a world needs its extension (a packet, a
-			// credit, a validator record): one object for both.
+		cfg := &r.w.cfg
+		if cfg.Fault != nil {
+			all := &faultOp{}
+			all.op.ext, all.x.relPkt = &all.x, &all.pkt
+			return &all.op
+		}
+		if cfg.Flow != nil || cfg.Validate {
+			// Every op of such a world needs its extension (a credit, a
+			// validator record): one object for both.
 			both := &struct {
 				op rmaOp
 				x  opExt

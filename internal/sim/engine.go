@@ -604,6 +604,30 @@ func (e *Engine) AtBG(t Time, fn func()) {
 // AfterBG is AtBG relative to now.
 func (e *Engine) AfterBG(d Duration, fn func()) { e.AtBG(e.now.Add(d), fn) }
 
+// AtBGRun is AtBG for a Runner: background housekeeping whose state is an
+// object (a packet, a heartbeat) schedules the object, not a closure.
+func (e *Engine) AtBGRun(t Time, r Runner) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	e.seq++
+	e.schedule(event{at: t, seq: e.seq, run: r, kind: evRun, bg: true})
+}
+
+// AfterBGRun is AtBGRun relative to now.
+func (e *Engine) AfterBGRun(d Duration, r Runner) { e.AtBGRun(e.now.Add(d), r) }
+
+// AtBGRunReserved is AtRunReserved for a background event: the head of a
+// caller-kept FIFO of housekeeping deadlines (see ReserveSeq). Like every
+// background event it is discarded once no process is alive, and with it
+// whatever still waits behind it in the caller's FIFO.
+func (e *Engine) AtBGRunReserved(t Time, seq uint64, r Runner) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	e.events.push(event{at: t, seq: seq, run: r, kind: evRun, bg: true})
+}
+
 // SetWatchdog arms limits on total events executed and on virtual time
 // reached; Run fails with a *WatchdogError when either is exceeded.
 // Zero disables the corresponding limit. This turns a runaway loop

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -437,4 +438,64 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.MustRun()
+}
+
+// TestBackgroundRunners: AtBGRun, AfterBGRun and AtBGRunReserved are
+// background events that carry a Runner. They run in (time, seq) order
+// with everything else while a process is alive — a reserved seq sorts
+// where it was taken, not where it was scheduled — and are discarded,
+// without moving the clock, once the last process has finished. A FIFO
+// kept behind a reserved head (the retransmission timers of internal/mpi)
+// dies with the head: nothing promotes what was never run.
+func TestBackgroundRunners(t *testing.T) {
+	for _, fastOff := range []bool{false, true} {
+		e := New(1)
+		if fastOff {
+			e.DisableFastPaths()
+		}
+		var got []string
+		note := func(s string) Runner { return runnerFunc(func() { got = append(got, s) }) }
+		e.Spawn("p", func(p *Proc) {
+			first := e.ReserveSeq() // before "b", scheduled after it
+			e.AtBGRun(10, note("b"))
+			e.AtBGRunReserved(10, first, note("a"))
+			e.AfterBGRun(20, note("c"))
+			e.AtBGRunReserved(60, e.ReserveSeq(), runnerFunc(func() {
+				got = append(got, "late")
+				e.AtBGRunReserved(70, e.ReserveSeq(), note("promoted"))
+			}))
+			p.Advance(50)
+		})
+		e.MustRun()
+		if want := []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("fastOff=%v: ran %v, want %v", fastOff, got, want)
+		}
+		if e.Now() != 50 {
+			t.Fatalf("fastOff=%v: run ended at %v, want 50: a background event moved the clock", fastOff, e.Now())
+		}
+		if d := e.SchedulerState().Depth; d != 0 {
+			t.Fatalf("fastOff=%v: %d events left in the queue", fastOff, d)
+		}
+	}
+}
+
+// TestBackgroundRunnerInThePastPanics: the background entry points check
+// their times like the foreground ones.
+func TestBackgroundRunnerInThePastPanics(t *testing.T) {
+	for name, sched := range map[string]func(e *Engine){
+		"AtBGRun":         func(e *Engine) { e.AtBGRun(5, runnerFunc(func() {})) },
+		"AtBGRunReserved": func(e *Engine) { e.AtBGRunReserved(5, e.ReserveSeq(), runnerFunc(func() {})) },
+	} {
+		e := New(1)
+		var caught interface{}
+		e.Spawn("p", func(p *Proc) {
+			p.Advance(10)
+			defer func() { caught = recover() }()
+			sched(e)
+		})
+		e.MustRun()
+		if caught == nil {
+			t.Fatalf("%s accepted a time before now", name)
+		}
+	}
 }
