@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
-	"repro/internal/sim"
 )
 
 // Options tunes an experiment run.
@@ -40,7 +39,9 @@ type Options struct {
 	// the experiments that thread it through — currently the fig5
 	// scaling family and faultchaos (where fault plans fall back to the
 	// serial engine, making the option an honest no-op). Output is
-	// identical at any setting, including 0 (serial).
+	// identical to the serial engine's (0) at seed 42 and at the seeds
+	// benchmark/golden.json lists; it is known to differ at others —
+	// ROADMAP B.
 	Shards int
 }
 
@@ -190,24 +191,8 @@ func machineFor(n, ppn int) cluster.Machine {
 	return cluster.Machine{Nodes: nodes, CoresPerNode: coresPerNode, NUMAPerNode: numaPerNode}
 }
 
-// sched is the event scheduler every world built by this package uses.
-// The zero value is the ladder queue (the default everywhere); the
-// casperbench -sched flag flips it to the heap oracle for differential
-// runs. Experiment output is byte-identical either way — the flag
-// exists so that identity is checkable, not because the choice matters
-// to results.
-var sched sim.SchedulerKind
-
-// SetScheduler selects the event scheduler for all subsequently built
-// worlds. Call once at startup, before any experiment runs.
-func SetScheduler(k sim.SchedulerKind) { sched = k }
-
-// Scheduler returns the scheduler selected by SetScheduler.
-func Scheduler() sim.SchedulerKind { return sched }
-
 // worldConfig assembles an mpi.Config. It is the single assembly point
-// for every world the bench experiments build, so process-wide knobs
-// (the scheduler choice) apply here.
+// for every world the bench experiments build.
 func worldConfig(net *netmodel.Params, n, ppn int, prog mpi.ProgressMode,
 	oversub bool, seed int64) mpi.Config {
 	return mpi.Config{
@@ -217,7 +202,6 @@ func worldConfig(net *netmodel.Params, n, ppn int, prog mpi.ProgressMode,
 		Net:                  net,
 		Seed:                 seed,
 		Progress:             prog,
-		Sched:                sched,
 		ThreadOversubscribed: oversub,
 	}
 }

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The simulator's whole value rests on determinism: the same options
 // must reproduce the same virtual-time results bit for bit, or every
@@ -28,24 +31,30 @@ func TestStencilDeterministic(t *testing.T) {
 }
 
 // assertParallelIdentical runs an experiment serially and with 8 sweep
-// workers and requires bit-identical rendered output. This is the
-// parallel harness's contract: worker count may change scheduling of
-// whole sweep points across OS threads, but every point is its own
-// engine writing its own result slot, so the assembled output must not
-// depend on Parallel at all.
-func assertParallelIdentical(t *testing.T, id string) {
+// workers and requires bit-identical rendered output — tables, CSV and
+// the recovery lines casperbench prints on stderr. This is the parallel
+// harness's contract: worker count may change scheduling of whole sweep
+// points across OS threads, but every point is its own engine writing
+// its own result slot, so the assembled output must not depend on
+// Parallel at all.
+func assertParallelIdentical(t *testing.T, id string, seed int64) {
 	t.Helper()
-	serial := runExp(t, id, tiny())
-	par := tiny()
-	par.Parallel = 8
-	parallel := runExp(t, id, par)
+	o := tiny()
+	o.Seed = seed
+	serial := runExp(t, id, o)
+	o.Parallel = 8
+	parallel := runExp(t, id, o)
 	if serial.CSV() != parallel.CSV() {
-		t.Fatalf("%s: CSV differs between serial and parallel runs:\n--- serial\n%s\n--- parallel=8\n%s",
-			id, serial.CSV(), parallel.CSV())
+		t.Fatalf("%s seed %d: CSV differs between serial and parallel runs:\n--- serial\n%s\n--- parallel=8\n%s",
+			id, seed, serial.CSV(), parallel.CSV())
 	}
 	if serial.Table() != parallel.Table() {
-		t.Fatalf("%s: table differs between serial and parallel runs:\n--- serial\n%s\n--- parallel=8\n%s",
-			id, serial.Table(), parallel.Table())
+		t.Fatalf("%s seed %d: table differs between serial and parallel runs:\n--- serial\n%s\n--- parallel=8\n%s",
+			id, seed, serial.Table(), parallel.Table())
+	}
+	if !slices.Equal(serial.Recovery, parallel.Recovery) {
+		t.Fatalf("%s seed %d: recovery lines differ between serial and parallel runs:\n--- serial\n%q\n--- parallel=8\n%q",
+			id, seed, serial.Recovery, parallel.Recovery)
 	}
 }
 
@@ -59,14 +68,26 @@ func TestParallelSweepIdentical(t *testing.T) {
 	// itself must be bit-stable under any worker count. fig8a and fig8c
 	// are the sweeps whose worlds hand window memory to each other through
 	// mpi's process-wide free list (World.Close), the one piece of state
-	// concurrent sweep points share. fig7b keeps the deepest ghost backlogs
+	// concurrent sweep points share, so they run at seeds 1-8 besides
+	// (seed 42 only under -short). fig7b keeps the deepest ghost backlogs
 	// of any sweep: the row whose in-flight operations recycle the most
 	// headers through per-rank freelists.
-	for _, id := range []string{"fig5a", "overload", "faultrecover", "faultchaos", "fig8a", "fig8c", "fig7b"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	more := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	if testing.Short() {
+		more = nil
+	}
+	for _, c := range []struct {
+		id    string
+		seeds []int64
+	}{
+		{"fig5a", nil}, {"overload", nil}, {"faultrecover", nil}, {"faultchaos", nil},
+		{"fig8a", more}, {"fig8c", more}, {"fig7b", nil},
+	} {
+		t.Run(c.id, func(t *testing.T) {
 			t.Parallel()
-			assertParallelIdentical(t, id)
+			for _, seed := range append([]int64{tiny().Seed}, c.seeds...) {
+				assertParallelIdentical(t, c.id, seed)
+			}
 		})
 	}
 }

@@ -62,7 +62,7 @@ func allToAllWorkload(kind mpi.OpKind, jitter func() sim.Duration) func(env mpi.
 // runScaling measures the all-to-all workload for one approach at one
 // process count (ppn = 1 user process per node, as in the paper).
 // shards > 0 runs the simulation on the sharded engine (see
-// mpi.Config.Shards); the result is identical at any value.
+// mpi.Config.Shards).
 func runScaling(a approach, kind mpi.OpKind, procs int, seed int64, shards int) float64 {
 	// Rank bodies run on different shard engines concurrently; the
 	// reduction below is the only cross-rank state they touch.

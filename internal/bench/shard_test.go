@@ -18,7 +18,7 @@ import (
 	"repro/internal/stencil"
 )
 
-func shardCounts() []int { return []int{1, 2, 4} }
+func shardCounts() []int { return []int{1, 2, 4, 8} }
 
 func TestShardedIdenticalFig5a(t *testing.T) {
 	e, ok := Get("fig5a")

@@ -101,7 +101,7 @@ func (p *Process) attachOverload(cw *casperWin) *winShared {
 		// The sweep driver mutates bindings across the whole node set
 		// from one background event stream — world-global state the
 		// shard engines cannot share.
-		panic("casper: overload rebalancing is not supported under sharded execution (set Config.NoShardedSim)")
+		panic("casper: overload rebalancing is not supported under sharded execution (set Config.Shards = 0)")
 	}
 	reb := world.SharedState(rebalancerKey, func() interface{} {
 		return &rebalancer{

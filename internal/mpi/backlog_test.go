@@ -27,12 +27,7 @@ func TestBackloggedTargetAllocations(t *testing.T) {
 	var fresh, recycled float64
 	var peak int
 	done := false
-	cfg := testConfig(2, 1)
-	// The ladder allocates each wheel bucket the first time the clock
-	// reaches it; the heap's arrays stop growing during AllocsPerRun's
-	// warm-up call.
-	cfg.Sched = sim.SchedHeap
-	mustRun(t, cfg, func(r *Rank) {
+	mustRun(t, testConfig(2, 1), func(r *Rank) {
 		c := r.CommWorld()
 		win, _ := r.WinAllocateRegion(c, 8, nil)
 		c.Barrier()
@@ -52,6 +47,13 @@ func TestBackloggedTargetAllocations(t *testing.T) {
 			}
 			win.Unlock(1)
 		}
+		// Warm the scheduler up first. The ladder hands an emptied bucket's
+		// storage to the next bucket that fills, so it stops allocating once
+		// it owns as many boxes, each as large, as the workload occupies at
+		// once. With 1024 ops in flight that takes two epochs (26 objects in
+		// the first, 10 in the second, none after): this one and the warm-up
+		// call of AllocsPerRun.
+		epoch()
 		// Several runs each: AllocsPerRun floors the mean, which drops the
 		// few objects a collector cycle allocates (its first one starts workers).
 		fresh = testing.AllocsPerRun(16, func() {

@@ -22,8 +22,8 @@ func (w *Win) Fence(assert Assert) {
 		// The piggybacked in-flight count is a single counter mutated on
 		// every op issue and apply — world-global state the shards cannot
 		// share. Casper's fence translation (flushall+barrier+sync) does
-		// not use it; base-MPI fence workloads need Config.NoShardedSim.
-		panic("mpi: MPI_Win_fence is not supported under sharded execution (set Config.NoShardedSim)")
+		// not use it; base-MPI fence workloads need Config.Shards = 0.
+		panic("mpi: MPI_Win_fence is not supported under sharded execution (set Config.Shards = 0)")
 	}
 	r.mpiEnter()
 	defer r.mpiLeave()

@@ -10,10 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Go micro-benchmarks for the message-path hot spots the perf baseline
-// tracks (see EXPERIMENTS.md, "Performance methodology"). ns/op and
-// allocs/op here are wall-clock costs of simulating, not simulated
-// time.
+// Go micro-benchmarks for the message-path hot spots (see EXPERIMENTS.md,
+// "Performance methodology"). ns/op and allocs/op here are wall-clock
+// costs of simulating, not simulated time.
 
 func benchConfig(n, ppn int) Config {
 	return Config{

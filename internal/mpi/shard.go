@@ -45,7 +45,7 @@ type shardState struct {
 // worlds silently fall back to the serial engine, which is always
 // correct (and for a single node, just as fast).
 func shardEligible(cfg Config, place *cluster.Placement) bool {
-	if cfg.Shards <= 0 || cfg.NoShardedSim {
+	if cfg.Shards <= 0 {
 		return false
 	}
 	if cfg.Fault != nil || cfg.Flow != nil || cfg.Validate {
@@ -76,7 +76,6 @@ func newShardState(w *World) *shardState {
 	}
 	for i := range s.engines {
 		s.engines[i] = sim.New(w.cfg.Seed + int64(i))
-		s.engines[i].SetScheduler(w.cfg.Sched)
 		s.memos[i] = netmodel.NewMemo(w.cfg.Net)
 	}
 	for r := range s.shardOf {

@@ -15,9 +15,9 @@ import (
 )
 
 // worldEvents accumulates simulation events executed by every World.Run
-// in the process, across goroutines — the perf baseline's events/sec
-// and allocs/event metrics are computed from deltas of this counter
-// (see internal/bench.Measure and EXPERIMENTS.md).
+// in the process, across goroutines — the benchmark's events/sec and
+// allocs/event metrics are computed from deltas of this counter (see
+// benchmark/child.go and EXPERIMENTS.md).
 var worldEvents atomic.Int64
 
 // TotalEventsExecuted returns the simulation events executed by all
@@ -35,7 +35,7 @@ func TotalInlinedAdvances() int64 { return worldInlined.Load() }
 
 // worldShardRounds accumulates shard-group window barriers across all
 // sharded World.Run calls, mirroring worldEvents — the synchronization
-// cost the perf baseline records per sharded sweep point.
+// cost the benchmark reports as sim.shard_rounds.
 var worldShardRounds atomic.Int64
 
 // TotalShardRounds returns the window barriers executed by all
@@ -136,25 +136,17 @@ type Config struct {
 	// bit-identical either way — this exists so tests can prove it and
 	// benchmarks can measure the difference.
 	NoSimFastPath bool
-	// Sched selects the engine's event-scheduler implementation. The
-	// zero value is the ladder queue; sim.SchedHeap selects the retained
-	// 4-ary heap, the differential-testing oracle. Runs are bit-identical
-	// either way (see sim.SchedulerKind).
-	Sched sim.SchedulerKind
 	// Shards > 0 enables sharded execution: the world's processes are
 	// partitioned across one simulation engine per node (ghosts co-located
 	// with the app ranks they serve), executed by up to Shards worker
 	// goroutines under conservative safe windows bounded by the network
-	// model's minimum cross-node latency (netmodel.Params.Lookahead). The
-	// executed event order, RNG draws per rank, and all experiment output
-	// are identical to the serial engine and identical across any Shards
-	// value — only wall-clock parallelism changes. Worlds the sharded
-	// engine cannot run (fault plans, flow control, the validator, or a
-	// single node) silently fall back to the serial engine.
+	// model's minimum cross-node latency (netmodel.Params.Lookahead).
+	// Experiment output is identical to the serial engine's at seed 42 and
+	// at the seeds benchmark/golden.json lists; it is known to differ at
+	// others (ROADMAP B). Worlds the sharded engine cannot run (fault plans,
+	// flow control, the validator, or a single node) silently fall back to
+	// the serial engine.
 	Shards int
-	// NoShardedSim forces the serial engine even when Shards > 0 — the
-	// A/B escape hatch mirroring NoSimFastPath.
-	NoShardedSim bool
 }
 
 // World is one simulated MPI job: an engine, a placement, and N ranks.
@@ -250,7 +242,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.sharded = newShardState(w)
 	} else {
 		w.eng = sim.New(cfg.Seed)
-		w.eng.SetScheduler(cfg.Sched)
 	}
 	if cfg.NoSimFastPath {
 		for _, e := range w.allEngines() {
@@ -407,7 +398,7 @@ func (w *World) PoolOutstanding() int64 {
 // it is incompatible with sharded execution.
 func (w *World) SetTracer(t *trace.Tracer) {
 	if w.sharded != nil && t.Enabled() {
-		panic("mpi: tracing is not supported under sharded execution (set Config.NoShardedSim)")
+		panic("mpi: tracing is not supported under sharded execution (set Config.Shards = 0)")
 	}
 	w.tracer = t
 }

@@ -11,8 +11,7 @@ import (
 // executing a long chain of timer events with a pair of processes
 // ping-ponging through park/resume. ns/op and allocs/op are per
 // *event*, the unit every simulated microsecond of every experiment
-// pays. The perf baseline in BENCH_*.json tracks this number; see
-// EXPERIMENTS.md ("Performance methodology").
+// pays; see EXPERIMENTS.md ("Performance methodology").
 func BenchmarkEventLoop(b *testing.B) {
 	b.Run("timers", func(b *testing.B) {
 		b.ReportAllocs()
@@ -149,22 +148,18 @@ func timersFirstChurn(q *schedQ, w, n int, filled func()) {
 	}
 }
 
-// BenchmarkScheduler is the isolated A/B for the event scheduler: the
-// hold model through the ladder and the heap oracle at working-set sizes
-// bracketing what experiments actually hold (see
+// BenchmarkScheduler isolates the event scheduler: the hold model at
+// working-set sizes bracketing what experiments actually hold (see
 // Engine.PeakQueueResidency), and the timers-first shape beside it, whose
 // cost must stay that of the hold model at an equal working set
 // (TestTimersFirstCostsWhatHoldCosts). The end-to-end number that matters
-// is BenchmarkEventLoop / BENCH_*.json; this one localizes the scheduler's
-// share.
+// is `go run ./benchmark`; this one localizes the scheduler's share.
 func BenchmarkScheduler(b *testing.B) {
 	for _, w := range []int{16, 64, 256, 2048} {
-		for _, impl := range []string{"ladder", "heap"} {
-			b.Run(fmt.Sprintf("%s/w%d", impl, w), func(b *testing.B) {
-				b.ReportAllocs()
-				holdChurn(&schedQ{useHeap: impl == "heap"}, w, b.N, b.ResetTimer)
-			})
-		}
+		b.Run(fmt.Sprintf("ladder/w%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			holdChurn(&schedQ{}, w, b.N, b.ResetTimer)
+		})
 	}
 	for _, w := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("timers-first/w%d", w), func(b *testing.B) {

@@ -102,10 +102,8 @@ type event struct {
 	bg   bool
 }
 
-// evKey is the (at, seq) ordering key of an event — the total order
-// every scheduler implementation must pop in. In the heap, keys live
-// in their own array so a sift comparison touches 16 bytes, not the
-// whole event — four keys share a cache line.
+// evKey is the (at, seq) ordering key of an event — the total order the
+// scheduler must pop in.
 type evKey struct {
 	at  Time
 	seq uint64
@@ -116,137 +114,15 @@ func (k evKey) before(o evKey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// evPayload is the rest of an event, moved only when a sift actually
-// relocates an element.
-type evPayload struct {
-	fn   func() // evFn only
-	p    *Proc  // evResume/evStart only
-	run  Runner // evRun only
-	kind eventKind
-	bg   bool
-}
-
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq),
-// stored as parallel key/payload arrays. Unlike container/heap it never
-// boxes an event into an interface, so push/pop allocate nothing beyond
-// amortized slice growth; the shallower tree halves the sift-down depth
-// of the binary version; and the split layout keeps comparisons inside
-// the dense key array. Sifts percolate a hole instead of swapping.
-// Formerly the engine's scheduler; today the ladder queue (ladder.go)
-// holds that job and the heap survives, unchanged, as the
-// differential-testing oracle behind -sched heap and the lockstep
-// fuzz in ladder_test.go.
-type eventHeap struct {
-	k []evKey
-	v []evPayload
-}
-
-func (h *eventHeap) len() int { return len(h.k) }
-
-// minTime returns the earliest scheduled time; the heap must be
-// non-empty.
-func (h *eventHeap) minTime() Time { return h.k[0].at }
-
-func (h *eventHeap) push(ev event) {
-	h.k = append(h.k, evKey{at: ev.at, seq: ev.seq})
-	h.v = append(h.v, evPayload{fn: ev.fn, p: ev.p, run: ev.run, kind: ev.kind, bg: ev.bg})
-	k, v := h.k, h.v
-	i := len(k) - 1
-	kk, vv := k[i], v[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !kk.before(k[parent]) {
-			break
-		}
-		k[i], v[i] = k[parent], v[parent]
-		i = parent
-	}
-	k[i], v[i] = kk, vv
-}
-
-// popInto removes the minimum, writing it to *dst (see ladder.popInto
-// for why the hot pop path writes through a pointer).
-func (h *eventHeap) popInto(dst *event) {
-	k, v := h.k, h.v
-	*dst = event{at: k[0].at, seq: k[0].seq,
-		fn: v[0].fn, p: v[0].p, run: v[0].run, kind: v[0].kind, bg: v[0].bg}
-	n := len(k) - 1
-	k[0], v[0] = k[n], v[n]
-	v[n] = evPayload{} // clear fn/p/run so the recycled slot retains nothing
-	h.k, h.v = k[:n], v[:n]
-	if n > 1 {
-		h.siftDown()
-	}
-}
-
-func (h *eventHeap) siftDown() {
-	k, v := h.k, h.v
-	n := len(k)
-	kk, vv := k[0], v[0] // the element being sifted, held out as a hole
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if k[c].before(k[min]) {
-				min = c
-			}
-		}
-		if !k[min].before(kk) {
-			break
-		}
-		k[i], v[i] = k[min], v[min]
-		i = min
-	}
-	k[i], v[i] = kk, vv
-}
-
-// SchedulerKind selects the engine's event-scheduler implementation.
-type SchedulerKind uint8
-
-// Scheduler kinds. The ladder queue is the default; the heap survives
-// as the differential-testing oracle behind casperbench -sched and the
-// lockstep fuzz in ladder_test.go.
-const (
-	SchedLadder SchedulerKind = iota
-	SchedHeap
-)
-
-// String implements fmt.Stringer.
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "ladder"
-}
-
-// ParseScheduler converts a -sched flag value to a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "ladder":
-		return SchedLadder, nil
-	case "heap":
-		return SchedHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want heap or ladder)", s)
-}
-
 // SchedulerState is a diagnostic snapshot of the event scheduler,
 // embedded in watchdog/stall/deadlock reports so a frozen-clock
 // diagnosis names the blocking structure, not just the timestamp.
 type SchedulerState struct {
-	Impl   string // "ladder" or "heap"
+	Impl   string // "ladder", the one scheduler there is
 	Depth  int    // pending events, next-event cache included
 	Peak   int    // lifetime high-water mark of Depth
-	SpanLo Time   // active ladder-bucket span start (ladder only)
-	SpanHi Time   // exclusive span end; zero when heap or bucket inactive
+	SpanLo Time   // active ladder-bucket span start
+	SpanHi Time   // exclusive span end; zero when the queue is empty
 }
 
 // String formats the snapshot as a single diagnostic line.
@@ -258,83 +134,74 @@ func (s SchedulerState) String() string {
 	return line
 }
 
-// schedQ is the engine's pending-event scheduler: the ladder queue by
-// default, with the 4-ary heap retained as the A/B differential-testing
-// oracle. schedQ itself keeps the residency bookkeeping and dispatches;
-// the next-event register the hot paths read (minTime on every inline
-// advance, minKey on every merge-pop and window-horizon computation) is
-// the ladder's own bottom slot, an O(1) field load either way.
+// schedQ is the engine's pending-event scheduler: the ladder queue plus
+// the residency bookkeeping. The next-event register the hot paths read
+// (minTime on every inline advance, minKey on every merge-pop and
+// window-horizon computation) is the ladder's own bottom slot, an O(1)
+// field load.
 type schedQ struct {
-	n       int // pending events
-	peak    int // high-water mark of n (see Engine.PeakQueueResidency)
-	useHeap bool
-	lad     ladder
-	heap    eventHeap
+	n    int // pending events
+	peak int // high-water mark of n (see Engine.PeakQueueResidency)
 
-	// shadow, when set, makes the queue keep both stores: the heap answers
-	// and every pop hands the popped key to shadow, which pops the ladder
-	// behind it and panics unless it yields the same (at, seq).
-	shadow func(q *schedQ, popped evKey)
+	// shadow, nil outside tests, is a reference queue kept in lockstep
+	// behind the ladder, which always answers: the shadow is handed every
+	// push and the key of every event popped. (Declared before lad so that
+	// the test every push and pop makes of it reads the line n is on.)
+	shadow shadowQueue
+
+	lad ladder
 }
 
-// shadowOracle is the shadow every engine is built with: nil, except while
-// a test has set it (export_test.go). A differential run compares what two
-// schedulers render, which hides a misordered pop whenever the swapped
-// events commute; the lockstep compares the pops themselves.
-var shadowOracle func(q *schedQ, popped evKey)
+// shadowQueue is what a test hangs behind a schedQ (see schedQ.shadow).
+// popped must remove the reference's own minimum and panic unless it has
+// the key the ladder just yielded. (It is told the key rather than handed
+// the event: a pointer passed to an interface method escapes, and the
+// event loops keep their pop slot on the stack.)
+type shadowQueue interface {
+	push(ev event)
+	popped(q *schedQ, k evKey)
+}
+
+// newShadow builds the shadow of every new engine: nil, except while a
+// test has set it (export_test.go). Comparing what two schedulers render
+// hides a misordered pop whenever the swapped events commute; the lockstep
+// compares the pops themselves.
+var newShadow func() shadowQueue
 
 func (q *schedQ) len() int { return q.n }
 
 // minTime returns the earliest scheduled time; the queue must be
 // non-empty.
-func (q *schedQ) minTime() Time {
-	if q.useHeap {
-		return q.heap.minTime()
-	}
-	return q.lad.minTime()
-}
+func (q *schedQ) minTime() Time { return q.lad.minTime() }
 
 // minKey returns the (at, seq) key of the earliest event; the queue
 // must be non-empty.
-func (q *schedQ) minKey() evKey {
-	if q.useHeap {
-		return q.heap.k[0]
-	}
-	return q.lad.minKey()
-}
+func (q *schedQ) minKey() evKey { return q.lad.minKey() }
 
 // minEvent returns the earliest pending event without popping it, for
 // diagnostics; the queue must be non-empty.
-func (q *schedQ) minEvent() event {
-	if q.useHeap {
-		k, v := q.heap.k[0], q.heap.v[0]
-		return event{at: k.at, seq: k.seq, fn: v.fn, p: v.p, run: v.run, kind: v.kind, bg: v.bg}
-	}
-	return q.lad.minEvent()
-}
+func (q *schedQ) minEvent() event { return q.lad.minEvent() }
 
 func (q *schedQ) push(ev event) {
 	q.n++
 	if q.n > q.peak {
 		q.peak = q.n
 	}
-	if q.useHeap {
-		q.heap.push(ev)
-		if q.shadow == nil {
-			return
-		}
+	if q.shadow != nil {
+		q.shadow.push(ev)
 	}
 	q.lad.push(ev)
 }
 
 // popInto removes the minimum, writing it to *dst (see ladder.popInto).
+// The ladder pop is written out on both sides of the shadow test on
+// purpose: one pop followed by the test read about 2 % slower on fig5a
+// (11 of 14 alternating pairs) when the shadow hook took this shape.
 func (q *schedQ) popInto(dst *event) {
 	q.n--
-	if q.useHeap {
-		q.heap.popInto(dst)
-		if q.shadow != nil {
-			q.shadow(q, evKey{at: dst.at, seq: dst.seq})
-		}
+	if q.shadow != nil {
+		q.lad.popInto(dst)
+		q.shadow.popped(q, evKey{at: dst.at, seq: dst.seq})
 		return
 	}
 	q.lad.popInto(dst)
@@ -428,42 +295,26 @@ func New(seed int64) *Engine {
 		rng:   rand.New(rand.NewSource(seed)),
 		limit: timeMax,
 	}
-	e.events.useHeap, e.events.shadow = shadowOracle != nil, shadowOracle
+	if newShadow != nil {
+		e.events.shadow = newShadow()
+	}
 	return e
-}
-
-// SetScheduler selects the scheduler backing store. It must be called
-// before anything is scheduled — switching with events pending would
-// strand them in the other store.
-func (e *Engine) SetScheduler(kind SchedulerKind) {
-	if e.events.len() != 0 || e.executed != 0 {
-		panic("sim: SetScheduler on an engine already in use")
-	}
-	e.events.useHeap = kind == SchedHeap || e.events.shadow != nil
-}
-
-// Scheduler reports the selected scheduler kind.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.events.useHeap {
-		return SchedHeap
-	}
-	return SchedLadder
 }
 
 // PeakQueueResidency returns the high-water mark of events pending in
 // the scheduler (next-event cache included) over the engine's
-// lifetime: the scheduler's working-set size, reported alongside
-// events/sec in bench output.
+// lifetime: the scheduler's working-set size, which the benchmark
+// reports as sim.peak_queue_residency.
 func (e *Engine) PeakQueueResidency() int { return e.events.peak }
 
 // SchedulerState snapshots the scheduler for diagnostics.
 func (e *Engine) SchedulerState() SchedulerState {
 	s := SchedulerState{
-		Impl:  e.Scheduler().String(),
+		Impl:  "ladder",
 		Depth: e.events.len(),
 		Peak:  e.events.peak,
 	}
-	if !e.events.useHeap && e.events.lad.len() > 0 {
+	if e.events.len() > 0 {
 		s.SpanLo, s.SpanHi = e.events.lad.activeSpan()
 	}
 	return s

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -406,48 +407,42 @@ func TestLadderPushMovesBounded(t *testing.T) {
 		pushes, retreats, refiled, worst, deepest, fullest)
 }
 
-// TestLadderSchedQ runs the same differential through the schedQ
-// dispatcher — the layer the engine actually calls — flipping useHeap,
-// and checks the peak-residency gauge agrees with the test's own
-// high-water count.
+// TestLadderSchedQ runs the same differential through schedQ — the layer
+// the engine actually calls — with the heap as its shadow, so a pop the
+// heap disagrees with panics, and checks the peak-residency gauge agrees
+// with the test's own high-water count.
 func TestLadderSchedQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	ops := genLadderOps(rng, 4000, ladShift)
-	var lq, hq schedQ
-	hq.useHeap = true
+	q := schedQ{shadow: new(eventHeap)}
 	depth, peak := 0, 0
-	for i, op := range ops {
+	for _, op := range genLadderOps(rng, 4000, ladShift) {
 		if op.push {
-			lq.push(op.ev)
-			hq.push(op.ev)
+			q.push(op.ev)
 			depth++
 			if depth > peak {
 				peak = depth
 			}
 		} else {
-			le, he := lq.pop(), hq.pop()
+			q.pop()
 			depth--
-			if le.at != he.at || le.seq != he.seq {
-				t.Fatalf("op %d: ladder schedQ popped (%v,%d), heap schedQ popped (%v,%d)",
-					i, le.at, le.seq, he.at, he.seq)
-			}
 		}
 	}
-	if lq.peak != peak || hq.peak != peak {
-		t.Fatalf("peak residency: ladder %d, heap %d, want %d", lq.peak, hq.peak, peak)
+	if q.len() != depth || q.peak != peak {
+		t.Fatalf("schedQ holds %d events with peak residency %d, want %d and %d", q.len(), q.peak, depth, peak)
 	}
 }
 
 // TestShadowOracleCatchesMisorder checks the shadow mode itself: a ladder
-// that hands back anything but the heap's minimum must panic, naming both.
+// that answers with anything but the heap's minimum must panic, naming both.
 func TestShadowOracleCatchesMisorder(t *testing.T) {
-	q := schedQ{useHeap: true, shadow: checkShadow}
+	q := schedQ{shadow: new(eventHeap)}
 	q.push(event{at: 10, seq: 1})
 	q.push(event{at: 20, seq: 2})
 	q.lad.cur[q.lad.head].at = 30 // corrupt the ladder's copy of the minimum
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "ladder out of (at, seq) order") || !strings.Contains(msg, "heap popped (10, seq 1)") {
+		if !strings.Contains(msg, "ladder out of (at, seq) order") ||
+			!strings.Contains(msg, "it popped (30, seq 1)") || !strings.Contains(msg, "the heap popped (10, seq 1)") {
 			t.Fatalf("recovered %q, want the out-of-order report", msg)
 		}
 	}()
@@ -457,56 +452,53 @@ func TestShadowOracleCatchesMisorder(t *testing.T) {
 
 // TestLadderEngineIdentical runs a full engine workload — randomized
 // timer cascades with same-instant bursts, reserved-seq runners, and
-// far-future background events — under both schedulers and requires
-// identical execution traces. DisableFastPaths forces every event
-// through the scheduler queue, so same-time ties exercise the queue
-// rather than the nowQueue ring.
+// far-future background events — with the heap popped in lockstep behind
+// the engine's ladder, which panics on the first pop the two disagree on.
+// DisableFastPaths forces every event through the scheduler queue, so
+// same-time ties exercise the queue rather than the nowQueue ring; the
+// execution trace must be the same either way.
 func TestLadderEngineIdentical(t *testing.T) {
-	for _, fastOff := range []bool{false, true} {
-		trace := func(kind SchedulerKind) []Time {
-			e := New(7)
-			e.SetScheduler(kind)
-			if fastOff {
-				e.DisableFastPaths()
+	defer SetShadowOracle()()
+	trace := func(fastOff bool) []Time {
+		e := New(7)
+		if fastOff {
+			e.DisableFastPaths()
+		}
+		rng := rand.New(rand.NewSource(7))
+		var log []Time
+		var tick func()
+		n := 0
+		tick = func() {
+			log = append(log, e.Now())
+			n++
+			if n >= 5000 {
+				return
 			}
-			rng := rand.New(rand.NewSource(7))
-			var log []Time
-			var tick func()
-			n := 0
-			tick = func() {
+			// Burst of same-instant events plus a spread of future
+			// ones, some via reserved sequence numbers.
+			for i := rng.Intn(3); i > 0; i-- {
+				e.At(e.Now(), func() { log = append(log, e.Now()) })
+			}
+			off := Duration(rng.Intn(200 << ladShift))
+			if rng.Intn(20) == 0 {
+				off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs
+			}
+			seq := e.ReserveSeq()
+			e.After(off/2+1, tick)
+			e.AtRunReserved(e.Now().Add(off), seq, runnerFunc(func() {
 				log = append(log, e.Now())
-				n++
-				if n >= 5000 {
-					return
-				}
-				// Burst of same-instant events plus a spread of future
-				// ones, some via reserved sequence numbers.
-				for i := rng.Intn(3); i > 0; i-- {
-					e.At(e.Now(), func() { log = append(log, e.Now()) })
-				}
-				off := Duration(rng.Intn(200 << ladShift))
-				if rng.Intn(20) == 0 {
-					off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs
-				}
-				seq := e.ReserveSeq()
-				e.After(off/2+1, tick)
-				e.AtRunReserved(e.Now().Add(off), seq, runnerFunc(func() {
-					log = append(log, e.Now())
-				}))
-			}
-			e.At(0, tick)
-			e.MustRun()
-			return log
+			}))
 		}
-		lad, heap := trace(SchedLadder), trace(SchedHeap)
-		if len(lad) != len(heap) {
-			t.Fatalf("fastOff=%v: trace lengths differ: ladder %d, heap %d", fastOff, len(lad), len(heap))
-		}
-		for i := range lad {
-			if lad[i] != heap[i] {
-				t.Fatalf("fastOff=%v: traces diverge at %d: ladder %v, heap %v", fastOff, i, lad[i], heap[i])
-			}
-		}
+		e.At(0, tick)
+		e.MustRun()
+		return log
+	}
+	fast, eager := trace(false), trace(true)
+	if len(fast) < 5000 {
+		t.Fatalf("the workload logged %d events, want at least 5000", len(fast))
+	}
+	if !slices.Equal(fast, eager) {
+		t.Fatalf("traces differ with fast paths on (%d events) and off (%d events)", len(fast), len(eager))
 	}
 }
 

@@ -165,8 +165,12 @@ type ShardGroup struct {
 	pend   []Time      // scratch: per-shard min pending-mail time
 	inbox  [][]int     // per dst: src shards with mail to drain this window
 
-	rounds   int64 // window barriers executed
-	fixedWin bool  // A/B: single global window [h, h+lookahead) per round
+	rounds int64 // window barriers executed
+	// fixedWin reverts to a single global window [h, h+lookahead) per
+	// barrier — the fixed-step schedule the adaptive limits replaced. Set
+	// only by tests, which assert that the output is the same either way
+	// while measuring the difference in barrier count.
+	fixedWin bool
 
 	spawned int
 	workers sync.WaitGroup // the spawned worker goroutines; shutdown waits on it
@@ -280,13 +284,6 @@ func (g *ShardGroup) Engines() []*Engine { return g.engines }
 // function of cross-shard interaction density, not of virtual time
 // over lookahead.
 func (g *ShardGroup) Rounds() int64 { return g.rounds }
-
-// DisableHorizonSkipping reverts to a single global window
-// [h, h+lookahead) per barrier — the fixed-step schedule the adaptive
-// limits replaced. Output is bit-identical either way; the knob exists
-// so tests can assert exactly that while measuring the barrier-count
-// difference, and so regressions can be bisected to the limit logic.
-func (g *ShardGroup) DisableHorizonSkipping() { g.fixedWin = true }
 
 // SetEventBudget arms a total-events watchdog checked at every window
 // barrier (the sharded analogue of Engine.SetWatchdog's event limit).

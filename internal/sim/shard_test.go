@@ -177,9 +177,7 @@ func runSparseScenario(t *testing.T, fixed bool, workers int) ([]string, int64) 
 	engines := []*Engine{New(1), New(2)}
 	g := NewShardGroup(engines, Microseconds(1), workers)
 	g.spawnWorkers(workers - 1)
-	if fixed {
-		g.DisableHorizonSkipping()
-	}
+	g.fixedWin = fixed
 	var log []string
 	e0 := engines[0]
 	e0.Spawn("busy", func(p *Proc) {
