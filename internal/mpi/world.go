@@ -24,14 +24,10 @@ var worldEvents atomic.Int64
 // completed World.Run calls in this process.
 func TotalEventsExecuted() int64 { return worldEvents.Load() }
 
-// worldInlined accumulates inline run-to-completion advances (events
-// that skipped the queue and the process switch entirely) across all
-// World.Run calls, mirroring worldEvents.
-var worldInlined atomic.Int64
-
-// TotalInlinedAdvances returns the inline fast-path advances taken by
-// all completed World.Run calls in this process.
-func TotalInlinedAdvances() int64 { return worldInlined.Load() }
+// TotalInlinedAdvances is always 0: every Advance schedules its resume
+// and parks, so no advance completes inline any more. It stays for the
+// benchmark harness, which still reports the share it reads.
+func TotalInlinedAdvances() int64 { return 0 }
 
 // worldShardRounds accumulates shard-group window barriers across all
 // sharded World.Run calls, mirroring worldEvents — the synchronization
@@ -131,10 +127,11 @@ type Config struct {
 	// fails fast instead of spinning).
 	WatchdogEvents int64
 	WatchdogTime   sim.Time
-	// NoSimFastPath disables the engine's run-to-completion fast paths
-	// (inline advances and same-time event fusion). The schedule is
-	// bit-identical either way — this exists so tests can prove it and
-	// benchmarks can measure the difference.
+	// NoSimFastPath runs the world on the engine's eager schedule (see
+	// sim.Engine.DisableFastPaths): advance chains, sim.Server backlogs,
+	// wire chains and retransmission-timer chains each schedule every
+	// event on its own. The schedule is bit-identical either way — this
+	// exists so tests can hold those paths to it.
 	NoSimFastPath bool
 	// Shards > 0 enables sharded execution: the world's processes are
 	// partitioned across one simulation engine per node (ghosts co-located
@@ -545,12 +542,10 @@ func (w *World) Run() error {
 	if s := w.sharded; s != nil {
 		err = s.group.Run()
 		worldEvents.Add(s.group.EventsExecuted())
-		worldInlined.Add(s.group.InlinedAdvances())
 		worldShardRounds.Add(s.group.Rounds())
 	} else {
 		err = w.eng.Run()
 		worldEvents.Add(w.eng.EventsExecuted())
-		worldInlined.Add(w.eng.InlinedAdvances())
 	}
 	for _, e := range w.allEngines() {
 		notePeakResidency(e.PeakQueueResidency())

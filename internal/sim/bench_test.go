@@ -202,42 +202,11 @@ func TestTimersFirstCostsWhatHoldCosts(t *testing.T) {
 	t.Fatalf("timers-first costs %.0f ns per push+pop, the hold model at the same working set %.0f", timers, hold)
 }
 
-// BenchmarkInlineCompletion isolates the run-to-completion fast path for
-// Advance: a lone process with nothing else scheduled advances the clock
-// b.N times. "inline" completes every call without parking or touching
-// the heap; "parked" forces the classic park → heap push → pop → resume
-// round trip via DisableFastPaths. The gap between the two is the
-// process-switch tax the fast path removes per MPI-call-shaped event.
-func BenchmarkInlineCompletion(b *testing.B) {
-	run := func(b *testing.B, fastOff bool) {
-		b.ReportAllocs()
-		e := New(1)
-		if fastOff {
-			e.DisableFastPaths()
-		}
-		e.Spawn("solo", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				p.Advance(Microsecond)
-			}
-		})
-		e.MustRun()
-		if !fastOff && e.InlinedAdvances() != int64(b.N) {
-			b.Fatalf("inlined %d of %d advances; fast path did not engage", e.InlinedAdvances(), b.N)
-		}
-		if fastOff && e.InlinedAdvances() != 0 {
-			b.Fatalf("inlined %d advances with fast paths disabled", e.InlinedAdvances())
-		}
-	}
-	b.Run("inline", func(b *testing.B) { run(b, false) })
-	b.Run("parked", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkProcSwitch is the cost of handing the simulation from one
 // process to another: two processes advance in lockstep, so each of the
 // b.N advances parks its caller (event loop takes over) and resumes the
 // other process. ns/op is per such switch — two coroutine switches, one
-// scheduler push and one pop. Fast paths stay on; neither process can
-// advance inline because the other's wake-up is always due first.
+// scheduler push and one pop.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -251,14 +220,14 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Spawn("a", body((b.N+1)/2))
 	e.Spawn("b", body(b.N/2))
 	e.MustRun()
-	if b.N > 4 && e.InlinedAdvances() > 2 {
-		b.Fatalf("%d of %d advances completed inline; the processes did not alternate", e.InlinedAdvances(), b.N)
+	if got := e.EventsExecuted(); got != int64(b.N)+2 {
+		b.Fatalf("executed %d events, want %d resumes and 2 starts", got, b.N)
 	}
 }
 
 // BenchmarkAdvanceChain is BenchmarkProcSwitch for back-to-back
-// advances: two processes in lockstep each consume k durations per round,
-// so no step can complete inline. "chain" hands the k steps to the engine
+// advances: two processes in lockstep each consume k durations per round.
+// "chain" hands the k steps to the engine
 // and parks once per round; "plain" is the k Advance calls the chain
 // stands for, parking at each. ns/op is per step either way — the events,
 // keys and clock are identical, only k-1 of k switch pairs are gone.
@@ -287,43 +256,12 @@ func BenchmarkAdvanceChain(b *testing.B) {
 				e.Spawn("a", body)
 				e.Spawn("b", body)
 				e.MustRun()
-				if e.InlinedAdvances() > int64(k) {
-					b.Fatalf("%d advances completed inline; the processes did not alternate", e.InlinedAdvances())
+				if got, want := e.EventsExecuted(), int64(2*rounds*k+2); got != want {
+					b.Fatalf("executed %d events, want %d (every step a popped resume, plus 2 starts)", got, want)
 				}
 			})
 		}
 	}
-}
-
-// BenchmarkSameTimeFusion isolates same-time event fusion: a chain of
-// b.N callbacks all scheduled at the current instant. "fused" routes
-// every equal-timestamp event through the nowQueue ring — no heap
-// sift, no wakeup; "heap" (DisableFastPaths) pushes each through the
-// priority heap. Execution order is identical either way — only the
-// dispatch cost differs.
-func BenchmarkSameTimeFusion(b *testing.B) {
-	run := func(b *testing.B, fastOff bool) {
-		b.ReportAllocs()
-		e := New(1)
-		if fastOff {
-			e.DisableFastPaths()
-		}
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < b.N {
-				e.At(e.Now(), tick)
-			}
-		}
-		e.At(0, tick)
-		e.MustRun()
-		if n != b.N && b.N > 0 {
-			b.Fatalf("executed %d ticks, want %d", n, b.N)
-		}
-	}
-	b.Run("fused", func(b *testing.B) { run(b, false) })
-	b.Run("heap", func(b *testing.B) { run(b, true) })
 }
 
 // benchJob resubmits itself to its server until the shared budget is

@@ -31,32 +31,35 @@ type execRec struct {
 }
 
 // chainOutcome is everything a run exposes: the popped events in order,
-// what the script itself observed, and the engine's final counters.
+// what the script itself observed, and the engine's final counters. The
+// number of switches into a process is recorded too, but diffOutcome
+// ignores it: cutting switches is what a chain is for.
 type chainOutcome struct {
 	trace    []execRec
 	log      []string
 	now      Time
 	seq      uint64
 	executed int64
-	inlined  int64
 	live     int
+	switches int
 }
 
 // recordRun is Engine.Run without the watchdog checks, recording every
-// event it pops.
-func recordRun(e *Engine) []execRec {
-	var trace []execRec
+// event it pops and counting the switches into a process.
+func recordRun(e *Engine) (trace []execRec, switches int) {
 	var ev event
-	for e.nextEvent(&ev) {
+	for e.events.len() > 0 {
+		e.events.popInto(&ev)
 		if ev.bg && e.live <= 0 {
 			continue
 		}
 		trace = append(trace, execRec{ev.at, ev.seq, ev.kind})
 		if p := e.execOne(ev); p != nil {
+			switches++
 			e.transfer(p)
 		}
 	}
-	return trace
+	return trace, switches
 }
 
 // chainScript builds a scenario on a fresh engine. logf records an
@@ -74,13 +77,14 @@ func runChainScript(script chainScript, adv advanceFn, fastOff bool) chainOutcom
 			fmt.Sprintf(format, args...))
 	}
 	script(e, adv, logf)
-	out.trace = recordRun(e)
-	out.now, out.seq, out.executed, out.inlined, out.live = e.now, e.seq, e.executed, e.inlined, e.live
+	out.trace, out.switches = recordRun(e)
+	out.now, out.seq, out.executed, out.live = e.now, e.seq, e.executed, e.live
 	return out
 }
 
 func diffOutcome(t *testing.T, what string, got, want chainOutcome) {
 	t.Helper()
+	got.switches, want.switches = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s:\n chain %+v\n plain %+v", what, got, want)
 	}
@@ -119,16 +123,16 @@ func TestAdvanceChainMatchesPlainAdvances(t *testing.T) {
 				logf("a still here")
 			})
 		},
-		// Nothing else scheduled: every step completes inline.
-		"inline on an empty queue": func(e *Engine, adv advanceFn, logf func(string, ...interface{})) {
+		// Nothing else scheduled: every step's resume is the next pop.
+		"alone on an empty queue": func(e *Engine, adv advanceFn, logf func(string, ...interface{})) {
 			e.Spawn("a", func(p *Proc) {
 				adv(p, 5, 5, 5)
 				logf("a done")
 			})
 		},
-		// The first step parks behind a pending event; by its resume the
-		// queue is empty, so the engine completes the later steps inline.
-		"parks then inline": func(e *Engine, adv advanceFn, logf func(string, ...interface{})) {
+		// The first step waits behind a pending event; by its resume the
+		// queue is empty again.
+		"behind a pending event": func(e *Engine, adv advanceFn, logf func(string, ...interface{})) {
 			e.At(3, func() { logf("tick") })
 			e.Spawn("a", func(p *Proc) {
 				adv(p, 5, 5, 5)
@@ -177,24 +181,42 @@ func TestAdvanceChainMatchesPlainAdvances(t *testing.T) {
 				t.Errorf("%s: script observed nothing", name)
 			}
 		}
-		// Across the fast-path switch the popped events differ (an inline
-		// advance pops nothing) but nothing the script or the counters see.
+		// Across the fast-path switch only the switch count may differ:
+		// every step is a popped resume event either way.
 		on, off := runChainScript(script, asChain, false), runChainScript(script, asChain, true)
-		on.trace, off.trace, on.inlined, off.inlined = nil, nil, 0, 0
 		diffOutcome(t, name+" (fast paths on vs off)", on, off)
 	}
 }
 
-// TestAdvanceChainInlineCounts pins that the chain really takes the
-// inline path, and really parks once: on an empty queue all three steps
-// are inline advances and no event is popped for them.
-func TestAdvanceChainInlineCounts(t *testing.T) {
-	out := runChainScript(func(e *Engine, adv advanceFn, _ func(string, ...interface{})) {
-		e.Spawn("a", func(p *Proc) { adv(p, 5, 5, 5) })
-	}, asChain, false)
-	if out.inlined != 3 || len(out.trace) != 1 || out.executed != 4 || out.now != 15 {
-		t.Fatalf("inlined %d, popped %d, executed %d, now %d; want 3, 1 (the start), 4, 15",
-			out.inlined, len(out.trace), out.executed, out.now)
+// TestAdvanceChainSwitchesOnce pins what a chain is for: every step is a
+// popped resume event, as in the plain loop, but the engine switches into
+// the process once per chain instead of once per step.
+func TestAdvanceChainSwitchesOnce(t *testing.T) {
+	script := func(e *Engine, adv advanceFn, _ func(string, ...interface{})) {
+		e.At(3, func() {})
+		e.Spawn("a", func(p *Proc) {
+			adv(p, 5, 5, 5)
+			adv(p, 2)
+		})
+	}
+	for _, c := range []struct {
+		name     string
+		adv      advanceFn
+		fastOff  bool
+		switches int
+	}{
+		{"chain", asChain, false, 3}, // the start, then one per chain
+		{"plain", asPlain, false, 5}, // the start, then one per step
+		{"chain, fast paths off", asChain, true, 5},
+	} {
+		out := runChainScript(script, c.adv, c.fastOff)
+		if len(out.trace) != 6 || out.executed != 6 || out.now != 17 {
+			t.Errorf("%s: popped %d, executed %d, now %d; want 6 (the tick, the start, 4 resumes), 6, 17",
+				c.name, len(out.trace), out.executed, out.now)
+		}
+		if out.switches != c.switches {
+			t.Errorf("%s: %d switches into the process, want %d", c.name, out.switches, c.switches)
+		}
 	}
 }
 
@@ -212,16 +234,14 @@ type windowState struct {
 	now      Time
 	seq      uint64
 	executed int64
-	inlined  int64
 	next     Time
 	pending  bool
 	log      string
 }
 
 // TestAdvanceChainAcrossWindowLimit drives runWindow by hand over a
-// chain whose steps straddle the window limits: a step may neither
-// execute nor complete inline at or past the limit, exactly like a plain
-// Advance.
+// chain whose steps straddle the window limits: no step's resume may
+// execute at or past the limit, exactly like a plain Advance.
 func TestAdvanceChainAcrossWindowLimit(t *testing.T) {
 	run := func(adv advanceFn, withTick bool) []windowState {
 		e := New(1)
@@ -238,7 +258,7 @@ func TestAdvanceChainAcrossWindowLimit(t *testing.T) {
 			e.limit = limit
 			e.runWindow()
 			next, ok := e.peekTime()
-			states = append(states, windowState{e.now, e.seq, e.executed, e.inlined, next, ok, log})
+			states = append(states, windowState{e.now, e.seq, e.executed, next, ok, log})
 		}
 		return states
 	}
@@ -254,8 +274,7 @@ func TestAdvanceChainAcrossWindowLimit(t *testing.T) {
 }
 
 // TestAdvanceChainUnderWatchdog arms each watchdog so that it trips in
-// the middle of a chain: trip point and report must match the plain run,
-// and while a watchdog is armed no step may complete inline.
+// the middle of a chain: trip point and report must match the plain run.
 func TestAdvanceChainUnderWatchdog(t *testing.T) {
 	type arm func(e *Engine)
 	arms := map[string]arm{
@@ -271,7 +290,7 @@ func TestAdvanceChainUnderWatchdog(t *testing.T) {
 		if err := e.Run(); err != nil {
 			msg = err.Error()
 		}
-		return msg, chainOutcome{now: e.now, seq: e.seq, executed: e.executed, inlined: e.inlined, live: e.live}
+		return msg, chainOutcome{now: e.now, seq: e.seq, executed: e.executed, live: e.live}
 	}
 	for name, a := range arms {
 		gotMsg, got := run(asChain, a)
@@ -280,9 +299,6 @@ func TestAdvanceChainUnderWatchdog(t *testing.T) {
 			t.Errorf("%s: chain reported %q, plain %q", name, gotMsg, wantMsg)
 		}
 		diffOutcome(t, name, got, want)
-		if got.inlined != 0 {
-			t.Errorf("%s: %d inline advances under an armed watchdog", name, got.inlined)
-		}
 		if (name == "not tripping") != (gotMsg == "ok") {
 			t.Errorf("%s: run reported %q", name, gotMsg)
 		}

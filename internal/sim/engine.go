@@ -135,9 +135,9 @@ func (s SchedulerState) String() string {
 }
 
 // schedQ is the engine's pending-event scheduler: the ladder queue plus
-// the residency bookkeeping. The next-event register the hot paths read
-// (minTime on every inline advance, minKey on every merge-pop and
-// window-horizon computation) is the ladder's own bottom slot, an O(1)
+// the residency bookkeeping. Every scheduled event is pushed to it and
+// popped from it. The next-event register a shard's window-horizon
+// computation reads (minTime) is the ladder's own bottom slot, an O(1)
 // field load.
 type schedQ struct {
 	n    int // pending events
@@ -162,21 +162,17 @@ type shadowQueue interface {
 	popped(q *schedQ, k evKey)
 }
 
-// newShadow builds the shadow of every new engine: nil, except while a
-// test has set it (export_test.go). Comparing what two schedulers render
-// hides a misordered pop whenever the swapped events commute; the lockstep
-// compares the pops themselves.
-var newShadow func() shadowQueue
+// newShadow builds the shadow of every new engine, which it is handed:
+// nil, except while a test has set it (export_test.go). Comparing what two
+// schedulers render hides a misordered pop whenever the swapped events
+// commute; the lockstep compares the pops themselves.
+var newShadow func(e *Engine) shadowQueue
 
 func (q *schedQ) len() int { return q.n }
 
 // minTime returns the earliest scheduled time; the queue must be
 // non-empty.
 func (q *schedQ) minTime() Time { return q.lad.minTime() }
-
-// minKey returns the (at, seq) key of the earliest event; the queue
-// must be non-empty.
-func (q *schedQ) minKey() evKey { return q.lad.minKey() }
 
 // minEvent returns the earliest pending event without popping it, for
 // diagnostics; the queue must be non-empty.
@@ -207,55 +203,18 @@ func (q *schedQ) popInto(dst *event) {
 	q.lad.popInto(dst)
 }
 
-// nowQueue is a FIFO of events scheduled at exactly the current virtual
-// time. Same-time events fire in scheduling (seq) order, which for a
-// FIFO is just insertion order — so they bypass the scheduler queue
-// entirely: O(1) push and pop with no insert/sift traffic. Pop sites
-// merge the FIFO head with the queue minimum by (at, seq) (see
-// Engine.nextEvent), which keeps the interleaving with queued events
-// exactly what a single totally-ordered structure would produce.
-type nowQueue struct {
-	a    []event
-	head int
-}
-
-func (q *nowQueue) len() int { return len(q.a) - q.head }
-
-// headKey returns the (at, seq) key of the oldest queued event; the
-// queue must be non-empty.
-func (q *nowQueue) headKey() evKey {
-	ev := &q.a[q.head]
-	return evKey{at: ev.at, seq: ev.seq}
-}
-
-func (q *nowQueue) push(ev event) { q.a = append(q.a, ev) }
-
-// popInto removes the oldest queued event, writing it to *dst (see
-// ladder.popInto for why the hot pop path writes through a pointer).
-func (q *nowQueue) popInto(dst *event) {
-	*dst = q.a[q.head]
-	q.a[q.head] = event{} // clear fn/p/run so the slot retains nothing
-	q.head++
-	if q.head == len(q.a) {
-		q.a = q.a[:0]
-		q.head = 0
-	}
-}
-
 // Engine is a discrete-event simulator. Create one with New, spawn
 // processes with Spawn, then call Run.
 type Engine struct {
 	now    Time
 	events schedQ
-	nowq   nowQueue // same-time events, run before the scheduler
 	seq    uint64
 	procs  []*Proc
 	live   int
 	rng    *rand.Rand
 
 	executed  int64 // events executed, for the watchdog
-	inlined   int64 // Advance calls completed inline (no park/resume)
-	fastOff   bool  // disable run-to-completion fast paths (A/B testing)
+	fastOff   bool  // eager schedule: no chains, no reserved-seq FIFOs
 	maxEvents int64 // watchdog: 0 disables
 	maxTime   Time  // watchdog: 0 disables
 
@@ -296,7 +255,7 @@ func New(seed int64) *Engine {
 		limit: timeMax,
 	}
 	if newShadow != nil {
-		e.events.shadow = newShadow()
+		e.events.shadow = newShadow(e)
 	}
 	return e
 }
@@ -332,46 +291,6 @@ func (e *Engine) Now() Time { return e.now }
 // used from simulation context (event callbacks or running processes).
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// schedule routes an event to the now-queue or the scheduler queue.
-// Every event at exactly the current time joins the FIFO: its entries
-// are in seq order by construction (seq is monotonic), and the pop
-// sites merge the FIFO head against the queue minimum by (at, seq), so
-// the global execution order is exactly what a single queue would
-// produce while same-time events skip the insert traffic entirely —
-// the same-time event fusion of the run-to-completion fast path.
-func (e *Engine) schedule(ev event) {
-	if ev.at == e.now && !e.fastOff {
-		e.nowq.push(ev)
-		return
-	}
-	e.events.push(ev)
-}
-
-// nextEvent pops the globally next event by (at, seq) into *ev,
-// merging the now-queue with the scheduler queue; it reports false,
-// leaving *ev untouched, when both are empty. The pointer form exists
-// for the hot loops (Run, runWindow): writing through a
-// caller-owned slot instead of returning a 56-byte event by value
-// spares two struct copies per pop across non-inlined frames.
-// The now-queue drains before the clock can advance: its entries carry
-// at == now, which no queued event can beat without an equal at and a
-// smaller seq.
-func (e *Engine) nextEvent(ev *event) bool {
-	if e.nowq.len() > 0 {
-		if e.events.len() > 0 && e.events.minKey().before(e.nowq.headKey()) {
-			e.events.popInto(ev)
-		} else {
-			e.nowq.popInto(ev)
-		}
-		return true
-	}
-	if e.events.len() > 0 {
-		e.events.popInto(ev)
-		return true
-	}
-	return false
-}
-
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in the model and panics.
 func (e *Engine) At(t Time, fn func()) {
@@ -379,7 +298,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // AtRun schedules r.Step() at virtual time t. It is At for Runner
@@ -391,20 +310,11 @@ func (e *Engine) AtRun(t Time, r Runner) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, run: r, kind: evRun})
+	e.events.push(event{at: t, seq: e.seq, run: r, kind: evRun})
 }
 
 // AfterRun schedules r.Step() d from now.
 func (e *Engine) AfterRun(d Duration, r Runner) { e.AtRun(e.now.Add(d), r) }
-
-// scheduleReserved schedules r at (t, seq) where seq was reserved at an
-// earlier instant (see Server.enqueue). The event goes straight to the
-// scheduler queue: the now-queue's FIFO ordering only holds for
-// monotone seq, and the queue orders arbitrary keys — the pop-side
-// merge keeps the global order exact either way.
-func (e *Engine) scheduleReserved(t Time, seq uint64, r Runner) {
-	e.events.push(event{at: t, seq: seq, run: r, kind: evRun})
-}
 
 // ReserveSeq allocates the next event sequence number without
 // scheduling anything. Callers that keep their own FIFO of future
@@ -423,19 +333,19 @@ func (e *Engine) AtRunReserved(t Time, seq uint64, r Runner) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.scheduleReserved(t, seq, r)
+	e.events.push(event{at: t, seq: seq, run: r, kind: evRun})
 }
 
 // FastPathsDisabled reports whether DisableFastPaths was called, so
-// layered schedulers can keep their own fast paths aligned with the
-// engine's A/B knob.
+// callers that keep their own reserved-seq FIFOs (see ReserveSeq) can
+// schedule eagerly instead, as the engine's reference.
 func (e *Engine) FastPathsDisabled() bool { return e.fastOff }
 
 // atResume schedules a closure-free resume of p at t (the Advance and
 // wake hot path).
 func (e *Engine) atResume(t Time, p *Proc) {
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, p: p, kind: evResume})
+	e.events.push(event{at: t, seq: e.seq, p: p, kind: evResume})
 }
 
 // After schedules fn to run d from now.
@@ -449,7 +359,7 @@ func (e *Engine) AtBG(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, fn: fn, bg: true})
+	e.events.push(event{at: t, seq: e.seq, fn: fn, bg: true})
 }
 
 // AfterBG is AtBG relative to now.
@@ -462,7 +372,7 @@ func (e *Engine) AtBGRun(t Time, r Runner) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, run: r, kind: evRun, bg: true})
+	e.events.push(event{at: t, seq: e.seq, run: r, kind: evRun, bg: true})
 }
 
 // AfterBGRun is AtBGRun relative to now.
@@ -512,82 +422,31 @@ func (e *Engine) collectDiagnostics() []string {
 }
 
 // EventsExecuted returns the number of events Run has executed so far.
-// Inline-completed advances count: they are resume events whose
-// park/resume round trip was elided, not eliminated work.
 func (e *Engine) EventsExecuted() int64 { return e.executed }
 
-// InlinedAdvances returns how many Advance calls completed inline —
-// without parking, waking, or touching the scheduler queue — under the
-// run-to-completion fast path.
-func (e *Engine) InlinedAdvances() int64 { return e.inlined }
-
-// DisableFastPaths turns off the run-to-completion optimizations
-// (inline advance and same-time event fusion), forcing every event
-// through the scheduler queue and every Advance through a park/resume
-// pair. Runs
-// are bit-identical either way — the knob exists so tests can assert
-// exactly that, and so regressions can be bisected to the fast path.
+// DisableFastPaths switches the engine to the eager schedule: an advance
+// chain (Proc.AdvanceChain) is a plain loop of Advance calls, a Server
+// schedules every completion as its own event instead of one resident
+// event per backlog, and callers that keep reserved-seq FIFOs of their
+// own do the same (FastPathsDisabled). Runs are bit-identical either way
+// — the knob is the differential reference tests hold those paths to.
 func (e *Engine) DisableFastPaths() { e.fastOff = true }
 
-// advanceInlineOK reports whether a running process may advance the
-// clock to t without parking: nothing else is scheduled to run before
-// (or at) t, so popping the resume event would be the engine's
-// immediate next action anyway. Inlining is also suppressed while any
-// watchdog is armed, keeping watchdog trip points (which are observed
-// between events) bit-identical to the slow path.
-func (e *Engine) advanceInlineOK(t Time) bool {
-	if e.fastOff || e.maxEvents > 0 || e.maxTime > 0 || e.stallEvents > 0 {
-		return false
-	}
-	if t >= e.limit {
-		// The advance would cross the current safe window: the process
-		// must park so the window barrier sees a quiescent shard.
-		return false
-	}
-	if e.winCap > 0 && e.executed >= e.winCap {
-		// Window event cap reached (group budget backstop): park so the
-		// shard returns to the barrier.
-		return false
-	}
-	return e.nowq.len() == 0 && (e.events.len() == 0 || e.events.minTime() > t)
-}
-
-// noteInlineAdvance commits an inline advance to t: the engine state
-// mutates exactly as if the resume event had been pushed, popped and
-// executed — clock, event count, seq and stall bookkeeping all match
-// the slow path bit for bit.
-func (e *Engine) noteInlineAdvance(t Time) {
-	e.seq++
-	e.lastAdvance = t
-	e.lastAdvanceExec = e.executed
-	e.now = t
-	e.executed++
-	e.inlined++
-}
-
-// serveChain takes p's advance chain (see Proc.AdvanceChain) as far as it
-// goes without anything else running: each remaining step either
-// completes inline or gets its resume event. It is called by the process
-// for the first step and by execOne, as the previous step's resume event
-// pops, for the rest — the instant the process itself would have woken
-// and called Advance, with the same now, the same queue and the next
-// seq, so both make the same decision and leave the same engine state. It
-// reports true when a resume event is pending (the process stays
-// parked), false when the chain is done.
+// serveChain schedules the resume of p's next nonzero advance-chain step
+// (see Proc.AdvanceChain). It is called by the process for the first step
+// and by execOne, as the previous step's resume event pops, for the rest —
+// the instant the process itself would have woken and called Advance, with
+// the same now and the next seq, so both leave the same engine state. It
+// reports true when a resume event is pending (the process stays parked),
+// false when the chain is done.
 func (e *Engine) serveChain(p *Proc) bool {
 	for p.chainPos < len(p.chain) {
 		d := p.chain[p.chainPos]
 		p.chainPos++
-		if d == 0 {
-			continue
+		if d != 0 {
+			e.atResume(e.now.Add(d), p)
+			return true
 		}
-		t := e.now.Add(d)
-		if e.advanceInlineOK(t) {
-			e.noteInlineAdvance(t)
-			continue
-		}
-		e.atResume(t, p)
-		return true
 	}
 	return false
 }
@@ -611,14 +470,13 @@ func (e *Engine) Kill(p *Proc) {
 // with everything the stack references, can be collected. A parked
 // process unwinds through its deferred calls, which are user code running
 // after the run is over: none of them gets past its first park (see
-// Proc.park), and with the fast paths off an Advance always parks, so the
-// clock and the event count stay where Run left them. Whatever else such
+// Proc.park), and every Advance parks, so the clock and the event count
+// stay where Run left them. Whatever else such
 // a call touches before it parks is the caller's to have read already.
 // Close returns the first panic a deferred call raised, as an error. Call
 // it once the run is over and its results are read; the engine must not
 // be used afterwards.
 func (e *Engine) Close() error {
-	e.fastOff = true
 	var err error
 	for i := 0; i < len(e.procs); i++ { // by index: a deferred call may Spawn
 		p := e.procs[i]
@@ -665,7 +523,7 @@ func (e *Engine) Thaw(p *Proc) {
 	if p.state == stateNew {
 		kind = evStart
 	}
-	e.schedule(event{at: e.now, seq: e.seq, p: p, kind: kind})
+	e.events.push(event{at: e.now, seq: e.seq, p: p, kind: kind})
 }
 
 // Spawn creates a new process named name running fn and schedules it to
@@ -706,7 +564,7 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, p: p, kind: evStart})
+	e.events.push(event{at: t, seq: e.seq, p: p, kind: evStart})
 	return p
 }
 
@@ -830,10 +688,8 @@ func (e *Engine) execOne(ev event) *Proc {
 // SetWatchdog limit is exceeded, and nil otherwise.
 func (e *Engine) Run() error {
 	var ev event
-	for {
-		if !e.nextEvent(&ev) {
-			break
-		}
+	for e.events.len() > 0 {
+		e.events.popInto(&ev)
 		if ev.bg && e.live <= 0 {
 			// Background housekeeping after the last process finished:
 			// discard without running or advancing the clock, so the
@@ -880,40 +736,25 @@ func (e *Engine) MustRun() {
 // it; ok is false when nothing is pending. This is the per-shard
 // horizon the window coordinator reads between windows.
 func (e *Engine) peekTime() (Time, bool) {
-	switch {
-	case e.nowq.len() > 0 && e.events.len() > 0:
-		if h := e.events.minTime(); h < e.nowq.headKey().at {
-			return h, true
-		}
-		return e.nowq.headKey().at, true
-	case e.nowq.len() > 0:
-		return e.nowq.headKey().at, true
-	case e.events.len() > 0:
-		return e.events.minTime(), true
+	if e.events.len() == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.events.minTime(), true
 }
 
 // nextDesc describes the next pending event for watchdog reports.
 func (e *Engine) nextDesc() string {
-	t, ok := e.peekTime()
-	if !ok {
+	if e.events.len() == 0 {
 		return "idle (no pending events)"
 	}
-	// Identify the event only when it is the scheduler minimum; a
-	// now-queue head is always a same-time follow-on, where the time
-	// alone tells the story.
-	if e.events.len() > 0 {
-		if v := e.events.minEvent(); v.at == t {
-			switch v.kind {
-			case evResume:
-				return fmt.Sprintf("next event at %v (resume %s)", t, v.p.name)
-			case evStart:
-				return fmt.Sprintf("next event at %v (start %s)", t, v.p.name)
-			}
-		}
+	v := e.events.minEvent()
+	switch v.kind {
+	case evResume:
+		return fmt.Sprintf("next event at %v (resume %s)", v.at, v.p.name)
+	case evStart:
+		return fmt.Sprintf("next event at %v (start %s)", v.at, v.p.name)
 	}
-	return fmt.Sprintf("next event at %v", t)
+	return fmt.Sprintf("next event at %v", v.at)
 }
 
 // injectEvent pushes a cross-shard event straight onto the scheduler
@@ -947,7 +788,7 @@ func (e *Engine) runWindow() {
 		if !ok || t >= e.limit {
 			return
 		}
-		e.nextEvent(&ev)
+		e.events.popInto(&ev)
 		if ev.bg && (e.live <= 0 || e.bgDiscard) {
 			continue
 		}

@@ -184,7 +184,11 @@ func (l *ladder) spill(ev event) {
 			b := int(idx & ladMask)
 			box := r.bucket[b]
 			if cap(box) == 0 {
-				box = l.grab()
+				if box = l.grab(); box == nil {
+					// New storage starts past append's first two growth
+					// steps: a small world's buckets never need a third.
+					box = make([]event, 0, 4)
+				}
 			}
 			r.bucket[b] = append(box, ev)
 			r.occ[b>>6] |= 1 << uint(b&63)
@@ -259,17 +263,10 @@ func (l *ladder) retreat(ev event) {
 	l.refill()
 }
 
-// minKey returns the (at, seq) key of the earliest event; the ladder
-// must be non-empty.
-func (l *ladder) minKey() evKey {
-	ev := &l.cur[l.head]
-	return evKey{at: ev.at, seq: ev.seq}
-}
-
 // minTime returns the earliest scheduled time; the ladder must be
 // non-empty. The bottom slot doubles as the engine's next-event
-// register: inline-advance checks and shard-horizon computations read
-// it as a field load, never a structure probe.
+// register: shard-horizon computations read it as a field load, never a
+// structure probe.
 func (l *ladder) minTime() Time { return l.cur[l.head].at }
 
 // minEvent returns the earliest event without popping it, for
@@ -280,7 +277,7 @@ func (l *ladder) minEvent() event { return l.cur[l.head] }
 // The pointer form exists because the event struct is 56 bytes and pop
 // sits on the hottest path in the repository: writing through the
 // caller's pointer once beats returning by value through two
-// non-inlined frames (ladder → schedQ → nextEvent), which the profiler
+// non-inlined frames (ladder → schedQ → the event loop), which the profiler
 // shows as pure memmove.
 func (l *ladder) popInto(dst *event) {
 	*dst = l.cur[l.head]

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -240,7 +239,8 @@ func lockstep(t *testing.T, name string, ops []ladTestOp) {
 				t.Fatalf("%s op %d: ladder minTime %d, heap minTime %d",
 					name, i, lad.minTime(), heap.minTime())
 			}
-			if lk, hk := lad.minKey(), heap.k[0]; lk != hk {
+			lm := lad.minEvent()
+			if lk, hk := (evKey{lm.at, lm.seq}), heap.k[0]; lk != hk {
 				t.Fatalf("%s op %d: ladder minKey %+v, heap minKey %+v", name, i, lk, hk)
 			}
 		}
@@ -452,53 +452,45 @@ func TestShadowOracleCatchesMisorder(t *testing.T) {
 
 // TestLadderEngineIdentical runs a full engine workload — randomized
 // timer cascades with same-instant bursts, reserved-seq runners, and
-// far-future background events — with the heap popped in lockstep behind
-// the engine's ladder, which panics on the first pop the two disagree on.
-// DisableFastPaths forces every event through the scheduler queue, so
-// same-time ties exercise the queue rather than the nowQueue ring; the
-// execution trace must be the same either way.
+// far-future events — with the heap popped in lockstep behind the
+// engine's ladder, which panics on the first pop the two disagree on.
+// Same-instant events take the ladder like any other, so the shadow must
+// have checked a pop for every event the engine executed.
 func TestLadderEngineIdentical(t *testing.T) {
 	defer SetShadowOracle()()
-	trace := func(fastOff bool) []Time {
-		e := New(7)
-		if fastOff {
-			e.DisableFastPaths()
+	e := New(7)
+	rng := rand.New(rand.NewSource(7))
+	var log []Time
+	var tick func()
+	n := 0
+	tick = func() {
+		log = append(log, e.Now())
+		n++
+		if n >= 5000 {
+			return
 		}
-		rng := rand.New(rand.NewSource(7))
-		var log []Time
-		var tick func()
-		n := 0
-		tick = func() {
+		// Burst of same-instant events plus a spread of future ones,
+		// some via reserved sequence numbers.
+		for i := rng.Intn(3); i > 0; i-- {
+			e.At(e.Now(), func() { log = append(log, e.Now()) })
+		}
+		off := Duration(rng.Intn(200 << ladShift))
+		if rng.Intn(20) == 0 {
+			off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs
+		}
+		seq := e.ReserveSeq()
+		e.After(off/2+1, tick)
+		e.AtRunReserved(e.Now().Add(off), seq, runnerFunc(func() {
 			log = append(log, e.Now())
-			n++
-			if n >= 5000 {
-				return
-			}
-			// Burst of same-instant events plus a spread of future
-			// ones, some via reserved sequence numbers.
-			for i := rng.Intn(3); i > 0; i-- {
-				e.At(e.Now(), func() { log = append(log, e.Now()) })
-			}
-			off := Duration(rng.Intn(200 << ladShift))
-			if rng.Intn(20) == 0 {
-				off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs
-			}
-			seq := e.ReserveSeq()
-			e.After(off/2+1, tick)
-			e.AtRunReserved(e.Now().Add(off), seq, runnerFunc(func() {
-				log = append(log, e.Now())
-			}))
-		}
-		e.At(0, tick)
-		e.MustRun()
-		return log
+		}))
 	}
-	fast, eager := trace(false), trace(true)
-	if len(fast) < 5000 {
-		t.Fatalf("the workload logged %d events, want at least 5000", len(fast))
+	e.At(0, tick)
+	e.MustRun()
+	if len(log) < 5000 || int64(len(log)) != e.EventsExecuted() {
+		t.Fatalf("the workload logged %d events and executed %d, want the same count, at least 5000", len(log), e.EventsExecuted())
 	}
-	if !slices.Equal(fast, eager) {
-		t.Fatalf("traces differ with fast paths on (%d events) and off (%d events)", len(fast), len(eager))
+	if engines, short := TakeShadowShortfalls(); engines != 1 || len(short) > 0 {
+		t.Fatalf("%d engines under the oracle, want 1; shortfalls: %v", engines, short)
 	}
 }
 

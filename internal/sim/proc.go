@@ -66,14 +66,9 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
 // Advance consumes d of virtual time, modeling computation or a fixed
-// latency. Other processes and events run in the meantime.
-//
-// Run-to-completion fast path: when nothing else is scheduled before
-// now+d, the park/resume round trip is pure overhead — the engine would
-// immediately pop this process's own resume event and switch straight
-// back. In that case the clock advances inline and the process keeps
-// running, eliding two coroutine switches and a queue push/pop. The
-// observable schedule is identical (see Engine.advanceInlineOK).
+// latency: it schedules the process's resume at now+d and parks. Other
+// processes and events run in the meantime. A run of back-to-back
+// advances is cheaper as one AdvanceChain.
 func (p *Proc) Advance(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
@@ -81,13 +76,7 @@ func (p *Proc) Advance(d Duration) {
 	if d == 0 {
 		return
 	}
-	e := p.eng
-	t := e.now.Add(d)
-	if e.advanceInlineOK(t) {
-		e.noteInlineAdvance(t)
-		return
-	}
-	e.atResume(t, p)
+	p.eng.atResume(p.eng.now.Add(d), p)
 	p.park("advancing")
 }
 
@@ -100,11 +89,11 @@ func (p *Proc) Advance(d Duration) {
 // leaves them, but the process parks at most once. A process that wakes
 // from one Advance only to call the next does nothing in between that
 // anyone can observe, so the event loop does it in the process's stead:
-// when the resume event of a step pops, execOne itself makes the next
-// step's inline-or-schedule decision (Engine.serveChain) and switches
-// into the coroutine only after the last step. With the fast paths
-// disabled the chain is the loop above, literally — which makes the
-// fast-path on/off identity tests its differential oracle.
+// when the resume event of a step pops, execOne itself schedules the next
+// step's resume (Engine.serveChain) and switches into the coroutine only
+// after the last step. With the fast paths disabled the chain is the loop
+// above, literally — which makes the fast-path on/off identity tests its
+// differential oracle.
 func (p *Proc) AdvanceChain(ds ...Duration) {
 	p.chain = append(p.chain[:0], ds...)
 	p.runChain()

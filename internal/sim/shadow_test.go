@@ -21,6 +21,8 @@ import (
 // faultchaos slice is 40 fault-plan worlds of resident far timers under
 // near-future churn, and faultsweep, faultapp and faultrecover reach the
 // queue under seqs reserved long before (retransmission timers, replay).
+// Every event a world executes must have been popped from its ladder, so
+// every world's shadow must have checked at least as many pops.
 func TestShadowOracleOnExperiments(t *testing.T) {
 	defer sim.SetShadowOracle()()
 	seeds := int64(8)
@@ -52,6 +54,13 @@ func TestShadowOracleOnExperiments(t *testing.T) {
 				res := e.Run(bench.Options{Scale: c.scale, Seed: seed, Parallel: 1, Shards: c.shards})
 				if res.Failed {
 					t.Errorf("%s seed %d failed:\n%s", c.id, seed, res.CSV())
+				}
+				engines, short := sim.TakeShadowShortfalls()
+				if engines == 0 {
+					t.Fatal("no engine was built under the shadow oracle")
+				}
+				for _, line := range short {
+					t.Error(line)
 				}
 			})
 		}

@@ -307,15 +307,6 @@ func (g *ShardGroup) EventsExecuted() int64 {
 	return n
 }
 
-// InlinedAdvances sums inline-completed advances across shards.
-func (g *ShardGroup) InlinedAdvances() int64 {
-	var n int64
-	for _, e := range g.engines {
-		n += e.inlined
-	}
-	return n
-}
-
 // Horizon returns the global horizon of the most recent window.
 func (g *ShardGroup) Horizon() Time { return g.horizon }
 

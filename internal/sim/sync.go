@@ -135,7 +135,7 @@ func (s *Server) enqueue(end Time, j Linked) {
 		return
 	}
 	s.head, s.tail = j, l
-	e.scheduleReserved(end, l.Seq, s)
+	e.events.push(event{at: end, seq: l.Seq, run: s, kind: evRun})
 }
 
 // Step fires the head job's completion and promotes the next queued job,
@@ -155,7 +155,7 @@ func (s *Server) Step() {
 	s.head = next
 	if next != nil {
 		nl := next.QueueLink()
-		s.eng.scheduleReserved(nl.At, nl.Seq, s)
+		s.eng.events.push(event{at: nl.At, seq: nl.Seq, run: s, kind: evRun})
 	} else {
 		s.tail = nil
 	}
