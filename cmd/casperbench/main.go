@@ -5,7 +5,6 @@
 //
 //	casperbench -list
 //	casperbench -run fig4a [-csv] [-scale 0.5] [-seed 7] [-parallel 8]
-//	casperbench -run fig5a -shards 4
 //	casperbench -all
 //
 // -cpuprofile and -memprofile write pprof profiles of the run. How fast
@@ -32,7 +31,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		quick      = flag.Bool("quick", false, "CI smoke mode: shorthand for -scale 0.12")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (1 = serial)")
-		shards     = flag.Int("shards", 0, "sharded simulation: per-node engines driven by up to N worker goroutines (0 = serial engine); output is identical to the serial engine's at seed 42 and at the seeds benchmark/golden.json lists; known to differ at others — ROADMAP B")
 		chaosSeed  = flag.Int64("chaosseed", 0, "faultchaos: replay this single chaos seed verbosely (0 = full sweep; implies -run faultchaos)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file")
@@ -40,15 +38,6 @@ func main() {
 	flag.Parse()
 	if *quick {
 		*scale = 0.12
-	}
-	if lim := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); *shards > lim {
-		// Not an error: the output does not depend on the worker count (the
-		// engine clamps its workers to what the hardware can schedule and
-		// runs the rest inline), but the run's wall-clock must never be
-		// mistaken for an N-way parallel speedup.
-		fmt.Fprintf(os.Stderr,
-			"casperbench: warning: -shards %d exceeds the %d schedulable CPUs (GOMAXPROCS %d, NumCPU %d) — shard workers beyond that run inline, so wall-clock is an overhead measurement, not a speedup\n",
-			*shards, lim, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
 	if *chaosSeed > 0 {
 		// -chaosseed only means something to faultchaos: a bare
@@ -61,7 +50,7 @@ func main() {
 			fatalf("casperbench: -chaosseed applies only to faultchaos, not -run %s", *run)
 		}
 	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, ChaosSeed: *chaosSeed, Shards: *shards}
+	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, ChaosSeed: *chaosSeed}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

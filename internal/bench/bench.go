@@ -34,14 +34,9 @@ type Options struct {
 	// the one-command replay for a failing seed. Zero runs the full
 	// sweep. Ignored by every other experiment.
 	ChaosSeed int64
-	// Shards > 0 requests sharded simulation execution (one engine per
-	// node, up to Shards worker goroutines; see mpi.Config.Shards) for
-	// the experiments that thread it through — currently the fig5
-	// scaling family and faultchaos (where fault plans fall back to the
-	// serial engine, making the option an honest no-op). Output is
-	// identical to the serial engine's (0) at seed 42 and at the seeds
-	// benchmark/golden.json lists; it is known to differ at others —
-	// ROADMAP B.
+	// Shards is ignored: every world runs on one simulation engine. It
+	// stays only because the benchmark harness still sets it; output is
+	// the same for every value.
 	Shards int
 }
 

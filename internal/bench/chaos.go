@@ -80,7 +80,7 @@ func chaosSig(data [][]byte) uint64 {
 // fault-free baseline) and captures every failure mode as an error:
 // rank panics, deadlock, and watchdog all surface through the named
 // return instead of killing the sweep.
-func runChaosWorld(wi int, engineSeed int64, plan *fault.Plan, tr *trace.Tracer, shards int) (out chaosOutcome, err error) {
+func runChaosWorld(wi int, engineSeed int64, plan *fault.Plan, tr *trace.Tracer) (out chaosOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -89,11 +89,6 @@ func runChaosWorld(wi int, engineSeed int64, plan *fault.Plan, tr *trace.Tracer,
 	cfg := worldConfig(netmodel.CrayXC30(), chaosN, chaosPPN, mpi.ProgressNone, false, engineSeed)
 	cfg.Fault = plan
 	cfg.Validate = true
-	// Shards is threaded through for the -shards identity check. Every
-	// chaos world sets Validate (and most carry a fault plan), so the
-	// sharded engine declines it and falls back to serial — the option
-	// must be an honest no-op here, which TestShardedIdentical verifies.
-	cfg.Shards = shards
 	w, werr := mpi.NewWorld(cfg)
 	if werr != nil {
 		return out, werr
@@ -282,7 +277,7 @@ func init() {
 			// bit-identity.
 			var base [4]chaosOutcome
 			for wi := range base {
-				out, err := runChaosWorld(wi, o.Seed, nil, nil, o.Shards)
+				out, err := runChaosWorld(wi, o.Seed, nil, nil)
 				if err != nil {
 					panic(fmt.Sprintf("bench: faultchaos baseline %s: %v", chaosWorkloadNames[wi], err))
 				}
@@ -308,7 +303,7 @@ func init() {
 				if verbose {
 					tr = trace.New()
 				}
-				out, err := runChaosWorld(wi, o.Seed, plan, tr, o.Shards)
+				out, err := runChaosWorld(wi, o.Seed, plan, tr)
 				runs[i] = chaosRun{out: out, err: err, plan: plan, tr: tr, wi: wi}
 			})
 

@@ -13,7 +13,7 @@ func BenchmarkChaosWorld(b *testing.B) {
 	ghosts, apps := chaosFaultCandidates()
 	for wi, name := range []string{"stencil", "gups", "matmul", "lockloop"} {
 		b.Run(name, func(b *testing.B) {
-			base, err := runChaosWorld(wi, 42, nil, nil, 0)
+			base, err := runChaosWorld(wi, 42, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -26,7 +26,7 @@ func BenchmarkChaosWorld(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := runChaosWorld(wi, 42, plan, nil, 0)
+				out, err := runChaosWorld(wi, 42, plan, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

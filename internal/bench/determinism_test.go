@@ -99,3 +99,20 @@ func TestParallelSweepIdentical(t *testing.T) {
 func TestOverloadDeterministic(t *testing.T) {
 	assertDeterministic(t, "overload")
 }
+
+// TestShardsOptionIsInert pins the promise the benchmark harness relies
+// on: Options.Shards is ignored, so its Shards: 2 pass of fig5a must
+// render its serial twin's bytes. Seed 3 is the cell a sharded engine
+// once moved (row 4, "Original MPI": 1.490141 ms serial, 1.490691 ms on
+// two shards); seed 42 is the harness's reference seed.
+func TestShardsOptionIsInert(t *testing.T) {
+	for _, seed := range []int64{3, 42} {
+		o := Options{Scale: 0.5, Seed: seed, Parallel: 1}
+		serial := runExp(t, "fig5a", o).CSV()
+		o.Shards = 2
+		if got := runExp(t, "fig5a", o).CSV(); got != serial {
+			t.Errorf("fig5a seed %d: CSV with Shards 2 differs from Shards 0:\n--- shards 0\n%s--- shards 2\n%s",
+				seed, serial, got)
+		}
+	}
+}

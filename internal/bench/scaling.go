@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -61,33 +60,23 @@ func allToAllWorkload(kind mpi.OpKind, jitter func() sim.Duration) func(env mpi.
 
 // runScaling measures the all-to-all workload for one approach at one
 // process count (ppn = 1 user process per node, as in the paper).
-// shards > 0 runs the simulation on the sharded engine (see
-// mpi.Config.Shards).
-func runScaling(a approach, kind mpi.OpKind, procs int, seed int64, shards int) float64 {
-	// Rank bodies run on different shard engines concurrently; the
-	// reduction below is the only cross-rank state they touch.
-	var mu sync.Mutex
+func runScaling(a approach, kind mpi.OpKind, procs int, seed int64) float64 {
 	var maxEl sim.Duration
 	body := func(env mpi.Env) {
 		// The compute jitter is a per-rank stream seeded from (seed,
-		// rank), independent of the simulation engine's RNG: the draws —
-		// and therefore the measured times — are identical on the serial
-		// and sharded engines, for any shard worker count.
+		// rank), independent of the simulation engine's RNG.
 		rng := rand.New(rand.NewSource(seed + 0x9E3779B9*int64(env.Rank()+1)))
 		jitter := func() sim.Duration {
 			return sim.Duration(rng.Int63n(int64(sim.Microseconds(100))))
 		}
 		el := allToAllWorkload(kind, jitter)(env)
-		mu.Lock()
 		if el > maxEl {
 			maxEl = el
 		}
-		mu.Unlock()
 	}
 	if a.ghosts > 0 {
 		ppn := 1 + a.ghosts
 		cfg := worldConfig(a.net(), procs*ppn, ppn, a.prog, a.oversub, seed)
-		cfg.Shards = shards
 		w, err := mpi.NewWorld(cfg)
 		if err != nil {
 			panic(err)
@@ -106,7 +95,6 @@ func runScaling(a approach, kind mpi.OpKind, procs int, seed int64, shards int) 
 		w.Close()
 	} else {
 		cfg := worldConfig(a.net(), procs, 1, a.prog, a.oversub, seed)
-		cfg.Shards = shards
 		w, err := mpi.NewWorld(cfg)
 		if err != nil {
 			panic(err)
@@ -140,7 +128,7 @@ func scalingExperiment(id, figure, title string, kind mpi.OpKind,
 				series[ai] = Series{Name: a.name, Y: make([]float64, len(procs))}
 			}
 			o.grid(len(as), len(procs), func(ai, pi int) {
-				series[ai].Y[pi] = runScaling(as[ai], kind, procs[pi], o.Seed, o.Shards)
+				series[ai].Y[pi] = runScaling(as[ai], kind, procs[pi], o.Seed)
 			})
 			res.Series = series
 			return res

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -60,14 +59,12 @@ type partition struct {
 // deployShared is the part of a deployment that a real Casper computes
 // identically on every rank and the simulator, one address space, keeps
 // once per world: the partition and one record per Casper window. Every
-// rank reaches it through mpi.World.SharedState; mu orders the window
-// table between shard engines. Records stay for the life of the world,
-// as mpi's own communicator and window registries do.
+// rank reaches it through mpi.World.SharedState. Records stay for the
+// life of the world, as mpi's own communicator and window registries do.
 type deployShared struct {
 	numGhosts int
 	partition
 
-	mu     sync.Mutex
 	byComm map[winID]*winMeta    // user side: (communicator, n-th window on it)
 	byKey  map[string][]*winMeta // ghost side: creation key -> records by creation index
 }
@@ -489,15 +486,12 @@ type winMeta struct {
 	internalIdx []int   // world rank -> rank in the internal communicator; -1 for non-members
 	nLock       int     // number of per-user-process overlapping windows
 
-	layoutOnce sync.Once
-	layout     []tinfo // per user comm rank
+	layout []tinfo // per user comm rank; built by the first member through layoutFor
 }
 
 // userWindow returns the record of the nth Casper window on comm,
 // building its topology if the caller is the first member to arrive.
 func (d *deployment) userWindow(comm *mpi.Comm, nth int, epochs epochSet) *winMeta {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	id := winID{comm.ID(), nth}
 	m := d.byComm[id]
 	if m == nil {
@@ -516,8 +510,6 @@ func (d *deployment) userWindow(comm *mpi.Comm, nth int, epochs epochSet) *winMe
 // ghostWindow returns the record a creation command addresses. The
 // commanding user obtained it before sending, so it always exists.
 func (d *deployment) ghostWindow(key string, idx int) *winMeta {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if ms := d.byKey[key]; idx < len(ms) {
 		return ms[idx]
 	}

@@ -164,7 +164,7 @@ func (j *cmdJournal) onDeath(dead int) {
 	if t := j.w.Tracer(); t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "succession", Rank: succ, Peer: dead, At: j.w.Engine().Now()})
 	}
-	j.comm.InjectLocal(dead, succ, tagGhostCmd, []byte{cmdSucceed})
+	j.comm.DeliverLocal(dead, succ, tagGhostCmd, []byte{cmdSucceed})
 }
 
 // takeover runs on the successor ghost when its cmdSucceed doorbell

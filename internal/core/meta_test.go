@@ -240,33 +240,26 @@ func TestSharedRecordMatchesPerRankReference(t *testing.T) {
 		numa    int
 		ghosts  int
 		binding Binding
-		shards  int
 	}
 	cases := []tc{
 		// One ghost on a two-domain node: half the users have no
 		// NUMA-local ghost; with 2 and 4 every user has one or two.
-		{"rank/1ghost", 16, 8, 2, 1, BindRank, 0},
-		{"rank/2ghosts", 48, 24, 2, 2, BindRank, 0},
-		{"segment/2ghosts", 48, 24, 2, 2, BindSegment, 0},
-		{"segment/4ghosts", 48, 24, 2, 4, BindSegment, 0},
-		{"rank/4ghosts/1numa", 24, 12, 1, 4, BindRank, 0},
+		{"rank/1ghost", 16, 8, 2, 1, BindRank},
+		{"rank/2ghosts", 48, 24, 2, 2, BindRank},
+		{"segment/2ghosts", 48, 24, 2, 2, BindSegment},
+		{"segment/4ghosts", 48, 24, 2, 4, BindSegment},
+		{"rank/4ghosts/1numa", 24, 12, 1, 4, BindRank},
 		// 8 + 8 + 4 ranks: the last node has fewer users (and, with the
 		// ghosts taken from the back of the occupied cores, its own carving).
-		{"rank/uneven", 20, 8, 2, 2, BindRank, 0},
-		{"segment/uneven", 20, 8, 2, 1, BindSegment, 0},
-		{"rank/2ghosts/shards2", 32, 8, 2, 2, BindRank, 2},
-		{"segment/uneven/shards2", 20, 8, 2, 2, BindSegment, 2},
+		{"rank/uneven", 20, 8, 2, 2, BindRank},
+		{"segment/uneven", 20, 8, 2, 1, BindSegment},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			mcfg := casperConfig(c.n, c.ppn)
 			mcfg.Machine.NUMAPerNode = c.numa
-			if c.shards > 0 {
-				mcfg.Validate = false // the validator forces the serial engine
-				mcfg.Shards = c.shards
-			}
-			w := casperRun(t, mcfg, Config{NumGhosts: c.ghosts, Binding: c.binding}, func(p *Process) {
+			casperRun(t, mcfg, Config{NumGhosts: c.ghosts, Binding: c.binding}, func(p *Process) {
 				world := p.CommWorld()
 				sizeOf := func(c *mpi.Comm) int { return 8 * (1 + (c.Rank()*7)%5) }
 				counts := map[string]int{} // this rank's own per-key creation counts
@@ -312,9 +305,6 @@ func TestSharedRecordMatchesPerRankReference(t *testing.T) {
 				}
 				w5.Free()
 			})
-			if c.shards > 0 && !w.Sharded() {
-				t.Fatal("world fell back to the serial engine")
-			}
 		})
 	}
 }

@@ -87,12 +87,6 @@ type winShared struct {
 // Runs during WinAllocate, in proc context.
 func (p *Process) attachOverload(cw *casperWin) *winShared {
 	world := p.r.World()
-	if world.Sharded() {
-		// The sweep driver mutates bindings across the whole node set
-		// from one background event stream — world-global state the
-		// shard engines cannot share.
-		panic("casper: overload rebalancing is not supported under sharded execution (set Config.Shards = 0)")
-	}
 	reb := world.SharedState(rebalancerKey, func() interface{} {
 		return &rebalancer{
 			p:         p,

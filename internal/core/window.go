@@ -105,7 +105,9 @@ type lbCount struct{ ops, bytes int64 }
 // Every member passes the sizes it gathered — the same vector — and the
 // first one through builds the layout for all.
 func (m *winMeta) layoutFor(d *deployment, sizes []int) []tinfo {
-	m.layoutOnce.Do(func() { m.layout = m.buildLayout(d, sizes) })
+	if m.layout == nil {
+		m.layout = m.buildLayout(d, sizes)
+	}
 	return m.layout
 }
 

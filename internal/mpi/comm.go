@@ -20,36 +20,17 @@ const (
 type commGlobal struct {
 	id    int
 	w     *World
-	eng   *sim.Engine // engine of comm rank 0: the collective rendezvous owner
 	ranks []int       // comm rank -> world rank
 	index map[int]int // world rank -> comm rank
 	gen   []int       // per comm-rank collective sequence number
 	colls map[int]*collOp
-
-	// Sharded-execution state: crossShard marks a comm whose members
-	// span shard engines (its collectives go through the owner-mediated
-	// path in shard.go, keyed by generation in scolls). A comm contained
-	// in one shard runs the serial rendezvous on that shard's engine.
-	crossShard bool
-	scolls     map[int]*shardColl
 }
 
 func (w *World) newCommGlobal(worldRanks []int) *commGlobal {
-	if s := w.sharded; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return w.newCommGlobalLocked(worldRanks)
-}
-
-// newCommGlobalLocked is newCommGlobal without the registry lock, for
-// callers that already hold it across a check-then-create sequence.
-func (w *World) newCommGlobalLocked(worldRanks []int) *commGlobal {
 	w.commSeq++
 	g := &commGlobal{
 		id:    w.commSeq,
 		w:     w,
-		eng:   w.eng,
 		ranks: append([]int(nil), worldRanks...),
 		index: make(map[int]int, len(worldRanks)),
 		gen:   make([]int, len(worldRanks)),
@@ -57,17 +38,6 @@ func (w *World) newCommGlobalLocked(worldRanks []int) *commGlobal {
 	}
 	for i, r := range g.ranks {
 		g.index[r] = i
-	}
-	if s := w.sharded; s != nil {
-		sh := s.shardOf[g.ranks[0]]
-		g.eng = s.engines[sh]
-		for _, r := range g.ranks[1:] {
-			if s.shardOf[r] != sh {
-				g.crossShard = true
-				break
-			}
-		}
-		g.scolls = make(map[int]*shardColl)
 	}
 	w.comms = append(w.comms, g)
 	return g
@@ -123,13 +93,13 @@ type inMsg struct {
 	data   []byte
 }
 
-// InjectLocal delivers a message straight into dest's mailbox at the
+// DeliverLocal delivers a message straight into dest's mailbox at the
 // current instant, from engine context: no wire time, no transport, no
 // MPI call overhead. It is the recovery side channel for layered
 // runtimes — e.g. handing the sequencer role to a successor ghost when
 // the normal path's owner just died. src and dest are comm ranks; the
-// injection is silently dropped at a crashed destination.
-func (c *Comm) InjectLocal(src, dest, tag int, data []byte) {
+// message is silently dropped at a crashed destination.
+func (c *Comm) DeliverLocal(src, dest, tag int, data []byte) {
 	dr := c.g.w.ranks[c.g.ranks[dest]]
 	if dr.failed {
 		return
@@ -196,7 +166,7 @@ func (c *Comm) Send(dest, tag int, data []byte) {
 	if rel := r.w.rel; rel != nil {
 		rel.sendMsg(r, destWorld, msg, arrival)
 	} else {
-		r.w.schedule(eng, dr.eng, arrival, func() { dr.mailbox.arrive(msg) })
+		eng.At(arrival, func() { dr.mailbox.arrive(msg) })
 	}
 	r.stats[MessagesSent]++
 }
@@ -255,9 +225,6 @@ func (c *Comm) collective(name string, val interface{},
 	r.mpiEnter()
 	defer r.mpiLeave()
 	g := c.g
-	if g.crossShard {
-		return c.collectiveSharded(name, val, cost, reduce)
-	}
 	gen := g.gen[c.me]
 	g.gen[c.me]++
 	coll, ok := g.colls[gen]
@@ -327,7 +294,7 @@ func (g *commGlobal) maybeComplete(coll *collOp) {
 		coll.result = coll.reduce(coll.vals)
 	}
 	done := coll.done.Complete
-	g.eng.After(coll.cost, done)
+	g.w.eng.After(coll.cost, done)
 }
 
 // reapFailed re-examines this comm's open collectives after a crash
@@ -556,12 +523,6 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 		sort.Ints(sorted)
 	}
 	w := r.w
-	if s := w.sharded; s != nil {
-		// The check-then-create below must be atomic against members on
-		// other shards racing to instantiate the same communicator.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	hash := groupHash
 	if w.groupHashHook != nil {
 		hash = w.groupHashHook
@@ -578,7 +539,7 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 		if w.groupComms == nil {
 			w.groupComms = map[uint64][]*groupComms{}
 		}
-		grp = &groupComms{insts: []*commGlobal{w.newCommGlobalLocked(sorted)}}
+		grp = &groupComms{insts: []*commGlobal{w.newCommGlobal(sorted)}}
 		w.groupComms[h] = append(w.groupComms[h], grp)
 	}
 	if r.groupUses == nil {
@@ -587,7 +548,7 @@ func (r *Rank) CommFromGroup(worldRanks []int) *Comm {
 	idx := r.groupUses[grp]
 	r.groupUses[grp]++
 	if idx >= len(grp.insts) {
-		grp.insts = append(grp.insts, w.newCommGlobalLocked(sorted))
+		grp.insts = append(grp.insts, w.newCommGlobal(sorted))
 	}
 	return grp.insts[idx].handleFor(r)
 }

@@ -18,13 +18,6 @@ import (
 // flushall+barrier translation (Section III-C1).
 func (w *Win) Fence(assert Assert) {
 	r := w.r
-	if r.w.sharded != nil {
-		// The piggybacked in-flight count is a single counter mutated on
-		// every op issue and apply — world-global state the shards cannot
-		// share. Casper's fence translation (flushall+barrier+sync) does
-		// not use it; base-MPI fence workloads need Config.Shards = 0.
-		panic("mpi: MPI_Win_fence is not supported under sharded execution (set Config.Shards = 0)")
-	}
 	r.mpiEnter()
 	defer r.mpiLeave()
 	if !assert.Has(ModeNoPrecede) {
@@ -56,21 +49,18 @@ func (w *Win) Post(group []int, assert Assert) {
 		delete(p.expected[w.me], o)
 	}
 	if !assert.Has(ModeNoCheck) {
-		// Notify each origin that this target is posted. The notification
-		// runs at the origin's engine: postSeen[origin] and the origin's
-		// signal belong to it.
+		// Notify each origin that this target is posted; the notification
+		// lands one wire time later.
 		for _, origin := range w.exposure.group {
 			origin := origin
-			or := w.g.rankOf(origin)
 			wire := r.transferTo(w.g.comm.ranks[origin], 16)
 			me := w.me
-			sig := w.g.sigFor(origin)
-			r.w.schedule(r.eng, or.eng, r.eng.Now().Add(wire), func() {
+			r.eng.At(r.eng.Now().Add(wire), func() {
 				if p.postSeen[origin] == nil {
 					p.postSeen[origin] = map[int]bool{}
 				}
 				p.postSeen[origin][me] = true
-				sig.Broadcast()
+				p.sig.Broadcast()
 			})
 		}
 	}
@@ -90,7 +80,6 @@ func (w *Win) Start(group []int, assert Assert) {
 		issued: map[int]int64{}}
 	if !assert.Has(ModeNoCheck) {
 		p := w.g.pscwState()
-		sig := w.g.sigFor(w.me)
 		for {
 			ready := true
 			for _, t := range w.access.group {
@@ -102,7 +91,7 @@ func (w *Win) Start(group []int, assert Assert) {
 			if ready {
 				break
 			}
-			sig.Wait(r.proc, "MPI_Win_start awaiting posts")
+			p.sig.Wait(r.proc, "MPI_Win_start awaiting posts")
 		}
 		for _, t := range w.access.group {
 			delete(p.postSeen[w.me], t)
@@ -125,15 +114,13 @@ func (w *Win) Complete() {
 		t := t
 		count := w.access.issued[t]
 		origin := w.me
-		tr := w.g.rankOf(t)
 		wire := r.transferTo(w.g.comm.ranks[t], 16)
-		sig := w.g.sigFor(t)
-		r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire), func() {
+		r.eng.At(r.eng.Now().Add(wire), func() {
 			if p.expected[t] == nil {
 				p.expected[t] = map[int]int64{}
 			}
 			p.expected[t][origin] = count + 1 // +1 marks "complete received"
-			sig.Broadcast()
+			p.sig.Broadcast()
 		})
 	}
 	w.access = nil
@@ -150,7 +137,6 @@ func (w *Win) Wait() {
 		panic("mpi: Wait without exposure epoch")
 	}
 	p := w.g.pscwState()
-	sig := w.g.sigFor(w.me)
 	for {
 		done := true
 		for _, origin := range w.exposure.group {
@@ -171,7 +157,7 @@ func (w *Win) Wait() {
 		if done {
 			break
 		}
-		sig.Wait(r.proc, "MPI_Win_wait")
+		p.sig.Wait(r.proc, "MPI_Win_wait")
 	}
 	for _, origin := range w.exposure.group {
 		delete(p.expected[w.me], origin)
@@ -288,7 +274,7 @@ func (w *Win) closeTarget(ch *chanState) {
 	ch.pending.Wait(r.proc, "MPI_Win_unlock awaiting remote completion")
 	wire := r.transferTo(w.g.comm.ranks[q.target], 16)
 	q.phase = lockPhaseRelease
-	r.w.scheduleRun(r.eng, w.g.rankOf(int(q.target)).eng, r.eng.Now().Add(wire), q)
+	r.eng.AtRun(r.eng.Now().Add(wire), q)
 }
 
 // LockAll implements Window: MPI_WIN_LOCK_ALL (shared mode on every
@@ -433,5 +419,5 @@ func (w *Win) requestLock(target int) {
 	if target != w.me {
 		wire = r.transferTo(w.g.comm.ranks[target], 16)
 	}
-	r.w.scheduleRun(r.eng, w.g.rankOf(target).eng, r.eng.Now().Add(wire), q)
+	r.eng.AtRun(r.eng.Now().Add(wire), q)
 }

@@ -154,7 +154,7 @@ func (w *World) waitDiagnostics() []string {
 		edges = append(edges, w.flow.waitEdges()...)
 	}
 	for _, g := range w.wins {
-		if g.freed.Load() {
+		if g.freed {
 			continue
 		}
 		for _, win := range g.handles {
@@ -207,10 +207,7 @@ func (w *World) waitDiagnostics() []string {
 	for i, e := range edges {
 		tedges[i] = trace.WaitEdge{From: e.from, To: e.to, Label: e.label}
 	}
-	states := make([]sim.SchedulerState, 0, 1)
-	for _, e := range w.allEngines() {
-		states = append(states, e.SchedulerState())
-	}
+	states := []sim.SchedulerState{w.eng.SchedulerState()}
 	lines := []string{"wait-for graph:"}
 	lines = append(lines, trace.RenderWaitGraph(tedges)...)
 	lines = append(lines, trace.RenderSchedulerStates(states)...)

@@ -98,8 +98,8 @@ func (q *lockMsg) Step() {
 // mgr returns the target's lock manager, which requestLock instantiated.
 func (q *lockMsg) mgr() *lockManager { return q.win.g.lockMgrs[q.target] }
 
-// grant runs at the target's engine, where the manager arbitrates: the
-// grant travels back to the origin's engine.
+// grant runs at the target, where the manager arbitrates: the grant
+// travels back to the origin.
 func (q *lockMsg) grant() {
 	w := q.win
 	tr := w.g.rankOf(int(q.target))
@@ -108,7 +108,7 @@ func (q *lockMsg) grant() {
 		back = tr.transferTo(w.g.comm.ranks[w.me], 16)
 	}
 	q.phase = lockPhaseGrant
-	w.r.w.scheduleRun(tr.eng, w.r.eng, tr.eng.Now().Add(back), q)
+	tr.eng.AtRun(tr.eng.Now().Add(back), q)
 }
 
 // waiting returns the queued requests in arrival order.

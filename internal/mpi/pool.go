@@ -9,13 +9,12 @@ import "math/bits"
 // state — so it recycles through the pool instead of pressuring the
 // garbage collector once per operation.
 //
-// There is one pool per simulation engine — the world's, or one per shard
-// of a sharded world — and every rank reaches its own engine's through
-// Rank.pool. An engine runs on one goroutine (strict alternation), so no
-// locking is needed, and parallel sweep runs in separate worlds never
-// share buffers. Buffers are handed out at exact request length over
-// power-of-two capacity classes; callers always overwrite the full
-// length, so stale contents can never leak into results.
+// There is one pool per world. The world's engine runs on one goroutine
+// at a time (strict alternation), so no locking is needed, and parallel
+// sweep runs in separate worlds never share buffers. Buffers are handed
+// out at exact request length over power-of-two capacity classes;
+// callers always overwrite the full length, so stale contents can never
+// leak into results.
 type bufPool struct {
 	classes [poolClasses][][]byte
 

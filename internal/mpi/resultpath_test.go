@@ -10,8 +10,8 @@ import (
 // Result bytes of get / get-accumulate / fetch-and-op / compare-and-swap
 // are written into the origin's buffer when the op applies at the
 // target; the ack carries the completion only. These tests byte-check
-// every kind on every transport that carries the ack: the serial engine,
-// the shard mailboxes, and the reliable transport with acks dropped.
+// every kind on every transport that carries the ack: the plain wire and
+// the reliable transport with acks dropped.
 
 // resultPathWorkload has rank 0 read and update rank 1's window — twelve
 // doubles 1..12 — with every result-returning kind, rounds times over,
@@ -89,8 +89,6 @@ func resultPathWorkload(rounds int, fail func(format string, args ...interface{}
 
 func TestResultsLandAtApply(t *testing.T) {
 	twoNodes := func() Config { return testConfig(2, 1) }
-	sharded := twoNodes()
-	sharded.Shards = 2
 	lossy := twoNodes()
 	lossy.Fault = &fault.Plan{Seed: 3, DropRate: 0.25}
 	for _, tc := range []struct {
@@ -101,11 +99,6 @@ func TestResultsLandAtApply(t *testing.T) {
 	}{
 		{"serial", twoNodes(), 3, nil},
 		{"one node", testConfig(2, 2), 3, nil},
-		{"cross-shard", sharded, 3, func(t *testing.T, w *World) {
-			if !w.Sharded() || w.ShardCount() != 2 {
-				t.Fatalf("world did not run on two shards (sharded=%v, shards=%d)", w.Sharded(), w.ShardCount())
-			}
-		}},
 		{"dropped acks", lossy, 40, func(t *testing.T, w *World) {
 			// With no duplication in the plan, a suppressed duplicate is a
 			// retransmission of a packet the target had already accepted:
@@ -236,8 +229,6 @@ func scratchWorkload(fail func(format string, args ...interface{})) func(r *Rank
 }
 
 func TestOriginBuffersAreScratchAfterIssue(t *testing.T) {
-	sharded := testConfig(2, 1)
-	sharded.Shards = 2
 	lossy := testConfig(2, 1)
 	lossy.Fault = &fault.Plan{Seed: 3, DropRate: 0.25}
 	for _, tc := range []struct {
@@ -245,14 +236,10 @@ func TestOriginBuffersAreScratchAfterIssue(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial", testConfig(2, 1)},
-		{"two shards", sharded},
 		{"25% drops", lossy},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := mustRun(t, tc.cfg, scratchWorkload(t.Errorf))
-			if tc.cfg.Shards > 0 && w.ShardCount() != 2 {
-				t.Fatalf("world ran on %d shards, want 2", w.ShardCount())
-			}
 			if tc.cfg.Fault != nil && w.Summary().Counters[Retransmits] == 0 {
 				t.Fatal("the plan dropped nothing that had to be retransmitted")
 			}

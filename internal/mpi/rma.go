@@ -385,11 +385,8 @@ func (w *Win) issue(op *rmaOp, cmp []byte) {
 
 	// Count the op as outstanding at issue time, so that flushes and
 	// fences also wait for operations still queued behind a pending
-	// lazy lock acquisition. The window-global count is fence machinery,
-	// unusable (and unused — Fence panics) under sharded execution.
-	if w.g.w.sharded == nil {
-		w.g.inflight.Add(1)
-	}
+	// lazy lock acquisition.
+	w.g.inflight.Add(1)
 	op.ch.pending.Add(1)
 	if x := op.ext; x != nil && x.req != nil {
 		x.req.pending.Add(1)
@@ -437,15 +434,6 @@ func (w *Win) send(op *rmaOp) {
 	} else {
 		op.phase = opPhaseArrive
 	}
-	if tr := g.w.ranks[targetWorld]; tr.eng != eng {
-		// Cross-shard: the op travels through the mailbox system instead
-		// of the wire chain (whose chained events are an engine-local
-		// optimization). The injection key reserved on the origin engine
-		// keeps channel FIFO order; arrival monotonicity was enforced
-		// above.
-		r.w.sharded.group.InjectRun(eng, tr.eng, arrival, op)
-		return
-	}
 	if eng.FastPathsDisabled() {
 		eng.AtRun(arrival, op)
 		return
@@ -468,7 +456,7 @@ func (w *Win) send(op *rmaOp) {
 // promoteWire unlinks the op from its channel's wire chain as its
 // arrival event fires, scheduling the successor's arrival under the seq
 // reserved at send time. No-op for ops that never chained (reliable
-// transport, cross-shard, fast paths disabled).
+// transport, fast paths disabled).
 func (o *rmaOp) promoteWire() {
 	if !o.chained {
 		return
@@ -480,10 +468,7 @@ func (o *rmaOp) promoteWire() {
 		return
 	}
 	o.link.Next = nil
-	// The chain only ever forms on same-engine channels (cross-shard ops
-	// go through the mailboxes), so the origin's engine is the one whose
-	// seq was reserved and whose event loop we are standing in.
-	o.win.rankOf(int(o.origin)).eng.AtRunReserved(next.link.At, next.link.Seq, next)
+	o.win.w.eng.AtRunReserved(next.link.At, next.link.Seq, next)
 }
 
 // --- Apply path (target side) ----------------------------------------
@@ -546,7 +531,7 @@ func (o *rmaOp) apply() bool {
 			p.applied[target] = map[int]int64{}
 		}
 		p.applied[target][origin]++
-		o.win.sigFor(target).Broadcast()
+		p.sig.Broadcast()
 	}
 	return true
 }
@@ -571,9 +556,7 @@ func (o *rmaOp) applyAndAck() {
 		reg, disp, _ := o.targetRegion()
 		v.recordApply(o, reg, disp, int(o.owner))
 	}
-	if o.win.w.sharded == nil {
-		o.win.inflight.Done()
-	}
+	o.win.inflight.Done()
 	o.ack()
 }
 
@@ -598,9 +581,7 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 			Bytes: o.bytes(), Arrived: now, Start: now, End: now, Hardware: true,
 		})
 	}
-	if o.win.w.sharded == nil {
-		o.win.inflight.Done()
-	}
+	o.win.inflight.Done()
 	o.ack()
 }
 
@@ -616,11 +597,6 @@ func (o *rmaOp) ack() {
 		return
 	}
 	o.phase = opPhaseAck
-	or := g.w.ranks[originWorld]
-	if or.eng != tr.eng {
-		g.w.sharded.group.InjectRun(tr.eng, or.eng, tr.eng.Now().Add(wire), o)
-		return
-	}
 	tr.eng.AfterRun(wire, o)
 }
 
@@ -639,9 +615,6 @@ func (o *rmaOp) ackDelivered() {
 // it returns the flow-control credit, recycles the op's pooled
 // buffer, and notifies the op observer. Runs in engine context.
 func (g *winGlobal) opTerminal(o *rmaOp) {
-	// The buffer recycles into the origin's pool, where it was drawn:
-	// terminal state is reached in the origin's engine context, whose
-	// pool is the only one legal to touch.
 	or := g.rankOf(int(o.origin))
 	if x := o.ext; x != nil && x.credit != nil {
 		x.credit.release()

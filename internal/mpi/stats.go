@@ -194,7 +194,7 @@ type WorldSummary struct {
 
 // Summary aggregates every rank's counters and fills the world-level rows.
 func (w *World) Summary() WorldSummary {
-	s := WorldSummary{Ranks: len(w.ranks), EndTime: w.now()}
+	s := WorldSummary{Ranks: len(w.ranks), EndTime: w.eng.Now()}
 	for _, r := range w.ranks {
 		s.Counters.Add(r.Stats())
 	}

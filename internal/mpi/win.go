@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -14,11 +13,7 @@ type winGlobal struct {
 	comm    *commGlobal
 	regions []Region // per comm rank: the exposed memory
 	info    Info
-	// freed is atomic because under sharded execution every member of
-	// the MPI_Win_free collective stores it from its own shard
-	// goroutine; readers are fault/flow paths and stopped-world
-	// diagnostics.
-	freed atomic.Bool
+	freed   bool
 
 	lockMgrs []*lockManager // per comm rank, lazily created
 
@@ -63,20 +58,6 @@ type pscwGlobal struct {
 	expected []map[int]int64 // [target][origin] -> op count announced by Complete
 	applied  []map[int]int64 // [target][origin] -> PSCW ops applied so far
 	sig      sim.Signal      // broadcast on any of the above changing
-	sigs     []sim.Signal    // sharded: per comm-rank signals (see sigFor)
-}
-
-// sigFor returns the PSCW wakeup signal of commRank. The serial engine
-// shares one signal across the window; sharded execution gives each
-// rank its own, touched only from that rank's engine — Post/Complete
-// notifications are routed to the destination rank's engine before
-// broadcasting, and each rank waits only on its own signal.
-func (g *winGlobal) sigFor(commRank int) *sim.Signal {
-	p := g.pscwState()
-	if g.w.sharded != nil {
-		return &p.sigs[commRank]
-	}
-	return &p.sig
 }
 
 func (g *winGlobal) pscwState() *pscwGlobal {
@@ -261,15 +242,7 @@ func newWin(g *winGlobal, r *Rank) *Win {
 		panic("mpi: rank not in window comm")
 	}
 	win := &Win{g: g, c: &Comm{g: g.comm, me: me, r: r}, r: r, me: me}
-	if s := g.w.sharded; s != nil {
-		// Members return from the creation collective on their own
-		// engines, in the same window.
-		s.mu.Lock()
-		g.handles = append(g.handles, win)
-		s.mu.Unlock()
-	} else {
-		g.handles = append(g.handles, win)
-	}
+	g.handles = append(g.handles, win)
 	return win
 }
 
@@ -285,36 +258,9 @@ func (r *Rank) winCollective(c *Comm, reg Region, info Info, cost sim.Duration) 
 			info:     info,
 			lockMgrs: make([]*lockManager, len(vals)),
 		}
-		if s := w.sharded; s != nil {
-			s.mu.Lock()
-			w.winSeq++
-			g.id = w.winSeq
-			w.wins = append(w.wins, g)
-			s.mu.Unlock()
-			// Pre-create everything the epoch code otherwise allocates
-			// lazily, so no two shards race to create it mid-window.
-			// Dead-mode lock managers are a fault-plan concern, and fault
-			// plans never run sharded.
-			for i := range g.lockMgrs {
-				g.lockMgrs[i] = &lockManager{}
-			}
-			n := len(c.g.ranks)
-			g.pscw = &pscwGlobal{
-				postSeen: make([]map[int]bool, n),
-				expected: make([]map[int]int64, n),
-				applied:  make([]map[int]int64, n),
-				sigs:     make([]sim.Signal, n),
-			}
-			for i := 0; i < n; i++ {
-				g.pscw.postSeen[i] = map[int]bool{}
-				g.pscw.expected[i] = map[int]int64{}
-				g.pscw.applied[i] = map[int]int64{}
-			}
-		} else {
-			w.winSeq++
-			g.id = w.winSeq
-			w.wins = append(w.wins, g)
-		}
+		w.winSeq++
+		g.id = w.winSeq
+		w.wins = append(w.wins, g)
 		for i, v := range vals {
 			if reg, ok := v.(Region); ok { // crashed member exposes nothing
 				g.regions[i] = reg
@@ -391,5 +337,5 @@ func (r *Rank) WinCreate(c *Comm, reg Region, info Info) *Win {
 // Free implements Window: MPI_WIN_FREE (collective).
 func (w *Win) Free() {
 	w.c.collective("MPI_Win_free", nil, w.c.barrierCost(), nil)
-	w.g.freed.Store(true)
+	w.g.freed = true
 }

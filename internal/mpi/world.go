@@ -29,14 +29,10 @@ func TotalEventsExecuted() int64 { return worldEvents.Load() }
 // benchmark harness, which still reports the share it reads.
 func TotalInlinedAdvances() int64 { return 0 }
 
-// worldShardRounds accumulates shard-group window barriers across all
-// sharded World.Run calls, mirroring worldEvents — the synchronization
-// cost the benchmark reports as sim.shard_rounds.
-var worldShardRounds atomic.Int64
-
-// TotalShardRounds returns the window barriers executed by all
-// completed sharded World.Run calls in this process.
-func TotalShardRounds() int64 { return worldShardRounds.Load() }
+// TotalShardRounds is always 0: every world runs on one engine, so no
+// shard window barrier ever executes. It stays for the benchmark
+// harness, which still reports the count it reads.
+func TotalShardRounds() int64 { return 0 }
 
 // worldPeakResidency tracks the maximum scheduler-queue occupancy seen
 // by any engine of any completed World.Run since the last Take. Unlike
@@ -133,17 +129,6 @@ type Config struct {
 	// event on its own. The schedule is bit-identical either way — this
 	// exists so tests can hold those paths to it.
 	NoSimFastPath bool
-	// Shards > 0 enables sharded execution: the world's processes are
-	// partitioned across one simulation engine per node (ghosts co-located
-	// with the app ranks they serve), executed by up to Shards worker
-	// goroutines under conservative safe windows bounded by the network
-	// model's minimum cross-node latency (netmodel.Params.Lookahead).
-	// Experiment output is identical to the serial engine's at seed 42 and
-	// at the seeds benchmark/golden.json lists; it is known to differ at
-	// others (ROADMAP B). Worlds the sharded engine cannot run (fault plans,
-	// flow control, the validator, or a single node) silently fall back to
-	// the serial engine.
-	Shards int
 }
 
 // World is one simulated MPI job: an engine, a placement, and N ranks.
@@ -181,21 +166,13 @@ type World struct {
 	pool bufPool
 
 	// memo caches the net cost-model lookups (latency memoization).
-	// Owned by this world's single simulation goroutine (per-shard
-	// instances live in sharded; every rank reaches its own through
-	// Rank.memo).
+	// Owned by this world's single simulation goroutine.
 	memo *netmodel.Memo
 
 	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled
 	// under a fault plan, where reliability packets retain op pointers
 	// past terminal state.
 	opRecycle bool
-
-	// sharded holds the parallel-execution state when Config.Shards
-	// selected (and the world is eligible for) the sharded engine; nil
-	// means the classic serial engine. While sharded, eng is nil so any
-	// code path not routed through per-rank engines fails loudly.
-	sharded *shardState
 
 	// Fault-injection state; all nil/zero without a Config.Fault plan.
 	inj         *fault.Injector
@@ -234,16 +211,10 @@ func NewWorld(cfg Config) (*World, error) {
 		cfg:       cfg,
 		memo:      netmodel.NewMemo(cfg.Net),
 		opRecycle: cfg.Fault == nil,
-	}
-	if shardEligible(cfg, place) {
-		w.sharded = newShardState(w)
-	} else {
-		w.eng = sim.New(cfg.Seed)
+		eng:       sim.New(cfg.Seed),
 	}
 	if cfg.NoSimFastPath {
-		for _, e := range w.allEngines() {
-			e.DisableFastPaths()
-		}
+		w.eng.DisableFastPaths()
 	}
 	if cfg.Validate {
 		w.validator = newValidator()
@@ -265,12 +236,7 @@ func NewWorld(cfg Config) (*World, error) {
 		maxEvents = 250_000_000
 	}
 	if maxEvents != 0 || cfg.WatchdogTime != 0 {
-		if s := w.sharded; s != nil {
-			s.group.SetEventBudget(maxEvents)
-			s.group.SetMaxTime(cfg.WatchdogTime)
-		} else {
-			w.eng.SetWatchdog(maxEvents, cfg.WatchdogTime)
-		}
+		w.eng.SetWatchdog(maxEvents, cfg.WatchdogTime)
 	}
 	if cfg.Fault != nil || cfg.Flow != nil {
 		// Hang diagnostics: if the timeline wedges (deadlock) or spins
@@ -291,78 +257,8 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Engine returns the simulation engine — nil under sharded execution,
-// where there is one engine per node (see Rank.Engine).
+// Engine returns the world's simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
-
-// Sharded reports whether the world runs on the sharded engine.
-func (w *World) Sharded() bool { return w.sharded != nil }
-
-// ShardCount returns the number of shards (simulation engines) of a
-// sharded world, and 0 for a serial one.
-func (w *World) ShardCount() int {
-	if w.sharded == nil {
-		return 0
-	}
-	return len(w.sharded.engines)
-}
-
-// ShardRounds returns how many window barriers the shard group has
-// executed (0 for a serial world) — the synchronization cost of the
-// run, see sim.ShardGroup.Rounds.
-func (w *World) ShardRounds() int64 {
-	if w.sharded == nil {
-		return 0
-	}
-	return w.sharded.group.Rounds()
-}
-
-// allEngines returns every simulation engine of the world: the per-node
-// shard engines, or the single serial engine.
-func (w *World) allEngines() []*sim.Engine {
-	if s := w.sharded; s != nil {
-		return s.engines
-	}
-	return []*sim.Engine{w.eng}
-}
-
-// now returns the current global virtual time: the serial engine's
-// clock, or the maximum shard clock (only meaningful between windows —
-// i.e. after Run returns).
-func (w *World) now() sim.Time {
-	if s := w.sharded; s != nil {
-		var t sim.Time
-		for _, e := range s.engines {
-			if n := e.Now(); n > t {
-				t = n
-			}
-		}
-		return t
-	}
-	return w.eng.Now()
-}
-
-// schedule runs fn at virtual time at on engine dst, from the engine
-// context src. Same-engine scheduling (and every serial world) goes
-// straight to the engine's event queue; cross-shard scheduling goes
-// through the shard group's mailboxes, which enforce the lookahead
-// contract.
-func (w *World) schedule(src, dst *sim.Engine, at sim.Time, fn func()) {
-	if src == dst {
-		src.At(at, fn)
-		return
-	}
-	w.sharded.group.Inject(src, dst, at, fn)
-}
-
-// scheduleRun is schedule for closure-free Runner payloads.
-func (w *World) scheduleRun(src, dst *sim.Engine, at sim.Time, r sim.Runner) {
-	if src == dst {
-		src.AtRun(at, r)
-		return
-	}
-	w.sharded.group.InjectRun(src, dst, at, r)
-}
 
 // Placement returns the rank-to-hardware mapping.
 func (w *World) Placement() *cluster.Placement { return w.place }
@@ -377,29 +273,13 @@ func (w *World) Config() Config { return w.cfg }
 func (w *World) Validator() *Validator { return w.validator }
 
 // PoolOutstanding returns the number of message-path buffers handed out
-// by the world's buffer pool(s) and not yet returned. Zero once the
-// world has quiesced; anything else is a leak on an error/early-return
-// path.
-func (w *World) PoolOutstanding() int64 {
-	if s := w.sharded; s != nil {
-		var n int64
-		for i := range s.pools {
-			n += s.pools[i].Outstanding()
-		}
-		return n
-	}
-	return w.pool.Outstanding()
-}
+// by the world's buffer pool and not yet returned. Zero once the world
+// has quiesced; anything else is a leak on an error/early-return path.
+func (w *World) PoolOutstanding() int64 { return w.pool.Outstanding() }
 
 // SetTracer installs an operation tracer; pass nil to disable. Install
-// before Launch. The tracer records from every rank into one stream, so
-// it is incompatible with sharded execution.
-func (w *World) SetTracer(t *trace.Tracer) {
-	if w.sharded != nil && t.Enabled() {
-		panic("mpi: tracing is not supported under sharded execution (set Config.Shards = 0)")
-	}
-	w.tracer = t
-}
+// before Launch.
+func (w *World) SetTracer(t *trace.Tracer) { w.tracer = t }
 
 // Tracer returns the installed tracer (possibly nil).
 func (w *World) Tracer() *trace.Tracer { return w.tracer }
@@ -413,10 +293,6 @@ func (w *World) RankByID(i int) *Rank { return w.ranks[i] }
 // singletons that live in the simulated job's single address space,
 // such as the overload rebalancer.
 func (w *World) SharedState(key string, create func() interface{}) interface{} {
-	if s := w.sharded; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if w.shared == nil {
 		w.shared = make(map[string]interface{})
 	}
@@ -449,7 +325,7 @@ func (w *World) reclaimLocksAt(dead int) {
 		return
 	}
 	for _, g := range w.wins {
-		if g.freed.Load() {
+		if g.freed {
 			continue
 		}
 		cr, ok := g.comm.index[dead]
@@ -511,26 +387,17 @@ func (w *World) FailedCount() int { return w.failedCount }
 
 // Run executes the simulation to completion.
 func (w *World) Run() error {
-	var err error
-	if s := w.sharded; s != nil {
-		err = s.group.Run()
-		worldEvents.Add(s.group.EventsExecuted())
-		worldShardRounds.Add(s.group.Rounds())
-	} else {
-		err = w.eng.Run()
-		worldEvents.Add(w.eng.EventsExecuted())
-	}
-	for _, e := range w.allEngines() {
-		notePeakResidency(e.PeakQueueResidency())
-		if err == nil {
-			// Crashed ranks and ghosts are still parked mid-call; release
-			// them so the world can be collected. Their deferred calls
-			// (defer win.Free()) run here and stop at their first park,
-			// after the counters above are taken and without moving the
-			// clock. After an error they stay, for the deadlock/watchdog
-			// report to describe.
-			err = e.Close()
-		}
+	err := w.eng.Run()
+	worldEvents.Add(w.eng.EventsExecuted())
+	notePeakResidency(w.eng.PeakQueueResidency())
+	if err == nil {
+		// Crashed ranks and ghosts are still parked mid-call; release
+		// them so the world can be collected. Their deferred calls
+		// (defer win.Free()) run here and stop at their first park,
+		// after the counters above are taken and without moving the
+		// clock. After an error they stay, for the deadlock/watchdog
+		// report to describe.
+		err = w.eng.Close()
 	}
 	return err
 }
@@ -561,10 +428,6 @@ type segment struct {
 }
 
 func (w *World) newSegment(n int) *segment {
-	if s := w.sharded; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if w.closed {
 		panic("mpi: window memory allocated on a closed world")
 	}
@@ -718,10 +581,9 @@ type Rank struct {
 	id   int
 	proc *sim.Proc
 
-	// eng/pool/memo are the rank's simulation engine, buffer pool and
-	// cost-model memo. Serial worlds alias the world-global instances;
-	// sharded worlds point at the rank's node shard, which is what keeps
-	// pooling and memoization lock-free with shards running in parallel.
+	// eng/pool/memo alias the world's engine, buffer pool and cost-model
+	// memo: one load instead of two on the message path (reading them
+	// through r.w measured 3-6 % slower on fig5a at scale 0.5, 2-vCPU Xeon).
 	eng  *sim.Engine
 	pool *bufPool
 	memo *netmodel.Memo
@@ -749,17 +611,7 @@ type Rank struct {
 }
 
 func newRank(w *World, id int) *Rank {
-	r := &Rank{w: w, id: id}
-	if s := w.sharded; s != nil {
-		shard := s.shardOf[id]
-		r.eng = s.engines[shard]
-		r.pool = &s.pools[shard]
-		r.memo = s.memos[shard]
-	} else {
-		r.eng = w.eng
-		r.pool = &w.pool
-		r.memo = w.memo
-	}
+	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, memo: w.memo}
 	r.engine.init(r)
 	return r
 }
@@ -779,8 +631,7 @@ func (r *Rank) CommWorld() *Comm { return &Comm{g: r.w.commWorld, me: r.id, r: r
 // Now implements Env.
 func (r *Rank) Now() sim.Time { return r.eng.Now() }
 
-// Engine returns the simulation engine this rank runs on: the world
-// engine in serial mode, the rank's node shard in sharded mode.
+// Engine returns the simulation engine this rank runs on (the world's).
 func (r *Rank) Engine() *sim.Engine { return r.eng }
 
 // Proc returns the simulation process of this rank; harnesses use it for
@@ -873,8 +724,7 @@ type faultOp struct {
 
 // getOp fetches a zeroed rmaOp, reusing a recycled header when one is
 // available. The freelist is per-rank: every op returns to its origin
-// (ackDelivered runs there), so recycling needs no locking even with
-// shards issuing in parallel.
+// (ackDelivered runs there).
 func (r *Rank) getOp() *rmaOp {
 	o := r.opFree
 	if o == nil {

@@ -54,8 +54,6 @@ type Memo struct {
 	p    *Params
 	xfer [numLocality]latCache
 	am   [2]latCache // index 1 = noncontiguous
-	la   sim.Duration
-	laOK bool
 }
 
 // NewMemo returns a memoizing view of p.

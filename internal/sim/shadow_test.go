@@ -16,7 +16,8 @@ import (
 // one: the shipped ladder popped (327707, seq 9465) before (327702, seq
 // 1190) on fig5a and the bytes still agreed, because the two events
 // commuted. fig5a is the lockstep all-to-all whose instants land on coarse
-// bucket starts, serial and on two shard engines; fig5b its put twin; fig7b
+// bucket starts, once more with the inert bench.Options.Shards the
+// benchmark harness still sets; fig5b its put twin; fig7b
 // keeps the deepest ghost backlogs and fig8a the largest payloads; the
 // faultchaos slice is 40 fault-plan worlds of resident far timers under
 // near-future churn, and faultsweep, faultapp and faultrecover reach the

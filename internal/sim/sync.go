@@ -46,28 +46,7 @@ type Server struct {
 	head Linked
 	tail *Link
 
-	free     *jobNode // spent nodes of plain Runners and closures
 	released bool
-}
-
-// jobNode queues a completion callback that carries no link of its own.
-type jobNode struct {
-	link Link
-	r    Runner
-	s    *Server
-	free *jobNode
-}
-
-// QueueLink implements Linked.
-func (n *jobNode) QueueLink() *Link { return &n.link }
-
-// Step runs the callback. The node goes back to its server first: it is
-// off the backlog by now, and the callback may resubmit.
-func (n *jobNode) Step() {
-	r, s := n.r, n.s
-	n.r = nil
-	n.free, s.free = s.free, n
-	r.Step()
 }
 
 // funcRunner is a closure as a Runner.
@@ -91,30 +70,23 @@ func (s *Server) Submit(ready Time, d Duration, fn func()) Time {
 // SubmitRun is Submit with a closure-free completion callback: r.Step()
 // runs when the job finishes. A Linked r waits in the backlog through its
 // own link (the hot AM service path: queuing allocates nothing, however
-// deep the backlog); any other Runner through a node the server recycles.
+// deep the backlog); any other Runner is scheduled at its completion time
+// right away, under the seq the backlog would have reserved for it.
 func (s *Server) SubmitRun(ready Time, d Duration, r Runner) Time {
 	end := s.occupy(ready, d)
 	if s.eng.fastOff {
 		s.eng.AtRun(end, r)
 		return end
 	}
-	j, ok := r.(Linked)
-	if !ok {
-		j = s.node(r)
+	if s.released {
+		panic("sim: job submitted to a released Server")
 	}
-	s.enqueue(end, j)
+	if j, ok := r.(Linked); ok {
+		s.enqueue(end, j)
+	} else {
+		s.eng.AtRun(end, r)
+	}
 	return end
-}
-
-// node wraps r in a recycled (or new) jobNode.
-func (s *Server) node(r Runner) *jobNode {
-	n := s.free
-	if n == nil {
-		return &jobNode{r: r, s: s}
-	}
-	s.free, n.free = n.free, nil
-	n.r = r
-	return n
 }
 
 // enqueue reserves the job's event seq (exactly where an eager schedule
@@ -122,9 +94,6 @@ func (s *Server) node(r Runner) *jobNode {
 // it behind the backlog's tail. With the fast paths off the callers
 // schedule every completion eagerly instead (the A/B bisection path).
 func (s *Server) enqueue(end Time, j Linked) {
-	if s.released {
-		panic("sim: job submitted to a released Server")
-	}
 	e := s.eng
 	e.seq++
 	l := j.QueueLink()
@@ -162,10 +131,11 @@ func (s *Server) Step() {
 	job.Step()
 }
 
-// Release drops the backlog without running it, the head included: the
-// server's resident event, if any, fires as a no-op. It is for a server
-// whose owner died — the queued jobs' links are free for another queue
-// the moment Release returns — and the server takes no further jobs.
+// Release drops the backlog of Linked jobs without running it, the head
+// included: the server's resident event, if any, fires as a no-op. It is
+// for a server whose owner died — the queued jobs' links are free for
+// another queue the moment Release returns — and the server takes no
+// further jobs. Plain Runners were scheduled at submission and still run.
 func (s *Server) Release() {
 	s.head, s.tail, s.released = nil, nil, true
 }
