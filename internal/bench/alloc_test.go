@@ -8,9 +8,13 @@ import (
 )
 
 // What TestFig5aAllocsPerEvent measured when its bound was last set, and
-// how far above that a run may read.
+// how far above that a run may read. The issue queue moved it from 0.0431:
+// an origin admits up to 64 calls ahead of the acks that would have
+// recycled their op headers, so each of the sweep's 120 origins keeps
+// about 40 more headers on its freelist — a per-rank working set, not a
+// per-event cost (0.0037 objects per event at fig5a -scale 0.5).
 const (
-	fig5aAllocsPerEvent = 0.0431
+	fig5aAllocsPerEvent = 0.0556
 	allocSlack          = 0.005
 )
 
@@ -40,5 +44,29 @@ func TestFig5aAllocsPerEvent(t *testing.T) {
 	t.Logf("fig5a at scale %g: %d objects over %d events = %.4f allocs/event", o.Scale, after.Mallocs-before.Mallocs, events, got)
 	if bound := fig5aAllocsPerEvent + allocSlack; got > bound {
 		t.Fatalf("fig5a allocates %.4f objects per event, want at most %.4f", got, bound)
+	}
+}
+
+// TestFig5aSwitchesPerOp holds the issue queue's switch diet end to end:
+// one serial fig5a sweep at casperbench's -quick scale, coroutine switches
+// into a rank per RMA operation issued. Eagerly an origin is switched in
+// once per op (twice under Casper, whose redirect overhead is an advance
+// of its own): 1.37 per op here. Served, it is switched in once per run of
+// back-to-back calls, at the flush, compute or 64th queued call that
+// settles it. Both counters are process-wide, so the test must not run in
+// parallel.
+func TestFig5aSwitchesPerOp(t *testing.T) {
+	e, ok := Get("fig5a")
+	if !ok {
+		t.Fatal("fig5a not registered")
+	}
+	o := tiny()
+	o.Parallel = 1
+	switches, ops := mpi.TotalSwitches(), mpi.TotalOpsIssued()
+	e.Run(o)
+	switches, ops = mpi.TotalSwitches()-switches, mpi.TotalOpsIssued()-ops
+	t.Logf("fig5a at scale %g: %d switches for %d RMA ops = %.3f per op", o.Scale, switches, ops, float64(switches)/float64(ops))
+	if ops == 0 || float64(switches) > 0.2*float64(ops) {
+		t.Fatalf("fig5a made %d switches for %d RMA ops, want at most 20 %%", switches, ops)
 	}
 }

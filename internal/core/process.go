@@ -79,6 +79,7 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	if p.finalized {
 		panic("casper: WinAllocate after Finalize")
 	}
+	p.r.Proc().Settle() // the window registry is shared: issue what is queued first
 	switch info.Get(InfoAsyncConfig, "on") {
 	case "on":
 	case "off":

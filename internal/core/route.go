@@ -80,21 +80,33 @@ func (cw *casperWin) CompareAndSwap(compare, origin, result []byte, t int, disp 
 // redirect validates the epoch, charges Casper's per-operation
 // bookkeeping cost, routes the operation to ghost pieces, and issues
 // them on the appropriate internal window.
+//
+// When routing depends on nothing the redirect overhead could change
+// (servedWin), the operation is routed at call time and the overhead is
+// the lead step of the first piece's issue chain (mpi.Rank.LeadIssue):
+// the pieces then queue for the event loop to issue like any plain MPI
+// call. Otherwise the process pays the overhead first and routes after.
 func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, op mpi.Op, cmp []byte) {
 	if t < 0 || t >= len(cw.layout) {
 		panic(fmt.Sprintf("casper: target %d out of range", t))
 	}
 	ts := cw.epochStateFor(t)
-	cw.p.r.Proc().Advance(cw.p.d.cfg.RedirectOverhead)
+	r := cw.p.r
+	if w := cw.servedWin(kind, t, disp, dt, src, dst, ts); w != nil {
+		r.LeadIssue(cw.p.d.cfg.RedirectOverhead)
+		cw.issue(kind, t, w, cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active), op, cmp)
+		return
+	}
+	r.Proc().Settle()
+	r.Proc().Advance(cw.p.d.cfg.RedirectOverhead)
 	if cw.sh != nil {
 		// A staged binding handover drains the target before any new
 		// operation routes to it (see awaitHandover).
 		cw.sh.awaitHandover(cw.p, t)
 	}
 
-	if cw.p.d.cfg.SelfOpLocal && t == cw.comm.Rank() &&
-		(kind == mpi.KindPut || kind == mpi.KindGet) {
+	if cw.selfOp(kind, t) {
 		cw.selfLocal(kind, t, disp, dt, src, dst)
 		return
 	}
@@ -104,8 +116,49 @@ func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 		cw.ensureGhostLocks(t, ts, w)
 		cw.reclaimEpochLocks(t, ts, w)
 	}
+	cw.issue(kind, t, w, cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active), op, cmp)
+}
 
-	pieces := cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active)
+// selfOp reports whether the operation is a Put/Get to the calling
+// process that SelfOpLocal takes through shared memory.
+func (cw *casperWin) selfOp(kind mpi.OpKind, t int) bool {
+	return cw.p.d.cfg.SelfOpLocal && t == cw.comm.Rank() &&
+		(kind == mpi.KindPut || kind == mpi.KindGet)
+}
+
+// servedWin returns the internal window an operation may be routed on at
+// call time, or nil when redirect must pay its overhead before routing:
+// the world does not queue issue (mpi.Rank.QueuesIssue), the overload
+// rebalancer may hold or move the target's binding meanwhile, the routing
+// draws from the engine's random stream (UnsafeNoBinding, LBRandom on an
+// eligible op), the op is a self-local Put/Get, the target's ghost locks
+// are not yet taken, or any check route makes would fail (those panic on
+// the eager path, at its usual instant).
+func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
+	src, dst []byte, ts *ctarget) *mpi.Win {
+	cfg := &cw.p.d.cfg
+	if !cw.p.r.QueuesIssue() || cw.sh != nil || cfg.UnsafeNoBinding || cw.selfOp(kind, t) ||
+		cw.lb == LBRandom && cw.dynamicEligible(kind, ts) {
+		return nil
+	}
+	w := cw.lookupWin(t, ts)
+	if w == nil || ts != nil && ts.locked && !ts.ghostsLkd && w != cw.active {
+		return nil
+	}
+	if dt.Validate() != nil || !dt.Basic.Valid() {
+		return nil
+	}
+	ti := &cw.layout[t]
+	n := dt.Size()
+	if disp < 0 || disp+dt.Extent() > ti.size || src != nil && len(src) < n || dst != nil && len(dst) < n ||
+		cw.binding == BindSegment && (ti.base+disp)%dt.Basic.Size() != 0 {
+		return nil
+	}
+	return w
+}
+
+// issue issues the pieces of one routed operation on internal window w.
+func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, op mpi.Op, cmp []byte) {
 	cw.p.r.Count(mpi.Redirected, 1)
 	if len(pieces) > 1 {
 		cw.p.r.Count(mpi.Split, int64(len(pieces)-1))

@@ -188,6 +188,15 @@ func (cw *casperWin) lockedGhosts(t int, ts *ctarget) []int {
 // lock epochs (and lockall when translated to locks, III-C-3), the
 // shared active window otherwise.
 func (cw *casperWin) winFor(t int, ts *ctarget) *mpi.Win {
+	w := cw.lookupWin(t, ts)
+	if w == nil {
+		panic("casper: no internal window for current epoch (check epochs_used hint)")
+	}
+	return w
+}
+
+// lookupWin is winFor returning nil where winFor panics.
+func (cw *casperWin) lookupWin(t int, ts *ctarget) *mpi.Win {
 	if ts != nil && ts.locked && !ts.viaAll {
 		return cw.lockWins[cw.layout[t].lockWinIdx]
 	}
@@ -195,9 +204,6 @@ func (cw *casperWin) winFor(t int, ts *ctarget) *mpi.Win {
 		// lockall translated to per-target locks on the overlapping
 		// windows to avoid permission conflicts with lock epochs.
 		return cw.lockWins[cw.layout[t].lockWinIdx]
-	}
-	if cw.active == nil {
-		panic("casper: no internal window for current epoch (check epochs_used hint)")
 	}
 	return cw.active
 }

@@ -44,6 +44,9 @@ func (b BasicType) Size() int {
 	}
 }
 
+// Valid reports whether b is one of the supported basic datatypes.
+func (b BasicType) Valid() bool { return b >= Byte && b <= Float64 }
+
 // String implements fmt.Stringer.
 func (b BasicType) String() string {
 	switch b {

@@ -185,11 +185,12 @@ func (w *Win) Lock(target int, lock LockType, assert Assert) {
 // time: every call still costs its MPI entry. What it saves is host
 // work. Opening an epoch on a lazily locked target is bookkeeping only
 // this rank can see, so the entry costs of such calls are owed rather
-// than paid one by one, and settled — one advance chain — immediately
+// than paid one by one, and paid — one advance chain — immediately
 // before anything another rank or a later event could observe: a lock
 // request leaving (eager or self target), a misuse panic, the return.
 func (w *Win) LockEach(targets []int, lock LockType, assert Assert) {
 	r := w.r
+	r.settle()
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	flags := epLocked
@@ -201,21 +202,21 @@ func (w *Win) LockEach(targets []int, lock LockType, assert Assert) {
 		owed++
 		ep := w.epochOf(target)
 		if *ep&epLocked != 0 {
-			w.settle(owed)
+			w.pay(owed)
 			panic(fmt.Sprintf("mpi: nested Lock to target %d (disallowed by MPI)", target))
 		}
 		*ep = flags
 		if target == w.me || !r.w.net.LockLazy {
-			w.settle(owed)
+			w.pay(owed)
 			owed = 0
 			w.requestLock(target)
 		}
 	}
-	w.settle(owed)
+	w.pay(owed)
 }
 
-// settle pays the entry cost of n consecutive MPI calls.
-func (w *Win) settle(n int) {
+// pay charges the entry cost of n consecutive MPI calls.
+func (w *Win) pay(n int) {
 	if n > 0 {
 		w.r.proc.AdvanceRepeat(w.r.callCost(), n)
 	}
@@ -230,28 +231,29 @@ func (w *Win) Unlock(target int) {
 
 // UnlockEach makes len(targets) consecutive MPI_WIN_UNLOCK calls, one
 // per target in order, under the same rule as LockEach: the entry costs
-// of calls that only drop a never-requested lock are owed, and settled
+// of calls that only drop a never-requested lock are owed, and paid
 // before a requested target is closed (which waits, and sends the
 // release), before a misuse panic, and before returning.
 func (w *Win) UnlockEach(targets []int) {
 	r := w.r
+	r.settle()
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	owed := 0
 	for _, target := range targets {
 		owed++
 		if ep := w.epochFlags(target); ep&epLocked == 0 || ep&epViaAll != 0 {
-			w.settle(owed)
+			w.pay(owed)
 			panic(fmt.Sprintf("mpi: Unlock of target %d without Lock", target))
 		}
 		if ch := w.lookupChannel(target); ch != nil && ch.lock.requested {
-			w.settle(owed)
+			w.pay(owed)
 			owed = 0
 			w.closeTarget(ch)
 		}
 		w.clearTarget(target)
 	}
-	w.settle(owed)
+	w.pay(owed)
 }
 
 // clearTarget ends the passive epoch to target at this origin, dropping
@@ -374,8 +376,16 @@ func (w *Win) Sync() {
 // blocking until it is granted. MPI implementations do this inside
 // flush; Casper calls it explicitly so that a flush opens the
 // static-binding-free interval on every ghost of the node (III-B-3).
+// Once the lock is granted it stays granted until the rank's own Unlock,
+// so an Acquire that finds it granted has nothing left to do but its
+// MPI entry, and is queued like an RMA call where the rank queues calls.
 func (w *Win) Acquire(target int) {
 	r := w.r
+	if ch := w.lookupChannel(target); r.w.queueIssue && ch != nil && ch.lock.granted.Done() &&
+		w.epochFlags(target)&epLocked != 0 {
+		r.issueQ.push(issueItem{kind: itemCall})
+		return
+	}
 	r.mpiEnter()
 	defer r.mpiLeave()
 	if _, ok := w.coverTarget(target); !ok {

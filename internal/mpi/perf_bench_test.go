@@ -88,6 +88,50 @@ func BenchmarkAccumulate(b *testing.B) {
 	}
 }
 
+// BenchmarkIssueRun is the host cost of an origin's back-to-back RMA calls:
+// rank 0 of a 65-rank world issues 64 accumulates to 64 distinct targets,
+// then flushes them all, again and again (the channels are warmed first, so
+// no call is a first touch). "served" is the default, where the event loop
+// issues the queued calls and switches into the origin about once per run;
+// "plain" runs the world on the eager schedule (NoSimFastPath), one switch
+// per call. ns/op and switches/op are per accumulate.
+func BenchmarkIssueRun(b *testing.B) {
+	for _, plain := range []bool{false, true} {
+		name := "served"
+		if plain {
+			name = "plain"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			const targets = 64
+			rounds := (b.N + targets - 1) / targets
+			one := PutFloat64s([]float64{1})
+			cfg := benchConfig(targets+1, 24)
+			cfg.NoSimFastPath = plain
+			w, err := Run(cfg, func(rk *Rank) {
+				c := rk.CommWorld()
+				win, _ := rk.WinAllocate(c, 8, nil)
+				c.Barrier()
+				if rk.Rank() == 0 {
+					win.LockAll(AssertNone)
+					for r := -1; r < rounds; r++ { // round -1 warms the channels
+						for t := 1; t <= targets; t++ {
+							win.Accumulate(one, t, 0, Scalar(Float64), OpSum)
+						}
+						win.FlushAll()
+					}
+					win.UnlockAll()
+				}
+				c.Barrier()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(w.Engine().Switches())/float64(b.N), "switches/op")
+		})
+	}
+}
+
 // BenchmarkLockEpoch is the host cost of one passive-target epoch on a
 // busy engine (four origins in step toward one target): "lazy" opens and
 // closes epochs on a target it never uses — two MPI calls of pure

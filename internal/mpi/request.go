@@ -14,8 +14,12 @@ type Request struct {
 }
 
 // Done reports whether the operation has completed (a non-consuming
-// peek).
-func (q *Request) Done() bool { return q.done.Done() }
+// peek). It settles first, like every call that reads what other ranks'
+// events change.
+func (q *Request) Done() bool {
+	q.r.settle()
+	return q.done.Done()
+}
 
 // Wait blocks until the operation completes and returns the received
 // data and status (both zero values for sends). Corresponds to

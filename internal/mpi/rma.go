@@ -274,9 +274,19 @@ func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp in
 // the op or queues it behind a pending lazy lock acquisition. op.data and
 // cmp (the compare value of a CAS, nil otherwise) still alias the
 // caller's buffers; issue snapshots both, so the caller owns them again
-// as soon as the call returns.
+// as soon as the call returns. A queueable op returns at once and is
+// issued by the event loop (see issue.go); the rest take the eager path
+// below, on which every misuse panics or raises.
 func (w *Win) issue(op *rmaOp, cmp []byte) {
 	r := w.r
+	if r.issueQ.admit(w, op, cmp) {
+		return
+	}
+	r.settle()
+	if d := r.issueQ.lead; d != 0 {
+		r.issueQ.lead = 0
+		r.proc.Advance(d)
+	}
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	r.proc.AdvanceChain(r.callCost(), r.issueCost())
@@ -331,28 +341,42 @@ func (w *Win) issue(op *rmaOp, cmp []byte) {
 		}
 		op.extra().credit = credit
 	}
+	w.snapshot(op, cmp)
+	w.post(op)
+}
 
+// snapshot copies the op's packed payload out of the caller's buffer: into
+// the header when it fits, else into a pooled buffer that lives exactly
+// until the op's terminal state (opTerminal), where it is recycled. A
+// CAS moves one basic element, so its origin value and the compare value
+// cmp share the header.
+func (w *Win) snapshot(op *rmaOp, cmp []byte) {
+	if op.data != nil {
+		n := op.dt.Size()
+		buf := op.inl[:]
+		if n > opInline {
+			buf = w.r.pool.get(n)
+		}
+		op.data = buf[:copy(buf, op.data[:n])]
+	}
+	if cmp != nil {
+		copy(op.inl[opInline/2:], cmp[:op.dt.Basic.Size()])
+	}
+}
+
+// post is the part of the issue after the origin-side cost: the op
+// passed every check and carries its snapshotted payload. It joins the
+// epoch, counts as outstanding, and goes on the wire or behind the
+// channel's pending lock grant. The eager path runs it in the rank's
+// process; for a queued op the event loop runs it at the same pop.
+func (w *Win) post(op *rmaOp) {
+	r := w.r
+	target := int(op.target)
 	op.win = w.g
 	op.origin = int32(w.me)
 	w.opSeq++
 	if w.g.w.validator != nil {
 		op.extra().seq = w.opSeq
-	}
-	if op.data != nil {
-		// Snapshot the packed payload: into the header when it fits, else
-		// into a pooled buffer that lives exactly until the op's terminal
-		// state (opTerminal), where it is recycled.
-		n := op.dt.Size()
-		buf := op.inl[:]
-		if n > opInline {
-			buf = r.pool.get(n)
-		}
-		op.data = buf[:copy(buf, op.data[:n])]
-	}
-	if cmp != nil {
-		// A CAS moves one basic element, so its origin value (above) and
-		// the compare value share the header.
-		copy(op.inl[opInline/2:], cmp[:op.dt.Basic.Size()])
 	}
 	r.stats[OpsIssued]++
 

@@ -17,8 +17,10 @@ func NewMergedRMARequest(r *Rank, children ...*RMARequest) *RMARequest {
 	return &RMARequest{r: r, children: children}
 }
 
-// Done reports whether the operation (and all children) completed.
+// Done reports whether the operation (and all children) completed. It
+// settles first, like Request.Done.
 func (q *RMARequest) Done() bool {
+	q.r.settle()
 	if q.pending.Pending() > 0 {
 		return false
 	}

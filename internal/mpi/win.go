@@ -281,6 +281,7 @@ func (r *Rank) WinAllocate(c *Comm, size int, info Info) (Window, []byte) {
 // WinAllocateRegion is WinAllocate returning the concrete *Win (for
 // layers that need the full handle, like Casper).
 func (r *Rank) WinAllocateRegion(c *Comm, size int, info Info) (*Win, []byte) {
+	r.settle()
 	if size < 0 {
 		panic(fmt.Sprintf("mpi: WinAllocate size %d", size))
 	}

@@ -24,6 +24,20 @@ var worldEvents atomic.Int64
 // completed World.Run calls in this process.
 func TotalEventsExecuted() int64 { return worldEvents.Load() }
 
+// worldSwitches and worldOps accumulate, like worldEvents, the coroutine
+// switches into a rank (sim.Engine.Switches) and the RMA operations issued
+// (the OpsIssued counter) of every completed World.Run: the switch census
+// of EXPERIMENTS.md divides the first by the second.
+var worldSwitches, worldOps atomic.Int64
+
+// TotalSwitches returns the coroutine switches into a process made by all
+// completed World.Run calls in this process.
+func TotalSwitches() int64 { return worldSwitches.Load() }
+
+// TotalOpsIssued returns the RMA operations issued by all completed
+// World.Run calls in this process.
+func TotalOpsIssued() int64 { return worldOps.Load() }
+
 // TotalInlinedAdvances is always 0: every Advance schedules its resume
 // and parks, so no advance completes inline any more. It stays for the
 // benchmark harness, which still reports the share it reads.
@@ -169,6 +183,10 @@ type World struct {
 	// Owned by this world's single simulation goroutine.
 	memo *netmodel.Memo
 
+	// queueIssue lets ranks queue their RMA calls for the event loop to
+	// issue (see issue.go and Rank.QueuesIssue).
+	queueIssue bool
+
 	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled
 	// under a fault plan, where reliability packets retain op pointers
 	// past terminal state.
@@ -216,6 +234,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.NoSimFastPath {
 		w.eng.DisableFastPaths()
 	}
+	w.queueIssue = !w.eng.FastPathsDisabled() && cfg.Fault == nil && cfg.Flow == nil
 	if cfg.Validate {
 		w.validator = newValidator()
 	}
@@ -389,6 +408,12 @@ func (w *World) FailedCount() int { return w.failedCount }
 func (w *World) Run() error {
 	err := w.eng.Run()
 	worldEvents.Add(w.eng.EventsExecuted())
+	worldSwitches.Add(w.eng.Switches())
+	var ops int64
+	for _, r := range w.ranks {
+		ops += r.stats[OpsIssued]
+	}
+	worldOps.Add(ops)
 	notePeakResidency(w.eng.PeakQueueResidency())
 	if err == nil {
 		// Crashed ranks and ghosts are still parked mid-call; release
@@ -595,6 +620,7 @@ type Rank struct {
 
 	engine  rankEngine
 	mailbox mailbox
+	issueQ  issueQueue // RMA calls queued for the event loop to issue
 
 	groupUses map[*groupComms]int // per-rank CommFromGroup call counts
 	p2pLast   map[int]sim.Time    // per-destination FIFO delivery horizon
@@ -613,6 +639,7 @@ type Rank struct {
 func newRank(w *World, id int) *Rank {
 	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, memo: w.memo}
 	r.engine.init(r)
+	r.issueQ.r = r
 	return r
 }
 
@@ -628,8 +655,12 @@ func (r *Rank) Size() int { return r.w.cfg.N }
 // CommWorld implements Env: the MPI_COMM_WORLD handle of this rank.
 func (r *Rank) CommWorld() *Comm { return &Comm{g: r.w.commWorld, me: r.id, r: r} }
 
-// Now implements Env.
-func (r *Rank) Now() sim.Time { return r.eng.Now() }
+// Now implements Env. It settles first: a rank with calls queued is
+// ahead of the clock (see issue.go).
+func (r *Rank) Now() sim.Time {
+	r.settle()
+	return r.eng.Now()
+}
 
 // Engine returns the simulation engine this rank runs on (the world's).
 func (r *Rank) Engine() *sim.Engine { return r.eng }
@@ -654,8 +685,14 @@ func (r *Rank) Compute(d sim.Duration) {
 			d = sim.Duration(float64(d) * f)
 		}
 	}
-	mark := r.engine.stolen
-	r.proc.Advance(d)
+	var mark sim.Duration // stolen time when the computation starts
+	if d >= 0 && r.issueQ.settleWith(issueItem{kind: itemAdvance, lead: d}) {
+		mark = r.issueQ.mark
+	} else {
+		r.settle() // a negative d panics in Advance, in the process, once settled
+		mark = r.engine.stolen
+		r.proc.Advance(d)
+	}
 	for r.engine.stolen > mark {
 		extra := r.engine.stolen - mark
 		mark = r.engine.stolen
@@ -664,8 +701,13 @@ func (r *Rank) Compute(d sim.Duration) {
 }
 
 // mpiEnter marks the rank inside an MPI call, paying the call overhead
-// and draining deferred software AMs (polling progress).
+// and draining deferred software AMs (polling progress). It settles the
+// rank's queued calls first, with its own entry queued behind them (see
+// issue.go).
 func (r *Rank) mpiEnter() {
+	if r.issueQ.settleWith(issueItem{kind: itemEnter}) {
+		return
+	}
 	r.engine.enterMPI()
 	r.proc.Advance(r.callCost())
 }

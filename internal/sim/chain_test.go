@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -354,5 +355,116 @@ func TestCloseReleasesProcessParkedMidChain(t *testing.T) {
 	}
 	if !unwound {
 		t.Fatal("Close did not unwind the process parked mid-chain")
+	}
+}
+
+// servedRounds is the continuation of TestServeMatchesAdvanceChain: n
+// rounds of a [10, 5] chain, each ending in act — what a process running
+//
+//	for i := 0; i < n; i++ { p.AdvanceChain(10, 5); act() }
+//
+// does at the same pops, done by the event loop in its stead.
+type servedRounds struct {
+	p    *Proc
+	left int
+	act  func()
+}
+
+func (s *servedRounds) Continue() bool {
+	s.act()
+	s.left--
+	return s.left > 0 && s.p.Serve(s, 10, 5)
+}
+
+// TestServeMatchesAdvanceChain pins Serve's contract: a continuation that
+// does at each chain end what the process would have done leaves the
+// engine exactly where the process leaves it — every popped (at, seq,
+// kind), every observation, the clock, the seq counter and the event count
+// — while the process is switched in once, when it settles, instead of
+// once per chain. A bystander schedules events at the chains' step times,
+// on both sides of their seqs.
+func TestServeMatchesAdvanceChain(t *testing.T) {
+	script := func(served bool) chainScript {
+		return func(e *Engine, _ advanceFn, logf func(string, ...interface{})) {
+			act := func() {
+				logf("round")
+				at := e.now + 3
+				e.At(at, func() { logf("tick@%d", at) })
+			}
+			e.Spawn("a", func(p *Proc) {
+				logf("a starts")
+				if served {
+					p.Serve(&servedRounds{p: p, left: 3, act: act}, 10, 5)
+					p.Settle()
+				} else {
+					for i := 0; i < 3; i++ {
+						p.AdvanceChain(10, 5)
+						act()
+					}
+				}
+				logf("a done")
+			})
+			e.Spawn("b", func(p *Proc) {
+				for _, d := range []Duration{10, 5, 3, 7} {
+					p.Advance(d)
+					logf("b")
+				}
+			})
+		}
+	}
+	served := runChainScript(script(true), nil, false)
+	plain := runChainScript(script(false), nil, false)
+	diffOutcome(t, "served vs AdvanceChain", served, plain)
+	if served.switches != plain.switches-2 {
+		t.Errorf("served run switched %d times, the AdvanceChain run %d: want 2 fewer (one switch at the settle instead of one per chain end)",
+			served.switches, plain.switches)
+	}
+}
+
+// TestParkWhileServedPanics is the settle rule's safety net: a process
+// whose chain is served has not reached the time it runs at, so any park
+// but Settle's panics; after Settle the process parks as usual.
+func TestParkWhileServedPanics(t *testing.T) {
+	for _, settle := range []bool{false, true} {
+		e := New(1)
+		e.Spawn("a", func(p *Proc) {
+			p.Serve(&servedRounds{p: p, left: 1, act: func() {}}, 10, 5)
+			if settle {
+				p.Settle()
+			}
+			p.Advance(1)
+		})
+		r := runPanics(func() { e.Run() })
+		if msg, _ := r.(string); settle != (r == nil) || !settle && !strings.Contains(msg, "while its chain is served") {
+			t.Fatalf("settle=%v: Advance with a served chain panicked with %v", settle, r)
+		}
+		if settle && e.now != 16 {
+			t.Fatalf("process finished at %d, want 16 (the served chain, then its own advance)", e.now)
+		}
+	}
+}
+
+// TestProcessExitSettles: a process that returns with its chain still
+// served ends when the chain does, not when its code ran out.
+func TestProcessExitSettles(t *testing.T) {
+	e := New(1)
+	rounds := 0
+	p := e.Spawn("a", func(p *Proc) {
+		p.Serve(&servedRounds{p: p, left: 2, act: func() { rounds++ }}, 10, 5)
+	})
+	e.MustRun()
+	if rounds != 2 || e.now != 30 || !p.Done() || p.end != 30 {
+		t.Fatalf("rounds %d, clock %d, done %v at %d; want 2 rounds, the process done at 30", rounds, e.now, p.Done(), p.end)
+	}
+}
+
+// TestServeNeedsFastPaths: with the fast paths off a chain is the eager
+// loop of advances, so there is nothing for the event loop to serve.
+func TestServeNeedsFastPaths(t *testing.T) {
+	e := New(1)
+	e.DisableFastPaths()
+	e.Spawn("a", func(p *Proc) { p.Serve(&servedRounds{p: p, left: 1, act: func() {}}, 10) })
+	if r := runPanics(func() { e.Run() }); r == nil {
+		t.Fatal("Serve with the fast paths off did not panic")
 	}
 }

@@ -161,11 +161,13 @@ type shadowQueue interface {
 	popped(q *schedQ, k evKey)
 }
 
-// newShadow builds the shadow of every new engine, which it is handed:
-// nil, except while a test has set it (export_test.go). Comparing what two
-// schedulers render hides a misordered pop whenever the swapped events
-// commute; the lockstep compares the pops themselves.
-var newShadow func(e *Engine) shadowQueue
+// newEngineHook is handed every engine New builds, before its first
+// event: nil, except while a test has set it (export_test.go). The shadow
+// oracle hangs its reference queue behind the ladder here — comparing what
+// two schedulers render hides a misordered pop whenever the swapped events
+// commute; the lockstep compares the pops themselves — and the fast-path
+// identity test puts the engine on the eager schedule.
+var newEngineHook func(e *Engine)
 
 func (q *schedQ) len() int { return q.n }
 
@@ -210,9 +212,11 @@ type Engine struct {
 	seq    uint64
 	procs  []*Proc
 	live   int
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // seeded by Rand on first use
 
 	executed  int64 // events executed, for the watchdog
+	switches  int64 // transfers into a process (see Switches)
 	fastOff   bool  // eager schedule: no chains, no reserved-seq FIFOs
 	maxEvents int64 // watchdog: 0 disables
 	maxTime   Time  // watchdog: 0 disables
@@ -250,11 +254,11 @@ const timeMax = Time(math.MaxInt64)
 // any randomized model decisions are reproducible.
 func New(seed int64) *Engine {
 	e := &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		limit: timeMax,
 	}
-	if newShadow != nil {
-		e.events.shadow = newShadow(e)
+	if newEngineHook != nil {
+		newEngineHook(e)
 	}
 	return e
 }
@@ -286,7 +290,15 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source. It must only be
 // used from simulation context (event callbacks or running processes).
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// The source is seeded on the first call, with New's seed, so the draws
+// are the same as if it had been seeded at New; an engine that never
+// draws never pays for its several-kilobyte state.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in the model and panics.
@@ -420,6 +432,11 @@ func (e *Engine) collectDiagnostics() []string {
 
 // EventsExecuted returns the number of events Run has executed so far.
 func (e *Engine) EventsExecuted() int64 { return e.executed }
+
+// Switches returns the number of coroutine switches into a process the
+// event loop has made so far: one per resume that the process itself
+// handles, none for the steps of a chain the loop serves in its stead.
+func (e *Engine) Switches() int64 { return e.switches }
 
 // DisableFastPaths switches the engine to the eager schedule: an advance
 // chain (Proc.AdvanceChain) is a plain loop of Advance calls, a Server
@@ -555,10 +572,12 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 				e.panicked = true
 			}
 			p.state = stateDone
+			p.end = e.now
 			e.live--
 		}()
 		p.yield = yield
 		fn(p)
+		p.Settle() // a process ends when its served calls do
 	})
 	e.seq++
 	e.events.push(event{at: t, seq: e.seq, p: p, kind: evStart})
@@ -573,6 +592,7 @@ func (e *Engine) transfer(p *Proc) {
 	if p.killed {
 		return
 	}
+	e.switches++
 	p.next()
 	if e.panicked {
 		panic(e.panicVal)
@@ -664,6 +684,12 @@ func (e *Engine) execOne(ev event) *Proc {
 			}
 			if p.chainPos < len(p.chain) && e.serveChain(p) {
 				return nil // mid-chain: the next step's resume is scheduled
+			}
+			if c := p.cont; c != nil {
+				if c.Continue() {
+					return nil // the continuation serves another chain
+				}
+				p.cont = nil
 			}
 			return p
 		}

@@ -9,15 +9,71 @@ import "fmt"
 // sets it before the worlds it wants checked and must not run beside tests
 // that build engines in parallel.
 func SetShadowOracle() (restore func()) {
-	prev := newShadow
-	newShadow = func(e *Engine) shadowQueue {
+	prev := newEngineHook
+	newEngineHook = func(e *Engine) {
 		h := &countingShadow{eng: e}
 		shadowed = append(shadowed, h)
-		return h
+		e.events.shadow = h
 	}
 	return func() {
-		newShadow = prev
+		newEngineHook = prev
 		TakeShadowShortfalls()
+	}
+}
+
+// EngineOutcome is what the fast-path identity test compares of one
+// engine's run: the events it executed, a hash of every popped (at, seq)
+// key in pop order, the switches into its processes, its final clock and
+// when each process finished, in spawn order.
+type EngineOutcome struct {
+	Events   int64
+	Pops     uint64
+	Switches int64
+	End      Time
+	ProcEnds []Time
+}
+
+// popHash is a shadow queue that only folds each popped key into an
+// FNV-1a hash.
+type popHash struct{ h uint64 }
+
+func (p *popHash) push(event) {}
+
+func (p *popHash) popped(_ *schedQ, k evKey) {
+	for _, v := range [2]uint64{uint64(k.at), k.seq} {
+		for i := 0; i < 64; i += 8 {
+			p.h = (p.h ^ (v >> i & 0xff)) * 1099511628211
+		}
+	}
+}
+
+// RecordEngines records every engine built from now on, on the eager
+// schedule (DisableFastPaths) when eager is set, with a shadow hashing its
+// pops (popHash), until the returned stop,
+// which reports their outcomes in the order they were built. Like
+// SetShadowOracle it must not run beside tests that build engines in
+// parallel.
+func RecordEngines(eager bool) (stop func() []EngineOutcome) {
+	prev := newEngineHook
+	var engines []*Engine
+	newEngineHook = func(e *Engine) {
+		if eager {
+			e.DisableFastPaths()
+		}
+		e.events.shadow = &popHash{h: 14695981039346656037}
+		engines = append(engines, e)
+	}
+	return func() []EngineOutcome {
+		newEngineHook = prev
+		out := make([]EngineOutcome, len(engines))
+		for i, e := range engines {
+			o := EngineOutcome{Events: e.executed, Pops: e.events.shadow.(*popHash).h, Switches: e.switches, End: e.now}
+			for _, p := range e.procs {
+				o.ProcEnds = append(o.ProcEnds, p.end)
+			}
+			out[i] = o
+		}
+		return out
 	}
 }
 

@@ -34,6 +34,7 @@ type Proc struct {
 	stop  func()
 
 	state      procState
+	end        Time // when the process finished (Done)
 	parkReason string
 	killed     bool // Engine.Kill called: never resume again
 
@@ -48,6 +49,23 @@ type Proc struct {
 	// loop still has to serve before it switches back into the process.
 	chain    []Duration
 	chainPos int
+
+	// Served chain (see Serve): cont is what the event loop runs when the
+	// chain in flight ends, set from the chain's start until cont asks for
+	// the switch back in. settling marks the one park allowed meanwhile,
+	// Settle's.
+	cont     Continuation
+	settling bool
+}
+
+// Continuation is what the event loop runs in a process's stead when a
+// chain started by Proc.Serve ends (see Serve).
+type Continuation interface {
+	// Continue runs in engine context, at the pop of the chain's last
+	// step: the instant the process would have been switched back in. It
+	// either starts the next chain with Serve and reports true, or reports
+	// false to have the process switched in.
+	Continue() bool
 }
 
 // Engine returns the engine this process belongs to.
@@ -117,15 +135,60 @@ func (p *Proc) runChain() {
 		}
 		return
 	}
+	if p.startChain() {
+		p.park("advancing")
+	}
+}
+
+// startChain schedules the first nonzero step of p.chain and reports
+// whether one is pending.
+func (p *Proc) startChain() bool {
 	for _, d := range p.chain {
 		if d < 0 {
 			panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
 		}
 	}
 	p.chainPos = 0
-	if e.serveChain(p) {
-		p.park("advancing")
+	return p.eng.serveChain(p)
+}
+
+// Serve is AdvanceChain for work the event loop finishes in the process's
+// stead: it schedules ds as p's chain and returns without parking. When
+// the chain's last step pops, execOne calls c.Continue instead of
+// switching into the process; c either serves the next chain (Serve again,
+// from engine context) or has the process switched in. Every step is the
+// same popped event it is under AdvanceChain, under the same seq, so a
+// continuation that does exactly what the process would have done at that
+// pop leaves the engine exactly where the process would have.
+//
+// The process may go on running while its chain is served, but only on
+// state no other process or event can see: until its continuation lets
+// go, anything else it does that parks must Settle first, and any other
+// park panics. Serve reports whether a step is pending; false (every step
+// zero) means nothing was scheduled and c was not attached. It requires the
+// fast paths (see DisableFastPaths).
+func (p *Proc) Serve(c Continuation, ds ...Duration) bool {
+	if p.eng.fastOff {
+		panic(fmt.Sprintf("sim: %s serving a chain with the fast paths disabled", p.name))
 	}
+	p.chain = append(p.chain[:0], ds...)
+	if !p.startChain() {
+		return false
+	}
+	p.cont = c
+	return true
+}
+
+// Settle parks the process until the event loop has served its chains to
+// the end and switched it back in, at the pop where it would have woken
+// had it parked on each of them itself. No-op when nothing is served.
+func (p *Proc) Settle() {
+	if p.cont == nil {
+		return
+	}
+	p.settling = true
+	p.park("settling served calls")
+	p.settling = false
 }
 
 // AdvanceTo consumes virtual time until at least time t. It is a no-op if
@@ -141,7 +204,12 @@ func (p *Proc) AdvanceTo(t Time) {
 // reason appears in deadlock reports. A false yield means Engine.Close
 // is releasing the process; that holds for every later park too, so one
 // reached from a deferred call during the unwinding re-raises at once.
+// Parking while a chain is served, other than in Settle, panics: the
+// process would be waiting at a time it has not reached.
 func (p *Proc) park(reason string) {
+	if p.cont != nil && !p.settling {
+		panic(fmt.Sprintf("sim: %s parked (%s) while its chain is served; Settle first", p.name, reason))
+	}
 	p.state = stateParked
 	p.parkReason = reason
 	if !p.yield(struct{}{}) {
