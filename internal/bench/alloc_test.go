@@ -8,13 +8,9 @@ import (
 )
 
 // What TestFig5aAllocsPerEvent measured when its bound was last set, and
-// how far above that a run may read. The issue queue moved it from 0.0431:
-// an origin admits up to 64 calls ahead of the acks that would have
-// recycled their op headers, so each of the sweep's 120 origins keeps
-// about 40 more headers on its freelist — a per-rank working set, not a
-// per-event cost (0.0037 objects per event at fig5a -scale 0.5).
+// how far above that a run may read.
 const (
-	fig5aAllocsPerEvent = 0.0556
+	fig5aAllocsPerEvent = 0.0431
 	allocSlack          = 0.005
 )
 
@@ -52,8 +48,8 @@ func TestFig5aAllocsPerEvent(t *testing.T) {
 // into a rank per RMA operation issued. Eagerly an origin is switched in
 // once per op (twice under Casper, whose redirect overhead is an advance
 // of its own): 1.37 per op here. Served, it is switched in once per run of
-// back-to-back calls, at the flush, compute or 64th queued call that
-// settles it. Both counters are process-wide, so the test must not run in
+// back-to-back calls, at the flush, compute or full queue that settles
+// it. Both counters are process-wide, so the test must not run in
 // parallel.
 func TestFig5aSwitchesPerOp(t *testing.T) {
 	e, ok := Get("fig5a")

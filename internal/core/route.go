@@ -83,9 +83,9 @@ func (cw *casperWin) CompareAndSwap(compare, origin, result []byte, t int, disp 
 //
 // When routing depends on nothing the redirect overhead could change
 // (servedWin), the operation is routed at call time and the overhead is
-// the lead step of the first piece's issue chain (mpi.Rank.LeadIssue):
-// the pieces then queue for the event loop to issue like any plain MPI
-// call. Otherwise the process pays the overhead first and routes after.
+// charged in front of the first piece's issue (mpi.Rank.LeadIssue): the
+// pieces then queue for the event loop to issue like any plain MPI call.
+// Otherwise the process pays the overhead first and routes after.
 func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, op mpi.Op, cmp []byte) {
 	if t < 0 || t >= len(cw.layout) {
@@ -132,8 +132,9 @@ func (cw *casperWin) selfOp(kind mpi.OpKind, t int) bool {
 // rebalancer may hold or move the target's binding meanwhile, the routing
 // draws from the engine's random stream (UnsafeNoBinding, LBRandom on an
 // eligible op), the op is a self-local Put/Get, the target's ghost locks
-// are not yet taken, or any check route makes would fail (those panic on
-// the eager path, at its usual instant).
+// are not yet taken, or route would panic (routeFault), which it must do
+// after the overhead, where the eager path meets it. So must an invalid
+// datatype, which route cuts without checking it.
 func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, ts *ctarget) *mpi.Win {
 	cfg := &cw.p.d.cfg
@@ -142,16 +143,8 @@ func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 		return nil
 	}
 	w := cw.lookupWin(t, ts)
-	if w == nil || ts != nil && ts.locked && !ts.ghostsLkd && w != cw.active {
-		return nil
-	}
-	if dt.Validate() != nil || !dt.Basic.Valid() {
-		return nil
-	}
-	ti := &cw.layout[t]
-	n := dt.Size()
-	if disp < 0 || disp+dt.Extent() > ti.size || src != nil && len(src) < n || dst != nil && len(dst) < n ||
-		cw.binding == BindSegment && (ti.base+disp)%dt.Basic.Size() != 0 {
+	if w == nil || ts != nil && ts.locked && !ts.ghostsLkd && w != cw.active ||
+		dt.Validate() != nil || cw.routeFault(kind, t, disp, dt, src, dst) != "" {
 		return nil
 	}
 	return w
@@ -233,11 +226,10 @@ func (cw *casperWin) epochStateFor(t int) *ctarget {
 // model and the dynamic load-balancing policy (Section III-B).
 func (cw *casperWin) route(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, ts *ctarget, onActive bool) []piece {
-	ti := &cw.layout[t]
-	if disp < 0 || disp+dt.Extent() > ti.size {
-		panic(fmt.Sprintf("casper: op at disp %d extent %d outside %d-byte window of target %d",
-			disp, dt.Extent(), ti.size, t))
+	if msg := cw.routeFault(kind, t, disp, dt, src, dst); msg != "" {
+		panic(msg)
 	}
+	ti := &cw.layout[t]
 	abs := ti.base + disp
 
 	if cw.p.d.cfg.UnsafeNoBinding {
@@ -247,8 +239,7 @@ func (cw *casperWin) route(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 		return cw.routeBuf
 	}
 
-	if cw.binding == BindSegment && (kind == mpi.KindPut || kind == mpi.KindGet ||
-		kind == mpi.KindAcc || kind == mpi.KindGetAcc) {
+	if cw.splits(kind) {
 		return cw.splitBySegments(ti, abs, dt, src, dst)
 	}
 
@@ -264,6 +255,35 @@ func (cw *casperWin) route(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	ghost = cw.progressTarget(ti, ghost)
 	cw.routeBuf = append(cw.routeBuf[:0], piece{ghost: ghost, disp: abs, dt: dt, src: src, dst: dst})
 	return cw.routeBuf
+}
+
+// routeFault returns what route panics with for an operation, or "" when
+// it routes: a displacement outside the target's window, or, for a
+// segment split, a displacement that is not element-aligned or an origin
+// buffer shorter than the datatype.
+func (cw *casperWin) routeFault(kind mpi.OpKind, t, disp int, dt mpi.Datatype, src, dst []byte) string {
+	ti := &cw.layout[t]
+	if disp < 0 || disp+dt.Extent() > ti.size {
+		return fmt.Sprintf("casper: op at disp %d extent %d outside %d-byte window of target %d",
+			disp, dt.Extent(), ti.size, t)
+	}
+	if cw.p.d.cfg.UnsafeNoBinding || !cw.splits(kind) {
+		return ""
+	}
+	if es, abs := dt.Basic.Size(), ti.base+disp; abs%es != 0 {
+		return fmt.Sprintf("casper: segment binding requires %d-byte aligned displacement (got absolute offset %d)", es, abs)
+	}
+	if n := dt.Size(); src != nil && len(src) < n || dst != nil && len(dst) < n {
+		return fmt.Sprintf("casper: %v buffer shorter than its %d-byte datatype", kind, n)
+	}
+	return ""
+}
+
+// splits reports whether route cuts an operation of this kind at segment
+// boundaries: every kind but the single-element atomics, under segment
+// binding.
+func (cw *casperWin) splits(kind mpi.OpKind) bool {
+	return cw.binding == BindSegment && kind != mpi.KindFetchOp && kind != mpi.KindCAS
 }
 
 // dynamicEligible reports whether this op may be load-balanced away from
@@ -348,13 +368,10 @@ func (cw *casperWin) ownerOf(ti *tinfo, abs int) int {
 // boundaries, keeping every basic element whole so atomicity and
 // ordering are preserved per element (III-B-2). It requires
 // element-aligned displacements, which the paper assumes from compiler
-// data alignment.
+// data alignment (routeFault checks them).
 func (cw *casperWin) splitBySegments(ti *tinfo, abs int, dt mpi.Datatype,
 	src, dst []byte) []piece {
 	es := dt.Basic.Size()
-	if abs%es != 0 {
-		panic(fmt.Sprintf("casper: segment binding requires %d-byte aligned displacement (got absolute offset %d)", es, abs))
-	}
 	pieces := cw.routeBuf[:0]
 	packed := 0 // index into the packed origin buffer
 	dt.Blocks(func(off, n int) {

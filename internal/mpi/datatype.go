@@ -44,9 +44,6 @@ func (b BasicType) Size() int {
 	}
 }
 
-// Valid reports whether b is one of the supported basic datatypes.
-func (b BasicType) Valid() bool { return b >= Byte && b <= Float64 }
-
 // String implements fmt.Stringer.
 func (b BasicType) String() string {
 	switch b {
@@ -110,6 +107,9 @@ func Indexed(b BasicType, blockLen int, offsets []int) Datatype {
 
 // Validate checks structural invariants.
 func (d Datatype) Validate() error {
+	if d.Basic < Byte || d.Basic > Float64 {
+		return fmt.Errorf("mpi: unknown basic type %d", int(d.Basic))
+	}
 	if d.BlockLen <= 0 {
 		return fmt.Errorf("mpi: datatype with blocklen %d", d.BlockLen)
 	}

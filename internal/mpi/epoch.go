@@ -383,7 +383,7 @@ func (w *Win) Acquire(target int) {
 	r := w.r
 	if ch := w.lookupChannel(target); r.w.queueIssue && ch != nil && ch.lock.granted.Done() &&
 		w.epochFlags(target)&epLocked != 0 {
-		r.issueQ.push(issueItem{kind: itemCall})
+		r.issueQ.call()
 		return
 	}
 	r.mpiEnter()

@@ -220,66 +220,71 @@ func (o *rmaOp) ackBytes() int {
 
 // --- Issue path (origin side) ----------------------------------------
 
+// rmaCall is one RMA call as the caller made it: what the issue checks,
+// and what a queued call keeps until the event loop issues it.
+type rmaCall struct {
+	kind   OpKind
+	op     Op
+	target int
+	disp   int
+	dt     Datatype
+	data   []byte      // origin payload: the caller's buffer, until snapshot
+	dst    []byte      // origin result destination, written at apply time
+	req    *RMARequest // request-based call (RPut, RGet), else nil
+}
+
 // newOp fetches a zeroed rmaOp from the issuing rank's freelist (or the
-// heap when recycling is off) and fills the fields common to every kind.
-func (w *Win) newOp(kind OpKind, target, disp int, dt Datatype, op Op) *rmaOp {
+// heap when recycling is off) and fills it from call c.
+func (w *Win) newOp(c *rmaCall) *rmaOp {
 	o := w.r.getOp()
-	o.kind, o.target, o.disp, o.dt, o.op = kind, int32(target), disp, dt, op
+	o.kind, o.op, o.target, o.disp, o.dt = c.kind, c.op, int32(c.target), c.disp, c.dt
+	o.data, o.dst = c.data, c.dst
+	if c.req != nil {
+		o.extra().req = c.req
+	}
 	return o
 }
 
 // Put implements Window.
 func (w *Win) Put(src []byte, target int, disp int, dt Datatype) {
-	o := w.newOp(KindPut, target, disp, dt, OpReplace)
-	o.data = src
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindPut, op: OpReplace, target: target, disp: disp, dt: dt, data: src}, nil)
 }
 
 // Get implements Window.
 func (w *Win) Get(dst []byte, target int, disp int, dt Datatype) {
-	o := w.newOp(KindGet, target, disp, dt, OpNoOp)
-	o.dst = dst
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindGet, op: OpNoOp, target: target, disp: disp, dt: dt, dst: dst}, nil)
 }
 
 // Accumulate implements Window.
 func (w *Win) Accumulate(src []byte, target int, disp int, dt Datatype, op Op) {
-	o := w.newOp(KindAcc, target, disp, dt, op)
-	o.data = src
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindAcc, op: op, target: target, disp: disp, dt: dt, data: src}, nil)
 }
 
 // GetAccumulate implements Window.
 func (w *Win) GetAccumulate(src, result []byte, target int, disp int, dt Datatype, op Op) {
-	o := w.newOp(KindGetAcc, target, disp, dt, op)
-	o.data, o.dst = src, result
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindGetAcc, op: op, target: target, disp: disp, dt: dt, data: src, dst: result}, nil)
 }
 
 // FetchAndOp implements Window.
 func (w *Win) FetchAndOp(src, result []byte, target int, disp int, b BasicType, op Op) {
-	o := w.newOp(KindFetchOp, target, disp, Scalar(b), op)
-	o.data, o.dst = src, result
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindFetchOp, op: op, target: target, disp: disp, dt: Scalar(b), data: src, dst: result}, nil)
 }
 
 // CompareAndSwap implements Window.
 func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp int, b BasicType) {
-	o := w.newOp(KindCAS, target, disp, Scalar(b), OpReplace)
-	o.data, o.dst = origin, result
-	w.issue(o, compare)
+	w.issue(rmaCall{kind: KindCAS, op: OpReplace, target: target, disp: disp, dt: Scalar(b), data: origin, dst: result}, compare)
 }
 
-// issue validates the epoch, charges origin-side cost, and either sends
-// the op or queues it behind a pending lazy lock acquisition. op.data and
-// cmp (the compare value of a CAS, nil otherwise) still alias the
-// caller's buffers; issue snapshots both, so the caller owns them again
-// as soon as the call returns. A queueable op returns at once and is
-// issued by the event loop (see issue.go); the rest take the eager path
-// below, on which every misuse panics or raises.
-func (w *Win) issue(op *rmaOp, cmp []byte) {
+// issue charges origin-side cost, checks the call, and either sends the
+// op or queues it behind a pending lazy lock acquisition. c.data and cmp
+// (the compare value of a CAS, nil otherwise) still alias the caller's
+// buffers; issue snapshots both, so the caller owns them again as soon as
+// the call returns. A queueable call returns at once and is issued by the
+// event loop (see issue.go); the rest take the eager path below, on which
+// every misuse panics or raises.
+func (w *Win) issue(c rmaCall, cmp []byte) {
 	r := w.r
-	if r.issueQ.admit(w, op, cmp) {
+	if r.issueQ.admit(w, &c, cmp) {
 		return
 	}
 	r.settle()
@@ -290,85 +295,109 @@ func (w *Win) issue(op *rmaOp, cmp []byte) {
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	r.proc.AdvanceChain(r.callCost(), r.issueCost())
-
-	if err := op.dt.Validate(); err != nil {
-		panic(err)
-	}
-	target := int(op.target)
-	if !w.g.dynamic {
-		// Dynamic windows cannot be bounds-checked at the origin; the
-		// target resolves the address at apply time.
-		reg := w.g.regions[target]
-		if op.disp < 0 || op.disp+op.dt.Extent() > reg.n {
-			if tw := w.g.comm.ranks[target]; op.disp >= 0 &&
-				w.g.w.FaultsEnabled() && w.g.w.ranks[tw].failed {
-				// The target crashed before it could expose this window,
-				// so the region on record is the empty one a dead member
-				// contributes. A real origin cannot see that: the
-				// operation goes on the wire, is never acknowledged, and
-				// fails over to a surviving server once the detector
-				// confirms the death. Suppress the bounds check only the
-				// omniscient simulator could perform and let the
-				// reliable transport recover the op.
-			} else {
-				r.raise(ErrRMARange, "mpi: %v at disp %d extent %d outside %d-byte window of target %d",
-					op.kind, op.disp, op.dt.Extent(), reg.n, target)
-				// ErrorsReturn: drop the op before any accounting. data
-				// still aliases the caller's buffer here, so there is
-				// nothing pooled to release — just the op header.
-				r.putOp(op)
-				return
-			}
+	if msg, rangeErr := w.check(&c, cmp); msg != "" {
+		if !rangeErr {
+			panic(msg)
 		}
+		r.raise(ErrRMARange, "%s", msg) // ErrorsReturn: dropped before any accounting
+		return
 	}
-
+	var credit *creditChan
 	if f := w.g.w.flow; f != nil {
 		// Acquire a flow-control credit toward the target, blocking in
 		// virtual time while the window is exhausted. We are inside an
 		// MPI call here, so self-targeted AMs keep draining while the
 		// proc is parked.
-		credit := f.acquire(r, w.g.comm.ranks[target])
-		if credit == nil {
+		if credit = f.acquire(r, w.g.comm.ranks[c.target]); credit == nil {
 			// Credit timeout under ErrorsReturn (ErrBacklog raised):
 			// drop before any accounting so flushes cannot hang on the
 			// op, but still notify the observer so layered in-flight
 			// counters do not leak.
 			if w.g.onOpDone != nil {
-				w.g.onOpDone(w.me, target, op.disp)
+				w.g.onOpDone(w.me, c.target, c.disp)
 			}
-			r.putOp(op)
 			return
 		}
-		op.extra().credit = credit
 	}
-	w.snapshot(op, cmp)
-	w.post(op)
+	o := w.newOp(&c)
+	o.data = snapshot(r.pool, c.dt, c.data, cmp, &o.inl)
+	if credit != nil {
+		o.extra().credit = credit
+	}
+	w.post(o)
 }
 
-// snapshot copies the op's packed payload out of the caller's buffer: into
-// the header when it fits, else into a pooled buffer that lives exactly
-// until the op's terminal state (opTerminal), where it is recycled. A
-// CAS moves one basic element, so its origin value and the compare value
-// cmp share the header.
-func (w *Win) snapshot(op *rmaOp, cmp []byte) {
-	if op.data != nil {
-		n := op.dt.Size()
-		buf := op.inl[:]
-		if n > opInline {
-			buf = w.r.pool.get(n)
+// check makes every test of call c (and of cmp, a CAS's compare value)
+// that the issue makes before it commits the call, and returns the first
+// that fails, "" when c may post. rangeErr marks an access outside the
+// target's window, which the issue raises as ErrRMARange; it panics on
+// every other failure. The eager issue checks right after the call's
+// chain, the issue queue when it admits the call (see issue.go).
+func (w *Win) check(c *rmaCall, cmp []byte) (msg string, rangeErr bool) {
+	g := w.g
+	if err := c.dt.Validate(); err != nil {
+		return err.Error(), false
+	}
+	t := c.target
+	if t < 0 || t >= len(g.comm.ranks) {
+		return fmt.Sprintf("mpi: window target %d out of range [0,%d)", t, len(g.comm.ranks)), false
+	}
+	// Dynamic windows cannot be bounds-checked at the origin; the target
+	// resolves the address at apply time.
+	if !g.dynamic {
+		reg := g.regions[t]
+		// A target that crashed before it could expose this window has the
+		// empty region a dead member contributes. A real origin cannot see
+		// that: the operation goes on the wire, is never acknowledged, and
+		// fails over to a surviving server once the detector confirms the
+		// death. So the bounds check only the omniscient simulator could
+		// perform is suppressed, and the reliable transport recovers the op.
+		crashed := c.disp >= 0 && g.w.FaultsEnabled() && g.w.ranks[g.comm.ranks[t]].failed
+		if (c.disp < 0 || c.disp+c.dt.Extent() > reg.n) && !crashed {
+			return fmt.Sprintf("mpi: %v at disp %d extent %d outside %d-byte window of target %d",
+				c.kind, c.disp, c.dt.Extent(), reg.n, t), true
 		}
-		op.data = buf[:copy(buf, op.data[:n])]
 	}
+	if c.data != nil && len(c.data) < c.dt.Size() || cmp != nil && len(cmp) < c.dt.Basic.Size() {
+		return fmt.Sprintf("mpi: %v origin buffer shorter than its datatype", c.kind), false
+	}
+	switch {
+	case w.access != nil: // PSCW access epoch
+		if !inGroup(w.access.group, t) {
+			return fmt.Sprintf("mpi: PSCW op to target %d outside access group", t), false
+		}
+	case w.fenceActive:
+	case w.epochFlags(t)&epLocked == 0 && !w.lockAll: // passive target
+		return fmt.Sprintf("mpi: %v to target %d without an epoch", c.kind, t), false
+	}
+	return "", false
+}
+
+// snapshot copies a call's packed payload out of the caller's buffer data
+// and returns the copy: inl when it fits, else a pooled buffer that lives
+// exactly until the op's terminal state (opTerminal), where it is
+// recycled. A CAS moves one basic element, so its origin value and the
+// compare value cmp share inl.
+func snapshot(pool *bufPool, dt Datatype, data, cmp []byte, inl *[opInline]byte) []byte {
 	if cmp != nil {
-		copy(op.inl[opInline/2:], cmp[:op.dt.Basic.Size()])
+		copy(inl[opInline/2:], cmp[:dt.Basic.Size()])
 	}
+	if data == nil {
+		return nil
+	}
+	n := dt.Size()
+	buf := inl[:]
+	if n > opInline {
+		buf = pool.get(n)
+	}
+	return buf[:copy(buf, data[:n])]
 }
 
 // post is the part of the issue after the origin-side cost: the op
-// passed every check and carries its snapshotted payload. It joins the
-// epoch, counts as outstanding, and goes on the wire or behind the
-// channel's pending lock grant. The eager path runs it in the rank's
-// process; for a queued op the event loop runs it at the same pop.
+// passed check and carries its snapshotted payload. It joins the epoch,
+// counts as outstanding, and goes on the wire or behind the channel's
+// pending lock grant. The eager path runs it in the rank's process; for a
+// queued op the event loop runs it at the same pop.
 func (w *Win) post(op *rmaOp) {
 	r := w.r
 	target := int(op.target)
@@ -383,19 +412,13 @@ func (w *Win) post(op *rmaOp) {
 	var queueOn *lockMsg
 	switch {
 	case w.access != nil: // PSCW access epoch
-		if !inGroup(w.access.group, target) {
-			panic(fmt.Sprintf("mpi: PSCW op to target %d outside access group", target))
-		}
 		op.pscw = true
 		w.access.issued[target]++
 		op.ch = w.channel(target)
 	case w.fenceActive:
 		op.ch = w.channel(target)
 	default: // passive target
-		ep, ok := w.coverTarget(target)
-		if !ok {
-			panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, target))
-		}
+		ep, _ := w.coverTarget(target)
 		ch := w.channel(target)
 		op.excl = ep&epExcl != 0
 		op.ch = ch

@@ -48,9 +48,7 @@ func (q *RMARequest) Wait() {
 // RPut issues a request-based put (MPI_RPUT).
 func (w *Win) RPut(src []byte, target int, disp int, dt Datatype) *RMARequest {
 	q := &RMARequest{r: w.r}
-	o := w.newOp(KindPut, target, disp, dt, OpReplace)
-	o.data, o.extra().req = src, q
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindPut, op: OpReplace, target: target, disp: disp, dt: dt, data: src, req: q}, nil)
 	return q
 }
 
@@ -58,8 +56,6 @@ func (w *Win) RPut(src []byte, target int, disp int, dt Datatype) *RMARequest {
 // filled.
 func (w *Win) RGet(dst []byte, target int, disp int, dt Datatype) *RMARequest {
 	q := &RMARequest{r: w.r}
-	o := w.newOp(KindGet, target, disp, dt, OpNoOp)
-	o.dst, o.extra().req = dst, q
-	w.issue(o, nil)
+	w.issue(rmaCall{kind: KindGet, op: OpNoOp, target: target, disp: disp, dt: dt, dst: dst, req: q}, nil)
 	return q
 }

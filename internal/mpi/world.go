@@ -686,7 +686,7 @@ func (r *Rank) Compute(d sim.Duration) {
 		}
 	}
 	var mark sim.Duration // stolen time when the computation starts
-	if d >= 0 && r.issueQ.settleWith(issueItem{kind: itemAdvance, lead: d}) {
+	if d >= 0 && r.issueQ.settleWith(issueItem{kind: itemAdvance, d: d}) {
 		mark = r.issueQ.mark
 	} else {
 		r.settle() // a negative d panics in Advance, in the process, once settled
@@ -702,10 +702,13 @@ func (r *Rank) Compute(d sim.Duration) {
 
 // mpiEnter marks the rank inside an MPI call, paying the call overhead
 // and draining deferred software AMs (polling progress). It settles the
-// rank's queued calls first, with its own entry queued behind them (see
-// issue.go).
+// rank's queued calls first, with its own entry queued behind them as a
+// bare call (see issue.go): the event loop enters MPI, charges the call
+// overhead and leaves again at the instant the rank resumes, so entering
+// once more here, with no event in between, polls nothing new.
 func (r *Rank) mpiEnter() {
-	if r.issueQ.settleWith(issueItem{kind: itemEnter}) {
+	if r.issueQ.settleWith(issueItem{kind: itemCall}) {
+		r.engine.enterMPI()
 		return
 	}
 	r.engine.enterMPI()

@@ -452,9 +452,11 @@ func TestProcessExitSettles(t *testing.T) {
 	p := e.Spawn("a", func(p *Proc) {
 		p.Serve(&servedRounds{p: p, left: 2, act: func() { rounds++ }}, 10, 5)
 	})
+	var doneEarly bool // done between the rounds, at 20
+	e.At(20, func() { doneEarly = p.Done() })
 	e.MustRun()
-	if rounds != 2 || e.now != 30 || !p.Done() || p.end != 30 {
-		t.Fatalf("rounds %d, clock %d, done %v at %d; want 2 rounds, the process done at 30", rounds, e.now, p.Done(), p.end)
+	if rounds != 2 || e.now != 30 || !p.Done() || doneEarly {
+		t.Fatalf("rounds %d, clock %d, done %v (at 20: %v); want 2 rounds, the process done at 30", rounds, e.now, p.Done(), doneEarly)
 	}
 }
 

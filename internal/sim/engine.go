@@ -572,7 +572,6 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 				e.panicked = true
 			}
 			p.state = stateDone
-			p.end = e.now
 			e.live--
 		}()
 		p.yield = yield

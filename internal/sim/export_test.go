@@ -23,8 +23,8 @@ func SetShadowOracle() (restore func()) {
 
 // EngineOutcome is what the fast-path identity test compares of one
 // engine's run: the events it executed, a hash of every popped (at, seq)
-// key in pop order, the switches into its processes, its final clock and
-// when each process finished, in spawn order.
+// key in pop order, the switches into its processes, its final clock and,
+// in spawn order, when each process finished (-1 for one that never did).
 type EngineOutcome struct {
 	Events   int64
 	Pops     uint64
@@ -33,26 +33,49 @@ type EngineOutcome struct {
 	ProcEnds []Time
 }
 
-// popHash is a shadow queue that only folds each popped key into an
-// FNV-1a hash.
-type popHash struct{ h uint64 }
+// recorder is a shadow queue that folds each popped key into an FNV-1a
+// hash and stamps each process with the time of the event it finished in.
+type recorder struct {
+	eng  *Engine
+	h    uint64
+	at   Time   // the event being executed
+	gone int    // processes finished or killed by then
+	ends []Time // per process, -1 until it finishes
+}
 
-func (p *popHash) push(event) {}
+func (r *recorder) push(event) {}
 
-func (p *popHash) popped(_ *schedQ, k evKey) {
+func (r *recorder) popped(_ *schedQ, k evKey) {
+	r.noteEnds()
+	r.at = k.at
 	for _, v := range [2]uint64{uint64(k.at), k.seq} {
 		for i := 0; i < 64; i += 8 {
-			p.h = (p.h ^ (v >> i & 0xff)) * 1099511628211
+			r.h = (r.h ^ (v >> i & 0xff)) * 1099511628211
+		}
+	}
+}
+
+// noteEnds stamps the processes that finished in the event just executed.
+func (r *recorder) noteEnds() {
+	e := r.eng
+	if gone := len(e.procs) - e.live; gone != r.gone {
+		r.gone = gone
+		for len(r.ends) < len(e.procs) {
+			r.ends = append(r.ends, -1)
+		}
+		for i, p := range e.procs {
+			if r.ends[i] < 0 && p.Done() {
+				r.ends[i] = r.at
+			}
 		}
 	}
 }
 
 // RecordEngines records every engine built from now on, on the eager
-// schedule (DisableFastPaths) when eager is set, with a shadow hashing its
-// pops (popHash), until the returned stop,
-// which reports their outcomes in the order they were built. Like
-// SetShadowOracle it must not run beside tests that build engines in
-// parallel.
+// schedule (DisableFastPaths) when eager is set, with a recorder as its
+// shadow, until the returned stop, which reports their outcomes in the
+// order they were built. Like SetShadowOracle it must not run beside tests
+// that build engines in parallel.
 func RecordEngines(eager bool) (stop func() []EngineOutcome) {
 	prev := newEngineHook
 	var engines []*Engine
@@ -60,18 +83,16 @@ func RecordEngines(eager bool) (stop func() []EngineOutcome) {
 		if eager {
 			e.DisableFastPaths()
 		}
-		e.events.shadow = &popHash{h: 14695981039346656037}
+		e.events.shadow = &recorder{eng: e, h: 14695981039346656037}
 		engines = append(engines, e)
 	}
 	return func() []EngineOutcome {
 		newEngineHook = prev
 		out := make([]EngineOutcome, len(engines))
 		for i, e := range engines {
-			o := EngineOutcome{Events: e.executed, Pops: e.events.shadow.(*popHash).h, Switches: e.switches, End: e.now}
-			for _, p := range e.procs {
-				o.ProcEnds = append(o.ProcEnds, p.end)
-			}
-			out[i] = o
+			r := e.events.shadow.(*recorder)
+			r.noteEnds()
+			out[i] = EngineOutcome{Events: e.executed, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
 		}
 		return out
 	}

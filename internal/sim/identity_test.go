@@ -53,6 +53,9 @@ func TestFastPathOnOffIdenticalOnExperiments(t *testing.T) {
 				for i := range served {
 					sw, ew = sw+served[i].Switches, ew+eager[i].Switches
 					served[i].Switches, eager[i].Switches = 0, 0
+					if len(served[i].ProcEnds) == 0 {
+						t.Fatalf("engine %d: no process finished", i)
+					}
 					if !reflect.DeepEqual(served[i], eager[i]) {
 						t.Fatalf("engine %d:\n served %+v\n eager  %+v", i, served[i], eager[i])
 					}

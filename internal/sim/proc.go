@@ -34,7 +34,6 @@ type Proc struct {
 	stop  func()
 
 	state      procState
-	end        Time // when the process finished (Done)
 	parkReason string
 	killed     bool // Engine.Kill called: never resume again
 
