@@ -66,3 +66,37 @@ func TestFig5aSwitchesPerOp(t *testing.T) {
 		t.Fatalf("fig5a made %d switches for %d RMA ops, want at most 20 %%", switches, ops)
 	}
 }
+
+// What TestFig6aSwitchesPerOp measured when its bound was last set, and
+// how far above that a run may read.
+const (
+	fig6aSwitchesPerOp = 1.161
+	switchSlack        = 0.05
+)
+
+// TestFig6aSwitchesPerOp holds the served passive-target epoch to its
+// switch diet end to end: one serial fig6a sweep at casperbench's -quick
+// scale, coroutine switches into a rank per RMA operation issued. Every
+// origin makes one accumulate to every other process inside a lockall
+// epoch, which Casper turns into ghost locks taken at each target's first
+// touch and released at UnlockAll. While only RMA calls were served, the
+// locks, the first touches and the unlock waits switched the origin in,
+// 5.17 times per op here; now the event loop runs them all, and an origin
+// is switched in at the calls that settle it (the barriers, a full queue). Both counters are
+// process-wide, so the test must not run in parallel.
+func TestFig6aSwitchesPerOp(t *testing.T) {
+	e, ok := Get("fig6a")
+	if !ok {
+		t.Fatal("fig6a not registered")
+	}
+	o := tiny()
+	o.Parallel = 1
+	switches, ops := mpi.TotalSwitches(), mpi.TotalOpsIssued()
+	e.Run(o)
+	switches, ops = mpi.TotalSwitches()-switches, mpi.TotalOpsIssued()-ops
+	got := float64(switches) / float64(ops)
+	t.Logf("fig6a at scale %g: %d switches for %d RMA ops = %.3f per op", o.Scale, switches, ops, got)
+	if bound := fig6aSwitchesPerOp + switchSlack; ops == 0 || got > bound {
+		t.Fatalf("fig6a made %.3f switches per RMA op, want at most %.3f", got, bound)
+	}
+}

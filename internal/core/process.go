@@ -185,6 +185,14 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	}
 	if p.d.cfg.Overload != nil {
 		cw.sh = p.attachOverload(cw)
+		// The shepherd's events read epoch state this rank's calls
+		// change: its synchronization calls must run where they are made.
+		for _, w := range lockWins {
+			w.SyncInProcess()
+		}
+		if activeWin != nil {
+			activeWin.SyncInProcess()
+		}
 	}
 	if p.r.World().FaultsEnabled() {
 		for _, w := range lockWins {

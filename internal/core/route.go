@@ -83,9 +83,11 @@ func (cw *casperWin) CompareAndSwap(compare, origin, result []byte, t int, disp 
 //
 // When routing depends on nothing the redirect overhead could change
 // (servedWin), the operation is routed at call time and the overhead is
-// charged in front of the first piece's issue (mpi.Rank.LeadIssue): the
-// pieces then queue for the event loop to issue like any plain MPI call.
-// Otherwise the process pays the overhead first and routes after.
+// charged in front of the first call it makes on the internal window
+// (mpi.Rank.LeadIssue) — the first touch's ghost locks, or the first
+// piece: the calls then queue for the event loop to run like any plain
+// MPI call. Otherwise the process pays the overhead first and routes
+// after.
 func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, op mpi.Op, cmp []byte) {
 	if t < 0 || t >= len(cw.layout) {
@@ -95,6 +97,9 @@ func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	r := cw.p.r
 	if w := cw.servedWin(kind, t, disp, dt, src, dst, ts); w != nil {
 		r.LeadIssue(cw.p.d.cfg.RedirectOverhead)
+		if ts != nil && ts.locked {
+			cw.ensureGhostLocks(t, ts, w)
+		}
 		cw.issue(kind, t, w, cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active), op, cmp)
 		return
 	}
@@ -131,10 +136,11 @@ func (cw *casperWin) selfOp(kind mpi.OpKind, t int) bool {
 // the world does not queue issue (mpi.Rank.QueuesIssue), the overload
 // rebalancer may hold or move the target's binding meanwhile, the routing
 // draws from the engine's random stream (UnsafeNoBinding, LBRandom on an
-// eligible op), the op is a self-local Put/Get, the target's ghost locks
-// are not yet taken, or route would panic (routeFault), which it must do
-// after the overhead, where the eager path meets it. So must an invalid
-// datatype, which route cuts without checking it.
+// eligible op), the op is a self-local Put/Get, or route would panic
+// (routeFault), which it must do after the overhead, where the eager path
+// meets it. So must an invalid datatype, which route cuts without
+// checking it. Detected ghost failures, which change the locks a first
+// touch takes, come only with a fault plan, whose worlds do not queue.
 func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, ts *ctarget) *mpi.Win {
 	cfg := &cw.p.d.cfg
@@ -143,8 +149,7 @@ func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 		return nil
 	}
 	w := cw.lookupWin(t, ts)
-	if w == nil || ts != nil && ts.locked && !ts.ghostsLkd && w != cw.active ||
-		dt.Validate() != nil || cw.routeFault(kind, t, disp, dt, src, dst) != "" {
+	if w == nil || dt.Validate() != nil || cw.routeFault(kind, t, disp, dt, src, dst) != "" {
 		return nil
 	}
 	return w
@@ -163,6 +168,7 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 		cw.sh.inflight[t] += len(pieces)
 		cw.sh.routed[t]++
 	}
+	self := t == cw.comm.Rank()
 	for _, pc := range pieces {
 		switch kind {
 		case mpi.KindPut:
@@ -185,6 +191,11 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 			w.FetchAndOp(pc.src, pc.dst, pc.ghost, pc.disp, pc.dt.Basic, op)
 		case mpi.KindCAS:
 			w.CompareAndSwap(cmp, pc.src, pc.dst, pc.ghost, pc.disp, pc.dt.Basic)
+		}
+		if self {
+			// The ghost changes the caller's own memory: completing the
+			// piece must return where the caller can read it.
+			w.HoldCompletion(pc.ghost)
 		}
 		cw.countLB(t, pc)
 	}

@@ -34,6 +34,14 @@ type casperWin struct {
 	rebound []bool      // per user comm rank
 	nodeLB  [][]lbCount // per node, per ghost of the node
 
+	// alive caches progressRanks' surviving ghosts per node while the
+	// detector's verdicts stand at aliveAt (mpi.World.HealthVerdicts);
+	// selves holds each target's selfInternal, the one-rank list of a
+	// node left with no ghost.
+	alive   [][]int
+	aliveAt uint64
+	selves  []int
+
 	// Epoch state.
 	fenceActive   bool
 	lockAllActive bool
@@ -266,22 +274,38 @@ func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) {
 // progress for t's node: its ghosts normally, the surviving subset
 // after detected failures, or the target user process itself (falling
 // back to Original-mode progress) when the node has lost every ghost.
+// The lists built after a failure are cached until the detector's
+// verdicts change and shared by every caller, so none may write to them;
+// each call that finds the node degraded still counts.
 func (cw *casperWin) progressRanks(ti *tinfo) []int {
 	w := cw.p.r.World()
 	if !w.AnyHealthFailure() {
 		return ti.ghosts
 	}
-	var alive []int
-	for _, g := range ti.ghosts {
-		if !w.HealthFailed(cw.internal.WorldRank(g)) {
-			alive = append(alive, g)
+	if v := w.HealthVerdicts(); cw.alive == nil || v != cw.aliveAt {
+		cw.alive, cw.aliveAt = make([][]int, cw.p.d.place.NodesUsed()), v
+	}
+	alive := cw.alive[ti.node]
+	if alive == nil {
+		alive = []int{} // built: no ghost of the node survives until one is appended
+		for _, g := range ti.ghosts {
+			if !w.HealthFailed(cw.internal.WorldRank(g)) {
+				alive = append(alive, g)
+			}
+		}
+		cw.alive[ti.node] = alive
+	}
+	if len(alive) > 0 {
+		return alive
+	}
+	cw.p.r.Count(mpi.Degraded, 1)
+	if cw.selves == nil {
+		cw.selves = make([]int, len(cw.layout))
+		for i := range cw.layout {
+			cw.selves[i] = cw.layout[i].selfInternal
 		}
 	}
-	if len(alive) == 0 {
-		cw.p.r.Count(mpi.Degraded, 1)
-		return []int{ti.selfInternal}
-	}
-	return alive
+	return cw.selves[ti.rank : ti.rank+1 : ti.rank+1]
 }
 
 // progressTarget maps a preferred routing choice to a live one. The

@@ -46,6 +46,7 @@ func TestBackloggedTargetAllocations(t *testing.T) {
 				win.Accumulate(src, 1, 0, Scalar(Float64), OpSum)
 			}
 			win.Unlock(1)
+			r.settle() // the epoch's calls are queued: count what they allocate when they run
 		}
 		// Warm the scheduler up first. The ladder hands an emptied bucket's
 		// storage to the next bucket that fills, so it stops allocating once

@@ -359,19 +359,24 @@ func TestEpochAllocations(t *testing.T) {
 		win, _ := r.WinAllocateRegion(c, 8, nil)
 		c.Barrier()
 		if r.Rank() == 0 {
+			// Each run settles at the end: the calls are queued, and what
+			// they allocate they allocate when the event loop runs them.
 			untouched = testing.AllocsPerRun(50, func() {
 				win.Lock(2, LockShared, AssertNone)
 				win.Unlock(2)
+				r.settle()
 			})
 			targets := []int{1, 2, 3}
 			bulk = testing.AllocsPerRun(50, func() {
 				win.LockEach(targets, LockShared, AssertNone)
 				win.UnlockEach(targets)
+				r.settle()
 			})
 			requested = testing.AllocsPerRun(50, func() {
 				win.Lock(2, LockExclusive, AssertNone)
 				win.Acquire(2)
 				win.Unlock(2)
+				r.settle()
 			})
 		}
 		c.Barrier()

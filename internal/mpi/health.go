@@ -57,6 +57,7 @@ type healthState struct {
 	suspected  []bool
 	failed     []bool
 	nfailed    int
+	verdicts   uint64 // changes to failed, in either direction
 	monitoring bool
 }
 
@@ -124,6 +125,16 @@ func (w *World) HealthFailed(worldRank int) bool {
 // confirmation.
 func (w *World) HealthSuspected(worldRank int) bool {
 	return w.health != nil && w.health.suspected[worldRank]
+}
+
+// HealthVerdicts counts the changes to the set of ranks the detector has
+// declared failed (a declaration, or a recovered rank's revival), so a
+// layer above can cache what it derives from that set.
+func (w *World) HealthVerdicts() uint64 {
+	if w.health == nil {
+		return 0
+	}
+	return w.health.verdicts
 }
 
 // AnyHealthFailure reports whether any tracked rank has been declared
@@ -220,6 +231,7 @@ func (h *healthState) markFailed(id int) {
 	}
 	h.failed[id] = true
 	h.nfailed++
+	h.verdicts++
 	h.suspected[id], h.lastAck[id] = false, 0
 	if t := h.w.tracer; t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "detect", Rank: id, Peer: -1, At: h.w.eng.Now()})
@@ -306,6 +318,7 @@ func (h *healthState) reviveRank(id int) {
 	if h.failed[id] {
 		h.failed[id] = false
 		h.nfailed--
+		h.verdicts++
 	}
 	h.lastSeen[id] = w.eng.Now()
 	h.suspected[id], h.lastAck[id] = false, 0

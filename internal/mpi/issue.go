@@ -2,30 +2,47 @@ package mpi
 
 import "repro/internal/sim"
 
-// The issue queue lets an origin issue RMA operations without a coroutine
-// switch per call. Eagerly, every Put, Get or accumulate parks its rank on
-// the call's [callCost, issueCost] chain (sim.Proc.AdvanceChain) and is
-// switched back in only to run the rest of Win.issue: the send, the lock
-// request, the pending count. A queueable call instead admits the call at
-// call time — Win.check has passed, the payload is snapshotted — and
-// returns without parking; the event loop runs the rest of the issue
-// itself when the chain's last step pops (sim.Proc.Serve), then enters MPI
-// for the next queued call and starts its chain. The rank is switched in
-// only once its queue is empty. An Acquire of a lock already granted
-// queues the same way: only its MPI entry is left to do.
+// The issue queue lets an origin make RMA and passive-target
+// synchronization calls without a coroutine switch per call. Eagerly, every
+// Put, Get or accumulate parks its rank on the call's [callCost, issueCost]
+// chain (sim.Proc.AdvanceChain) and is switched back in only to run the
+// rest of Win.issue: the send, the lock request, the pending count. Every
+// Lock, Unlock, Flush or Acquire parks on its entry costs and again on each
+// lock grant and remote completion it waits for. A queued call instead is
+// admitted at call time — its checks have passed, its payload is
+// snapshotted, the epoch flags it changes are changed — and returns without
+// parking. The event loop runs the rest itself: when the chain's last step
+// pops (sim.Proc.Serve) or the awaited completion wakes the rank
+// (sim.Completion.Serve), it runs what the rank would have run at that pop,
+// then goes on with the next queued call. The rank is switched in only once
+// its queue is empty.
 //
-// Every step is the event it is eagerly, under the same seq, and the
-// continuation runs the statements the rank would have run at that pop, in
-// the same order, so the timeline is the eager one event for event. What
-// keeps it so is the settle rule: a rank with calls queued has not reached
-// the time its code runs at, so every other MPI entry point (mpiEnter and
-// the direct enterMPI callers), Now, Compute, Request.Done, window
-// allocation and the end of the process first park until the queue drains
-// (Rank.settle), and resume at exactly the pop where the eager rank would
-// have been switched in. mpiEnter and Compute queue their own first step —
-// the call cost, the computation — behind the calls they settle, so the
-// rank parks once for both. A park reached any other way with calls queued
-// panics (sim.Proc.park).
+// Every step and wake-up is the event it is eagerly, under the same seq,
+// and the continuation runs the statements the rank would have run at that
+// pop, in the same order, so the timeline is the eager one event for event.
+// Two rules keep it so.
+//
+// The settle rule: a rank with calls queued has not reached the time its
+// code runs at, so every other MPI entry point (mpiEnter and the direct
+// enterMPI callers), Now, Compute, Request.Done, window allocation and the
+// end of the process first park until the queue drains (Rank.settle), and
+// resume at exactly the pop where the eager rank would have been switched
+// in. mpiEnter and Compute queue their own first step — the call cost, the
+// computation — behind the calls they settle, so the rank parks once for
+// both. A park reached any other way with calls queued panics
+// (sim.Proc.park). A completion call (Flush, FlushAll, Unlock, UnlockAll)
+// whose return lets the caller read what its ops changed — one of them
+// writes origin memory or targets the caller (see Win.HoldCompletion) — is queued and
+// then settles, which returns at the eager instant.
+//
+// The state rule: the epoch flags (Win.epoch, Win.lockAll) are
+// process-side. Calls update them when they are made, in call order, so
+// every misuse check sees the effect of every call before it; a misused
+// call takes the eager path (settle, then run in the process), which
+// raises the misuse at its usual instant. Channel and lock state
+// (Win.chans) is engine-side: only the queued calls touch it, when the
+// event loop runs them, and what they need of the flags travels with them
+// (issueItem.ep) or on the channel (lockMsg.ep).
 
 // issueQueueCap bounds the items a rank may have queued (a call, or the
 // lead step in front of one): the next call settles first. A queued call
@@ -35,7 +52,8 @@ import "repro/internal/sim"
 // does not. What the bound trades is the queue's own block (176-byte
 // items, about 6 KB per queueing rank) against switches: 32 is the
 // smallest power of two that holds fig5a -quick to 0.2 switches per RMA
-// op (EXPERIMENTS.md, "Issue without switching").
+// op, and 128 gains nothing on wide worlds (EXPERIMENTS.md, "Issue without
+// switching" and "Served passive-target epochs").
 const issueQueueCap = 32
 
 // itemKind is what a queued item does once the event loop reaches it.
@@ -44,16 +62,29 @@ type itemKind uint8
 const (
 	itemAdvance itemKind = iota // [d] outside MPI: a lead step (LeadIssue), a settling Compute
 	itemOp                      // MPI entry, [callCost, issueCost], post, MPI exit: an RMA call
-	itemCall                    // MPI entry, [callCost], MPI exit: a granted Acquire, a settling mpiEnter
+	itemCall                    // MPI entry, [callCost], MPI exit: LockAll, a settling mpiEnter
+
+	// The synchronization calls (epoch.go, Win.sync). LockEach and
+	// UnlockEach owe their entry costs and pay them inside; the others
+	// start as itemCall does.
+	itemLock
+	itemUnlock
+	itemUnlockAll
+	itemFlush
+	itemFlushAll
+	itemAcquire
 )
 
 // issueItem is one queued item.
 type issueItem struct {
-	kind itemKind
-	d    sim.Duration   // itemAdvance: the step
-	w    *Win           // itemOp: the handle issuing the call
-	call rmaCall        // itemOp: the admitted call; call.data is its payload snapshot
-	inl  [opInline]byte // itemOp: the snapshot when it fits, and a CAS's compare value
+	kind  itemKind
+	stage syncStage      // synchronization items: where the item resumes
+	ep    uint8          // itemOp, itemLock, itemAcquire: the epoch flags admitted with the call
+	pos   int32          // synchronization items: the target or channel reached
+	d     sim.Duration   // itemAdvance: the step
+	w     *Win           // the handle making the call (none for itemAdvance, itemCall)
+	call  rmaCall        // itemOp: the admitted call, call.data its payload snapshot; a synchronization call on one target: call.target
+	inl   [opInline]byte // itemOp: the snapshot when it fits, and a CAS's compare value
 }
 
 // issueQueue is a rank's queued items, items[head:] in call order. The
@@ -63,6 +94,7 @@ type issueItem struct {
 type issueQueue struct {
 	r     *Rank
 	items []issueItem
+	lists [][]int // lists[i]: the targets of items[i], a LockEach or UnlockEach (nil: call.target alone)
 	head  int
 	lead  sim.Duration // charged in front of the next op (see LeadIssue)
 	mark  sim.Duration // the rank's stolen time when the last itemAdvance started
@@ -75,16 +107,33 @@ type issueQueue struct {
 func (r *Rank) QueuesIssue() bool { return r.w.queueIssue }
 
 // LeadIssue charges d of origin-side work in front of the rank's next RMA
-// operation, on any of its windows: as a step queued in front of that call
-// when the call is queued, as an advance before it otherwise. Either way
-// the rank spends d outside MPI and then enters MPI for the call, exactly
-// as Advance(d) followed by the call would. Casper charges its redirect
-// overhead this way.
+// operation or LockEach, on any of its windows: as a step queued in front
+// of that call when the call is queued, as an advance before it otherwise.
+// Either way the rank spends d outside MPI and then enters MPI for the
+// call, exactly as Advance(d) followed by the call would. Casper charges
+// its redirect overhead this way.
 func (r *Rank) LeadIssue(d sim.Duration) { r.issueQ.lead += d }
 
 // settle parks the rank until every queued call has been issued (see the
 // settle rule above).
 func (r *Rank) settle() { r.proc.Settle() }
+
+// settleLead settles, then charges the lead step as an advance: the eager
+// path of a call that a lead step may precede.
+func (q *issueQueue) settleLead() {
+	q.r.settle()
+	if d := q.lead; d != 0 {
+		q.lead = 0
+		q.r.proc.Advance(d)
+	}
+}
+
+// serves reports whether synchronization calls on w may be queued: the
+// rank queues calls, and the window is neither dynamic nor kept eager
+// (Win.SyncInProcess).
+func (q *issueQueue) serves(w *Win) bool {
+	return q.r.w.queueIssue && !w.g.dynamic && !w.g.eagerSync
+}
 
 // reserve makes room for n more items, settling first when the queue
 // lacks it, and reports whether the queue is idle: then nothing is in
@@ -100,15 +149,31 @@ func (q *issueQueue) reserve(n int) (idle bool) {
 	return len(q.items) == 0
 }
 
+// queue appends it behind the lead step, if one is owed, and returns its
+// index and whether the queue was idle; the caller completes the item and
+// then, if it was, starts the queue (run).
+func (q *issueQueue) queue(it issueItem) (i int, idle bool) {
+	n := 1
+	if q.lead != 0 {
+		n++
+	}
+	idle = q.reserve(n)
+	if q.lead != 0 {
+		q.items = append(q.items, issueItem{kind: itemAdvance, d: q.lead})
+		q.lead = 0
+	}
+	q.items = append(q.items, it)
+	return len(q.items) - 1, idle
+}
+
 // admit queues call c on handle w and reports true, or reports false,
 // having done nothing, when c must take the eager path: the world does not
-// queue, the window is dynamic, the call is request-based, check fails
-// (the eager path then raises it at its usual instant), or the call would
-// first-touch a passive target's lock, whose request is issue work the
-// queue leaves to the eager path. cmp is the compare value of a CAS, nil
-// otherwise. check's verdict at admission holds when the event loop posts
-// the call: only the rank's own later calls could change what it reads,
-// and those settle first.
+// queue, the window is dynamic, the call is request-based, or check fails
+// (the eager path then raises it at its usual instant). cmp is the compare
+// value of a CAS, nil otherwise. check's verdict at admission holds when
+// the event loop posts the call: it reads only process-side state, which
+// calls change in call order, and the fence and PSCW calls, which change
+// the rest, settle first.
 func (q *issueQueue) admit(w *Win, c *rmaCall, cmp []byte) bool {
 	if !w.g.w.queueIssue || w.g.dynamic || c.req != nil {
 		return false
@@ -116,22 +181,8 @@ func (q *issueQueue) admit(w *Win, c *rmaCall, cmp []byte) bool {
 	if msg, _ := w.check(c, cmp); msg != "" {
 		return false
 	}
-	if w.access == nil && !w.fenceActive {
-		if ch := w.lookupChannel(c.target); ch == nil || !ch.lock.requested {
-			return false
-		}
-	}
-	n := 1
-	if q.lead != 0 {
-		n++
-	}
-	idle := q.reserve(n)
-	if q.lead != 0 {
-		q.items = append(q.items, issueItem{kind: itemAdvance, d: q.lead})
-		q.lead = 0
-	}
-	q.items = append(q.items, issueItem{kind: itemOp, w: w, call: *c})
-	it := &q.items[len(q.items)-1]
+	i, idle := q.queue(issueItem{kind: itemOp, w: w, ep: w.callEpoch(c), call: *c})
+	it := &q.items[i]
 	it.call.data = snapshot(q.r.pool, c.dt, c.data, cmp, &it.inl)
 	if idle {
 		q.run()
@@ -139,13 +190,22 @@ func (q *issueQueue) admit(w *Win, c *rmaCall, cmp []byte) bool {
 	return true
 }
 
-// call queues a call that has nothing to do but its MPI entry: an Acquire
-// of a lock already granted.
-func (q *issueQueue) call() {
-	idle := q.reserve(1)
-	q.items = append(q.items, issueItem{kind: itemCall})
+// push queues synchronization item it, whose targets are list (nil:
+// it.call.target alone), and starts it when the queue was idle. With wait
+// set the rank then settles, returning where the eager call returns.
+func (q *issueQueue) push(it issueItem, list []int, wait bool) {
+	i, idle := q.queue(it)
+	if list != nil {
+		if q.lists == nil {
+			q.lists = make([][]int, issueQueueCap+1)
+		}
+		q.lists[i] = list
+	}
 	if idle {
 		q.run()
+	}
+	if wait {
+		q.r.settle()
 	}
 }
 
@@ -163,29 +223,34 @@ func (q *issueQueue) settleWith(it issueItem) bool {
 }
 
 // run starts the queued items from head on, in order, until one has a
-// chain step pending (true) or the queue is empty (false).
+// step or wait pending (true) or the queue is empty (false).
 func (q *issueQueue) run() bool {
 	for ; q.head < len(q.items); q.head++ {
 		if q.start(&q.items[q.head]) {
 			return true
 		}
-		q.finish(&q.items[q.head])
 	}
 	clear(q.items)
+	if q.lists != nil {
+		clear(q.lists[:len(q.items)])
+	}
 	q.items, q.head = q.items[:0], 0
 	return false
 }
 
-// Continue implements sim.Continuation: the chain of the item at head
-// ended.
+// Continue implements sim.Continuation: the chain or the served wait of
+// the item at head ended.
 func (q *issueQueue) Continue() bool {
-	q.finish(&q.items[q.head])
+	if q.resume(&q.items[q.head]) {
+		return true
+	}
 	q.head++
 	return q.run()
 }
 
 // start does what the eager rank does on reaching it — enters MPI and
-// starts its chain — and reports whether a chain step is pending.
+// starts its chain — and, when no step is pending, goes on (resume). It
+// reports whether the item has a step or wait pending.
 func (q *issueQueue) start(it *issueItem) bool {
 	r := q.r
 	switch it.kind {
@@ -194,26 +259,45 @@ func (q *issueQueue) start(it *issueItem) bool {
 		return r.proc.Serve(q, it.d)
 	case itemOp:
 		r.engine.enterMPI()
-		return r.proc.Serve(q, r.callCost(), r.issueCost())
-	default: // itemCall
+		if r.proc.Serve(q, r.callCost(), r.issueCost()) {
+			return true
+		}
+	case itemLock, itemUnlock:
 		r.engine.enterMPI()
-		return r.proc.Serve(q, r.callCost())
+	default:
+		r.engine.enterMPI()
+		if r.proc.Serve(q, r.callCost()) {
+			return true
+		}
 	}
+	return q.resume(it)
 }
 
-// finish does what the eager rank does when it is switched back in at the
-// end of its chain: posts the op of an RMA call and leaves MPI.
-func (q *issueQueue) finish(it *issueItem) {
+// resume does what the eager rank does when it is switched back in at the
+// end of the item's chain or wait: posts the op of an RMA call, goes on
+// with a synchronization call, leaves MPI once the call is done. It
+// reports whether the item has another step or wait pending.
+func (q *issueQueue) resume(it *issueItem) bool {
 	switch it.kind {
+	case itemAdvance:
+		return false
 	case itemOp:
 		o := it.w.newOp(&it.call)
 		o.inl = it.inl
 		if n := len(o.data); o.data != nil && n <= opInline {
 			o.data = o.inl[:n] // the snapshot moves with the header
 		}
-		it.w.post(o)
-		q.r.mpiLeave()
+		it.w.post(o, it.ep)
 	case itemCall:
-		q.r.mpiLeave()
+	default:
+		var list []int
+		if q.lists != nil {
+			list = q.lists[q.head]
+		}
+		if it.w.sync(it, list, true) {
+			return true
+		}
 	}
+	q.r.mpiLeave()
+	return false
 }

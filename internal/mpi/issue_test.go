@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -55,8 +56,11 @@ func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool, errs ErrorM
 		if r.Rank() == 0 {
 			win.LockAll(AssertNone)
 			one := PutFloat64s([]float64{1})
-			for i := 0; i < 4; i++ { // the first touches target 1; the rest queue
+			for i := 0; i < 4; i++ {
 				win.Accumulate(one, 1, 0, Scalar(Float64), OpSum)
+				if i == 0 {
+					r.settle() // LockAll and the first touch of target 1 drain; the rest queue
+				}
 			}
 			if queued := len(r.issueQ.items); queued != 3 && !eager {
 				t.Errorf("%d calls queued ahead of the misuse, want 3", queued)
@@ -197,5 +201,215 @@ func TestIssueQueueServesBackToBackCalls(t *testing.T) {
 	}
 	if ops := served.summary.Counters[OpsIssued]; ops != 4*rounds*perRound || servedSwitches*5 > eagerSwitches {
 		t.Fatalf("%d ops: %d switches served, %d eager; want at most a fifth", ops, servedSwitches, eagerSwitches)
+	}
+}
+
+// syncOutcome is what rank 0 observed of one misused synchronization call.
+type syncOutcome struct {
+	panicked string   // the recovered panic, "" for none
+	err      ErrClass // the class Err held after the call; -1 for none
+	after    sim.Time // Now after the call
+	summary  WorldSummary
+}
+
+// syncMisuses are the misused passive-target calls, each made on win, a
+// window rank 0 has opened no epoch on beyond what the case itself opens.
+var syncMisuses = map[string]func(win *Win){
+	"nested Lock":                func(win *Win) { win.Lock(1, LockShared, AssertNone); win.Lock(1, LockShared, AssertNone) },
+	"Lock twice in one call":     func(win *Win) { win.LockEach([]int{1, 2, 1}, LockExclusive, AssertNone) },
+	"Lock out of range":          func(win *Win) { win.LockEach([]int{1, 9}, LockShared, AssertNone) },
+	"Unlock without Lock":        func(win *Win) { win.Unlock(2) },
+	"Unlock twice in one call":   func(win *Win) { win.LockEach([]int{1, 2}, LockShared, AssertNone); win.UnlockEach([]int{1, 2, 1}) },
+	"Unlock of a lockall target": func(win *Win) { win.LockAll(AssertNone); win.Acquire(1); win.Unlock(1) },
+	"nested LockAll":             func(win *Win) { win.LockAll(AssertNone); win.LockAll(AssertNone) },
+	"UnlockAll without LockAll":  func(win *Win) { win.UnlockAll() },
+	"Flush without epoch":        func(win *Win) { win.Flush(1) },
+	"Acquire without epoch":      func(win *Win) { win.Acquire(2) },
+	// Not a synchronization misuse: an op past the window behind queued
+	// synchronization, which ErrorsReturn raises instead of panicking.
+	"Put past the window": func(win *Win) {
+		win.Lock(1, LockShared, AssertNone)
+		win.Flush(1)
+		win.Put(make([]byte, 8), 1, 64, Scalar(Float64))
+		win.Unlock(1)
+	},
+}
+
+// runSyncMisuse has rank 0 queue a lockall epoch of accumulates on one
+// window, then make the misused synchronization call on another, recover
+// any panic inside its own process, read Err and Now, and carry on.
+func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool, errs ErrorMode) syncOutcome {
+	t.Helper()
+	cfg := testConfig(3, 3)
+	cfg.NoSimFastPath = eager
+	cfg.Errors = errs
+	out := syncOutcome{err: -1}
+	w := mustRun(t, cfg, func(r *Rank) {
+		c := r.CommWorld()
+		busy, _ := r.WinAllocateRegion(c, 64, nil)
+		win, _ := r.WinAllocateRegion(c, 64, nil)
+		c.Barrier()
+		if r.Rank() == 0 {
+			busy.LockAll(AssertNone)
+			one := PutFloat64s([]float64{1})
+			for i := 0; i < 4; i++ {
+				busy.Accumulate(one, 1+i%2, 0, Scalar(Float64), OpSum)
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						out.panicked = fmt.Sprint(p)
+					}
+				}()
+				misuse(win)
+			}()
+			if err := r.Err(); err != nil {
+				out.err = err.Class
+			}
+			out.after = r.Now()
+			busy.UnlockAll()
+		}
+		c.Barrier()
+	})
+	out.summary = w.Summary()
+	out.summary.Counters[PeakQueueResidency] = 0 // scheduler occupancy, not system state
+	return out
+}
+
+// TestServedSyncMisuseSurfacesInProcess: a misused passive-target call is
+// not queued. It settles the calls queued before it and runs in the
+// process, which pays the entry costs the call owes and panics — inside
+// the calling rank's process, recoverable there — at the same virtual
+// instant, with the same message and the same world afterwards, as with
+// the fast paths off, under either error mode. An op past the window
+// behind queued synchronization panics the same way, or under
+// ErrorsReturn sets Err by the time the call returns.
+func TestServedSyncMisuseSurfacesInProcess(t *testing.T) {
+	for name, misuse := range syncMisuses {
+		for _, errs := range []ErrorMode{ErrorsAreFatal, ErrorsReturn} {
+			served := runSyncMisuse(t, misuse, false, errs)
+			eager := runSyncMisuse(t, misuse, true, errs)
+			if served != eager {
+				t.Errorf("%s/%v: served %+v\n eager %+v", name, errs, served, eager)
+			}
+			raises := name == "Put past the window" && errs == ErrorsReturn
+			if (served.panicked == "") != raises || raises != (served.err == ErrRMARange) {
+				t.Errorf("%s/%v: panicked %q, Err class %v", name, errs, served.panicked, served.err)
+			}
+		}
+	}
+}
+
+// TestServedSyncResultsReadEagerValues: a completion call whose ops return
+// something to the caller — a result-bearing op, or an op on the caller's
+// own window — returns where the eager call returns, so the result buffer
+// and the local window read, right after it, what they read eagerly: the
+// target's value after the accumulates queued before the op. Each case
+// runs with the fast paths on and off, and must agree.
+func TestServedSyncResultsReadEagerValues(t *testing.T) {
+	kinds := []OpKind{KindGet, KindGetAcc, KindFetchOp, KindCAS, KindPut, KindAcc}
+	for _, kind := range kinds {
+		for _, self := range []bool{false, true} {
+			if !self && (kind == KindPut || kind == KindAcc) {
+				continue // nothing comes back
+			}
+			for _, closing := range []string{"Flush", "Unlock", "UnlockAll"} {
+				name := fmt.Sprintf("%v/self=%v/%s", kind, self, closing)
+				served, servedAt := runResultRead(t, kind, self, closing, false)
+				eager, eagerAt := runResultRead(t, kind, self, closing, true)
+				if served != eager || servedAt != eagerAt {
+					t.Errorf("%s: served read %v at %v, eager %v at %v", name, served, servedAt, eager, eagerAt)
+				}
+				want := 13.0 // 10 + 3 accumulates of 1: the result, or the window after a Get
+				if self {
+					switch kind {
+					case KindPut, KindCAS:
+						want = 5
+					case KindAcc, KindGetAcc, KindFetchOp:
+						want = 18
+					}
+				}
+				if served != want {
+					t.Errorf("%s: read %v, want %v", name, served, want)
+				}
+			}
+		}
+	}
+}
+
+// runResultRead has rank 0 queue three accumulates of 1 to its target's
+// first element (10), make one op of kind on it (5 its origin value) — on
+// rank 1, or with self on rank 0 itself — close with closing, and read at
+// once the op's result, or with self its own window. It returns what it
+// read and when.
+func runResultRead(t *testing.T, kind OpKind, self bool, closing string, eager bool) (float64, sim.Time) {
+	t.Helper()
+	cfg := testConfig(2, 2)
+	cfg.NoSimFastPath = eager
+	var got float64
+	var at sim.Time
+	mustRun(t, cfg, func(r *Rank) {
+		c := r.CommWorld()
+		win, mem := r.WinAllocateRegion(c, 64, nil)
+		copy(mem, PutFloat64s([]float64{10}))
+		c.Barrier()
+		if r.Rank() == 0 {
+			target := 1
+			if self {
+				target = 0
+			}
+			if closing == "UnlockAll" {
+				win.LockAll(AssertNone)
+			} else {
+				win.Lock(target, LockShared, AssertNone)
+			}
+			one := PutFloat64s([]float64{1})
+			for i := 0; i < 3; i++ {
+				win.Accumulate(one, target, 0, Scalar(Float64), OpSum)
+			}
+			res := make([]byte, 8)
+			five := PutFloat64s([]float64{5})
+			switch kind {
+			case KindGet:
+				win.Get(res, target, 0, Scalar(Float64))
+			case KindGetAcc:
+				win.GetAccumulate(five, res, target, 0, Scalar(Float64), OpSum)
+			case KindFetchOp:
+				win.FetchAndOp(five, res, target, 0, Float64, OpSum)
+			case KindCAS:
+				win.CompareAndSwap(PutFloat64s([]float64{13}), five, res, target, 0, Float64)
+			case KindPut:
+				win.Put(five, target, 0, Scalar(Float64))
+			case KindAcc:
+				win.Accumulate(five, target, 0, Scalar(Float64), OpSum)
+			}
+			switch closing {
+			case "Flush":
+				win.Flush(target)
+			case "Unlock":
+				win.Unlock(target)
+			case "UnlockAll":
+				win.UnlockAll()
+			}
+			if self {
+				res = mem
+			}
+			got = GetFloat64s(res[:8])[0]
+			at = r.Now()
+			if closing == "Flush" {
+				win.Unlock(target)
+			}
+		}
+		c.Barrier()
+	})
+	return got, at
+}
+
+// TestIssueItemSize holds what a queueing rank's block costs: every item
+// kind shares one 176-byte item, 33 of them per rank (the bound and the
+// settling call's slot), so a field added for one kind is paid by all.
+func TestIssueItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(issueItem{}); n > 176 {
+		t.Fatalf("issueItem is %d bytes, want at most 176", n)
 	}
 }

@@ -54,7 +54,13 @@ type lockMsg struct {
 	excl      bool
 	phase     lockPhase
 	requested bool
-	granted   sim.Completion
+
+	// ep is the target's passive-epoch flags (Win.epoch) as of the last
+	// call that reached the channel: the engine side's copy of them, which
+	// Flush, FlushAll and UnlockAll read where they run (see issue.go).
+	ep uint8
+
+	granted sim.Completion
 
 	// Ops issued before the grant arrived, in issue order, linked through
 	// rmaOp.link (an op is queued here or on the wire, never both).

@@ -137,8 +137,45 @@ func BenchmarkIssueRun(b *testing.B) {
 // closes epochs on a target it never uses — two MPI calls of pure
 // bookkeeping, no message, no allocation — and "eager" forces the
 // acquisition (Acquire), paying the request/grant/release messages and
-// the channel state.
+// the channel state. "served" and "served-plain" are the epochs the issue
+// queue serves: rank 0 of a 65-rank world locks, accumulates to and
+// unlocks each of 64 targets in turn, again and again, with the fast
+// paths on and on the eager schedule (NoSimFastPath); ns/op and
+// switches/op are per epoch.
 func BenchmarkLockEpoch(b *testing.B) {
+	for _, plain := range []bool{false, true} {
+		name := "served"
+		if plain {
+			name = "served-plain"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			const targets = 64
+			rounds := (b.N + targets - 1) / targets
+			one := PutFloat64s([]float64{1})
+			cfg := benchConfig(targets+1, 24)
+			cfg.NoSimFastPath = plain
+			w, err := Run(cfg, func(rk *Rank) {
+				c := rk.CommWorld()
+				win, _ := rk.WinAllocateRegion(c, 8, nil)
+				c.Barrier()
+				if rk.Rank() == 0 {
+					for r := 0; r < rounds; r++ {
+						for t := 1; t <= targets; t++ {
+							win.Lock(t, LockShared, AssertNone)
+							win.Accumulate(one, t, 0, Scalar(Float64), OpSum)
+							win.Unlock(t)
+						}
+					}
+				}
+				c.Barrier()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(w.Engine().Switches())/float64(b.N), "switches/op")
+		})
+	}
 	for _, eager := range []bool{false, true} {
 		name := "lazy"
 		if eager {

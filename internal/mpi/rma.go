@@ -44,6 +44,12 @@ func (k OpKind) String() string {
 // isWrite reports whether the op modifies target memory.
 func (k OpKind) isWrite() bool { return k != KindGet }
 
+// writesOrigin reports whether the op writes origin memory: a result
+// comes back into the caller's buffer.
+func (k OpKind) writesOrigin() bool {
+	return k == KindGet || k == KindGetAcc || k == KindFetchOp || k == KindCAS
+}
+
 // isAtomicFamily reports whether MPI guarantees per-element atomicity
 // and same-origin ordering for this kind (the accumulate family,
 // MPI-3 §11.7.1).
@@ -287,11 +293,7 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 	if r.issueQ.admit(w, &c, cmp) {
 		return
 	}
-	r.settle()
-	if d := r.issueQ.lead; d != 0 {
-		r.issueQ.lead = 0
-		r.proc.Advance(d)
-	}
+	r.issueQ.settleLead()
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	r.proc.AdvanceChain(r.callCost(), r.issueCost())
@@ -324,7 +326,7 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 	if credit != nil {
 		o.extra().credit = credit
 	}
-	w.post(o)
+	w.post(o, w.callEpoch(&c))
 }
 
 // check makes every test of call c (and of cmp, a CAS's compare value)
@@ -394,11 +396,13 @@ func snapshot(pool *bufPool, dt Datatype, data, cmp []byte, inl *[opInline]byte)
 }
 
 // post is the part of the issue after the origin-side cost: the op
-// passed check and carries its snapshotted payload. It joins the epoch,
-// counts as outstanding, and goes on the wire or behind the channel's
-// pending lock grant. The eager path runs it in the rank's process; for a
-// queued op the event loop runs it at the same pop.
-func (w *Win) post(op *rmaOp) {
+// passed check and carries its snapshotted payload, and ep is the epoch
+// flags it was issued under (callEpoch). It joins the epoch, counts as
+// outstanding, and goes on the wire or behind the channel's pending lock
+// grant — requesting the lock first when it is the epoch's first touch of
+// the target. The eager path runs it in the rank's process; for a queued
+// op the event loop runs it at the same pop.
+func (w *Win) post(op *rmaOp, ep uint8) {
 	r := w.r
 	target := int(op.target)
 	op.win = w.g
@@ -415,15 +419,16 @@ func (w *Win) post(op *rmaOp) {
 		op.pscw = true
 		w.access.issued[target]++
 		op.ch = w.channel(target)
+		op.ch.lock.ep = ep
 	case w.fenceActive:
 		op.ch = w.channel(target)
+		op.ch.lock.ep = ep
 	default: // passive target
-		ep, _ := w.coverTarget(target)
 		ch := w.channel(target)
 		op.excl = ep&epExcl != 0
 		op.ch = ch
 		if !ch.lock.requested {
-			w.requestLock(target)
+			w.requestLock(target, ep)
 		}
 		if !ch.lock.granted.Done() {
 			queueOn = &ch.lock

@@ -25,6 +25,10 @@ type winGlobal struct {
 	// PSCW bookkeeping (allocated lazily; indexes are comm ranks).
 	pscw *pscwGlobal
 
+	// eagerSync keeps the window's synchronization calls out of the issue
+	// queue (see Win.SyncInProcess).
+	eagerSync bool
+
 	// Dynamic-window state (MPI_WIN_CREATE_DYNAMIC).
 	dynamic  bool
 	attached [][]attachment // per comm rank: attached regions by base
@@ -113,6 +117,7 @@ type Win struct {
 	// hash path.
 	epoch []uint8
 	chans []*chanState
+	holds int // targets whose epoch carries epHold
 }
 
 type pscwAccess struct {
@@ -126,11 +131,17 @@ type pscwExposure struct {
 	assert Assert
 }
 
-// Passive-epoch flags of one target (Win.epoch).
+// Passive-epoch flags of one target (Win.epoch). They are process-side
+// state: every call updates them when it is made, in call order, and a
+// queued call carries what it needs of them (see issue.go).
 const (
 	epLocked uint8 = 1 << iota // Lock() called (or implied by LockAll)
 	epViaAll                   // the implied kind: closed by UnlockAll
 	epExcl                     // LockExclusive
+	epHold                     // the next completion of the target settles (see HoldCompletion)
+	epSeen                     // scratch mark of a target list's admission check
+
+	epKinds = epLocked | epViaAll | epExcl // what a channel carries (lockMsg.ep)
 )
 
 // chanState is the origin-side state of one (origin, target) channel:

@@ -470,3 +470,94 @@ func TestServeNeedsFastPaths(t *testing.T) {
 		t.Fatal("Serve with the fast paths off did not panic")
 	}
 }
+
+// servedWaits is a continuation that, at the end of a served chain,
+// awaits c and then s, and acts once both are done: what
+//
+//	p.AdvanceChain(10); c.Await(p, ...); s.Wait(p, ...); act()
+//
+// does at the same pops, done by the event loop in its stead.
+type servedWaits struct {
+	p       *Proc
+	c       *Completion
+	s       *CompletionSet
+	awaited bool
+	act     func()
+}
+
+func (w *servedWaits) Continue() bool {
+	if !w.awaited {
+		w.awaited = true
+		if w.c.Serve(w.p, w, "awaiting c") {
+			return true
+		}
+	}
+	if w.s.Serve(w.p, w, "awaiting s") {
+		return true
+	}
+	w.act()
+	return false
+}
+
+// TestServedWaitMatchesAwait pins the served waits' contract: a rank that
+// the event loop serves is registered on a Completion or CompletionSet
+// without parking again, and the wake-up — the same resume event, under
+// the same seq — runs its continuation, which leaves the engine exactly
+// where the process parked in Await and Wait leaves it. The set is
+// emptied, refilled and emptied again before the wake-up pops, so the
+// continuation must re-check, as Wait's loop does.
+func TestServedWaitMatchesAwait(t *testing.T) {
+	script := func(served bool) chainScript {
+		return func(e *Engine, _ advanceFn, logf func(string, ...interface{})) {
+			var c Completion
+			var s CompletionSet
+			s.Add(1)
+			e.At(25, func() { logf("complete c"); c.Complete() })
+			e.At(30, func() { logf("s done, s refilled"); s.Done(); s.Add(1) })
+			e.At(40, func() { logf("s done"); s.Done() })
+			act := func() { logf("acted") }
+			e.Spawn("a", func(p *Proc) {
+				if served {
+					p.Serve(&servedWaits{p: p, c: &c, s: &s, act: act}, 10)
+					p.Settle()
+				} else {
+					p.AdvanceChain(10)
+					c.Await(p, "awaiting c")
+					s.Wait(p, "awaiting s")
+					act()
+				}
+				logf("a done")
+			})
+			e.Spawn("b", func(p *Proc) {
+				for _, d := range []Duration{15, 10, 5, 10} {
+					p.Advance(d)
+					logf("b")
+				}
+			})
+		}
+	}
+	served := runChainScript(script(true), nil, false)
+	plain := runChainScript(script(false), nil, false)
+	diffOutcome(t, "served waits vs Await/Wait", served, plain)
+	if served.switches >= plain.switches {
+		t.Errorf("served run switched %d times, the parked run %d: want fewer", served.switches, plain.switches)
+	}
+}
+
+// TestServedWaitNamedInDeadlockReport: a served wait that can never end
+// leaves its process parked in Settle, and the deadlock report names the
+// wait, not the settle.
+func TestServedWaitNamedInDeadlockReport(t *testing.T) {
+	e := New(1)
+	var c Completion
+	var s CompletionSet
+	s.Add(1)
+	e.Spawn("a", func(p *Proc) {
+		p.Serve(&servedWaits{p: p, c: &c, s: &s, act: func() {}}, 10)
+	})
+	e.At(5, c.Complete)
+	err := e.Run()
+	if de, ok := err.(*DeadlockError); !ok || !strings.Contains(de.Error(), "a: awaiting s") {
+		t.Fatalf("Run returned %v, want a deadlock naming the served wait", err)
+	}
+}

@@ -645,7 +645,11 @@ func (e *Engine) stuckProcs() []string {
 			continue
 		}
 		if p.state == stateParked || p.state == stateNew {
-			out = append(out, p.name+": "+p.parkReason)
+			reason := p.parkReason
+			if p.waitFor != "" {
+				reason = p.waitFor // a served wait, reported as the wait it stands for
+			}
+			out = append(out, p.name+": "+reason)
 		}
 	}
 	sort.Strings(out)
@@ -685,6 +689,7 @@ func (e *Engine) execOne(ev event) *Proc {
 				return nil // mid-chain: the next step's resume is scheduled
 			}
 			if c := p.cont; c != nil {
+				p.waitFor = ""
 				if c.Continue() {
 					return nil // the continuation serves another chain
 				}

@@ -74,26 +74,41 @@ func (r *recorder) noteEnds() {
 // RecordEngines records every engine built from now on, on the eager
 // schedule (DisableFastPaths) when eager is set, with a recorder as its
 // shadow, until the returned stop, which reports their outcomes in the
-// order they were built. Like SetShadowOracle it must not run beside tests
-// that build engines in parallel.
+// order they were built. An engine whose run is over (nothing queued, no
+// live process) when the next one is built is summed up then and let go,
+// so a sweep of worlds holds one at a time. Like SetShadowOracle it must
+// not run beside tests that build engines in parallel.
 func RecordEngines(eager bool) (stop func() []EngineOutcome) {
 	prev := newEngineHook
-	var engines []*Engine
+	var out []EngineOutcome
+	var live []*recorder // recorders of engines not yet summed up, by index into out
+	var at []int
+	sum := func(all bool) {
+		kept, keptAt := live[:0], at[:0]
+		for i, r := range live {
+			if e := r.eng; all || e.events.len() == 0 && e.live == 0 {
+				r.noteEnds()
+				out[at[i]] = EngineOutcome{Events: e.executed, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
+				r.eng = nil
+				continue
+			}
+			kept, keptAt = append(kept, r), append(keptAt, at[i])
+		}
+		live, at = kept, keptAt
+	}
 	newEngineHook = func(e *Engine) {
+		sum(false)
 		if eager {
 			e.DisableFastPaths()
 		}
-		e.events.shadow = &recorder{eng: e, h: 14695981039346656037}
-		engines = append(engines, e)
+		r := &recorder{eng: e, h: 14695981039346656037}
+		e.events.shadow = r
+		live, at = append(live, r), append(at, len(out))
+		out = append(out, EngineOutcome{})
 	}
 	return func() []EngineOutcome {
 		newEngineHook = prev
-		out := make([]EngineOutcome, len(engines))
-		for i, e := range engines {
-			r := e.events.shadow.(*recorder)
-			r.noteEnds()
-			out[i] = EngineOutcome{Events: e.executed, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
-		}
+		sum(true)
 		return out
 	}
 }

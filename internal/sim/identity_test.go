@@ -10,26 +10,31 @@ import (
 )
 
 // TestFastPathOnOffIdenticalOnExperiments holds every fast path — advance
-// chains, server backlogs, wire chains and the RMA issue queue, whose
-// event loop issues an origin's back-to-back calls without switching into
-// it — to the eager reference on whole experiments: each one rendered with
-// every engine on the eager schedule (sim.RecordEngines(true), as under
-// mpi.Config.NoSimFastPath) and as it ships must give the same CSV bytes,
-// and every engine the same event count, the same popped (at, seq) keys in
-// the same order, final clock and process end times. fig5a is the
-// all-to-all accumulate sweep the queue was built for (Casper's redirect
-// overhead as the lead step of each queued call), fig5b its put twin on
-// hardware RMA, fig6b the lock/unlock epochs whose first touches stay
-// eager, and fig7b mixes put and accumulate under op-counting and random
-// dynamic binding, whose random draws take the eager path. The served runs
-// must also switch less, or the comparison is vacuous.
+// chains, server backlogs, wire chains and the issue queue, whose event
+// loop runs an origin's RMA and passive-target synchronization calls
+// without switching into it — to the eager reference on whole experiments:
+// each one rendered with every engine on the eager schedule
+// (sim.RecordEngines(true), as under mpi.Config.NoSimFastPath) and as it
+// ships must give the same CSV bytes, and every engine the same event
+// count, the same popped (at, seq) keys in the same order, final clock and
+// process end times. fig5a is the all-to-all accumulate sweep the queue
+// was built for (Casper's redirect overhead as the lead step of each
+// queued call), fig5b its put twin on hardware RMA, fig6a and fig6b the
+// lockall epochs Casper turns into ghost locks taken at the first touch
+// and released, with their waits served, at UnlockAll, fig6c the same
+// under segment binding, fig7b mixes put and accumulate under op-counting
+// and random dynamic binding, whose random draws take the eager path,
+// fig8a GA's get, compute and accumulate with flushes that settle for the
+// results they deliver, and abl2 lock-put-unlock epochs with lazy and
+// eager lock acquisition. The served runs must also switch less, or the
+// comparison is vacuous.
 func TestFastPathOnOffIdenticalOnExperiments(t *testing.T) {
 	seeds := int64(8)
 	if testing.Short() {
 		seeds = 2
 	}
 	const quick = 0.12 // casperbench -quick
-	for _, id := range []string{"fig5a", "fig5b", "fig6b", "fig7b"} {
+	for _, id := range []string{"fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7b", "fig8a", "abl2"} {
 		e, ok := bench.Get(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)

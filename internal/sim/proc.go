@@ -50,19 +50,23 @@ type Proc struct {
 	chainPos int
 
 	// Served chain (see Serve): cont is what the event loop runs when the
-	// chain in flight ends, set from the chain's start until cont asks for
-	// the switch back in. settling marks the one park allowed meanwhile,
-	// Settle's.
+	// chain in flight, or the served wait (Completion.Serve), ends; it is
+	// set from the chain's start until cont asks for the switch back in.
+	// settling marks the one park allowed meanwhile, Settle's. waitFor is
+	// what a served wait waits for, reported in its stead while it lasts.
 	cont     Continuation
 	settling bool
+	waitFor  string
 }
 
 // Continuation is what the event loop runs in a process's stead when a
-// chain started by Proc.Serve ends (see Serve).
+// chain started by Proc.Serve, or a wait registered by Completion.Serve or
+// CompletionSet.Serve, ends (see Serve).
 type Continuation interface {
 	// Continue runs in engine context, at the pop of the chain's last
-	// step: the instant the process would have been switched back in. It
-	// either starts the next chain with Serve and reports true, or reports
+	// step or of a served wait's wake-up: the instant the process would
+	// have been switched back in. It either serves what comes next (Serve,
+	// Completion.Serve, CompletionSet.Serve) and reports true, or reports
 	// false to have the process switched in.
 	Continue() bool
 }
@@ -118,11 +122,16 @@ func (p *Proc) AdvanceChain(ds ...Duration) {
 
 // AdvanceRepeat is AdvanceChain over n steps of d each.
 func (p *Proc) AdvanceRepeat(d Duration, n int) {
+	p.repeat(d, n)
+	p.runChain()
+}
+
+// repeat makes n steps of d the process's chain.
+func (p *Proc) repeat(d Duration, n int) {
 	p.chain = p.chain[:0]
 	for ; n > 0; n-- {
 		p.chain = append(p.chain, d)
 	}
-	p.runChain()
 }
 
 func (p *Proc) runChain() {
@@ -167,15 +176,38 @@ func (p *Proc) startChain() bool {
 // zero) means nothing was scheduled and c was not attached. It requires the
 // fast paths (see DisableFastPaths).
 func (p *Proc) Serve(c Continuation, ds ...Duration) bool {
+	p.chain = append(p.chain[:0], ds...)
+	return p.serveChain(c)
+}
+
+// ServeRepeat is Serve over n steps of d each.
+func (p *Proc) ServeRepeat(c Continuation, d Duration, n int) bool {
+	p.repeat(d, n)
+	return p.serveChain(c)
+}
+
+func (p *Proc) serveChain(c Continuation) bool {
 	if p.eng.fastOff {
 		panic(fmt.Sprintf("sim: %s serving a chain with the fast paths disabled", p.name))
 	}
-	p.chain = append(p.chain[:0], ds...)
 	if !p.startChain() {
 		return false
 	}
 	p.cont = c
 	return true
+}
+
+// serveWait registers p on s as Wait does, without parking: the wake-up is
+// the resume event Wait's would be, under the same seq, and the event loop
+// runs c there instead of switching into p. Like Serve it requires the
+// fast paths, and p may go on running only on state nobody else sees.
+func (s *Signal) serveWait(p *Proc, c Continuation, reason string) {
+	if p.eng.fastOff {
+		panic(fmt.Sprintf("sim: %s serving a wait with the fast paths disabled", p.name))
+	}
+	s.add(p)
+	p.cont = c
+	p.waitFor = reason
 }
 
 // Settle parks the process until the event loop has served its chains to
@@ -252,12 +284,17 @@ type Signal struct {
 
 // Wait parks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc, reason string) {
+	s.add(p)
+	p.park(reason)
+}
+
+// add registers p as the newest waiter.
+func (s *Signal) add(p *Proc) {
 	if s.first == nil {
 		s.first = p
 	} else {
 		s.waiters = append(s.waiters, p)
 	}
-	p.park(reason)
 }
 
 // Broadcast wakes every current waiter, in arrival order.
@@ -305,6 +342,21 @@ func (c *Completion) Await(p *Proc, reason string) {
 	}
 }
 
+// Serve is Await for a process whose calls the event loop serves (see
+// Proc.Serve): p, parked in Settle or still running ahead of the clock, is
+// registered without parking again, and when the completion wakes it the
+// event loop runs cont at that resume event instead of switching into p.
+// cont re-checks, as Await's loop does. Serve reports false, doing nothing,
+// when the completion is already done. While the wait lasts, deadlock and
+// watchdog reports name reason for p.
+func (c *Completion) Serve(p *Proc, cont Continuation, reason string) bool {
+	if c.done {
+		return false
+	}
+	c.sig.serveWait(p, cont, reason)
+	return true
+}
+
 // CompletionSet tracks a dynamic count of outstanding operations and lets
 // a process wait for the count to reach zero. It is the simulation
 // analogue of a WaitGroup.
@@ -335,4 +387,14 @@ func (c *CompletionSet) Wait(p *Proc, reason string) {
 	for c.pending > 0 {
 		c.sig.Wait(p, reason)
 	}
+}
+
+// Serve is Wait as Completion.Serve is Await: it reports false, doing
+// nothing, when no operations are outstanding.
+func (c *CompletionSet) Serve(p *Proc, cont Continuation, reason string) bool {
+	if c.pending == 0 {
+		return false
+	}
+	c.sig.serveWait(p, cont, reason)
+	return true
 }
