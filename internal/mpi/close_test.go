@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -42,23 +43,11 @@ func partlyWrittenWorld(t *testing.T, size, written int, fill byte) (*World, [2]
 	return w, bufs, reg
 }
 
-// pooledBytes is what the free list holds right now.
-func pooledBytes() (n int) {
-	segPool.Lock()
-	defer segPool.Unlock()
-	for _, l := range segPool.free {
-		for _, b := range l {
-			n += cap(b)
-		}
-	}
-	return n
-}
-
 func TestClosedWorldMemoryIsRecycledZeroed(t *testing.T) {
 	const size = 100_000 // not a class size: the recycled buffer is longer than the request
 	w, first, _ := bigWindowWorld(t, size, 0xFF)
 	w.Close()
-	if got := pooledBytes(); got != 2*segClass(size) {
+	if got := segPoolBytes(); got != 2*segClass(size) {
 		t.Fatalf("free list holds %d bytes after Close, want two segments of class %d", got, segClass(size))
 	}
 
@@ -77,7 +66,7 @@ func TestClosedWorldMemoryIsRecycledZeroed(t *testing.T) {
 	if recycled != 2 {
 		t.Fatalf("%d of 2 windows reuse the closed world's memory", recycled)
 	}
-	if got := pooledBytes(); got != 0 {
+	if got := segPoolBytes(); got != 0 {
 		t.Fatalf("free list still holds %d bytes after both segments were taken", got)
 	}
 	w2.Close()
@@ -104,19 +93,19 @@ func TestWindowAccessAfterClosePanics(t *testing.T) {
 func TestCloseTwiceIsANoOp(t *testing.T) {
 	w, _, _ := bigWindowWorld(t, 1<<16, 2)
 	w.Close()
-	held := pooledBytes()
+	held := segPoolBytes()
 	if held != 2<<16 {
 		t.Fatalf("free list holds %d bytes, want %d", held, 2<<16)
 	}
 	w.Close() // must not hand the same memory out twice, nor empty the list
-	if got := pooledBytes(); got != held {
+	if got := segPoolBytes(); got != held {
 		t.Fatalf("second Close changed the free list: %d -> %d bytes", held, got)
 	}
 	// A world with nothing to pool still replaces the list: it holds what
 	// the last closed world returned and nothing older.
 	small, _, _ := bigWindowWorld(t, 64, 3)
 	small.Close()
-	if got := pooledBytes(); got != 0 {
+	if got := segPoolBytes(); got != 0 {
 		t.Fatalf("free list holds %d bytes of an older world", got)
 	}
 }
@@ -131,7 +120,7 @@ func TestOnlyWrittenSegmentsAreListed(t *testing.T) {
 	for _, written := range []int{0, 8, size / 2} {
 		w, _, _ := partlyWrittenWorld(t, size, written, 0x5A)
 		w.Close()
-		if got := pooledBytes(); got != 0 {
+		if got := segPoolBytes(); got != 0 {
 			t.Fatalf("windows with %d of %d bytes written: %d bytes listed", written, size, got)
 		}
 	}
@@ -172,7 +161,7 @@ func TestFreeListRetainsAtMostOneWorld(t *testing.T) {
 	b, _, _ := bigWindowWorld(t, second, 5)
 	b.Close()
 	a, b = nil, nil
-	if got, want := pooledBytes(), 2*segClass(second); got != want {
+	if got, want := segPoolBytes(), 2*segClass(second); got != want {
 		t.Fatalf("free list holds %d bytes, want the last world's %d", got, want)
 	}
 	const slack = 1 << 20
@@ -208,7 +197,7 @@ func TestSmallWorldPaysNothingForTheFreeList(t *testing.T) {
 	if n > before {
 		t.Fatalf("a 4-rank world allocates %.0f objects, %.0f before the free list", n, before)
 	}
-	if got := pooledBytes(); got != 0 {
+	if got := segPoolBytes(); got != 0 {
 		t.Fatalf("a world of 64-byte windows left %d bytes on the free list", got)
 	}
 }
@@ -223,4 +212,70 @@ func TestSegClass(t *testing.T) {
 	if a, b := segClass(55296), segClass(55488); a != b {
 		t.Errorf("the tile sizes of successive fig8a worlds fall in classes %d and %d", a, b)
 	}
+}
+
+// garbage keeps TestNewWorldCollectsDroppedWorlds' allocations from
+// being optimized away.
+var garbage []byte
+
+// TestNewWorldCollectsDroppedWorlds: NewWorld collects when the heap goal
+// leaves room for the next world to grow the heap over the dropped last
+// one, and not when it does not (a collection is due anyway), when the
+// dead heap is older than the last world, or when the window memory on
+// the free list is too large against the goal for a collection to lower
+// it much.
+func TestNewWorldCollectsDroppedWorlds(t *testing.T) {
+	forced := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	newWorlds := func(n int) (collections uint64) {
+		t.Helper()
+		before := forced()
+		for range n {
+			if _, err := NewWorld(testConfig(2, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return forced() - before
+	}
+	// dropWorld leaves size bytes dead in a heap whose goal counts them
+	// live, as a world marked late in its run leaves it.
+	dropWorld := func(size int) {
+		garbage = make([]byte, size)
+		runtime.GC()
+		garbage = nil
+	}
+	small, _, _ := bigWindowWorld(t, 64, 0)
+	small.Close() // empty the free list
+
+	dropWorld(2 * collectEvery)
+	if got := newWorlds(1); got != 1 {
+		t.Fatalf("NewWorld over a dropped %d-byte world ran %d collections, want 1", 2*collectEvery, got)
+	}
+	if got := newWorlds(8); got != 0 {
+		t.Fatalf("8 small worlds built back to back ran %d collections, want 0", got)
+	}
+
+	// Dead bytes allocated before the last world was built are older
+	// than it: the runtime has counted them, and they are left to it.
+	garbage = make([]byte, 2*collectEvery)
+	newWorlds(1)
+	runtime.GC()
+	garbage = nil
+	if got := newWorlds(1); got != 0 {
+		t.Fatalf("NewWorld over a heap the last world did not allocate ran %d collections, want 0", got)
+	}
+
+	// Two windows of collectEvery bytes on the free list: the goal a
+	// dropped world half their size leaves is under four times theirs.
+	big, _, _ := bigWindowWorld(t, collectEvery, 1)
+	big.Close()
+	dropWorld(collectEvery)
+	if got := newWorlds(1); got != 0 {
+		t.Fatalf("NewWorld beside %d pooled bytes ran %d collections, want 0", segPoolBytes(), got)
+	}
+	small, _, _ = bigWindowWorld(t, 64, 0)
+	small.Close()
 }
