@@ -192,7 +192,7 @@ func (w *Win) Lock(target int, lock LockType, assert Assert) {
 // time: every call still costs its MPI entry. What it saves is host
 // work. Opening an epoch on a lazily locked target is bookkeeping only
 // this rank can see, so the entry costs of such calls are owed rather
-// than paid one by one, and paid — one advance chain — immediately
+// than paid one by one, and paid as one advance of their sum immediately
 // before anything another rank or a later event could observe: a lock
 // request leaving (eager or self target), a misuse panic, the return.
 // A queued LockEach keeps targets until the event loop has run it, so
@@ -559,7 +559,7 @@ var (
 // sync runs synchronization item it, whose targets are list (nil:
 // it.call.target alone), from where it stands: inside MPI, its entry
 // costs paid unless it owes them. Served, it runs in engine context and
-// reports true as soon as it has a chain step or a wait pending, to be
+// reports true as soon as it has a step or a wait pending, to be
 // run again, from the same stage, when that ends (issueQueue.resume).
 // In the process it parks on each of them and runs to the end, and
 // LockEach and UnlockEach also make, target by target, the misuse checks
@@ -746,17 +746,15 @@ func (w *Win) awaitSteps(it *issueItem, ch *chanState, n *waitNames, served bool
 	return false
 }
 
-// payOwed charges the entry costs of n calls: served, as the rank's chain,
-// reporting whether a step is pending; in the process, as advances.
+// payOwed charges the entry costs of n calls as one step: served,
+// reporting whether it is pending; in the process, as an advance.
 func (w *Win) payOwed(n int, served bool) bool {
 	r := w.r
-	if n == 0 {
-		return false
-	}
+	d := sim.Duration(n) * r.callCost()
 	if served {
-		return r.proc.ServeRepeat(&r.issueQ, r.callCost(), n)
+		return r.proc.Serve(&r.issueQ, d)
 	}
-	r.proc.AdvanceRepeat(r.callCost(), n)
+	r.proc.Advance(d)
 	return false
 }
 

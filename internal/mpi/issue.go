@@ -4,15 +4,16 @@ import "repro/internal/sim"
 
 // The issue queue lets an origin make RMA and passive-target
 // synchronization calls without a coroutine switch per call. Eagerly, every
-// Put, Get or accumulate parks its rank on the call's [callCost, issueCost]
-// chain (sim.Proc.AdvanceChain) and is switched back in only to run the
-// rest of Win.issue: the send, the lock request, the pending count. Every
-// Lock, Unlock, Flush or Acquire parks on its entry costs and again on each
+// Put, Get or accumulate parks its rank for the call's one step of
+// callCost+issueCost (sim.Proc.Advance) and is switched back in only to run
+// the rest of Win.issue: the send, the lock request, the pending count.
+// Every Lock, Unlock, Flush or Acquire parks on its entry cost (a LockEach
+// or UnlockEach on the sum of the entry costs it owes) and again on each
 // lock grant and remote completion it waits for. A queued call instead is
 // admitted at call time — its checks have passed, its payload is
 // snapshotted, the epoch flags it changes are changed — and returns without
-// parking. The event loop runs the rest itself: when the chain's last step
-// pops (sim.Proc.Serve) or the awaited completion wakes the rank
+// parking. The event loop runs the rest itself: when the call's step pops
+// (sim.Proc.Serve) or the awaited completion wakes the rank
 // (sim.Completion.Serve), it runs what the rank would have run at that pop,
 // then goes on with the next queued call. The rank is switched in only once
 // its queue is empty.
@@ -61,7 +62,7 @@ type itemKind uint8
 
 const (
 	itemAdvance itemKind = iota // [d] outside MPI: a lead step (LeadIssue), a settling Compute
-	itemOp                      // MPI entry, [callCost, issueCost], post, MPI exit: an RMA call
+	itemOp                      // MPI entry, [callCost+issueCost], post, MPI exit: an RMA call
 	itemCall                    // MPI entry, [callCost], MPI exit: LockAll, a settling mpiEnter
 
 	// The synchronization calls (epoch.go, Win.sync). LockEach and
@@ -238,7 +239,7 @@ func (q *issueQueue) run() bool {
 	return false
 }
 
-// Continue implements sim.Continuation: the chain or the served wait of
+// Continue implements sim.Continuation: the step or the served wait of
 // the item at head ended.
 func (q *issueQueue) Continue() bool {
 	if q.resume(&q.items[q.head]) {
@@ -249,7 +250,7 @@ func (q *issueQueue) Continue() bool {
 }
 
 // start does what the eager rank does on reaching it — enters MPI and
-// starts its chain — and, when no step is pending, goes on (resume). It
+// starts its step — and, when no step is pending, goes on (resume). It
 // reports whether the item has a step or wait pending.
 func (q *issueQueue) start(it *issueItem) bool {
 	r := q.r
@@ -259,7 +260,7 @@ func (q *issueQueue) start(it *issueItem) bool {
 		return r.proc.Serve(q, it.d)
 	case itemOp:
 		r.engine.enterMPI()
-		if r.proc.Serve(q, r.callCost(), r.issueCost()) {
+		if r.proc.Serve(q, r.callCost()+r.issueCost()) {
 			return true
 		}
 	case itemLock, itemUnlock:
@@ -274,7 +275,7 @@ func (q *issueQueue) start(it *issueItem) bool {
 }
 
 // resume does what the eager rank does when it is switched back in at the
-// end of the item's chain or wait: posts the op of an RMA call, goes on
+// end of the item's step or wait: posts the op of an RMA call, goes on
 // with a synchronization call, leaves MPI once the call is done. It
 // reports whether the item has another step or wait pending.
 func (q *issueQueue) resume(it *issueItem) bool {

@@ -128,7 +128,7 @@ func TestQueuedCallMisuseSurfacesInProcess(t *testing.T) {
 // has not reached.
 func TestParkWithCallsQueuedPanics(t *testing.T) {
 	defer func() {
-		if p := recover(); !strings.Contains(fmt.Sprint(p), "while its chain is served") {
+		if p := recover(); !strings.Contains(fmt.Sprint(p), "while it is served") {
 			t.Fatalf("recovered %v, want the settle-rule panic", p)
 		}
 	}()

@@ -296,7 +296,7 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 	r.issueQ.settleLead()
 	r.engine.enterMPI()
 	defer r.mpiLeave()
-	r.proc.AdvanceChain(r.callCost(), r.issueCost())
+	r.proc.Advance(r.callCost() + r.issueCost())
 	if msg, rangeErr := w.check(&c, cmp); msg != "" {
 		if !rangeErr {
 			panic(msg)
@@ -334,7 +334,7 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 // that fails, "" when c may post. rangeErr marks an access outside the
 // target's window, which the issue raises as ErrRMARange; it panics on
 // every other failure. The eager issue checks right after the call's
-// chain, the issue queue when it admits the call (see issue.go).
+// step, the issue queue when it admits the call (see issue.go).
 func (w *Win) check(c *rmaCall, cmp []byte) (msg string, rangeErr bool) {
 	g := w.g
 	if err := c.dt.Validate(); err != nil {

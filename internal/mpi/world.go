@@ -140,10 +140,11 @@ type Config struct {
 	WatchdogEvents int64
 	WatchdogTime   sim.Time
 	// NoSimFastPath runs the world on the engine's eager schedule (see
-	// sim.Engine.DisableFastPaths): advance chains, sim.Server backlogs,
-	// wire chains and retransmission-timer chains each schedule every
-	// event on its own. The schedule is bit-identical either way — this
-	// exists so tests can hold those paths to it.
+	// sim.Engine.DisableFastPaths): every rank parks on its own calls
+	// instead of having them served, and sim.Server backlogs, wire chains
+	// and retransmission-timer chains each schedule every event on its
+	// own. The schedule is bit-identical either way — this exists so tests
+	// can hold those paths to it.
 	NoSimFastPath bool
 }
 

@@ -225,45 +225,6 @@ func BenchmarkProcSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvanceChain is BenchmarkProcSwitch for back-to-back
-// advances: two processes in lockstep each consume k durations per round.
-// "chain" hands the k steps to the engine
-// and parks once per round; "plain" is the k Advance calls the chain
-// stands for, parking at each. ns/op is per step either way — the events,
-// keys and clock are identical, only k-1 of k switch pairs are gone.
-func BenchmarkAdvanceChain(b *testing.B) {
-	for _, k := range []int{2, 8} {
-		for _, chain := range []bool{true, false} {
-			name := fmt.Sprintf("k=%d", k)
-			if !chain {
-				name += "/plain"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				e := New(1)
-				rounds := (b.N + 2*k - 1) / (2 * k)
-				body := func(p *Proc) {
-					for i := 0; i < rounds; i++ {
-						if chain {
-							p.AdvanceRepeat(Microsecond, k)
-							continue
-						}
-						for j := 0; j < k; j++ {
-							p.Advance(Microsecond)
-						}
-					}
-				}
-				e.Spawn("a", body)
-				e.Spawn("b", body)
-				e.MustRun()
-				if got, want := e.EventsExecuted(), int64(2*rounds*k+2); got != want {
-					b.Fatalf("executed %d events, want %d (every step a popped resume, plus 2 starts)", got, want)
-				}
-			})
-		}
-	}
-}
-
 // benchJob resubmits itself to its server until the shared budget is
 // spent; linkedBenchJob is the same job carrying its own queue link.
 type benchJob struct {

@@ -217,7 +217,7 @@ type Engine struct {
 
 	executed  int64 // events executed, for the watchdog
 	switches  int64 // transfers into a process (see Switches)
-	fastOff   bool  // eager schedule: no chains, no reserved-seq FIFOs
+	fastOff   bool  // eager schedule: nothing served, no reserved-seq FIFOs
 	maxEvents int64 // watchdog: 0 disables
 	maxTime   Time  // watchdog: 0 disables
 
@@ -435,35 +435,18 @@ func (e *Engine) EventsExecuted() int64 { return e.executed }
 
 // Switches returns the number of coroutine switches into a process the
 // event loop has made so far: one per resume that the process itself
-// handles, none for the steps of a chain the loop serves in its stead.
+// handles, none for the steps and waits the loop serves in its stead
+// (Proc.Serve, Completion.Serve).
 func (e *Engine) Switches() int64 { return e.switches }
 
-// DisableFastPaths switches the engine to the eager schedule: an advance
-// chain (Proc.AdvanceChain) is a plain loop of Advance calls, a Server
-// schedules every completion as its own event instead of one resident
-// event per backlog, and callers that keep reserved-seq FIFOs of their
-// own do the same (FastPathsDisabled). Runs are bit-identical either way
-// — the knob is the differential reference tests hold those paths to.
+// DisableFastPaths switches the engine to the eager schedule: nothing is
+// served in a process's stead (Proc.Serve and the served waits panic, so
+// their callers park instead), a Server schedules every completion as its
+// own event instead of one resident event per backlog, and callers that
+// keep reserved-seq FIFOs of their own do the same (FastPathsDisabled).
+// Runs are bit-identical either way — the knob is the differential
+// reference tests hold those paths to.
 func (e *Engine) DisableFastPaths() { e.fastOff = true }
-
-// serveChain schedules the resume of p's next nonzero advance-chain step
-// (see Proc.AdvanceChain). It is called by the process for the first step
-// and by execOne, as the previous step's resume event pops, for the rest —
-// the instant the process itself would have woken and called Advance, with
-// the same now and the next seq, so both leave the same engine state. It
-// reports true when a resume event is pending (the process stays parked),
-// false when the chain is done.
-func (e *Engine) serveChain(p *Proc) bool {
-	for p.chainPos < len(p.chain) {
-		d := p.chain[p.chainPos]
-		p.chainPos++
-		if d != 0 {
-			e.atResume(e.now.Add(d), p)
-			return true
-		}
-	}
-	return false
-}
 
 // Kill terminates a process from engine context without resuming it:
 // the process is removed from the live count and every future attempt
@@ -685,13 +668,10 @@ func (e *Engine) execOne(ev event) *Proc {
 			if p.state != stateParked {
 				panic(fmt.Sprintf("sim: waking %s which is not parked", p.name))
 			}
-			if p.chainPos < len(p.chain) && e.serveChain(p) {
-				return nil // mid-chain: the next step's resume is scheduled
-			}
 			if c := p.cont; c != nil {
 				p.waitFor = ""
 				if c.Continue() {
-					return nil // the continuation serves another chain
+					return nil // the continuation serves what comes next
 				}
 				p.cont = nil
 			}

@@ -43,29 +43,24 @@ type Proc struct {
 	frozen       bool
 	deferredWake bool
 
-	// Advance chain (see AdvanceChain): the steps of the chain in flight
-	// and the index of the next one. chain[chainPos:] is what the event
-	// loop still has to serve before it switches back into the process.
-	chain    []Duration
-	chainPos int
-
-	// Served chain (see Serve): cont is what the event loop runs when the
-	// chain in flight, or the served wait (Completion.Serve), ends; it is
-	// set from the chain's start until cont asks for the switch back in.
-	// settling marks the one park allowed meanwhile, Settle's. waitFor is
-	// what a served wait waits for, reported in its stead while it lasts.
+	// Served work (see Serve): cont is what the event loop runs when the
+	// served step in flight, or the served wait (Completion.Serve), ends;
+	// it is set from the first served step until cont asks for the switch
+	// back in. settling marks the one park allowed meanwhile, Settle's.
+	// waitFor is what a served wait waits for, reported in its stead while
+	// it lasts.
 	cont     Continuation
 	settling bool
 	waitFor  string
 }
 
 // Continuation is what the event loop runs in a process's stead when a
-// chain started by Proc.Serve, or a wait registered by Completion.Serve or
+// step started by Proc.Serve, or a wait registered by Completion.Serve or
 // CompletionSet.Serve, ends (see Serve).
 type Continuation interface {
-	// Continue runs in engine context, at the pop of the chain's last
-	// step or of a served wait's wake-up: the instant the process would
-	// have been switched back in. It either serves what comes next (Serve,
+	// Continue runs in engine context, at the pop of the served step or
+	// of a served wait's wake-up: the instant the process would have been
+	// switched back in. It either serves what comes next (Serve,
 	// Completion.Serve, CompletionSet.Serve) and reports true, or reports
 	// false to have the process switched in.
 	Continue() bool
@@ -88,8 +83,9 @@ func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
 // Advance consumes d of virtual time, modeling computation or a fixed
 // latency: it schedules the process's resume at now+d and parks. Other
-// processes and events run in the meantime. A run of back-to-back
-// advances is cheaper as one AdvanceChain.
+// processes and events run in the meantime. Work that nothing observes
+// between its parts is one Advance of their sum: one popped event, not
+// one per part.
 func (p *Proc) Advance(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
@@ -101,98 +97,32 @@ func (p *Proc) Advance(d Duration) {
 	p.park("advancing")
 }
 
-// AdvanceChain consumes the durations in ds back to back: the clock, the
-// event count, every (time, seq) key and every statistic end up exactly
-// where
+// Serve is Advance for work the event loop finishes in the process's
+// stead: it schedules p's resume at now+d and returns without parking.
+// When the resume pops, execOne calls c.Continue instead of switching into
+// the process; c either serves what comes next (Serve again, from engine
+// context) or has the process switched in. The step is the popped event
+// Advance(d) schedules, under the same seq, so a continuation that does
+// exactly what the process would have done at that pop leaves the engine
+// exactly where the process would have.
 //
-//	for _, d := range ds { p.Advance(d) }
-//
-// leaves them, but the process parks at most once. A process that wakes
-// from one Advance only to call the next does nothing in between that
-// anyone can observe, so the event loop does it in the process's stead:
-// when the resume event of a step pops, execOne itself schedules the next
-// step's resume (Engine.serveChain) and switches into the coroutine only
-// after the last step. With the fast paths disabled the chain is the loop
-// above, literally — which makes the fast-path on/off identity tests its
-// differential oracle.
-func (p *Proc) AdvanceChain(ds ...Duration) {
-	p.chain = append(p.chain[:0], ds...)
-	p.runChain()
-}
-
-// AdvanceRepeat is AdvanceChain over n steps of d each.
-func (p *Proc) AdvanceRepeat(d Duration, n int) {
-	p.repeat(d, n)
-	p.runChain()
-}
-
-// repeat makes n steps of d the process's chain.
-func (p *Proc) repeat(d Duration, n int) {
-	p.chain = p.chain[:0]
-	for ; n > 0; n-- {
-		p.chain = append(p.chain, d)
-	}
-}
-
-func (p *Proc) runChain() {
-	e := p.eng
-	if e.fastOff {
-		p.chainPos = len(p.chain) // nothing for the event loop to serve
-		for i := 0; i < len(p.chain); i++ {
-			p.Advance(p.chain[i])
-		}
-		return
-	}
-	if p.startChain() {
-		p.park("advancing")
-	}
-}
-
-// startChain schedules the first nonzero step of p.chain and reports
-// whether one is pending.
-func (p *Proc) startChain() bool {
-	for _, d := range p.chain {
-		if d < 0 {
-			panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
-		}
-	}
-	p.chainPos = 0
-	return p.eng.serveChain(p)
-}
-
-// Serve is AdvanceChain for work the event loop finishes in the process's
-// stead: it schedules ds as p's chain and returns without parking. When
-// the chain's last step pops, execOne calls c.Continue instead of
-// switching into the process; c either serves the next chain (Serve again,
-// from engine context) or has the process switched in. Every step is the
-// same popped event it is under AdvanceChain, under the same seq, so a
-// continuation that does exactly what the process would have done at that
-// pop leaves the engine exactly where the process would have.
-//
-// The process may go on running while its chain is served, but only on
-// state no other process or event can see: until its continuation lets
-// go, anything else it does that parks must Settle first, and any other
-// park panics. Serve reports whether a step is pending; false (every step
-// zero) means nothing was scheduled and c was not attached. It requires the
-// fast paths (see DisableFastPaths).
-func (p *Proc) Serve(c Continuation, ds ...Duration) bool {
-	p.chain = append(p.chain[:0], ds...)
-	return p.serveChain(c)
-}
-
-// ServeRepeat is Serve over n steps of d each.
-func (p *Proc) ServeRepeat(c Continuation, d Duration, n int) bool {
-	p.repeat(d, n)
-	return p.serveChain(c)
-}
-
-func (p *Proc) serveChain(c Continuation) bool {
+// The process may go on running while it is served, but only on state no
+// other process or event can see: until its continuation lets go, anything
+// else it does that parks must Settle first, and any other park panics.
+// Serve reports whether a step is pending; false (d zero) means nothing
+// was scheduled and c was not attached. It requires the fast paths (see
+// DisableFastPaths).
+func (p *Proc) Serve(c Continuation, d Duration) bool {
 	if p.eng.fastOff {
-		panic(fmt.Sprintf("sim: %s serving a chain with the fast paths disabled", p.name))
+		panic(fmt.Sprintf("sim: %s serving a step with the fast paths disabled", p.name))
 	}
-	if !p.startChain() {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: %s advancing by negative duration %v", p.name, d))
+	}
+	if d == 0 {
 		return false
 	}
+	p.eng.atResume(p.eng.now.Add(d), p)
 	p.cont = c
 	return true
 }
@@ -210,9 +140,9 @@ func (s *Signal) serveWait(p *Proc, c Continuation, reason string) {
 	p.waitFor = reason
 }
 
-// Settle parks the process until the event loop has served its chains to
-// the end and switched it back in, at the pop where it would have woken
-// had it parked on each of them itself. No-op when nothing is served.
+// Settle parks the process until the event loop has served its steps and
+// waits to the end and switched it back in, at the pop where it would have
+// woken had it parked on each of them itself. No-op when nothing is served.
 func (p *Proc) Settle() {
 	if p.cont == nil {
 		return
@@ -235,11 +165,11 @@ func (p *Proc) AdvanceTo(t Time) {
 // reason appears in deadlock reports. A false yield means Engine.Close
 // is releasing the process; that holds for every later park too, so one
 // reached from a deferred call during the unwinding re-raises at once.
-// Parking while a chain is served, other than in Settle, panics: the
-// process would be waiting at a time it has not reached.
+// Parking while it is served, other than in Settle, panics: the process
+// would be waiting at a time it has not reached.
 func (p *Proc) park(reason string) {
 	if p.cont != nil && !p.settling {
-		panic(fmt.Sprintf("sim: %s parked (%s) while its chain is served; Settle first", p.name, reason))
+		panic(fmt.Sprintf("sim: %s parked (%s) while it is served; Settle first", p.name, reason))
 	}
 	p.state = stateParked
 	p.parkReason = reason

@@ -85,12 +85,12 @@ func serverScript(e *Engine, logf func(format string, args ...interface{})) {
 }
 
 func TestServerBacklogMatchesEagerSchedule(t *testing.T) {
-	run := func(fastOff bool) chainOutcome {
+	run := func(fastOff bool) runOutcome {
 		e := New(1)
 		if fastOff {
 			e.DisableFastPaths()
 		}
-		var out chainOutcome
+		var out runOutcome
 		logf := func(format string, args ...interface{}) {
 			out.log = append(out.log, fmt.Sprintf("t=%d seq=%d n=%d ", e.now, e.seq, e.executed)+
 				fmt.Sprintf(format, args...))
