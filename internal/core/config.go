@@ -136,10 +136,6 @@ type Config struct {
 	// static-binding-free intervals. Default LBStatic.
 	LoadBalance LoadBalance
 
-	// RedirectOverhead is the origin-side bookkeeping cost Casper adds
-	// to each redirected operation. Zero selects the default (50 ns).
-	RedirectOverhead sim.Duration
-
 	// SelfOpLocal performs Put/Get whose target is the calling process
 	// itself directly through the node's shared segment (a load/store,
 	// no ghost round trip) — the self-operation handling Section III-D
@@ -183,9 +179,6 @@ type OverloadConfig struct {
 	// backlog, the node degrades to original-mode target-side
 	// progress until the ghosts drain to 1/4 of it. Default 200µs.
 	SaturateThreshold sim.Duration
-	// MaxMovesPerSweep bounds binding migrations per node per sweep,
-	// so load shifts gradually instead of sloshing. Default 1.
-	MaxMovesPerSweep int
 }
 
 func (c *OverloadConfig) withDefaults() OverloadConfig {
@@ -199,18 +192,12 @@ func (c *OverloadConfig) withDefaults() OverloadConfig {
 	if out.SaturateThreshold == 0 {
 		out.SaturateThreshold = 200 * sim.Microsecond
 	}
-	if out.MaxMovesPerSweep == 0 {
-		out.MaxMovesPerSweep = 1
-	}
 	return out
 }
 
-func (c Config) withDefaults() Config {
-	if c.RedirectOverhead == 0 {
-		c.RedirectOverhead = 50 * sim.Nanosecond
-	}
-	return c
-}
+// redirectOverhead is the origin-side bookkeeping cost Casper adds to
+// each redirected operation.
+const redirectOverhead = 50 * sim.Nanosecond
 
 // Validate checks the configuration.
 func (c Config) Validate() error {

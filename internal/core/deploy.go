@@ -256,7 +256,6 @@ func buildDeployment(r *mpi.Rank, cfg Config) (*deployment, error) {
 // inside MPI servicing redirected RMA until a user calls Finalize — and
 // then returns (nil, true).
 func Init(r *mpi.Rank, cfg Config) (*Process, bool) {
-	cfg = cfg.withDefaults()
 	d, err := buildDeployment(r, cfg)
 	if err != nil {
 		panic(err)

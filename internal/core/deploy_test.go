@@ -109,7 +109,7 @@ func TestBoundGhostPrefersSameNUMA(t *testing.T) {
 	var d *deployment
 	w.Launch(func(r *mpi.Rank) {
 		if r.Rank() == 0 {
-			dd, err := buildDeployment(r, Config{NumGhosts: 2}.withDefaults())
+			dd, err := buildDeployment(r, Config{NumGhosts: 2})
 			if err != nil {
 				t.Errorf("buildDeployment: %v", err)
 				return
@@ -139,7 +139,7 @@ func TestBoundGhostBalancesWithinNUMA(t *testing.T) {
 	var d *deployment
 	w.Launch(func(r *mpi.Rank) {
 		if r.Rank() == 0 {
-			d, _ = buildDeployment(r, Config{NumGhosts: 4}.withDefaults())
+			d, _ = buildDeployment(r, Config{NumGhosts: 4})
 		}
 	})
 	if err := w.Run(); err != nil {
@@ -161,7 +161,7 @@ func TestUserLocalIndexContiguous(t *testing.T) {
 	var d *deployment
 	w.Launch(func(r *mpi.Rank) {
 		if r.Rank() == 0 {
-			d, _ = buildDeployment(r, Config{NumGhosts: 2}.withDefaults())
+			d, _ = buildDeployment(r, Config{NumGhosts: 2})
 		}
 	})
 	if err := w.Run(); err != nil {

@@ -320,8 +320,9 @@ func (reb *rebalancer) loadOf(wr int) sim.Duration {
 }
 
 // sweepNode examines one node of one window: drop server entries at
-// dead ghosts, handle saturation/restore, then migrate at most
-// MaxMovesPerSweep bindings from the hottest ghost to the coldest.
+// dead ghosts, handle saturation/restore, then migrate at most one
+// binding from the hottest ghost to the coldest, so load shifts
+// gradually instead of sloshing.
 func (reb *rebalancer) sweepNode(sh *winShared, node int) {
 	cw := sh.cw
 	world := cw.p.r.World()
@@ -454,56 +455,50 @@ func (reb *rebalancer) sweepNode(sh *winShared, node int) {
 		}
 	}
 
-	moves := 0
-	for moves < reb.cfg.MaxMovesPerSweep {
-		hot, cold := 0, 0
-		for i := range loadR {
-			if loadR[i] > loadR[hot] {
-				hot = i
-			}
-			if loadR[i] < loadR[cold] {
-				cold = i
-			}
+	hot, cold := 0, 0
+	for i := range loadR {
+		if loadR[i] > loadR[hot] {
+			hot = i
 		}
-		// Move only under a real arrival imbalance (hot ≥ 1.5× cold).
-		if hot == cold || loadR[hot]*2 < loadR[cold]*3 {
-			return
+		if loadR[i] < loadR[cold] {
+			cold = i
 		}
-		// Best single move: the hot ghost's target with the largest
-		// arrival count that still shrinks the hot-cold gap.
-		diff := loadR[hot] - loadR[cold]
-		best, bestRate := -1, int64(0)
-		for _, t := range targets {
-			if i, ok := bindOf(t); !ok || i != hot {
-				continue
-			}
-			r := sh.routed[t]
-			if r > diff || r <= bestRate || r == 0 {
-				continue
-			}
-			if sh.lockHolds[t] != 0 {
-				// Migration inside an open lock epoch would change
-				// which ghost orders the epoch's accumulates; defer to
-				// the epoch boundary (III-B's correctness rule).
-				reb.p.r.Count(mpi.DeferredLock, 1)
-				continue
-			}
-			best, bestRate = t, r
-		}
-		if best < 0 {
-			return
-		}
-		if !sh.setServer(best, loads[cold].internal) {
-			// The move still happens, but commits only at the target's
-			// next quiescent instant (at latest, the next flush).
-			reb.p.r.Count(mpi.DeferredBusy, 1)
-		}
-		loadR[hot] -= bestRate
-		loadR[cold] += bestRate
-		reb.p.r.Count(mpi.Migrations, 1)
-		reb.trace("rebind", loads[hot].world, loads[cold].world)
-		moves++
 	}
+	// Move only under a real arrival imbalance (hot ≥ 1.5× cold).
+	if hot == cold || loadR[hot]*2 < loadR[cold]*3 {
+		return
+	}
+	// Best single move: the hot ghost's target with the largest
+	// arrival count that still shrinks the hot-cold gap.
+	diff := loadR[hot] - loadR[cold]
+	best, bestRate := -1, int64(0)
+	for _, t := range targets {
+		if i, ok := bindOf(t); !ok || i != hot {
+			continue
+		}
+		r := sh.routed[t]
+		if r > diff || r <= bestRate || r == 0 {
+			continue
+		}
+		if sh.lockHolds[t] != 0 {
+			// Migration inside an open lock epoch would change
+			// which ghost orders the epoch's accumulates; defer to
+			// the epoch boundary (III-B's correctness rule).
+			reb.p.r.Count(mpi.DeferredLock, 1)
+			continue
+		}
+		best, bestRate = t, r
+	}
+	if best < 0 {
+		return
+	}
+	if !sh.setServer(best, loads[cold].internal) {
+		// The move still happens, but commits only at the target's
+		// next quiescent instant (at latest, the next flush).
+		reb.p.r.Count(mpi.DeferredBusy, 1)
+	}
+	reb.p.r.Count(mpi.Migrations, 1)
+	reb.trace("rebind", loads[hot].world, loads[cold].world)
 }
 
 func (reb *rebalancer) trace(kind string, rank, peer int) {

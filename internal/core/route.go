@@ -96,7 +96,7 @@ func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	ts := cw.epochStateFor(t)
 	r := cw.p.r
 	if w := cw.servedWin(kind, t, disp, dt, src, dst, ts); w != nil {
-		r.LeadIssue(cw.p.d.cfg.RedirectOverhead)
+		r.LeadIssue(redirectOverhead)
 		if ts != nil && ts.locked {
 			cw.ensureGhostLocks(t, ts, w)
 		}
@@ -104,7 +104,7 @@ func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 		return
 	}
 	r.Proc().Settle()
-	r.Proc().Advance(cw.p.d.cfg.RedirectOverhead)
+	r.Proc().Advance(redirectOverhead)
 	if cw.sh != nil {
 		// A staged binding handover drains the target before any new
 		// operation routes to it (see awaitHandover).

@@ -21,58 +21,71 @@ import (
 // most of the time, 1024 accumulates pile up — on the channel's wire
 // chain, then on the target's deferred list, then in its service backlog
 // — and each costs exactly one header. A second epoch runs on the
-// recycled headers for free.
+// recycled headers for free. Both shapes the experiments accumulate
+// hold it: a double sum, and GUPS's scalar MPI_INT64 XOR, which runs the
+// integer loop instead of a float64 block kernel.
 func TestBackloggedTargetAllocations(t *testing.T) {
-	const n = 1024
-	var fresh, recycled float64
-	var peak int
-	done := false
-	mustRun(t, testConfig(2, 1), func(r *Rank) {
-		c := r.CommWorld()
-		win, _ := r.WinAllocateRegion(c, 8, nil)
-		c.Barrier()
-		if r.Rank() == 1 {
-			for !done {
-				r.Compute(2 * sim.Millisecond)
-				win.Sync() // the poll that drains the deferred AMs
+	for _, tc := range []struct {
+		name string
+		src  []byte
+		dt   Datatype
+		op   Op
+	}{
+		{"float64-sum", PutFloat64s([]float64{1}), Scalar(Float64), OpSum},
+		{"int64-bxor", PutInt64(0x5DEECE66D), Scalar(Int64), OpBXor},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 1024
+			var fresh, recycled float64
+			var peak int
+			done := false
+			mustRun(t, testConfig(2, 1), func(r *Rank) {
+				c := r.CommWorld()
+				win, _ := r.WinAllocateRegion(c, 8, nil)
+				c.Barrier()
+				if r.Rank() == 1 {
+					for !done {
+						r.Compute(2 * sim.Millisecond)
+						win.Sync() // the poll that drains the deferred AMs
+					}
+					peak = int(r.Stats()[PeakDepth])
+					return
+				}
+				epoch := func() {
+					win.Lock(1, LockShared, AssertNone)
+					for i := 0; i < n; i++ {
+						win.Accumulate(tc.src, 1, 0, tc.dt, tc.op)
+					}
+					win.Unlock(1)
+					r.settle() // the epoch's calls are queued: count what they allocate when they run
+				}
+				// Warm the scheduler up first. The ladder hands an emptied bucket's
+				// storage to the next bucket that fills, so it stops allocating once
+				// it owns as many boxes, each as large, as the workload occupies at
+				// once. With 1024 ops in flight that takes two epochs (26 objects in
+				// the first, 10 in the second, none after): this one and the warm-up
+				// call of AllocsPerRun.
+				epoch()
+				// Several runs each: AllocsPerRun floors the mean, which drops the
+				// few objects a collector cycle allocates (its first one starts workers).
+				fresh = testing.AllocsPerRun(16, func() {
+					r.opFree = nil
+					epoch()
+				})
+				recycled = testing.AllocsPerRun(16, epoch)
+				done = true
+			})
+			if peak < n/2 {
+				t.Fatalf("the target's backlog peaked at %d AMs; the workload never queued", peak)
 			}
-			peak = int(r.Stats()[PeakDepth])
-			return
-		}
-		src := PutFloat64s([]float64{1})
-		epoch := func() {
-			win.Lock(1, LockShared, AssertNone)
-			for i := 0; i < n; i++ {
-				win.Accumulate(src, 1, 0, Scalar(Float64), OpSum)
+			// The one object besides the headers is the epoch's channel state.
+			if fresh != n+1 {
+				t.Errorf("%d ops in flight allocate %v objects, want %d: one header each and the channel state", n, fresh, n+1)
 			}
-			win.Unlock(1)
-			r.settle() // the epoch's calls are queued: count what they allocate when they run
-		}
-		// Warm the scheduler up first. The ladder hands an emptied bucket's
-		// storage to the next bucket that fills, so it stops allocating once
-		// it owns as many boxes, each as large, as the workload occupies at
-		// once. With 1024 ops in flight that takes two epochs (26 objects in
-		// the first, 10 in the second, none after): this one and the warm-up
-		// call of AllocsPerRun.
-		epoch()
-		// Several runs each: AllocsPerRun floors the mean, which drops the
-		// few objects a collector cycle allocates (its first one starts workers).
-		fresh = testing.AllocsPerRun(16, func() {
-			r.opFree = nil
-			epoch()
+			if recycled != 1 {
+				t.Errorf("a second epoch on recycled headers allocates %v objects, want 1 (the channel state)", recycled)
+			}
 		})
-		recycled = testing.AllocsPerRun(16, epoch)
-		done = true
-	})
-	if peak < n/2 {
-		t.Fatalf("the target's backlog peaked at %d AMs; the workload never queued", peak)
-	}
-	// The one object besides the headers is the epoch's channel state.
-	if fresh != n+1 {
-		t.Errorf("%d ops in flight allocate %v objects, want %d: one header each and the channel state", n, fresh, n+1)
-	}
-	if recycled != 1 {
-		t.Errorf("a second epoch on recycled headers allocates %v objects, want 1 (the channel state)", recycled)
 	}
 }
 

@@ -269,7 +269,7 @@ func (o Op) String() string {
 }
 
 // applyElem combines one basic element: dst = dst (op) src — the
-// one-element call of the block kernels accumulate runs.
+// one-element call of the loops accumulate runs.
 func applyElem(op Op, b BasicType, dst, src []byte) {
 	switch op {
 	case OpNoOp:
@@ -278,63 +278,47 @@ func applyElem(op Op, b BasicType, dst, src []byte) {
 	default:
 		k := blockKernel(op, b)
 		es := b.Size()
-		k(dst[:es], src[:es])
+		if k == nil {
+			intBlock(op, dst[:es], src[:es], es)
+		} else {
+			k(dst[:es], src[:es])
+		}
 	}
 }
 
 // blockKernel resolves the (op, basic type) pair of an accumulate, once
-// per operation, to the loop that combines one contiguous run of packed
-// elements: dst[i] = dst[i] (op) src[i] over the whole elements of dst,
-// src being at least as long. OpReplace and OpNoOp carry no element
-// arithmetic and have no kernel. The invalid pairs panic here, before
-// any byte moves.
+// per operation. For MPI_DOUBLE it returns the loop that combines one
+// contiguous run of packed elements: dst[i] = dst[i] (op) src[i] over
+// the whole elements of dst, src being at least as long. The integer
+// types return nil and run intBlock. OpReplace and OpNoOp carry no
+// element arithmetic and have no kernel. The invalid pairs panic here,
+// before any byte moves.
 func blockKernel(op Op, b BasicType) func(dst, src []byte) {
-	var k func(dst, src []byte)
 	switch b {
 	case Float64:
 		if op == OpBAnd || op == OpBOr || op == OpBXor {
 			panic(fmt.Sprintf("mpi: bitwise %v on MPI_DOUBLE is invalid", op))
 		}
-		if k = f64Kernels.of(op); k == nil {
+		if op < 0 || int(op) >= len(f64Kernels) || f64Kernels[op] == nil {
 			panic(fmt.Sprintf("mpi: bad float op %v", op))
 		}
-		return k
-	case Int64:
-		k = i64Kernels.of(op)
-	case Int32:
-		k = i32Kernels.of(op)
-	case Byte:
-		k = byteKernels.of(op)
+		return f64Kernels[op]
+	case Int64, Int32, Byte:
+		if op < OpSum || op > OpBXor {
+			panic(fmt.Sprintf("mpi: bad int op %v", op))
+		}
+		return nil
 	default:
 		panic(fmt.Sprintf("mpi: accumulate on unknown basic type %v", b))
 	}
-	if k == nil {
-		panic(fmt.Sprintf("mpi: bad int op %v", op))
-	}
-	return k
 }
 
-// kernelTable holds one basic type's block kernels by Op; nil marks the
-// ops that are not arithmetic on it.
-type kernelTable [OpNoOp]func(dst, src []byte)
-
-func (t *kernelTable) of(op Op) func(dst, src []byte) {
-	if op < 0 || int(op) >= len(t) {
-		return nil
-	}
-	return t[op]
-}
-
-// The kernels all have one shape: an index-stepped loop whose loads and
-// stores are single little-endian moves, with the machine's own
-// arithmetic — two's-complement wrap for the integers (MPI_BYTE is
-// unsigned), math.Min/math.Max NaN and signed-zero rules for MPI_DOUBLE.
-
-func stI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
-func ldI32(b []byte) int32    { return int32(binary.LittleEndian.Uint32(b)) }
-func stI32(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }
-
-var f64Kernels = kernelTable{
+// f64Kernels holds the MPI_DOUBLE block kernels by Op, nil for the ops
+// that are not arithmetic on it: index-stepped loops whose loads and
+// stores are single little-endian moves, with math.Min/math.Max NaN and
+// signed-zero rules. They carry the block traffic of the paper's
+// workloads (GA/TCE tiles, the all-to-all accumulates).
+var f64Kernels = [OpNoOp]func(dst, src []byte){
 	OpSum: func(dst, src []byte) {
 		src = src[:len(dst)]
 		for i := 0; i+8 <= len(dst); i += 8 {
@@ -365,157 +349,64 @@ var f64Kernels = kernelTable{
 	},
 }
 
-var i64Kernels = kernelTable{
-	OpSum: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, GetInt64(d)+GetInt64(s))
+// intBlock is the integer arithmetic of accumulate: dst[i] = dst[i]
+// (op) src[i] over the whole es-byte elements of dst, src being at
+// least as long. Each element widens to int64 — sign-extended for
+// MPI_INT32 and MPI_INT64, zero-extended for MPI_BYTE, which is
+// unsigned — and the result is stored back at its own width, so it
+// wraps exactly as two's-complement arithmetic at that width would. The
+// integer accumulates of the experiments are scalars (GUPS's XOR, the
+// chaos and GA counters), so one loop serves every width.
+func intBlock(op Op, dst, src []byte, es int) {
+	src = src[:len(dst)]
+	for i := 0; i+es <= len(dst); i += es {
+		d, s := ldInt(dst[i:], es), ldInt(src[i:], es)
+		switch op {
+		case OpSum:
+			d += s
+		case OpProd:
+			d *= s
+		case OpMin:
+			d = min(d, s)
+		case OpMax:
+			d = max(d, s)
+		case OpBAnd:
+			d &= s
+		case OpBOr:
+			d |= s
+		case OpBXor:
+			d ^= s
 		}
-	},
-	OpProd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, GetInt64(d)*GetInt64(s))
-		}
-	},
-	OpMin: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, min(GetInt64(d), GetInt64(s)))
-		}
-	},
-	OpMax: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, max(GetInt64(d), GetInt64(s)))
-		}
-	},
-	OpBAnd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, GetInt64(d)&GetInt64(s))
-		}
-	},
-	OpBOr: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, GetInt64(d)|GetInt64(s))
-		}
-	},
-	OpBXor: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+8 <= len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			stI64(d, GetInt64(d)^GetInt64(s))
-		}
-	},
+		stInt(dst[i:], es, d)
+	}
 }
 
-var i32Kernels = kernelTable{
-	OpSum: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, ldI32(d)+ldI32(s))
-		}
-	},
-	OpProd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, ldI32(d)*ldI32(s))
-		}
-	},
-	OpMin: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, min(ldI32(d), ldI32(s)))
-		}
-	},
-	OpMax: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, max(ldI32(d), ldI32(s)))
-		}
-	},
-	OpBAnd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, ldI32(d)&ldI32(s))
-		}
-	},
-	OpBOr: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, ldI32(d)|ldI32(s))
-		}
-	},
-	OpBXor: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := 0; i+4 <= len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			stI32(d, ldI32(d)^ldI32(s))
-		}
-	},
+// ldInt loads the es-byte integer element at the start of b, widened.
+func ldInt(b []byte, es int) int64 {
+	switch es {
+	case 1:
+		return int64(b[0])
+	case 4:
+		return int64(int32(binary.LittleEndian.Uint32(b)))
+	default:
+		return int64(binary.LittleEndian.Uint64(b))
+	}
 }
 
-var byteKernels = kernelTable{
-	OpSum: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] + src[i]
-		}
-	},
-	OpProd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] * src[i]
-		}
-	},
-	OpMin: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = min(dst[i], src[i])
-		}
-	},
-	OpMax: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = max(dst[i], src[i])
-		}
-	},
-	OpBAnd: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] & src[i]
-		}
-	},
-	OpBOr: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] | src[i]
-		}
-	},
-	OpBXor: func(dst, src []byte) {
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] ^ src[i]
-		}
-	},
+// stInt stores the low es bytes of v at the start of b.
+func stInt(b []byte, es int, v int64) {
+	switch es {
+	case 1:
+		b[0] = byte(v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, uint64(v))
+	}
 }
 
 // accumulate applies src (packed, contiguous) onto the target buffer at
-// disp with layout d: one kernel call — for OpReplace, a datatype-
+// disp with layout d: one loop call — for OpReplace, a datatype-
 // scattered put, one memmove — per contiguous block.
 func accumulate(op Op, d Datatype, target []byte, disp int, src []byte) {
 	if op == OpNoOp {
@@ -529,10 +420,13 @@ func accumulate(op Op, d Datatype, target []byte, disp int, src []byte) {
 	es, n, stride, count := d.layout()
 	for i := 0; i < count; i++ {
 		at := disp + d.blockOff(i, es, stride)
-		if k == nil {
+		switch {
+		case op == OpReplace:
 			copy(target[at:at+n], src[:n])
-		} else {
+		case k != nil:
 			k(target[at:at+n], src[:n])
+		default:
+			intBlock(op, target[at:at+n], src[:n], es)
 		}
 		src = src[n:]
 	}
@@ -603,7 +497,7 @@ func DecodeFloat64(src []byte) float64 {
 // PutInt64 encodes one int64.
 func PutInt64(v int64) []byte {
 	out := make([]byte, 8)
-	stI64(out, v)
+	binary.LittleEndian.PutUint64(out, uint64(v))
 	return out
 }
 

@@ -194,7 +194,7 @@ func (e *rankEngine) deliver(op *rmaOp) {
 // processing cost (thread lock contention); extra adds a fixed overhead
 // (interrupt entry). It returns the total service time charged.
 func (e *rankEngine) service(op *rmaOp, factor float64, extra sim.Duration) sim.Duration {
-	cost := sim.Duration(float64(e.r.memo.AMCost(op.bytes(), op.contiguous()))*factor) + extra
+	cost := sim.Duration(float64(e.r.net.AMCost(op.bytes(), op.contiguous()))*factor) + extra
 	e.noteDepth(1)
 	if e.ewma == 0 {
 		e.ewma = float64(cost)

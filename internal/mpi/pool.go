@@ -36,23 +36,8 @@ const (
 	poolClasses  = 16
 	poolMaxSize  = 1 << (poolMinShift + poolClasses - 1) // 1 MiB
 
-	// Retention is byte-budgeted per class rather than a flat count: an
-	// epoch flush returns thousands of same-class buffers at once, and a
-	// flat cap makes the next issue burst miss the pool for all but the
-	// first few. Small classes may retain many buffers cheaply; large
-	// classes are bounded by the byte budget.
-	poolClassMinRetain = 256     // floor, covers the largest classes
-	poolClassBytes     = 1 << 22 // ~4 MiB retained per class
+	poolClassRetain = 256 // buffers each class keeps for reuse
 )
-
-// classLimit returns how many buffers class c may retain.
-func classLimit(c int) int {
-	limit := poolClassBytes >> (poolMinShift + c)
-	if limit < poolClassMinRetain {
-		limit = poolClassMinRetain
-	}
-	return limit
-}
 
 // classFor returns the class index whose capacity is the smallest
 // power-of-two >= n, or -1 when n is outside the pooled range.
@@ -100,7 +85,7 @@ func (p *bufPool) put(b []byte) {
 	if c < 0 || cap(b) != 1<<(poolMinShift+c) {
 		return
 	}
-	if len(p.classes[c]) >= classLimit(c) {
+	if len(p.classes[c]) >= poolClassRetain {
 		return
 	}
 	p.classes[c] = append(p.classes[c], b)

@@ -93,23 +93,6 @@ func TestPoolGetPutBoundaries(t *testing.T) {
 	}
 }
 
-// TestPoolClassLimits pins the byte-budgeted retention policy: small
-// classes retain many buffers (budget/classSize), large classes fall
-// back to the flat floor.
-func TestPoolClassLimits(t *testing.T) {
-	if got := classLimit(0); got != poolClassBytes>>poolMinShift {
-		t.Errorf("classLimit(0) = %d, want %d", got, poolClassBytes>>poolMinShift)
-	}
-	if got := classLimit(poolClasses - 1); got != poolClassMinRetain {
-		t.Errorf("classLimit(max) = %d, want floor %d", got, poolClassMinRetain)
-	}
-	for c := 0; c < poolClasses; c++ {
-		if got := classLimit(c); got < poolClassMinRetain {
-			t.Errorf("classLimit(%d) = %d below floor", c, got)
-		}
-	}
-}
-
 // --- Leak audit --------------------------------------------------------
 
 // auditPool asserts every pooled buffer handed out during the run came

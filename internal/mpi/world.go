@@ -133,12 +133,6 @@ type Config struct {
 	// Errors selects the error-handler model; the zero value,
 	// ErrorsAreFatal, panics exactly as the runtime always has.
 	Errors ErrorMode
-	// WatchdogEvents / WatchdogTime bound a run (see sim.SetWatchdog).
-	// Zero means default: unlimited normally, a generous event limit
-	// when a fault plan is configured (so a retransmission livelock
-	// fails fast instead of spinning).
-	WatchdogEvents int64
-	WatchdogTime   sim.Time
 	// NoSimFastPath runs the world on the engine's eager schedule (see
 	// sim.Engine.DisableFastPaths): every rank parks on its own calls
 	// instead of having them served, and sim.Server backlogs, wire chains
@@ -181,10 +175,6 @@ type World struct {
 
 	// pool recycles transient RMA message-path buffers (see pool.go).
 	pool bufPool
-
-	// memo caches the net cost-model lookups (latency memoization).
-	// Owned by this world's single simulation goroutine.
-	memo *netmodel.Memo
 
 	// queueIssue lets ranks queue their RMA calls for the event loop to
 	// issue (see issue.go and Rank.QueuesIssue).
@@ -231,7 +221,6 @@ func NewWorld(cfg Config) (*World, error) {
 		place:     place,
 		net:       cfg.Net,
 		cfg:       cfg,
-		memo:      netmodel.NewMemo(cfg.Net),
 		opRecycle: cfg.Fault == nil,
 		eng:       sim.New(cfg.Seed),
 	}
@@ -250,16 +239,12 @@ func NewWorld(cfg Config) (*World, error) {
 		w.inj = inj
 		w.rel = newReliability(w)
 		w.deathHooks = append(w.deathHooks, w.rel.onDeath, w.reclaimLocksAt)
+		// A generous event limit, so that a retransmission livelock
+		// fails fast instead of spinning.
+		w.eng.SetWatchdog(250_000_000, 0)
 	}
 	if cfg.Flow != nil {
 		w.flow = newFlowState(w, cfg.Flow)
-	}
-	maxEvents := cfg.WatchdogEvents
-	if maxEvents == 0 && cfg.Fault != nil {
-		maxEvents = 250_000_000
-	}
-	if maxEvents != 0 || cfg.WatchdogTime != 0 {
-		w.eng.SetWatchdog(maxEvents, cfg.WatchdogTime)
 	}
 	if cfg.Fault != nil || cfg.Flow != nil {
 		// Hang diagnostics: if the timeline wedges (deadlock) or spins
@@ -669,12 +654,12 @@ type Rank struct {
 	id   int
 	proc *sim.Proc
 
-	// eng/pool/memo alias the world's engine, buffer pool and cost-model
-	// memo: one load instead of two on the message path (reading them
-	// through r.w measured 3-6 % slower on fig5a at scale 0.5, 2-vCPU Xeon).
+	// eng/pool/net alias the world's engine, buffer pool and cost model:
+	// one load instead of two on the message path (reading them through
+	// r.w measured 3-6 % slower on fig5a at scale 0.5, 2-vCPU Xeon).
 	eng  *sim.Engine
 	pool *bufPool
-	memo *netmodel.Memo
+	net  *netmodel.Params
 
 	// opFree recycles rmaOp headers issued by this rank (acks always land
 	// back at the origin, so the freelist never crosses ranks): a stack
@@ -700,7 +685,7 @@ type Rank struct {
 }
 
 func newRank(w *World, id int) *Rank {
-	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, memo: w.memo}
+	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, net: w.net}
 	r.engine.init(r)
 	r.issueQ.r = r
 	return r
@@ -817,7 +802,8 @@ func (r *Rank) localityTo(dest int) netmodel.Locality {
 
 // transferTo returns the wire time for n bytes from r to world rank dest.
 func (r *Rank) transferTo(dest, n int) sim.Duration {
-	return r.memo.TransferLoc(r.localityTo(dest), n)
+	loc := r.localityTo(dest)
+	return r.net.Transfer(loc != netmodel.LocInter, loc == netmodel.LocIntra, n)
 }
 
 // faultOp is what one RMA operation of a fault-plan world allocates. Every

@@ -47,9 +47,10 @@ func (c *latCache) slot(n int) *struct {
 }
 
 // Memo wraps a Params with per-(locality, size) caches of the transfer
-// and AM-cost computations, which the simulator otherwise redoes for
-// every message. A Memo is NOT safe for concurrent use: each simulated
-// world owns one (worlds in a parallel sweep never share state).
+// and AM-cost computations. The message path calls Params directly: the
+// arithmetic costs less than the cache lookup, which the benchmark's
+// netmodel probes time side by side. A Memo is NOT safe for concurrent
+// use.
 type Memo struct {
 	p    *Params
 	xfer [numLocality]latCache

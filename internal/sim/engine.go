@@ -72,10 +72,9 @@ func Microseconds(us float64) Duration { return Duration(us * 1e3) }
 type eventKind uint8
 
 const (
-	evFn     eventKind = iota // run fn
+	evRun    eventKind = iota // step a Runner (a closure scheduled by At is a funcRunner)
 	evResume                  // resume a parked process
 	evStart                   // first activation of a spawned process
-	evRun                     // step a Runner (closure-free callback)
 )
 
 // Runner is a closure-free event callback: long-lived objects that pass
@@ -95,7 +94,6 @@ type Runner interface {
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func() // evFn only
 	p    *Proc  // evResume/evStart only
 	run  Runner // evRun only
 	kind eventKind
@@ -307,7 +305,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, run: funcRunner(fn), kind: evRun})
 }
 
 // AtRun schedules r.Step() at virtual time t. It is At for Runner
@@ -368,7 +366,7 @@ func (e *Engine) AtBG(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn, bg: true})
+	e.events.push(event{at: t, seq: e.seq, run: funcRunner(fn), kind: evRun, bg: true})
 }
 
 // AfterBG is AtBG relative to now.
@@ -640,7 +638,7 @@ func (e *Engine) stuckProcs() []string {
 }
 
 // execOne commits the clock/bookkeeping mutation for ev and runs it if
-// it is an engine-context event (fn or Runner). For resume/start events
+// it is an engine-context event (a Runner). For resume/start events
 // it only does the bookkeeping and returns the process to transfer to;
 // a nil return means the event is fully handled.
 func (e *Engine) execOne(ev event) *Proc {
@@ -655,8 +653,6 @@ func (e *Engine) execOne(ev event) *Proc {
 	e.now = ev.at
 	e.executed++
 	switch ev.kind {
-	case evFn:
-		ev.fn()
 	case evRun:
 		ev.run.Step()
 	case evResume:
@@ -768,12 +764,8 @@ func (e *Engine) nextDesc() string {
 // queue under a sequence number reserved on the sending shard's engine. Only the
 // window coordinator calls it, between windows, when every shard is
 // quiescent.
-func (e *Engine) injectEvent(at Time, seq uint64, fn func(), r Runner) {
-	kind := evFn
-	if r != nil {
-		kind = evRun
-	}
-	e.events.push(event{at: at, seq: seq, fn: fn, run: r, kind: kind})
+func (e *Engine) injectEvent(at Time, seq uint64, r Runner) {
+	e.events.push(event{at: at, seq: seq, run: r, kind: evRun})
 }
 
 // runWindow executes events strictly before e.limit, exactly as Run

@@ -5,7 +5,6 @@ import "fmt"
 // evPayload is the rest of an event, moved only when a sift actually
 // relocates an element.
 type evPayload struct {
-	fn   func() // evFn only
 	p    *Proc  // evResume/evStart only
 	run  Runner // evRun only
 	kind eventKind
@@ -35,7 +34,7 @@ func (h *eventHeap) minTime() Time { return h.k[0].at }
 
 func (h *eventHeap) push(ev event) {
 	h.k = append(h.k, evKey{at: ev.at, seq: ev.seq})
-	h.v = append(h.v, evPayload{fn: ev.fn, p: ev.p, run: ev.run, kind: ev.kind, bg: ev.bg})
+	h.v = append(h.v, evPayload{p: ev.p, run: ev.run, kind: ev.kind, bg: ev.bg})
 	k, v := h.k, h.v
 	i := len(k) - 1
 	kk, vv := k[i], v[i]
@@ -55,10 +54,10 @@ func (h *eventHeap) push(ev event) {
 func (h *eventHeap) popInto(dst *event) {
 	k, v := h.k, h.v
 	*dst = event{at: k[0].at, seq: k[0].seq,
-		fn: v[0].fn, p: v[0].p, run: v[0].run, kind: v[0].kind, bg: v[0].bg}
+		p: v[0].p, run: v[0].run, kind: v[0].kind, bg: v[0].bg}
 	n := len(k) - 1
 	k[0], v[0] = k[n], v[n]
-	v[n] = evPayload{} // clear fn/p/run so the recycled slot retains nothing
+	v[n] = evPayload{} // clear p/run so the recycled slot retains nothing
 	h.k, h.v = k[:n], v[:n]
 	if n > 1 {
 		h.siftDown()

@@ -281,7 +281,7 @@ func (l *ladder) minEvent() event { return l.cur[l.head] }
 // shows as pure memmove.
 func (l *ladder) popInto(dst *event) {
 	*dst = l.cur[l.head]
-	l.cur[l.head] = event{} // clear fn/p/run so the slot retains nothing
+	l.cur[l.head] = event{} // clear p/run so the slot retains nothing
 	l.head++
 	l.n--
 	if l.head == len(l.cur) {

@@ -532,7 +532,7 @@ func TestLadderReanchor(t *testing.T) {
 // the scheduler mis-ordered two events; the engine must not run it.
 func TestClockSteppingBackPanics(t *testing.T) {
 	e := New(1)
-	e.At(100, func() { e.events.push(event{at: 50, seq: 99, fn: func() {}}) })
+	e.At(100, func() { e.events.push(event{at: 50, seq: 99, run: funcRunner(func() {})}) })
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "before the clock") {
 			t.Fatalf("recovered %q, want the clock-stepping-back panic", msg)

@@ -17,7 +17,6 @@ import (
 type crossEvent struct {
 	at  Time
 	seq uint64
-	fn  func()
 	run Runner
 }
 
@@ -317,21 +316,13 @@ func (g *ShardGroup) Horizon() Time { return g.horizon }
 // means the cost model produced a cross-shard interaction faster than
 // netmodel's minimum latency, which is a bug worth dying loudly for.
 func (g *ShardGroup) Inject(src, dst *Engine, at Time, fn func()) {
-	g.inject(src, dst, at, fn, nil)
+	g.InjectRun(src, dst, at, funcRunner(fn))
 }
 
 // InjectRun is Inject for closure-free Runner payloads.
 func (g *ShardGroup) InjectRun(src, dst *Engine, at Time, r Runner) {
-	g.inject(src, dst, at, nil, r)
-}
-
-func (g *ShardGroup) inject(src, dst *Engine, at Time, fn func(), r Runner) {
 	if src == dst {
-		if r != nil {
-			src.AtRun(at, r)
-		} else {
-			src.At(at, fn)
-		}
+		src.AtRun(at, r)
 		return
 	}
 	if min := src.now.Add(g.window); at < min {
@@ -359,7 +350,7 @@ func (g *ShardGroup) inject(src, dst *Engine, at Time, fn func(), r Runner) {
 	} else if at < ring.minAt {
 		ring.minAt = at
 	}
-	ring.slab[w&1] = append(ring.slab[w&1], crossEvent{at: at, seq: seq, fn: fn, run: r})
+	ring.slab[w&1] = append(ring.slab[w&1], crossEvent{at: at, seq: seq, run: r})
 }
 
 // workerLoop is the body of workers 1..spawned: wait for release, run
@@ -415,7 +406,7 @@ func (g *ShardGroup) runShard(i int) {
 					"sim: cross-shard event at %v delivered into shard %d past (now %v)",
 					ev.at, i, e.now))
 			}
-			e.injectEvent(ev.at, ev.seq, ev.fn, ev.run)
+			e.injectEvent(ev.at, ev.seq, ev.run)
 			box[k] = crossEvent{}
 		}
 		ring.slab[slab] = box[:0]
@@ -465,7 +456,7 @@ func (g *ShardGroup) drainAll() {
 				box := ring.slab[s]
 				for k := range box {
 					ev := &box[k]
-					e.injectEvent(ev.at, ev.seq, ev.fn, ev.run)
+					e.injectEvent(ev.at, ev.seq, ev.run)
 					box[k] = crossEvent{}
 				}
 				ring.slab[s] = box[:0]
