@@ -236,7 +236,9 @@ func TestSelfAccumulateStillRedirected(t *testing.T) {
 	}
 }
 
-func TestCasperRGetRPutThroughGhosts(t *testing.T) {
+// TestCasperSegmentSplitPutGetRoundTrip: a put and a get of 128 doubles,
+// split over two ghosts by segment binding, round-trip the data.
+func TestCasperSegmentSplitPutGetRoundTrip(t *testing.T) {
 	cfg := Config{NumGhosts: 2, Binding: BindSegment}
 	casperRun(t, casperConfig(8, 8), cfg, func(p *Process) {
 		c := p.CommWorld()
@@ -252,11 +254,14 @@ func TestCasperRGetRPutThroughGhosts(t *testing.T) {
 				src[i] = float64(i)
 			}
 			win.LockAll(mpi.AssertNone)
-			q := win.RPut(mpi.PutFloat64s(src), 0, 0, mpi.TypeOf(mpi.Float64, 128))
-			q.Wait()
+			win.Put(mpi.PutFloat64s(src), 0, 0, mpi.TypeOf(mpi.Float64, 128))
+			win.Flush(0)
 			dst := make([]byte, 8*128)
-			g := win.RGet(dst, 0, 0, mpi.TypeOf(mpi.Float64, 128))
-			g.Wait()
+			win.Get(dst, 0, 0, mpi.TypeOf(mpi.Float64, 128))
+			win.Flush(0)
+			if p.r.Stats()[mpi.Split] != 2 {
+				t.Errorf("split pieces = %d, want one extra piece per op", p.r.Stats()[mpi.Split])
+			}
 			got := mpi.GetFloat64s(dst)
 			for i := range got {
 				if got[i] != float64(i) {

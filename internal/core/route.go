@@ -29,34 +29,6 @@ func (cw *casperWin) Get(dst []byte, t int, disp int, dt mpi.Datatype) {
 	cw.redirect(mpi.KindGet, t, disp, dt, nil, dst, mpi.OpNoOp, nil)
 }
 
-// RPut implements mpi.Window: the merged request covers every split
-// piece of the redirected put.
-func (cw *casperWin) RPut(src []byte, t int, disp int, dt mpi.Datatype) *mpi.RMARequest {
-	return cw.redirectReq(mpi.KindPut, t, disp, dt, src, nil)
-}
-
-// RGet implements mpi.Window.
-func (cw *casperWin) RGet(dst []byte, t int, disp int, dt mpi.Datatype) *mpi.RMARequest {
-	return cw.redirectReq(mpi.KindGet, t, disp, dt, nil, dst)
-}
-
-// redirectReq is redirect for the request-based variants: it gathers one
-// sub-request per issued piece into a merged handle.
-func (cw *casperWin) redirectReq(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
-	src, dst []byte) *mpi.RMARequest {
-	cw.collectReqs = true
-	cw.collecting = nil
-	op := mpi.OpReplace
-	if kind == mpi.KindGet {
-		op = mpi.OpNoOp
-	}
-	cw.redirect(kind, t, disp, dt, src, dst, op, nil)
-	req := mpi.NewMergedRMARequest(cw.p.r, cw.collecting...)
-	cw.collectReqs = false
-	cw.collecting = nil
-	return req
-}
-
 // Accumulate implements mpi.Window.
 func (cw *casperWin) Accumulate(src []byte, t int, disp int, dt mpi.Datatype, op mpi.Op) {
 	cw.redirect(mpi.KindAcc, t, disp, dt, src, nil, op, nil)
@@ -172,17 +144,9 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 	for _, pc := range pieces {
 		switch kind {
 		case mpi.KindPut:
-			if cw.collectReqs {
-				cw.collecting = append(cw.collecting, w.RPut(pc.src, pc.ghost, pc.disp, pc.dt))
-			} else {
-				w.Put(pc.src, pc.ghost, pc.disp, pc.dt)
-			}
+			w.Put(pc.src, pc.ghost, pc.disp, pc.dt)
 		case mpi.KindGet:
-			if cw.collectReqs {
-				cw.collecting = append(cw.collecting, w.RGet(pc.dst, pc.ghost, pc.disp, pc.dt))
-			} else {
-				w.Get(pc.dst, pc.ghost, pc.disp, pc.dt)
-			}
+			w.Get(pc.dst, pc.ghost, pc.disp, pc.dt)
 		case mpi.KindAcc:
 			w.Accumulate(pc.src, pc.ghost, pc.disp, pc.dt, op)
 		case mpi.KindGetAcc:
@@ -467,10 +431,6 @@ func (cw *casperWin) selfLocal(kind mpi.OpKind, t, disp int, dt mpi.Datatype, sr
 		idx += n
 	})
 	cw.p.r.Count(mpi.SelfLocal, 1)
-	if cw.collectReqs {
-		// The operation is already complete; merged request is empty.
-		return
-	}
 }
 
 // rng returns the random stream for randomized routing decisions. It is

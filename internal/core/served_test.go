@@ -16,7 +16,7 @@ import (
 // TestServedSyncCasperMisuse: a misused Casper synchronization call made
 // with redirected calls queued panics in the calling process, recoverably,
 // with the same message, at the same virtual instant and with the same
-// world afterwards as with the fast paths off, under either error mode.
+// world afterwards as with the fast paths off.
 func TestServedSyncCasperMisuse(t *testing.T) {
 	misuses := map[string]func(win mpi.Window){
 		"nested Lock": func(win mpi.Window) {
@@ -29,14 +29,12 @@ func TestServedSyncCasperMisuse(t *testing.T) {
 	}
 	type outcome struct {
 		panicked string
-		err      bool
 		after    sim.Time
 		summary  mpi.WorldSummary
 	}
-	run := func(misuse func(win mpi.Window), eager bool, errs mpi.ErrorMode) outcome {
+	run := func(misuse func(win mpi.Window), eager bool) outcome {
 		cfg := casperConfig(8, 4)
 		cfg.NoSimFastPath = eager
-		cfg.Errors = errs
 		var out outcome
 		w := casperRun(t, cfg, Config{NumGhosts: 1}, func(p *Process) {
 			c := p.CommWorld()
@@ -57,7 +55,6 @@ func TestServedSyncCasperMisuse(t *testing.T) {
 					}()
 					misuse(win)
 				}()
-				out.err = p.r.Err() != nil
 				out.after = p.Now()
 				busy.UnlockAll()
 			}
@@ -68,14 +65,12 @@ func TestServedSyncCasperMisuse(t *testing.T) {
 		return out
 	}
 	for name, misuse := range misuses {
-		for _, errs := range []mpi.ErrorMode{mpi.ErrorsAreFatal, mpi.ErrorsReturn} {
-			served, eager := run(misuse, false, errs), run(misuse, true, errs)
-			if served != eager {
-				t.Errorf("%s/%v: served %+v\n eager %+v", name, errs, served, eager)
-			}
-			if served.panicked == "" {
-				t.Errorf("%s/%v: no panic", name, errs)
-			}
+		served, eager := run(misuse, false), run(misuse, true)
+		if served != eager {
+			t.Errorf("%s: served %+v\n eager %+v", name, served, eager)
+		}
+		if served.panicked == "" {
+			t.Errorf("%s: no panic", name)
 		}
 	}
 }

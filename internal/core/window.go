@@ -53,10 +53,6 @@ type casperWin struct {
 	targets []ctarget
 	freed   bool
 
-	// Request-collection state for RPut/RGet.
-	collectReqs bool
-	collecting  []*mpi.RMARequest
-
 	// routeBuf is the scratch slice route() returns its pieces in. The
 	// pieces are consumed synchronously inside redirect() before the next
 	// route() call on this (per-rank) handle, so one buffer serves every

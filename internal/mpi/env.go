@@ -112,8 +112,6 @@ type Window interface {
 	// than dt receives the leading bytes that fit.
 	Put(src []byte, target int, disp int, dt Datatype)
 	Get(dst []byte, target int, disp int, dt Datatype)
-	RPut(src []byte, target int, disp int, dt Datatype) *RMARequest
-	RGet(dst []byte, target int, disp int, dt Datatype) *RMARequest
 	Accumulate(src []byte, target int, disp int, dt Datatype, op Op)
 	GetAccumulate(src, result []byte, target int, disp int, dt Datatype, op Op)
 	FetchAndOp(src, result []byte, target int, disp int, b BasicType, op Op)

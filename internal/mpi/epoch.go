@@ -331,10 +331,9 @@ func nthTarget(list []int, one, i int) int {
 
 // HoldCompletion marks target's epoch as one whose next completion the
 // caller may read the effect of when it returns: an op on it writes origin
-// memory (Get, GetAccumulate, FetchAndOp, CAS, the request-based calls) or
-// targets the caller's own window — directly, or, for the layers above,
-// through another rank: Casper marks the ghosts its ops on the caller's
-// own window go through. Such a completion settles (issue.go), and clears
+// memory (Get, GetAccumulate, FetchAndOp, CAS) or targets the caller's own
+// window — directly, or, for the layers above, through another rank:
+// Casper marks the ghosts its ops on the caller's own window go through. Such a completion settles (issue.go), and clears
 // the mark once it has returned. No-op outside a passive epoch.
 func (w *Win) HoldCompletion(target int) {
 	if ep := w.epochFlags(target); ep&epLocked != 0 && ep&epHold == 0 {
@@ -508,7 +507,7 @@ func (w *Win) callEpoch(c *rmaCall) uint8 {
 		return w.epochFlags(c.target) & epKinds
 	}
 	ep, _ := w.coverTarget(c.target)
-	if c.kind.writesOrigin() || c.req != nil || c.target == w.me {
+	if c.kind.writesOrigin() || c.target == w.me {
 		w.HoldCompletion(c.target)
 	}
 	return ep & epKinds

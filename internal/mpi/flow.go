@@ -19,13 +19,6 @@ type FlowConfig struct {
 	// Credits is the per-(origin,target) credit window. Zero selects
 	// the default of 64 outstanding operations.
 	Credits int
-	// Timeout bounds how long an origin waits for a credit. Zero
-	// means wait forever. A timeout only takes effect under
-	// ErrorsReturn, where expiry surfaces as MPI_ERR_BACKLOG and the
-	// operation is dropped; under ErrorsAreFatal it is ignored
-	// (blocking forever is indistinguishable from deadlock, which the
-	// stall watchdog reports).
-	Timeout sim.Duration
 }
 
 const defaultCredits = 64
@@ -36,7 +29,6 @@ const defaultCredits = 64
 type flowState struct {
 	w       *World
 	credits int
-	timeout sim.Duration
 	chans   map[[2]int]*creditChan
 	order   [][2]int
 }
@@ -59,7 +51,6 @@ func newFlowState(w *World, cfg *FlowConfig) *flowState {
 	return &flowState{
 		w:       w,
 		credits: credits,
-		timeout: cfg.Timeout,
 		chans:   make(map[[2]int]*creditChan),
 	}
 }
@@ -79,34 +70,21 @@ func (f *flowState) chanFor(origin, target int) *creditChan {
 }
 
 // acquire takes one credit toward target on behalf of rank r, blocking
-// the calling proc in virtual time while the window is exhausted. It
-// returns the channel holding the credit, or nil if the wait timed out
-// (ErrBacklog has been raised on r in that case). Must run in proc
-// context; the rank is inside an MPI call, so self-targeted AMs keep
-// draining while it is parked.
+// the calling proc in virtual time while the window is exhausted, and
+// returns the channel holding the credit. Must run in proc context; the
+// rank is inside an MPI call, so self-targeted AMs keep draining while it
+// is parked. A wait that never ends is a deadlock, which the stall
+// watchdog reports.
 func (f *flowState) acquire(r *Rank, target int) *creditChan {
 	ch := f.chanFor(r.id, target)
 	if ch.available > 0 {
 		ch.available--
 		return ch
 	}
-	deadline := sim.Time(0)
-	timed := f.timeout > 0 && f.w.cfg.Errors == ErrorsReturn
-	if timed {
-		deadline = f.w.eng.Now() + sim.Time(f.timeout)
-		f.w.eng.AfterBG(f.timeout, func() { ch.sig.Broadcast() })
-	}
 	start := f.w.eng.Now()
 	r.stats[CreditStalls]++
 	ch.stalls++
 	for ch.available <= 0 {
-		if timed && f.w.eng.Now() >= deadline {
-			r.stats[CreditStallTime] += int64(f.w.eng.Now() - start)
-			r.stats[BacklogDropped]++
-			r.raise(ErrBacklog, "no AM credit toward rank %d after %v (window %d exhausted)",
-				target, f.timeout, f.credits)
-			return nil
-		}
 		ch.waiters++
 		ch.sig.Wait(r.proc, ch.waitReason)
 		ch.waiters--

@@ -68,56 +68,6 @@ func TestCreditWindowBoundsQueueDepth(t *testing.T) {
 	}
 }
 
-func TestCreditTimeoutRaisesErrBacklog(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
-	cfg.Flow = &FlowConfig{Credits: 1, Timeout: 20 * sim.Microsecond}
-	var (
-		sum      float64
-		errClass ErrClass
-		errMsg   string
-		drops    int64
-	)
-	mustRun(t, cfg, func(r *Rank) {
-		c := r.CommWorld()
-		win, buf := r.WinAllocate(c, 8, nil)
-		c.Barrier()
-		if r.Rank() == 0 {
-			r.Compute(300 * sim.Microsecond)
-			c.Recv(1, 7)
-			sum = GetFloat64s(buf)[0]
-		} else {
-			win.LockAll(AssertNone)
-			for i := 0; i < 5; i++ {
-				win.Accumulate(PutFloat64s([]float64{1}), 0, 0, Scalar(Float64), OpSum)
-			}
-			if err := r.Err(); err != nil {
-				errClass, errMsg = err.Class, err.Error()
-				r.ClearErr()
-			}
-			win.UnlockAll()
-			drops = r.Stats()[BacklogDropped]
-			c.Send(0, 7, nil)
-		}
-		c.Barrier()
-		win.Free()
-	})
-	if errClass != ErrBacklog {
-		t.Fatalf("expected MPI_ERR_BACKLOG, got class %v (%q)", errClass, errMsg)
-	}
-	if !strings.Contains(errMsg, "credit") {
-		t.Fatalf("backlog error does not explain itself: %q", errMsg)
-	}
-	// Op 1 takes the only credit; ops 2-5 each wait out the 20us
-	// timeout against a 300us-busy target and are dropped.
-	if drops != 4 {
-		t.Fatalf("BacklogDropped = %d, want 4", drops)
-	}
-	if sum != 1 {
-		t.Fatalf("target saw %v, want exactly the one undropped op", sum)
-	}
-}
-
 func TestCreditsReturnedOnConfirmedDeadTarget(t *testing.T) {
 	// An op in flight to a rank that crashes recoverably holds its
 	// flow-control credit; once the failure detector confirms the death,

@@ -262,25 +262,13 @@ func (h *healthState) beginRecovery(id int) {
 }
 
 // agreeDone runs when the failure agreement completes: the failure
-// epoch advances, survivors are notified with a typed error (under
-// ErrorsReturn only), and the launcher's respawn is charged.
+// epoch advances and the launcher's respawn is charged.
 func (h *healthState) agreeDone(id int) {
 	w := h.w
 	if w.ranks[id].failed {
 		return // permanently killed mid-agreement
 	}
 	w.failureEra++
-	if w.cfg.Errors == ErrorsReturn {
-		// The agreed failure surfaces on every survivor as a typed
-		// MPI_ERR_PROC_FAILED, ULFM-style.
-		for _, r := range w.ranks {
-			if r.failed || r.down {
-				continue
-			}
-			r.raise(ErrProcFailed, "rank %d failed (failure epoch %d); recovery in progress",
-				id, w.failureEra)
-		}
-	}
 	w.eng.AfterBG(defaultRespawnDelay, func() { h.restoreRank(id) })
 }
 

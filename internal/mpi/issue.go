@@ -40,7 +40,7 @@ import "repro/internal/sim"
 // process-side. Calls update them when they are made, in call order, so
 // every misuse check sees the effect of every call before it; a misused
 // call takes the eager path (settle, then run in the process), which
-// raises the misuse at its usual instant. Channel and lock state
+// panics with the misuse at its usual instant. Channel and lock state
 // (Win.chans) is engine-side: only the queued calls touch it, when the
 // event loop runs them, and what they need of the flags travels with them
 // (issueItem.ep) or on the channel (lockMsg.ep).
@@ -130,10 +130,9 @@ func (q *issueQueue) settleLead() {
 }
 
 // serves reports whether synchronization calls on w may be queued: the
-// rank queues calls, and the window is neither dynamic nor kept eager
-// (Win.SyncInProcess).
+// rank queues calls, and the window is not kept eager (Win.SyncInProcess).
 func (q *issueQueue) serves(w *Win) bool {
-	return q.r.w.queueIssue && !w.g.dynamic && !w.g.eagerSync
+	return q.r.w.queueIssue && !w.g.eagerSync
 }
 
 // reserve makes room for n more items, settling first when the queue
@@ -169,17 +168,13 @@ func (q *issueQueue) queue(it issueItem) (i int, idle bool) {
 
 // admit queues call c on handle w and reports true, or reports false,
 // having done nothing, when c must take the eager path: the world does not
-// queue, the window is dynamic, the call is request-based, or check fails
-// (the eager path then raises it at its usual instant). cmp is the compare
-// value of a CAS, nil otherwise. check's verdict at admission holds when
-// the event loop posts the call: it reads only process-side state, which
-// calls change in call order, and the fence and PSCW calls, which change
-// the rest, settle first.
+// queue, or check fails (the eager path then panics at its usual instant).
+// cmp is the compare value of a CAS, nil otherwise. check's verdict at
+// admission holds when the event loop posts the call: it reads only
+// process-side state, which calls change in call order, and the fence and
+// PSCW calls, which change the rest, settle first.
 func (q *issueQueue) admit(w *Win, c *rmaCall, cmp []byte) bool {
-	if !w.g.w.queueIssue || w.g.dynamic || c.req != nil {
-		return false
-	}
-	if msg, _ := w.check(c, cmp); msg != "" {
+	if !w.g.w.queueIssue || w.check(c, cmp) != "" {
 		return false
 	}
 	i, idle := q.queue(issueItem{kind: itemOp, w: w, ep: w.callEpoch(c), call: *c})

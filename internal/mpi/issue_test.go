@@ -32,22 +32,20 @@ func queueableCall(win *Win, kind OpKind, target, disp int, dt Datatype) {
 
 // misuseOutcome is what rank 0 observed of one misused call.
 type misuseOutcome struct {
-	panicked bool
-	err      ErrClass // the class Err held when the call returned; -1 for none
-	after    sim.Time // Now after the call (recovered or returned)
+	panicked string   // the recovered panic, "" for none
+	after    sim.Time // Now after the call
 	summary  WorldSummary
 }
 
 // runMisuse has rank 0 queue three accumulates on a lockall epoch, then
 // make the misused call — to a target outside an epoch, to a target out of
 // range, at a displacement past the window, or with an invalid datatype —
-// recover any panic inside its own process, read Err, Now, and carry on.
-func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool, errs ErrorMode) misuseOutcome {
+// recover the panic inside its own process, read Now, and carry on.
+func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool) misuseOutcome {
 	t.Helper()
 	cfg := testConfig(3, 3)
 	cfg.NoSimFastPath = eager
-	cfg.Errors = errs
-	out := misuseOutcome{err: -1}
+	var out misuseOutcome
 	w := mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
 		win, _ := r.WinAllocateRegion(c, 64, nil)
@@ -80,12 +78,13 @@ func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool, errs ErrorM
 				}
 			}
 			func() {
-				defer func() { out.panicked = recover() != nil }()
+				defer func() {
+					if p := recover(); p != nil {
+						out.panicked = fmt.Sprint(p)
+					}
+				}()
 				queueableCall(on, kind, target, disp, dt)
 			}()
-			if err := r.Err(); err != nil {
-				out.err = err.Class
-			}
 			out.after = r.Now()
 			win.UnlockAll()
 		}
@@ -99,23 +98,19 @@ func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool, errs ErrorM
 // TestQueuedCallMisuseSurfacesInProcess: a queueable call that fails a
 // check is not queued; it settles the calls queued before it and takes the
 // eager path, so the misuse panics inside the calling rank's process —
-// recoverable there — at the same virtual instant, with the same world
-// afterwards, as with the fast paths off. Under ErrorsReturn the range
-// error is in Err by the time the call returns.
+// recoverable there — at the same virtual instant, with the same message
+// and the same world afterwards, as with the fast paths off.
 func TestQueuedCallMisuseSurfacesInProcess(t *testing.T) {
 	for _, kind := range []OpKind{KindPut, KindGet, KindAcc, KindGetAcc, KindFetchOp, KindCAS} {
 		for _, misuse := range []string{"no epoch", "target out of range", "disp out of bounds", "invalid datatype"} {
-			for _, errs := range []ErrorMode{ErrorsAreFatal, ErrorsReturn} {
-				name := fmt.Sprintf("%v/%s/%v", kind, misuse, errs)
-				served := runMisuse(t, kind, misuse, false, errs)
-				eager := runMisuse(t, kind, misuse, true, errs)
-				if served != eager {
-					t.Errorf("%s: served %+v\n eager %+v", name, served, eager)
-				}
-				raises := misuse == "disp out of bounds" && errs == ErrorsReturn
-				if served.panicked == raises || raises != (served.err == ErrRMARange) {
-					t.Errorf("%s: panicked %v, Err class %v", name, served.panicked, served.err)
-				}
+			name := fmt.Sprintf("%v/%s", kind, misuse)
+			served := runMisuse(t, kind, misuse, false)
+			eager := runMisuse(t, kind, misuse, true)
+			if served != eager {
+				t.Errorf("%s: served %+v\n eager %+v", name, served, eager)
+			}
+			if served.panicked == "" {
+				t.Errorf("%s: did not panic", name)
 			}
 		}
 	}
@@ -207,7 +202,6 @@ func TestIssueQueueServesBackToBackCalls(t *testing.T) {
 // syncOutcome is what rank 0 observed of one misused synchronization call.
 type syncOutcome struct {
 	panicked string   // the recovered panic, "" for none
-	err      ErrClass // the class Err held after the call; -1 for none
 	after    sim.Time // Now after the call
 	summary  WorldSummary
 }
@@ -226,7 +220,7 @@ var syncMisuses = map[string]func(win *Win){
 	"Flush without epoch":        func(win *Win) { win.Flush(1) },
 	"Acquire without epoch":      func(win *Win) { win.Acquire(2) },
 	// Not a synchronization misuse: an op past the window behind queued
-	// synchronization, which ErrorsReturn raises instead of panicking.
+	// synchronization.
 	"Put past the window": func(win *Win) {
 		win.Lock(1, LockShared, AssertNone)
 		win.Flush(1)
@@ -237,13 +231,12 @@ var syncMisuses = map[string]func(win *Win){
 
 // runSyncMisuse has rank 0 queue a lockall epoch of accumulates on one
 // window, then make the misused synchronization call on another, recover
-// any panic inside its own process, read Err and Now, and carry on.
-func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool, errs ErrorMode) syncOutcome {
+// the panic inside its own process, read Now, and carry on.
+func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool) syncOutcome {
 	t.Helper()
 	cfg := testConfig(3, 3)
 	cfg.NoSimFastPath = eager
-	cfg.Errors = errs
-	out := syncOutcome{err: -1}
+	var out syncOutcome
 	w := mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
 		busy, _ := r.WinAllocateRegion(c, 64, nil)
@@ -263,9 +256,6 @@ func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool, errs ErrorMo
 				}()
 				misuse(win)
 			}()
-			if err := r.Err(); err != nil {
-				out.err = err.Class
-			}
 			out.after = r.Now()
 			busy.UnlockAll()
 		}
@@ -281,21 +271,17 @@ func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool, errs ErrorMo
 // process, which pays the entry costs the call owes and panics — inside
 // the calling rank's process, recoverable there — at the same virtual
 // instant, with the same message and the same world afterwards, as with
-// the fast paths off, under either error mode. An op past the window
-// behind queued synchronization panics the same way, or under
-// ErrorsReturn sets Err by the time the call returns.
+// the fast paths off. An op past the window behind queued synchronization
+// panics the same way.
 func TestServedSyncMisuseSurfacesInProcess(t *testing.T) {
 	for name, misuse := range syncMisuses {
-		for _, errs := range []ErrorMode{ErrorsAreFatal, ErrorsReturn} {
-			served := runSyncMisuse(t, misuse, false, errs)
-			eager := runSyncMisuse(t, misuse, true, errs)
-			if served != eager {
-				t.Errorf("%s/%v: served %+v\n eager %+v", name, errs, served, eager)
-			}
-			raises := name == "Put past the window" && errs == ErrorsReturn
-			if (served.panicked == "") != raises || raises != (served.err == ErrRMARange) {
-				t.Errorf("%s/%v: panicked %q, Err class %v", name, errs, served.panicked, served.err)
-			}
+		served := runSyncMisuse(t, misuse, false)
+		eager := runSyncMisuse(t, misuse, true)
+		if served != eager {
+			t.Errorf("%s: served %+v\n eager %+v", name, served, eager)
+		}
+		if served.panicked == "" {
+			t.Errorf("%s: did not panic", name)
 		}
 	}
 }

@@ -215,87 +215,6 @@ func TestNegativeWinSizePanics(t *testing.T) {
 	})
 }
 
-func TestAttachOnNonDynamicWindowPanics(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("no panic")
-		}
-		if !strings.Contains(fmt.Sprint(p), "Attach on a non-dynamic window") {
-			t.Fatalf("unhelpful panic: %v", p)
-		}
-	}()
-	mustRun(t, testConfig(2, 2), func(r *Rank) {
-		win, _ := r.WinAllocateRegion(r.CommWorld(), 8, nil)
-		if r.Rank() == 0 {
-			win.Attach(make([]byte, 8))
-		}
-	})
-}
-
-func TestDetachOfUnattachedBasePanics(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("no panic")
-		}
-		if !strings.Contains(fmt.Sprint(p), "Detach of unattached base") {
-			t.Fatalf("unhelpful panic: %v", p)
-		}
-	}()
-	mustRun(t, testConfig(2, 2), func(r *Rank) {
-		win := r.WinCreateDynamic(r.CommWorld(), nil)
-		if r.Rank() == 0 {
-			win.Detach(0x9999)
-		}
-	})
-}
-
-func TestDynamicAccessOutsideAttachedMemoryPanics(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("no panic")
-		}
-		if !strings.Contains(fmt.Sprint(p), "hits no attached memory") {
-			t.Fatalf("unhelpful panic: %v", p)
-		}
-	}()
-	mustRun(t, testConfig(2, 2), func(r *Rank) {
-		c := r.CommWorld()
-		win := r.WinCreateDynamic(c, nil)
-		if r.Rank() == 1 {
-			win.Attach(make([]byte, 64))
-		}
-		c.Barrier()
-		if r.Rank() == 0 {
-			win.LockAll(AssertNone)
-			// No attachment lives at this address on rank 1.
-			win.Put(PutFloat64s([]float64{1}), 1, 0x500000, Scalar(Float64))
-			win.FlushAll()
-			win.UnlockAll()
-		}
-		c.Barrier()
-	})
-}
-
-func TestAttachMisuseErrorsReturn(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
-	mustRun(t, cfg, func(r *Rank) {
-		win, _ := r.WinAllocateRegion(r.CommWorld(), 8, nil)
-		if r.Rank() == 0 {
-			win.Attach(make([]byte, 8))
-			err := r.Err()
-			if err == nil {
-				t.Error("no error recorded for Attach on non-dynamic window")
-			} else if err.Class != ErrRMAAttach {
-				t.Errorf("class = %v, want MPI_ERR_RMA_ATTACH", err.Class)
-			}
-		}
-	})
-}
-
 func TestBadDatatypePanicsAtIssue(t *testing.T) {
 	defer func() {
 		if recover() == nil {

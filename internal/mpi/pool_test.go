@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // --- Size-class boundaries ---------------------------------------------
 
@@ -146,69 +142,6 @@ func TestPoolNoLeakAfterRMAWorkload(t *testing.T) {
 		win.Free()
 	})
 	auditPoolUsed(t, w, "rma workload")
-}
-
-// TestPoolNoLeakOnRangeError drives the ErrRMARange early return in
-// issue (op dropped before send) and asserts nothing pooled leaks.
-func TestPoolNoLeakOnRangeError(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
-	var raised bool
-	w := mustRun(t, cfg, func(r *Rank) {
-		c := r.CommWorld()
-		win, _ := r.WinAllocate(c, 32, nil)
-		c.Barrier()
-		if r.Rank() == 0 {
-			win.Lock(1, LockShared, AssertNone)
-			// Displacement outside the 32-byte target window.
-			win.Put(PutFloat64s([]float64{1}), 1, 64, Scalar(Float64))
-			if err := r.Err(); err != nil && err.Class == ErrRMARange {
-				raised = true
-			}
-			win.Unlock(1)
-		}
-		c.Barrier()
-		win.Free()
-	})
-	if !raised {
-		t.Fatal("range error never raised; the early-return path was not covered")
-	}
-	auditPool(t, w, "range error")
-}
-
-// TestPoolNoLeakOnCreditTimeout drives the ErrBacklog early return
-// (credit window exhausted past its timeout under ErrorsReturn) and
-// asserts dropped ops released everything they held.
-func TestPoolNoLeakOnCreditTimeout(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
-	cfg.Flow = &FlowConfig{Credits: 1, Timeout: 20 * sim.Microsecond}
-	var drops int64
-	w := mustRun(t, cfg, func(r *Rank) {
-		c := r.CommWorld()
-		win, _ := r.WinAllocate(c, 64, nil)
-		c.Barrier()
-		if r.Rank() == 0 {
-			// Rank 1 computes, providing no progress: with one credit the
-			// second op times out waiting for the first's ack.
-			win.LockAll(AssertNone)
-			for i := 0; i < 16; i++ {
-				win.Accumulate(PutFloat64s([]float64{1, 2, 3}), 1, 0, TypeOf(Float64, 3), OpSum)
-			}
-			win.UnlockAll()
-			drops = r.Stats()[BacklogDropped]
-			c.Send(1, 3, nil)
-		} else {
-			r.Compute(500 * sim.Microsecond)
-			c.Recv(0, 3)
-		}
-		c.Barrier()
-		win.Free()
-	})
-	if drops == 0 {
-		t.Fatal("no op was ever dropped on credit timeout; the early-return path was not covered")
-	}
-	auditPoolUsed(t, w, "credit timeout")
 }
 
 // TestPoolNoLeakAfterFlushHeavyWorkload asserts the leak audit holds for

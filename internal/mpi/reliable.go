@@ -19,7 +19,7 @@ import (
 // packets are retransmitted on a timeout with exponential backoff;
 // when the failure detector declares a target dead, its streams fail
 // over to a replacement chosen by the window's reroute hook (Casper's
-// ghost rebinding) or surface MPI_ERR_PROC_FAILED.
+// ghost rebinding), or the transport gives up on them and panics.
 //
 // Two deliberate simplifications exploit that this is a simulation:
 //
@@ -398,8 +398,7 @@ func (rel *reliability) timeout(pkt *packet) {
 	case pkt.dataLost || pkt.ackLost:
 		origin.stats[RetryTimeouts]++
 		if int(pkt.attempts) >= rel.maxAttempts {
-			rel.abandon(pkt, ErrMessageLost,
-				fmt.Sprintf("message to rank %d lost after %d attempts", st.key.target, pkt.attempts))
+			rel.abandon(pkt, fmt.Sprintf("message to rank %d lost after %d attempts", st.key.target, pkt.attempts))
 			return
 		}
 		origin.stats[Retransmits]++
@@ -569,7 +568,6 @@ func (rel *reliability) deliverAck(pkt *packet) {
 	pkt.st.settle()
 	if op := pkt.op; op != nil {
 		op.ch.pending.Done()
-		op.reqDone()
 		op.win.opTerminal(op)
 	}
 }
@@ -653,14 +651,12 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 	}
 	g := op.win
 	if g.reroute == nil {
-		rel.abandon(pkt, ErrProcFailed,
-			fmt.Sprintf("target rank %d failed with no failover route", pkt.st.key.target))
+		rel.abandon(pkt, fmt.Sprintf("target rank %d failed with no failover route", pkt.st.key.target))
 		return
 	}
 	newTarget, ok := g.reroute(int(op.origin), int(op.target), op.disp)
 	if !ok || g.comm.ranks[newTarget] == pkt.st.key.target {
-		rel.abandon(pkt, ErrProcFailed,
-			fmt.Sprintf("target rank %d failed with no surviving replacement", pkt.st.key.target))
+		rel.abandon(pkt, fmt.Sprintf("target rank %d failed with no surviving replacement", pkt.st.key.target))
 		return
 	}
 	origin := w.ranks[pkt.st.key.origin]
@@ -680,9 +676,8 @@ func (rel *reliability) failoverPacket(pkt *packet) {
 }
 
 // abandon gives up on a packet: release the origin-side completion so
-// flushes do not hang, then surface the loss per the error mode
-// (panic under ErrorsAreFatal, a typed *MPIError under ErrorsReturn).
-func (rel *reliability) abandon(pkt *packet, class ErrClass, msg string) {
+// flushes do not hang, then panic with the loss.
+func (rel *reliability) abandon(pkt *packet, msg string) {
 	pkt.abandoned = true
 	pkt.st.settle()
 	origin := rel.w.ranks[pkt.st.key.origin]
@@ -694,10 +689,9 @@ func (rel *reliability) abandon(pkt *packet, class ErrClass, msg string) {
 	if op := pkt.op; op != nil {
 		op.win.inflight.Done()
 		op.ch.pending.Done()
-		op.reqDone()
 		op.win.opTerminal(op)
 	} else {
 		rel.w.p2pLost++
 	}
-	origin.raise(class, "mpi: %s", msg)
+	panic("mpi: " + msg)
 }

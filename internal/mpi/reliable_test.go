@@ -124,45 +124,20 @@ func TestSameSeedSamePlanIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestErrorsReturnRMARange: under MPI_ERRORS_RETURN an out-of-range RMA
-// op surfaces a typed error on the origin instead of panicking, and the
-// op becomes a no-op.
-func TestErrorsReturnRMARange(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
-	mustRun(t, cfg, func(r *Rank) {
-		c := r.CommWorld()
-		win, buf := r.WinAllocate(c, 8, nil)
-		c.Barrier()
-		if r.Rank() == 0 {
-			win.LockAll(AssertNone)
-			win.Put(PutFloat64s([]float64{1}), 1, 64, Scalar(Float64)) // outside 8-byte window
-			err := r.Err()
-			if err == nil {
-				t.Error("no error recorded for out-of-range put")
-			} else if err.Class != ErrRMARange {
-				t.Errorf("class = %v, want MPI_ERR_RMA_RANGE", err.Class)
-			}
-			r.ClearErr()
-			if r.Err() != nil {
-				t.Error("ClearErr did not clear")
-			}
-			win.UnlockAll()
+// TestAbandonedOpPanics: an RMA op whose target crashed — with no failover
+// route installed — panics once the transport gives up on it, with a
+// message naming the failure, instead of hanging.
+func TestAbandonedOpPanics(t *testing.T) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("op to a crashed target did not panic")
 		}
-		c.Barrier()
-		if r.Rank() == 1 && GetFloat64s(buf)[0] != 0 {
-			t.Error("erroneous put mutated target memory")
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "target rank 1 failed with no failover route") {
+			t.Fatalf("wrong panic: %v", p)
 		}
-		c.Barrier()
-	})
-}
-
-// TestErrorsReturnProcFailed: an RMA op whose target crashed — with no
-// failover route installed — surfaces MPI_ERR_PROC_FAILED on the origin
-// once the transport gives up, instead of hanging or panicking.
-func TestErrorsReturnProcFailed(t *testing.T) {
+	}()
 	cfg := testConfig(2, 2)
-	cfg.Errors = ErrorsReturn
 	cfg.Fault = &fault.Plan{Seed: 3, Crashes: []fault.Crash{{Rank: 1, At: sim.Time(50 * sim.Microsecond)}}}
 	mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
@@ -175,29 +150,21 @@ func TestErrorsReturnProcFailed(t *testing.T) {
 		r.Compute(sim.Microseconds(100)) // issue after the target is dead
 		win.LockAll(AssertNone)
 		win.Put(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64))
-		win.FlushAll() // completes via abandonment, not a hang
+		win.FlushAll()
 		win.UnlockAll()
-		err := r.Err()
-		if err == nil {
-			t.Error("no error for op to crashed target")
-		} else if err.Class != ErrProcFailed {
-			t.Errorf("class = %v, want MPI_ERR_PROC_FAILED", err.Class)
-		} else if !strings.Contains(err.Msg, "failed") {
-			t.Errorf("unhelpful message: %q", err.Msg)
-		}
 	})
 }
 
-// TestFatalModeStillPanics: the default error mode preserves the
-// historical panic behaviour with the exact message.
-func TestFatalModeStillPanics(t *testing.T) {
+// TestRangeErrorPanics: an RMA op addressed past the target's window
+// panics at issue with the exact message.
+func TestRangeErrorPanics(t *testing.T) {
 	defer func() {
 		p := recover()
 		if p == nil {
-			t.Fatal("no panic in fatal mode")
+			t.Fatal("out-of-range put did not panic")
 		}
-		if !strings.Contains(p.(string), "outside") {
-			t.Fatalf("wrong panic: %v", p)
+		if want := "mpi: PUT at disp 64 extent 8 outside 8-byte window of target 1"; fmt.Sprint(p) != want {
+			t.Fatalf("panic %q, want %q", p, want)
 		}
 	}()
 	mustRun(t, testConfig(2, 2), func(r *Rank) {
@@ -346,7 +313,6 @@ func TestStragglerSlowsCompute(t *testing.T) {
 // skip the holes, and leave the list empty.
 func TestUnackedOrderSurvivesFailover(t *testing.T) {
 	cfg := testConfig(3, 3)
-	cfg.Errors = ErrorsReturn
 	cfg.Fault = &fault.Plan{Seed: 3}
 	cfg.Flow = &FlowConfig{Credits: 16}
 	var rerouted []int

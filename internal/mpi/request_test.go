@@ -163,55 +163,6 @@ func TestSendrecvExchange(t *testing.T) {
 	}
 }
 
-func TestRGetCompletesWithData(t *testing.T) {
-	mustRun(t, testConfig(2, 2), func(r *Rank) {
-		c := r.CommWorld()
-		win, buf := r.WinAllocate(c, 16, nil)
-		if r.Rank() == 1 {
-			copy(buf, PutFloat64s([]float64{2.5, -4}))
-		}
-		c.Barrier()
-		if r.Rank() == 0 {
-			win.LockAll(AssertNone)
-			dst := make([]byte, 16)
-			q := win.RGet(dst, 1, 0, TypeOf(Float64, 2))
-			q.Wait()
-			vals := GetFloat64s(dst)
-			if vals[0] != 2.5 || vals[1] != -4 {
-				t.Errorf("RGet = %v", vals)
-			}
-			win.UnlockAll()
-		}
-		c.Barrier()
-	})
-}
-
-func TestRPutRemoteCompletion(t *testing.T) {
-	var seen float64
-	mustRun(t, testConfig(2, 2), func(r *Rank) {
-		c := r.CommWorld()
-		win, buf := r.WinAllocate(c, 8, nil)
-		c.Barrier()
-		if r.Rank() == 0 {
-			win.LockAll(AssertNone)
-			q := win.RPut(PutFloat64s([]float64{6}), 1, 0, Scalar(Float64))
-			if q.Done() {
-				t.Error("RPut complete before any progress")
-			}
-			q.Wait()
-			win.UnlockAll()
-			c.Send(1, 1, nil)
-		} else {
-			c.Recv(0, 1)
-			seen = GetFloat64s(buf)[0]
-		}
-		c.Barrier()
-	})
-	if seen != 6 {
-		t.Fatalf("after RPut wait, target saw %v", seen)
-	}
-}
-
 func TestCollectivesExtended(t *testing.T) {
 	mustRun(t, testConfig(4, 4), func(r *Rank) {
 		c := r.CommWorld()

@@ -44,8 +44,8 @@ func resultPathWorkload(rounds int, fail func(format string, args ...interface{}
 				win.Get(vec, 1, 6*8, Vector(Float64, 2, 2, 4)) // elements 6,7,10,11
 				short := bytes.Repeat([]byte{0xEE}, 12)
 				win.Get(short[:8], 1, 8, TypeOf(Float64, 3)) // room for one element of three
-				rbuf := make([]byte, 2*8)
-				req := win.RGet(rbuf, 1, 2*8, TypeOf(Float64, 2))
+				pair := make([]byte, 2*8)
+				win.Get(pair, 1, 2*8, TypeOf(Float64, 2))
 				// src aliases result: the operand was snapshotted at issue.
 				both := PutFloat64s([]float64{5, 6})
 				win.GetAccumulate(both, both, 1, 4*8, TypeOf(Float64, 2), OpSum)
@@ -55,10 +55,9 @@ func resultPathWorkload(rounds int, fail func(format string, args ...interface{}
 				win.CompareAndSwap(PutFloat64s([]float64{9 * sign}), PutFloat64s([]float64{-9 * sign}), swapped, 1, 8*8, Int64)
 				win.CompareAndSwap(PutInt64(0), PutInt64(0), kept, 1, 9*8, Int64)
 
-				req.Wait()
-				expect("RGet", rbuf, 3, 4)
 				win.Flush(1)
 				expect("Get contiguous", contig, 1, 2, 3)
+				expect("Get pair", pair, 3, 4)
 				expect("Get vector", vec, 7, 8, 11, 12)
 				expect("Get into a short buffer", short[:8], 2)
 				if !bytes.Equal(short[8:], []byte{0xEE, 0xEE, 0xEE, 0xEE}) {

@@ -118,11 +118,10 @@ type rmaOp struct {
 	ext *opExt
 }
 
-// opExt is the part of an op only optional machinery uses: request-based
-// operations, flow control, the reliable transport and the validator. It
-// is allocated on first need and stays with the header across recycling.
+// opExt is the part of an op only optional machinery uses: flow control,
+// the reliable transport and the validator. It is allocated on first need
+// and stays with the header across recycling.
 type opExt struct {
-	req      *RMARequest // request-based op handle (Rput/Rget), or nil
 	credit   *creditChan // flow-control credit held, or nil
 	relPkt   *packet     // current packet carrying the op (fault plans)
 	seq      int64       // issue order on the origin's handle (validator)
@@ -144,13 +143,6 @@ func (o *rmaOp) QueueLink() *sim.Link { return &o.link }
 func (o *rmaOp) next() *rmaOp {
 	n, _ := o.link.Next.(*rmaOp)
 	return n
-}
-
-// reqDone releases the op's request handle, if it has one.
-func (o *rmaOp) reqDone() {
-	if x := o.ext; x != nil && x.req != nil {
-		x.req.pending.Done()
-	}
 }
 
 // Step implements sim.Runner: it advances the op through whichever
@@ -234,9 +226,8 @@ type rmaCall struct {
 	target int
 	disp   int
 	dt     Datatype
-	data   []byte      // origin payload: the caller's buffer, until snapshot
-	dst    []byte      // origin result destination, written at apply time
-	req    *RMARequest // request-based call (RPut, RGet), else nil
+	data   []byte // origin payload: the caller's buffer, until snapshot
+	dst    []byte // origin result destination, written at apply time
 }
 
 // newOp fetches a zeroed rmaOp from the issuing rank's freelist (or the
@@ -245,9 +236,6 @@ func (w *Win) newOp(c *rmaCall) *rmaOp {
 	o := w.r.getOp()
 	o.kind, o.op, o.target, o.disp, o.dt = c.kind, c.op, int32(c.target), c.disp, c.dt
 	o.data, o.dst = c.data, c.dst
-	if c.req != nil {
-		o.extra().req = c.req
-	}
 	return o
 }
 
@@ -287,7 +275,7 @@ func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp in
 // buffers; issue snapshots both, so the caller owns them again as soon as
 // the call returns. A queueable call returns at once and is issued by the
 // event loop (see issue.go); the rest take the eager path below, on which
-// every misuse panics or raises.
+// every misuse panics.
 func (w *Win) issue(c rmaCall, cmp []byte) {
 	r := w.r
 	if r.issueQ.admit(w, &c, cmp) {
@@ -297,12 +285,8 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	r.proc.Advance(r.callCost() + r.issueCost())
-	if msg, rangeErr := w.check(&c, cmp); msg != "" {
-		if !rangeErr {
-			panic(msg)
-		}
-		r.raise(ErrRMARange, "%s", msg) // ErrorsReturn: dropped before any accounting
-		return
+	if msg := w.check(&c, cmp); msg != "" {
+		panic(msg)
 	}
 	var credit *creditChan
 	if f := w.g.w.flow; f != nil {
@@ -310,16 +294,7 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 		// virtual time while the window is exhausted. We are inside an
 		// MPI call here, so self-targeted AMs keep draining while the
 		// proc is parked.
-		if credit = f.acquire(r, w.g.comm.ranks[c.target]); credit == nil {
-			// Credit timeout under ErrorsReturn (ErrBacklog raised):
-			// drop before any accounting so flushes cannot hang on the
-			// op, but still notify the observer so layered in-flight
-			// counters do not leak.
-			if w.g.onOpDone != nil {
-				w.g.onOpDone(w.me, c.target, c.disp)
-			}
-			return
-		}
+		credit = f.acquire(r, w.g.comm.ranks[c.target])
 	}
 	o := w.newOp(&c)
 	o.data = snapshot(r.pool, c.dt, c.data, cmp, &o.inl)
@@ -331,48 +306,43 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 
 // check makes every test of call c (and of cmp, a CAS's compare value)
 // that the issue makes before it commits the call, and returns the first
-// that fails, "" when c may post. rangeErr marks an access outside the
-// target's window, which the issue raises as ErrRMARange; it panics on
-// every other failure. The eager issue checks right after the call's
-// step, the issue queue when it admits the call (see issue.go).
-func (w *Win) check(c *rmaCall, cmp []byte) (msg string, rangeErr bool) {
+// that fails, "" when c may post; the issue panics with it. The eager
+// issue checks right after the call's step, the issue queue when it
+// admits the call (see issue.go).
+func (w *Win) check(c *rmaCall, cmp []byte) string {
 	g := w.g
 	if err := c.dt.Validate(); err != nil {
-		return err.Error(), false
+		return err.Error()
 	}
 	t := c.target
 	if t < 0 || t >= len(g.comm.ranks) {
-		return fmt.Sprintf("mpi: window target %d out of range [0,%d)", t, len(g.comm.ranks)), false
+		return fmt.Sprintf("mpi: window target %d out of range [0,%d)", t, len(g.comm.ranks))
 	}
-	// Dynamic windows cannot be bounds-checked at the origin; the target
-	// resolves the address at apply time.
-	if !g.dynamic {
-		reg := g.regions[t]
-		// A target that crashed before it could expose this window has the
-		// empty region a dead member contributes. A real origin cannot see
-		// that: the operation goes on the wire, is never acknowledged, and
-		// fails over to a surviving server once the detector confirms the
-		// death. So the bounds check only the omniscient simulator could
-		// perform is suppressed, and the reliable transport recovers the op.
-		crashed := c.disp >= 0 && g.w.FaultsEnabled() && g.w.ranks[g.comm.ranks[t]].failed
-		if (c.disp < 0 || c.disp+c.dt.Extent() > reg.n) && !crashed {
-			return fmt.Sprintf("mpi: %v at disp %d extent %d outside %d-byte window of target %d",
-				c.kind, c.disp, c.dt.Extent(), reg.n, t), true
-		}
+	reg := g.regions[t]
+	// A target that crashed before it could expose this window has the
+	// empty region a dead member contributes. A real origin cannot see
+	// that: the operation goes on the wire, is never acknowledged, and
+	// fails over to a surviving server once the detector confirms the
+	// death. So the bounds check only the omniscient simulator could
+	// perform is suppressed, and the reliable transport recovers the op.
+	crashed := c.disp >= 0 && g.w.FaultsEnabled() && g.w.ranks[g.comm.ranks[t]].failed
+	if (c.disp < 0 || c.disp+c.dt.Extent() > reg.n) && !crashed {
+		return fmt.Sprintf("mpi: %v at disp %d extent %d outside %d-byte window of target %d",
+			c.kind, c.disp, c.dt.Extent(), reg.n, t)
 	}
 	if c.data != nil && len(c.data) < c.dt.Size() || cmp != nil && len(cmp) < c.dt.Basic.Size() {
-		return fmt.Sprintf("mpi: %v origin buffer shorter than its datatype", c.kind), false
+		return fmt.Sprintf("mpi: %v origin buffer shorter than its datatype", c.kind)
 	}
 	switch {
 	case w.access != nil: // PSCW access epoch
 		if !inGroup(w.access.group, t) {
-			return fmt.Sprintf("mpi: PSCW op to target %d outside access group", t), false
+			return fmt.Sprintf("mpi: PSCW op to target %d outside access group", t)
 		}
 	case w.fenceActive:
 	case w.epochFlags(t)&epLocked == 0 && !w.lockAll: // passive target
-		return fmt.Sprintf("mpi: %v to target %d without an epoch", c.kind, t), false
+		return fmt.Sprintf("mpi: %v to target %d without an epoch", c.kind, t)
 	}
-	return "", false
+	return ""
 }
 
 // snapshot copies a call's packed payload out of the caller's buffer data
@@ -440,9 +410,6 @@ func (w *Win) post(op *rmaOp, ep uint8) {
 	// lazy lock acquisition.
 	w.g.inflight.Add(1)
 	op.ch.pending.Add(1)
-	if x := op.ext; x != nil && x.req != nil {
-		x.req.pending.Add(1)
-	}
 	if queueOn != nil {
 		queueOn.queue(op)
 		return
@@ -525,30 +492,13 @@ func (o *rmaOp) promoteWire() {
 
 // --- Apply path (target side) ----------------------------------------
 
-// targetRegion resolves the op's destination memory: the static region
-// for normal windows, the containing attachment for dynamic ones. ok is
-// false when a dynamic resolution failed under ErrorsReturn (the error
-// was already raised on the target rank).
-func (o *rmaOp) targetRegion() (Region, int, bool) {
-	if o.win.dynamic {
-		return o.win.resolveDynamic(int(o.target), o.disp, o.dt.Extent())
-	}
-	return o.win.regions[o.target], o.disp, true
-}
-
 // apply mutates the target memory. Runs in engine context at the moment
-// the op takes effect. It reports whether the op resolved and took
-// effect; on false (dynamic resolution failure under ErrorsReturn) the
-// op is a no-op but must still be acknowledged so the origin does not
-// hang.
-func (o *rmaOp) apply() bool {
-	reg, disp, ok := o.targetRegion()
+// the op takes effect.
+func (o *rmaOp) apply() {
+	reg := o.win.regions[o.target]
 	o.applied = true
-	if !ok {
-		return false
-	}
 	mem := reg.seg.data
-	base := reg.off + disp
+	base := reg.off + o.disp
 	// Result bytes land in the origin's buffer here, once: MPI forbids the
 	// origin to read it before the flush that follows the ack, so the ack
 	// carries the completion only (its wire time still pays for the bytes).
@@ -585,7 +535,6 @@ func (o *rmaOp) apply() bool {
 		p.applied[target][origin]++
 		p.sig.Broadcast()
 	}
-	return true
 }
 
 // applyAndAck is called when the target's progress engine finishes
@@ -603,10 +552,9 @@ func (o *rmaOp) applyAndAck() {
 		// is recovered through stream failover instead.
 		return
 	}
-	ok := o.apply()
-	if v := o.win.w.validator; v != nil && ok {
-		reg, disp, _ := o.targetRegion()
-		v.recordApply(o, reg, disp, int(o.owner))
+	o.apply()
+	if v := o.win.w.validator; v != nil {
+		v.recordApply(o, o.win.regions[o.target], o.disp, int(o.owner))
 	}
 	o.win.inflight.Done()
 	o.ack()
@@ -619,13 +567,12 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 	}
 	now := tr.eng.Now()
 	o.link.At, o.owner = now, -1
-	ok := o.apply()
+	o.apply()
 	tr.stats[HardwareOps]++
 	tr.stats[BytesIn] += int64(o.bytes())
-	if v := o.win.w.validator; v != nil && ok {
+	if v := o.win.w.validator; v != nil {
 		o.extra().svcStart = now
-		reg, disp, _ := o.targetRegion()
-		v.recordApply(o, reg, disp, -1)
+		v.recordApply(o, o.win.regions[o.target], o.disp, -1)
 	}
 	if t := o.win.w.tracer; t.Enabled() {
 		t.RecordService(trace.Service{
@@ -652,19 +599,17 @@ func (o *rmaOp) ack() {
 	tr.eng.AfterRun(wire, o)
 }
 
-// ackDelivered lands the completion ack at the origin: flush/request
-// trackers release and the op reaches its terminal state. Any result
-// bytes are already in the origin's buffer (see apply).
+// ackDelivered lands the completion ack at the origin: the flush tracker
+// releases and the op reaches its terminal state. Any result bytes are
+// already in the origin's buffer (see apply).
 func (o *rmaOp) ackDelivered() {
 	o.ch.pending.Done()
-	o.reqDone()
 	o.win.opTerminal(o)
 }
 
 // opTerminal runs exactly once per op that passed issue-time
 // validation, when it reaches its terminal state (ack delivered at the
-// origin, abandoned by the transport, or dropped on credit timeout):
-// it returns the flow-control credit, recycles the op's pooled
+// origin, or abandoned by the transport): it returns the flow-control credit, recycles the op's pooled
 // buffer, and notifies the op observer. Runs in engine context.
 func (g *winGlobal) opTerminal(o *rmaOp) {
 	or := g.rankOf(int(o.origin))

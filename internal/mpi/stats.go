@@ -32,13 +32,12 @@ const (
 	RetryTimeouts  // retransmission timeouts that took action
 	DupsSuppressed // duplicate packets discarded at this rank
 	Reroutes       // ops failed over to a replacement target
-	Abandoned      // ops given up on (error surfaced)
+	Abandoned      // ops given up on (the transport then panics)
 	CorruptDropped // packets dropped at this rank on CRC mismatch
 
 	// Flow control (zero without a FlowConfig, except the peaks).
 	CreditStalls       // issues that had to wait for a credit
 	CreditStallTime    // virtual time spent waiting for credits
-	BacklogDropped     // ops dropped after a credit timeout
 	PeakDepth          // high-water mark of the rank's AM pipeline; max over ranks
 	PeakQueueResidency // high-water mark of events pending in the rank's engine; max over ranks
 
@@ -130,7 +129,6 @@ var counterTable = [NumCounters]counterRow{
 
 	CreditStalls:       {"credit_stalls", unitCount, aggSum, nil},
 	CreditStallTime:    {"credit_stall_time", unitNS, aggSum, nil},
-	BacklogDropped:     {"backlog_dropped", unitCount, aggSum, nil},
 	PeakDepth:          {"peak_depth", unitCount, aggMax, nil},
 	PeakQueueResidency: {"peak_queue_residency", unitCount, aggMax, nil},
 

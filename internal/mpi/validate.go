@@ -100,7 +100,7 @@ func timeOverlaps(a, b *applyRec) bool { return a.start < b.end && b.start < a.e
 
 // recordApply registers one applied operation. It runs in engine
 // context; the op carries its service interval and owner. disp is the
-// displacement within reg (already resolved for dynamic windows).
+// displacement within reg.
 func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	lo := reg.off + disp
 	rec := applyRec{

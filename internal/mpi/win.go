@@ -29,11 +29,6 @@ type winGlobal struct {
 	// queue (see Win.SyncInProcess).
 	eagerSync bool
 
-	// Dynamic-window state (MPI_WIN_CREATE_DYNAMIC).
-	dynamic  bool
-	attached [][]attachment // per comm rank: attached regions by base
-	nextBase []int          // per comm rank: next base address
-
 	// reroute, when set, lets stream failover redirect an op whose
 	// target crashed: given the comm ranks of origin and the dead
 	// target plus the op's displacement, it returns a surviving comm
@@ -42,10 +37,9 @@ type winGlobal struct {
 	reroute func(origin, oldTarget, disp int) (newTarget int, ok bool)
 
 	// onOpDone, when set, fires once per RMA op when it reaches its
-	// terminal state (acked, abandoned, or dropped for lack of
-	// credits), with the op's origin and final target comm ranks and
-	// displacement. Layered runtimes use it to track per-origin and
-	// per-target in-flight counts.
+	// terminal state (acked or abandoned), with the op's origin and final
+	// target comm ranks and displacement. Layered runtimes use it to track
+	// per-origin and per-target in-flight counts.
 	onOpDone func(origin, target, disp int)
 
 	handles []*Win // every rank's handle, for diagnostics

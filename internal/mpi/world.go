@@ -130,9 +130,6 @@ type Config struct {
 	// ghost's queue depth is bounded instead of growing without limit.
 	// A nil config leaves the seed code paths untouched.
 	Flow *FlowConfig
-	// Errors selects the error-handler model; the zero value,
-	// ErrorsAreFatal, panics exactly as the runtime always has.
-	Errors ErrorMode
 	// NoSimFastPath runs the world on the engine's eager schedule (see
 	// sim.Engine.DisableFastPaths): every rank parks on its own calls
 	// instead of having them served, and sim.Server backlogs, wire chains
@@ -677,9 +674,6 @@ type Rank struct {
 	failed       bool     // ground-truth crash (see health.go)
 	down         bool     // recoverable app crash in progress (see crashAppRank)
 	stalledUntil sim.Time // progress engine frozen until this time
-
-	lastErr  *MPIError // first unconsumed error under ErrorsReturn
-	errCount int64
 
 	stats Counters // see counterTable; Stats fills PeakQueueResidency on read
 }
