@@ -105,3 +105,36 @@ func TestFig6aSwitchesPerOp(t *testing.T) {
 		t.Fatalf("fig6a made %.3f switches per RMA op, want at most %.3f", got, bound)
 	}
 }
+
+// robustSwitchesPerOp is what TestRobustSwitchesPerOp measured when its
+// bound was last set.
+const robustSwitchesPerOp = 1.144
+
+// TestRobustSwitchesPerOp holds fault-plan and flow-control worlds to the
+// served issue path: one serial faultchaos and one serial overload sweep
+// at casperbench's -quick scale, coroutine switches into a rank per RMA
+// operation issued. Before every world queued, these worlds ran every call
+// in the process — two switches per Casper RMA op (the redirect overhead,
+// then the MPI issue), one per lock entry, grant and remote completion
+// waited for, one per credit stall — and read 3.484 per op here. Served,
+// an origin is switched in at the calls that settle it: barriers, fences,
+// computes, completions whose results it reads, a full queue. Both
+// counters are process-wide, so the test must not run in parallel.
+func TestRobustSwitchesPerOp(t *testing.T) {
+	o := tiny()
+	o.Parallel = 1
+	switches, ops := mpi.TotalSwitches(), mpi.TotalOpsIssued()
+	for _, id := range []string{"faultchaos", "overload"} {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		e.Run(o)
+	}
+	switches, ops = mpi.TotalSwitches()-switches, mpi.TotalOpsIssued()-ops
+	got := float64(switches) / float64(ops)
+	t.Logf("faultchaos+overload at scale %g: %d switches for %d RMA ops = %.3f per op", o.Scale, switches, ops, got)
+	if bound := robustSwitchesPerOp + switchSlack; ops == 0 || got > bound {
+		t.Fatalf("faultchaos+overload made %.3f switches per RMA op, want at most %.3f", got, bound)
+	}
+}

@@ -345,10 +345,14 @@ func init() {
 func runFaultSweep(a approach, procs int, rate float64, seed int64) (float64, mpi.WorldSummary) {
 	var maxEl sim.Duration
 	var w *mpi.World
-	jitter := func() sim.Duration {
-		return sim.Duration(w.Engine().Rand().Int63n(int64(sim.Microseconds(100))))
-	}
 	body := func(env mpi.Env) {
+		jitter := func() sim.Duration {
+			// The engine's stream is engine-side state: draw from it at the
+			// clock (Now settles the rank's queued calls), where every rank
+			// draws in virtual-time order.
+			env.Now()
+			return sim.Duration(w.Engine().Rand().Int63n(int64(sim.Microseconds(100))))
+		}
 		el := allToAllWorkload(mpi.KindAcc, jitter)(env)
 		if el > maxEl {
 			maxEl = el

@@ -212,23 +212,34 @@ func (sh *winShared) commit(t, g int) {
 // self-routed (degraded) target: the target process itself may be the
 // issuer there, and parking it would stall the drain it is waiting
 // for; those revert lazily at a natural quiescent instant instead.
-// Runs in proc context.
+// Runs in proc context; an expanded operation waits served instead
+// (routeOp).
 func (sh *winShared) awaitHandover(p *Process, t int) {
-	ti := &sh.cw.layout[t]
-	for {
-		if _, ok := sh.pending[t]; !ok {
-			return
-		}
-		if cur, ok := sh.server[t]; ok && cur == ti.selfInternal {
-			return
-		}
-		sig := sh.handover[t]
-		if sig == nil {
-			sig = &sim.Signal{}
-			sh.handover[t] = sig
-		}
-		sig.Wait(p.r.Proc(), "overload: draining target for binding handover")
+	for sig := sh.handoverSignal(t); sig != nil; sig = sh.handoverSignal(t) {
+		sig.Wait(p.r.Proc(), handoverWait)
 	}
+}
+
+// handoverWait is the wait reason of an origin awaiting a handover.
+const handoverWait = "overload: draining target for binding handover"
+
+// handoverSignal returns the signal an operation routed to target t must
+// wait on, or nil when t has no staged server change it must wait out
+// (see awaitHandover).
+func (sh *winShared) handoverSignal(t int) *sim.Signal {
+	ti := &sh.cw.layout[t]
+	if _, ok := sh.pending[t]; !ok {
+		return nil
+	}
+	if cur, ok := sh.server[t]; ok && cur == ti.selfInternal {
+		return nil
+	}
+	sig := sh.handover[t]
+	if sig == nil {
+		sig = &sim.Signal{}
+		sh.handover[t] = sig
+	}
+	return sig
 }
 
 // serverOf resolves target t's destination server: the staged one when

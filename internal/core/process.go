@@ -171,8 +171,10 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 		root:     root,
 		binding:  binding,
 		lb:       lb,
+		epoch:    make([]uint8, comm.Size()),
 		targets:  make([]ctarget, comm.Size()),
 	}
+	userWin.SetExpander(cw)
 	cw.layout = m.layoutFor(p.d, comm.AllgatherInt(size))
 	if appCrashesPlanned(p.r) {
 		// Guard this rank's exposed region for rollback-replay recovery:
@@ -194,6 +196,7 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 			activeWin.SyncInProcess()
 		}
 	}
+	cw.volatile = p.r.World().FaultsEnabled() || cw.sh != nil || p.d.cfg.UnsafeNoBinding || lb == LBRandom
 	if p.r.World().FaultsEnabled() {
 		for _, w := range lockWins {
 			w.SetReroute(cw.rerouteGhost)

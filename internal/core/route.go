@@ -49,51 +49,99 @@ func (cw *casperWin) CompareAndSwap(compare, origin, result []byte, t int, disp 
 	cw.redirect(mpi.KindCAS, t, disp, mpi.Scalar(b), origin, result, mpi.OpReplace, compare)
 }
 
-// redirect validates the epoch, charges Casper's per-operation
-// bookkeeping cost, routes the operation to ghost pieces, and issues
-// them on the appropriate internal window.
+// redirect makes one RMA call on the window: it checks the call, charges
+// Casper's per-operation bookkeeping cost (the redirect overhead), routes
+// the operation to ghost pieces, and issues them on the appropriate
+// internal window.
 //
-// When routing depends on nothing the redirect overhead could change
-// (servedWin), the operation is routed at call time and the overhead is
-// charged in front of the first call it makes on the internal window
-// (mpi.Rank.LeadIssue) — the first touch's ghost locks, or the first
-// piece: the calls then queue for the event loop to run like any plain
-// MPI call. Otherwise the process pays the overhead first and routes
-// after.
+// The checks and the epoch flags are the call's (opEpoch). The rest reads
+// what other ranks' events change — detector verdicts, staged bindings,
+// the engine's random stream — so it runs where the eager process runs it,
+// after the overhead: the call is deferred as one item, and the event loop
+// routes it at the pop of the overhead step (routeOp, from Expand). A call
+// that cannot be deferred — the rank does not queue, a self-local Put/Get,
+// a shepherd window with lock epochs, or a call that fails a check route
+// or the MPI issue would panic on — settles, pays the overhead in the
+// process and routes there.
 func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, op mpi.Op, cmp []byte) {
 	if t < 0 || t >= len(cw.layout) {
-		panic(fmt.Sprintf("casper: target %d out of range", t))
+		cw.misuse(fmt.Sprintf("casper: target %d out of range", t))
 	}
-	ts := cw.epochStateFor(t)
-	r := cw.p.r
-	if w := cw.servedWin(kind, t, disp, dt, src, dst, ts); w != nil {
-		r.LeadIssue(redirectOverhead)
-		if ts != nil && ts.locked {
-			cw.ensureGhostLocks(t, ts, w)
+	tag := tagOp | cw.opEpoch(t)
+	if dst != nil || t == cw.comm.Rank() {
+		cw.hold(t)
+	}
+	if cw.defers(kind, t, disp, dt, src, dst, cmp) &&
+		cw.user.DeferOp(tag, redirectOverhead, kind, op, t, disp, dt, src, dst, cmp) {
+		cw.p.r.Count(mpi.Redirected, 1) // counted with the call, as the caller may read it
+		return
+	}
+	cw.settle()
+	cw.p.r.Proc().Advance(redirectOverhead)
+	cw.routeOp(nil, 0, tag, kind, op, t, disp, dt, src, dst, cmp)
+}
+
+// defers reports whether an RMA call may be deferred: routeOp can run it
+// as an expansion. It cannot take a self-local Put/Get, whose copy the
+// process pays, nor the ghost locks of a shepherd window, whose
+// synchronization runs in the process; and the checks that would panic
+// after the overhead — route's, and the MPI issue's of a datatype or
+// buffer — must panic there, on the eager path.
+func (cw *casperWin) defers(kind mpi.OpKind, t, disp int, dt mpi.Datatype, src, dst, cmp []byte) bool {
+	if cw.selfOp(kind, t) || cw.sh != nil && cw.epochs.lock || dt.Validate() != nil {
+		return false
+	}
+	n := dt.Size()
+	if src != nil && len(src) < n || cmp != nil && len(cmp) < dt.Basic.Size() {
+		return false
+	}
+	return cw.routeFault(kind, t, disp, dt, src, dst) == ""
+}
+
+// routeOp is the rest of an RMA call after its redirect overhead: it waits
+// out a staged binding handover, opens the target's lazy lockall state,
+// takes the ghost locks an epoch's first touch owes (touchGhosts, after
+// which an expansion resumes at stage 1 or 2), and issues the routed
+// pieces.
+func (cw *casperWin) routeOp(x *mpi.Expansion, st, tag uint8, kind mpi.OpKind, op mpi.Op,
+	t, disp int, dt mpi.Datatype, src, dst, cmp []byte) bool {
+	var ts *ctarget
+	if tag&tagNoEpoch == 0 {
+		ts = cw.target(t)
+	}
+	if st == 0 {
+		if cw.sh != nil {
+			// A staged binding handover drains the target before any new
+			// operation routes to it (see awaitHandover).
+			if x == nil {
+				cw.sh.awaitHandover(cw.p, t)
+			} else if sig := cw.sh.handoverSignal(t); sig != nil {
+				x.Wait(sig, handoverWait)
+				return true
+			}
 		}
-		cw.issue(kind, t, w, cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active), op, cmp)
-		return
+		if tag&tagOpens != 0 {
+			openViaAll(ts)
+		}
+		if x == nil && cw.selfOp(kind, t) {
+			cw.selfLocal(kind, t, disp, dt, src, dst)
+			return false
+		}
 	}
-	r.Proc().Settle()
-	r.Proc().Advance(redirectOverhead)
-	if cw.sh != nil {
-		// A staged binding handover drains the target before any new
-		// operation routes to it (see awaitHandover).
-		cw.sh.awaitHandover(cw.p, t)
-	}
-
-	if cw.selfOp(kind, t) {
-		cw.selfLocal(kind, t, disp, dt, src, dst)
-		return
-	}
-
 	w := cw.winFor(t, ts)
-	if ts != nil && ts.locked {
-		cw.ensureGhostLocks(t, ts, w)
-		cw.reclaimEpochLocks(t, ts, w)
+	if ts != nil && ts.locked && cw.touchGhosts(x, st, t, ts, w, 0) {
+		return false
+	}
+	if x == nil {
+		// A deferred call passed routeFault when it was made.
+		if msg := cw.routeFault(kind, t, disp, dt, src, dst); msg != "" {
+			panic(msg)
+		}
+		cw.p.r.Count(mpi.Redirected, 1)
 	}
 	cw.issue(kind, t, w, cw.route(kind, t, disp, dt, src, dst, ts, w == cw.active), op, cmp)
+	return false
 }
 
 // selfOp reports whether the operation is a Put/Get to the calling
@@ -103,33 +151,8 @@ func (cw *casperWin) selfOp(kind mpi.OpKind, t int) bool {
 		(kind == mpi.KindPut || kind == mpi.KindGet)
 }
 
-// servedWin returns the internal window an operation may be routed on at
-// call time, or nil when redirect must pay its overhead before routing:
-// the world does not queue issue (mpi.Rank.QueuesIssue), the overload
-// rebalancer may hold or move the target's binding meanwhile, the routing
-// draws from the engine's random stream (UnsafeNoBinding, LBRandom on an
-// eligible op), the op is a self-local Put/Get, or route would panic
-// (routeFault), which it must do after the overhead, where the eager path
-// meets it. So must an invalid datatype, which route cuts without
-// checking it. Detected ghost failures, which change the locks a first
-// touch takes, come only with a fault plan, whose worlds do not queue.
-func (cw *casperWin) servedWin(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
-	src, dst []byte, ts *ctarget) *mpi.Win {
-	cfg := &cw.p.d.cfg
-	if !cw.p.r.QueuesIssue() || cw.sh != nil || cfg.UnsafeNoBinding || cw.selfOp(kind, t) ||
-		cw.lb == LBRandom && cw.dynamicEligible(kind, ts) {
-		return nil
-	}
-	w := cw.lookupWin(t, ts)
-	if w == nil || dt.Validate() != nil || cw.routeFault(kind, t, disp, dt, src, dst) != "" {
-		return nil
-	}
-	return w
-}
-
 // issue issues the pieces of one routed operation on internal window w.
 func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, op mpi.Op, cmp []byte) {
-	cw.p.r.Count(mpi.Redirected, 1)
 	if len(pieces) > 1 {
 		cw.p.r.Count(mpi.Split, int64(len(pieces)-1))
 	}
@@ -140,8 +163,8 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 		cw.sh.inflight[t] += len(pieces)
 		cw.sh.routed[t]++
 	}
-	self := t == cw.comm.Rank()
-	for _, pc := range pieces {
+	for i := range pieces {
+		pc := &pieces[i]
 		switch kind {
 		case mpi.KindPut:
 			w.Put(pc.src, pc.ghost, pc.disp, pc.dt)
@@ -156,54 +179,52 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 		case mpi.KindCAS:
 			w.CompareAndSwap(cmp, pc.src, pc.dst, pc.ghost, pc.disp, pc.dt.Basic)
 		}
-		if self {
-			// The ghost changes the caller's own memory: completing the
-			// piece must return where the caller can read it.
-			w.HoldCompletion(pc.ghost)
-		}
 		cw.countLB(t, pc)
 	}
 }
 
-// epochStateFor checks the op is inside an epoch covering target t and
-// returns the per-target state (nil for fence/PSCW epochs, which need
-// none).
-func (cw *casperWin) epochStateFor(t int) *ctarget {
-	if ts := cw.lookupTarget(t); ts != nil && ts.locked {
-		return ts
-	}
-	if cw.lockAllActive {
-		ts := cw.target(t)
-		if !ts.locked {
-			ts.locked = true
-			ts.viaAll = true
-			ts.lt = mpi.LockShared
-			ts.ghostsLkd = false
-			ts.dynamicOK = false
-		}
-		return ts
-	}
-	if cw.fenceActive {
-		return nil
-	}
-	if cw.accessGroup != nil {
+// opEpoch checks, at call time, that an RMA call to target t is inside an
+// epoch covering it, and returns what the call's expansion needs of that
+// epoch: tagNoEpoch for a fence or PSCW epoch, which needs no per-target
+// state, tagOpens when the call opens the target's lazy state under
+// lockall.
+func (cw *casperWin) opEpoch(t int) uint8 {
+	f := &cw.epoch[t]
+	switch {
+	case *f&epLocked != 0:
+		return 0
+	case cw.lockAllActive:
+		*f |= epLocked | epViaAll
+		return tagOpens
+	case cw.fenceActive:
+		return tagNoEpoch
+	case cw.accessGroup != nil:
 		for _, g := range cw.accessGroup {
 			if g == t {
-				return nil
+				return tagNoEpoch
 			}
 		}
-		panic(fmt.Sprintf("casper: PSCW op to target %d outside access group", t))
+		cw.misuse(fmt.Sprintf("casper: PSCW op to target %d outside access group", t))
 	}
-	panic(fmt.Sprintf("casper: RMA operation to target %d without an epoch", t))
+	cw.misuse(fmt.Sprintf("casper: RMA operation to target %d without an epoch", t))
+	return 0
 }
 
-// route maps one user operation to ghost pieces according to the binding
-// model and the dynamic load-balancing policy (Section III-B).
+// openViaAll opens target state ts lazily under lockall: the expansion
+// side of opEpoch's tagOpens.
+func openViaAll(ts *ctarget) {
+	ts.locked = true
+	ts.viaAll = true
+	ts.lt = mpi.LockShared
+	ts.ghostsLkd = false
+	ts.dynamicOK = false
+}
+
+// route maps one user operation, which passed routeFault, to ghost
+// pieces according to the binding model and the dynamic load-balancing
+// policy (Section III-B).
 func (cw *casperWin) route(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, ts *ctarget, onActive bool) []piece {
-	if msg := cw.routeFault(kind, t, disp, dt, src, dst); msg != "" {
-		panic(msg)
-	}
 	ti := &cw.layout[t]
 	abs := ti.base + disp
 
@@ -317,7 +338,7 @@ func (cw *casperWin) lbCounts(ti *tinfo) []lbCount {
 
 // countLB records issued work per ghost, so op- and byte-counting see
 // the accumulate load pinned to bound ghosts (Fig. 7(b), 7(c)).
-func (cw *casperWin) countLB(t int, pc piece) {
+func (cw *casperWin) countLB(t int, pc *piece) {
 	ti := &cw.layout[t]
 	counts := cw.lbCounts(ti)
 	for i, g := range ti.ghosts {

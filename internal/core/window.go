@@ -42,11 +42,20 @@ type casperWin struct {
 	aliveAt uint64
 	selves  []int
 
-	// Epoch state.
+	// Epoch state, in two parts (the state rule of mpi's issue queue,
+	// extended to Casper). The call side is what the calls check and
+	// change when they are made, in call order: the epoch kinds open, and
+	// epoch, one byte of flags per user comm rank (epLocked, epViaAll,
+	// epHeld). The expansion side is what routing reads and changes where
+	// the eager process would, at the pop the queue reaches a deferred
+	// call (Expand): targets, and the routing state above. A call hands
+	// its expansion what it needs of its call side in its tag.
 	fenceActive   bool
 	lockAllActive bool
 	accessGroup   []int
 	exposureGroup []int
+	epoch         []uint8
+	holds         int // targets whose flags carry epHeld
 	// targets holds per-target epoch state indexed by user comm rank,
 	// by value; the zero ctarget means "untouched". A flat slice keeps
 	// the per-op epoch lookup off the map hash path.
@@ -58,6 +67,19 @@ type casperWin struct {
 	// route() call on this (per-rank) handle, so one buffer serves every
 	// operation without allocating.
 	routeBuf []piece
+
+	// flushing is the ghost list a flush's expansion stopped part way
+	// through, and flushNext the ghost it resumes at (see flushGhosts):
+	// its continuation is the rank's next expansion, so nothing else
+	// touches them meanwhile.
+	flushing  []int
+	flushNext int
+
+	// volatile marks routing that reads what other ranks' events change:
+	// detector verdicts (a fault plan), staged bindings (the shepherd),
+	// the engine's random stream (UnsafeNoBinding, LBRandom). Only then
+	// must an expansion resume where the calls it made return (yield).
+	volatile bool
 
 	// sh is the shared overload state of this window (all ranks'
 	// handles point at the same object); nil without Config.Overload.
@@ -87,7 +109,31 @@ type tinfo struct {
 	chunk        int   // segment-binding chunk size on its node (16-aligned)
 }
 
-// ctarget is per-target epoch state at this origin.
+// Call-side flags of one target (casperWin.epoch).
+const (
+	epLocked uint8 = 1 << iota // a passive epoch covers the target
+	epViaAll                   // the epoch is lockall's, opened by the target's first use
+	epHeld                     // an op on it writes origin memory or the caller's own window
+)
+
+// Tags of the calls Casper defers (mpi.Win.DeferOp, mpi.Win.Defer): the
+// call in the low bits, what its expansion needs of the call side above.
+const (
+	tagOp uint8 = iota
+	tagLock
+	tagUnlock
+	tagFlush
+	tagFlushAll
+	tagUnlockAll
+
+	tagCall    = 0x0f
+	tagNoEpoch = 0x10 // tagOp: a fence or PSCW epoch covers the target
+	tagOpens   = 0x20 // tagOp, tagFlush: the call opened the target's lazy lockall state
+	tagExcl    = 0x40 // tagLock: an exclusive lock
+)
+
+// ctarget is per-target epoch state at this origin, as the expansions see
+// it.
 type ctarget struct {
 	locked    bool
 	lt        mpi.LockType
@@ -199,14 +245,13 @@ func (cw *casperWin) winFor(t int, ts *ctarget) *mpi.Win {
 	return w
 }
 
-// lookupWin is winFor returning nil where winFor panics.
+// lookupWin is winFor returning nil where winFor panics. A target is
+// covered by lockall exactly when its state is viaAll.
 func (cw *casperWin) lookupWin(t int, ts *ctarget) *mpi.Win {
-	if ts != nil && ts.locked && !ts.viaAll {
-		return cw.lockWins[cw.layout[t].lockWinIdx]
-	}
-	if cw.lockAllActive && cw.epochs.lock {
-		// lockall translated to per-target locks on the overlapping
-		// windows to avoid permission conflicts with lock epochs.
+	if ts != nil && ts.locked && (!ts.viaAll || cw.epochs.lock) {
+		// lockall is translated to per-target locks on the overlapping
+		// windows when lock epochs are declared too, to avoid permission
+		// conflicts with them.
 		return cw.lockWins[cw.layout[t].lockWinIdx]
 	}
 	return cw.active
@@ -216,12 +261,13 @@ func (cw *casperWin) lookupWin(t int, ts *ctarget) *mpi.Win {
 // on t's window, once per epoch ("Casper will internally lock all ghost
 // processes on a node", III-B). After a detected ghost failure only the
 // surviving ghosts (or, fully degraded, the target itself) are locked;
-// the exact set is recorded so Unlock releases what was taken.
-func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) {
+// the exact set is recorded so Unlock releases what was taken. It
+// reports whether it made the call.
+func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) bool {
 	if ts.ghostsLkd || w == cw.active {
 		// The active window holds a standing lockall; per-ghost lock
 		// state is created lazily by the ops themselves.
-		return
+		return false
 	}
 	ti := &cw.layout[t]
 	ghosts := cw.progressRanks(ti)
@@ -231,6 +277,7 @@ func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) {
 		ts.lockedGhosts = ghosts // not the layout's list: progressRanks built it for us
 	}
 	ts.ghostsLkd = true
+	return true
 }
 
 // reclaimEpochLocks re-opens a passive epoch's lock set mid-epoch after
@@ -241,10 +288,11 @@ func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) {
 // The grant cannot deadlock — the lock manager at the dead ghost has
 // already reclaimed its holds and admitted its queue (see
 // mpi/lock.go), and the surviving ghost's manager orders this request
-// like any other. No-op while every originally locked ghost is alive.
-func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) {
+// like any other. No-op while every originally locked ghost is alive. It
+// reports whether it made a call.
+func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) (relocked bool) {
 	if !ts.ghostsLkd || w == cw.active || !cw.p.r.World().AnyHealthFailure() {
-		return
+		return false
 	}
 	for _, g := range cw.progressRanks(&cw.layout[t]) {
 		locked := cw.lockedGhosts(t, ts)
@@ -263,7 +311,9 @@ func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) {
 		// append must copy.
 		ts.lockedGhosts = append(locked[:len(locked):len(locked)], g)
 		cw.p.r.Count(mpi.EpochRelocks, 1)
+		relocked = true
 	}
+	return relocked
 }
 
 // progressRanks returns the internal-comm ranks providing target-side
@@ -426,6 +476,7 @@ func (cw *casperWin) Fence(assert mpi.Assert) {
 		cw.active.Sync()
 	}
 	cw.fenceActive = !assert.Has(mpi.ModeNoSucceed)
+	cw.settle()
 	cw.resetDynamic()
 	cw.snapshotEpoch()
 }
@@ -436,7 +487,7 @@ func (cw *casperWin) Fence(assert mpi.Assert) {
 func (cw *casperWin) Post(group []int, assert mpi.Assert) {
 	cw.requireEpoch(cw.epochs.pscw, EpochPSCW)
 	if cw.exposureGroup != nil {
-		panic("casper: Post with exposure epoch open")
+		cw.misuse("casper: Post with exposure epoch open")
 	}
 	cw.exposureGroup = append([]int(nil), group...)
 	if !assert.Has(mpi.ModeNoCheck) {
@@ -451,7 +502,7 @@ func (cw *casperWin) Post(group []int, assert mpi.Assert) {
 func (cw *casperWin) Start(group []int, assert mpi.Assert) {
 	cw.requireEpoch(cw.epochs.pscw, EpochPSCW)
 	if cw.accessGroup != nil {
-		panic("casper: Start with access epoch open")
+		cw.misuse("casper: Start with access epoch open")
 	}
 	cw.accessGroup = append([]int(nil), group...)
 	if !assert.Has(mpi.ModeNoCheck) {
@@ -466,13 +517,14 @@ func (cw *casperWin) Start(group []int, assert mpi.Assert) {
 // targets.
 func (cw *casperWin) Complete() {
 	if cw.accessGroup == nil {
-		panic("casper: Complete without access epoch")
+		cw.misuse("casper: Complete without access epoch")
 	}
 	cw.active.FlushAll()
 	for _, t := range cw.accessGroup {
 		cw.comm.Send(t, tagPSCWDone, nil)
 	}
 	cw.accessGroup = nil
+	cw.settle()
 	cw.resetDynamic()
 	cw.snapshotEpoch()
 }
@@ -481,7 +533,7 @@ func (cw *casperWin) Complete() {
 // is already remotely complete because origins flushed before notifying.
 func (cw *casperWin) Wait() {
 	if cw.exposureGroup == nil {
-		panic("casper: Wait without exposure epoch")
+		cw.misuse("casper: Wait without exposure epoch")
 	}
 	for _, o := range cw.exposureGroup {
 		cw.comm.Recv(o, tagPSCWDone)
@@ -490,18 +542,46 @@ func (cw *casperWin) Wait() {
 	cw.exposureGroup = nil
 }
 
+// The passive-target calls below check and change the call side when they
+// are made and defer the rest (mpi.Win.Defer): what they translate into
+// reads detector verdicts, so the event loop expands it where the eager
+// process would make it (Expand). A completion whose return lets the
+// caller read what its ops changed (epHeld, or a Flush of the caller
+// itself) settles after deferring, which returns at the eager instant. On
+// a shepherd window, whose synchronization runs in the process, and when
+// the rank does not queue, the call settles and runs the expansion in the
+// process.
+
 // Lock opens a passive epoch to one user target by locking all ghosts of
 // the target's node on the target's own overlapping window (III-A,
 // III-B).
 func (cw *casperWin) Lock(t int, lt mpi.LockType, assert mpi.Assert) {
 	cw.requireEpoch(cw.epochs.lock, EpochLock)
-	ts := cw.target(t)
-	if ts.locked {
-		panic(fmt.Sprintf("casper: nested Lock to target %d", t))
+	f := cw.flags(t)
+	if *f&epLocked != 0 {
+		cw.misuse(fmt.Sprintf("casper: nested Lock to target %d", t))
 	}
+	*f |= epLocked
+	tag := tagLock
+	if lt == mpi.LockExclusive {
+		tag |= tagExcl
+	}
+	if cw.sh == nil && cw.user.Defer(tag, t, false) {
+		return
+	}
+	cw.settle()
+	cw.lockGhosts(t, tag)
+}
+
+// lockGhosts is Lock's expansion.
+func (cw *casperWin) lockGhosts(t int, tag uint8) {
+	ts := cw.target(t)
 	ts.locked = true
 	ts.viaAll = false
-	ts.lt = lt
+	ts.lt = mpi.LockShared
+	if tag&tagExcl != 0 {
+		ts.lt = mpi.LockExclusive
+	}
 	ts.ghostsLkd = false
 	ts.dynamicOK = false
 	if cw.sh != nil {
@@ -522,14 +602,30 @@ func (cw *casperWin) Lock(t int, lt mpi.LockType, assert mpi.Assert) {
 // Unlock closes the passive epoch: unlock every ghost (completing all
 // operations remotely).
 func (cw *casperWin) Unlock(t int) {
-	ts := cw.lookupTarget(t)
-	if ts == nil || !ts.locked || ts.viaAll {
-		panic(fmt.Sprintf("casper: Unlock of target %d without Lock", t))
+	if t < 0 || t >= len(cw.epoch) || cw.epoch[t]&(epLocked|epViaAll) != epLocked {
+		cw.misuse(fmt.Sprintf("casper: Unlock of target %d without Lock", t))
 	}
-	cw.winFor(t, ts).UnlockEach(cw.lockedGhosts(t, ts))
-	*ts = ctarget{}
-	if cw.sh != nil {
-		cw.sh.lockHolds[t]--
+	held := cw.release(t)
+	if cw.sh == nil && cw.user.Defer(tagUnlock, t, held) {
+		return
+	}
+	cw.settle()
+	cw.unlockGhosts(nil, 0, t)
+}
+
+// unlockGhosts is Unlock's expansion: it resumes at stage 1 to fold the
+// epoch close (snapshotEpoch) once the ghosts are unlocked.
+func (cw *casperWin) unlockGhosts(x *mpi.Expansion, st uint8, t int) {
+	if st == 0 {
+		ts := cw.target(t)
+		cw.winFor(t, ts).UnlockEach(cw.lockedGhosts(t, ts))
+		*ts = ctarget{}
+		if cw.sh != nil {
+			cw.sh.lockHolds[t]--
+		}
+		if cw.rec != nil && cw.yield(x, 1, 0) {
+			return
+		}
 	}
 	cw.snapshotEpoch()
 }
@@ -537,11 +633,12 @@ func (cw *casperWin) Unlock(t int) {
 // LockAll opens a lockall epoch. When lock epochs are also declared it
 // is converted to a series of per-target ghost locks on the overlapping
 // windows (III-C-3); otherwise it rides the active window's standing
-// lockall.
+// lockall. Either way it only opens the call side: each target's state
+// opens at its first use.
 func (cw *casperWin) LockAll(assert mpi.Assert) {
 	cw.requireEpoch(cw.epochs.lockall, EpochLockAll)
 	if cw.lockAllActive {
-		panic("casper: nested LockAll")
+		cw.misuse("casper: nested LockAll")
 	}
 	cw.lockAllActive = true
 }
@@ -549,27 +646,53 @@ func (cw *casperWin) LockAll(assert mpi.Assert) {
 // UnlockAll closes the lockall epoch, completing all operations.
 func (cw *casperWin) UnlockAll() {
 	if !cw.lockAllActive {
-		panic("casper: UnlockAll without LockAll")
+		cw.misuse("casper: UnlockAll without LockAll")
 	}
-	if cw.epochs.lock {
-		for t := range cw.targets { // ascending target order
-			ts := &cw.targets[t]
-			if ts.viaAll && ts.locked {
-				if ts.ghostsLkd {
-					cw.lockWins[cw.layout[t].lockWinIdx].UnlockEach(cw.lockedGhosts(t, ts))
-				}
-				*ts = ctarget{}
-			}
-		}
-	} else {
-		cw.active.FlushAll()
-		for t := range cw.targets {
-			if cw.targets[t].viaAll {
-				cw.targets[t] = ctarget{}
-			}
+	wait := cw.holds > 0
+	for t, f := range cw.epoch {
+		if f&epViaAll != 0 {
+			cw.release(t)
 		}
 	}
 	cw.lockAllActive = false
+	if cw.sh == nil && cw.user.Defer(tagUnlockAll, 0, wait) {
+		return
+	}
+	cw.settle()
+	cw.unlockAll(nil, 0, 0)
+}
+
+// unlockAll is UnlockAll's expansion from target from on: it stops when
+// the queue has no room, resuming at the target it stopped at, and
+// resumes at stage 1 to fold the epoch close.
+func (cw *casperWin) unlockAll(x *mpi.Expansion, st uint8, from int) {
+	if st == 0 {
+		if cw.epochs.lock {
+			for t := from; t < len(cw.targets); t++ { // ascending target order
+				ts := &cw.targets[t]
+				if ts.viaAll && ts.locked {
+					if x != nil && !x.Room(1) {
+						x.Again(0, t)
+						return
+					}
+					if ts.ghostsLkd {
+						cw.lockWins[cw.layout[t].lockWinIdx].UnlockEach(cw.lockedGhosts(t, ts))
+					}
+					*ts = ctarget{}
+				}
+			}
+		} else {
+			cw.active.FlushAll()
+			for t := range cw.targets {
+				if cw.targets[t].viaAll {
+					cw.targets[t] = ctarget{}
+				}
+			}
+		}
+		if cw.rec != nil && cw.yield(x, 1, 0) {
+			return
+		}
+	}
 	cw.snapshotEpoch()
 }
 
@@ -578,52 +701,162 @@ func (cw *casperWin) UnlockAll() {
 // static-binding-free interval in which dynamic load balancing of
 // PUT/GET is legal (III-B-3).
 func (cw *casperWin) Flush(t int) {
-	ts := cw.lookupTarget(t)
-	if ts == nil || !ts.locked {
+	tag := tagFlush
+	if t < 0 || t >= len(cw.epoch) || cw.epoch[t]&epLocked == 0 {
 		switch {
 		case cw.lockAllActive:
-			ts = cw.epochStateFor(t) // opens the lazy per-target state
+			*cw.flags(t) |= epLocked | epViaAll // opens the lazy per-target state
+			tag |= tagOpens
 		case cw.fenceActive:
-			ts = cw.target(t) // flush rides the active window
+			cw.flags(t) // flush rides the active window
 		default:
-			panic(fmt.Sprintf("casper: Flush of target %d without passive epoch", t))
+			cw.misuse(fmt.Sprintf("casper: Flush of target %d without passive epoch", t))
 		}
 	}
+	wait := cw.epoch[t]&epHeld != 0 || t == cw.comm.Rank()
+	if wait {
+		cw.unhold(t)
+	}
+	if cw.sh == nil && cw.user.Defer(tag, t, wait) {
+		return
+	}
+	cw.settle()
+	cw.flushTarget(nil, 0, t, tag)
+}
+
+// flushTarget is Flush's expansion.
+func (cw *casperWin) flushTarget(x *mpi.Expansion, st uint8, t int, tag uint8) {
+	ts := cw.target(t)
+	if st == 0 && tag&tagOpens != 0 {
+		openViaAll(ts)
+	}
+	cw.flushGhosts(x, st, t, ts, 0)
+}
+
+// flushGhosts flushes target t's ghosts, forcing their locks, from stage
+// st on, and reports whether the expansion stopped to resume at pos:
+// after the locks it took (stages 1 and 2, see touchGhosts), or with no
+// room left in the queue part way through the ghosts (stage 3, which
+// resumes the walk over the same list, cw.flushing).
+func (cw *casperWin) flushGhosts(x *mpi.Expansion, st uint8, t int, ts *ctarget, pos int) bool {
 	w := cw.winFor(t, ts)
-	if ts.locked {
-		cw.ensureGhostLocks(t, ts, w)
-		cw.reclaimEpochLocks(t, ts, w)
+	gs, i := cw.flushing, cw.flushNext
+	if st < 3 {
+		if ts.locked && cw.touchGhosts(x, st, t, ts, w, pos) {
+			return true
+		}
+		gs, i = cw.flushRanks(t, ts, w), 0
 	}
-	for _, g := range cw.flushRanks(t, ts, w) {
-		w.Acquire(g)
-		w.Flush(g)
+	for ; i < len(gs); i++ {
+		if x != nil && !x.Room(2) {
+			cw.flushing, cw.flushNext = gs, i
+			x.Again(3, pos)
+			return true
+		}
+		w.Acquire(gs[i])
+		w.Flush(gs[i])
 	}
+	cw.flushing = nil
 	ts.dynamicOK = true
+	return false
+}
+
+// touchGhosts takes the ghost locks target t's epoch owes at its first
+// touch (stage 0), then relocks what a detected failure took (stage 1),
+// and reports whether the expansion stopped after either, to resume at
+// the next stage and pos.
+func (cw *casperWin) touchGhosts(x *mpi.Expansion, st uint8, t int, ts *ctarget, w *mpi.Win, pos int) bool {
+	if st == 0 && cw.ensureGhostLocks(t, ts, w) && cw.yield(x, 1, pos) {
+		return true
+	}
+	return st <= 1 && cw.reclaimEpochLocks(t, ts, w) && cw.yield(x, 2, pos)
 }
 
 // FlushAll flushes every target this origin has touched.
 func (cw *casperWin) FlushAll() {
-	for t := range cw.targets { // ascending target order
+	wait := cw.holds > 0
+	if wait {
+		for t := range cw.epoch {
+			cw.unhold(t)
+		}
+	}
+	if cw.sh == nil && cw.user.Defer(tagFlushAll, 0, wait) {
+		return
+	}
+	cw.settle()
+	cw.flushAll(nil, 0, 0)
+}
+
+// flushAll is FlushAll's expansion from target from on: each locked
+// target's flushes read the detector where the previous target's flushes
+// have returned, so the expansion resumes there (stage 0 at the next
+// target), as it does after the ghost locks it takes for one
+// (touchGhosts). Where nothing it reads can change meanwhile it stops
+// only when the queue has no room, and resumes at the target it stopped
+// at.
+func (cw *casperWin) flushAll(x *mpi.Expansion, st uint8, from int) {
+	for t := from; t < len(cw.targets); t++ { // ascending target order
 		ts := &cw.targets[t]
 		if !ts.locked {
 			continue
 		}
-		w := cw.winFor(t, ts)
-		cw.ensureGhostLocks(t, ts, w)
-		cw.reclaimEpochLocks(t, ts, w)
-		for _, g := range cw.flushRanks(t, ts, w) {
-			w.Acquire(g)
-			w.Flush(g)
+		if st == 0 && x != nil && !x.Room(2) {
+			x.Again(0, t)
+			return
 		}
-		ts.dynamicOK = true
+		if cw.flushGhosts(x, st, t, ts, t) || cw.yield(x, 0, t+1) {
+			return
+		}
+		st = 0
 	}
 	if cw.active != nil {
 		cw.active.FlushAll()
 	}
 }
 
+// Expand implements mpi.Expander: the event loop has reached a deferred
+// call, at the pop where the eager process makes what it translates into.
+func (cw *casperWin) Expand(x *mpi.Expansion) bool {
+	tag, t, st := x.Tag(), x.Target(), x.Stage()
+	switch tag & tagCall {
+	case tagOp:
+		kind, op, disp, dt, src, dst, cmp := x.Op()
+		return cw.routeOp(x, st, tag, kind, op, t, disp, dt, src, dst, cmp)
+	case tagLock:
+		cw.lockGhosts(t, tag)
+	case tagUnlock:
+		cw.unlockGhosts(x, st, t)
+	case tagFlush:
+		cw.flushTarget(x, st, t, tag)
+	case tagFlushAll:
+		cw.flushAll(x, st, x.Pos())
+	case tagUnlockAll:
+		cw.unlockAll(x, st, x.Pos())
+	}
+	return false
+}
+
+// yield ends an expansion stage that made MPI calls when what comes next
+// reads what changes while they run (volatile), which it must read once
+// they return. It reports true when the call is deferred: the rest is
+// then expanded from stage and pos at that pop (mpi.Expansion.Again). In
+// the process (x nil) it settles the calls queued meanwhile and reports
+// false: the rest runs on.
+func (cw *casperWin) yield(x *mpi.Expansion, stage uint8, pos int) bool {
+	if !cw.volatile {
+		return false
+	}
+	if x == nil {
+		cw.settle()
+		return false
+	}
+	x.Again(stage, pos)
+	return true
+}
+
 // FlushLocal completes operations locally.
 func (cw *casperWin) FlushLocal(t int) {
+	cw.settle()
 	if ts := cw.lookupTarget(t); ts != nil && ts.locked {
 		cw.winFor(t, ts).FlushLocal(0)
 	}
@@ -645,8 +878,9 @@ func (cw *casperWin) Sync() { cw.user.Sync() }
 // over the window's user communicator.
 func (cw *casperWin) Free() {
 	if cw.freed {
-		panic("casper: Free called twice")
+		cw.misuse("casper: Free called twice")
 	}
+	cw.settle()
 	cw.freed = true
 	if cw.comm.Rank() == 0 {
 		cw.p.d.sendCmd(encodeFreeCmd(cw.meta.key, cw.meta.idx))
@@ -667,9 +901,54 @@ func (cw *casperWin) Free() {
 
 func (cw *casperWin) requireEpoch(declared bool, name string) {
 	if !declared {
-		panic(fmt.Sprintf("casper: %s epoch used but not declared in %s hint",
+		cw.misuse(fmt.Sprintf("casper: %s epoch used but not declared in %s hint",
 			name, InfoEpochsUsed))
 	}
+}
+
+// misuse panics with msg where the eager call does: once the calls made
+// before it are done.
+func (cw *casperWin) misuse(msg string) {
+	cw.settle()
+	panic(msg)
+}
+
+// settle parks until the rank's deferred and queued calls are done (see
+// mpi's issue queue), where the eager process would be.
+func (cw *casperWin) settle() { cw.p.r.Proc().Settle() }
+
+// flags returns target t's call-side flags. An out-of-range t panics as
+// indexing does, once settled.
+func (cw *casperWin) flags(t int) *uint8 {
+	if t < 0 || t >= len(cw.epoch) {
+		cw.settle()
+	}
+	return &cw.epoch[t]
+}
+
+// hold marks target t's next completion as one the caller may read the
+// effect of (epHeld).
+func (cw *casperWin) hold(t int) {
+	if cw.epoch[t]&epHeld == 0 {
+		cw.epoch[t] |= epHeld
+		cw.holds++
+	}
+}
+
+// unhold clears t's mark.
+func (cw *casperWin) unhold(t int) {
+	if cw.epoch[t]&epHeld != 0 {
+		cw.epoch[t] &^= epHeld
+		cw.holds--
+	}
+}
+
+// release closes t's call side and reports whether it was held.
+func (cw *casperWin) release(t int) (held bool) {
+	held = cw.epoch[t]&epHeld != 0
+	cw.unhold(t)
+	cw.epoch[t] = 0
+	return held
 }
 
 // snapshotEpoch folds this rank's region guards at an epoch close —

@@ -216,7 +216,7 @@ func (w *Win) lockEach(list []int, one int, lock LockType) {
 		q.push(it, list, false)
 		return
 	}
-	q.settleLead()
+	w.r.settle()
 	w.r.engine.enterMPI()
 	defer w.r.mpiLeave()
 	w.sync(&it, list, false)
@@ -282,7 +282,7 @@ func (w *Win) unlockEach(list []int, one int) {
 			return
 		}
 	}
-	q.settleLead()
+	w.r.settle()
 	w.r.engine.enterMPI()
 	defer w.r.mpiLeave()
 	w.sync(&it, list, false)
@@ -291,7 +291,7 @@ func (w *Win) unlockEach(list []int, one int) {
 // closeEpochs closes the epochs of a queued UnlockEach: unless one of its
 // calls is a misuse — a target not locked, locked by LockAll, or unlocked
 // twice — it clears every target's flags and reports true, and held when
-// one of the epochs held its completion (see HoldCompletion); otherwise it changes
+// one of the epochs held its completion (see holdCompletion); otherwise it changes
 // nothing.
 func (w *Win) closeEpochs(list []int, one int) (ok, held bool) {
 	if !w.markTargets(list, one, func(ep uint8) bool { return ep&epLocked != 0 && ep&epViaAll == 0 }) {
@@ -329,13 +329,12 @@ func nthTarget(list []int, one, i int) int {
 	return list[i]
 }
 
-// HoldCompletion marks target's epoch as one whose next completion the
+// holdCompletion marks target's epoch as one whose next completion the
 // caller may read the effect of when it returns: an op on it writes origin
 // memory (Get, GetAccumulate, FetchAndOp, CAS) or targets the caller's own
-// window — directly, or, for the layers above, through another rank:
-// Casper marks the ghosts its ops on the caller's own window go through. Such a completion settles (issue.go), and clears
-// the mark once it has returned. No-op outside a passive epoch.
-func (w *Win) HoldCompletion(target int) {
+// window. Such a completion settles (issue.go), and clears the mark once it
+// has returned. No-op outside a passive epoch.
+func (w *Win) holdCompletion(target int) {
 	if ep := w.epochFlags(target); ep&epLocked != 0 && ep&epHold == 0 {
 		w.epoch[target] |= epHold
 		w.holds++
@@ -460,12 +459,13 @@ func (w *Win) Sync() {
 // flush; Casper calls it explicitly so that a flush opens the
 // static-binding-free interval on every ghost of the node (III-B-3).
 // Nothing the caller can read changes when it returns, so it is queued
-// wherever the rank queues calls, except on the caller itself.
+// wherever the rank queues calls, except on the caller itself — unless an
+// expansion makes it, whose layer settles where its caller may read.
 func (w *Win) Acquire(target int) {
 	r := w.r
 	it := issueItem{kind: itemAcquire, w: w}
 	it.call.target = target
-	if target != w.me && target >= 0 && target < len(w.g.comm.ranks) && r.issueQ.serves(w) {
+	if (target != w.me || r.issueQ.exp != nil) && target >= 0 && target < len(w.g.comm.ranks) && r.issueQ.serves(w) {
 		if ep, ok := w.coverTarget(target); ok {
 			it.ep = ep & epKinds
 			r.issueQ.push(it, nil, false)
@@ -501,14 +501,14 @@ func (w *Win) coverTarget(target int) (uint8, bool) {
 // under: those of the passive epoch covering its target, which a lockall
 // epoch covers here on first use, or in a fence or PSCW epoch the
 // target's flags as they stand. A passive call whose effect the caller
-// can read holds the target's next completion (see HoldCompletion).
+// can read holds the target's next completion (see holdCompletion).
 func (w *Win) callEpoch(c *rmaCall) uint8 {
 	if w.access != nil || w.fenceActive {
 		return w.epochFlags(c.target) & epKinds
 	}
 	ep, _ := w.coverTarget(c.target)
 	if c.kind.writesOrigin() || c.target == w.me {
-		w.HoldCompletion(c.target)
+		w.holdCompletion(c.target)
 	}
 	return ep & epKinds
 }
@@ -538,11 +538,12 @@ func (w *Win) requestLock(target int, ep uint8) {
 type syncStage uint8
 
 const (
-	stNext  syncStage = iota // take the target or channel at pos
-	stOwed                   // the entry costs owed up to pos are paid: act on its target
-	stGrant                  // await the lock grant of the channel at pos
-	stDrain                  // await the remote completion of everything issued on it
-	stDone                   // the last owed entry costs are paid
+	stNext   syncStage = iota // take the target or channel at pos
+	stOwed                    // the entry costs owed up to pos are paid: act on its target
+	stGrant                   // await the lock grant of the channel at pos
+	stDrain                   // await the remote completion of everything issued on it
+	stDone                    // the last owed entry costs are paid
+	stCredit                  // an RMA call awaits a flow-control credit (flowState.serve)
 )
 
 // waitNames are the park reasons of one call's waits, constants so that a

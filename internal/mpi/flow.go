@@ -94,6 +94,36 @@ func (f *flowState) acquire(r *Rank, target int) *creditChan {
 	return ch
 }
 
+// serve is acquire for queued item it, an RMA call, at the pop where the
+// eager call acquires: it returns the channel holding the credit, or
+// reports true having registered the rank's served wait on the window,
+// and is run again when that wakes it. The stall is counted as acquire
+// counts it, from it.d, its start.
+func (f *flowState) serve(q *issueQueue, it *issueItem) (*creditChan, bool) {
+	r := q.r
+	ch := f.chanFor(r.id, it.w.g.comm.ranks[it.call.target])
+	if it.stage == stCredit {
+		ch.waiters--
+	} else {
+		if ch.available > 0 {
+			ch.available--
+			return ch, false
+		}
+		it.d = sim.Duration(f.w.eng.Now())
+		r.stats[CreditStalls]++
+		ch.stalls++
+	}
+	if ch.available <= 0 {
+		ch.waiters++
+		it.stage = stCredit
+		ch.sig.Serve(r.proc, q, ch.waitReason)
+		return nil, true
+	}
+	r.stats[CreditStallTime] += int64(f.w.eng.Now() - sim.Time(it.d))
+	ch.available--
+	return ch, false
+}
+
 // release returns one credit and wakes any origin parked on the window.
 func (ch *creditChan) release() {
 	ch.available++

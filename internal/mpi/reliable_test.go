@@ -340,6 +340,7 @@ func TestUnackedOrderSurvivesFailover(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			win.Accumulate(PutFloat64s([]float64{float64(i + 1)}), 1, i*8, Scalar(Float64), OpSum)
 		}
+		r.settle() // the calls are queued: settled, they have posted, as eager calls have on return
 		rel, st := r.w.rel, win.relStream(r.w.rel, 1)
 		pkts := append([]*packet(nil), st.pending()...)
 		if len(pkts) != 8 || st.live != 8 {

@@ -241,32 +241,32 @@ func (w *Win) newOp(c *rmaCall) *rmaOp {
 
 // Put implements Window.
 func (w *Win) Put(src []byte, target int, disp int, dt Datatype) {
-	w.issue(rmaCall{kind: KindPut, op: OpReplace, target: target, disp: disp, dt: dt, data: src}, nil)
+	w.issue(&rmaCall{kind: KindPut, op: OpReplace, target: target, disp: disp, dt: dt, data: src}, nil)
 }
 
 // Get implements Window.
 func (w *Win) Get(dst []byte, target int, disp int, dt Datatype) {
-	w.issue(rmaCall{kind: KindGet, op: OpNoOp, target: target, disp: disp, dt: dt, dst: dst}, nil)
+	w.issue(&rmaCall{kind: KindGet, op: OpNoOp, target: target, disp: disp, dt: dt, dst: dst}, nil)
 }
 
 // Accumulate implements Window.
 func (w *Win) Accumulate(src []byte, target int, disp int, dt Datatype, op Op) {
-	w.issue(rmaCall{kind: KindAcc, op: op, target: target, disp: disp, dt: dt, data: src}, nil)
+	w.issue(&rmaCall{kind: KindAcc, op: op, target: target, disp: disp, dt: dt, data: src}, nil)
 }
 
 // GetAccumulate implements Window.
 func (w *Win) GetAccumulate(src, result []byte, target int, disp int, dt Datatype, op Op) {
-	w.issue(rmaCall{kind: KindGetAcc, op: op, target: target, disp: disp, dt: dt, data: src, dst: result}, nil)
+	w.issue(&rmaCall{kind: KindGetAcc, op: op, target: target, disp: disp, dt: dt, data: src, dst: result}, nil)
 }
 
 // FetchAndOp implements Window.
 func (w *Win) FetchAndOp(src, result []byte, target int, disp int, b BasicType, op Op) {
-	w.issue(rmaCall{kind: KindFetchOp, op: op, target: target, disp: disp, dt: Scalar(b), data: src, dst: result}, nil)
+	w.issue(&rmaCall{kind: KindFetchOp, op: op, target: target, disp: disp, dt: Scalar(b), data: src, dst: result}, nil)
 }
 
 // CompareAndSwap implements Window.
 func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp int, b BasicType) {
-	w.issue(rmaCall{kind: KindCAS, op: OpReplace, target: target, disp: disp, dt: Scalar(b), data: origin, dst: result}, compare)
+	w.issue(&rmaCall{kind: KindCAS, op: OpReplace, target: target, disp: disp, dt: Scalar(b), data: origin, dst: result}, compare)
 }
 
 // issue charges origin-side cost, checks the call, and either sends the
@@ -276,16 +276,16 @@ func (w *Win) CompareAndSwap(compare, origin, result []byte, target int, disp in
 // the call returns. A queueable call returns at once and is issued by the
 // event loop (see issue.go); the rest take the eager path below, on which
 // every misuse panics.
-func (w *Win) issue(c rmaCall, cmp []byte) {
+func (w *Win) issue(c *rmaCall, cmp []byte) {
 	r := w.r
-	if r.issueQ.admit(w, &c, cmp) {
+	if r.issueQ.admit(w, c, cmp) {
 		return
 	}
-	r.issueQ.settleLead()
+	r.settle()
 	r.engine.enterMPI()
 	defer r.mpiLeave()
 	r.proc.Advance(r.callCost() + r.issueCost())
-	if msg := w.check(&c, cmp); msg != "" {
+	if msg := w.check(c, cmp, true); msg != "" {
 		panic(msg)
 	}
 	var credit *creditChan
@@ -296,20 +296,21 @@ func (w *Win) issue(c rmaCall, cmp []byte) {
 		// proc is parked.
 		credit = f.acquire(r, w.g.comm.ranks[c.target])
 	}
-	o := w.newOp(&c)
+	o := w.newOp(c)
 	o.data = snapshot(r.pool, c.dt, c.data, cmp, &o.inl)
 	if credit != nil {
 		o.extra().credit = credit
 	}
-	w.post(o, w.callEpoch(&c))
+	w.post(o, w.callEpoch(c))
 }
 
 // check makes every test of call c (and of cmp, a CAS's compare value)
 // that the issue makes before it commits the call, and returns the first
 // that fails, "" when c may post; the issue panics with it. The eager
 // issue checks right after the call's step, the issue queue when it
-// admits the call (see issue.go).
-func (w *Win) check(c *rmaCall, cmp []byte) string {
+// admits the call (see issue.go). excuse lets a crashed target's empty
+// region pass the bounds test.
+func (w *Win) check(c *rmaCall, cmp []byte, excuse bool) string {
 	g := w.g
 	if err := c.dt.Validate(); err != nil {
 		return err.Error()
@@ -325,7 +326,7 @@ func (w *Win) check(c *rmaCall, cmp []byte) string {
 	// fails over to a surviving server once the detector confirms the
 	// death. So the bounds check only the omniscient simulator could
 	// perform is suppressed, and the reliable transport recovers the op.
-	crashed := c.disp >= 0 && g.w.FaultsEnabled() && g.w.ranks[g.comm.ranks[t]].failed
+	crashed := excuse && c.disp >= 0 && g.w.FaultsEnabled() && g.w.ranks[g.comm.ranks[t]].failed
 	if (c.disp < 0 || c.disp+c.dt.Extent() > reg.n) && !crashed {
 		return fmt.Sprintf("mpi: %v at disp %d extent %d outside %d-byte window of target %d",
 			c.kind, c.disp, c.dt.Extent(), reg.n, t)

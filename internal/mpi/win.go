@@ -112,6 +112,8 @@ type Win struct {
 	epoch []uint8
 	chans []*chanState
 	holds int // targets whose epoch carries epHold
+
+	layer Expander // expands the calls deferred on the handle (see SetExpander)
 }
 
 type pscwAccess struct {
@@ -132,7 +134,7 @@ const (
 	epLocked uint8 = 1 << iota // Lock() called (or implied by LockAll)
 	epViaAll                   // the implied kind: closed by UnlockAll
 	epExcl                     // LockExclusive
-	epHold                     // the next completion of the target settles (see HoldCompletion)
+	epHold                     // the next completion of the target settles (see holdCompletion)
 	epSeen                     // scratch mark of a target list's admission check
 
 	epKinds = epLocked | epViaAll | epExcl // what a channel carries (lockMsg.ep)

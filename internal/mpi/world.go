@@ -173,10 +173,6 @@ type World struct {
 	// pool recycles transient RMA message-path buffers (see pool.go).
 	pool bufPool
 
-	// queueIssue lets ranks queue their RMA calls for the event loop to
-	// issue (see issue.go and Rank.QueuesIssue).
-	queueIssue bool
-
 	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled
 	// under a fault plan, where reliability packets retain op pointers
 	// past terminal state.
@@ -224,7 +220,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.NoSimFastPath {
 		w.eng.DisableFastPaths()
 	}
-	w.queueIssue = !w.eng.FastPathsDisabled() && cfg.Fault == nil && cfg.Flow == nil
 	if cfg.Validate {
 		w.validator = newValidator()
 	}

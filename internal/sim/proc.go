@@ -127,11 +127,14 @@ func (p *Proc) Serve(c Continuation, d Duration) bool {
 	return true
 }
 
-// serveWait registers p on s as Wait does, without parking: the wake-up is
-// the resume event Wait's would be, under the same seq, and the event loop
-// runs c there instead of switching into p. Like Serve it requires the
-// fast paths, and p may go on running only on state nobody else sees.
-func (s *Signal) serveWait(p *Proc, c Continuation, reason string) {
+// Serve is Wait for a process whose calls the event loop serves (see
+// Proc.Serve): it registers p on s as Wait does, without parking. The
+// wake-up is the resume event Wait's would be, under the same seq, and the
+// event loop runs c there instead of switching into p; c re-checks what p
+// waited for, as a waiter must. Like Proc.Serve it requires the fast
+// paths, and p may go on running only on state nobody else sees. While the
+// wait lasts, deadlock and watchdog reports name reason for p.
+func (s *Signal) Serve(p *Proc, c Continuation, reason string) {
 	if p.eng.fastOff {
 		panic(fmt.Sprintf("sim: %s serving a wait with the fast paths disabled", p.name))
 	}
@@ -283,7 +286,7 @@ func (c *Completion) Serve(p *Proc, cont Continuation, reason string) bool {
 	if c.done {
 		return false
 	}
-	c.sig.serveWait(p, cont, reason)
+	c.sig.Serve(p, cont, reason)
 	return true
 }
 
@@ -325,6 +328,6 @@ func (c *CompletionSet) Serve(p *Proc, cont Continuation, reason string) bool {
 	if c.pending == 0 {
 		return false
 	}
-	c.sig.serveWait(p, cont, reason)
+	c.sig.Serve(p, cont, reason)
 	return true
 }

@@ -351,3 +351,77 @@ func TestServedWaitNamedInDeadlockReport(t *testing.T) {
 		t.Fatalf("Run returned %v, want a deadlock naming the served wait", err)
 	}
 }
+
+// servedSignal is a continuation that, at the end of a served step, waits
+// on s twice, noting each wake-up: what
+//
+//	p.Advance(10); s.Wait(p, ...); woke(); s.Wait(p, ...); woke()
+//
+// does at the same pops, done by the event loop in its stead.
+type servedSignal struct {
+	p     *Proc
+	s     *Signal
+	waits int
+	woke  func()
+}
+
+func (w *servedSignal) Continue() bool {
+	if w.waits > 0 {
+		w.woke()
+	}
+	if w.waits == 2 {
+		return false
+	}
+	w.waits++
+	w.s.Serve(w.p, w, "awaiting s")
+	return true
+}
+
+// TestSignalServeMatchesWait pins Signal.Serve's contract: a served waiter
+// and a parked waiter on one Signal are woken by a Broadcast in arrival
+// order, under the same resume events (at, seq) that Wait gives both, and
+// a served waiter that re-registers from its continuation waits for the
+// next Broadcast, as a process waiting again after its wake-up does.
+func TestSignalServeMatchesWait(t *testing.T) {
+	sc := func(served bool) script {
+		return func(e *Engine, logf func(string, ...interface{})) {
+			var s Signal
+			for _, at := range []Time{20, 30} {
+				e.At(at, func() { logf("broadcast"); s.Broadcast() })
+			}
+			woke := func() { logf("a woke") }
+			e.Spawn("a", func(p *Proc) {
+				if served {
+					p.Serve(&servedSignal{p: p, s: &s, woke: woke}, 10)
+					p.Settle()
+				} else {
+					p.Advance(10)
+					for i := 0; i < 2; i++ {
+						s.Wait(p, "awaiting s")
+						woke()
+					}
+				}
+				logf("a done")
+			})
+			e.Spawn("b", func(p *Proc) {
+				p.Advance(12)
+				for i := 0; i < 2; i++ {
+					s.Wait(p, "awaiting s")
+					logf("b woke")
+				}
+			})
+		}
+	}
+	served, plain := runScript(sc(true)), runScript(sc(false))
+	diffOutcome(t, "served wait vs Signal.Wait", served, plain)
+	var order []string
+	for _, l := range served.log {
+		order = append(order, l[strings.LastIndex(l, " ")+1:])
+	}
+	if want := []string{"broadcast", "woke", "woke", "broadcast", "woke", "done", "woke"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("served run logged %q, want %q: one wake-up per waiter per Broadcast, a first", order, want)
+	}
+	if served.switches >= plain.switches {
+		t.Errorf("served run switched %d times, the parked run %d: want fewer", served.switches, plain.switches)
+	}
+}
