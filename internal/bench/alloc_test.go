@@ -108,7 +108,7 @@ func TestFig6aSwitchesPerOp(t *testing.T) {
 
 // robustSwitchesPerOp is what TestRobustSwitchesPerOp measured when its
 // bound was last set.
-const robustSwitchesPerOp = 1.144
+const robustSwitchesPerOp = 1.107
 
 // TestRobustSwitchesPerOp holds fault-plan and flow-control worlds to the
 // served issue path: one serial faultchaos and one serial overload sweep
@@ -116,10 +116,12 @@ const robustSwitchesPerOp = 1.144
 // operation issued. Before every world queued, these worlds ran every call
 // in the process — two switches per Casper RMA op (the redirect overhead,
 // then the MPI issue), one per lock entry, grant and remote completion
-// waited for, one per credit stall — and read 3.484 per op here. Served,
-// an origin is switched in at the calls that settle it: barriers, fences,
-// computes, completions whose results it reads, a full queue. Both
-// counters are process-wide, so the test must not run in parallel.
+// waited for, one per credit stall — and read 3.484 per op here; 1.144
+// while the overload shepherd's windows still synchronized in the
+// process. Served, an origin is switched in at the calls that settle it:
+// barriers, fences, computes, completions whose results it reads, a full
+// queue. Both counters are process-wide, so the test must not run in
+// parallel.
 func TestRobustSwitchesPerOp(t *testing.T) {
 	o := tiny()
 	o.Parallel = 1

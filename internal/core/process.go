@@ -187,14 +187,6 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	}
 	if p.d.cfg.Overload != nil {
 		cw.sh = p.attachOverload(cw)
-		// The shepherd's events read epoch state this rank's calls
-		// change: its synchronization calls must run where they are made.
-		for _, w := range lockWins {
-			w.SyncInProcess()
-		}
-		if activeWin != nil {
-			activeWin.SyncInProcess()
-		}
 	}
 	cw.volatile = p.r.World().FaultsEnabled() || cw.sh != nil || p.d.cfg.UnsafeNoBinding || lb == LBRandom
 	if p.r.World().FaultsEnabled() {

@@ -60,9 +60,8 @@ func (cw *casperWin) CompareAndSwap(compare, origin, result []byte, t int, disp 
 // after the overhead: the call is deferred as one item, and the event loop
 // routes it at the pop of the overhead step (routeOp, from Expand). A call
 // that cannot be deferred — the rank does not queue, a self-local Put/Get,
-// a shepherd window with lock epochs, or a call that fails a check route
-// or the MPI issue would panic on — settles, pays the overhead in the
-// process and routes there.
+// or a call that fails a check route or the MPI issue would panic on —
+// settles, pays the overhead in the process and routes there.
 func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 	src, dst []byte, op mpi.Op, cmp []byte) {
 	if t < 0 || t >= len(cw.layout) {
@@ -84,12 +83,11 @@ func (cw *casperWin) redirect(kind mpi.OpKind, t, disp int, dt mpi.Datatype,
 
 // defers reports whether an RMA call may be deferred: routeOp can run it
 // as an expansion. It cannot take a self-local Put/Get, whose copy the
-// process pays, nor the ghost locks of a shepherd window, whose
-// synchronization runs in the process; and the checks that would panic
-// after the overhead — route's, and the MPI issue's of a datatype or
-// buffer — must panic there, on the eager path.
+// process pays; and the checks that would panic after the overhead —
+// route's, and the MPI issue's of a datatype or buffer — must panic
+// there, on the eager path.
 func (cw *casperWin) defers(kind mpi.OpKind, t, disp int, dt mpi.Datatype, src, dst, cmp []byte) bool {
-	if cw.selfOp(kind, t) || cw.sh != nil && cw.epochs.lock || dt.Validate() != nil {
+	if cw.selfOp(kind, t) || dt.Validate() != nil {
 		return false
 	}
 	n := dt.Size()

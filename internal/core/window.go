@@ -544,13 +544,13 @@ func (cw *casperWin) Wait() {
 
 // The passive-target calls below check and change the call side when they
 // are made and defer the rest (mpi.Win.Defer): what they translate into
-// reads detector verdicts, so the event loop expands it where the eager
+// reads detector verdicts and the shepherd's staged bindings and epoch
+// counts (lockHolds), so the event loop expands it where the eager
 // process would make it (Expand). A completion whose return lets the
 // caller read what its ops changed (epHeld, or a Flush of the caller
-// itself) settles after deferring, which returns at the eager instant. On
-// a shepherd window, whose synchronization runs in the process, and when
-// the rank does not queue, the call settles and runs the expansion in the
-// process.
+// itself) settles after deferring, which returns at the eager instant.
+// When the rank does not queue, the call settles and runs the expansion
+// in the process.
 
 // Lock opens a passive epoch to one user target by locking all ghosts of
 // the target's node on the target's own overlapping window (III-A,
@@ -566,7 +566,7 @@ func (cw *casperWin) Lock(t int, lt mpi.LockType, assert mpi.Assert) {
 	if lt == mpi.LockExclusive {
 		tag |= tagExcl
 	}
-	if cw.sh == nil && cw.user.Defer(tag, t, false) {
+	if cw.user.Defer(tag, t, false) {
 		return
 	}
 	cw.settle()
@@ -606,7 +606,7 @@ func (cw *casperWin) Unlock(t int) {
 		cw.misuse(fmt.Sprintf("casper: Unlock of target %d without Lock", t))
 	}
 	held := cw.release(t)
-	if cw.sh == nil && cw.user.Defer(tagUnlock, t, held) {
+	if cw.user.Defer(tagUnlock, t, held) {
 		return
 	}
 	cw.settle()
@@ -655,7 +655,7 @@ func (cw *casperWin) UnlockAll() {
 		}
 	}
 	cw.lockAllActive = false
-	if cw.sh == nil && cw.user.Defer(tagUnlockAll, 0, wait) {
+	if cw.user.Defer(tagUnlockAll, 0, wait) {
 		return
 	}
 	cw.settle()
@@ -717,7 +717,7 @@ func (cw *casperWin) Flush(t int) {
 	if wait {
 		cw.unhold(t)
 	}
-	if cw.sh == nil && cw.user.Defer(tag, t, wait) {
+	if cw.user.Defer(tag, t, wait) {
 		return
 	}
 	cw.settle()
@@ -780,7 +780,7 @@ func (cw *casperWin) FlushAll() {
 			cw.unhold(t)
 		}
 	}
-	if cw.sh == nil && cw.user.Defer(tagFlushAll, 0, wait) {
+	if cw.user.Defer(tagFlushAll, 0, wait) {
 		return
 	}
 	cw.settle()

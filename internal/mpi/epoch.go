@@ -212,7 +212,7 @@ func (w *Win) lockEach(list []int, one int, lock LockType) {
 	it := issueItem{kind: itemLock, w: w, ep: flags}
 	it.call.target = one
 	q := &w.r.issueQ
-	if q.serves(w) && w.openEpochs(list, one, flags) {
+	if q.queues() && w.openEpochs(list, one, flags) {
 		q.push(it, list, false)
 		return
 	}
@@ -276,7 +276,7 @@ func (w *Win) unlockEach(list []int, one int) {
 	it := issueItem{kind: itemUnlock, w: w}
 	it.call.target = one
 	q := &w.r.issueQ
-	if q.serves(w) {
+	if q.queues() {
 		if ok, held := w.closeEpochs(list, one); ok {
 			q.push(it, list, held)
 			return
@@ -341,16 +341,11 @@ func (w *Win) holdCompletion(target int) {
 	}
 }
 
-// SyncInProcess keeps every synchronization call on the window out of the
-// issue queue, for a layer above whose own process-side state the
-// window's engine-side events read (Casper's overload shepherd).
-func (w *Win) SyncInProcess() { w.g.eagerSync = true }
-
 // LockAll implements Window: MPI_WIN_LOCK_ALL (shared mode on every
 // rank). Acquisition is lazy per target.
 func (w *Win) LockAll(assert Assert) {
 	r := w.r
-	if !w.lockAll && r.issueQ.serves(w) {
+	if !w.lockAll && r.issueQ.queues() {
 		w.lockAll = true
 		r.issueQ.push(issueItem{kind: itemCall}, nil, false)
 		return
@@ -376,7 +371,7 @@ func (w *Win) UnlockAll() {
 			}
 		}
 		w.lockAll = false
-		if r.issueQ.serves(w) {
+		if r.issueQ.queues() {
 			r.issueQ.push(it, nil, held)
 			return
 		}
@@ -399,7 +394,7 @@ func (w *Win) Flush(target int) {
 	it.call.target = target
 	ep := w.epochFlags(target)
 	misuse := ep&epLocked == 0 && !w.lockAll
-	if !misuse && r.issueQ.serves(w) {
+	if !misuse && r.issueQ.queues() {
 		r.issueQ.push(it, nil, ep&epHold != 0)
 	} else {
 		r.mpiEnter()
@@ -419,7 +414,7 @@ func (w *Win) Flush(target int) {
 func (w *Win) FlushAll() {
 	r := w.r
 	it := issueItem{kind: itemFlushAll, w: w}
-	if r.issueQ.serves(w) {
+	if r.issueQ.queues() {
 		r.issueQ.push(it, nil, w.holds > 0)
 	} else {
 		r.mpiEnter()
@@ -465,7 +460,7 @@ func (w *Win) Acquire(target int) {
 	r := w.r
 	it := issueItem{kind: itemAcquire, w: w}
 	it.call.target = target
-	if (target != w.me || r.issueQ.exp != nil) && target >= 0 && target < len(w.g.comm.ranks) && r.issueQ.serves(w) {
+	if (target != w.me || r.issueQ.exp != nil) && target >= 0 && target < len(w.g.comm.ranks) && r.issueQ.queues() {
 		if ep, ok := w.coverTarget(target); ok {
 			it.ep = ep & epKinds
 			r.issueQ.push(it, nil, false)

@@ -18,11 +18,11 @@ import "repro/internal/sim"
 // what the rank would have run at that pop, then goes on with the next
 // queued call. The rank is switched in only once its queue is empty.
 //
-// Every world queues: fault plans and flow control included. A call runs
-// in the process instead for one of three reasons only: the fast paths are
-// off (the eager reference, sim.Engine.DisableFastPaths), the window keeps
-// its synchronization in the process (Win.SyncInProcess), or the call fails
-// check at admission (see issueQueue.admit).
+// Every world and every window queues: fault plans and flow control
+// included. A call runs in the process instead for one of two reasons
+// only: the fast paths are off (the eager reference,
+// sim.Engine.DisableFastPaths), or the call fails check at admission (see
+// issueQueue.admit).
 //
 // Every step and wake-up is the event it is eagerly, under the same seq,
 // and the continuation runs the statements the rank would have run at that
@@ -136,12 +136,6 @@ func (r *Rank) settle() {
 
 // queues reports whether the rank may queue calls: the fast paths are on.
 func (q *issueQueue) queues() bool { return !q.r.eng.FastPathsDisabled() }
-
-// serves reports whether synchronization calls on w may be queued: the
-// rank queues calls, and the window is not kept eager (Win.SyncInProcess).
-func (q *issueQueue) serves(w *Win) bool {
-	return q.queues() && !w.g.eagerSync
-}
 
 // queue appends a zeroed item for the caller to fill in, settling first
 // when the queue is full, and returns it, its index and whether the queue

@@ -25,10 +25,6 @@ type winGlobal struct {
 	// PSCW bookkeeping (allocated lazily; indexes are comm ranks).
 	pscw *pscwGlobal
 
-	// eagerSync keeps the window's synchronization calls out of the issue
-	// queue (see Win.SyncInProcess).
-	eagerSync bool
-
 	// reroute, when set, lets stream failover redirect an op whose
 	// target crashed: given the comm ranks of origin and the dead
 	// target plus the op's displacement, it returns a surviving comm
