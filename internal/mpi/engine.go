@@ -29,9 +29,9 @@ type rankEngine struct {
 	inMPI  int         // MPI call nesting depth
 	stolen sim.Duration
 
-	// Software AMs deferred until the next MPI entry, in arrival order,
-	// linked through rmaOp.link (whose At keeps the arrival time).
-	deferredHead, deferredTail *rmaOp
+	// Software AMs deferred until the next MPI entry, and AMs held by a
+	// stalled engine until the stall ends, each in arrival order.
+	deferred, stalled amList
 
 	// Load telemetry for the overload rebalancer: AMs submitted to the
 	// pipeline but not yet serviced (its high-water mark is the rank's
@@ -93,15 +93,26 @@ func (e *rankEngine) enterMPI() {
 	}
 }
 
-// deferAM holds op back until the rank next polls (drainDeferred).
-func (e *rankEngine) deferAM(op *rmaOp) {
+// amList is a list of AMs in arrival order, linked through rmaOp.link
+// (whose At keeps the arrival time).
+type amList struct{ head, tail *rmaOp }
+
+// push appends op.
+func (l *amList) push(op *rmaOp) {
 	op.link.Next = nil
-	if e.deferredTail == nil {
-		e.deferredHead = op
+	if l.tail == nil {
+		l.head = op
 	} else {
-		e.deferredTail.link.Next = op
+		l.tail.link.Next = op
 	}
-	e.deferredTail = op
+	l.tail = op
+}
+
+// take empties the list and returns its first op.
+func (l *amList) take() *rmaOp {
+	op := l.head
+	l.head, l.tail = nil, nil
+	return op
 }
 
 // drainDeferred submits the deferred AMs for service if the rank is
@@ -112,21 +123,20 @@ func (e *rankEngine) drainDeferred() {
 	if e.inMPI == 0 {
 		return
 	}
-	op := e.deferredHead
-	e.deferredHead, e.deferredTail = nil, nil
-	for op != nil {
+	for op := e.deferred.take(); op != nil; {
 		next := op.next() // service relinks the op into the backlog
 		e.service(op, 1.0, 0)
 		op = next
 	}
 }
 
-// release drops everything queued at a rank that died: the deferred AMs
-// and the service backlog, whose completions could only ever be
-// discarded. The ops' links must be free by the time stream failover
+// release drops everything queued at a rank that died: the deferred and
+// stalled AMs and the service backlog, whose completions could only ever
+// be discarded. The ops' links must be free by the time stream failover
 // resubmits them to a replacement engine.
 func (e *rankEngine) release() {
-	e.deferredHead, e.deferredTail = nil, nil
+	e.deferred.take()
+	e.stalled.take()
 	e.srv.Release()
 }
 
@@ -149,18 +159,21 @@ func (e *rankEngine) deliver(op *rmaOp) {
 		// Down-recoverable target: the AM is deferred and serviced once
 		// the revived rank drains it (drainDeferred at thaw, or its next
 		// MPI entry).
-		e.deferAM(op)
+		e.deferred.push(op)
 		return
 	}
-	if now := r.eng.Now(); now < r.stalledUntil {
+	if e.stalled.head != nil || r.eng.Now() < r.stalledUntil {
 		// Stalled progress engine: the AM sits in the NIC until the
-		// stall ends. Regular event — the origin is parked waiting for
-		// the ack, so this must keep the simulation alive. The original
-		// arrival time is kept, so the trace shows the full stall.
-		// (Cold path: a closure here is fine; it must redeliver to THIS
-		// engine, which may differ from rankOf(op.target) on failover.)
-		until := r.stalledUntil
-		r.eng.At(until, func() { e.deliver(op) })
+		// stall ends, behind every AM that arrived before it
+		// (redeliverStalled). The original arrival time is kept, so the
+		// trace shows the full stall.
+		if e.stalled.head == nil {
+			// Regular event — the origin is parked waiting for the
+			// ack, so this must keep the simulation alive. (Cold path:
+			// the method value is fine.)
+			r.eng.At(r.stalledUntil, e.redeliverStalled)
+		}
+		e.stalled.push(op)
 		return
 	}
 	switch e.r.w.cfg.Progress {
@@ -168,7 +181,7 @@ func (e *rankEngine) deliver(op *rmaOp) {
 		if e.inMPI > 0 {
 			e.service(op, 1.0, 0)
 		} else {
-			e.deferAM(op)
+			e.deferred.push(op)
 		}
 	case ProgressThread:
 		cost := e.service(op, e.r.w.net.ThreadAM, 0)
@@ -187,6 +200,25 @@ func (e *rankEngine) deliver(op *rmaOp) {
 			e.stolen += cost
 			e.r.stats[StolenTime] += int64(cost)
 		}
+	}
+}
+
+// redeliverStalled delivers the AMs a stall held, in arrival order, once
+// the stall has ended. A stall that began inside it moved the end later:
+// the AMs then wait for that end too, still ahead of every later arrival.
+func (e *rankEngine) redeliverStalled() {
+	r := e.r
+	if e.stalled.head == nil {
+		return // released: the rank died
+	}
+	if r.eng.Now() < r.stalledUntil {
+		r.eng.At(r.stalledUntil, e.redeliverStalled)
+		return
+	}
+	for op := e.stalled.take(); op != nil; {
+		next := op.next() // delivery relinks the op
+		e.deliver(op)
+		op = next
 	}
 }
 

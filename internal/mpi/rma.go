@@ -89,8 +89,8 @@ type rmaOp struct {
 	// link is the op's place in the one queue it is waiting in (see the
 	// lifecycle table in DESIGN.md): the origin's freelist, the ops held
 	// behind a pending lock grant (lockMsg), the channel's wire chain
-	// (chanState.wireTail), the target's deferred-AM list
-	// (rankEngine.deferredHead) or its service backlog (sim.Server). link.At
+	// (chanState.wireTail), the target's deferred or stalled AM list
+	// (rankEngine.deferred, stalled) or its service backlog (sim.Server). link.At
 	// is the NIC delivery time at the target until the op is submitted
 	// for service, and the service completion time from then on.
 	link sim.Link
