@@ -13,7 +13,8 @@ import (
 // pins every user target to one ghost, so a skewed workload can funnel
 // a node's whole AM load through a single ghost while its siblings
 // idle. The rebalancer closes that gap: a periodic sweep reads every
-// ghost's queue depth and service-time EWMA (mpi.Rank.BacklogEstimate)
+// ghost's average queue depth over the last interval and its
+// service-time EWMA (mpi.Rank.LoadIntegral, ServiceEWMA; see loadOf)
 // and migrates target bindings from the hottest ghost to the coldest —
 // the dynamic load balancing the paper defers as future work, done
 // under the same correctness rules as static binding.

@@ -77,13 +77,6 @@ func (e *rankEngine) noteDepth(dd int) {
 	}
 }
 
-// BacklogEstimate returns the estimated virtual time this rank needs
-// to drain its queued AMs: queue depth × smoothed service cost. The
-// overload rebalancer compares these across a node's ghosts.
-func (r *Rank) BacklogEstimate() sim.Duration {
-	return sim.Duration(float64(r.engine.depth) * r.engine.ewma)
-}
-
 // enterMPI marks the rank inside MPI, draining any deferred AMs into the
 // service pipeline (the poll that blocking MPI calls perform).
 func (e *rankEngine) enterMPI() {

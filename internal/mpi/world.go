@@ -378,10 +378,6 @@ func (w *World) FaultsEnabled() bool { return w.inj != nil }
 // Failed reports this rank's ground-truth crash state.
 func (r *Rank) Failed() bool { return r.failed }
 
-// Down reports whether the rank is mid-recovery from a recoverable app
-// crash: frozen and unreachable, but due to be respawned.
-func (r *Rank) Down() bool { return r.down }
-
 // FailedCount returns the number of ranks that have crashed.
 func (w *World) FailedCount() int { return w.failedCount }
 

@@ -198,9 +198,6 @@ func (p *Proc) Killed() bool { return p.killed }
 // Done reports whether the process's function has returned.
 func (p *Proc) Done() bool { return p.state == stateDone }
 
-// Frozen reports whether Engine.Freeze currently suspends this process.
-func (p *Proc) Frozen() bool { return p.frozen }
-
 // Signal is a broadcast condition variable in virtual time. Processes
 // Wait on it after observing an unsatisfied predicate; any simulation
 // context that changes the predicate calls Broadcast. Waiters must

@@ -157,10 +157,6 @@ func (s *Server) occupy(ready Time, d Duration) Time {
 	return end
 }
 
-// BusyUntil returns the time at which the server's current backlog
-// drains.
-func (s *Server) BusyUntil() Time { return s.busyUntil }
-
 // TotalBusy returns the cumulative service time of all submitted jobs.
 func (s *Server) TotalBusy() Duration { return s.busy }
 
