@@ -544,13 +544,13 @@ func (cw *casperWin) Wait() {
 
 // The passive-target calls below check and change the call side when they
 // are made and defer the rest (mpi.Win.Defer): what they translate into
-// reads detector verdicts and the shepherd's staged bindings and epoch
-// counts (lockHolds), so the event loop expands it where the eager
-// process would make it (Expand). A completion whose return lets the
-// caller read what its ops changed (epHeld, or a Flush of the caller
-// itself) settles after deferring, which returns at the eager instant.
-// When the rank does not queue, the call settles and runs the expansion
-// in the process.
+// reads detector verdicts and the shepherd's staged bindings, and changes
+// what the shepherd's sweeps read (lockHolds), so the event loop expands
+// it where the eager process would make it (Expand). A completion whose
+// return lets the caller read what its ops changed (epHeld, or a Flush of
+// the caller itself) settles after deferring, which returns at the eager
+// instant. When the rank does not queue, the call settles and runs the
+// expansion in the process.
 
 // Lock opens a passive epoch to one user target by locking all ghosts of
 // the target's node on the target's own overlapping window (III-A,
