@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,6 +37,19 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file")
 	)
 	flag.Parse()
+	// A value the sweep would quietly reinterpret is refused: a Scale of
+	// 0 means the full sweep to bench.Options, a negative one the
+	// smallest, and -quick would override an explicit -scale.
+	scaleSet := false
+	flag.Visit(func(f *flag.Flag) { scaleSet = scaleSet || f.Name == "scale" })
+	switch {
+	case *quick && scaleSet:
+		usagef("casperbench: -quick is -scale 0.12; give one of them, not both")
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		usagef("casperbench: -scale %v: want a finite number above 0", *scale)
+	case *chaosSeed < 0:
+		usagef("casperbench: -chaosseed %d: want a seed above 0, or 0 for the full sweep", *chaosSeed)
+	}
 	if *quick {
 		*scale = 0.12
 	}
@@ -47,7 +61,7 @@ func main() {
 		case *run == "" && !*all && !*list:
 			*run = "faultchaos"
 		case *run != "" && *run != "faultchaos":
-			fatalf("casperbench: -chaosseed applies only to faultchaos, not -run %s", *run)
+			usagef("casperbench: -chaosseed applies only to faultchaos, not -run %s", *run)
 		}
 	}
 	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, ChaosSeed: *chaosSeed}
@@ -127,4 +141,11 @@ func emit(e bench.Experiment, o bench.Options, csv bool) bool {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a flag value the command refuses and exits 2, the
+// status of a flag the flag package cannot parse.
+func usagef(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

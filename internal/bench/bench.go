@@ -162,16 +162,6 @@ func (r *Result) CSV() string {
 	return b.String()
 }
 
-// SeriesByName returns the named series.
-func (r *Result) SeriesByName(name string) (Series, bool) {
-	for _, s := range r.Series {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Series{}, false
-}
-
 // --- world-building helpers -------------------------------------------
 
 // edisonNode mirrors the paper's Cray XC30 nodes: 24 cores, 2 NUMA

@@ -8,6 +8,16 @@ import (
 // tiny returns fast options for shape tests.
 func tiny() Options { return Options{Scale: 0.12, Seed: 42} }
 
+// SeriesByName returns the named series.
+func (r *Result) SeriesByName(name string) (Series, bool) {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Series{}, false
+}
+
 func mustSeries(t *testing.T, r *Result, name string) []float64 {
 	t.Helper()
 	s, ok := r.SeriesByName(name)

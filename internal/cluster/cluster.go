@@ -32,9 +32,6 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// TotalCores returns the core count of the whole machine.
-func (m Machine) TotalCores() int { return m.Nodes * m.CoresPerNode }
-
 // CoresPerNUMA returns the cores in one NUMA domain.
 func (m Machine) CoresPerNUMA() int { return m.CoresPerNode / m.NUMAPerNode }
 
@@ -109,11 +106,6 @@ func (p *Placement) Core(rank int) int {
 	return rank % p.ppn
 }
 
-// LocalIndex returns rank's position among the ranks of its node
-// (identical to Core under block placement, but kept distinct for
-// clarity at call sites).
-func (p *Placement) LocalIndex(rank int) int { return p.Core(rank) }
-
 // NUMA returns the NUMA domain (within its node) of rank.
 func (p *Placement) NUMA(rank int) int {
 	return p.Core(rank) / p.m.CoresPerNUMA()
@@ -142,13 +134,4 @@ func (p *Placement) NodeRanks(node int) []int {
 		ranks = append(ranks, r)
 	}
 	return ranks
-}
-
-// MaxRanksPerNode returns the largest number of ranks on any node; Casper
-// sizes its internal overlapping-window set by this (Section III-A).
-func (p *Placement) MaxRanksPerNode() int {
-	if p.n >= p.ppn {
-		return p.ppn
-	}
-	return p.n
 }

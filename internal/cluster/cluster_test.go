@@ -29,9 +29,6 @@ func TestMachineValidate(t *testing.T) {
 
 func TestMachineDerived(t *testing.T) {
 	m := edison()
-	if m.TotalCores() != 64*24 {
-		t.Errorf("TotalCores = %d", m.TotalCores())
-	}
 	if m.CoresPerNUMA() != 12 {
 		t.Errorf("CoresPerNUMA = %d", m.CoresPerNUMA())
 	}
@@ -47,9 +44,6 @@ func TestPlacementBlockMapping(t *testing.T) {
 	}
 	if p.Core(16) != 0 || p.Core(17) != 1 {
 		t.Error("core mapping wrong")
-	}
-	if p.LocalIndex(17) != 1 {
-		t.Error("LocalIndex wrong")
 	}
 }
 
@@ -82,15 +76,6 @@ func TestNodeRanks(t *testing.T) {
 	}
 	if p.NodeRanks(5) != nil {
 		t.Error("NodeRanks beyond used nodes should be nil")
-	}
-}
-
-func TestMaxRanksPerNode(t *testing.T) {
-	if got := MustPlace(edison(), 40, 16).MaxRanksPerNode(); got != 16 {
-		t.Errorf("MaxRanksPerNode = %d, want 16", got)
-	}
-	if got := MustPlace(edison(), 5, 16).MaxRanksPerNode(); got != 5 {
-		t.Errorf("MaxRanksPerNode = %d, want 5 (fewer ranks than ppn)", got)
 	}
 }
 
@@ -139,7 +124,7 @@ func TestMustPlacePanicsOnError(t *testing.T) {
 }
 
 // Property: every rank appears in exactly one node's NodeRanks, at
-// position LocalIndex, and node/core round-trip to the rank id.
+// position Core, and node/core round-trip to the rank id.
 func TestPlacementPartitionProperty(t *testing.T) {
 	f := func(nRaw, ppnRaw uint8) bool {
 		n := int(nRaw%200) + 1
@@ -152,7 +137,7 @@ func TestPlacementPartitionProperty(t *testing.T) {
 		seen := 0
 		for node := 0; node < p.NodesUsed(); node++ {
 			for i, r := range p.NodeRanks(node) {
-				if p.Node(r) != node || p.LocalIndex(r) != i {
+				if p.Node(r) != node || p.Core(r) != i {
 					return false
 				}
 				if r != node*ppn+i {

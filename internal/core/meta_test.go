@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -129,9 +130,10 @@ func refBuildWindow(cw *casperWin, pt refPartition, sizes []int) refWindow {
 
 	// The layout, as every rank used to build it for itself.
 	align := func(x int) int { return (x + mpi.MaxBasicSize - 1) / mpi.MaxBasicSize * mpi.MaxBasicSize }
+	internalGroup := cw.internal.Group()
 	toInternal := func(worldRank int) int {
-		cr, ok := cw.internal.CommRankOf(worldRank)
-		if !ok {
+		cr := slices.Index(internalGroup, worldRank)
+		if cr < 0 {
 			panic(fmt.Sprintf("rank %d missing from internal comm", worldRank))
 		}
 		return cr

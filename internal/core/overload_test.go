@@ -157,10 +157,10 @@ func TestRebindSurvivesGhostCrash(t *testing.T) {
 		}
 		c.Barrier()
 	})
-	if n := w.FailedCount(); n != 1 {
-		t.Fatalf("FailedCount = %d, want 1 (victim %d)", n, victim)
-	}
 	st := w.Summary()
+	if n := st.Counters[mpi.RanksFailed]; n != 1 {
+		t.Fatalf("ranks_failed = %d, want 1 (victim %d)", n, victim)
+	}
 	if st.Counters[mpi.Migrations] == 0 {
 		t.Fatalf("skewed load never triggered a migration: %+v", st)
 	}

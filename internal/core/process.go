@@ -38,9 +38,6 @@ func (p *Process) Compute(d sim.Duration) { p.r.Compute(d) }
 // Now implements mpi.Env.
 func (p *Process) Now() sim.Time { return p.r.Now() }
 
-// Underlying returns the wrapped MPI rank (for harness inspection).
-func (p *Process) Underlying() *mpi.Rank { return p.r }
-
 // NumGhosts returns the per-node ghost count of this deployment.
 func (p *Process) NumGhosts() int { return p.d.cfg.NumGhosts }
 

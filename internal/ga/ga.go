@@ -109,9 +109,6 @@ func (a *Array) Name() string { return a.name }
 // Dims returns the global dimensions.
 func (a *Array) Dims() (rows, cols int) { return a.rows, a.cols }
 
-// Grid returns the process-grid dimensions.
-func (a *Array) Grid() (pr, pc int) { return a.pr, a.pc }
-
 // ownerOf returns the rank owning global element (i, j).
 func (a *Array) ownerOf(i, j int) int {
 	return (i/a.tr)*a.pc + (j / a.tc)

@@ -202,8 +202,8 @@ func TestAccessorsAndLocal(t *testing.T) {
 		if r, c := a.Dims(); r != 6 || c != 8 {
 			t.Error("dims")
 		}
-		if pr, pc := a.Grid(); pr != 2 || pc != 2 {
-			t.Errorf("grid %dx%d", pr, pc)
+		if a.pr != 2 || a.pc != 2 {
+			t.Errorf("grid %dx%d", a.pr, a.pc)
 		}
 		r0, r1, c0, c1 := a.Distribution()
 		if (r1-r0)*(c1-c0) != len(a.Local()) {
@@ -461,11 +461,8 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 		t.Run("casper/"+b.String(), func(t *testing.T) {
 			// 12 users on two nodes; under segment binding each node's two
 			// ghosts own half of the node's tiles, so pieces split.
-			var split int64
-			runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2, Binding: b}, func(env mpi.Env) {
-				program(env)
-				split += env.(*core.Process).Underlying().Stats()[mpi.Split]
-			})
+			w := runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2, Binding: b}, program)
+			split := w.Summary().Counters[mpi.Split] // counted by user ranks only
 			if (b == core.BindSegment) != (split > 0) {
 				t.Errorf("%v binding split %d pieces", b, split)
 			}

@@ -59,13 +59,6 @@ func (c *Comm) Size() int { return len(c.g.ranks) }
 // WorldRank translates a comm rank to a world (MPI_COMM_WORLD) rank.
 func (c *Comm) WorldRank(commRank int) int { return c.g.ranks[commRank] }
 
-// CommRankOf translates a world rank into this communicator, returning
-// ok=false if the world rank is not a member.
-func (c *Comm) CommRankOf(worldRank int) (int, bool) {
-	i, ok := c.g.index[worldRank]
-	return i, ok
-}
-
 // Group returns the communicator's members as world ranks.
 func (c *Comm) Group() []int { return append([]int(nil), c.g.ranks...) }
 
@@ -117,9 +110,8 @@ type postedRecv struct {
 
 // mailbox holds a rank's unexpected-message and posted-receive queues.
 type mailbox struct {
-	msgs     []*inMsg
-	recvs    []*postedRecv
-	probeSig sim.Signal // broadcast on unexpected-message arrival (Probe)
+	msgs  []*inMsg
+	recvs []*postedRecv
 }
 
 func match(commID, src, tag int, m *inMsg) bool {
@@ -139,7 +131,6 @@ func (mb *mailbox) arrive(m *inMsg) {
 		}
 	}
 	mb.msgs = append(mb.msgs, m)
-	mb.probeSig.Broadcast()
 }
 
 // Send sends data to comm rank dest with the given tag. The model is an
@@ -325,23 +316,6 @@ func (c *Comm) Barrier() {
 	c.collective("MPI_Barrier", nil, c.barrierCost(), nil)
 }
 
-// Bcast broadcasts root's buffer to all ranks, returning the received
-// copy (MPI_BCAST).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	n := len(c.g.ranks)
-	var size int
-	if c.me == root {
-		size = len(data)
-	}
-	cost := sim.Duration(rounds(n)) * (c.g.w.net.InterLatency +
-		sim.Duration(float64(size)*c.g.w.net.InterPerByte))
-	res := c.collective("MPI_Bcast", data, cost, func(vals []interface{}) interface{} {
-		return vals[root]
-	})
-	b, _ := res.([]byte)
-	return append([]byte(nil), b...)
-}
-
 // AllreduceFloat64 element-wise reduces each rank's vector with op and
 // returns the result on every rank (MPI_ALLREDUCE).
 func (c *Comm) AllreduceFloat64(vals []float64, op Op) []float64 {
@@ -373,66 +347,6 @@ func (c *Comm) AllreduceFloat64(vals []float64, op Op) []float64 {
 	})
 	out, _ := res.([]float64)
 	return append([]float64(nil), out...)
-}
-
-// ReduceFloat64 element-wise reduces onto root only; other ranks
-// receive nil (MPI_REDUCE).
-func (c *Comm) ReduceFloat64(root int, vals []float64, op Op) []float64 {
-	out := c.AllreduceFloat64(vals, op)
-	if c.me != root {
-		return nil
-	}
-	return out
-}
-
-// AllgatherFloat64 concatenates each rank's equally sized vector in
-// comm-rank order (MPI_ALLGATHER).
-func (c *Comm) AllgatherFloat64(vals []float64) []float64 {
-	n := len(c.g.ranks)
-	cost := sim.Duration(rounds(n)) * (c.g.w.net.InterLatency +
-		sim.Duration(float64(8*len(vals)*n)*c.g.w.net.InterPerByte))
-	res := c.collective("MPI_Allgather", vals, cost, func(all []interface{}) interface{} {
-		var out []float64
-		for _, v := range all {
-			vv, _ := v.([]float64) // crashed member: gathers nothing
-			out = append(out, vv...)
-		}
-		return out
-	})
-	out, _ := res.([]float64)
-	return append([]float64(nil), out...)
-}
-
-// AlltoallFloat64 exchanges personalized vectors: send[i] goes to rank
-// i; the result's element i came from rank i (MPI_ALLTOALL with one
-// element per peer).
-func (c *Comm) AlltoallFloat64(send []float64) []float64 {
-	n := len(c.g.ranks)
-	if len(send) != n {
-		panic(fmt.Sprintf("mpi: Alltoall send length %d != comm size %d", len(send), n))
-	}
-	cost := sim.Duration(rounds(n)) * (c.g.w.net.InterLatency +
-		sim.Duration(float64(8*n)*c.g.w.net.InterPerByte))
-	me := c.me
-	res := c.collective("MPI_Alltoall", send, cost, func(all []interface{}) interface{} {
-		// The reduce closure computes the full transpose once; each
-		// rank extracts its row below.
-		out := make([][]float64, len(all))
-		for i := range out {
-			out[i] = make([]float64, len(all))
-			for j, v := range all {
-				if vv, ok := v.([]float64); ok { // crashed member sends zeros
-					out[i][j] = vv[i]
-				}
-			}
-		}
-		return out
-	})
-	rows, _ := res.([][]float64)
-	if rows == nil {
-		return nil
-	}
-	return append([]float64(nil), rows[me]...)
 }
 
 // AllgatherInt gathers one int from each rank, indexed by comm rank

@@ -150,23 +150,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	vals := make([][]byte, 3)
-	mustRun(t, testConfig(3, 3), func(r *Rank) {
-		c := r.CommWorld()
-		var data []byte
-		if r.Rank() == 1 {
-			data = []byte("payload")
-		}
-		vals[r.Rank()] = c.Bcast(1, data)
-	})
-	for i, v := range vals {
-		if string(v) != "payload" {
-			t.Fatalf("rank %d got %q", i, v)
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	results := make([][]float64, 4)
 	mustRun(t, testConfig(4, 4), func(r *Rank) {
@@ -278,11 +261,8 @@ func TestDupIsIndependent(t *testing.T) {
 func TestCommAccessors(t *testing.T) {
 	mustRun(t, testConfig(3, 3), func(r *Rank) {
 		c := r.CommWorld()
-		if cr, ok := c.CommRankOf(r.Rank()); !ok || cr != r.Rank() {
-			t.Error("CommRankOf world identity failed")
-		}
-		if _, ok := c.CommRankOf(99); ok {
-			t.Error("CommRankOf accepted non-member")
+		if wr := c.WorldRank(r.Rank()); wr != r.Rank() {
+			t.Errorf("WorldRank(%d) = %d on the world comm", r.Rank(), wr)
 		}
 		g := c.Group()
 		if len(g) != 3 || g[2] != 2 {

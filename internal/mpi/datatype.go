@@ -67,20 +67,14 @@ func (b BasicType) String() string {
 const MaxBasicSize = 16
 
 // Datatype describes the layout of data at the target of an RMA
-// operation. It covers basic elements, contiguous runs, strided vectors,
-// and explicit block lists (the noncontiguous cases that force the
-// software path on all modeled platforms).
+// operation. It covers basic elements, contiguous runs and strided
+// vectors (the noncontiguous case that forces the software path on all
+// modeled platforms).
 type Datatype struct {
 	Basic    BasicType
 	Count    int // number of blocks
 	BlockLen int // basic elements per block
 	Stride   int // basic elements between block starts (>= BlockLen)
-
-	// Index holds explicit block offsets in basic elements (as
-	// MPI_TYPE_INDEXED with constant block length). When non-nil it
-	// overrides Count/Stride; offsets must be strictly increasing with
-	// non-overlapping blocks.
-	Index []int
 }
 
 // TypeOf returns the datatype of n contiguous elements of b.
@@ -97,14 +91,6 @@ func Vector(b BasicType, count, blockLen, stride int) Datatype {
 	return Datatype{Basic: b, Count: count, BlockLen: blockLen, Stride: stride}
 }
 
-// Indexed returns an MPI_TYPE_INDEXED-style datatype: blocks of
-// blockLen elements of b at the given element offsets (strictly
-// increasing, non-overlapping).
-func Indexed(b BasicType, blockLen int, offsets []int) Datatype {
-	return Datatype{Basic: b, BlockLen: blockLen, Count: len(offsets),
-		Index: append([]int(nil), offsets...)}
-}
-
 // Validate checks structural invariants.
 func (d Datatype) Validate() error {
 	if d.Basic < Byte || d.Basic > Float64 {
@@ -112,22 +98,6 @@ func (d Datatype) Validate() error {
 	}
 	if d.BlockLen <= 0 {
 		return fmt.Errorf("mpi: datatype with blocklen %d", d.BlockLen)
-	}
-	if d.Index != nil {
-		if len(d.Index) == 0 {
-			return fmt.Errorf("mpi: indexed datatype with no blocks")
-		}
-		prevEnd := -1
-		for _, off := range d.Index {
-			if off < 0 {
-				return fmt.Errorf("mpi: indexed datatype with negative offset %d", off)
-			}
-			if off < prevEnd {
-				return fmt.Errorf("mpi: indexed datatype blocks overlap or decrease at %d", off)
-			}
-			prevEnd = off + d.BlockLen
-		}
-		return nil
 	}
 	if d.Count <= 0 {
 		return fmt.Errorf("mpi: datatype with count %d", d.Count)
@@ -138,24 +108,12 @@ func (d Datatype) Validate() error {
 	return nil
 }
 
-// blocks returns the number of blocks.
-func (d Datatype) blocks() int {
-	if d.Index != nil {
-		return len(d.Index)
-	}
-	return d.Count
-}
-
 // Size returns the number of data bytes the type describes.
-func (d Datatype) Size() int { return d.blocks() * d.BlockLen * d.Basic.Size() }
+func (d Datatype) Size() int { return d.Count * d.BlockLen * d.Basic.Size() }
 
 // Extent returns the span in bytes from the first to one past the last
 // byte touched.
 func (d Datatype) Extent() int {
-	if d.Index != nil {
-		last := d.Index[len(d.Index)-1]
-		return (last + d.BlockLen) * d.Basic.Size()
-	}
 	if d.Count == 0 {
 		return 0
 	}
@@ -164,59 +122,36 @@ func (d Datatype) Extent() int {
 
 // Contiguous reports whether the described bytes form one run.
 func (d Datatype) Contiguous() bool {
-	if d.Index != nil {
-		for i, off := range d.Index {
-			if off != d.Index[0]+i*d.BlockLen {
-				return false
-			}
-		}
-		return d.Index[0] == 0 || len(d.Index) == 0
-	}
 	return d.Count == 1 || d.Stride == d.BlockLen
 }
 
 // Elems returns the number of basic elements.
-func (d Datatype) Elems() int { return d.blocks() * d.BlockLen }
+func (d Datatype) Elems() int { return d.Count * d.BlockLen }
 
 // Blocks calls fn for each contiguous block as (byteOffset, byteLength)
 // relative to the start of the type, in ascending offset order.
 func (d Datatype) Blocks(fn func(off, n int)) {
-	es, n, stride, count := d.layout()
+	n, stride, count := d.layout()
 	for i := 0; i < count; i++ {
-		fn(d.blockOff(i, es, stride), n)
+		fn(i*stride, n)
 	}
 }
 
 // layout is the block structure Blocks walks, for the loops that run
 // once per block of every software RMA operation and cannot afford a
 // closure call there: count blocks of n bytes each, block i at byte
-// offset blockOff(i, es, stride). A contiguous type is one block.
-func (d Datatype) layout() (es, n, stride, count int) {
-	es = d.Basic.Size()
+// offset i*stride. A contiguous type is one block.
+func (d Datatype) layout() (n, stride, count int) {
+	es := d.Basic.Size()
 	n = d.BlockLen * es
-	switch {
-	case d.Index != nil:
-		return es, n, 0, len(d.Index)
-	case d.Contiguous():
-		return es, d.Count * n, 0, 1
-	default:
-		return es, n, d.Stride * es, d.Count
+	if d.Contiguous() {
+		return d.Count * n, 0, 1
 	}
-}
-
-func (d *Datatype) blockOff(i, es, stride int) int {
-	if d.Index != nil {
-		return d.Index[i] * es
-	}
-	return i * stride
+	return n, d.Stride * es, d.Count
 }
 
 // String implements fmt.Stringer.
 func (d Datatype) String() string {
-	if d.Index != nil {
-		return fmt.Sprintf("indexed(%v, blocks=%d, blocklen=%d)",
-			d.Basic, len(d.Index), d.BlockLen)
-	}
 	if d.Contiguous() {
 		return fmt.Sprintf("%v x%d", d.Basic, d.Elems())
 	}
@@ -417,9 +352,10 @@ func accumulate(op Op, d Datatype, target []byte, disp int, src []byte) {
 	if op != OpReplace {
 		k = blockKernel(op, d.Basic)
 	}
-	es, n, stride, count := d.layout()
+	es := d.Basic.Size()
+	n, stride, count := d.layout()
 	for i := 0; i < count; i++ {
-		at := disp + d.blockOff(i, es, stride)
+		at := disp + i*stride
 		switch {
 		case op == OpReplace:
 			copy(target[at:at+n], src[:n])
@@ -436,9 +372,9 @@ func accumulate(op Op, d Datatype, target []byte, disp int, src []byte) {
 // (the Get path). An out shorter than the type takes the leading bytes
 // that fit.
 func gatherInto(out []byte, d Datatype, target []byte, disp int) {
-	es, n, stride, count := d.layout()
+	n, stride, count := d.layout()
 	for i := 0; i < count; i++ {
-		at := disp + d.blockOff(i, es, stride)
+		at := disp + i*stride
 		out = out[copy(out, target[at:at+n]):]
 	}
 }

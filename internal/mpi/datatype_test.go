@@ -46,6 +46,7 @@ func TestDatatypeSizeExtent(t *testing.T) {
 
 func TestDatatypeValidateRejects(t *testing.T) {
 	bad := []Datatype{
+		{Basic: BasicType(9), Count: 1, BlockLen: 1, Stride: 1},
 		{Basic: Float64, Count: 0, BlockLen: 1, Stride: 1},
 		{Basic: Float64, Count: 1, BlockLen: 0, Stride: 1},
 		{Basic: Float64, Count: 2, BlockLen: 3, Stride: 2}, // overlapping
@@ -124,72 +125,6 @@ func TestGatherVector(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestIndexedDatatype(t *testing.T) {
-	dt := Indexed(Float64, 2, []int{0, 4, 10})
-	if err := dt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if dt.Size() != 6*8 || dt.Extent() != 12*8 || dt.Elems() != 6 {
-		t.Fatalf("size=%d extent=%d elems=%d", dt.Size(), dt.Extent(), dt.Elems())
-	}
-	if dt.Contiguous() {
-		t.Fatal("gappy indexed type reported contiguous")
-	}
-	var offs []int
-	dt.Blocks(func(off, n int) {
-		offs = append(offs, off)
-		if n != 16 {
-			t.Errorf("block len %d", n)
-		}
-	})
-	want := []int{0, 32, 80}
-	for i := range want {
-		if offs[i] != want[i] {
-			t.Fatalf("offs = %v", offs)
-		}
-	}
-	if dt.String() == "" {
-		t.Error("empty string")
-	}
-	// Consecutive blocks from zero are contiguous.
-	if !Indexed(Float64, 2, []int{0, 2, 4}).Contiguous() {
-		t.Error("consecutive indexed blocks should be contiguous")
-	}
-}
-
-func TestIndexedValidateRejects(t *testing.T) {
-	bad := []Datatype{
-		Indexed(Float64, 2, []int{}),
-		Indexed(Float64, 2, []int{4, 0}),  // decreasing
-		Indexed(Float64, 2, []int{0, 1}),  // overlapping
-		Indexed(Float64, 2, []int{-2, 4}), // negative
-	}
-	for i, d := range bad {
-		if d.Validate() == nil {
-			t.Errorf("case %d validated", i)
-		}
-	}
-}
-
-func TestIndexedAccumulateAndGather(t *testing.T) {
-	dt := Indexed(Float64, 1, []int{1, 3, 5})
-	tgt := PutFloat64s([]float64{0, 0, 0, 0, 0, 0})
-	accumulate(OpSum, dt, tgt, 0, PutFloat64s([]float64{10, 20, 30}))
-	got := GetFloat64s(tgt)
-	want := []float64{0, 10, 0, 20, 0, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-	back := GetFloat64s(gather(dt, tgt, 0))
-	for i, v := range []float64{10, 20, 30} {
-		if back[i] != v {
-			t.Fatalf("gather = %v", back)
 		}
 	}
 }

@@ -48,11 +48,6 @@ func (e *rankEngine) init(r *Rank) {
 	e.srv = sim.NewServer(r.eng)
 }
 
-// LoadDepth returns the number of software AMs submitted to this
-// rank's service pipeline and not yet serviced (its high-water mark is
-// the PeakDepth counter).
-func (r *Rank) LoadDepth() int { return r.engine.depth }
-
 // ServiceEWMA returns the smoothed per-AM service cost observed at
 // this rank, in nanoseconds (0 before the first AM).
 func (r *Rank) ServiceEWMA() float64 { return r.engine.ewma }

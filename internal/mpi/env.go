@@ -4,7 +4,7 @@ import "repro/internal/sim"
 
 // Info carries string key/value hints to window creation, mirroring
 // MPI_Info. Casper defines the "epochs_used" key (Section III-A); the
-// base runtime ignores unknown keys.
+// base runtime reads no key.
 type Info map[string]string
 
 // Get returns the value for key, or def if absent.

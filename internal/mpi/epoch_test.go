@@ -338,13 +338,13 @@ func TestChanStateSize(t *testing.T) {
 
 // TestRMAOpSize: an all-to-all backlog is thousands of these at once; the
 // header, inline payload and queue link included, stays within the
-// 224-byte size class.
+// 192-byte size class.
 func TestRMAOpSize(t *testing.T) {
-	if n := unsafe.Sizeof(rmaOp{}); n > 224 {
-		t.Fatalf("rmaOp is %d bytes, want at most 224", n)
+	if n := unsafe.Sizeof(rmaOp{}); n > 192 {
+		t.Fatalf("rmaOp is %d bytes, want at most 192", n)
 	}
-	if n := unsafe.Sizeof(faultOp{}); n > 320 {
-		t.Fatalf("an op of a fault-plan world is %d bytes, want at most 320", n)
+	if n := unsafe.Sizeof(faultOp{}); n > 288 {
+		t.Fatalf("an op of a fault-plan world is %d bytes, want at most 288", n)
 	}
 	// A CAS keeps its origin and compare values side by side in the
 	// inline payload, one basic element each.

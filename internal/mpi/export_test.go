@@ -39,3 +39,35 @@ func CreditStorm(t *testing.T, flow *FlowConfig, ops int) *World {
 	w, _ := creditStorm(t, cfg, ops)
 	return w
 }
+
+// The observers below read state only this package's tests check.
+
+// RegionOf returns the exposed region of any comm rank of the window.
+func (w *Win) RegionOf(commRank int) Region { return w.g.regions[commRank] }
+
+// Offset returns the region's byte offset within its backing segment.
+func (r Region) Offset() int { return r.off }
+
+// Len returns the region size in bytes.
+func (r Region) Len() int { return r.n }
+
+// SameSegment reports whether two regions alias the same backing
+// segment.
+func (r Region) SameSegment(o Region) bool { return r.seg == o.seg }
+
+// FailedCount returns the number of ranks that have crashed.
+func (w *World) FailedCount() int { return w.failedCount }
+
+// HealthSuspected reports whether the rank is in the detector's suspect
+// phase: silent past half the grace period but not yet confirmed dead.
+func (w *World) HealthSuspected(worldRank int) bool {
+	return w.health != nil && w.health.suspected[worldRank]
+}
+
+// LoadDepth returns the number of software AMs submitted to this rank's
+// service pipeline and not yet serviced.
+func (r *Rank) LoadDepth() int { return r.engine.depth }
+
+// PoolOutstanding returns the number of message-path buffers handed out
+// by the world's buffer pool and not yet returned.
+func (w *World) PoolOutstanding() int64 { return w.pool.Outstanding() }

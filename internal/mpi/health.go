@@ -119,14 +119,6 @@ func (w *World) HealthFailed(worldRank int) bool {
 	return w.health != nil && w.health.failed[worldRank]
 }
 
-// HealthSuspected reports whether the rank is in the suspect phase:
-// silent past half the grace period but not yet confirmed dead. A
-// stalled rank suspends here and recovers; a crashed one proceeds to
-// confirmation.
-func (w *World) HealthSuspected(worldRank int) bool {
-	return w.health != nil && w.health.suspected[worldRank]
-}
-
 // HealthVerdicts counts the changes to the set of ranks the detector has
 // declared failed (a declaration, or a recovered rank's revival), so a
 // layer above can cache what it derives from that set.

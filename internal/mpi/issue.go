@@ -31,8 +31,8 @@ import "repro/internal/sim"
 //
 // The settle rule: a rank with calls queued has not reached the time its
 // code runs at, so every other MPI entry point (mpiEnter and the direct
-// enterMPI callers), Now, Compute, Request.Done, window allocation and the
-// end of the process first park until the queue drains (Rank.settle), and
+// enterMPI callers), Now, Compute, window allocation and the end of the
+// process first park until the queue drains (Rank.settle), and
 // resume at exactly the pop where the eager rank would have been switched
 // in. mpiEnter and Compute queue their own first step — the call cost, the
 // computation — behind the calls they settle, so the rank parks once for
@@ -68,7 +68,7 @@ import "repro/internal/sim"
 // its item and takes its op header from the freelist only when it is
 // issued, at the pop where the eager rank takes it, so queueing allocates
 // no header the eager schedule does not. What the bound trades is the
-// queue's own block (176-byte items, about 6 KB per queueing rank) against
+// queue's own block (144-byte items, about 5 KB per queueing rank) against
 // switches: 32 is the smallest power of two that holds fig5a -quick to 0.2
 // switches per RMA op, and 128 gains nothing on wide worlds
 // (EXPERIMENTS.md, "Issue without switching" and "Served passive-target

@@ -392,11 +392,11 @@ func runResultRead(t *testing.T, kind OpKind, self bool, closing string, eager b
 }
 
 // TestIssueItemSize holds what a queueing rank's block costs: every item
-// kind shares one 176-byte item, 36 of them per rank (the bound, the
+// kind shares one 144-byte item, 36 of them per rank (the bound, the
 // settling call's slot and room for an expansion), so a field added for
 // one kind is paid by all.
 func TestIssueItemSize(t *testing.T) {
-	if n := unsafe.Sizeof(issueItem{}); n > 176 {
-		t.Fatalf("issueItem is %d bytes, want at most 176", n)
+	if n := unsafe.Sizeof(issueItem{}); n > 144 {
+		t.Fatalf("issueItem is %d bytes, want at most 144", n)
 	}
 }

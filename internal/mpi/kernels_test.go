@@ -187,7 +187,6 @@ func TestBlockKernelsMatchPerElementOracle(t *testing.T) {
 			TypeOf(b, 7),
 			Vector(b, 3, 2, 5),
 			Vector(b, 4, 1, 3),
-			Indexed(b, 2, []int{1, 4, 9}),
 		}
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -248,22 +247,21 @@ func FuzzAccumulateBlocks(f *testing.F) {
 		}
 		c, bl, g := int(count%8)+1, int(blockLen%8)+1, int(gap%5)
 		var d Datatype
+		at := int(disp % 9)
 		switch layout % 3 {
 		case 0:
 			d = TypeOf(b, c*bl)
 		case 1:
 			d = Vector(b, c, bl, bl+g)
 		default:
-			offs := make([]int, c)
-			for i := range offs {
-				offs[i] = int(disp%3) + i*(bl+g)
-			}
-			d = Indexed(b, bl, offs)
+			// A vector that starts disp%3 elements into the target, so
+			// its blocks sit off the displacement's alignment.
+			d = Vector(b, c, bl, bl+g)
+			at += int(disp%3) * b.Size()
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		at := int(disp % 9)
 		target := make([]byte, at+d.Extent()+3)
 		src := make([]byte, d.Size())
 		// The fuzzed bytes, repeated, are the elements of both buffers

@@ -95,7 +95,7 @@ func TestMismatchedCollectivesDiagnosed(t *testing.T) {
 		if r.Rank() == 0 {
 			c.Barrier()
 		} else {
-			c.Bcast(0, nil) // mismatched collective
+			c.AllgatherInt(1) // mismatched collective
 		}
 	})
 }

@@ -224,7 +224,6 @@ func BenchmarkDatatypePack(b *testing.B) {
 		{"contig-sum", TypeOf(Float64, elems), OpSum},
 		{"vector-sum", Vector(Float64, elems/4, 4, 8), OpSum},
 		{"contig-sum/int64", TypeOf(Int64, elems), OpSum},
-		{"indexed-replace", Indexed(Float64, 2, evenOffsets(elems/2)), OpReplace},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -258,14 +257,6 @@ func BenchmarkDatatypePack(b *testing.B) {
 			DecodeFloat64s(vals, src)
 		}
 	})
-}
-
-func evenOffsets(blocks int) []int {
-	out := make([]int, blocks)
-	for i := range out {
-		out[i] = i * 4
-	}
-	return out
 }
 
 // BenchmarkBackloggedTarget is one world per iteration in which 40

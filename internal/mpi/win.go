@@ -12,7 +12,6 @@ type winGlobal struct {
 	w       *World
 	comm    *commGlobal
 	regions []Region // per comm rank: the exposed memory
-	info    Info
 	freed   bool
 
 	lockMgrs []*lockManager // per comm rank, lazily created
@@ -214,17 +213,6 @@ func (w *Win) lookupChannel(t int) *chanState {
 // building overlapping windows over the same memory).
 func (w *Win) Region() Region { return w.g.regions[w.me] }
 
-// RegionOf returns the exposed region of any comm rank. Within a node
-// this corresponds to shared-memory visibility; Casper uses it to build
-// its offset translation.
-func (w *Win) RegionOf(commRank int) Region { return w.g.regions[commRank] }
-
-// Comm returns this rank's handle on the window communicator.
-func (w *Win) Comm() *Comm { return w.c }
-
-// Info returns the info hints the window was created with.
-func (w *Win) Info() Info { return w.g.info }
-
 // SetReroute installs the window's failover hook (see winGlobal.reroute).
 // The hook is window-global; any handle may install it.
 func (w *Win) SetReroute(fn func(origin, oldTarget, disp int) (int, bool)) {
@@ -251,14 +239,13 @@ func newWin(g *winGlobal, r *Rank) *Win {
 
 // winCollective performs the collective creation rendezvous: each rank
 // contributes its region; the last arrival assembles the winGlobal.
-func (r *Rank) winCollective(c *Comm, reg Region, info Info, cost sim.Duration) *Win {
+func (r *Rank) winCollective(c *Comm, reg Region, cost sim.Duration) *Win {
 	res := c.collective("MPI_Win_create", reg, cost, func(vals []interface{}) interface{} {
 		w := c.g.w
 		g := &winGlobal{
 			w:        w,
 			comm:     c.g,
 			regions:  make([]Region, len(vals)),
-			info:     info,
 			lockMgrs: make([]*lockManager, len(vals)),
 		}
 		w.winSeq++
@@ -290,7 +277,7 @@ func (r *Rank) WinAllocateRegion(c *Comm, size int, info Info) (*Win, []byte) {
 	}
 	seg := r.w.newSegment(size)
 	reg := Region{seg: seg, off: 0, n: size}
-	w := r.winCollective(c, reg, info, r.w.net.AllocWinCost(c.Size()))
+	w := r.winCollective(c, reg, r.w.net.AllocWinCost(c.Size()))
 	return w, reg.Bytes()
 }
 
@@ -326,8 +313,7 @@ func (r *Rank) WinAllocateShared(c *Comm, size int, info Info) (*Win, []byte) {
 		func([]interface{}) interface{} { return r.w.newSegment(total) })
 	seg := res.(*segment)
 	reg := Region{seg: seg, off: offs[c.Rank()], n: size}
-	w := r.winCollective(c, reg, nil, r.w.net.CreateWinCost(c.Size()))
-	w.g.info = info
+	w := r.winCollective(c, reg, r.w.net.CreateWinCost(c.Size()))
 	return w, reg.Bytes()
 }
 
@@ -335,7 +321,7 @@ func (r *Rank) WinAllocateShared(c *Comm, size int, info Info) (*Win, []byte) {
 // exposes the given region. Much cheaper than WinAllocate, which is why
 // Casper can afford its overlapping internal windows.
 func (r *Rank) WinCreate(c *Comm, reg Region, info Info) *Win {
-	return r.winCollective(c, reg, info, r.w.net.CreateWinCost(c.Size()))
+	return r.winCollective(c, reg, r.w.net.CreateWinCost(c.Size()))
 }
 
 // Free implements Window: MPI_WIN_FREE (collective).

@@ -272,11 +272,6 @@ func (w *World) Config() Config { return w.cfg }
 // Validator returns the correctness validator, or nil when disabled.
 func (w *World) Validator() *Validator { return w.validator }
 
-// PoolOutstanding returns the number of message-path buffers handed out
-// by the world's buffer pool and not yet returned. Zero once the world
-// has quiesced; anything else is a leak on an error/early-return path.
-func (w *World) PoolOutstanding() int64 { return w.pool.Outstanding() }
-
 // SetTracer installs an operation tracer; pass nil to disable. Install
 // before Launch.
 func (w *World) SetTracer(t *trace.Tracer) { w.tracer = t }
@@ -377,9 +372,6 @@ func (w *World) FaultsEnabled() bool { return w.inj != nil }
 
 // Failed reports this rank's ground-truth crash state.
 func (r *Rank) Failed() bool { return r.failed }
-
-// FailedCount returns the number of ranks that have crashed.
-func (w *World) FailedCount() int { return w.failedCount }
 
 // Run executes the simulation to completion.
 func (w *World) Run() error {
@@ -609,9 +601,6 @@ type Region struct {
 // Bytes returns the backing memory of the region.
 func (r Region) Bytes() []byte { return r.seg.data[r.off : r.off+r.n] }
 
-// Len returns the region size in bytes.
-func (r Region) Len() int { return r.n }
-
 // Sub returns a sub-region [off, off+n) of r.
 func (r Region) Sub(off, n int) Region {
 	if off < 0 || n < 0 || off+n > r.n {
@@ -620,21 +609,11 @@ func (r Region) Sub(off, n int) Region {
 	return Region{seg: r.seg, off: r.off + off, n: n}
 }
 
-// Offset returns the region's byte offset within its backing segment.
-// Casper uses it to translate a user-rank displacement into a
-// ghost-window displacement ("X + P1's offset in the ghost process
-// address space", Section II-C).
-func (r Region) Offset() int { return r.off }
-
 // Root returns the region covering the entire backing segment — the
 // whole node's shared window memory mapped into a ghost's address space.
 func (r Region) Root() Region {
 	return Region{seg: r.seg, off: 0, n: len(r.seg.data)}
 }
-
-// SameSegment reports whether two regions alias the same backing
-// segment.
-func (r Region) SameSegment(o Region) bool { return r.seg == o.seg }
 
 // Rank is one simulated MPI process. It implements Env.
 type Rank struct {

@@ -60,9 +60,6 @@ type Memo struct {
 // NewMemo returns a memoizing view of p.
 func NewMemo(p *Params) *Memo { return &Memo{p: p} }
 
-// Params returns the underlying cost model.
-func (m *Memo) Params() *Params { return m.p }
-
 // Transfer is Params.Transfer with memoization.
 func (m *Memo) Transfer(sameNode, sameNUMA bool, n int) sim.Duration {
 	return m.TransferLoc(LocalityOf(sameNode, sameNUMA), n)

@@ -265,8 +265,10 @@ func BenchmarkServerBacklog(b *testing.B) {
 		}
 		b.ResetTimer()
 		e.MustRun()
-		if left != 0 || s.Jobs() != b.N+backlog {
-			b.Fatalf("%d jobs ran with %d left, want %d and 0", s.Jobs(), left, b.N+backlog)
+		// Every job is ready at its submission, so the server is busy
+		// from 0 to the last completion: b.N+backlog jobs of 100 ns.
+		if want := Time(b.N+backlog) * Time(100*Nanosecond); left != 0 || e.Now() != want {
+			b.Fatalf("ran until %v with %d left, want %v and 0", e.Now(), left, want)
 		}
 	}
 	b.Run("linked", func(b *testing.B) {

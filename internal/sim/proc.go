@@ -155,14 +155,6 @@ func (p *Proc) Settle() {
 	p.settling = false
 }
 
-// AdvanceTo consumes virtual time until at least time t. It is a no-op if
-// t is not in the future.
-func (p *Proc) AdvanceTo(t Time) {
-	if t > p.eng.now {
-		p.Advance(t.Sub(p.eng.now))
-	}
-}
-
 // park blocks the process until a resume event addressed to it fires:
 // a single coroutine switch back to the event loop that resumed it.
 // reason appears in deadlock reports. A false yield means Engine.Close
@@ -191,9 +183,6 @@ func (p *Proc) park(reason string) {
 func (p *Proc) wake() {
 	p.eng.atResume(p.eng.now, p)
 }
-
-// Killed reports whether Engine.Kill has terminated this process.
-func (p *Proc) Killed() bool { return p.killed }
 
 // Done reports whether the process's function has returned.
 func (p *Proc) Done() bool { return p.state == stateDone }

@@ -62,7 +62,7 @@ func serverScript(e *Engine, logf func(format string, args ...interface{})) {
 		case 1:
 			s.SubmitRun(ready, d, &base)
 		default:
-			s.Submit(ready, d, func() { logf("%s (closure)", name) })
+			s.SubmitRun(ready, d, funcRunner(func() { logf("%s (closure)", name) }))
 		}
 	}
 	for burst := 0; burst < 12; burst++ {

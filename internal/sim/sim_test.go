@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -44,21 +45,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 		p.Advance(-1)
 	})
 	_ = e.Run()
-}
-
-func TestAdvanceTo(t *testing.T) {
-	e := New(1)
-	e.Spawn("a", func(p *Proc) {
-		p.AdvanceTo(100)
-		if p.Now() != 100 {
-			t.Errorf("now = %v, want 100", p.Now())
-		}
-		p.AdvanceTo(50) // in the past: no-op
-		if p.Now() != 100 {
-			t.Errorf("now = %v after past AdvanceTo, want 100", p.Now())
-		}
-	})
-	e.MustRun()
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -202,32 +188,30 @@ func TestServerSerializesJobs(t *testing.T) {
 	e := New(1)
 	s := NewServer(e)
 	var ends []Time
-	record := func() { ends = append(ends, e.Now()) }
+	record := funcRunner(func() { ends = append(ends, e.Now()) })
 	// Three jobs submitted at t=0, each 10us: they must finish at 10, 20, 30.
-	s.Submit(0, 10*Microsecond, record)
-	s.Submit(0, 10*Microsecond, record)
-	s.Submit(0, 10*Microsecond, record)
+	s.SubmitRun(0, 10*Microsecond, record)
+	s.SubmitRun(0, 10*Microsecond, record)
+	s.SubmitRun(0, 10*Microsecond, record)
 	e.MustRun()
 	want := []Time{Time(10 * Microsecond), Time(20 * Microsecond), Time(30 * Microsecond)}
-	for i := range want {
-		if ends[i] != want[i] {
-			t.Fatalf("ends = %v, want %v", ends, want)
-		}
-	}
-	if s.Jobs() != 3 || s.TotalBusy() != 30*Microsecond {
-		t.Fatalf("jobs=%d busy=%v", s.Jobs(), s.TotalBusy())
+	if !slices.Equal(ends, want) {
+		t.Fatalf("ends = %v, want %v", ends, want)
 	}
 }
+
+// noJob is a job whose completion does nothing.
+var noJob = funcRunner(func() {})
 
 func TestServerRespectsReadyTime(t *testing.T) {
 	e := New(1)
 	s := NewServer(e)
-	end := s.Submit(Time(100*Microsecond), 5*Microsecond, nil)
+	end := s.SubmitRun(Time(100*Microsecond), 5*Microsecond, noJob)
 	if end != Time(105*Microsecond) {
 		t.Fatalf("end = %v, want 105us", end)
 	}
 	// A job ready earlier but submitted after queues behind the first.
-	end2 := s.Submit(0, 5*Microsecond, nil)
+	end2 := s.SubmitRun(0, 5*Microsecond, noJob)
 	if end2 != Time(110*Microsecond) {
 		t.Fatalf("end2 = %v, want 110us", end2)
 	}
@@ -237,9 +221,9 @@ func TestServerRespectsReadyTime(t *testing.T) {
 func TestServerIdleGapThenBusy(t *testing.T) {
 	e := New(1)
 	s := NewServer(e)
-	s.Submit(0, 10*Microsecond, nil)
+	s.SubmitRun(0, 10*Microsecond, noJob)
 	// Job becoming ready after the backlog drains starts at its ready time.
-	end := s.Submit(Time(50*Microsecond), 10*Microsecond, nil)
+	end := s.SubmitRun(Time(50*Microsecond), 10*Microsecond, noJob)
 	if end != Time(60*Microsecond) {
 		t.Fatalf("end = %v, want 60us", end)
 	}
@@ -382,11 +366,11 @@ func TestServerPrefixSumProperty(t *testing.T) {
 		for _, d := range durs {
 			dd := Duration(d)
 			sum += dd
-			if s.Submit(0, dd, nil) != Time(sum) {
+			if s.SubmitRun(0, dd, noJob) != Time(sum) {
 				return false
 			}
 		}
-		return s.TotalBusy() == sum
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

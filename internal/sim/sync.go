@@ -37,8 +37,6 @@ type Linked interface {
 type Server struct {
 	eng       *Engine
 	busyUntil Time
-	busy      Duration // total busy time, for utilization accounting
-	jobs      int
 
 	// The backlog, in submission order. While head is set, its completion
 	// event (the server's one resident event, keyed by head's link) is in
@@ -57,21 +55,13 @@ func (f funcRunner) Step() { f() }
 // NewServer returns an idle serial server on e.
 func NewServer(e *Engine) *Server { return &Server{eng: e} }
 
-// Submit enqueues a job that becomes runnable at time ready, takes d to
-// service, and invokes fn (if non-nil) when it finishes. It returns the
-// job's completion time. Submit does not block the caller.
-func (s *Server) Submit(ready Time, d Duration, fn func()) Time {
-	if fn == nil {
-		return s.occupy(ready, d)
-	}
-	return s.SubmitRun(ready, d, funcRunner(fn))
-}
-
-// SubmitRun is Submit with a closure-free completion callback: r.Step()
-// runs when the job finishes. A Linked r waits in the backlog through its
-// own link (the hot AM service path: queuing allocates nothing, however
-// deep the backlog); any other Runner is scheduled at its completion time
-// right away, under the seq the backlog would have reserved for it.
+// SubmitRun enqueues a job that becomes runnable at time ready and takes
+// d to service; r.Step() runs when it finishes. It returns the job's
+// completion time and does not block the caller. A Linked r waits in the
+// backlog through its own link (the hot AM service path: queuing
+// allocates nothing, however deep the backlog); any other Runner is
+// scheduled at its completion time right away, under the seq the backlog
+// would have reserved for it.
 func (s *Server) SubmitRun(ready Time, d Duration, r Runner) Time {
 	end := s.occupy(ready, d)
 	if s.eng.fastOff {
@@ -152,13 +142,5 @@ func (s *Server) occupy(ready Time, d Duration) Time {
 	}
 	end := start.Add(d)
 	s.busyUntil = end
-	s.busy += d
-	s.jobs++
 	return end
 }
-
-// TotalBusy returns the cumulative service time of all submitted jobs.
-func (s *Server) TotalBusy() Duration { return s.busy }
-
-// Jobs returns the number of jobs ever submitted.
-func (s *Server) Jobs() int { return s.jobs }

@@ -73,7 +73,7 @@ func TestKillStopsProcess(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !victim.Killed() {
+	if !victim.killed {
 		t.Fatal("victim not marked killed")
 	}
 	// The victim advanced at t=10,20,30 and was killed at t=35 before
