@@ -140,3 +140,34 @@ func TestRobustSwitchesPerOp(t *testing.T) {
 		t.Fatalf("faultchaos+overload made %.3f switches per RMA op, want at most %.3f", got, bound)
 	}
 }
+
+// What TestFig5aEventsPerOp measured when its bound was last set, and how
+// far above that a run may read.
+const (
+	fig5aEventsPerOp = 3.516
+	eventSlack       = 0.05
+)
+
+// TestFig5aEventsPerOp holds the plain wire to its event diet end to end:
+// one serial fig5a sweep at casperbench's -quick scale, events executed
+// per RMA operation issued. Eagerly every op also pops its ack; deferred
+// at the channel (rmaOp.ack), acks pop only where a flush or unlock finds
+// the channel's latest one still due, once per drain rather than once per
+// op. With an ack event per op this read 4.474 per op here.
+// Both counters are process-wide, so the test must not run in parallel.
+func TestFig5aEventsPerOp(t *testing.T) {
+	e, ok := Get("fig5a")
+	if !ok {
+		t.Fatal("fig5a not registered")
+	}
+	o := tiny()
+	o.Parallel = 1
+	events, ops := mpi.TotalEventsExecuted(), mpi.TotalOpsIssued()
+	e.Run(o)
+	events, ops = mpi.TotalEventsExecuted()-events, mpi.TotalOpsIssued()-ops
+	got := float64(events) / float64(ops)
+	t.Logf("fig5a at scale %g: %d events for %d RMA ops = %.3f per op", o.Scale, events, ops, got)
+	if bound := fig5aEventsPerOp + eventSlack; ops == 0 || got > bound {
+		t.Fatalf("fig5a executed %.3f events per RMA op, want at most %.3f", got, bound)
+	}
+}

@@ -578,17 +578,17 @@ func ghostJoinWindow(r *mpi.Rank, d *deployment, m *winMeta) ghostWinSet {
 	// 1. Node shared window; ghosts contribute zero bytes but gain
 	// load/store access to the whole node segment (Fig. 2).
 	nodeComm := r.CommFromGroup(m.nodeRanks[node])
-	shared, _ := r.WinAllocateShared(nodeComm, 0, nil)
+	shared, _ := r.WinAllocateShared(nodeComm, 0)
 	set.shared = shared
 	root := shared.Region().Root()
 	// 2. Internal overlapping windows over users + all ghosts: the
 	// ghost exposes the entire node segment in each.
 	internal := r.CommFromGroup(m.internal)
 	for i := 0; i < m.nLock; i++ {
-		set.lockWins = append(set.lockWins, r.WinCreate(internal, root, nil))
+		set.lockWins = append(set.lockWins, r.WinCreate(internal, root))
 	}
 	if m.epochs.needActive() {
-		set.active = r.WinCreate(internal, root, nil)
+		set.active = r.WinCreate(internal, root)
 	}
 	// 3. The user-visible window is over the users' communicator only;
 	// ghosts do not participate.

@@ -107,7 +107,7 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	// Step 1: node shared window (window users + ghosts), Fig. 2.
 	node := p.d.place.Node(p.r.Rank())
 	nodeComm := p.r.CommFromGroup(m.nodeRanks[node])
-	shared, buf := p.r.WinAllocateShared(nodeComm, size, nil)
+	shared, buf := p.r.WinAllocateShared(nodeComm, size)
 	root := shared.Region().Root()
 
 	// Step 2: internal overlapping windows over all window users plus
@@ -119,15 +119,15 @@ func (p *Process) WinAllocate(comm *mpi.Comm, size int, info mpi.Info) (mpi.Wind
 	internal := p.r.CommFromGroup(m.internal)
 	lockWins := make([]*mpi.Win, m.nLock)
 	for i := range lockWins {
-		lockWins[i] = p.r.WinCreate(internal, root, nil)
+		lockWins[i] = p.r.WinCreate(internal, root)
 	}
 	var activeWin *mpi.Win
 	if epochs.needActive() {
-		activeWin = p.r.WinCreate(internal, root, nil)
+		activeWin = p.r.WinCreate(internal, root)
 	}
 
 	// Step 3: the user-visible window over the users' communicator.
-	userWin := p.r.WinCreate(comm, shared.Region(), info)
+	userWin := p.r.WinCreate(comm, shared.Region())
 
 	binding := p.d.cfg.Binding
 	switch info.Get(InfoBinding, "") {

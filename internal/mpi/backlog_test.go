@@ -41,7 +41,7 @@ func TestBackloggedTargetAllocations(t *testing.T) {
 			done := false
 			mustRun(t, testConfig(2, 1), func(r *Rank) {
 				c := r.CommWorld()
-				win, _ := r.WinAllocateRegion(c, 8, nil)
+				win, _ := r.WinAllocateRegion(c, 8)
 				c.Barrier()
 				if r.Rank() == 1 {
 					for !done {
@@ -117,8 +117,8 @@ func TestFailoverWithServiceBacklog(t *testing.T) {
 		c := r.CommWorld()
 		// Every rank exposes the whole node segment, as Casper's ghosts
 		// do, so target 1 can stand in for target 0.
-		shared, _ := r.WinAllocateShared(c, slot, nil)
-		win := r.WinCreate(c, shared.Region().Root(), nil)
+		shared, _ := r.WinAllocateShared(c, slot)
+		win := r.WinCreate(c, shared.Region().Root())
 		win.SetReroute(func(origin, oldTarget, disp int) (int, bool) { return 1, oldTarget == 0 })
 		if r.Rank() == 0 {
 			r.World().TrackHealth([]int{0, 1})

@@ -24,7 +24,7 @@ func partlyWrittenWorld(t *testing.T, size, written int, fill byte) (*World, [2]
 	var bufs [2][]byte
 	var reg Region
 	w := mustRun(t, testConfig(2, 2), func(r *Rank) {
-		win, buf := r.WinAllocateRegion(r.CommWorld(), size, nil)
+		win, buf := r.WinAllocateRegion(r.CommWorld(), size)
 		for i, v := range buf {
 			if v != 0 {
 				t.Errorf("fresh window byte %d reads %#x", i, v)

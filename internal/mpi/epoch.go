@@ -726,7 +726,9 @@ func (w *Win) closeSteps(it *issueItem, ch *chanState, served bool) bool {
 
 // awaitSteps waits, from it.stage, for channel ch's lock grant if it was
 // requested and then for the remote completion of everything issued on
-// it, and leaves it.stage at stNext once both are in.
+// it, and leaves it.stage at stNext once both are in. The acks deferred
+// at the channel are settled first (chanState.settleAcks): this wait is
+// the first that can observe them.
 func (w *Win) awaitSteps(it *issueItem, ch *chanState, n *waitNames, served bool) bool {
 	if it.stage == stGrant {
 		if ch.lock.requested && w.await(&ch.lock.granted, n.grant, served) {
@@ -734,6 +736,7 @@ func (w *Win) awaitSteps(it *issueItem, ch *chanState, n *waitNames, served bool
 		}
 		it.stage = stDrain
 	}
+	ch.settleAcks(w.r.w)
 	if w.drain(&ch.pending, n.drain, served) {
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // TimerCensus is what became of a fault-plan world's retransmission
@@ -71,3 +72,18 @@ func (r *Rank) LoadDepth() int { return r.engine.depth }
 // PoolOutstanding returns the number of message-path buffers handed out
 // by the world's buffer pool and not yet returned.
 func (w *World) PoolOutstanding() int64 { return w.pool.Outstanding() }
+
+// EventsEager returns the events the world's engine executed plus the
+// acks it elided (see World.acksElided): what the eager schedule
+// (NoSimFastPath) executes for the same run.
+func (w *World) EventsEager() int64 { return w.eng.EventsExecuted() + w.acksElided }
+
+// DeferredAck reads the acks deferred on the handle's channel to target:
+// how many, and when the latest of them is due (zero and nil-channel safe).
+// Read it from a settled process (after Rank.Now).
+func (w *Win) DeferredAck(target int) (n int, at sim.Time) {
+	if ch := w.lookupChannel(target); ch != nil {
+		return int(ch.lazyN), ch.lazyAt
+	}
+	return 0, 0
+}

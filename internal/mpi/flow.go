@@ -154,8 +154,9 @@ type waitInfo struct {
 }
 
 // waitDiagnostics renders the world's wait-for graph: who is blocked
-// on which credit window, lock, or unacknowledged epoch. Installed as
-// a sim diagnostic so deadlock/watchdog errors carry it.
+// on which credit window, lock, or unacknowledged epoch (acks that have
+// landed, deferred or not, are no edge; see chanState.unlanded). Installed
+// as a sim diagnostic so deadlock/watchdog errors carry it.
 func (w *World) waitDiagnostics() []string {
 	var edges []waitInfo
 	if w.flow != nil {
@@ -170,7 +171,7 @@ func (w *World) waitDiagnostics() []string {
 				if ch == nil {
 					continue
 				}
-				if n := ch.pending.Pending(); n > 0 {
+				if n := ch.unlanded(w.eng); n > 0 {
 					edges = append(edges, waitInfo{
 						from:  g.comm.ranks[win.me],
 						to:    g.comm.ranks[t],

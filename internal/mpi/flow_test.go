@@ -204,3 +204,42 @@ func TestDeadlockErrorCarriesWaitGraph(t *testing.T) {
 		t.Fatalf("wait-for graph reports the lock holder as awaiting its grant:\n%s", msg)
 	}
 }
+
+// TestDeadlockGraphOmitsLandedAcks: an ack deferred at the channel (the
+// plain wire's rmaOp.ack) whose key has passed has landed, event or not,
+// so the wait-for graph names no unacked-op edge for it — as the eager
+// schedule, where the ack popped, does not either. (Only fault-plan and
+// flow-control worlds, whose acks are never deferred, attach the graph to
+// their hang reports; it is rendered here directly.)
+func TestDeadlockGraphOmitsLandedAcks(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		cfg := testConfig(2, 2)
+		cfg.NoSimFastPath = eager
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deferred int32
+		w.Launch(func(r *Rank) {
+			c := r.CommWorld()
+			win, _ := r.WinAllocateRegion(c, 8)
+			c.Barrier()
+			if r.Rank() == 0 {
+				win.Lock(1, LockShared, AssertNone)
+				win.Accumulate(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64), OpSum)
+				r.Compute(50 * sim.Microsecond) // the ack lands meanwhile
+				deferred = win.lookupChannel(1).lazyN
+			}
+			c.Recv(1-r.Rank(), 99) // both park in MPI forever
+		})
+		if _, ok := w.Run().(*sim.DeadlockError); !ok {
+			t.Fatalf("eager=%v: expected deadlock", eager)
+		}
+		if g := strings.Join(w.waitDiagnostics(), "\n"); strings.Contains(g, "unacked") {
+			t.Fatalf("eager=%v: the wait-for graph names a landed ack:\n%s", eager, g)
+		}
+		if (deferred > 0) == eager {
+			t.Fatalf("eager=%v: %d acks deferred at the channel", eager, deferred)
+		}
+	}
+}

@@ -48,8 +48,8 @@ func runMisuse(t *testing.T, kind OpKind, misuse string, eager bool) misuseOutco
 	var out misuseOutcome
 	w := mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
-		win, _ := r.WinAllocateRegion(c, 64, nil)
-		idle, _ := r.WinAllocateRegion(c, 64, nil) // never in an epoch
+		win, _ := r.WinAllocateRegion(c, 64)
+		idle, _ := r.WinAllocateRegion(c, 64) // never in an epoch
 		c.Barrier()
 		if r.Rank() == 0 {
 			win.LockAll(AssertNone)
@@ -156,7 +156,7 @@ func TestIssueQueueServesBackToBackCalls(t *testing.T) {
 	type outcome struct {
 		summary WorldSummary
 		stamps  [4][rounds]sim.Time
-		events  int64
+		events  int64  // elided acks included (World.EventsEager)
 		headers [4]int // op headers on each rank's freelist at the end
 	}
 	run := func(eager bool) (outcome, int64) {
@@ -180,7 +180,7 @@ func TestIssueQueueServesBackToBackCalls(t *testing.T) {
 			win.UnlockAll()
 			c.Barrier()
 		})
-		out := outcome{summary: w.Summary(), stamps: stamps, events: w.Engine().EventsExecuted()}
+		out := outcome{summary: w.Summary(), stamps: stamps, events: w.EventsEager()}
 		out.summary.Counters[PeakQueueResidency] = 0 // scheduler occupancy, not system state
 		for i, rk := range w.ranks {
 			for o := rk.opFree; o != nil; o = o.next() {
@@ -239,8 +239,8 @@ func runSyncMisuse(t *testing.T, misuse func(win *Win), eager bool) syncOutcome 
 	var out syncOutcome
 	w := mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
-		busy, _ := r.WinAllocateRegion(c, 64, nil)
-		win, _ := r.WinAllocateRegion(c, 64, nil)
+		busy, _ := r.WinAllocateRegion(c, 64)
+		win, _ := r.WinAllocateRegion(c, 64)
 		c.Barrier()
 		if r.Rank() == 0 {
 			busy.LockAll(AssertNone)
@@ -336,7 +336,7 @@ func runResultRead(t *testing.T, kind OpKind, self bool, closing string, eager b
 	var at sim.Time
 	mustRun(t, cfg, func(r *Rank) {
 		c := r.CommWorld()
-		win, mem := r.WinAllocateRegion(c, 64, nil)
+		win, mem := r.WinAllocateRegion(c, 64)
 		copy(mem, PutFloat64s([]float64{10}))
 		c.Barrier()
 		if r.Rank() == 0 {

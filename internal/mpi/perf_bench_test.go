@@ -157,7 +157,7 @@ func BenchmarkLockEpoch(b *testing.B) {
 			cfg.NoSimFastPath = plain
 			w, err := Run(cfg, func(rk *Rank) {
 				c := rk.CommWorld()
-				win, _ := rk.WinAllocateRegion(c, 8, nil)
+				win, _ := rk.WinAllocateRegion(c, 8)
 				c.Barrier()
 				if rk.Rank() == 0 {
 					for r := 0; r < rounds; r++ {
@@ -187,7 +187,7 @@ func BenchmarkLockEpoch(b *testing.B) {
 			epochs := (b.N + origins - 1) / origins
 			_, err := Run(benchConfig(origins+1, origins+1), func(rk *Rank) {
 				c := rk.CommWorld()
-				win, _ := rk.WinAllocateRegion(c, 8, nil)
+				win, _ := rk.WinAllocateRegion(c, 8)
 				c.Barrier()
 				if rk.Rank() != 0 {
 					for i := 0; i < epochs; i++ {
@@ -208,7 +208,7 @@ func BenchmarkLockEpoch(b *testing.B) {
 }
 
 // BenchmarkDatatypePack measures the apply-path datatype engine — block
-// kernels over contiguous, strided and indexed layouts, the Get gather —
+// kernels over contiguous and strided layouts, the Get gather —
 // and the bulk float64 codecs GA patches run on either side of it.
 func BenchmarkDatatypePack(b *testing.B) {
 	const elems = 512

@@ -585,7 +585,12 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 	o.ack()
 }
 
-// ack returns the completion (and result payload) to the origin.
+// ack returns the completion (and result payload) to the origin. On the
+// plain wire — fast paths on, no reliable transport, no flow control, no
+// op observer — the completion is unobservable until a flush or unlock
+// waits for it (MPI-3 passive target), so the ack is deferred at the
+// channel instead of scheduled: its event seq is still reserved here,
+// where AfterRun would take it, and the op ends at once (deferAck).
 func (o *rmaOp) ack() {
 	g := o.win
 	originWorld := g.comm.ranks[o.origin]
@@ -596,22 +601,90 @@ func (o *rmaOp) ack() {
 		rel.sendAck(o.ext.relPkt, wire, true)
 		return
 	}
+	eng := tr.eng
+	if g.w.flow == nil && g.onOpDone == nil && !eng.FastPathsDisabled() {
+		o.ch.deferAck(o, eng.Now().Add(wire), eng.ReserveSeq())
+		return
+	}
 	o.phase = opPhaseAck
-	tr.eng.AfterRun(wire, o)
+	eng.AfterRun(wire, o)
 }
 
 // ackDelivered lands the completion ack at the origin: the flush tracker
 // releases and the op reaches its terminal state. Any result bytes are
 // already in the origin's buffer (see apply).
 func (o *rmaOp) ackDelivered() {
-	o.ch.pending.Done()
+	ch := o.ch
+	ch.pending.Done()
+	if ch.lazyN > 0 && ch.pending.Waiting() {
+		ch.settleAcks(o.win.w)
+	}
 	o.win.opTerminal(o)
+}
+
+// deferAck defers o's ack, due at (at, seq), at the channel and ends the
+// op: the payload goes back to the pool and the header to the freelist.
+// If a drain already waits, the acks may be settled now.
+func (ch *chanState) deferAck(o *rmaOp, at sim.Time, seq uint64) {
+	g := o.win
+	g.w.eng.Elide(at, seq)
+	g.w.acksElided++
+	if ch.lazyN == 0 || ch.lazyAt < at || ch.lazyAt == at && ch.lazySeq < seq {
+		ch.lazyAt, ch.lazySeq = at, seq
+	}
+	ch.lazyN++
+	g.opTerminal(o)
+	if ch.pending.Waiting() {
+		ch.settleAcks(g.w)
+	}
+}
+
+// settleAcks brings the channel's deferred acks home once every op on it
+// is applied, as the eager schedule would: they land now, with no event,
+// if the latest key has passed; otherwise the channel is scheduled under
+// that key, where the eager schedule pops the last ack, so the drain wakes
+// at the same instant under the same seq. Win.awaitSteps calls it before a
+// drain waits, deferAck and ackDelivered while one does.
+func (ch *chanState) settleAcks(w *World) {
+	if ch.lazyN == 0 || ch.lazySet || ch.pending.Pending() != int(ch.lazyN) {
+		return
+	}
+	if w.eng.Passed(ch.lazyAt, ch.lazySeq) {
+		ch.landAcks()
+		return
+	}
+	ch.lazySet = true
+	w.acksElided--
+	w.eng.AtRunReserved(ch.lazyAt, ch.lazySeq, ch)
+}
+
+// Step implements sim.Runner: the latest deferred ack's event, scheduled
+// by settleAcks.
+func (ch *chanState) Step() { ch.landAcks() }
+
+// landAcks lands every deferred ack of the channel.
+func (ch *chanState) landAcks() {
+	n := ch.lazyN
+	ch.lazyN, ch.lazySet = 0, false
+	ch.pending.DoneN(int(n))
+}
+
+// unlanded returns the ops on the channel whose acks have not landed: a
+// deferred ack has once the latest key has passed, though no event marks
+// it. (Before that the count includes every deferred ack.)
+func (ch *chanState) unlanded(eng *sim.Engine) int {
+	n := ch.pending.Pending()
+	if ch.lazyN > 0 && eng.Passed(ch.lazyAt, ch.lazySeq) {
+		n -= int(ch.lazyN)
+	}
+	return n
 }
 
 // opTerminal runs exactly once per op that passed issue-time
 // validation, when it reaches its terminal state (ack delivered at the
 // origin, or abandoned by the transport): it returns the flow-control credit, recycles the op's pooled
-// buffer, and notifies the op observer. Runs in engine context.
+// buffer, and notifies the op observer. Runs in engine context. An op
+// whose ack is deferred (deferAck) ends at its apply.
 func (g *winGlobal) opTerminal(o *rmaOp) {
 	or := g.rankOf(int(o.origin))
 	if x := o.ext; x != nil && x.credit != nil {

@@ -528,7 +528,7 @@ func TestNoncontiguousPutSoftwareOnHardwarePlatform(t *testing.T) {
 func TestWinSharedAllocation(t *testing.T) {
 	mustRun(t, testConfig(3, 3), func(r *Rank) {
 		c := r.CommWorld()
-		win, buf := r.WinAllocateShared(c, 8*(r.Rank()+1), nil)
+		win, buf := r.WinAllocateShared(c, 8*(r.Rank()+1))
 		if len(buf) != 8*(r.Rank()+1) {
 			t.Errorf("rank %d buf = %d", r.Rank(), len(buf))
 		}
@@ -555,7 +555,7 @@ func TestWinSharedDirectStoreVisible(t *testing.T) {
 	// segment (load/store shared memory semantics).
 	mustRun(t, testConfig(2, 2), func(r *Rank) {
 		c := r.CommWorld()
-		win, buf := r.WinAllocateShared(c, 8, nil)
+		win, buf := r.WinAllocateShared(c, 8)
 		if r.Rank() == 0 {
 			copy(buf, PutFloat64s([]float64{6.5}))
 		}
@@ -578,7 +578,7 @@ func TestWinSharedCrossNodePanics(t *testing.T) {
 	}()
 	mustRun(t, testConfig(4, 2), func(r *Rank) { // 2 nodes
 		c := r.CommWorld()
-		r.WinAllocateShared(c, 8, nil)
+		r.WinAllocateShared(c, 8)
 	})
 }
 
@@ -586,9 +586,9 @@ func TestWinCreateOverExistingMemory(t *testing.T) {
 	var got float64
 	mustRun(t, testConfig(2, 2), func(r *Rank) {
 		c := r.CommWorld()
-		w1, buf := r.WinAllocateRegion(c, 16, nil)
+		w1, buf := r.WinAllocateRegion(c, 16)
 		// Second window exposing a sub-range of the same memory.
-		w2 := r.WinCreate(c, w1.Region().Sub(8, 8), nil)
+		w2 := r.WinCreate(c, w1.Region().Sub(8, 8))
 		c.Barrier()
 		if r.Rank() == 0 {
 			w2.LockAll(AssertNone)
@@ -626,7 +626,7 @@ func TestWindowAllocationCostScalesWithHints(t *testing.T) {
 	}
 	alloc := timeOf(func(r *Rank, c *Comm) { r.WinAllocate(c, 1024, nil) })
 	create := timeOf(func(r *Rank, c *Comm) {
-		w, _ := r.WinAllocateRegion(c, 1024, nil)
+		w, _ := r.WinAllocateRegion(c, 1024)
 		_ = w
 	})
 	_ = create

@@ -144,7 +144,7 @@ const (
 // size class (TestChanStateSize).
 type chanState struct {
 	lock    lockMsg
-	pending sim.CompletionSet // issued ops not yet remotely acked
+	pending sim.CompletionSet // issued ops whose acks have not landed
 
 	// lastArrival enforces FIFO delivery on the (origin, target)
 	// channel: a small message must not overtake a large one, or
@@ -159,6 +159,17 @@ type chanState struct {
 	// rmaOp.promoteWire). Queue residency per channel is O(1) instead of
 	// one ladder entry per op on the wire.
 	wireTail *rmaOp
+
+	// Deferred acks (see rmaOp.ack): on the plain wire an applied op's ack
+	// is no event of its own. lazyN counts the acks deferred and not yet
+	// landed, lazyAt and lazySeq are the latest of their (at, seq) keys, and
+	// lazySet marks the channel scheduled under that key. They land
+	// together (landAcks) where the eager schedule pops the last of them,
+	// or with no event at all if that key has passed before anyone waits.
+	lazyAt  sim.Time
+	lazySeq uint64
+	lazyN   int32
+	lazySet bool
 }
 
 func (w *Win) checkTarget(t int) {
@@ -264,13 +275,13 @@ func (r *Rank) winCollective(c *Comm, reg Region, cost sim.Duration) *Win {
 // WinAllocate implements Env: MPI_WIN_ALLOCATE. Each rank allocates size
 // bytes of remotely accessible memory.
 func (r *Rank) WinAllocate(c *Comm, size int, info Info) (Window, []byte) {
-	w, buf := r.WinAllocateRegion(c, size, info)
+	w, buf := r.WinAllocateRegion(c, size)
 	return w, buf
 }
 
 // WinAllocateRegion is WinAllocate returning the concrete *Win (for
 // layers that need the full handle, like Casper).
-func (r *Rank) WinAllocateRegion(c *Comm, size int, info Info) (*Win, []byte) {
+func (r *Rank) WinAllocateRegion(c *Comm, size int) (*Win, []byte) {
 	r.settle()
 	if size < 0 {
 		panic(fmt.Sprintf("mpi: WinAllocate size %d", size))
@@ -285,7 +296,7 @@ func (r *Rank) WinAllocateRegion(c *Comm, size int, info Info) (*Win, []byte) {
 // must be intra-node; the ranks' memories are consecutive regions of one
 // shared segment, so every rank (including Casper ghosts) can address
 // every other rank's portion directly.
-func (r *Rank) WinAllocateShared(c *Comm, size int, info Info) (*Win, []byte) {
+func (r *Rank) WinAllocateShared(c *Comm, size int) (*Win, []byte) {
 	if size < 0 {
 		panic(fmt.Sprintf("mpi: WinAllocateShared size %d", size))
 	}
@@ -320,7 +331,7 @@ func (r *Rank) WinAllocateShared(c *Comm, size int, info Info) (*Win, []byte) {
 // WinCreate implements MPI_WIN_CREATE over existing memory: each rank
 // exposes the given region. Much cheaper than WinAllocate, which is why
 // Casper can afford its overlapping internal windows.
-func (r *Rank) WinCreate(c *Comm, reg Region, info Info) *Win {
+func (r *Rank) WinCreate(c *Comm, reg Region) *Win {
 	return r.winCollective(c, reg, r.w.net.CreateWinCost(c.Size()))
 }
 

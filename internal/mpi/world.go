@@ -178,6 +178,10 @@ type World struct {
 	// past terminal state.
 	opRecycle bool
 
+	// acksElided counts the deferred acks that never became an event of
+	// their own (see rmaOp.ack): what the eager schedule pops beyond them.
+	acksElided int64
+
 	// Fault-injection state; all nil/zero without a Config.Fault plan.
 	inj         *fault.Injector
 	rel         *reliability

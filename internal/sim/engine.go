@@ -153,10 +153,13 @@ type schedQ struct {
 // popped must remove the reference's own minimum and panic unless it has
 // the key the ladder just yielded. (It is told the key rather than handed
 // the event: a pointer passed to an interface method escapes, and the
-// event loops keep their pop slot on the stack.)
+// event loops keep their pop slot on the stack.) elided is handed every
+// key Engine.Elide is: one the eager schedule pops, the engine perhaps
+// not.
 type shadowQueue interface {
 	push(ev event)
 	popped(q *schedQ, k evKey)
+	elided(k evKey)
 }
 
 // newEngineHook is handed every engine New builds, before its first
@@ -206,12 +209,17 @@ func (q *schedQ) popInto(dst *event) {
 // processes with Spawn, then call Run.
 type Engine struct {
 	now    Time
+	cur    uint64 // seq of the event being executed (see Passed)
 	events schedQ
 	seq    uint64
 	procs  []*Proc
 	live   int
 	seed   int64
 	rng    *rand.Rand // seeded by Rand on first use
+
+	// lastElided is the latest key handed to Elide: the eager schedule's
+	// clock reaches it before the run ends.
+	lastElided evKey
 
 	executed  int64 // events executed, for the watchdog
 	switches  int64 // transfers into a process (see Switches)
@@ -332,6 +340,29 @@ func (e *Engine) AfterRun(d Duration, r Runner) { e.AtRun(e.now.Add(d), r) }
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
+}
+
+// Passed reports whether the event key (at, seq) sorts at or before the
+// event being executed: whether an event scheduled under it would have
+// run by now. Once Run has returned every key handed to Elide has passed.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return !(evKey{at: e.now, seq: e.cur}).before(evKey{at: at, seq: seq})
+}
+
+// Elide notes that the event a caller reserved (at, seq) for (ReserveSeq)
+// may never be scheduled: the caller folds what it would do into a later
+// event, or into none when nothing waits for it. A caller that schedules
+// it after all does so under the same key (AtRunReserved). The run still
+// ends where the eager schedule's would, with the clock at the latest
+// elided key if no event ran later (see Run).
+func (e *Engine) Elide(at Time, seq uint64) {
+	k := evKey{at: at, seq: seq}
+	if e.lastElided.before(k) {
+		e.lastElided = k
+	}
+	if e.events.shadow != nil {
+		e.events.shadow.elided(k)
+	}
 }
 
 // AtRunReserved schedules r.Step() at t under a previously reserved
@@ -650,7 +681,7 @@ func (e *Engine) execOne(ev event) *Proc {
 		e.lastAdvance = ev.at
 		e.lastAdvanceExec = e.executed
 	}
-	e.now = ev.at
+	e.now, e.cur = ev.at, ev.seq
 	e.executed++
 	switch ev.kind {
 	case evRun:
@@ -686,9 +717,10 @@ func (e *Engine) execOne(ev event) *Proc {
 	return nil
 }
 
-// Run executes events until none remain. It returns a *DeadlockError if
-// processes remain parked with no pending events, a *WatchdogError if a
-// SetWatchdog limit is exceeded, and nil otherwise.
+// Run executes events until none remain, and leaves the clock at the last
+// event executed or elided (Elide), whichever is later. It returns a
+// *DeadlockError if processes remain parked with no pending events, a
+// *WatchdogError if a SetWatchdog limit is exceeded, and nil otherwise.
 func (e *Engine) Run() error {
 	var ev event
 	for e.events.len() > 0 {
@@ -718,6 +750,10 @@ func (e *Engine) Run() error {
 					e.stallEvents, e.lastAdvance),
 				Stuck: e.stuckProcs(), Diagnostics: append(e.schedulerLines(), e.collectDiagnostics()...)}
 		}
+	}
+	if (evKey{at: e.now, seq: e.cur}).before(e.lastElided) {
+		// The eager schedule would have popped the latest elided event.
+		e.now, e.cur = e.lastElided.at, e.lastElided.seq
 	}
 	if e.live > 0 {
 		d := &DeadlockError{Time: e.now, Stuck: e.stuckProcs(),

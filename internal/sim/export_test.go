@@ -23,10 +23,12 @@ func SetShadowOracle() (restore func()) {
 
 // EngineOutcome is what the fast-path identity test compares of one
 // engine's run: the events it executed, a hash of every popped (at, seq)
-// key in pop order, the switches into its processes, its final clock and,
-// in spawn order, when each process finished (-1 for one that never did).
+// key in pop order (both counting the keys it elided, see recorder), the
+// switches into its processes, its final clock and, in spawn order, when
+// each process finished (-1 for one that never did).
 type EngineOutcome struct {
 	Events   int64
+	Elided   int64 // of Events, the elided keys the engine never popped
 	Pops     uint64
 	Switches int64
 	End      Time
@@ -35,19 +37,50 @@ type EngineOutcome struct {
 
 // recorder is a shadow queue that folds each popped key into an FNV-1a
 // hash and stamps each process with the time of the event it finished in.
+// The keys the engine elides (Engine.Elide) are merged back in where the
+// eager schedule pops them, so a served run and its eager reference fold
+// the same keys: an elided key is folded once, before the first pop that
+// sorts after it, and a key elided and then scheduled after all only at
+// its pop.
 type recorder struct {
-	eng  *Engine
-	h    uint64
-	at   Time   // the event being executed
-	gone int    // processes finished or killed by then
-	ends []Time // per process, -1 until it finishes
+	eng   *Engine
+	h     uint64
+	at    Time   // the event being executed
+	gone  int    // processes finished or killed by then
+	ends  []Time // per process, -1 until it finishes
+	elid  eventHeap
+	extra int64 // elided keys folded in, the events the eager schedule adds
 }
 
 func (r *recorder) push(event) {}
 
+func (r *recorder) elided(k evKey) { r.elid.push(event{at: k.at, seq: k.seq}) }
+
 func (r *recorder) popped(_ *schedQ, k evKey) {
 	r.noteEnds()
+	r.catchUp(&k)
 	r.at = k.at
+	r.fold(k)
+}
+
+// catchUp folds the elided keys that sort before k, or all of them when
+// k is nil, and drops k itself when it was elided and then scheduled.
+func (r *recorder) catchUp(k *evKey) {
+	for r.elid.len() > 0 {
+		e := r.elid.k[0]
+		if k != nil && !e.before(*k) {
+			if e == *k {
+				r.elid.pop()
+			}
+			return
+		}
+		r.elid.pop()
+		r.fold(e)
+		r.extra++
+	}
+}
+
+func (r *recorder) fold(k evKey) {
 	for _, v := range [2]uint64{uint64(k.at), k.seq} {
 		for i := 0; i < 64; i += 8 {
 			r.h = (r.h ^ (v >> i & 0xff)) * 1099511628211
@@ -88,7 +121,8 @@ func RecordEngines(eager bool) (stop func() []EngineOutcome) {
 		for i, r := range live {
 			if e := r.eng; all || e.events.len() == 0 && e.live == 0 {
 				r.noteEnds()
-				out[at[i]] = EngineOutcome{Events: e.executed, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
+				r.catchUp(nil)
+				out[at[i]] = EngineOutcome{Events: e.executed + r.extra, Elided: r.extra, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
 				r.eng = nil
 				continue
 			}

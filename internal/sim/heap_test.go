@@ -98,6 +98,10 @@ func (h *eventHeap) pop() (ev event) {
 	return ev
 }
 
+// elided: an elided key was never pushed, so the oracle has nothing to
+// pop for it.
+func (h *eventHeap) elided(evKey) {}
+
 // popped makes the heap the shadow oracle (schedQ.shadow; push is the
 // other half): it pops the heap behind a ladder pop and panics unless it
 // yields the key the ladder did.

@@ -17,9 +17,11 @@ import (
 // (sim.RecordEngines(true), as under mpi.Config.NoSimFastPath) and as it
 // ships must give the same CSV bytes, and every engine the same event
 // count, the same popped (at, seq) keys in the same order, final clock and
-// process end times. fig5a is the all-to-all accumulate sweep the queue
-// was built for (Casper's redirect overhead as the lead step of each
-// queued call), fig5b its put twin on hardware RMA, fig6a and fig6b the
+// process end times — counting in, where the eager schedule pops them, the
+// acks the served run elides on the plain wire (sim.Engine.Elide), which
+// the experiments without fault plans and flow control must do. fig5a is
+// the all-to-all accumulate sweep the queue was built for (Casper's
+// redirect overhead as the lead step of each queued call), fig5b its put twin on hardware RMA, fig6a and fig6b the
 // lockall epochs Casper turns into ghost locks taken at the first touch
 // and released, with their waits served, at UnlockAll, fig6c the same
 // under segment binding, fig7b mixes put and accumulate under op-counting
@@ -68,10 +70,12 @@ func TestFastPathOnOffIdenticalOnExperiments(t *testing.T) {
 				if len(served) == 0 || len(served) != len(eager) {
 					t.Fatalf("%d engines served, %d eager", len(served), len(eager))
 				}
-				var sw, ew int64
+				var sw, ew, elided int64
 				for i := range served {
 					sw, ew = sw+served[i].Switches, ew+eager[i].Switches
 					served[i].Switches, eager[i].Switches = 0, 0
+					elided += served[i].Elided
+					served[i].Elided = 0
 					if len(served[i].ProcEnds) == 0 {
 						t.Fatalf("engine %d: no process finished", i)
 					}
@@ -85,6 +89,9 @@ func TestFastPathOnOffIdenticalOnExperiments(t *testing.T) {
 				}
 				if sw >= ew {
 					t.Fatalf("served runs switched %d times, eager %d: nothing was served", sw, ew)
+				}
+				if !faultPlans[id] && id != "overload" && elided == 0 {
+					t.Fatal("served runs elided no ack on the plain wire")
 				}
 			})
 		}

@@ -7,7 +7,7 @@ import "fmt"
 // deferred calls) and is swallowed by the spawn wrapper.
 type procStopped struct{}
 
-type procState int
+type procState uint8
 
 const (
 	stateNew procState = iota
@@ -33,15 +33,16 @@ type Proc struct {
 	yield func(struct{}) bool
 	stop  func()
 
-	state      procState
-	parkReason string
-	killed     bool // Engine.Kill called: never resume again
+	state  procState
+	killed bool // Engine.Kill called: never resume again
 
 	// Engine.Freeze state: while frozen, resume/start events addressed
 	// to this process are swallowed; deferredWake records that at least
 	// one was, so Thaw can replay a single coalesced wakeup.
 	frozen       bool
 	deferredWake bool
+
+	parkReason string
 
 	// Served work (see Serve): cont is what the event loop runs when the
 	// served step in flight, or the served wait (Completion.Serve), ends;
@@ -52,6 +53,11 @@ type Proc struct {
 	cont     Continuation
 	settling bool
 	waitFor  string
+
+	// sigNext is the waiter after this one on the Signal it waits on: a
+	// process waits on at most one at a time, so the signals' FIFOs run
+	// through their waiters and registering allocates nothing.
+	sigNext *Proc
 }
 
 // Continuation is what the event loop runs in a process's stead when a
@@ -193,12 +199,9 @@ func (p *Proc) Done() bool { return p.state == stateDone }
 // re-check their predicate after waking (wakeups can be spurious when
 // several processes share a Signal).
 type Signal struct {
-	// first is the oldest waiter, held inline: most signals only ever
-	// have one (an origin awaiting its own lock grant or its own acks),
-	// and for those waiting allocates nothing. It is nil exactly when
-	// nobody waits.
-	first   *Proc
-	waiters []*Proc // the waiters after first, in arrival order
+	// The waiters in arrival order, linked through Proc.sigNext; first is
+	// nil exactly when nobody waits.
+	first, last *Proc
 }
 
 // Wait parks p until the next Broadcast.
@@ -209,27 +212,27 @@ func (s *Signal) Wait(p *Proc, reason string) {
 
 // add registers p as the newest waiter.
 func (s *Signal) add(p *Proc) {
+	p.sigNext = nil
 	if s.first == nil {
 		s.first = p
 	} else {
-		s.waiters = append(s.waiters, p)
+		s.last.sigNext = p
 	}
+	s.last = p
 }
 
 // Broadcast wakes every current waiter, in arrival order.
 func (s *Signal) Broadcast() {
-	first := s.first
-	if first == nil {
-		return
-	}
-	// Reuse the backing array: wake only schedules resume events, so no
-	// waiter re-registers until after this loop returns (strict
-	// alternation), and re-Waits then overwrite slots already consumed.
-	ws := s.waiters
-	s.first, s.waiters = nil, ws[:0]
-	first.wake()
-	for _, p := range ws {
+	p := s.first
+	// Unlink the list before waking anyone: wake only schedules resume
+	// events, so no waiter re-registers until after this loop returns
+	// (strict alternation), but the list is empty for whoever does.
+	s.first, s.last = nil, nil
+	for p != nil {
+		next := p.sigNext
+		p.sigNext = nil
 		p.wake()
+		p = next
 	}
 }
 
@@ -288,8 +291,11 @@ type CompletionSet struct {
 func (c *CompletionSet) Add(n int) { c.pending += n }
 
 // Done notes one operation finished and wakes waiters when none remain.
-func (c *CompletionSet) Done() {
-	c.pending--
+func (c *CompletionSet) Done() { c.DoneN(1) }
+
+// DoneN notes n operations finished at once, as n calls of Done would.
+func (c *CompletionSet) DoneN(n int) {
+	c.pending -= n
 	if c.pending < 0 {
 		panic("sim: CompletionSet.Done without matching Add")
 	}
@@ -300,6 +306,10 @@ func (c *CompletionSet) Done() {
 
 // Pending returns the number of outstanding operations.
 func (c *CompletionSet) Pending() int { return c.pending }
+
+// Waiting reports whether a process waits (Wait, Serve) for the count to
+// reach zero.
+func (c *CompletionSet) Waiting() bool { return c.sig.first != nil }
 
 // Wait parks p until no operations are outstanding.
 func (c *CompletionSet) Wait(p *Proc, reason string) {
