@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -94,7 +95,8 @@ var lazyOne = mpi.PutFloat64s([]float64{1})
 // FlushAll over channels whose acks have landed and channels whose acks
 // have not; a Get read after its flush; a fence epoch's acks drained by a
 // later lock epoch on the same channel; and a Casper flush, which drains
-// every ghost of the target's node. Every case must leave the same world
+// every ghost of the target's node; and random mixes of all of these.
+// Every case must leave the same world
 // — end times, window bytes, read results, counters — and pop the same
 // events once the elided acks are counted back in.
 func TestLazyAcksMatchEager(t *testing.T) {
@@ -290,6 +292,58 @@ func TestLazyAcksMatchEager(t *testing.T) {
 		}
 		if s := lazyMatch(t, lazyConfig(2, 4), program); s.elided == 0 {
 			t.Fatal("no ack elided")
+		}
+	})
+
+	t.Run("random op mixes", func(t *testing.T) {
+		// Hardware puts beside gets of up to 64 KiB, whose acks carry the
+		// result and cross slowly, and software accumulates and
+		// get-accumulates: an ack deferred later is often due earlier, so a
+		// channel's latest key is not its newest op's. Flushes, flush-alls
+		// and computes land the drains anywhere among them.
+		for seed := int64(1); seed <= 6; seed++ {
+			program := func(r *mpi.Rank, o *lazyOutcome) {
+				rng := rand.New(rand.NewSource(seed*100 + int64(r.Rank())))
+				c := r.CommWorld()
+				win, mem := r.WinAllocateRegion(c, 2048+64<<10)
+				c.Barrier()
+				var results [][]byte // read once the epoch is closed
+				win.LockAll(mpi.AssertNone)
+				for i := 0; i < 40; i++ {
+					tgt := rng.Intn(c.Size())
+					disp := 8 * rng.Intn(8)
+					switch rng.Intn(7) {
+					case 0:
+						win.Put(mpi.PutFloat64s([]float64{float64(i)}), tgt, 64+disp, mpi.Scalar(mpi.Float64))
+					case 1:
+						win.Accumulate(lazyOne, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
+					case 2:
+						dst := make([]byte, 8*(1+rng.Intn(8<<10)))
+						win.Get(dst, tgt, 2048, mpi.TypeOf(mpi.Byte, len(dst)))
+						results = append(results, dst[:8])
+					case 3:
+						dst := make([]byte, 8)
+						win.GetAccumulate(lazyOne, dst, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
+						results = append(results, dst)
+					case 4:
+						r.Compute(sim.Duration(rng.Intn(4000)) * sim.Nanosecond)
+					case 5:
+						win.Flush(tgt)
+					case 6:
+						win.FlushAll()
+					}
+				}
+				win.UnlockAll()
+				for _, b := range results {
+					o.reads[r.Rank()] = append(o.reads[r.Rank()], b...)
+				}
+				c.Barrier()
+				o.mem[r.Rank()] = append([]byte(nil), mem...)
+				win.Free()
+			}
+			if s := lazyMatch(t, lazyConfig(2, 2), program); s.elided == 0 {
+				t.Fatalf("seed %d: no ack elided", seed)
+			}
 		}
 	})
 }
