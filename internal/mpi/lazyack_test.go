@@ -95,7 +95,8 @@ var lazyOne = mpi.PutFloat64s([]float64{1})
 // FlushAll over channels whose acks have landed and channels whose acks
 // have not; a Get read after its flush; a fence epoch's acks drained by a
 // later lock epoch on the same channel; and a Casper flush, which drains
-// every ghost of the target's node; and random mixes of all of these.
+// every ghost of the target's node; a channel holding deferred acks and
+// acks in flight at once; and random mixes of all of these.
 // Every case must leave the same world
 // — end times, window bytes, read results, counters — and pop the same
 // events once the elided acks are counted back in.
@@ -292,6 +293,41 @@ func TestLazyAcksMatchEager(t *testing.T) {
 		}
 		if s := lazyMatch(t, lazyConfig(2, 4), program); s.elided == 0 {
 			t.Fatal("no ack elided")
+		}
+	})
+
+	t.Run("observer installed mid-epoch", func(t *testing.T) {
+		// An op observer makes acks eager from its installation on, so a
+		// channel holds deferred acks and acks in flight at once; the
+		// last eager ack to land settles the deferred ones for the flush
+		// waiting on them.
+		program := func(r *mpi.Rank, o *lazyOutcome) {
+			c := r.CommWorld()
+			win, mem := r.WinAllocateRegion(c, 64)
+			c.Barrier()
+			if r.Rank() == 0 {
+				var observed int
+				win.LockAll(mpi.AssertNone)
+				for i := 0; i < 3; i++ {
+					win.Accumulate(lazyOne, 1, 8*i, mpi.Scalar(mpi.Float64), mpi.OpSum)
+				}
+				r.Compute(20 * sim.Microsecond)
+				win.SetOpObserver(func(origin, target, disp int) { observed++ })
+				for i := 0; i < 3; i++ {
+					win.Accumulate(lazyOne, 1, 8*i, mpi.Scalar(mpi.Float64), mpi.OpSum)
+				}
+				win.Flush(1)
+				win.UnlockAll()
+				r.Now() // settle: the observer runs where the calls do
+				o.reads[0] = []byte{byte(observed)}
+			}
+			c.Barrier()
+			o.mem[r.Rank()] = append([]byte(nil), mem...)
+			win.Free()
+		}
+		s := lazyMatch(t, lazyConfig(2, 1), program)
+		if s.elided != 3 || s.reads[0][0] != 3 {
+			t.Fatalf("%d acks elided and %d observed, want 3 of each", s.elided, s.reads[0][0])
 		}
 	})
 
