@@ -37,8 +37,8 @@ type Array struct {
 // piece is one owner's share of a patch operation in flight.
 type piece struct {
 	rank               int
-	or0, or1, oc0, oc1 int // overlap rectangle, global coordinates
-	off                int // Get: where its bytes land in the scratch buffer
+	or0, or1, oc0, oc1 int // staged Get: overlap rectangle, global coordinates
+	off                int // staged Get: where its bytes land in the scratch buffer
 }
 
 // stage returns n bytes of the handle's scratch buffer, valid until the
@@ -51,6 +51,20 @@ func (a *Array) stage(n int) []byte {
 		a.scratch = make([]byte, n)
 	}
 	return a.scratch[:n]
+}
+
+// inPlace returns a piece's bytes within rows, the caller's patch buffer
+// seen as bytes (mpi.Float64Bytes), when the piece spans the patch's
+// whole width [c0, c1): its rows are then contiguous in the buffer, in
+// the order the piece's datatype packs them, so an RMA call can read or
+// write them there. It returns nil for a narrower piece, which is
+// staged, and when rows is nil (a big-endian host, or a scaled Acc).
+func inPlace(rows []byte, r0, c0, c1, or0, or1, oc0, oc1 int) []byte {
+	if rows == nil || oc0 != c0 || oc1 != c1 {
+		return nil
+	}
+	w := 8 * (c1 - c0)
+	return rows[(or0-r0)*w : (or1-r0)*w]
 }
 
 // procGrid factors n into pr x pc with pr <= pc and pr maximal.
@@ -217,13 +231,24 @@ func (a *Array) Acc(r0, r1, c0, c1 int, buf []float64, alpha float64) {
 	a.rmw(r0, r1, c0, c1, buf, alpha, mpi.OpSum)
 }
 
+// rmw issues a Put or Accumulate of each owner's piece of alpha*buf, then
+// flushes them. At alpha 1 a piece as wide as the patch goes from buf's
+// own rows, since the window copies an origin payload before the call
+// returns; the rest are packed, scaled, into the scratch buffer.
 func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op) {
 	pcols := c1 - c0
+	var rows []byte
+	if alpha == 1 {
+		rows = mpi.Float64Bytes(buf)
+	}
 	a.pieces = a.pieces[:0]
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
-		data := a.stage(dt.Size())
-		packPiece(data, buf, r0, c0, pcols, or0, or1, oc0, oc1, alpha)
+		data := inPlace(rows, r0, c0, c1, or0, or1, oc0, oc1)
+		if data == nil {
+			data = a.stage(dt.Size())
+			packPiece(data, buf, r0, c0, pcols, or0, or1, oc0, oc1, alpha)
+		}
 		if op == mpi.OpReplace {
 			a.win.Put(data, rank, disp, dt)
 		} else {
@@ -237,14 +262,25 @@ func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op)
 }
 
 // Get reads the global patch into buf (row-major). Blocking (NGA_Get).
+// A piece as wide as the patch lands in buf directly; the rest land in
+// the scratch buffer and are decoded into buf after the flushes.
 func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 	a.checkPatch(r0, r1, c0, c1, buf)
 	pcols := c1 - c0
-	raw := a.stage((r1 - r0) * pcols * 8)
+	rows := mpi.Float64Bytes(buf)
+	var raw []byte
 	a.pieces = a.pieces[:0]
 	off := 0
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
+		if dst := inPlace(rows, r0, c0, c1, or0, or1, oc0, oc1); dst != nil {
+			a.win.Get(dst, rank, disp, dt)
+			a.pieces = append(a.pieces, piece{rank: rank}) // an empty rectangle: nothing to decode
+			return
+		}
+		if raw == nil {
+			raw = a.stage((r1 - r0) * pcols * 8)
+		}
 		n := dt.Size()
 		a.win.Get(raw[off:off+n], rank, disp, dt)
 		a.pieces = append(a.pieces, piece{rank, or0, or1, oc0, oc1, off})

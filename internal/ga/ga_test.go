@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -342,8 +343,22 @@ func TestBadPatchPanics(t *testing.T) {
 // dense local matrix. Every rank draws the same stream and applies every
 // rank's operation to its own copy of the reference, so all copies agree.
 // Values are small multiples of 0.5: every sum is exact in any order.
+//
+// Besides free patches, each seed draws shaped ones: inside one tile, as
+// wide as one tile column over two owners, and over four owners. A patch
+// inside one tile column has only full-width pieces, which go straight
+// to and from the caller's buffer; a wider one has only strided pieces,
+// which are staged. The test watches the handle's scratch buffer to see
+// which path each operation took, holds it to that rule, and fails unless
+// every seed took each path, with alpha 1 and not 1, and met patches of
+// one, two and four owners.
 func TestPatchOpsMatchDenseReference(t *testing.T) {
 	const rows, cols, rounds = 23, 19, 12
+	inPlace := mpi.Float64Bytes([]float64{0}) != nil // false on a big-endian host: everything stages
+	// seed and seen are set for each run of program: the stream it draws
+	// from and the count of each path its operations took.
+	var seed int64
+	var seen map[string]int
 	program := func(env mpi.Env) {
 		me, n := env.Rank(), env.Size()
 		a := MustCreate(env, "prop", rows, cols)
@@ -352,14 +367,40 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 		for i := range ref {
 			ref[i] = 0.5
 		}
-		rng := rand.New(rand.NewSource(20150525))
+		rng := rand.New(rand.NewSource(seed))
 		type patch struct {
 			r0, r1, c0, c1 int
 			vals           []float64
 		}
-		draw := func() patch {
-			r0, c0 := rng.Intn(rows), rng.Intn(cols)
-			p := patch{r0: r0, r1: r0 + 1 + rng.Intn(rows-r0), c0: c0, c1: c0 + 1 + rng.Intn(cols-c0)}
+		// span draws [lo, hi) inside [from, to), crossing at when at > from.
+		span := func(from, at, to int) (lo, hi int) {
+			if at <= from {
+				lo = from + rng.Intn(to-from)
+				return lo, lo + 1 + rng.Intn(to-lo)
+			}
+			return from + rng.Intn(at-from), at + 1 + rng.Intn(to-at)
+		}
+		// draw returns a free patch for shape 0, else one of the shapes:
+		// 1 inside one tile, 2 across two tile rows of one tile column,
+		// 3 across two tile rows and two tile columns.
+		draw := func(shape int) patch {
+			var p patch
+			if shape == 0 {
+				p.r0, p.c0 = rng.Intn(rows), rng.Intn(cols)
+				p.r1, p.c1 = p.r0+1+rng.Intn(rows-p.r0), p.c0+1+rng.Intn(cols-p.c0)
+			} else {
+				gi, gj := rng.Intn(a.pr-1), rng.Intn(a.pc-1)
+				rowCut, rowEnd := 0, (gi+1)*a.tr
+				if shape >= 2 {
+					rowCut, rowEnd = rowEnd, min(rowEnd+a.tr, rows)
+				}
+				colCut, colEnd := 0, (gj+1)*a.tc
+				if shape == 3 {
+					colCut, colEnd = colEnd, min(colEnd+a.tc, cols)
+				}
+				p.r0, p.r1 = span(gi*a.tr, rowCut, rowEnd)
+				p.c0, p.c1 = span(gj*a.tc, colCut, colEnd)
+			}
 			p.vals = make([]float64, (p.r1-p.r0)*(p.c1-p.c0))
 			for i := range p.vals {
 				p.vals[i] = float64(rng.Intn(9) - 4)
@@ -379,9 +420,36 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 				}
 			}
 		}
+		// run performs op, one of the caller's own operations on p, and
+		// checks the path it took: it stages exactly when p has strided
+		// pieces (it spans more than one tile column) or a scaled operand.
+		run := func(what string, p patch, scaled bool, op func()) {
+			prev := a.scratch
+			a.scratch = nil
+			op()
+			staged := a.scratch != nil
+			if cap(prev) > cap(a.scratch) {
+				a.scratch = prev
+			}
+			owners := 0
+			a.visitOwners(p.r0, p.r1, p.c0, p.c1, func(int, int, int, int, int) { owners++ })
+			full := p.c0/a.tc == (p.c1-1)/a.tc
+			if want := !full || scaled || !inPlace; staged != want {
+				t.Errorf("rank %d %s [%d,%d)x[%d,%d): staged %v, want %v", me, what, p.r0, p.r1, p.c0, p.c1, staged, want)
+			}
+			path := "/strided"
+			if full {
+				path = "/full-width"
+			}
+			if scaled {
+				path += "/scaled"
+			}
+			seen[what+path]++
+			seen[fmt.Sprintf("owners/%d", owners)]++
+		}
 		check := func(p patch, what string) {
 			got := make([]float64, len(p.vals))
-			a.Get(p.r0, p.r1, p.c0, p.c1, got)
+			run("get", p, false, func() { a.Get(p.r0, p.r1, p.c0, p.c1, got) })
 			k := 0
 			for i := p.r0; i < p.r1; i++ {
 				for j := p.c0; j < p.c1; j++ {
@@ -420,24 +488,24 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 		alphas := []float64{1, -2, 0.5, 3}
 		for round := 0; round < rounds; round++ {
 			// One writer replaces a patch.
-			p := draw()
+			p := draw(round % 4)
 			if me == round%n {
-				a.Put(p.r0, p.r1, p.c0, p.c1, p.vals)
+				run("put", p, false, func() { a.Put(p.r0, p.r1, p.c0, p.c1, p.vals) })
 			}
 			apply(p, 1, true)
 			a.Sync()
 			// Everyone accumulates its own patch, concurrently.
 			for q := 0; q < n; q++ {
-				p, alpha := draw(), alphas[rng.Intn(len(alphas))]
+				p, alpha := draw((round*n+q)%4), alphas[(round+q)%len(alphas)]
 				if q == me {
-					a.Acc(p.r0, p.r1, p.c0, p.c1, p.vals, alpha)
+					run("acc", p, alpha != 1, func() { a.Acc(p.r0, p.r1, p.c0, p.c1, p.vals, alpha) })
 				}
 				apply(p, alpha, false)
 			}
 			a.Sync()
 			// Everyone reads its own patch.
 			for q := 0; q < n; q++ {
-				if p := draw(); q == me {
+				if p := draw((round + q) % 4); q == me {
 					check(p, "random")
 				}
 			}
@@ -455,18 +523,99 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 		}
 		a.Destroy()
 	}
-	t.Run("mpi", func(t *testing.T) { runPlain(t, 12, 6, program) }) // 3x4 grid, uneven 8x5 tiles
+	covered := func(t *testing.T) {
+		t.Helper()
+		for _, k := range []string{
+			"get/full-width", "get/strided", "put/full-width", "put/strided",
+			"acc/full-width", "acc/full-width/scaled", "acc/strided", "acc/strided/scaled",
+			"owners/1", "owners/2", "owners/4",
+		} {
+			if seen[k] == 0 {
+				t.Errorf("no %s operation: %v", k, seen)
+			}
+		}
+	}
+	seeds := []int64{20150525, 7, 42}
+	t.Run("mpi", func(t *testing.T) {
+		for _, s := range seeds {
+			seed, seen = s, map[string]int{}
+			t.Run(fmt.Sprintf("seed%d", s), func(t *testing.T) {
+				runPlain(t, 12, 6, program) // 3x4 grid, uneven 8x5 tiles
+				covered(t)
+			})
+		}
+	})
 	for _, b := range []core.Binding{core.BindRank, core.BindSegment} {
 		b := b
 		t.Run("casper/"+b.String(), func(t *testing.T) {
-			// 12 users on two nodes; under segment binding each node's two
-			// ghosts own half of the node's tiles, so pieces split.
-			w := runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2, Binding: b}, program)
-			split := w.Summary().Counters[mpi.Split] // counted by user ranks only
-			if (b == core.BindSegment) != (split > 0) {
-				t.Errorf("%v binding split %d pieces", b, split)
+			for _, s := range seeds {
+				seed, seen = s, map[string]int{}
+				t.Run(fmt.Sprintf("seed%d", s), func(t *testing.T) {
+					// 12 users on two nodes; under segment binding each node's two
+					// ghosts own half of the node's tiles, so pieces split.
+					w := runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2, Binding: b}, program)
+					covered(t)
+					split := w.Summary().Counters[mpi.Split] // counted by user ranks only
+					if (b == core.BindSegment) != (split > 0) {
+						t.Errorf("%v binding split %d pieces", b, split)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestFullWidthPatchesStageAndAllocateNothing: a Get and an alpha-1 Acc
+// of a patch one tile column wide over two row owners move their pieces
+// straight from and into the caller's buffer, so in steady state they
+// take no scratch buffer and allocate nothing, over plain MPI and over
+// Casper. A scaled Acc of the same patch stages.
+func TestFullWidthPatchesStageAndAllocateNothing(t *testing.T) {
+	if mpi.Float64Bytes([]float64{0}) == nil {
+		t.Skip("big-endian host: every piece stages")
+	}
+	for _, casper := range []bool{false, true} {
+		var allocs float64
+		var staged, scaledStaged bool
+		cfg := gaConfig(12, 6) // 12 users either way: two nodes, two ghosts each under Casper
+		if casper {
+			cfg = gaConfig(16, 8)
+		}
+		cfg.Validate = false // the validator records every op
+		_, err := mpi.Run(cfg, func(r *mpi.Rank) {
+			var env mpi.Env = r
+			if casper {
+				p, ghost := core.Init(r, core.Config{NumGhosts: 2})
+				if ghost {
+					return
+				}
+				defer p.Finalize()
+				env = p
+			}
+			a := MustCreate(env, "rows", 96, 96) // 3x4 grid of 32x24 tiles over 12 users
+			a.Fill(1)
+			if env.Rank() == 0 {
+				buf := make([]float64, 40*24)
+				allocs = testing.AllocsPerRun(16, func() {
+					a.Get(20, 60, 24, 48, buf)
+					a.Acc(20, 60, 24, 48, buf, 1)
+				})
+				staged = a.scratch != nil
+				a.Acc(20, 60, 24, 48, buf, 0.5)
+				scaledStaged = a.scratch != nil
+			}
+			a.Sync()
+			a.Destroy()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if staged || allocs != 0 {
+			t.Errorf("casper %v: a full-width Get+Acc staged %v and allocated %v objects, want false and 0", casper, staged, allocs)
+		}
+		if !scaledStaged {
+			t.Errorf("casper %v: a scaled Acc did not stage", casper)
+		}
 	}
 }
 

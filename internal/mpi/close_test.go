@@ -9,6 +9,18 @@ import (
 
 // World.Close and the window-memory free list behind it.
 
+// segPoolBytes is the capacity of the window memory on the free list.
+func segPoolBytes() (n int) {
+	segPool.Lock()
+	defer segPool.Unlock()
+	for _, l := range segPool.free {
+		for _, b := range l {
+			n += cap(b)
+		}
+	}
+	return n
+}
+
 // bigWindowWorld runs a 2-rank world whose ranks each allocate one
 // window of size bytes, check that it reads all-zero, and fill it with
 // fill; it returns the world, the two window buffers and rank 0's region.
@@ -220,10 +232,9 @@ var garbage []byte
 
 // TestNewWorldCollectsDroppedWorlds: NewWorld collects when the heap goal
 // leaves room for the next world to grow the heap over the dropped last
-// one, and not when it does not (a collection is due anyway), when the
-// dead heap is older than the last world, or when the window memory on
-// the free list is too large against the goal for a collection to lower
-// it much.
+// one, also beside a free list full of windows (as after a GA world), and
+// not when it does not (a collection is due anyway) or when the dead heap
+// is older than the last world.
 func TestNewWorldCollectsDroppedWorlds(t *testing.T) {
 	forced := func() uint64 {
 		s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
@@ -268,13 +279,13 @@ func TestNewWorldCollectsDroppedWorlds(t *testing.T) {
 		t.Fatalf("NewWorld over a heap the last world did not allocate ran %d collections, want 0", got)
 	}
 
-	// Two windows of collectEvery bytes on the free list: the goal a
-	// dropped world half their size leaves is under four times theirs.
+	// Two windows of collectEvery bytes on the free list do not exempt a
+	// dropped world half their size.
 	big, _, _ := bigWindowWorld(t, collectEvery, 1)
 	big.Close()
 	dropWorld(collectEvery)
-	if got := newWorlds(1); got != 0 {
-		t.Fatalf("NewWorld beside %d pooled bytes ran %d collections, want 0", segPoolBytes(), got)
+	if got := newWorlds(1); got != 1 {
+		t.Fatalf("NewWorld over a dropped world beside %d pooled bytes ran %d collections, want 1", segPoolBytes(), got)
 	}
 	small, _, _ = bigWindowWorld(t, 64, 0)
 	small.Close()

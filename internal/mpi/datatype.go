@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // BasicType enumerates MPI basic datatypes supported by this runtime.
@@ -396,9 +397,31 @@ func GetFloat64s(b []byte) []float64 {
 
 // EncodeFloat64s writes scale*src[i], in window byte order, into
 // dst[8*i:] for every element of src; dst must hold 8*len(src) bytes. A
-// scale of exactly 1 stores the values' own bits.
+// scale of exactly 1 stores the values' own bits: on a little-endian host
+// one copy of their memory.
 func EncodeFloat64s(dst []byte, src []float64, scale float64) {
 	dst = dst[:8*len(src)]
+	if b := Float64Bytes(src); b != nil && scale == 1 {
+		copy(dst, b)
+		return
+	}
+	encodeFloat64s(dst, src, scale)
+}
+
+// DecodeFloat64s reads len(dst) float64s from the first 8*len(dst) bytes
+// of src: on a little-endian host one copy into their memory.
+func DecodeFloat64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	if b := Float64Bytes(dst); b != nil {
+		copy(b, src)
+		return
+	}
+	decodeFloat64s(dst, src)
+}
+
+// encodeFloat64s is EncodeFloat64s one element at a time: the path of a
+// big-endian host, and the codec's reference in tests.
+func encodeFloat64s(dst []byte, src []float64, scale float64) {
 	if scale == 1 {
 		for i := 0; i < len(src) && len(dst) >= 8; i, dst = i+1, dst[8:] {
 			EncodeFloat64(dst, src[i])
@@ -410,13 +433,30 @@ func EncodeFloat64s(dst []byte, src []float64, scale float64) {
 	}
 }
 
-// DecodeFloat64s reads len(dst) float64s from the first 8*len(dst) bytes
-// of src.
-func DecodeFloat64s(dst []float64, src []byte) {
-	src = src[:8*len(dst)]
+// decodeFloat64s is DecodeFloat64s one element at a time (see
+// encodeFloat64s).
+func decodeFloat64s(dst []float64, src []byte) {
 	for i := 0; i < len(dst) && len(src) >= 8; i, src = i+1, src[8:] {
 		dst[i] = DecodeFloat64(src)
 	}
+}
+
+// hostLittleEndian reports whether the host stores a float64 in window
+// byte order (little endian), so that a []float64's memory is already its
+// encoding.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// Float64Bytes returns the memory of vals as 8*len(vals) bytes, which
+// alias vals: on a little-endian host those bytes are vals encoded in
+// window byte order, so a copy to or from them is the whole codec, and a
+// slice of them can be an RMA call's origin or result buffer. It returns
+// nil on a big-endian host, whose callers encode element by element. This
+// is the runtime's only unsafe code.
+func Float64Bytes(vals []float64) []byte {
+	if !hostLittleEndian {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
 }
 
 // EncodeFloat64 writes v, in window byte order, into the first 8 bytes

@@ -153,11 +153,11 @@ type waitInfo struct {
 	label    string
 }
 
-// waitDiagnostics renders the world's wait-for graph: who is blocked
-// on which credit window, lock, or unacknowledged epoch (acks that have
-// landed, deferred or not, are no edge; see chanState.unlanded). Installed
-// as a sim diagnostic so deadlock/watchdog errors carry it.
-func (w *World) waitDiagnostics() []string {
+// Diagnose renders the world's wait-for graph: who is blocked on which
+// credit window, lock, or unacknowledged epoch (acks that have landed,
+// deferred or not, are no edge; see chanState.unlanded). Every world is
+// its engine's sim.Diagnoser, so deadlock and watchdog errors carry it.
+func (w *World) Diagnose() []string {
 	var edges []waitInfo
 	if w.flow != nil {
 		edges = append(edges, w.flow.waitEdges()...)

@@ -208,34 +208,45 @@ func TestDeadlockErrorCarriesWaitGraph(t *testing.T) {
 // TestDeadlockGraphOmitsLandedAcks: an ack deferred at the channel (the
 // plain wire's rmaOp.ack) whose key has passed has landed, event or not,
 // so the wait-for graph names no unacked-op edge for it — as the eager
-// schedule, where the ack popped, does not either. (Only fault-plan and
-// flow-control worlds, whose acks are never deferred, attach the graph to
-// their hang reports; it is rendered here directly.)
+// schedule, where the ack popped, does not either. The graph is read from
+// the DeadlockError of a plain world, which carries it like every world's
+// hang report; a lock that rank 1 waits for on a second window puts an
+// edge in it.
 func TestDeadlockGraphOmitsLandedAcks(t *testing.T) {
 	for _, eager := range []bool{false, true} {
 		cfg := testConfig(2, 2)
 		cfg.NoSimFastPath = eager
-		w, err := NewWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var deferred int32
-		w.Launch(func(r *Rank) {
+		_, err := Run(cfg, func(r *Rank) {
 			c := r.CommWorld()
 			win, _ := r.WinAllocateRegion(c, 8)
+			held, _ := r.WinAllocateRegion(c, 8)
+			if r.Rank() == 0 {
+				held.Lock(1, LockExclusive, AssertNone)
+				held.Acquire(1)
+			}
 			c.Barrier()
+			if r.Rank() == 1 {
+				held.Lock(1, LockExclusive, AssertNone)
+				held.Acquire(1) // behind rank 0's lock, forever
+			}
 			if r.Rank() == 0 {
 				win.Lock(1, LockShared, AssertNone)
 				win.Accumulate(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64), OpSum)
 				r.Compute(50 * sim.Microsecond) // the ack lands meanwhile
 				deferred = win.lookupChannel(1).lazyN
+				c.Recv(1, 99) // parks in MPI forever
 			}
-			c.Recv(1-r.Rank(), 99) // both park in MPI forever
 		})
-		if _, ok := w.Run().(*sim.DeadlockError); !ok {
-			t.Fatalf("eager=%v: expected deadlock", eager)
+		de, ok := err.(*sim.DeadlockError)
+		if !ok {
+			t.Fatalf("eager=%v: expected deadlock, got %v", eager, err)
 		}
-		if g := strings.Join(w.waitDiagnostics(), "\n"); strings.Contains(g, "unacked") {
+		g := strings.Join(de.Diagnostics, "\n")
+		if !strings.Contains(g, "rank1 waits on rank1: win 2: awaiting lock grant") {
+			t.Fatalf("eager=%v: the deadlock carries no wait-for graph with the lock edge:\n%s", eager, g)
+		}
+		if strings.Contains(g, "unacked") {
 			t.Fatalf("eager=%v: the wait-for graph names a landed ack:\n%s", eager, g)
 		}
 		if (deferred > 0) == eager {

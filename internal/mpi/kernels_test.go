@@ -330,6 +330,118 @@ func TestFloat64CodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloat64CodecMatchesElementLoop holds EncodeFloat64s and
+// DecodeFloat64s to the element loops (encodeFloat64s, decodeFloat64s),
+// which a big-endian host runs and which were the codec before the byte
+// view, on every length 0-33 at scales 1 and 0.5, over NaNs with payload
+// bits, signed zeros, infinities, subnormals and random bits, at every
+// byte offset 0-7 of the encoded buffer. Both take the same buffer
+// contract: a longer buffer keeps its tail, a shorter one panics. The
+// loops' branch runs here too, with the host reporting big-endian.
+func TestFloat64CodecMatchesElementLoop(t *testing.T) {
+	special := []float64{
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0x7ff8dead0000beef), // quiet NaN, payload bits
+		math.Float64frombits(0xfff4000000000123), // negative NaN
+		math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		-math.Float64frombits(0x0008000000000000),
+		math.MaxFloat64, -1.5, 1,
+	}
+	rng := rand.New(rand.NewSource(44))
+	draw := func(n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			if rng.Intn(3) == 0 {
+				vals[i] = math.Float64frombits(rng.Uint64())
+			} else {
+				vals[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return vals
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	check := func(t *testing.T) {
+		for n := 0; n <= 33; n++ {
+			for _, scale := range []float64{1, 0.5} {
+				for at := 0; at < 8; at++ {
+					vals := draw(n)
+					want := make([]byte, 8*n)
+					encodeFloat64s(want, vals, scale)
+					got := make([]byte, at+8*n+5)
+					for i := range got {
+						got[i] = 0xA5
+					}
+					EncodeFloat64s(got[at:], vals, scale)
+					if !bytes.Equal(got[at:at+8*n], want) {
+						t.Fatalf("EncodeFloat64s(n %d, scale %v, offset %d) = %x, element loop %x", n, scale, at, got[at:at+8*n], want)
+					}
+					if bytes.Count(got[:at], []byte{0xA5}) != at || bytes.Count(got[at+8*n:], []byte{0xA5}) != 5 {
+						t.Fatalf("EncodeFloat64s(n %d, offset %d) wrote outside its %d bytes", n, at, 8*n)
+					}
+					dec, ref := make([]float64, n+1), make([]float64, n+1)
+					dec[n], ref[n] = 7, 7
+					DecodeFloat64s(dec[:n], got[at:])
+					decodeFloat64s(ref[:n], got[at:])
+					for i := range dec {
+						if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
+							t.Fatalf("DecodeFloat64s(n %d, offset %d) element %d = %#x, element loop %#x", n, at, i, math.Float64bits(dec[i]), math.Float64bits(ref[i]))
+						}
+					}
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			if !panics(func() { EncodeFloat64s(make([]byte, 8*n-1), draw(n), 1) }) {
+				t.Fatalf("EncodeFloat64s of %d values into %d bytes did not panic", n, 8*n-1)
+			}
+			if !panics(func() { DecodeFloat64s(make([]float64, n), make([]byte, 8*n-1)) }) {
+				t.Fatalf("DecodeFloat64s of %d values from %d bytes did not panic", n, 8*n-1)
+			}
+		}
+	}
+	t.Run("host", func(t *testing.T) {
+		if got := Float64Bytes([]float64{1}); hostLittleEndian != (got != nil) {
+			t.Fatalf("Float64Bytes = %v on a host with hostLittleEndian %v", got, hostLittleEndian)
+		}
+		check(t)
+	})
+	t.Run("element-loop", func(t *testing.T) {
+		defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+		hostLittleEndian = false
+		if Float64Bytes([]float64{1}) != nil {
+			t.Fatal("Float64Bytes returned a view on a big-endian host")
+		}
+		check(t)
+	})
+}
+
+// TestFloat64BytesAliases: on a little-endian host the view is the
+// values' own memory, 8 bytes each in window byte order, both ways.
+func TestFloat64BytesAliases(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: no view")
+	}
+	vals := []float64{1.5, -2, math.Inf(1)}
+	b := Float64Bytes(vals)
+	if len(b) != 24 || DecodeFloat64(b[8:]) != -2 {
+		t.Fatalf("Float64Bytes = %x", b)
+	}
+	EncodeFloat64(b[16:], 0.25)
+	if vals[2] != 0.25 {
+		t.Fatalf("a write through the view left %v", vals[2])
+	}
+	if Float64Bytes(nil) != nil || len(Float64Bytes(vals[:0])) != 0 {
+		t.Fatal("empty input gave a non-empty view")
+	}
+}
+
 // TestGatherIntoShortDestination: a result buffer shorter than the type
 // takes the leading bytes that fit (what the ack-time copy used to do),
 // across block boundaries, and a nil one takes nothing.

@@ -209,7 +209,9 @@ func BenchmarkLockEpoch(b *testing.B) {
 
 // BenchmarkDatatypePack measures the apply-path datatype engine — block
 // kernels over contiguous and strided layouts, the Get gather —
-// and the bulk float64 codecs GA patches run on either side of it.
+// and the bulk float64 codecs GA patches run on either side of it
+// (decode and an unscaled encode are one copy on a little-endian host, a
+// scaled encode an element loop).
 func BenchmarkDatatypePack(b *testing.B) {
 	const elems = 512
 	target := make([]byte, elems*8*2)
@@ -248,6 +250,13 @@ func BenchmarkDatatypePack(b *testing.B) {
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
 			EncodeFloat64s(src, vals, 0.5)
+		}
+	})
+	b.Run("encode-unscaled", func(b *testing.B) { // one copy on a little-endian host
+		b.ReportAllocs()
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			EncodeFloat64s(src, vals, 1)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {

@@ -80,7 +80,7 @@ const opInline = 16
 // small payloads live in the header, every queue the op waits in runs
 // through its one link, and what only optional machinery needs sits
 // behind ext. The fields the arrive, service and ack events read come
-// first; the whole header stays within the 224-byte size class
+// first; the whole header stays within the 192-byte size class
 // (TestRMAOpSize).
 type rmaOp struct {
 	win *winGlobal

@@ -221,6 +221,9 @@ func NewWorld(cfg Config) (*World, error) {
 		opRecycle: cfg.Fault == nil,
 		eng:       sim.New(cfg.Seed),
 	}
+	// Hang diagnostics: if the timeline wedges, the error carries the
+	// world's wait-for graph instead of leaving the user to guess.
+	w.eng.SetDiagnoser(w)
 	if cfg.NoSimFastPath {
 		w.eng.DisableFastPaths()
 	}
@@ -243,11 +246,9 @@ func NewWorld(cfg Config) (*World, error) {
 		w.flow = newFlowState(w, cfg.Flow)
 	}
 	if cfg.Fault != nil || cfg.Flow != nil {
-		// Hang diagnostics: if the timeline wedges (deadlock) or spins
-		// without advancing (livelock), the error carries a wait-for
-		// graph instead of leaving the user to guess.
+		// A livelock (events spinning without the clock advancing) fails
+		// fast, and its error carries the wait-for graph too.
 		w.eng.SetStallWatchdog(2_000_000)
-		w.eng.AddDiagnostic(w.waitDiagnostics)
 	}
 	w.ranks = make([]*Rank, cfg.N)
 	for i := range w.ranks {
@@ -506,11 +507,13 @@ var heapStats struct {
 // anyway, is a matter of timing: fig6a's peak RSS read 53 MB in one run
 // and 78 MB in the next. Collecting here restarts the goal from what
 // outlives a world, so each world's peak heap is its own. A heap mostly
-// older than the last world, or a free list holding a quarter of the goal
-// or more in windows (the GA worlds of fig8), is left to the runtime: a
-// collection would free little the pacer has not counted, and those worlds
-// churn, so regrowing the heap after it costs more collections than it
-// saves.
+// older than the last world is left to the runtime: a collection would
+// free little the pacer has not counted. The GA worlds of fig8 are no
+// exception, however many windows the free list holds: when a mark fell
+// while two large GA worlds were live, the goal it left let the heap grow
+// some 20 MB further before the runtime collected, and the peak RSS of a
+// tce_ga pass read 205 or 230 MB by that timing alone (EXPERIMENTS.md "GA
+// tiles with one copy").
 func collectDroppedWorlds() {
 	h := &heapStats
 	h.Lock()
@@ -522,21 +525,9 @@ func collectDroppedWorlds() {
 	goal, inUse, allocs := h.sample[0].Value.Uint64(), h.sample[1].Value.Uint64(), h.sample[2].Value.Uint64()
 	last := allocs - h.lastAllocs
 	h.lastAllocs = allocs
-	if 2*last >= inUse && goal >= inUse+collectEvery && goal >= 4*uint64(segPoolBytes()) {
+	if 2*last >= inUse && goal >= inUse+collectEvery {
 		runtime.GC()
 	}
-}
-
-// segPoolBytes is the capacity of the window memory on the free list.
-func segPoolBytes() (n int) {
-	segPool.Lock()
-	defer segPool.Unlock()
-	for _, l := range segPool.free {
-		for _, b := range l {
-			n += cap(b)
-		}
-	}
-	return n
 }
 
 // segPoolMin is the smallest segment worth pooling: below it a fresh

@@ -233,7 +233,7 @@ type Engine struct {
 	lastAdvance     Time  // now at the last observed clock advance
 	lastAdvanceExec int64 // executed count when the clock last advanced
 
-	diagnostics []func() []string // extra context appended to errors
+	diag Diagnoser // extra context appended to errors
 
 	panicked bool
 	panicVal interface{}
@@ -444,19 +444,23 @@ func (e *Engine) SetWatchdog(maxEvents int64, maxTime Time) {
 // disables.
 func (e *Engine) SetStallWatchdog(events int64) { e.stallEvents = events }
 
-// AddDiagnostic registers a callback that contributes context lines
-// (e.g. a wait-for graph) to DeadlockError and WatchdogError. The
-// callback runs only when such an error is being built.
-func (e *Engine) AddDiagnostic(fn func() []string) {
-	e.diagnostics = append(e.diagnostics, fn)
+// A Diagnoser contributes context lines (e.g. a wait-for graph) to
+// DeadlockError and WatchdogError. Diagnose runs only when such an error
+// is being built.
+type Diagnoser interface {
+	Diagnose() []string
 }
 
+// SetDiagnoser registers the engine's Diagnoser, replacing any earlier
+// one. An engine keeps it in an interface field, so a pointer costs the
+// engine no allocation.
+func (e *Engine) SetDiagnoser(d Diagnoser) { e.diag = d }
+
 func (e *Engine) collectDiagnostics() []string {
-	var out []string
-	for _, fn := range e.diagnostics {
-		out = append(out, fn()...)
+	if e.diag == nil {
+		return nil
 	}
-	return out
+	return e.diag.Diagnose()
 }
 
 // EventsExecuted returns the number of events Run has executed so far.
@@ -615,7 +619,7 @@ func (e *Engine) transfer(p *Proc) {
 type DeadlockError struct {
 	Time        Time
 	Stuck       []string // "name: reason" for each parked process
-	Diagnostics []string // extra context from AddDiagnostic callbacks
+	Diagnostics []string // extra context from the engine's Diagnoser
 }
 
 func (d *DeadlockError) Error() string {
@@ -636,7 +640,7 @@ type WatchdogError struct {
 	Events      int64
 	Limit       string   // which limit tripped, human-readable
 	Stuck       []string // "name: reason" for each parked process
-	Diagnostics []string // extra context from AddDiagnostic callbacks
+	Diagnostics []string // extra context from the engine's Diagnoser
 }
 
 func (w *WatchdogError) Error() string {

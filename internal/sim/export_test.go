@@ -24,15 +24,18 @@ func SetShadowOracle() (restore func()) {
 // EngineOutcome is what the fast-path identity test compares of one
 // engine's run: the events it executed, a hash of every popped (at, seq)
 // key in pop order (both counting the keys it elided, see recorder), the
-// switches into its processes, its final clock and, in spawn order, when
-// each process finished (-1 for one that never did).
+// switches into its processes, its final clock, in spawn order, when
+// each process finished (-1 for one that never did), and whether it ever
+// scheduled a background event (AtBG and its kin), which only the
+// fault-plan machinery and the overload rebalancer do.
 type EngineOutcome struct {
-	Events   int64
-	Elided   int64 // of Events, the elided keys the engine never popped
-	Pops     uint64
-	Switches int64
-	End      Time
-	ProcEnds []Time
+	Events     int64
+	Elided     int64 // of Events, the elided keys the engine never popped
+	Pops       uint64
+	Switches   int64
+	End        Time
+	ProcEnds   []Time
+	Background bool
 }
 
 // recorder is a shadow queue that folds each popped key into an FNV-1a
@@ -50,9 +53,10 @@ type recorder struct {
 	ends  []Time // per process, -1 until it finishes
 	elid  eventHeap
 	extra int64 // elided keys folded in, the events the eager schedule adds
+	bg    bool  // a background event was scheduled
 }
 
-func (r *recorder) push(event) {}
+func (r *recorder) push(ev event) { r.bg = r.bg || ev.bg }
 
 func (r *recorder) elided(k evKey) { r.elid.push(event{at: k.at, seq: k.seq}) }
 
@@ -122,7 +126,7 @@ func RecordEngines(eager bool) (stop func() []EngineOutcome) {
 			if e := r.eng; all || e.events.len() == 0 && e.live == 0 {
 				r.noteEnds()
 				r.catchUp(nil)
-				out[at[i]] = EngineOutcome{Events: e.executed + r.extra, Elided: r.extra, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends}
+				out[at[i]] = EngineOutcome{Events: e.executed + r.extra, Elided: r.extra, Pops: r.h, Switches: e.switches, End: e.now, ProcEnds: r.ends, Background: r.bg}
 				r.eng = nil
 				continue
 			}

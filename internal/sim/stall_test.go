@@ -9,10 +9,15 @@ import (
 // at a frozen clock) from legitimate long runs (many events, advancing
 // clock). These tests pin both sides.
 
+// diagLines is a Diagnoser with fixed lines.
+type diagLines []string
+
+func (d diagLines) Diagnose() []string { return d }
+
 func TestStallWatchdogTripsOnZeroTimeLoop(t *testing.T) {
 	e := New(1)
 	e.SetStallWatchdog(500)
-	e.AddDiagnostic(func() []string { return []string{"retry ring: 3 messages cycling"} })
+	e.SetDiagnoser(diagLines{"retry ring: 3 messages cycling"})
 	var spin func()
 	spin = func() { e.At(e.Now(), spin) }
 	e.Spawn("bystander", func(p *Proc) {
@@ -48,7 +53,7 @@ func TestStallWatchdogIgnoresAdvancingRun(t *testing.T) {
 
 func TestDeadlockErrorCarriesDiagnostics(t *testing.T) {
 	e := New(1)
-	e.AddDiagnostic(func() []string { return []string{"lock table: rank3 holds w0 exclusive"} })
+	e.SetDiagnoser(diagLines{"lock table: rank3 holds w0 exclusive"})
 	e.Spawn("waiter", func(p *Proc) {
 		var s Signal
 		s.Wait(p, "never signalled")
