@@ -367,10 +367,13 @@ func TestFailoverMarksOnlyTheOriginThatFailedOver(t *testing.T) {
 
 // TestWindowConstructionAllocatesPerRankNotPerWorld is the scaling
 // guard: one Init plus one WinAllocate/Free may not allocate more
-// objects per rank on a 16-node world than on a 4-node one. Metadata
-// every rank rebuilds for itself grows this figure with the rank count.
+// objects per rank on a 16-node world than on a 4-node one, nor more than
+// 1.5x the bytes. Metadata every rank rebuilds for itself grows the
+// object figure with the rank count; per-target state every rank keeps
+// (one ctarget and one flag byte per user target of each handle) grows
+// the byte figure, and must stay small beside what a rank pays anyway.
 func TestWindowConstructionAllocatesPerRankNotPerWorld(t *testing.T) {
-	perRank := func(nodes int) float64 {
+	perRank := func(nodes int) (objects, bytes float64) {
 		const ppn = 18 // 16 users + 2 ghosts per node
 		mcfg := mpi.Config{
 			Machine: cluster.Machine{Nodes: nodes, CoresPerNode: 24, NUMAPerNode: 2},
@@ -399,12 +402,19 @@ func TestWindowConstructionAllocatesPerRankNotPerWorld(t *testing.T) {
 		if _, err := mpi.Run(mcfg, main); err != nil {
 			t.Fatal(err)
 		}
-		return float64(after.Mallocs-before.Mallocs) / float64(nodes*ppn)
+		n := float64(nodes * ppn)
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
-	small, large := perRank(4), perRank(16)
+	small, smallB := perRank(4)
+	large, largeB := perRank(16)
 	t.Logf("allocated objects per rank: %.0f on 4 nodes, %.0f on 16 nodes (%.2fx)", small, large, large/small)
+	t.Logf("allocated bytes per rank: %.0f on 4 nodes, %.0f on 16 nodes (%.2fx)", smallB, largeB, largeB/smallB)
 	if large > 1.25*small {
 		t.Errorf("objects per rank grew %.2fx from 4 to 16 nodes (%.0f -> %.0f); want at most 1.25x",
 			large/small, small, large)
+	}
+	if largeB > 1.5*smallB {
+		t.Errorf("bytes per rank grew %.2fx from 4 to 16 nodes (%.0f -> %.0f); want at most 1.5x",
+			largeB/smallB, smallB, largeB)
 	}
 }

@@ -128,7 +128,7 @@ func (cw *casperWin) routeOp(x *mpi.Expansion, st, tag uint8, kind mpi.OpKind, o
 		}
 	}
 	w := cw.winFor(t, ts)
-	if ts != nil && ts.locked && cw.touchGhosts(x, st, t, ts, w, 0) {
+	if ts != nil && ts.has(tsLocked) && cw.touchGhosts(x, st, t, ts, w, 0) {
 		return false
 	}
 	if x == nil {
@@ -210,13 +210,7 @@ func (cw *casperWin) opEpoch(t int) uint8 {
 
 // openViaAll opens target state ts lazily under lockall: the expansion
 // side of opEpoch's tagOpens.
-func openViaAll(ts *ctarget) {
-	ts.locked = true
-	ts.viaAll = true
-	ts.lt = mpi.LockShared
-	ts.ghostsLkd = false
-	ts.dynamicOK = false
-}
+func openViaAll(ts *ctarget) { *ts = tsLocked | tsViaAll }
 
 // route maps one user operation, which passed routeFault, to ghost
 // pieces according to the binding model and the dynamic load-balancing
@@ -291,7 +285,7 @@ func (cw *casperWin) dynamicEligible(kind mpi.OpKind, ts *ctarget) bool {
 	if kind != mpi.KindPut && kind != mpi.KindGet {
 		return false
 	}
-	return ts != nil && ts.dynamicOK
+	return ts != nil && ts.has(tsDynamicOK)
 }
 
 // chooseDynamic picks a ghost per the load-balancing policy, using

@@ -58,9 +58,13 @@ type casperWin struct {
 	holds         int // targets whose flags carry epHeld
 	// targets holds per-target epoch state indexed by user comm rank,
 	// by value; the zero ctarget means "untouched". A flat slice keeps
-	// the per-op epoch lookup off the map hash path.
-	targets []ctarget
-	freed   bool
+	// the per-op epoch lookup off the map hash path. ghostLocks is what
+	// a target's ctarget cannot hold: exactly which internal ranks its
+	// epoch locked, where they differ from the layout's ghosts. It is
+	// created on first use, by a world with a detected ghost failure.
+	targets    []ctarget
+	ghostLocks map[int][]int
+	freed      bool
 
 	// routeBuf is the scratch slice route() returns its pieces in. The
 	// pieces are consumed synchronously inside redirect() before the next
@@ -133,18 +137,27 @@ const (
 )
 
 // ctarget is per-target epoch state at this origin, as the expansions see
-// it.
-type ctarget struct {
-	locked    bool
-	lt        mpi.LockType
-	viaAll    bool
-	ghostsLkd bool // ghost locks issued on the target's window
-	dynamicOK bool // a flush completed: static-binding-free interval open
+// it: one byte of flags. An origin keeps one per user target per window,
+// so it holds no pointer; the ghosts an epoch locked, when they are not
+// the layout's, are kept aside (casperWin.ghostLocks).
+type ctarget uint8
 
-	// lockedGhosts is exactly which internal ranks we locked this epoch;
-	// nil means the layout's ghosts (every epoch of a world without a
-	// detected failure). It is materialized only to differ from them.
-	lockedGhosts []int
+const (
+	tsLocked    ctarget = 1 << iota // a passive epoch covers the target
+	tsViaAll                        // the epoch is lockall's
+	tsExcl                          // the epoch's lock is exclusive
+	tsGhostsLkd                     // ghost locks issued on the target's window
+	tsDynamicOK                     // a flush completed: static-binding-free interval open
+)
+
+func (ts ctarget) has(f ctarget) bool { return ts&f != 0 }
+
+// lockType is the lock the target's epoch takes on its ghosts.
+func (ts ctarget) lockType() mpi.LockType {
+	if ts.has(tsExcl) {
+		return mpi.LockExclusive
+	}
+	return mpi.LockShared
 }
 
 type lbCount struct{ ops, bytes int64 }
@@ -225,12 +238,33 @@ func (cw *casperWin) lookupTarget(t int) *ctarget {
 	return &cw.targets[t]
 }
 
-// lockedGhosts returns the internal ranks locked for target t this epoch.
-func (cw *casperWin) lockedGhosts(t int, ts *ctarget) []int {
-	if ts.lockedGhosts != nil {
-		return ts.lockedGhosts
+// resetTarget drops target t's expansion-side epoch state.
+func (cw *casperWin) resetTarget(t int) {
+	cw.targets[t] = 0
+	delete(cw.ghostLocks, t)
+}
+
+// lockedGhosts returns the internal ranks locked for target t this epoch:
+// the layout's ghosts (every epoch of a world without a detected failure)
+// unless ghostLocks holds others.
+func (cw *casperWin) lockedGhosts(t int) []int {
+	if gs := cw.ghostLocks[t]; gs != nil {
+		return gs
 	}
 	return cw.layout[t].ghosts
+}
+
+// setGhostLocks records gs as the internal ranks locked for target t this
+// epoch, or forgets them when they are the layout's ghosts.
+func (cw *casperWin) setGhostLocks(t int, gs []int) {
+	if &gs[0] == &cw.layout[t].ghosts[0] {
+		delete(cw.ghostLocks, t)
+		return
+	}
+	if cw.ghostLocks == nil {
+		cw.ghostLocks = make(map[int][]int)
+	}
+	cw.ghostLocks[t] = gs
 }
 
 // winFor returns the internal window carrying operations to target t
@@ -248,7 +282,7 @@ func (cw *casperWin) winFor(t int, ts *ctarget) *mpi.Win {
 // lookupWin is winFor returning nil where winFor panics. A target is
 // covered by lockall exactly when its state is viaAll.
 func (cw *casperWin) lookupWin(t int, ts *ctarget) *mpi.Win {
-	if ts != nil && ts.locked && (!ts.viaAll || cw.epochs.lock) {
+	if ts != nil && ts.has(tsLocked) && (!ts.has(tsViaAll) || cw.epochs.lock) {
 		// lockall is translated to per-target locks on the overlapping
 		// windows when lock epochs are declared too, to avoid permission
 		// conflicts with them.
@@ -264,26 +298,22 @@ func (cw *casperWin) lookupWin(t int, ts *ctarget) *mpi.Win {
 // the exact set is recorded so Unlock releases what was taken. It
 // reports whether it made the call.
 func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) bool {
-	if ts.ghostsLkd || w == cw.active {
+	if ts.has(tsGhostsLkd) || w == cw.active {
 		// The active window holds a standing lockall; per-ghost lock
 		// state is created lazily by the ops themselves.
 		return false
 	}
-	ti := &cw.layout[t]
-	ghosts := cw.progressRanks(ti)
-	w.LockEach(ghosts, ts.lt, mpi.AssertNone)
-	ts.lockedGhosts = nil
-	if &ghosts[0] != &ti.ghosts[0] {
-		ts.lockedGhosts = ghosts // not the layout's list: progressRanks built it for us
-	}
-	ts.ghostsLkd = true
+	ghosts := cw.progressRanks(&cw.layout[t])
+	w.LockEach(ghosts, ts.lockType(), mpi.AssertNone)
+	cw.setGhostLocks(t, ghosts)
+	*ts |= tsGhostsLkd
 	return true
 }
 
 // reclaimEpochLocks re-opens a passive epoch's lock set mid-epoch after
 // a detected ghost failure: any live progress rank for the target not
-// locked when the epoch opened is locked now and added to
-// lockedGhosts, so in-flight and future operations of the *current*
+// locked when the epoch opened is locked now and added to the target's
+// ghostLocks, so in-flight and future operations of the *current*
 // epoch reroute immediately instead of waiting for the epoch boundary.
 // The grant cannot deadlock — the lock manager at the dead ghost has
 // already reclaimed its holds and admitted its queue (see
@@ -291,11 +321,11 @@ func (cw *casperWin) ensureGhostLocks(t int, ts *ctarget, w *mpi.Win) bool {
 // like any other. No-op while every originally locked ghost is alive. It
 // reports whether it made a call.
 func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) (relocked bool) {
-	if !ts.ghostsLkd || w == cw.active || !cw.p.r.World().AnyHealthFailure() {
+	if !ts.has(tsGhostsLkd) || w == cw.active || !cw.p.r.World().AnyHealthFailure() {
 		return false
 	}
 	for _, g := range cw.progressRanks(&cw.layout[t]) {
-		locked := cw.lockedGhosts(t, ts)
+		locked := cw.lockedGhosts(t)
 		have := false
 		for _, l := range locked {
 			if l == g {
@@ -306,10 +336,10 @@ func (cw *casperWin) reclaimEpochLocks(t int, ts *ctarget, w *mpi.Win) (relocked
 		if have {
 			continue
 		}
-		w.Lock(g, ts.lt, mpi.AssertNone)
+		w.Lock(g, ts.lockType(), mpi.AssertNone)
 		// Full-slice expression: the layout's ghost list is shared, so the
 		// append must copy.
-		ts.lockedGhosts = append(locked[:len(locked):len(locked)], g)
+		cw.setGhostLocks(t, append(locked[:len(locked):len(locked)], g))
 		cw.p.r.Count(mpi.EpochRelocks, 1)
 		relocked = true
 	}
@@ -428,7 +458,7 @@ func (cw *casperWin) flushRanks(t int, ts *ctarget, w *mpi.Win) []int {
 	ti := &cw.layout[t]
 	base := ti.ghosts
 	if ts != nil {
-		base = cw.lockedGhosts(t, ts)
+		base = cw.lockedGhosts(t)
 	}
 	if cw.sh != nil && w == cw.active && cw.sh.everDeg[ti.node] {
 		// The node ran degraded at some point: operations may be
@@ -576,14 +606,10 @@ func (cw *casperWin) Lock(t int, lt mpi.LockType, assert mpi.Assert) {
 // lockGhosts is Lock's expansion.
 func (cw *casperWin) lockGhosts(t int, tag uint8) {
 	ts := cw.target(t)
-	ts.locked = true
-	ts.viaAll = false
-	ts.lt = mpi.LockShared
+	*ts = tsLocked
 	if tag&tagExcl != 0 {
-		ts.lt = mpi.LockExclusive
+		*ts |= tsExcl
 	}
-	ts.ghostsLkd = false
-	ts.dynamicOK = false
 	if cw.sh != nil {
 		// Block binding migration of t while the epoch is open (the
 		// rebalancer defers to the epoch boundary). If the target is
@@ -618,8 +644,8 @@ func (cw *casperWin) Unlock(t int) {
 func (cw *casperWin) unlockGhosts(x *mpi.Expansion, st uint8, t int) {
 	if st == 0 {
 		ts := cw.target(t)
-		cw.winFor(t, ts).UnlockEach(cw.lockedGhosts(t, ts))
-		*ts = ctarget{}
+		cw.winFor(t, ts).UnlockEach(cw.lockedGhosts(t))
+		cw.resetTarget(t)
 		if cw.sh != nil {
 			cw.sh.lockHolds[t]--
 		}
@@ -669,23 +695,23 @@ func (cw *casperWin) unlockAll(x *mpi.Expansion, st uint8, from int) {
 	if st == 0 {
 		if cw.epochs.lock {
 			for t := from; t < len(cw.targets); t++ { // ascending target order
-				ts := &cw.targets[t]
-				if ts.viaAll && ts.locked {
+				ts := cw.targets[t]
+				if ts.has(tsViaAll) && ts.has(tsLocked) {
 					if x != nil && !x.Room(1) {
 						x.Again(0, t)
 						return
 					}
-					if ts.ghostsLkd {
-						cw.lockWins[cw.layout[t].lockWinIdx].UnlockEach(cw.lockedGhosts(t, ts))
+					if ts.has(tsGhostsLkd) {
+						cw.lockWins[cw.layout[t].lockWinIdx].UnlockEach(cw.lockedGhosts(t))
 					}
-					*ts = ctarget{}
+					cw.resetTarget(t)
 				}
 			}
 		} else {
 			cw.active.FlushAll()
 			for t := range cw.targets {
-				if cw.targets[t].viaAll {
-					cw.targets[t] = ctarget{}
+				if cw.targets[t].has(tsViaAll) {
+					cw.resetTarget(t)
 				}
 			}
 		}
@@ -742,7 +768,7 @@ func (cw *casperWin) flushGhosts(x *mpi.Expansion, st uint8, t int, ts *ctarget,
 	w := cw.winFor(t, ts)
 	gs, i := cw.flushing, cw.flushNext
 	if st < 3 {
-		if ts.locked && cw.touchGhosts(x, st, t, ts, w, pos) {
+		if ts.has(tsLocked) && cw.touchGhosts(x, st, t, ts, w, pos) {
 			return true
 		}
 		gs, i = cw.flushRanks(t, ts, w), 0
@@ -757,7 +783,7 @@ func (cw *casperWin) flushGhosts(x *mpi.Expansion, st uint8, t int, ts *ctarget,
 		w.Flush(gs[i])
 	}
 	cw.flushing = nil
-	ts.dynamicOK = true
+	*ts |= tsDynamicOK
 	return false
 }
 
@@ -797,7 +823,7 @@ func (cw *casperWin) FlushAll() {
 func (cw *casperWin) flushAll(x *mpi.Expansion, st uint8, from int) {
 	for t := from; t < len(cw.targets); t++ { // ascending target order
 		ts := &cw.targets[t]
-		if !ts.locked {
+		if !ts.has(tsLocked) {
 			continue
 		}
 		if st == 0 && x != nil && !x.Room(2) {
@@ -857,7 +883,7 @@ func (cw *casperWin) yield(x *mpi.Expansion, stage uint8, pos int) bool {
 // FlushLocal completes operations locally.
 func (cw *casperWin) FlushLocal(t int) {
 	cw.settle()
-	if ts := cw.lookupTarget(t); ts != nil && ts.locked {
+	if ts := cw.lookupTarget(t); ts != nil && ts.has(tsLocked) {
 		cw.winFor(t, ts).FlushLocal(0)
 	}
 }
@@ -963,6 +989,6 @@ func (cw *casperWin) snapshotEpoch() {
 
 func (cw *casperWin) resetDynamic() {
 	for t := range cw.targets {
-		cw.targets[t].dynamicOK = false
+		cw.targets[t] &^= tsDynamicOK
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -618,5 +620,18 @@ func TestCasperOpsGoToGhostsNotUsers(t *testing.T) {
 		if n := w.RankByID(user).Stats()[mpi.SoftwareAMs]; n != 0 {
 			t.Fatalf("user rank %d processed %d AMs; all should go to ghosts", user, n)
 		}
+	}
+}
+
+// TestCtargetSize: an origin keeps one ctarget per user target of every
+// window handle, so a 384-rank world holds 384 per handle per rank. The
+// state stays within a word and holds no pointer for the collector to
+// scan; the ghosts a failure-hit epoch locked live beside it.
+func TestCtargetSize(t *testing.T) {
+	if n := unsafe.Sizeof(ctarget(0)); n > 8 {
+		t.Fatalf("ctarget is %d bytes, want at most 8", n)
+	}
+	if k := reflect.TypeFor[ctarget]().Kind(); k < reflect.Bool || k > reflect.Complex128 {
+		t.Fatalf("ctarget is a %v, want a scalar without pointers", k)
 	}
 }

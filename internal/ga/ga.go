@@ -29,7 +29,15 @@ type Array struct {
 	pr, pc     int // process grid
 	tr, tc     int // nominal tile dims (last row/col of grid may be smaller)
 
-	// Staging reused by every patch operation on this handle (see stage).
+	// stg is the staging every patch operation on this handle reuses (see
+	// stage); the arrays a rank passes to ShareStaging share one.
+	stg *staging
+}
+
+// staging is a scratch buffer and the piece list of the patch operation
+// in flight. Every GA call is blocking, so a rank has at most one
+// operation staged at a time, whichever array it is on.
+type staging struct {
 	scratch []byte
 	pieces  []piece
 }
@@ -42,15 +50,25 @@ type piece struct {
 }
 
 // stage returns n bytes of the handle's scratch buffer, valid until the
-// next call. A window copies an origin payload before Put/Accumulate
+// next call on any array that shares it. A window copies an origin payload before Put/Accumulate
 // return (see mpi.Window), so rmw stages one piece after another in the
 // same bytes; a result buffer belongs to its Get until the flush, so Get
 // stages the whole patch at once and gives every piece its own part.
 func (a *Array) stage(n int) []byte {
-	if cap(a.scratch) < n {
-		a.scratch = make([]byte, n)
+	if cap(a.stg.scratch) < n {
+		a.stg.scratch = make([]byte, n)
 	}
-	return a.scratch[:n]
+	return a.stg.scratch[:n]
+}
+
+// ShareStaging makes the caller's handles on arrays stage through one
+// buffer, the first array's, instead of one each: a rank's staging then
+// grows to its largest patch, not to the sum over its arrays. Each call
+// on them is blocking, so none stages while another's bytes are in use.
+func ShareStaging(arrays ...*Array) {
+	for i := 1; i < len(arrays); i++ {
+		arrays[i].stg = arrays[0].stg
+	}
 }
 
 // inPlace returns a piece's bytes within rows, the caller's patch buffer
@@ -93,8 +111,9 @@ func Create(env mpi.Env, name string, rows, cols int) (*Array, error) {
 		env: env, name: name,
 		rows: rows, cols: cols,
 		pr: pr, pc: pc,
-		tr: (rows + pr - 1) / pr,
-		tc: (cols + pc - 1) / pc,
+		tr:  (rows + pr - 1) / pr,
+		tc:  (cols + pc - 1) / pc,
+		stg: new(staging),
 	}
 	mr0, mr1, mc0, mc1 := a.tileBounds(env.Rank())
 	local := (mr1 - mr0) * (mc1 - mc0) * 8
@@ -241,7 +260,7 @@ func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op)
 	if alpha == 1 {
 		rows = mpi.Float64Bytes(buf)
 	}
-	a.pieces = a.pieces[:0]
+	a.stg.pieces = a.stg.pieces[:0]
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
 		data := inPlace(rows, r0, c0, c1, or0, or1, oc0, oc1)
@@ -254,9 +273,9 @@ func (a *Array) rmw(r0, r1, c0, c1 int, buf []float64, alpha float64, op mpi.Op)
 		} else {
 			a.win.Accumulate(data, rank, disp, dt, op)
 		}
-		a.pieces = append(a.pieces, piece{rank: rank})
+		a.stg.pieces = append(a.stg.pieces, piece{rank: rank})
 	})
-	for _, p := range a.pieces {
+	for _, p := range a.stg.pieces {
 		a.win.Flush(p.rank)
 	}
 }
@@ -269,13 +288,13 @@ func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 	pcols := c1 - c0
 	rows := mpi.Float64Bytes(buf)
 	var raw []byte
-	a.pieces = a.pieces[:0]
+	a.stg.pieces = a.stg.pieces[:0]
 	off := 0
 	a.visitOwners(r0, r1, c0, c1, func(rank, or0, or1, oc0, oc1 int) {
 		disp, dt := a.pieceType(rank, or0, or1, oc0, oc1)
 		if dst := inPlace(rows, r0, c0, c1, or0, or1, oc0, oc1); dst != nil {
 			a.win.Get(dst, rank, disp, dt)
-			a.pieces = append(a.pieces, piece{rank: rank}) // an empty rectangle: nothing to decode
+			a.stg.pieces = append(a.stg.pieces, piece{rank: rank}) // an empty rectangle: nothing to decode
 			return
 		}
 		if raw == nil {
@@ -283,13 +302,13 @@ func (a *Array) Get(r0, r1, c0, c1 int, buf []float64) {
 		}
 		n := dt.Size()
 		a.win.Get(raw[off:off+n], rank, disp, dt)
-		a.pieces = append(a.pieces, piece{rank, or0, or1, oc0, oc1, off})
+		a.stg.pieces = append(a.stg.pieces, piece{rank, or0, or1, oc0, oc1, off})
 		off += n
 	})
-	for _, p := range a.pieces {
+	for _, p := range a.stg.pieces {
 		a.win.Flush(p.rank)
 	}
-	for _, p := range a.pieces {
+	for _, p := range a.stg.pieces {
 		src, w := raw[p.off:], p.oc1-p.oc0
 		for i := p.or0; i < p.or1; i++ {
 			row := (i-r0)*pcols + (p.oc0 - c0)

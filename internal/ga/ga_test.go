@@ -424,12 +424,12 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 		// checks the path it took: it stages exactly when p has strided
 		// pieces (it spans more than one tile column) or a scaled operand.
 		run := func(what string, p patch, scaled bool, op func()) {
-			prev := a.scratch
-			a.scratch = nil
+			prev := a.stg.scratch
+			a.stg.scratch = nil
 			op()
-			staged := a.scratch != nil
-			if cap(prev) > cap(a.scratch) {
-				a.scratch = prev
+			staged := a.stg.scratch != nil
+			if cap(prev) > cap(a.stg.scratch) {
+				a.stg.scratch = prev
 			}
 			owners := 0
 			a.visitOwners(p.r0, p.r1, p.c0, p.c1, func(int, int, int, int, int) { owners++ })
@@ -565,6 +565,109 @@ func TestPatchOpsMatchDenseReference(t *testing.T) {
 	}
 }
 
+// TestSharedStagingMatchesDenseReference: three arrays of different
+// shapes stage through one buffer (ShareStaging, as tce.Run's do). Each
+// rank interleaves staged Gets, Accs and Puts over the three arrays, all
+// on patches that span two tile columns, each inside the rank's own band
+// of rows so that no other rank's operation races it, and checks every
+// Get against a dense reference; after each round every rank reads a
+// whole array, every band. Every rank draws every rank's operations from
+// one stream and applies them all to its reference, so all copies agree.
+func TestSharedStagingMatchesDenseReference(t *testing.T) {
+	dims := [3][2]int{{36, 29}, {24, 35}, {48, 19}}
+	const rounds, opsPerRank = 6, 9
+	alphas := []float64{1, 0.5, -2}
+	program := func(env mpi.Env) {
+		me, n := env.Rank(), env.Size()
+		var arrs [3]*Array
+		var refs [3][]float64
+		for x, d := range dims {
+			arrs[x] = MustCreate(env, fmt.Sprintf("shared%d", x), d[0], d[1])
+			arrs[x].Fill(0.5)
+			refs[x] = make([]float64, d[0]*d[1])
+			for i := range refs[x] {
+				refs[x][i] = 0.5
+			}
+		}
+		ShareStaging(arrs[0], arrs[1], arrs[2])
+		if arrs[1].stg != arrs[0].stg || arrs[2].stg != arrs[0].stg {
+			t.Fatalf("rank %d: the arrays do not share their staging", me)
+		}
+		check := func(x, r0, r1, c0, c1 int, what string) {
+			a, ref := arrs[x], refs[x]
+			got := make([]float64, (r1-r0)*(c1-c0))
+			a.Get(r0, r1, c0, c1, got)
+			for i := r0; i < r1; i++ {
+				for j := c0; j < c1; j++ {
+					if g, w := got[(i-r0)*(c1-c0)+(j-c0)], ref[i*a.cols+j]; g != w {
+						t.Errorf("rank %d %s: %s (%d,%d) = %v, reference %v", me, what, a.name, i, j, g, w)
+						return
+					}
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(20150525))
+		for round := 0; round < rounds; round++ {
+			for q := 0; q < n; q++ {
+				for o := 0; o < opsPerRank; o++ {
+					x := o % 3 // consecutive operations go to different arrays
+					a, ref := arrs[x], refs[x]
+					h := a.rows / n // rank q's band is rows [q*h, q*h+h)
+					r0 := q*h + rng.Intn(h)
+					r1 := r0 + 1 + rng.Intn(q*h+h-r0)
+					c0, c1 := rng.Intn(a.tc), a.tc+1+rng.Intn(a.cols-a.tc)
+					vals := make([]float64, (r1-r0)*(c1-c0))
+					for i := range vals {
+						vals[i] = float64(rng.Intn(9) - 4)
+					}
+					kind, alpha := rng.Intn(3), alphas[rng.Intn(len(alphas))]
+					if kind == 0 {
+						if q == me {
+							check(x, r0, r1, c0, c1, "get in own band")
+						}
+						continue
+					}
+					k := 0
+					for i := r0; i < r1; i++ {
+						for j := c0; j < c1; j++ {
+							if kind == 1 {
+								ref[i*a.cols+j] += alpha * vals[k]
+							} else {
+								ref[i*a.cols+j] = vals[k]
+							}
+							k++
+						}
+					}
+					if q != me {
+						continue
+					}
+					if kind == 1 {
+						a.Acc(r0, r1, c0, c1, vals, alpha)
+					} else {
+						a.Put(r0, r1, c0, c1, vals)
+					}
+				}
+			}
+			for _, a := range arrs {
+				a.Sync()
+			}
+			x := round % 3
+			check(x, 0, dims[x][0], 0, dims[x][1], "get of every band")
+			arrs[x].Sync()
+		}
+		if arrs[0].stg.scratch == nil {
+			t.Errorf("rank %d: nothing staged", me)
+		}
+		for _, a := range arrs {
+			a.Destroy()
+		}
+	}
+	t.Run("mpi", func(t *testing.T) { runPlain(t, 12, 6, program) })
+	t.Run("casper", func(t *testing.T) {
+		runCasperCfg(t, 16, 8, core.Config{NumGhosts: 2}, program) // 12 users
+	})
+}
+
 // TestFullWidthPatchesStageAndAllocateNothing: a Get and an alpha-1 Acc
 // of a patch one tile column wide over two row owners move their pieces
 // straight from and into the caller's buffer, so in steady state they
@@ -600,9 +703,9 @@ func TestFullWidthPatchesStageAndAllocateNothing(t *testing.T) {
 					a.Get(20, 60, 24, 48, buf)
 					a.Acc(20, 60, 24, 48, buf, 1)
 				})
-				staged = a.scratch != nil
+				staged = a.stg.scratch != nil
 				a.Acc(20, 60, 24, 48, buf, 0.5)
-				scaledStaged = a.scratch != nil
+				scaledStaged = a.stg.scratch != nil
 			}
 			a.Sync()
 			a.Destroy()

@@ -153,8 +153,30 @@ type waitInfo struct {
 	label    string
 }
 
+// lockEdges appends the edges of comm rank me waiting for a lock on
+// target t: one to each rank that holds a lock on t, found as the handles
+// whose channel to t has a granted lock not yet released, or one to t
+// itself while no rank holds one (the request or the grant is on the wire).
+func (g *winGlobal) lockEdges(edges []waitInfo, me, t int, label string) []waitInfo {
+	from, held := g.comm.ranks[me], false
+	for _, h := range g.handles {
+		if t >= len(h.chans) || h.me == me {
+			continue
+		}
+		if ch := h.chans[t]; ch != nil && ch.lock.requested && ch.lock.granted.Done() &&
+			ch.lock.phase != lockPhaseRelease {
+			edges = append(edges, waitInfo{from: from, to: g.comm.ranks[h.me], label: label})
+			held = true
+		}
+	}
+	if !held {
+		edges = append(edges, waitInfo{from: from, to: g.comm.ranks[t], label: label})
+	}
+	return edges
+}
+
 // Diagnose renders the world's wait-for graph: who is blocked on which
-// credit window, lock, or unacknowledged epoch (acks that have landed,
+// credit window, lock holder, or unacknowledged epoch (acks that have landed,
 // deferred or not, are no edge; see chanState.unlanded). Every world is
 // its engine's sim.Diagnoser, so deadlock and watchdog errors carry it.
 func (w *World) Diagnose() []string {
@@ -179,11 +201,7 @@ func (w *World) Diagnose() []string {
 					})
 				}
 				if ch.lock.requested && !ch.lock.granted.Done() {
-					edges = append(edges, waitInfo{
-						from:  g.comm.ranks[win.me],
-						to:    g.comm.ranks[t],
-						label: fmt.Sprintf("win %d: awaiting lock grant", g.id),
-					})
+					edges = g.lockEdges(edges, win.me, t, fmt.Sprintf("win %d: awaiting lock grant", g.id))
 				}
 			}
 		}
@@ -197,11 +215,7 @@ func (w *World) Diagnose() []string {
 				hold = "exclusive"
 			}
 			for _, req := range mgr.waiting() {
-				edges = append(edges, waitInfo{
-					from:  g.comm.ranks[req.win.me],
-					to:    g.comm.ranks[t],
-					label: fmt.Sprintf("win %d: queued behind %s lock", g.id, hold),
-				})
+				edges = g.lockEdges(edges, req.win.me, t, fmt.Sprintf("win %d: queued behind %s lock", g.id, hold))
 			}
 		}
 	}

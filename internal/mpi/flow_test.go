@@ -188,12 +188,13 @@ func TestDeadlockErrorCarriesWaitGraph(t *testing.T) {
 	if !strings.Contains(msg, "wait-for graph") {
 		t.Fatalf("deadlock report has no wait-for graph:\n%s", msg)
 	}
-	// Both edges of rank 2's wait come from the channel state and the
+	// Both lock edges of rank 2's wait come from the channel state and the
 	// manager's queue: it awaits a grant, which is queued behind rank 1's
-	// exclusive hold at rank 0.
+	// exclusive hold at rank 0, so both point at the holder, rank 1. Its
+	// unacked op waits on the target, rank 0.
 	for _, edge := range []string{
-		"rank2 waits on rank0: win 1: queued behind exclusive lock",
-		"rank2 waits on rank0: win 1: awaiting lock grant",
+		"rank2 waits on rank1: win 1: queued behind exclusive lock",
+		"rank2 waits on rank1: win 1: awaiting lock grant",
 		"rank2 waits on rank0: win 1: 1 unacked RMA op(s)",
 	} {
 		if !strings.Contains(msg, edge) {
@@ -210,8 +211,8 @@ func TestDeadlockErrorCarriesWaitGraph(t *testing.T) {
 // so the wait-for graph names no unacked-op edge for it — as the eager
 // schedule, where the ack popped, does not either. The graph is read from
 // the DeadlockError of a plain world, which carries it like every world's
-// hang report; a lock that rank 1 waits for on a second window puts an
-// edge in it.
+// hang report; a lock that rank 1 waits for on a second window, which
+// rank 0 holds, puts an edge from rank 1 to its holder in it.
 func TestDeadlockGraphOmitsLandedAcks(t *testing.T) {
 	for _, eager := range []bool{false, true} {
 		cfg := testConfig(2, 2)
@@ -243,7 +244,7 @@ func TestDeadlockGraphOmitsLandedAcks(t *testing.T) {
 			t.Fatalf("eager=%v: expected deadlock, got %v", eager, err)
 		}
 		g := strings.Join(de.Diagnostics, "\n")
-		if !strings.Contains(g, "rank1 waits on rank1: win 2: awaiting lock grant") {
+		if !strings.Contains(g, "rank1 waits on rank0: win 2: awaiting lock grant") {
 			t.Fatalf("eager=%v: the deadlock carries no wait-for graph with the lock edge:\n%s", eager, g)
 		}
 		if strings.Contains(g, "unacked") {

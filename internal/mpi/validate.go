@@ -29,6 +29,7 @@ type Validator struct {
 	recent     map[int]*applyRing // segment id -> recent applies
 	violations []string
 	ringSize   int
+	older      []int // recordApply's scratch: ring slots, newest first
 }
 
 // applyRing holds a segment's last ringSize applies: it grows to that size
@@ -42,28 +43,27 @@ type Validator struct {
 // that can overlap a new apply in time are therefore a suffix of the ring,
 // and two of the three checks need a time overlap. The third — same-origin
 // ordering — needs an earlier entry of the same origin with a higher seq,
-// which maxSeq rules out for all but an origin whose seq steps back (it
-// does whenever two servers apply one origin's operations out of issue
-// order, on different bytes). Both shortcuts are checked, not assumed:
-// fullFor forces the whole-ring scan while the ring holds an entry recorded
-// out of end-time order.
+// which the origin's maxSeq rules out for all but an origin whose seq steps
+// back (it does whenever two servers apply one origin's operations out of
+// issue order, on different bytes). Such an apply is also checked against
+// that origin's records older than the suffix, found by following each
+// record's link back to the origin's previous one. Both shortcuts are checked,
+// not assumed: fullFor forces the whole-ring scan while the ring holds an
+// entry recorded out of end-time order.
 type applyRing struct {
 	spans   []byteSpan // spans[i] is recs[i]'s [lo, hi) and end time
 	recs    []applyRec
-	next    int           // once full: the oldest record, which the next apply replaces
-	maxSeq  map[int]int64 // by origin world rank: highest seq recorded so far
-	maxEnd  sim.Time      // latest end time recorded
-	fullFor int           // applies still to be scanned against the whole ring
+	next    int                // once full: the oldest record, which the next apply replaces
+	count   int64              // records so far; record k sits in slot k mod ringSize
+	origins map[int]originMark // by origin world rank
+	maxEnd  sim.Time           // latest end time recorded
+	fullFor int                // applies still to be scanned against the whole ring
 }
 
-// seqSteppedBack records origin's seq and reports whether the origin has
-// recorded a higher one on this ring before.
-func (ring *applyRing) seqSteppedBack(origin int, seq int64) bool {
-	if top, ok := ring.maxSeq[origin]; ok && seq < top {
-		return true
-	}
-	ring.maxSeq[origin] = seq
-	return false
+// originMark is what a ring knows of one origin's records.
+type originMark struct {
+	maxSeq int64 // highest seq recorded so far
+	last   int64 // number of its latest record
 }
 
 type byteSpan struct {
@@ -79,6 +79,7 @@ type applyRec struct {
 	seq        int64
 	kind       OpKind
 	excl       bool
+	prevGap    int32 // records back to the origin's previous one; 0 for none in the ring
 }
 
 func newValidator() *Validator {
@@ -119,20 +120,28 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	}
 	ring := v.recent[reg.seg.id]
 	if ring == nil {
-		ring = &applyRing{maxSeq: map[int]int64{}}
+		ring = &applyRing{origins: map[int]originMark{}}
 		v.recent[reg.seg.id] = ring
 	}
+	mark, seen := ring.origins[rec.origin]
+	steppedBack := seen && rec.seq < mark.maxSeq
+	if !steppedBack {
+		mark.maxSeq = rec.seq
+	}
+	if gap := ring.count - mark.last; seen && gap <= int64(v.ringSize) {
+		rec.prevGap = int32(gap)
+	}
+	mark.last = ring.count
+	ring.origins[rec.origin] = mark
 	// The entries to check are the last `scan` of the ring: all of it when
-	// the ordering check could fire or the end times are out of order, else
-	// those that end late enough to overlap rec in time.
+	// the end times are out of order, else those that end late enough to
+	// overlap rec in time.
 	n := len(ring.spans)
 	scan := n
-	full := ring.seqSteppedBack(rec.origin, rec.seq)
-	if ring.fullFor > 0 {
+	full := ring.fullFor > 0
+	if full {
 		ring.fullFor--
-		full = true
-	}
-	if !full {
+	} else {
 		scan = 0
 		for i := ring.next - 1; scan < n; i-- {
 			if i < 0 {
@@ -143,6 +152,9 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 			}
 			scan++
 		}
+	}
+	if steppedBack && !full {
+		v.checkOlder(ring, &rec, scan)
 	}
 	// Oldest first, so that violations are reported in the order the
 	// applies ran: the ring reads [next, n) then [0, next).
@@ -166,6 +178,7 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 		ring.maxEnd = rec.end
 	}
 	sp := byteSpan{rec.lo, rec.hi, rec.end}
+	ring.count++
 	if n < v.ringSize {
 		ring.spans = append(ring.spans, sp)
 		ring.recs = append(ring.recs, rec)
@@ -175,6 +188,29 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	ring.recs[ring.next] = rec
 	if ring.next++; ring.next == v.ringSize {
 		ring.next = 0
+	}
+}
+
+// checkOlder checks rec against the records of its origin older than the
+// last scan of the ring, oldest first: they end before rec starts, so the
+// ordering check is the only one that can fire on them, and it needs the
+// same origin.
+func (v *Validator) checkOlder(ring *applyRing, rec *applyRec, scan int) {
+	oldest, suffix := ring.count-int64(len(ring.spans)), ring.count-int64(scan)
+	v.older = v.older[:0]
+	for k, gap := ring.count, rec.prevGap; gap > 0; gap = ring.recs[k%int64(v.ringSize)].prevGap {
+		if k -= int64(gap); k < oldest {
+			break
+		}
+		if k < suffix {
+			v.older = append(v.older, int(k%int64(v.ringSize)))
+		}
+	}
+	for j := len(v.older) - 1; j >= 0; j-- {
+		i := v.older[j]
+		if sp := ring.spans[i]; sp.lo < rec.hi && rec.lo < sp.hi {
+			v.check(&ring.recs[i], rec)
+		}
 	}
 }
 

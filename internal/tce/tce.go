@@ -102,6 +102,7 @@ func Run(env mpi.Env, p Params) Result {
 	a := ga.MustCreate(env, "tceA", n, n)
 	b := ga.MustCreate(env, "tceB", n, n)
 	c := ga.MustCreate(env, "tceC", n, n)
+	ga.ShareStaging(a, b, c)
 	a.Fill(1)
 	b.Fill(2)
 	c.Fill(0)
@@ -109,18 +110,32 @@ func Run(env mpi.Env, p Params) Result {
 
 	env.CommWorld().Barrier()
 	start := env.Now()
+	res := p.contract(env, a, b, c, counter)
+	env.CommWorld().Barrier()
+	res.Elapsed = env.Now().Sub(start)
 
+	counter.Destroy()
+	c.Destroy()
+	b.Destroy()
+	a.Destroy()
+	return res
+}
+
+// contract runs the calling rank's share of the task loop: it draws tasks
+// from counter until none is left, and for each gets a tile of a and a
+// tile of b, multiplies them and accumulates the product into c. It
+// returns the tasks it ran and the time it spent in the gets.
+func (p Params) contract(env mpi.Env, a, b, c *ga.Array, counter *ga.Counter) Result {
 	var res Result
 	numTasks := p.TilesPerDim * p.TilesPerDim
 	tile := p.TileSize
 	bufA := make([]float64, tile*tile)
 	bufB := make([]float64, tile*tile)
-	bufC := make([]float64, tile*tile)
 	compute := p.computePerTask()
 	for {
 		t := counter.Next()
 		if t >= int64(numTasks) {
-			break
+			return res
 		}
 		i := int(t) / p.TilesPerDim
 		j := int(t) % p.TilesPerDim
@@ -134,24 +149,16 @@ func Run(env mpi.Env, p Params) Result {
 		res.GetTime += env.Now().Sub(g0)
 
 		// The "DGEMM": simulated compute plus a cheap real kernel so
-		// the accumulated data is meaningful.
-		for x := 0; x < tile*tile; x++ {
-			bufC[x] = bufA[x] * bufB[x]
+		// the accumulated data is meaningful. The product overwrites
+		// bufA, which the next task's Get refills.
+		for x := range bufA {
+			bufA[x] *= bufB[x]
 		}
 		env.Compute(compute)
 
-		c.Acc(i*tile, (i+1)*tile, j*tile, (j+1)*tile, bufC, 1)
+		c.Acc(i*tile, (i+1)*tile, j*tile, (j+1)*tile, bufA, 1)
 		res.Tasks++
 	}
-
-	env.CommWorld().Barrier()
-	res.Elapsed = env.Now().Sub(start)
-
-	counter.Destroy()
-	c.Destroy()
-	b.Destroy()
-	a.Destroy()
-	return res
 }
 
 // CheckSum returns the expected value of every element of C after one

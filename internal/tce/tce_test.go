@@ -70,8 +70,11 @@ func TestRunCompletesAllTasksAndData(t *testing.T) {
 	}
 }
 
+// TestRunDataCorrectness runs Run's task loop over arrays that share
+// their staging, as Run's do, but keeps C alive to check its contents:
+// every task's product, formed in place in the tile it got from A, lands
+// once in C.
 func TestRunDataCorrectness(t *testing.T) {
-	// Run the same task loop but keep C alive to check its contents.
 	p := Params{TilesPerDim: 4, TileSize: 4, Phase: PhaseCCSD}.withDefaults()
 	var got []float64
 	_, err := mpi.Run(tceConfig(4, 4, mpi.ProgressNone, false), func(r *mpi.Rank) {
@@ -80,28 +83,12 @@ func TestRunDataCorrectness(t *testing.T) {
 		a := ga.MustCreate(env, "A", n, n)
 		b := ga.MustCreate(env, "B", n, n)
 		c := ga.MustCreate(env, "C", n, n)
+		ga.ShareStaging(a, b, c)
 		a.Fill(1)
 		b.Fill(2)
 		c.Fill(0)
 		counter := ga.NewCounter(env)
-		tile := p.TileSize
-		bufA := make([]float64, tile*tile)
-		bufB := make([]float64, tile*tile)
-		bufC := make([]float64, tile*tile)
-		for {
-			task := counter.Next()
-			if task >= int64(p.TilesPerDim*p.TilesPerDim) {
-				break
-			}
-			i, j := int(task)/p.TilesPerDim, int(task)%p.TilesPerDim
-			k := (i + j + 1) % p.TilesPerDim
-			a.Get(i*tile, (i+1)*tile, k*tile, (k+1)*tile, bufA)
-			b.Get(k*tile, (k+1)*tile, j*tile, (j+1)*tile, bufB)
-			for x := range bufC {
-				bufC[x] = bufA[x] * bufB[x]
-			}
-			c.Acc(i*tile, (i+1)*tile, j*tile, (j+1)*tile, bufC, 1)
-		}
+		p.contract(env, a, b, c, counter)
 		c.Sync()
 		if env.Rank() == 0 {
 			got = make([]float64, n*n)
