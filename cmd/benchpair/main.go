@@ -8,8 +8,9 @@
 //	benchpair -render BENCH_tce_memory.json
 //
 // The ref side is the tree of a git ref, extracted with git archive into a
-// temporary directory (local, no network); the change side is the current
-// checkout. Each side builds its own ./benchmark and runs it in its own
+// temporary directory (local, no network), which is removed when the run
+// ends, stopped by SIGINT or SIGTERM included; the change side is the
+// current checkout. Each side builds its own ./benchmark and runs it in its own
 // tree as the driver does (-workload W -seed S -seconds <run_seconds of
 // BENCHMARK.json> -trace 0), reading the one-line JSON result it ends
 // with. Pair i runs the ref first when i is even and the change first when
@@ -25,16 +26,19 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"syscall"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -155,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // measure runs the pairs and merges their set into the out file.
-func measure(ref, workload string, seed int64, pairs int, out string, log io.Writer) error {
+func measure(ref, workload string, seed int64, pairs int, out string, log io.Writer) (err error) {
 	root, err := gitOut("", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return err
@@ -176,13 +180,17 @@ func measure(ref, workload string, seed int64, pairs int, out string, log io.Wri
 	if err != nil {
 		return err
 	}
-	tmp, err := os.MkdirTemp("", "benchpair-")
+	ctx, tmp, cleanup, err := scratchDir()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
+	defer func() {
+		if cleanup() {
+			err = fmt.Errorf("stopped by a signal; removed %s", tmp)
+		}
+	}()
 	refTree := filepath.Join(tmp, "ref")
-	if err := extract(root, refHash, refTree); err != nil {
+	if err := extract(ctx, root, refHash, refTree); err != nil {
 		return err
 	}
 	// Each side's driver, built in its own tree.
@@ -194,7 +202,7 @@ func measure(ref, workload string, seed int64, pairs int, out string, log io.Wri
 	refSide := &side{tree: refTree, bin: filepath.Join(tmp, "benchmark-ref"), got: &p.Ref}
 	newSide := &side{tree: root, bin: filepath.Join(tmp, "benchmark-new"), got: &p.New}
 	for _, sd := range []*side{refSide, newSide} {
-		cmd := exec.Command("go", "build", "-o", sd.bin, "./benchmark")
+		cmd := exec.CommandContext(ctx, "go", "build", "-o", sd.bin, "./benchmark")
 		cmd.Dir, cmd.Stderr = sd.tree, log
 		if err := cmd.Run(); err != nil {
 			return fmt.Errorf("build the driver in %s: %w", sd.tree, err)
@@ -208,7 +216,7 @@ func measure(ref, workload string, seed int64, pairs int, out string, log io.Wri
 			order[0], order[1] = newSide, refSide
 		}
 		for _, sd := range order {
-			m, err := runDriver(sd.bin, sd.tree, filepath.Join(tmp, "out"), workload, seed, spec.RunSeconds)
+			m, err := runDriver(ctx, sd.bin, sd.tree, filepath.Join(tmp, "out"), workload, seed, spec.RunSeconds)
 			if err != nil {
 				return err
 			}
@@ -237,6 +245,26 @@ func measure(ref, workload string, seed int64, pairs int, out string, log io.Wri
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
+// scratchDir makes a run's benchpair-* temporary directory, which holds
+// the ref tree and both drivers, and a context that SIGINT or SIGTERM
+// cancels, killing the command it runs. cleanup removes the directory,
+// restores the signals' default action and reports whether one of them
+// stopped the run: a deferred call runs however the run ends, where the
+// default action would end the process before it.
+func scratchDir() (ctx context.Context, dir string, cleanup func() (stopped bool), err error) {
+	dir, err = os.MkdirTemp("", "benchpair-")
+	if err != nil {
+		return nil, "", nil, err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	return ctx, dir, func() bool {
+		stopped := ctx.Err() != nil // before stop, which cancels ctx too
+		stop()
+		os.RemoveAll(dir)
+		return stopped
+	}, nil
+}
+
 // merge puts set in place of the file's set of the same workload and seed,
 // or after the others.
 func (f *benchFile) merge(set pairSet) {
@@ -251,8 +279,8 @@ func (f *benchFile) merge(set pairSet) {
 
 // runDriver runs one side's driver in its tree and returns the metrics of
 // the JSON line its stdout ends with.
-func runDriver(bin, tree, outDir, workload string, seed int64, seconds int) (map[string]float64, error) {
-	cmd := exec.Command(bin, "-workload", workload, "-seed", fmt.Sprint(seed),
+func runDriver(ctx context.Context, bin, tree, outDir, workload string, seed int64, seconds int) (map[string]float64, error) {
+	cmd := exec.CommandContext(ctx, bin, "-workload", workload, "-seed", fmt.Sprint(seed),
 		"-seconds", fmt.Sprint(seconds), "-trace", "0", "-out", outDir)
 	cmd.Dir = tree
 	var stdout, stderr bytes.Buffer
@@ -386,13 +414,13 @@ func readFile(path string) (*benchFile, error) {
 }
 
 // extract writes the tree of commit into dir.
-func extract(root, commit, dir string) error {
+func extract(ctx context.Context, root, commit, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	archive := exec.Command("git", "archive", commit)
+	archive := exec.CommandContext(ctx, "git", "archive", commit)
 	archive.Dir = root
-	untar := exec.Command("tar", "-x", "-C", dir)
+	untar := exec.CommandContext(ctx, "tar", "-x", "-C", dir)
 	pipe, err := archive.StdoutPipe()
 	if err != nil {
 		return err

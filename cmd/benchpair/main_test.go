@@ -1,11 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // pairsOf builds pairs of one metric from the ref and change samples.
@@ -100,12 +108,12 @@ func TestRunDriverReadsTheLastLine(t *testing.T) {
 		return p
 	}
 	ok := script("ok", `{"attempted":5,"correct":true,"failed":0,"metrics":{"peak_rss_mb":{"unit":"MB","value":135.5},"wall_s":{"unit":"s","value":2}}}`)
-	m, err := runDriver(ok, dir, dir, "tce_ga", 42, 12)
+	m, err := runDriver(context.Background(), ok, dir, dir, "tce_ga", 42, 12)
 	if err != nil || m["peak_rss_mb"] != 135.5 || m["wall_s"] != 2 {
 		t.Fatalf("runDriver = %v, %v", m, err)
 	}
 	bad := script("bad", `{"attempted":5,"correct":false,"failed":1,"metrics":{}}`)
-	if _, err := runDriver(bad, dir, dir, "tce_ga", 42, 12); err == nil {
+	if _, err := runDriver(context.Background(), bad, dir, dir, "tce_ga", 42, 12); err == nil {
 		t.Fatal("a failed pass read as a result")
 	}
 }
@@ -130,5 +138,94 @@ func TestRenderMarkdown(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSignalRemovesScratchDir: a run stopped by SIGINT or SIGTERM kills
+// the command it was running and removes its benchpair-* directory. The
+// run is a helper process (TestScratchDirHelper) that makes the directory
+// as measure does and waits on a long command in it.
+func TestSignalRemovesScratchDir(t *testing.T) {
+	for _, sig := range []syscall.Signal{syscall.SIGINT, syscall.SIGTERM} {
+		t.Run(sig.String(), func(t *testing.T) {
+			tmp := t.TempDir()
+			cmd := exec.Command(os.Args[0], "-test.run=^TestScratchDirHelper$", "--", "scratch-dir-helper")
+			cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			out := bufio.NewReader(stdout)
+			line, err := out.ReadString('\n')
+			dir := strings.TrimSpace(line)
+			if err != nil || filepath.Dir(dir) != tmp || !strings.HasPrefix(filepath.Base(dir), "benchpair-") {
+				cmd.Process.Kill()
+				t.Fatalf("helper printed %q (%v), want a benchpair-* directory in %s", line, err, tmp)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "benchmark-ref")); err != nil {
+				t.Fatalf("helper's directory: %v", err)
+			}
+			if err := cmd.Process.Signal(sig); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				io.Copy(io.Discard, out)
+				done <- cmd.Wait()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("helper stopped by %v: %v", sig, err)
+				}
+			case <-time.After(20 * time.Second):
+				cmd.Process.Kill()
+				t.Fatalf("helper still running 20 s after %v", sig)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("%v left %s behind (stat: %v)", sig, dir, err)
+			}
+		})
+	}
+}
+
+// TestScratchDirHelper is the process TestSignalRemovesScratchDir
+// signals; run any other way, it skips.
+func TestScratchDirHelper(t *testing.T) {
+	if args := flag.Args(); len(args) != 1 || args[0] != "scratch-dir-helper" {
+		t.Skip("the helper process of TestSignalRemovesScratchDir")
+	}
+	ctx, dir, cleanup, err := scratchDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "benchmark-ref"), nil, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println(dir)
+	if exec.CommandContext(ctx, "sleep", "60").Run() == nil || ctx.Err() == nil {
+		t.Error("the command ended without a signal")
+	}
+	if !cleanup() {
+		t.Error("cleanup reports a run no signal stopped")
+	}
+}
+
+// TestScratchDirCleanupWithoutSignal: a run that ends by itself removes
+// its directory too, and is not reported as stopped by a signal.
+func TestScratchDirCleanupWithoutSignal(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	_, dir, cleanup, err := scratchDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cleanup() {
+		t.Error("cleanup reports a signal that never came")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("%s left behind (stat: %v)", dir, err)
 	}
 }

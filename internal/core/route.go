@@ -177,7 +177,9 @@ func (cw *casperWin) issue(kind mpi.OpKind, t int, w *mpi.Win, pieces []piece, o
 		case mpi.KindCAS:
 			w.CompareAndSwap(cmp, pc.src, pc.dst, pc.ghost, pc.disp, pc.dt.Basic)
 		}
-		cw.countLB(t, pc)
+		if cw.lb == LBOpCounting || cw.lb == LBByteCounting {
+			cw.countLB(t, pc)
+		}
 	}
 }
 
@@ -288,14 +290,15 @@ func (cw *casperWin) dynamicEligible(kind mpi.OpKind, ts *ctarget) bool {
 	return ts != nil && ts.has(tsDynamicOK)
 }
 
-// chooseDynamic picks a ghost per the load-balancing policy, using
-// per-node counters of what this origin has issued (III-B-3).
+// chooseDynamic picks a ghost per the load-balancing policy, the
+// counting ones using per-node counters of what this origin has issued
+// (III-B-3).
 func (cw *casperWin) chooseDynamic(ti *tinfo) int {
-	counts := cw.lbCounts(ti)
 	switch cw.lb {
 	case LBRandom:
 		return ti.ghosts[cw.rng().Intn(len(ti.ghosts))]
 	case LBOpCounting:
+		counts := cw.lbCounts(ti)
 		best := 0
 		for i := 1; i < len(counts); i++ {
 			if counts[i].ops < counts[best].ops {
@@ -304,6 +307,7 @@ func (cw *casperWin) chooseDynamic(ti *tinfo) int {
 		}
 		return ti.ghosts[best]
 	case LBByteCounting:
+		counts := cw.lbCounts(ti)
 		best := 0
 		for i := 1; i < len(counts); i++ {
 			if counts[i].bytes < counts[best].bytes {
@@ -329,7 +333,9 @@ func (cw *casperWin) lbCounts(ti *tinfo) []lbCount {
 }
 
 // countLB records issued work per ghost, so op- and byte-counting see
-// the accumulate load pinned to bound ghosts (Fig. 7(b), 7(c)).
+// the accumulate load pinned to bound ghosts (Fig. 7(b), 7(c)). Only
+// those two policies read the counters; under the others a handle
+// keeps none.
 func (cw *casperWin) countLB(t int, pc *piece) {
 	ti := &cw.layout[t]
 	counts := cw.lbCounts(ti)

@@ -338,6 +338,43 @@ func TestOpCountingBalancesMixedLoad(t *testing.T) {
 	}
 }
 
+// TestOnlyCountingPoliciesKeepLBCounters: the per-node load-balancing
+// counters are read by op- and byte-counting alone, so a handle under
+// static binding or random load balancing routes puts and accumulates
+// without allocating them, while a counting handle keeps them.
+func TestOnlyCountingPoliciesKeepLBCounters(t *testing.T) {
+	for _, lb := range []LoadBalance{LBStatic, LBRandom, LBOpCounting, LBByteCounting} {
+		t.Run(lb.String(), func(t *testing.T) {
+			var cw *casperWin
+			w := casperRun(t, casperConfig(8, 8), Config{NumGhosts: 2, LoadBalance: lb}, func(p *Process) {
+				c := p.CommWorld()
+				win, _ := p.WinAllocate(c, 1024, nil)
+				c.Barrier()
+				if p.Rank() == 1 {
+					cw = win.(*casperWin)
+					win.Lock(0, mpi.LockShared, mpi.AssertNone)
+					win.Put(mpi.PutFloat64s([]float64{1}), 0, 0, mpi.Scalar(mpi.Float64))
+					win.Flush(0) // every ghost lock acquired: puts may balance
+					for i := 0; i < 8; i++ {
+						win.Accumulate(mpi.PutFloat64s([]float64{1}), 0, 0, mpi.Scalar(mpi.Float64), mpi.OpSum)
+						win.Put(mpi.PutFloat64s([]float64{1}), 0, 8, mpi.Scalar(mpi.Float64))
+					}
+					win.Unlock(0)
+				}
+				c.Barrier()
+			})
+			dynamic := w.RankByID(cw.p.r.Rank()).Stats()[mpi.Dynamic]
+			counting := lb == LBOpCounting || lb == LBByteCounting
+			if (dynamic > 0) != (lb != LBStatic) {
+				t.Fatalf("%d puts balanced dynamically under %v", dynamic, lb)
+			}
+			if (cw.nodeLB != nil) != counting {
+				t.Errorf("under %v the handle's counters are %v after routing", lb, cw.nodeLB)
+			}
+		})
+	}
+}
+
 func TestByteCountingBalancesUnevenSizes(t *testing.T) {
 	// Large puts to one ghost inflate its byte count; byte-counting
 	// must route later puts away (Fig. 7(c) mechanism).

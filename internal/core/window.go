@@ -30,7 +30,8 @@ type casperWin struct {
 
 	// Per-origin routing state, kept beside the shared layout and
 	// allocated on first use: which targets' routing preference already
-	// failed over once, and the per-node load-balancing counters.
+	// failed over once, and the per-node load-balancing counters (kept
+	// only under op- and byte-counting, the policies that read them).
 	rebound []bool      // per user comm rank
 	nodeLB  [][]lbCount // per node, per ghost of the node
 

@@ -567,14 +567,14 @@ func (w *Win) sync(it *issueItem, list []int, served bool) bool {
 	case itemUnlock:
 		return w.unlockSteps(it, list, served)
 	case itemUnlockAll:
-		for ; int(it.pos) < len(w.chans); it.pos++ {
-			ch := w.chans[it.pos]
+		for t, ch := w.channelFrom(int(it.pos)); ch != nil; t, ch = w.channelFrom(t + 1) {
+			it.pos = int32(t)
 			if it.stage == stNext {
-				if ch == nil || ch.lock.ep&epViaAll == 0 {
+				if ch.lock.ep&epViaAll == 0 {
 					continue
 				}
 				if !ch.lock.requested {
-					w.chans[it.pos] = nil
+					w.dropChannel(t)
 					continue
 				}
 				it.stage = stGrant
@@ -582,7 +582,7 @@ func (w *Win) sync(it *issueItem, list []int, served bool) bool {
 			if w.closeSteps(it, ch, served) {
 				return true
 			}
-			w.chans[it.pos] = nil
+			w.dropChannel(t)
 		}
 	case itemFlush:
 		ch := w.lookupChannel(it.call.target)
@@ -594,10 +594,10 @@ func (w *Win) sync(it *issueItem, list []int, served bool) bool {
 		}
 		return w.awaitSteps(it, ch, &flushWaits, served)
 	case itemFlushAll:
-		for ; int(it.pos) < len(w.chans); it.pos++ {
-			ch := w.chans[it.pos]
+		for t, ch := w.channelFrom(int(it.pos)); ch != nil; t, ch = w.channelFrom(t + 1) {
+			it.pos = int32(t)
 			if it.stage == stNext {
-				if ch == nil || ch.lock.ep&epLocked == 0 {
+				if ch.lock.ep&epLocked == 0 {
 					continue
 				}
 				it.stage = stGrant
@@ -614,7 +614,7 @@ func (w *Win) sync(it *issueItem, list []int, served bool) bool {
 			}
 			it.stage = stGrant
 		}
-		return w.await(&w.chans[t].lock.granted, "MPI_Win lock acquire", served)
+		return w.await(&w.lookupChannel(t).lock.granted, "MPI_Win lock acquire", served)
 	}
 	return false
 }
@@ -678,7 +678,7 @@ func (w *Win) unlockSteps(it *issueItem, list []int, served bool) bool {
 				return true
 			}
 		}
-		if w.closeSteps(it, w.chans[t], served) {
+		if w.closeSteps(it, w.lookupChannel(t), served) {
 			return true
 		}
 		w.dropEpoch(t, served)
@@ -693,9 +693,7 @@ func (w *Win) dropEpoch(t int, served bool) {
 	if !served {
 		w.clearEpoch(t)
 	}
-	if t < len(w.chans) {
-		w.chans[t] = nil
-	}
+	w.dropChannel(t)
 }
 
 // payLast pays the entry costs still owed when a LockEach or UnlockEach

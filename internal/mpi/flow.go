@@ -160,10 +160,10 @@ type waitInfo struct {
 func (g *winGlobal) lockEdges(edges []waitInfo, me, t int, label string) []waitInfo {
 	from, held := g.comm.ranks[me], false
 	for _, h := range g.handles {
-		if t >= len(h.chans) || h.me == me {
+		if h.me == me {
 			continue
 		}
-		if ch := h.chans[t]; ch != nil && ch.lock.requested && ch.lock.granted.Done() &&
+		if ch := h.lookupChannel(t); ch != nil && ch.lock.requested && ch.lock.granted.Done() &&
 			ch.lock.phase != lockPhaseRelease {
 			edges = append(edges, waitInfo{from: from, to: g.comm.ranks[h.me], label: label})
 			held = true
@@ -189,10 +189,7 @@ func (w *World) Diagnose() []string {
 			continue
 		}
 		for _, win := range g.handles {
-			for t, ch := range win.chans { // ascending target order
-				if ch == nil {
-					continue
-				}
+			for t, ch := win.channelFrom(0); ch != nil; t, ch = win.channelFrom(t + 1) {
 				if n := ch.unlanded(w.eng); n > 0 {
 					edges = append(edges, waitInfo{
 						from:  g.comm.ranks[win.me],

@@ -100,7 +100,7 @@ type issueItem struct {
 	kind  itemKind
 	stage syncStage      // synchronization items: where the item resumes; itemOp: stCredit while it waits for one; itemLayer: the layer's stage
 	ep    uint8          // itemOp, itemLock, itemAcquire: the epoch flags admitted with the call; itemLayer: the layer's tag
-	pos   int32          // synchronization items: the target or channel reached; itemLayer: the layer's position
+	pos   int32          // synchronization items: the LockEach or UnlockEach target index, or the target an UnlockAll or FlushAll reached; itemLayer: the layer's position
 	d     sim.Duration   // itemAdvance, itemLayer: the step; itemOp: when its credit stall began
 	w     *Win           // the handle making the call (none for itemAdvance, itemCall)
 	call  rmaCall        // itemOp, itemLayer: the admitted call, call.data its payload snapshot; a synchronization call on one target: call.target

@@ -50,7 +50,7 @@ const (
 // the channel state, so a lock request allocates nothing of its own.
 type lockMsg struct {
 	win       *Win  // the origin's handle
-	target    int32 // comm rank
+	target    int32 // comm rank; a list-form channel table (Win.chans) sorts by it
 	excl      bool
 	phase     lockPhase
 	requested bool

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -97,13 +98,19 @@ type Win struct {
 	exposure    *pscwExposure // open exposure epoch (Post..Wait)
 	opSeq       int64
 
-	// Passive-epoch state per target, indexed by comm rank and split by
-	// what an epoch actually touches: epoch holds one byte of flags per
-	// target — all a lazily locked target that is never used needs — and
-	// chans the channel state of the targets that carry a lock request or
-	// an operation. Both are allocated on first use (most handles of most
-	// windows never issue); flat slices keep the per-op lookup off the map
-	// hash path.
+	// Passive-epoch state per target, split by what an epoch actually
+	// touches: epoch holds one byte of flags per comm rank — all a lazily
+	// locked target that is never used needs — and chans the channel
+	// state of the targets that carry a lock request or an operation. Both
+	// are allocated on first use (most handles of most windows never
+	// issue). chans is a table of the targets the handle touches, in
+	// ascending target order, in one of two forms told apart by its
+	// length (see channel): a list of the live channels sorted by target
+	// (chanState.lock.target) while they are few, as on a Casper internal
+	// window, whose origins talk to a ghost or so per node; and, once it
+	// would hold more than a quarter of the comm ranks, a slot per comm
+	// rank, indexed by target, nil where no channel is live. A dense
+	// handle's per-op lookup is one indexed load.
 	epoch []uint8
 	chans []*chanState
 	holds int // targets whose epoch carries epHold
@@ -196,28 +203,116 @@ func (w *Win) epochFlags(t int) uint8 {
 	return w.epoch[t]
 }
 
-// channel returns the channel state toward target t, creating it.
+// channel returns the channel state toward target t, creating it. On a
+// dense table with t's channel live — every op of an all-to-all epoch
+// after its first to each target — that is one indexed load; the rest is
+// addChannel.
 func (w *Win) channel(t int) *chanState {
+	if c := w.chans; len(c) == len(w.g.comm.ranks) && uint(t) < uint(len(c)) && c[t] != nil {
+		return c[t]
+	}
+	return w.addChannel(t)
+}
+
+// addChannel is channel for a target whose channel is listed, or is not
+// live yet. A list-form table turns dense when it would hold more than a
+// quarter as many channels as the communicator has ranks: past that the
+// list, whose capacity runs up to twice its length, saves at most half
+// the slots while every op pays a binary search for its channel.
+func (w *Win) addChannel(t int) *chanState {
 	w.checkTarget(t)
-	if w.chans == nil {
-		w.chans = make([]*chanState, len(w.g.comm.ranks))
-	}
-	ch := w.chans[t]
-	if ch == nil {
-		ch = &chanState{}
+	n := len(w.g.comm.ranks)
+	if len(w.chans) == n { // dense, t's slot empty
+		ch := w.newChannel(t)
 		w.chans[t] = ch
+		return ch
 	}
+	i, ok := w.chanSlot(t)
+	if ok {
+		return w.chans[i]
+	}
+	ch := w.newChannel(t)
+	if len(w.chans) < n/4 {
+		w.chans = slices.Insert(w.chans, i, ch)
+		return ch
+	}
+	dense := make([]*chanState, n)
+	for _, c := range w.chans {
+		dense[c.lock.target] = c
+	}
+	dense[t] = ch
+	w.chans = dense
 	return ch
+}
+
+// newChannel makes the channel state toward target t; its lock message
+// knows its origin handle and target from the start, so that a list-form
+// table can sort by the target.
+func (w *Win) newChannel(t int) *chanState {
+	return &chanState{lock: lockMsg{win: w, target: int32(t)}}
+}
+
+// chanSlot returns where target t's channel is, or would go, in a
+// list-form table, and whether it is there.
+func (w *Win) chanSlot(t int) (int, bool) {
+	lo, hi := 0, len(w.chans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(w.chans[m].lock.target) < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(w.chans) && int(w.chans[lo].lock.target) == t
 }
 
 // lookupChannel returns the existing channel state, or nil when the
 // target carries no request or operation (no allocation, no bounds
 // panic).
 func (w *Win) lookupChannel(t int) *chanState {
-	if t < 0 || t >= len(w.chans) {
-		return nil
+	if len(w.chans) == len(w.g.comm.ranks) {
+		if t < 0 || t >= len(w.chans) {
+			return nil
+		}
+		return w.chans[t]
 	}
-	return w.chans[t]
+	if i, ok := w.chanSlot(t); ok {
+		return w.chans[i]
+	}
+	return nil
+}
+
+// channelFrom returns the live channel toward the lowest target at or
+// above t, and that target; nil when there is none. Walks that resume —
+// a served UnlockAll or FlushAll — keep the target they reached, not a
+// slot: a list-form table shifts its slots as channels come and go.
+func (w *Win) channelFrom(t int) (int, *chanState) {
+	if len(w.chans) == len(w.g.comm.ranks) {
+		for ; t < len(w.chans); t++ {
+			if ch := w.chans[t]; ch != nil {
+				return t, ch
+			}
+		}
+		return t, nil
+	}
+	if i, _ := w.chanSlot(t); i < len(w.chans) {
+		ch := w.chans[i]
+		return int(ch.lock.target), ch
+	}
+	return t, nil
+}
+
+// dropChannel forgets target t's channel state, if any. A list keeps its
+// capacity for the handle's next epoch.
+func (w *Win) dropChannel(t int) {
+	if len(w.chans) == len(w.g.comm.ranks) {
+		w.chans[t] = nil
+		return
+	}
+	if i, ok := w.chanSlot(t); ok {
+		w.chans = slices.Delete(w.chans, i, i+1)
+	}
 }
 
 // Region returns this rank's exposed memory region (used by Casper when
