@@ -221,8 +221,7 @@ func (w *Win) channel(t int) *chanState {
 // the slots while every op pays a binary search for its channel.
 func (w *Win) addChannel(t int) *chanState {
 	w.checkTarget(t)
-	n := len(w.g.comm.ranks)
-	if len(w.chans) == n { // dense, t's slot empty
+	if w.dense() { // t's slot is empty
 		ch := w.newChannel(t)
 		w.chans[t] = ch
 		return ch
@@ -232,6 +231,7 @@ func (w *Win) addChannel(t int) *chanState {
 		return w.chans[i]
 	}
 	ch := w.newChannel(t)
+	n := len(w.g.comm.ranks)
 	if len(w.chans) < n/4 {
 		w.chans = slices.Insert(w.chans, i, ch)
 		return ch
@@ -244,6 +244,9 @@ func (w *Win) addChannel(t int) *chanState {
 	w.chans = dense
 	return ch
 }
+
+// dense reports whether the channel table holds a slot per comm rank.
+func (w *Win) dense() bool { return len(w.chans) == len(w.g.comm.ranks) }
 
 // newChannel makes the channel state toward target t; its lock message
 // knows its origin handle and target from the start, so that a list-form
@@ -271,7 +274,7 @@ func (w *Win) chanSlot(t int) (int, bool) {
 // target carries no request or operation (no allocation, no bounds
 // panic).
 func (w *Win) lookupChannel(t int) *chanState {
-	if len(w.chans) == len(w.g.comm.ranks) {
+	if w.dense() {
 		if t < 0 || t >= len(w.chans) {
 			return nil
 		}
@@ -288,7 +291,7 @@ func (w *Win) lookupChannel(t int) *chanState {
 // a served UnlockAll or FlushAll — keep the target they reached, not a
 // slot: a list-form table shifts its slots as channels come and go.
 func (w *Win) channelFrom(t int) (int, *chanState) {
-	if len(w.chans) == len(w.g.comm.ranks) {
+	if w.dense() {
 		for ; t < len(w.chans); t++ {
 			if ch := w.chans[t]; ch != nil {
 				return t, ch
@@ -306,7 +309,7 @@ func (w *Win) channelFrom(t int) (int, *chanState) {
 // dropChannel forgets target t's channel state, if any. A list keeps its
 // capacity for the handle's next epoch.
 func (w *Win) dropChannel(t int) {
-	if len(w.chans) == len(w.g.comm.ranks) {
+	if w.dense() {
 		w.chans[t] = nil
 		return
 	}
