@@ -26,7 +26,7 @@ import (
 // window, so Casper's overlapping windows over the same memory are
 // checked coherently.
 type Validator struct {
-	recent     map[int]*applyRing // segment id -> recent applies
+	recent     []*applyRing // by segment id: recent applies
 	violations []string
 	ringSize   int
 	older      []int // recordApply's scratch: ring slots, newest first
@@ -47,23 +47,25 @@ type Validator struct {
 // back (it does whenever two servers apply one origin's operations out of
 // issue order, on different bytes). Such an apply is also checked against
 // that origin's records older than the suffix, found by following each
-// record's link back to the origin's previous one. Both shortcuts are checked,
-// not assumed: fullFor forces the whole-ring scan while the ring holds an
-// entry recorded out of end-time order.
+// record's link back to the origin's previous one, and only as far back as
+// a record whose chainMax — the highest seq of the origin up to it — still
+// exceeds the apply's: nothing older can be higher. Both shortcuts are
+// checked, not assumed: fullFor forces the whole-ring scan while the ring
+// holds an entry recorded out of end-time order.
 type applyRing struct {
 	spans   []byteSpan // spans[i] is recs[i]'s [lo, hi) and end time
 	recs    []applyRec
-	next    int                // once full: the oldest record, which the next apply replaces
-	count   int64              // records so far; record k sits in slot k mod ringSize
-	origins map[int]originMark // by origin world rank
-	maxEnd  sim.Time           // latest end time recorded
-	fullFor int                // applies still to be scanned against the whole ring
+	next    int          // once full: the oldest record, which the next apply replaces
+	count   int64        // records so far; record k sits in slot k mod ringSize
+	origins []originMark // by origin world rank
+	maxEnd  sim.Time     // latest end time recorded
+	fullFor int          // applies still to be scanned against the whole ring
 }
 
 // originMark is what a ring knows of one origin's records.
 type originMark struct {
 	maxSeq int64 // highest seq recorded so far
-	last   int64 // number of its latest record
+	last   int64 // number of its latest record plus one; 0 for none yet
 }
 
 type byteSpan struct {
@@ -71,19 +73,22 @@ type byteSpan struct {
 	end    sim.Time
 }
 
+// applyRec is one recorded apply: 64 bytes (TestApplyRecSize), so a ring
+// slot is one cache line.
 type applyRec struct {
 	lo, hi     int // absolute byte range in the segment, [lo, hi)
 	start, end sim.Time
-	owner      int // world rank of the servicing engine; -1 for NIC hardware
-	origin     int // world rank of the issuing process
 	seq        int64
+	chainMax   int64 // highest seq of the origin's records up to this one
+	owner      int32 // world rank of the servicing engine; -1 for NIC hardware
+	origin     int32 // world rank of the issuing process
+	prevGap    int32 // records back to the origin's previous one; 0 for none in the ring
 	kind       OpKind
 	excl       bool
-	prevGap    int32 // records back to the origin's previous one; 0 for none in the ring
 }
 
 func newValidator() *Validator {
-	return &Validator{recent: map[int]*applyRing{}, ringSize: 512}
+	return &Validator{ringSize: 512}
 }
 
 // Violations returns human-readable descriptions of every detected
@@ -109,8 +114,8 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 		hi:     lo + o.dt.Extent(),
 		start:  o.ext.svcStart,
 		end:    o.link.At,
-		owner:  ownerWorld,
-		origin: o.win.comm.ranks[o.origin],
+		owner:  int32(ownerWorld),
+		origin: int32(o.win.comm.ranks[o.origin]),
 		seq:    o.ext.seq,
 		kind:   o.kind,
 		excl:   o.excl,
@@ -118,21 +123,21 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	if rec.end == rec.start {
 		rec.end++ // give instantaneous applies a non-empty interval
 	}
-	ring := v.recent[reg.seg.id]
-	if ring == nil {
-		ring = &applyRing{origins: map[int]originMark{}}
-		v.recent[reg.seg.id] = ring
+	ring := v.ring(reg.seg.id)
+	if int(rec.origin) >= len(ring.origins) {
+		ring.origins = append(ring.origins, make([]originMark, int(rec.origin)+1-len(ring.origins))...)
 	}
-	mark, seen := ring.origins[rec.origin]
+	mark := &ring.origins[rec.origin]
+	seen := mark.last > 0
 	steppedBack := seen && rec.seq < mark.maxSeq
 	if !steppedBack {
 		mark.maxSeq = rec.seq
 	}
-	if gap := ring.count - mark.last; seen && gap <= int64(v.ringSize) {
+	rec.chainMax = mark.maxSeq
+	if gap := ring.count + 1 - mark.last; seen && gap <= int64(v.ringSize) {
 		rec.prevGap = int32(gap)
 	}
-	mark.last = ring.count
-	ring.origins[rec.origin] = mark
+	mark.last = ring.count + 1
 	// The entries to check are the last `scan` of the ring: all of it when
 	// the end times are out of order, else those that end late enough to
 	// overlap rec in time.
@@ -191,20 +196,40 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	}
 }
 
+// ring returns segment id's ring, making it on the segment's first apply.
+func (v *Validator) ring(id int) *applyRing {
+	if id >= len(v.recent) {
+		v.recent = append(v.recent, make([]*applyRing, id+1-len(v.recent))...)
+	}
+	ring := v.recent[id]
+	if ring == nil {
+		ring = &applyRing{}
+		v.recent[id] = ring
+	}
+	return ring
+}
+
 // checkOlder checks rec against the records of its origin older than the
 // last scan of the ring, oldest first: they end before rec starts, so the
 // ordering check is the only one that can fire on them, and it needs the
-// same origin.
+// same origin and a higher seq. The walk back stops at the first record
+// whose chainMax is at most rec's seq: neither it nor anything older
+// of the origin can be higher.
 func (v *Validator) checkOlder(ring *applyRing, rec *applyRec, scan int) {
 	oldest, suffix := ring.count-int64(len(ring.spans)), ring.count-int64(scan)
 	v.older = v.older[:0]
-	for k, gap := ring.count, rec.prevGap; gap > 0; gap = ring.recs[k%int64(v.ringSize)].prevGap {
+	for k, gap := ring.count, rec.prevGap; gap > 0; {
 		if k -= int64(gap); k < oldest {
+			break
+		}
+		prev := &ring.recs[k%int64(v.ringSize)]
+		if prev.chainMax <= rec.seq {
 			break
 		}
 		if k < suffix {
 			v.older = append(v.older, int(k%int64(v.ringSize)))
 		}
+		gap = prev.prevGap
 	}
 	for j := len(v.older) - 1; j >= 0; j-- {
 		i := v.older[j]

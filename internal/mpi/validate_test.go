@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -190,8 +191,8 @@ func (v *fullScanValidator) recordApply(o *rmaOp, reg Region, disp, ownerWorld i
 		hi:     lo + o.dt.Extent(),
 		start:  o.ext.svcStart,
 		end:    o.link.At,
-		owner:  ownerWorld,
-		origin: o.win.comm.ranks[o.origin],
+		owner:  int32(ownerWorld),
+		origin: int32(o.win.comm.ranks[o.origin]),
 		seq:    o.ext.seq,
 		kind:   o.kind,
 		excl:   o.excl,
@@ -240,6 +241,16 @@ type applyStream struct {
 	maxGap   int64 // longest idle time between applies; 0 gaps are common
 	stepBack int   // one apply in stepBack reuses an older seq (0 = never)
 	timeBack int   // one apply in timeBack is recorded with a stale end time
+
+	// overtake > 0 adds one origin whose accumulates alternate between two
+	// servers, one of which stalls until it holds overtake of them and then
+	// applies them in a row: the origin's seq steps back by about twice
+	// overtake, and forward again as the backlog drains.
+	overtake  int
+	overSeq   int64
+	held      []*rmaOp // the stalled server's backlog, in issue order
+	releasing bool
+	maxBack   int64 // the farthest the origin's seq stepped back
 }
 
 func newApplyStream(seed int64) *applyStream {
@@ -266,6 +277,11 @@ func (s *applyStream) next() (*rmaOp, Region, int, int) {
 	rng := s.rng
 	if rng.Intn(3) > 0 {
 		s.now += rng.Int63n(s.maxGap + 1)
+	}
+	if s.overtake > 0 && rng.Intn(2) == 0 {
+		if op := s.overtaker(); op != nil {
+			return op, s.regs[0], op.disp, int(op.owner)
+		}
 	}
 	wi := rng.Intn(len(s.wins))
 	origin := rng.Intn(4)
@@ -300,20 +316,52 @@ func (s *applyStream) next() (*rmaOp, Region, int, int) {
 	return op, s.regs[wi], op.disp, owner
 }
 
+// overtaker returns the overtake origin's next apply, or nil when its op
+// went into the stalled server's backlog instead. The origin is comm rank
+// 0 of window 0, under a seq counter of its own.
+func (s *applyStream) overtaker() *rmaOp {
+	rng := s.rng
+	var op *rmaOp
+	if len(s.held) > 0 && (s.releasing || len(s.held) >= s.overtake) {
+		s.releasing = true
+		op, s.held = s.held[0], s.held[1:]
+		s.releasing = len(s.held) > 0
+		s.maxBack = max(s.maxBack, s.overSeq-op.ext.seq)
+	} else {
+		s.overSeq++
+		op = &rmaOp{
+			win: s.wins[0], kind: KindAcc, dt: Scalar(Float64), target: 1,
+			disp: 8 * rng.Intn(12), ext: &opExt{seq: s.overSeq},
+		}
+		if s.overSeq%2 == 0 {
+			op.owner = 5
+			s.held = append(s.held, op)
+			return nil
+		}
+		op.owner = 4
+	}
+	op.link.At = sim.Time(s.now)
+	op.ext.svcStart = sim.Time(s.now - 1 - rng.Int63n(s.maxDur))
+	return op
+}
+
 // TestValidatorScanMatchesFullRing drives the validator and the full-ring
 // oracle with the same seeded apply streams and demands the same violation
 // strings in the same order after every apply: dense and sparse timelines
 // (overlapping and disjoint service intervals), equal-instant and
 // instantaneous applies, several servers, an origin's seq stepping back, two
 // windows over one segment, rings small enough to wrap hundreds of times and
-// the production size wrapping a few, and end times recorded out of order,
-// which must fall back to the full scan.
+// the production size wrapping a few, end times recorded out of order,
+// which must fall back to the full scan, and an origin overtaken by hundreds
+// of its own accumulates, whose seq steps back that far at the production
+// ring size (the walk back along its chain stops early there).
 func TestValidatorScanMatchesFullRing(t *testing.T) {
 	for _, tc := range []struct {
-		name                                          string
-		ring, applies                                 int
-		maxDur, maxGap                                int64
-		stepBack, timeBack, minViolations, minPerKind int
+		name                                        string
+		ring, applies                               int
+		maxDur, maxGap                              int64
+		stepBack, timeBack, overtake, minViolations int
+		minPerKind                                  int
 	}{
 		{name: "dense", ring: 512, applies: 3000, maxDur: 40, maxGap: 3, minViolations: 1000, minPerKind: 1},
 		{name: "sparse", ring: 512, applies: 3000, maxDur: 6, maxGap: 30, minViolations: 1},
@@ -321,11 +369,13 @@ func TestValidatorScanMatchesFullRing(t *testing.T) {
 		{name: "seq-steps-back", ring: 32, applies: 3000, maxDur: 10, maxGap: 8, stepBack: 6, minViolations: 100, minPerKind: 1},
 		{name: "small-ring", ring: 8, applies: 4000, maxDur: 20, maxGap: 5, stepBack: 50, minViolations: 100},
 		{name: "time-steps-back", ring: 16, applies: 4000, maxDur: 12, maxGap: 6, stepBack: 30, timeBack: 40, minViolations: 100},
+		{name: "overtaken", ring: 512, applies: 4000, maxDur: 10, maxGap: 8, overtake: 300, minViolations: 100, minPerKind: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				s := newApplyStream(seed)
 				s.maxDur, s.maxGap, s.stepBack, s.timeBack = tc.maxDur, tc.maxGap, tc.stepBack, tc.timeBack
+				s.overtake = tc.overtake
 				v, oracle := newValidator(), newFullScanValidator(tc.ring)
 				v.ringSize = tc.ring
 				for i := 0; i < tc.applies; i++ {
@@ -344,6 +394,9 @@ func TestValidatorScanMatchesFullRing(t *testing.T) {
 				}
 				if len(got) < tc.minViolations {
 					t.Fatalf("seed %d: only %d violations; the stream tests too little", seed, len(got))
+				}
+				if s.maxBack < int64(tc.overtake) {
+					t.Fatalf("seed %d: the overtaken origin's seq stepped back at most %d", seed, s.maxBack)
 				}
 				for _, kind := range []string{"atomicity", "ordering", "exclusivity"} {
 					n := 0
@@ -369,28 +422,58 @@ func last(s []string) string {
 }
 
 // TestValidatorSteadyStateApplyAllocatesNothing: with the ring full and no
-// violation to format, recording an apply touches only the ring.
+// violation to format, recording an apply touches only the ring — also
+// when the origin's seq keeps stepping back, as when two servers take
+// turns at its operations (on disjoint bytes, so nothing is violated) and
+// each apply walks back along the origin's chain.
 func TestValidatorSteadyStateApplyAllocatesNothing(t *testing.T) {
-	v := newValidator()
-	g, reg := fakeWin(v)
-	op := &rmaOp{
-		win: g, kind: KindAcc, origin: 0, target: 1, dt: Scalar(Float64), owner: 5,
-		ext: &opExt{},
+	for _, tc := range []struct {
+		name     string
+		stepBack bool
+	}{{"in order", false}, {"stepped back", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newValidator()
+			g, reg := fakeWin(v)
+			op := &rmaOp{
+				win: g, kind: KindAcc, origin: 0, target: 1, dt: Scalar(Float64), owner: 5,
+				ext: &opExt{},
+			}
+			var issued, steps int64
+			apply := func() {
+				issued++
+				op.ext.seq = issued
+				disp := int(issued%4) * 8
+				if tc.stepBack && issued%2 == 0 {
+					// The second server's half runs 40 ops behind, on the
+					// upper half of the window.
+					op.ext.seq = issued - 40
+					disp += 32
+					steps++
+				}
+				op.ext.svcStart = op.link.At
+				op.link.At += 10
+				v.recordApply(op, reg, disp, 5)
+			}
+			for i := 0; i < 2*v.ringSize; i++ {
+				apply()
+			}
+			if n := testing.AllocsPerRun(1000, apply); n != 0 {
+				t.Fatalf("%v allocations per apply", n)
+			}
+			if !v.Ok() {
+				t.Fatalf("violations: %v", v.Violations())
+			}
+			if tc.stepBack && steps == 0 {
+				t.Fatal("the seq never stepped back")
+			}
+		})
 	}
-	apply := func() {
-		op.ext.seq++
-		op.ext.svcStart = op.link.At
-		op.link.At += 10
-		v.recordApply(op, reg, int(op.ext.seq%8)*8, 5)
-	}
-	for i := 0; i < 2*v.ringSize; i++ {
-		apply()
-	}
-	if n := testing.AllocsPerRun(1000, apply); n != 0 {
-		t.Fatalf("%v allocations per apply", n)
-	}
-	if !v.Ok() {
-		t.Fatalf("violations: %v", v.Violations())
+}
+
+// TestApplyRecSize: a ring slot is one 64-byte cache line.
+func TestApplyRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(applyRec{}); n != 64 {
+		t.Fatalf("applyRec is %d bytes, want 64", n)
 	}
 }
 
