@@ -141,6 +141,41 @@ func TestRobustSwitchesPerOp(t *testing.T) {
 	}
 }
 
+// What TestRobustEventsPerOp measured, per experiment, when its bounds were
+// last set (the slack is eventSlack's).
+var robustEventsPerOp = map[string]float64{
+	"faultchaos": 7.514,
+	"faultsweep": 4.105,
+	"faultapp":   11.337,
+}
+
+// TestRobustEventsPerOp holds the fault-plan worlds to their event diet:
+// one serial sweep of each at casperbench's -quick scale and seed 42,
+// events executed per RMA operation issued. An RMA op's first transport
+// ack that the injector leaves alone is no event of its own (deferred at
+// the origin's channel like the plain wire's, reliability.sendAck), and
+// settled first-attempt retransmission timers are dropped from the timer
+// chain. With every first ack an event these read 8.219, 5.036 and 11.515.
+// Both counters are process-wide, so the test must not run in parallel.
+func TestRobustEventsPerOp(t *testing.T) {
+	for _, id := range []string{"faultchaos", "faultsweep", "faultapp"} {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		o := tiny()
+		o.Parallel, o.Seed = 1, 42
+		events, ops := mpi.TotalEventsExecuted(), mpi.TotalOpsIssued()
+		e.Run(o)
+		events, ops = mpi.TotalEventsExecuted()-events, mpi.TotalOpsIssued()-ops
+		got := float64(events) / float64(ops)
+		t.Logf("%s at scale %g, seed %d: %d events for %d RMA ops = %.3f per op", id, o.Scale, o.Seed, events, ops, got)
+		if bound := robustEventsPerOp[id] + eventSlack; ops == 0 || got > bound {
+			t.Errorf("%s executed %.3f events per RMA op, want at most %.3f", id, got, bound)
+		}
+	}
+}
+
 // What TestFig5aEventsPerOp measured when its bound was last set, and how
 // far above that a run may read.
 const (

@@ -328,6 +328,9 @@ func (w *World) killRank(id int) {
 		w.eng.Kill(r.proc)
 	}
 	r.engine.release()
+	if w.rel != nil {
+		w.rel.releaseAcks(id)
+	}
 	if t := w.tracer; t.Enabled() {
 		t.RecordFault(trace.Fault{Kind: "crash", Rank: id, Peer: -1, At: w.eng.Now()})
 	}

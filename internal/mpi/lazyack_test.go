@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
@@ -16,7 +17,8 @@ import (
 // lazyOutcome is what TestLazyAcksMatchEager compares of one run: when
 // each rank finished, its window bytes and the results it read, the world
 // summary, and the events with the acks the served run elided counted
-// back in (mpi.World.EventsEager).
+// back in (mpi.World.EventsEager); under a fault plan also the
+// retransmission timers' census and the validator's verdict.
 type lazyOutcome struct {
 	ends    []sim.Time
 	mem     [][]byte
@@ -24,6 +26,8 @@ type lazyOutcome struct {
 	summary mpi.WorldSummary
 	events  int64
 	elided  int64 // acks that were no event of their own
+	census  mpi.TimerCensus
+	verdict []string
 }
 
 // lazyProgram is one case's rank body; it records into o, indexed by
@@ -55,6 +59,10 @@ func lazyRun(t *testing.T, cfg mpi.Config, eager bool, main lazyProgram) lazyOut
 	o.summary.Counters[mpi.PeakQueueResidency] = 0 // scheduler occupancy: what the fast paths change
 	o.events = w.EventsEager()
 	o.elided = o.events - w.Engine().EventsExecuted()
+	o.census = w.TimerCensus()
+	if v := w.Validator(); v != nil {
+		o.verdict = v.Violations()
+	}
 	w.Close()
 	return o
 }
@@ -80,8 +88,20 @@ func lazyMatch(t *testing.T, cfg mpi.Config, main lazyProgram) lazyOutcome {
 				served.mem[i], served.reads[i], eager.mem[i], eager.reads[i])
 		}
 	}
-	if served.events != eager.events {
-		t.Fatalf("events differ: served %d (%d elided acks included), eager %d", served.events, served.elided, eager.events)
+	if !reflect.DeepEqual(served.verdict, eager.verdict) {
+		t.Fatalf("validator verdicts differ:\nserved %q\neager  %q", served.verdict, eager.verdict)
+	}
+	// Under a fault plan the served world chains its first-attempt
+	// retransmission timers and never schedules those whose packet settled
+	// first (see TestRetransmitTimersMatchEagerSchedule): the same timers
+	// armed and acting, and the events fewer by exactly the no-op ones.
+	sc, ec := served.census, eager.census
+	if sc.Armed != ec.Armed || sc.Fired-sc.NoOp != ec.Fired-ec.NoOp {
+		t.Fatalf("timer censuses differ: served %+v, eager %+v", sc, ec)
+	}
+	if fewer := eager.events - served.events; fewer != ec.NoOp-sc.NoOp {
+		t.Fatalf("events differ: served %d (%d elided acks included), eager %d, %d fewer no-op timers",
+			served.events, served.elided, eager.events, ec.NoOp-sc.NoOp)
 	}
 	return served
 }
@@ -264,34 +284,7 @@ func TestLazyAcksMatchEager(t *testing.T) {
 	})
 
 	t.Run("Casper flush over several ghosts", func(t *testing.T) {
-		// Two users and two ghosts per node: a user's ops to a target are
-		// redirected over the ghosts of the target's node, and its flush
-		// drains every one of those channels.
-		program := func(r *mpi.Rank, o *lazyOutcome) {
-			p, ghost := core.Init(r, core.Config{NumGhosts: 2})
-			if ghost {
-				return
-			}
-			c := p.CommWorld()
-			win, mem := p.WinAllocate(c, 64, mpi.Info{})
-			c.Barrier()
-			win.LockAll(mpi.AssertNone)
-			for i := 0; i < 8; i++ {
-				tgt := (c.Rank() + 1 + i) % c.Size()
-				win.Accumulate(lazyOne, tgt, 8*(i%8), mpi.Scalar(mpi.Float64), mpi.OpSum)
-				if i%3 == 2 {
-					p.Compute(sim.Duration(i) * sim.Microsecond)
-					win.Flush(tgt)
-				}
-			}
-			win.FlushAll()
-			win.UnlockAll()
-			c.Barrier()
-			o.mem[r.Rank()] = append([]byte(nil), mem...)
-			win.Free()
-			p.Finalize()
-		}
-		if s := lazyMatch(t, lazyConfig(2, 4), program); s.elided == 0 {
+		if s := lazyMatch(t, lazyConfig(2, 4), lazyCasperFlushes); s.elided == 0 {
 			t.Fatal("no ack elided")
 		}
 	})
@@ -332,54 +325,220 @@ func TestLazyAcksMatchEager(t *testing.T) {
 	})
 
 	t.Run("random op mixes", func(t *testing.T) {
-		// Hardware puts beside gets of up to 64 KiB, whose acks carry the
-		// result and cross slowly, and software accumulates and
-		// get-accumulates: an ack deferred later is often due earlier, so a
-		// channel's latest key is not its newest op's. Flushes, flush-alls
-		// and computes land the drains anywhere among them.
 		for seed := int64(1); seed <= 6; seed++ {
-			program := func(r *mpi.Rank, o *lazyOutcome) {
-				rng := rand.New(rand.NewSource(seed*100 + int64(r.Rank())))
-				c := r.CommWorld()
-				win, mem := r.WinAllocateRegion(c, 2048+64<<10)
-				c.Barrier()
-				var results [][]byte // read once the epoch is closed
-				win.LockAll(mpi.AssertNone)
-				for i := 0; i < 40; i++ {
-					tgt := rng.Intn(c.Size())
-					disp := 8 * rng.Intn(8)
-					switch rng.Intn(7) {
-					case 0:
-						win.Put(mpi.PutFloat64s([]float64{float64(i)}), tgt, 64+disp, mpi.Scalar(mpi.Float64))
-					case 1:
-						win.Accumulate(lazyOne, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
-					case 2:
-						dst := make([]byte, 8*(1+rng.Intn(8<<10)))
-						win.Get(dst, tgt, 2048, mpi.TypeOf(mpi.Byte, len(dst)))
-						results = append(results, dst[:8])
-					case 3:
-						dst := make([]byte, 8)
-						win.GetAccumulate(lazyOne, dst, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
-						results = append(results, dst)
-					case 4:
-						r.Compute(sim.Duration(rng.Intn(4000)) * sim.Nanosecond)
-					case 5:
-						win.Flush(tgt)
-					case 6:
-						win.FlushAll()
-					}
-				}
-				win.UnlockAll()
-				for _, b := range results {
-					o.reads[r.Rank()] = append(o.reads[r.Rank()], b...)
-				}
-				c.Barrier()
-				o.mem[r.Rank()] = append([]byte(nil), mem...)
-				win.Free()
-			}
-			if s := lazyMatch(t, lazyConfig(2, 2), program); s.elided == 0 {
+			if s := lazyMatch(t, lazyConfig(2, 2), lazyMix(seed)); s.elided == 0 {
 				t.Fatalf("seed %d: no ack elided", seed)
 			}
 		}
 	})
+
+	t.Run("fault plans", func(t *testing.T) {
+		// The random mixes and the Casper flushes under every plan of the
+		// injector's: the transport's first acks that the injector leaves
+		// alone are deferred like the plain wire's, the rest stay events,
+		// and a channel drains both. A crashed ghost's streams fail over.
+		for _, tc := range []struct {
+			name   string
+			plan   fault.Plan
+			casper bool
+		}{
+			{"zero-rate", fault.Plan{}, false},
+			{"drop", fault.Plan{DropRate: 0.2}, false},
+			{"dup", fault.Plan{DupRate: 0.3}, false},
+			{"delay", fault.Plan{DelayRate: 0.3, DelayMax: 30 * sim.Microsecond}, false},
+			{"corrupt", fault.Plan{CorruptRate: 0.2}, false},
+			{"ghost-crash", fault.Plan{DropRate: 0.02, Crashes: []fault.Crash{{Rank: 3, At: sim.Time(12 * sim.Microsecond)}}}, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				var elided, reroutes int64
+				for seed := int64(1); seed <= 16; seed++ {
+					cfg := lazyConfig(2, 2)
+					program := lazyMix(seed)
+					if tc.casper {
+						cfg = lazyConfig(2, 4)
+						program = lazyCasperFlushes
+					}
+					plan := tc.plan
+					plan.Seed = seed
+					cfg.Fault, cfg.Validate, cfg.Seed = &plan, true, seed
+					s := lazyMatch(t, cfg, program)
+					elided += s.elided
+					reroutes += s.summary.Counters[mpi.Reroutes]
+				}
+				if elided == 0 {
+					t.Fatal("no transport ack was deferred")
+				}
+				if tc.casper && reroutes == 0 {
+					t.Fatal("the crashed ghost's packets never failed over")
+				}
+			})
+		}
+	})
+
+	t.Run("duplicate between the apply and the ack's key", func(t *testing.T) {
+		// A hardware put applies as it arrives, and a duplicated
+		// transmission arrives a nanosecond behind it, long before the
+		// deferred ack is due: the receiver must still find the op's
+		// payload to check its checksum against, and the packet unacked, so
+		// it re-acks as the eager schedule does. The payloads are longer
+		// than the inline 16 bytes, so they live in pooled buffers.
+		cfg := lazyConfig(2, 1)
+		cfg.Net = netmodel.CrayXC30DMAPP()
+		var dups, elided int64
+		for seed := int64(1); seed <= 16; seed++ {
+			cfg.Fault, cfg.Seed = &fault.Plan{Seed: seed, DupRate: 0.4}, seed
+			s := lazyMatch(t, cfg, func(r *mpi.Rank, o *lazyOutcome) {
+				c := r.CommWorld()
+				win, mem := r.WinAllocateRegion(c, 1024)
+				c.Barrier()
+				if r.Rank() == 0 {
+					win.Lock(1, mpi.LockShared, mpi.AssertNone)
+					for i := 0; i < 16; i++ {
+						v := make([]float64, 8)
+						v[i%8] = float64(i + 1)
+						win.Put(mpi.PutFloat64s(v), 1, 64*i, mpi.TypeOf(mpi.Float64, 8))
+					}
+					win.Unlock(1)
+				}
+				c.Barrier()
+				o.mem[r.Rank()] = append([]byte(nil), mem...)
+				win.Free()
+			})
+			dups += s.summary.Counters[mpi.DupsSuppressed]
+			elided += s.elided
+			if s.summary.Counters[mpi.HardwareOps] == 0 {
+				t.Fatal("no put ran on the NIC")
+			}
+		}
+		if dups == 0 || elided == 0 {
+			t.Fatalf("%d duplicates suppressed, %d acks elided: the case is vacuous", dups, elided)
+		}
+	})
+
+	t.Run("target killed while holding deferred acks", func(t *testing.T) {
+		// Rank 0 accumulates to rank 1, gets 1 MiB from it and computes.
+		// The get's ack carries the result, so it is due some 130 us after
+		// the apply, and the transport's re-armed timer fires in between.
+		// Rank 1 dies right after the apply: its deferred acks are released
+		// as the crash releases its other lists, and the timer, finding the
+		// target dead (unmonitored), completes the get by failover ahead of
+		// its ack, as the eager schedule does.
+		const size = 1 << 20
+		cfg := lazyConfig(2, 1)
+		cfg.Validate = true
+		wire := cfg.Net.Transfer(false, false, size)
+		var due sim.Time
+		program := func(r *mpi.Rank, o *lazyOutcome) {
+			c := r.CommWorld()
+			win, mem := r.WinAllocateRegion(c, size)
+			c.Barrier()
+			if r.Rank() == 0 {
+				dst := make([]byte, size)
+				win.Lock(1, mpi.LockShared, mpi.AssertNone)
+				for i := 0; i < 4; i++ {
+					win.Accumulate(lazyOne, 1, 8*i, mpi.Scalar(mpi.Float64), mpi.OpSum)
+				}
+				win.Get(dst, 1, 0, mpi.TypeOf(mpi.Byte, size))
+				// Busy past the failover: no drain takes the acks home first.
+				r.Compute(500 * sim.Microsecond)
+				if due == 0 {
+					r.Now()
+					_, due = win.DeferredAck(1)
+				}
+				win.Unlock(1)
+				o.reads[0] = dst[:64]
+			}
+			c.Barrier()
+			o.mem[r.Rank()] = append([]byte(nil), mem[:64]...)
+			win.Free()
+		}
+		cfg.Fault = &fault.Plan{Seed: 5}
+		lazyRun(t, cfg, false, program)
+		if due == 0 {
+			t.Fatal("the get's ack was not deferred")
+		}
+		cfg.Fault = &fault.Plan{Seed: 5, Crashes: []fault.Crash{{Rank: 1, At: due - sim.Time(wire) + sim.Time(10*sim.Microsecond)}}}
+		s := lazyMatch(t, cfg, program)
+		if s.summary.Counters[mpi.RetryTimeouts] == 0 {
+			t.Fatal("no timer found the target dead")
+		}
+		if got := mpi.GetFloat64s(s.reads[0][:8]); got[0] != 1 {
+			t.Fatalf("the get read %v, want the accumulated 1", got)
+		}
+	})
+}
+
+// lazyMix is a random op mix of seed's: hardware puts beside gets of up to
+// 64 KiB, whose acks carry the result and cross slowly, and software
+// accumulates and get-accumulates: an ack deferred later is often due
+// earlier, so a channel's latest key is not its newest op's. Flushes,
+// flush-alls and computes land the drains anywhere among them.
+func lazyMix(seed int64) lazyProgram {
+	return func(r *mpi.Rank, o *lazyOutcome) {
+		rng := rand.New(rand.NewSource(seed*100 + int64(r.Rank())))
+		c := r.CommWorld()
+		win, mem := r.WinAllocateRegion(c, 2048+64<<10)
+		c.Barrier()
+		var results [][]byte // read once the epoch is closed
+		win.LockAll(mpi.AssertNone)
+		for i := 0; i < 40; i++ {
+			tgt := rng.Intn(c.Size())
+			disp := 8 * rng.Intn(8)
+			switch rng.Intn(7) {
+			case 0:
+				win.Put(mpi.PutFloat64s([]float64{float64(i)}), tgt, 64+disp, mpi.Scalar(mpi.Float64))
+			case 1:
+				win.Accumulate(lazyOne, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
+			case 2:
+				dst := make([]byte, 8*(1+rng.Intn(8<<10)))
+				win.Get(dst, tgt, 2048, mpi.TypeOf(mpi.Byte, len(dst)))
+				results = append(results, dst[:8])
+			case 3:
+				dst := make([]byte, 8)
+				win.GetAccumulate(lazyOne, dst, tgt, disp, mpi.Scalar(mpi.Float64), mpi.OpSum)
+				results = append(results, dst)
+			case 4:
+				r.Compute(sim.Duration(rng.Intn(4000)) * sim.Nanosecond)
+			case 5:
+				win.Flush(tgt)
+			case 6:
+				win.FlushAll()
+			}
+		}
+		win.UnlockAll()
+		for _, b := range results {
+			o.reads[r.Rank()] = append(o.reads[r.Rank()], b...)
+		}
+		c.Barrier()
+		o.mem[r.Rank()] = append([]byte(nil), mem...)
+		win.Free()
+	}
+}
+
+// lazyCasperFlushes runs on two users and two ghosts per node: a user's
+// ops to a target are redirected over the ghosts of the target's node, and
+// its flush drains every one of those channels.
+func lazyCasperFlushes(r *mpi.Rank, o *lazyOutcome) {
+	p, ghost := core.Init(r, core.Config{NumGhosts: 2})
+	if ghost {
+		return
+	}
+	c := p.CommWorld()
+	win, mem := p.WinAllocate(c, 64, mpi.Info{})
+	c.Barrier()
+	win.LockAll(mpi.AssertNone)
+	for i := 0; i < 8; i++ {
+		tgt := (c.Rank() + 1 + i) % c.Size()
+		win.Accumulate(lazyOne, tgt, 8*(i%8), mpi.Scalar(mpi.Float64), mpi.OpSum)
+		if i%3 == 2 {
+			p.Compute(sim.Duration(i) * sim.Microsecond)
+			win.Flush(tgt)
+		}
+	}
+	win.FlushAll()
+	win.UnlockAll()
+	c.Barrier()
+	o.mem[r.Rank()] = append([]byte(nil), mem...)
+	win.Free()
+	p.Finalize()
 }

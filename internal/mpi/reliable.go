@@ -40,7 +40,10 @@ import (
 // transmission and first RMA ack reuse the regular event path of the
 // fault-free runtime, at the exact times it would have used. Every one of
 // these events is the packet itself (see pktRecv, pktAck, pktTimeout).
-// Duplicate arrivals, retransmissions, acks and back-off timers are
+// A first RMA ack the injector leaves alone is, where no flow control or
+// op observer watches the window, no event at all: it is deferred at the
+// origin's channel like the plain wire's (sendAck, landed). Duplicate
+// arrivals, retransmissions, the other acks and back-off timers are
 // scheduled eagerly, one engine event each. The first-attempt
 // retransmission timers — one per packet, nearly all of which pop only to
 // find the packet acknowledged — are chained instead: their deadlines
@@ -102,10 +105,13 @@ type packet struct {
 	acked     bool
 	abandoned bool
 	chained   bool // pending timer waits in the timer chain (else: its own event)
+	lazyAck   bool // first ack deferred at the origin's channel, not landed yet (see landed)
 }
 
 // settled reports whether the packet reached a terminal state: nothing
-// will ever be retransmitted, failed over or timed out on its behalf.
+// will ever be retransmitted, failed over or timed out on its behalf. A
+// packet whose ack is deferred reads settled only once landed has seen the
+// ack's key pass.
 func (pkt *packet) settled() bool { return pkt.acked || pkt.abandoned }
 
 // The three events of a packet. The type is the phase, so the same packet
@@ -353,7 +359,7 @@ func (rel *reliability) timerFired(pkt *packet) {
 	if pkt.chained {
 		next := pkt.tNext
 		pkt.tNext, pkt.chained = nil, false
-		for next != nil && next.settled() {
+		for next != nil && rel.landed(next) {
 			rel.timers.dropped++
 			next, next.tNext, next.chained = next.tNext, nil, false
 		}
@@ -369,7 +375,7 @@ func (rel *reliability) timerFired(pkt *packet) {
 
 // timeout decides what to do about a still-unacknowledged packet.
 func (rel *reliability) timeout(pkt *packet) {
-	if pkt.settled() {
+	if rel.landed(pkt) {
 		rel.timers.noop++
 		return
 	}
@@ -420,6 +426,7 @@ func (rel *reliability) timeout(pkt *packet) {
 func (rel *reliability) receive(pkt *packet) {
 	st := pkt.st
 	dst := rel.w.ranks[st.key.target]
+	rel.landed(pkt) // a deferred ack due by now has landed, as its event would have
 	if pkt.abandoned {
 		return
 	}
@@ -506,7 +513,7 @@ func (rel *reliability) reAck(pkt *packet) {
 		return
 	}
 	if pkt.op != nil && pkt.op.applied {
-		rel.sendAck(pkt, rel.ackWire(pkt), false)
+		rel.sendAck(pkt, rel.ackWire(pkt), false, false)
 	} else if pkt.msg != nil && pkt.delivered {
 		rel.sendP2PAck(pkt)
 	}
@@ -525,17 +532,25 @@ func (rel *reliability) ackWire(pkt *packet) sim.Duration {
 
 // sendAck carries an RMA completion back to the origin. first marks
 // the ack generated by the op's (first) apply, which uses the regular
-// event path at the exact time the fault-free runtime would.
-func (rel *reliability) sendAck(pkt *packet, wire sim.Duration, first bool) {
+// event path at the exact time the fault-free runtime would; lazy, that
+// such an ack may instead be deferred at the origin's channel (rmaOp.ack)
+// when the injector neither drops, delays nor duplicates it: it reserves
+// its seq here, where AfterRun would take it, and lands with no event of
+// its own (chanState.deferAck, landed).
+func (rel *reliability) sendAck(pkt *packet, wire sim.Duration, first, lazy bool) {
 	dec := rel.w.inj.Transmission()
 	if dec.Drop {
 		pkt.ackLost = true
 		return
 	}
 	eng := rel.w.eng
-	if first && dec.Extra == 0 {
+	switch {
+	case first && dec.Extra == 0 && !dec.Dup && lazy:
+		op := pkt.op
+		op.ch.deferAck(op, eng.Now().Add(wire), eng.ReserveSeq())
+	case first && dec.Extra == 0:
 		eng.AfterRun(wire, (*pktAck)(pkt))
-	} else {
+	default:
 		eng.AfterBGRun(wire+dec.Extra, (*pktAck)(pkt))
 	}
 	if dec.Dup {
@@ -561,14 +576,66 @@ func (rel *reliability) sendP2PAck(pkt *packet) {
 // deliverAck lands an ack at the origin: completes the op's
 // origin-side bookkeeping exactly once (duplicate acks are no-ops).
 func (rel *reliability) deliverAck(pkt *packet) {
-	if pkt.settled() {
+	if rel.landed(pkt) {
 		return
+	}
+	if pkt.lazyAck {
+		// Every other ack of a packet is sent after its first and crosses
+		// the same wire, and a failover follows the target's death, which
+		// released the deferred ack (releaseAcks): none can land first.
+		panic(fmt.Sprintf("mpi: an ack of packet %d landed before its deferred first ack", pkt.seq))
 	}
 	pkt.acked = true
 	pkt.st.settle()
 	if op := pkt.op; op != nil {
-		op.ch.pending.Done()
+		ch := op.ch
+		ch.pending.Done()
+		if ch.lazyN > 0 && ch.pending.Waiting() {
+			ch.settleAcks(rel.w)
+		}
 		op.win.opTerminal(op)
+	}
+}
+
+// landed reports whether pkt has settled, first landing its deferred ack
+// (lazyAck) if the ack's key has passed: whatever reads a packet's state
+// calls it, and so sees the packet as the eager schedule, which pops that
+// ack as an event of its own, has it at this instant.
+func (rel *reliability) landed(pkt *packet) bool {
+	if pkt.lazyAck {
+		if op := pkt.op; rel.w.eng.Passed(op.link.At, op.link.Seq) {
+			rel.landAck(pkt)
+		}
+	}
+	return pkt.settled()
+}
+
+// landAck lands pkt's deferred ack: what deliverAck does but for the
+// channel's count, which the channel settles (chanState.landAcks).
+func (rel *reliability) landAck(pkt *packet) {
+	pkt.lazyAck = false
+	pkt.acked = true
+	pkt.st.settle()
+	op := pkt.op
+	op.win.opTerminal(op)
+}
+
+// releaseAcks runs as rank worldRank dies: every ack it deferred becomes
+// what the eager schedule has of it — landed if its key has passed, else
+// an event of its own under that key (chanState.releaseAck) — as killRank
+// releases the rank's other lists. What follows the death (failover's
+// synthesized completions, the acks' own pops) then runs on the eager
+// path.
+func (rel *reliability) releaseAcks(worldRank int) {
+	for _, st := range rel.order {
+		if st.key.target != worldRank || st.key.win == nil {
+			continue
+		}
+		for _, pkt := range st.pending() {
+			if pkt != nil && pkt.lazyAck && !rel.landed(pkt) {
+				pkt.op.ch.releaseAck(pkt.op)
+			}
+		}
 	}
 }
 
@@ -629,7 +696,7 @@ func (rel *reliability) failoverStream(st *stream) {
 
 // failoverPacket recovers one unacknowledged packet whose target died.
 func (rel *reliability) failoverPacket(pkt *packet) {
-	if pkt.settled() {
+	if rel.landed(pkt) {
 		return
 	}
 	w := rel.w

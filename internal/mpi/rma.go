@@ -586,23 +586,25 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 }
 
 // ack returns the completion (and result payload) to the origin. On the
-// plain wire — fast paths on, no reliable transport, no flow control, no
-// op observer — the completion is unobservable until a flush or unlock
-// waits for it (MPI-3 passive target), so the ack is deferred at the
-// channel instead of scheduled: its event seq is still reserved here,
-// where AfterRun would take it, and the op ends at once (deferAck).
+// plain wire — fast paths on, no flow control, no op observer — the
+// completion is unobservable until a flush or unlock waits for it (MPI-3
+// passive target), so the ack is deferred at the channel instead of
+// scheduled: its event seq is still reserved here, where AfterRun would
+// take it (deferAck). Under a fault plan the same holds for the op's
+// first ack whenever the injector leaves it alone (reliability.sendAck).
 func (o *rmaOp) ack() {
 	g := o.win
 	originWorld := g.comm.ranks[o.origin]
 	targetWorld := g.comm.ranks[o.target]
 	tr := g.w.ranks[targetWorld]
 	wire := tr.transferTo(originWorld, o.ackBytes())
+	eng := tr.eng
+	lazy := g.w.flow == nil && g.onOpDone == nil && !eng.FastPathsDisabled()
 	if rel := g.w.rel; rel != nil {
-		rel.sendAck(o.ext.relPkt, wire, true)
+		rel.sendAck(o.ext.relPkt, wire, true, lazy)
 		return
 	}
-	eng := tr.eng
-	if g.w.flow == nil && g.onOpDone == nil && !eng.FastPathsDisabled() {
+	if lazy {
 		o.ch.deferAck(o, eng.Now().Add(wire), eng.ReserveSeq())
 		return
 	}
@@ -622,9 +624,13 @@ func (o *rmaOp) ackDelivered() {
 	o.win.opTerminal(o)
 }
 
-// deferAck defers o's ack, due at (at, seq), at the channel and ends the
-// op: the payload goes back to the pool and the header to the freelist.
-// If a drain already waits, the acks may be settled now.
+// deferAck defers o's ack, due at (at, seq), at the channel. On the plain
+// wire the op ends there and then: the payload goes back to the pool and
+// the header to the freelist. Under a fault plan it lives on until the ack
+// lands, since a duplicate arrival or a failover may still read it: the
+// channel lists it (ch.acks, through its link, which holds the key) and
+// its packet reads lazyAck until the ack lands (reliability.landed). If a
+// drain already waits, the acks may be settled now.
 func (ch *chanState) deferAck(o *rmaOp, at sim.Time, seq uint64) {
 	g := o.win
 	g.w.eng.Elide(at, seq)
@@ -633,7 +639,16 @@ func (ch *chanState) deferAck(o *rmaOp, at sim.Time, seq uint64) {
 		ch.lazyAt, ch.lazySeq = at, seq
 	}
 	ch.lazyN++
-	g.opTerminal(o)
+	if g.w.rel != nil {
+		o.ext.relPkt.lazyAck = true
+		o.link = sim.Link{At: at, Seq: seq}
+		if ch.acks != nil { // a nil *rmaOp stored in the interface would not read as nil
+			o.link.Next = ch.acks
+		}
+		ch.acks = o
+	} else {
+		g.opTerminal(o)
+	}
 	if ch.pending.Waiting() {
 		ch.settleAcks(g.w)
 	}
@@ -641,10 +656,12 @@ func (ch *chanState) deferAck(o *rmaOp, at sim.Time, seq uint64) {
 
 // settleAcks brings the channel's deferred acks home once every op on it
 // is applied, as the eager schedule would: they land now, with no event,
-// if the latest key has passed; otherwise the channel is scheduled under
-// that key, where the eager schedule pops the last ack, so the drain wakes
-// at the same instant under the same seq. Win.awaitSteps calls it before a
-// drain waits, deferAck and ackDelivered while one does.
+// if the latest key has passed. Otherwise, on the plain wire, the channel
+// is scheduled under that key, where the eager schedule pops the last ack,
+// so the drain wakes at the same instant under the same seq; under a fault
+// plan the latest ack becomes an event of its own again (releaseAck), and
+// its landing settles the rest. Win.awaitSteps calls it before a drain
+// waits, the ack paths while one does.
 func (ch *chanState) settleAcks(w *World) {
 	if ch.lazyN == 0 || ch.lazySet || ch.pending.Pending() != int(ch.lazyN) {
 		return
@@ -653,19 +670,67 @@ func (ch *chanState) settleAcks(w *World) {
 		ch.landAcks()
 		return
 	}
+	if ch.acks != nil {
+		for o := ch.acks; ; o = o.next() {
+			if o.link.At == ch.lazyAt && o.link.Seq == ch.lazySeq {
+				ch.releaseAck(o)
+				return
+			}
+		}
+	}
 	ch.lazySet = true
 	w.acksElided--
 	w.eng.AtRunReserved(ch.lazyAt, ch.lazySeq, ch)
+}
+
+// releaseAck takes the deferred ack of o, a fault-plan op whose key has
+// not passed, off the channel and schedules it under that key as the
+// pktAck event the eager schedule has there. The channel's latest key is
+// recomputed from the acks still deferred.
+func (ch *chanState) releaseAck(o *rmaOp) {
+	var prev *rmaOp
+	ch.lazyN--
+	ch.lazyAt, ch.lazySeq = 0, 0
+	for p := ch.acks; p != nil; p = p.next() {
+		if p == o {
+			if prev == nil {
+				ch.acks = p.next()
+			} else {
+				prev.link.Next = p.link.Next
+			}
+			continue
+		}
+		if k := p.link; ch.lazyAt < k.At || ch.lazyAt == k.At && ch.lazySeq < k.Seq {
+			ch.lazyAt, ch.lazySeq = k.At, k.Seq
+		}
+		prev = p
+	}
+	o.link.Next = nil
+	pkt := o.ext.relPkt
+	pkt.lazyAck = false
+	w := o.win.w
+	w.acksElided--
+	w.eng.AtRunReserved(o.link.At, o.link.Seq, (*pktAck)(pkt))
 }
 
 // Step implements sim.Runner: the latest deferred ack's event, scheduled
 // by settleAcks.
 func (ch *chanState) Step() { ch.landAcks() }
 
-// landAcks lands every deferred ack of the channel.
+// landAcks lands every deferred ack of the channel; under a fault plan
+// that also settles each listed op's packet whose ack has not landed yet.
 func (ch *chanState) landAcks() {
 	n := ch.lazyN
 	ch.lazyN, ch.lazySet = 0, false
+	for o := ch.acks; o != nil; {
+		next := o.next()
+		o.link.Next = nil
+		if pkt := o.ext.relPkt; pkt.lazyAck {
+			pkt.st.rel.landAck(pkt)
+		}
+		o = next
+	}
+	ch.acks = nil
 	ch.pending.DoneN(int(n))
 }
 

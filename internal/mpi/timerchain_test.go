@@ -34,7 +34,8 @@ type tcRun struct {
 	ends    []sim.Time // per user: when its program finished
 	summary mpi.WorldSummary
 	verdict []string // the validator's violations
-	events  int64
+	events  int64    // elided acks included (World.EventsEager)
+	elided  int64    // acks that were no event of their own
 	census  mpi.TimerCensus
 }
 
@@ -96,20 +97,25 @@ func timerChainRun(t *testing.T, seed int64, plan fault.Plan, eager bool) tcRun 
 	run.summary = w.Summary()
 	run.summary.Counters[mpi.PeakQueueResidency] = 0 // scheduler occupancy: what the chain reduces
 	run.verdict = w.Validator().Violations()
-	run.events = w.Engine().EventsExecuted()
+	run.events = w.EventsEager()
+	run.elided = run.events - w.Engine().EventsExecuted()
 	run.census = w.TimerCensus()
 	return run
 }
 
-// TestRetransmitTimersMatchEagerSchedule holds the timer chain against the
-// schedule it replaces. A world with the fast paths off arms every
-// retransmission timer as its own engine event; the default world chains
-// the first-attempt ones and never schedules those whose packet has
-// settled by promotion. Both must produce the same world: every rank
-// finishes at the same instant, the same counters, the same memory, the
-// same validator verdict. The censuses must add up: the same timers armed,
-// the same timers that did something, and an event count lower by exactly
-// the no-op timers the chain never scheduled.
+// TestRetransmitTimersMatchEagerSchedule holds the timer chain and the
+// deferred transport acks against the schedule they replace. A world with
+// the fast paths off arms every retransmission timer as its own engine
+// event and schedules every ack; the default world chains the first-attempt
+// timers, never schedules those whose packet has settled by promotion, and
+// defers each first ack the injector leaves alone at the origin's channel.
+// Both must produce the same world: every rank finishes at the same
+// instant, the same counters, the same memory, the same validator verdict.
+// The censuses must add up: the same timers armed, the same timers that did
+// something, and an event count — the elided acks counted back in — lower
+// by exactly the no-op timers the chain never scheduled. Every plan of
+// the injector's is covered on its own (drop, duplicate, delay, corrupt),
+// as well as all of them at once and a crashed ghost.
 func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 	lossy := fault.Plan{DropRate: 0.25, DupRate: 0.1, DelayRate: 0.2,
 		DelayMax: 30 * sim.Microsecond, CorruptRate: 0.05}
@@ -119,9 +125,17 @@ func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		plan fault.Plan
-	}{{"zero-rate", fault.Plan{}}, {"lossy", lossy}, {"ghost-crash", crash}} {
+	}{
+		{"zero-rate", fault.Plan{}},
+		{"drop", fault.Plan{DropRate: 0.2}},
+		{"dup", fault.Plan{DupRate: 0.3}},
+		{"delay", fault.Plan{DelayRate: 0.3, DelayMax: 30 * sim.Microsecond}},
+		{"corrupt", fault.Plan{CorruptRate: 0.2}},
+		{"lossy", lossy},
+		{"ghost-crash", crash},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var armed, dropped, saved, retransmits, reroutes int64
+			var armed, dropped, saved, elided, retransmits, reroutes int64
 			for seed := int64(1); seed <= 16; seed++ {
 				chain := timerChainRun(t, seed, tc.plan, false)
 				eager := timerChainRun(t, seed, tc.plan, true)
@@ -141,6 +155,9 @@ func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 					t.Fatalf("%s: validator verdicts differ:\nchain %q\neager %q", at, chain.verdict, eager.verdict)
 				}
 				cc, ec := chain.census, eager.census
+				if eager.elided != 0 {
+					t.Fatalf("%s: the eager schedule elided %d acks", at, eager.elided)
+				}
 				if ec.Dropped != 0 {
 					t.Fatalf("%s: the eager schedule dropped %d timers", at, ec.Dropped)
 				}
@@ -160,17 +177,20 @@ func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 				if cc.Armed < cc.Fired+cc.Dropped {
 					t.Fatalf("%s: census %+v: more timers fired and dropped than armed", at, cc)
 				}
-				armed, dropped, saved = armed+cc.Armed, dropped+cc.Dropped, saved+fewer
+				armed, dropped, saved, elided = armed+cc.Armed, dropped+cc.Dropped, saved+fewer, elided+chain.elided
 				retransmits += chain.summary.Counters[mpi.Retransmits]
 				reroutes += chain.summary.Counters[mpi.Reroutes]
 			}
-			t.Logf("16 seeds: %d timers armed, %d dropped at promotion, %d events fewer than eager, %d retransmits, %d reroutes",
-				armed, dropped, saved, retransmits, reroutes)
+			t.Logf("16 seeds: %d timers armed, %d dropped at promotion, %d events fewer than eager, %d acks elided, %d retransmits, %d reroutes",
+				armed, dropped, saved, elided, retransmits, reroutes)
 			if dropped == 0 {
 				t.Fatal("no timer was ever dropped at promotion: the comparison is vacuous")
 			}
-			if tc.name == "lossy" && retransmits == 0 {
-				t.Fatal("the lossy plan never caused a retransmission")
+			if elided == 0 {
+				t.Fatal("no transport ack was ever deferred: the comparison is vacuous")
+			}
+			if tc.plan.DropRate+tc.plan.CorruptRate > 0 && retransmits == 0 {
+				t.Fatal("the plan never caused a retransmission")
 			}
 			if tc.name == "ghost-crash" && reroutes == 0 {
 				t.Fatal("the crashed ghost's packets never failed over")

@@ -173,8 +173,13 @@ type chanState struct {
 	// lazySet marks the channel scheduled under that key. They land
 	// together (landAcks) where the eager schedule pops the last of them,
 	// or with no event at all if that key has passed before anyone waits.
+	//
+	// Under a fault plan the deferred ops stay listed here, linked through
+	// rmaOp.link (each keeping its ack's key there), until their acks land
+	// (see deferAck); lazySet is never set.
 	lazyAt  sim.Time
 	lazySeq uint64
+	acks    *rmaOp
 	lazyN   int32
 	lazySet bool
 }
