@@ -425,17 +425,17 @@ func TestWindowConstructionAllocatesPerRankNotPerWorld(t *testing.T) {
 // allocates per rank may not grow more than 1.5x from 4 to 16 nodes. An
 // origin's handle on an internal window talks to one ghost, so state it
 // keeps per comm rank of that window (a channel slot per rank) grows the
-// figure with the world. The same epoch on a first window pays what a
-// rank pays once per world, not per window or epoch — its locality
-// table, a byte per world rank, among it — before the measured one.
+// figure with the world. The guard holds for a fresh world's first epoch,
+// which pays what a rank pays once per world (such as the first message
+// it sends), and for the same epoch on a second window.
 func TestEpochChannelsAllocatePerRankNotPerWorld(t *testing.T) {
-	perRank := func(nodes int, epochs string) float64 {
+	perRank := func(nodes int, epochs string) (firstB, nextB float64) {
 		const ppn = 18 // 16 users + 2 ghosts per node
 		mcfg := mpi.Config{
 			Machine: cluster.Machine{Nodes: nodes, CoresPerNode: 24, NUMAPerNode: 2},
 			N:       nodes * ppn, PPN: ppn, Net: netmodel.CrayXC30(), Seed: 11,
 		}
-		var before, after runtime.MemStats
+		var bytes [2]uint64
 		main := func(r *mpi.Rank) {
 			p, ghost := Init(r, Config{NumGhosts: 2})
 			if ghost {
@@ -444,7 +444,15 @@ func TestEpochChannelsAllocatePerRankNotPerWorld(t *testing.T) {
 			c := p.CommWorld()
 			next := (c.Rank() + 1) % c.Size()
 			one := mpi.PutFloat64s([]float64{1})
-			epoch := func(win mpi.Window) {
+			// One process at a time runs, so rank 0 reads the counter
+			// before any user's epoch and after every user's.
+			measure := func(i int, win mpi.Window) {
+				var before, after runtime.MemStats
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
 				if epochs == EpochLockAll {
 					win.LockAll(mpi.AssertNone)
 					win.Accumulate(one, next, 0, mpi.Scalar(mpi.Float64), mpi.OpSum)
@@ -454,22 +462,16 @@ func TestEpochChannelsAllocatePerRankNotPerWorld(t *testing.T) {
 					win.Accumulate(one, next, 0, mpi.Scalar(mpi.Float64), mpi.OpSum)
 					win.Unlock(next)
 				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					bytes[i] = after.TotalAlloc - before.TotalAlloc
+				}
 			}
 			first, _ := p.WinAllocate(c, 64, mpi.Info{InfoEpochsUsed: epochs})
 			win, _ := p.WinAllocate(c, 64, mpi.Info{InfoEpochsUsed: epochs})
-			epoch(first)
-			// One process at a time runs, so rank 0 reads the counter
-			// before any user's epoch and after every user's.
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&before)
-			}
-			c.Barrier()
-			epoch(win)
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&after)
-			}
+			measure(0, first)
+			measure(1, win)
 			win.Free()
 			first.Free()
 			p.Finalize()
@@ -477,14 +479,22 @@ func TestEpochChannelsAllocatePerRankNotPerWorld(t *testing.T) {
 		if _, err := mpi.Run(mcfg, main); err != nil {
 			t.Fatal(err)
 		}
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes*ppn)
+		n := float64(nodes * ppn)
+		return float64(bytes[0]) / n, float64(bytes[1]) / n
 	}
 	for _, epochs := range []string{EpochLockAll, EpochLock} {
-		small, large := perRank(4, epochs), perRank(16, epochs)
-		t.Logf("%s: allocated bytes per rank: %.0f on 4 nodes, %.0f on 16 nodes (%.2fx)", epochs, small, large, large/small)
-		if large > 1.5*small {
-			t.Errorf("%s: bytes per rank grew %.2fx from 4 to 16 nodes (%.0f -> %.0f); want at most 1.5x",
-				epochs, large/small, small, large)
+		smallFirst, small := perRank(4, epochs)
+		largeFirst, large := perRank(16, epochs)
+		for _, m := range []struct {
+			name         string
+			small, large float64
+		}{{"first epoch", smallFirst, largeFirst}, {"second window's epoch", small, large}} {
+			t.Logf("%s, %s: allocated bytes per rank: %.0f on 4 nodes, %.0f on 16 nodes (%.2fx)",
+				epochs, m.name, m.small, m.large, m.large/m.small)
+			if m.large > 1.5*m.small {
+				t.Errorf("%s, %s: bytes per rank grew %.2fx from 4 to 16 nodes (%.0f -> %.0f); want at most 1.5x",
+					epochs, m.name, m.large/m.small, m.small, m.large)
+			}
 		}
 	}
 }

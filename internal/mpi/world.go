@@ -143,6 +143,7 @@ type Config struct {
 type World struct {
 	eng        *sim.Engine
 	place      *cluster.Placement
+	domains    []rankDomain // by world rank: where it runs (localityTo)
 	net        *netmodel.Params
 	cfg        Config
 	ranks      []*Rank
@@ -216,6 +217,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w := &World{
 		place:     place,
+		domains:   domainsOf(place),
 		net:       cfg.Net,
 		cfg:       cfg,
 		opRecycle: cfg.Fault == nil,
@@ -616,12 +618,14 @@ type Rank struct {
 	id   int
 	proc *sim.Proc
 
-	// eng/pool/net alias the world's engine, buffer pool and cost model:
-	// one load instead of two on the message path (reading them through
-	// r.w measured 3-6 % slower on fig5a at scale 0.5, 2-vCPU Xeon).
-	eng  *sim.Engine
-	pool *bufPool
-	net  *netmodel.Params
+	// eng/pool/net/domains alias the world's engine, buffer pool, cost
+	// model and rank domains: one load instead of two on the message path
+	// (reading them through r.w measured 3-6 % slower on fig5a at scale
+	// 0.5, 2-vCPU Xeon).
+	eng     *sim.Engine
+	pool    *bufPool
+	net     *netmodel.Params
+	domains []rankDomain
 
 	// opFree recycles rmaOp headers issued by this rank (acks always land
 	// back at the origin, so the freelist never crosses ranks): a stack
@@ -634,7 +638,6 @@ type Rank struct {
 
 	groupUses map[*groupComms]int // per-rank CommFromGroup call counts
 	p2pLast   map[int]sim.Time    // per-destination FIFO delivery horizon
-	locTo     []uint8             // lazy per-destination locality class (0xFF unset)
 
 	failed       bool     // ground-truth crash (see health.go)
 	down         bool     // recoverable app crash in progress (see crashAppRank)
@@ -644,7 +647,7 @@ type Rank struct {
 }
 
 func newRank(w *World, id int) *Rank {
-	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, net: w.net}
+	r := &Rank{w: w, id: id, eng: w.eng, pool: &w.pool, net: w.net, domains: w.domains}
 	r.engine.init(r)
 	r.issueQ.r = r
 	return r
@@ -742,21 +745,24 @@ func (r *Rank) scaleBySafety(d sim.Duration) sim.Duration {
 	return d
 }
 
-// localityTo returns the placement class of the (r, dest) pair, cached
-// so the placement arithmetic runs once per pair instead of per message.
+// rankDomain is where a rank runs: its node and, within the node, its
+// NUMA domain.
+type rankDomain struct{ node, numa int32 }
+
+// domainsOf tabulates every rank's domain once per world, so the locality
+// of a message costs two loads instead of the placement arithmetic.
+func domainsOf(p *cluster.Placement) []rankDomain {
+	d := make([]rankDomain, p.N())
+	for i := range d {
+		d[i] = rankDomain{int32(p.Node(i)), int32(p.NUMA(i))}
+	}
+	return d
+}
+
+// localityTo returns the placement class of the (r, dest) pair.
 func (r *Rank) localityTo(dest int) netmodel.Locality {
-	if r.locTo == nil {
-		lc := make([]uint8, r.w.cfg.N)
-		for i := range lc {
-			lc[i] = 0xFF
-		}
-		r.locTo = lc
-	}
-	if r.locTo[dest] == 0xFF {
-		p := r.w.place
-		r.locTo[dest] = uint8(netmodel.LocalityOf(p.SameNode(r.id, dest), p.SameNUMA(r.id, dest)))
-	}
-	return netmodel.Locality(r.locTo[dest])
+	a, b := r.domains[r.id], r.domains[dest]
+	return netmodel.LocalityOf(a.node == b.node, a == b)
 }
 
 // transferTo returns the wire time for n bytes from r to world rank dest.
