@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -196,17 +197,38 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	}
 }
 
-// ring returns segment id's ring, making it on the segment's first apply.
+// ring returns segment id's ring, taking one on the segment's first apply.
 func (v *Validator) ring(id int) *applyRing {
 	if id >= len(v.recent) {
 		v.recent = append(v.recent, make([]*applyRing, id+1-len(v.recent))...)
 	}
 	ring := v.recent[id]
 	if ring == nil {
-		ring = &applyRing{}
+		if ring, _ = ringPool.Get().(*applyRing); ring == nil {
+			ring = &applyRing{}
+		}
 		v.recent[id] = ring
 	}
 	return ring
+}
+
+// ringPool holds the emptied rings of closed worlds (Validator.release)
+// for the next world's segments. A ring grows by doubling to its 512
+// records, 44 KB, and a sweep builds world after world of like shape:
+// without the pool the rings were a fifth of the bytes faultchaos
+// allocates.
+var ringPool sync.Pool
+
+// release empties the validator's rings into ringPool once its world is
+// closed (World.Close); the violations stay readable.
+func (v *Validator) release() {
+	for _, ring := range v.recent {
+		if ring != nil {
+			*ring = applyRing{spans: ring.spans[:0], recs: ring.recs[:0], origins: ring.origins[:0]}
+			ringPool.Put(ring)
+		}
+	}
+	v.recent = nil
 }
 
 // checkOlder checks rec against the records of its origin older than the
@@ -216,20 +238,22 @@ func (v *Validator) ring(id int) *applyRing {
 // whose chainMax is at most rec's seq: neither it nor anything older
 // of the origin can be higher.
 func (v *Validator) checkOlder(ring *applyRing, rec *applyRec, scan int) {
-	oldest, suffix := ring.count-int64(len(ring.spans)), ring.count-int64(scan)
+	n := len(ring.spans)
+	i := int(ring.count % int64(v.ringSize)) // the slot rec will take
 	v.older = v.older[:0]
-	for k, gap := ring.count, rec.prevGap; gap > 0; {
-		if k -= int64(gap); k < oldest {
+	for back, gap := 0, int(rec.prevGap); gap > 0; gap = int(ring.recs[i].prevGap) {
+		if back += gap; back > n {
+			break // older than the ring
+		}
+		if i -= gap; i < 0 {
+			i += v.ringSize
+		}
+		if ring.recs[i].chainMax <= rec.seq {
 			break
 		}
-		prev := &ring.recs[k%int64(v.ringSize)]
-		if prev.chainMax <= rec.seq {
-			break
+		if back > scan {
+			v.older = append(v.older, i)
 		}
-		if k < suffix {
-			v.older = append(v.older, int(k%int64(v.ringSize)))
-		}
-		gap = prev.prevGap
 	}
 	for j := len(v.older) - 1; j >= 0; j-- {
 		i := v.older[j]

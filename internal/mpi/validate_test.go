@@ -354,7 +354,8 @@ func (s *applyStream) overtaker() *rmaOp {
 // the production size wrapping a few, end times recorded out of order,
 // which must fall back to the full scan, and an origin overtaken by hundreds
 // of its own accumulates, whose seq steps back that far at the production
-// ring size (the walk back along its chain stops early there).
+// ring size (the walk back along its chain stops early there). Each seed's
+// validator releases its rings for the next one's, as World.Close does.
 func TestValidatorScanMatchesFullRing(t *testing.T) {
 	for _, tc := range []struct {
 		name                                        string
@@ -398,6 +399,7 @@ func TestValidatorScanMatchesFullRing(t *testing.T) {
 				if s.maxBack < int64(tc.overtake) {
 					t.Fatalf("seed %d: the overtaken origin's seq stepped back at most %d", seed, s.maxBack)
 				}
+				v.release() // the next seed's validator takes these rings, as a closed world's successor does
 				for _, kind := range []string{"atomicity", "ordering", "exclusivity"} {
 					n := 0
 					for _, s := range got {

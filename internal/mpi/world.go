@@ -439,9 +439,9 @@ func (w *World) newSegment(n int) *segment {
 
 // Close releases the world's window memory for the next world to reuse
 // (the segments of 32 KB and more that the world wrote more than half of;
-// see segPool) and must follow Run; it is idempotent. Everything else
-// about a finished world — rank statistics, the validator, counters —
-// stays readable, but
+// see segPool), and its validator's rings (ringPool), and must follow
+// Run; it is idempotent. Everything else about a finished world — rank
+// statistics, the validator's violations, counters — stays readable, but
 // window memory does not: slices returned by WinAllocate and Region.Bytes
 // now alias memory another world may own, and any access through a window
 // or region of this world panics. A harness that builds worlds in a loop
@@ -468,6 +468,9 @@ func (w *World) Close() {
 	segPool.Lock()
 	segPool.free = free
 	segPool.Unlock()
+	if w.validator != nil {
+		w.validator.release()
+	}
 }
 
 // segPool is the process-wide free list of window memory, by capacity
