@@ -37,8 +37,8 @@ type deployment struct {
 	isGhost bool
 	*deployShared
 
-	// journal is the replayable command log enabling sequencer
-	// succession; nil in fault-free worlds (see journal.go).
+	// journal is the world's replayable command log, through which every
+	// command reaches the ghosts (see journal.go).
 	journal *cmdJournal
 }
 
@@ -272,11 +272,9 @@ func Init(r *mpi.Rank, cfg Config) (*Process, bool) {
 	}
 	d.userComm = world.Split(color, r.Rank())
 
-	// Fault worlds log every command so the sequencer role can migrate
-	// after a crash; fault-free worlds keep the seed command path.
-	if r.World().FaultsEnabled() {
-		d.journal = journalFor(r, d)
-	}
+	// Every command is logged, so the sequencer role can migrate after a
+	// crash in a fault world.
+	d.journal = journalFor(r, d)
 
 	if d.isGhost {
 		ghostLoop(r, d)
@@ -294,56 +292,23 @@ func Init(r *mpi.Rank, cfg Config) (*Process, bool) {
 	return &Process{r: r, d: d}, false
 }
 
-// sequencer returns the ghost that orders all commands: the one with
-// the smallest world rank. Users send commands to it; it forwards them
-// to every other ghost, so all ghosts observe commands in one global
-// order even when disjoint user groups create windows concurrently.
-func (d *deployment) sequencer() int { return d.ghosts[0] }
-
 // ghostLoop is the ghost process service loop (Section II-A): wait for
 // commands inside MPI_RECV so the MPI runtime can progress any RMA
 // operations targeting this ghost, join window-creation collectives on
-// command, exit on shutdown. The sequencer ghost additionally forwards
-// every command to the other ghosts, in order.
+// command, exit on shutdown. Every received command message is a
+// doorbell that executes exactly one journal entry; the acting sequencer
+// first orders the entry and forwards its bytes to every other ghost, so
+// all ghosts execute commands in one global order even when disjoint
+// user groups create windows concurrently. A cmdSucceed doorbell hands
+// the sequencer role over (see journal.go).
 func ghostLoop(r *mpi.Rank, d *deployment) {
 	// Windows this ghost participates in, keyed by their creation
 	// command payload and indexed by per-key creation order — the same
 	// (key, index) the user side derives, so windows may be freed in
 	// any order.
 	wins := map[string][]*ghostWinSet{}
-	if j := d.journal; j != nil {
-		ghostLoopJournal(r, d, j, wins)
-		j.exited[r.Rank()] = true
-		return
-	}
-	isSeq := r.Rank() == d.sequencer()
-	for {
-		data, _ := d.world.Recv(mpi.AnySource, tagGhostCmd)
-		if len(data) == 0 {
-			panic("casper: empty ghost command")
-		}
-		if isSeq {
-			for _, gs := range d.ghostsByNode {
-				for _, g := range gs {
-					if g != r.Rank() {
-						d.world.Send(g, tagGhostCmd, data)
-					}
-				}
-			}
-		}
-		if handleGhostCmd(r, d, wins, data) {
-			return
-		}
-	}
-}
-
-// ghostLoopJournal is the ghost service loop of fault worlds: every
-// received command message is a doorbell that executes exactly one
-// logged entry, the acting-sequencer role is checked dynamically, and a
-// cmdSucceed doorbell hands the role over (see journal.go). In worlds
-// where the sequencer never dies the message flow — payload bytes, send
-// order, and costs — is identical to the legacy loop above.
-func ghostLoopJournal(r *mpi.Rank, d *deployment, j *cmdJournal, wins map[string][]*ghostWinSet) {
+	j := d.journal
+	defer func() { j.exited[r.Rank()] = true }()
 	for {
 		data, st := d.world.Recv(mpi.AnySource, tagGhostCmd)
 		if len(data) == 0 {

@@ -5,13 +5,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Sequencer succession (fault worlds only).
+// The command journal and sequencer succession.
 //
-// Casper's one global command order normally comes from a single ghost:
-// users send window-create/free/shutdown commands to the sequencer (the
-// globally lowest ghost rank), which forwards them to every other ghost.
-// That made the sequencer a single point of failure. The cmdJournal
-// removes it:
+// Casper's one global command order comes from a single ghost: users
+// send window-create/free/shutdown commands to the sequencer (initially
+// the globally lowest ghost rank), which forwards them to every other
+// ghost. The cmdJournal keeps that sequencer from being a single point
+// of failure; every world runs it, and in a world whose sequencer never
+// dies it changes no message:
 //
 //   - Every command a user sends is first appended to a world-global
 //     replayable log (one simulated address space, so the log plays the
@@ -20,10 +21,8 @@ import (
 //     each received command message makes a ghost execute exactly one
 //     logged entry, so lost, duplicated, or stale doorbells are harmless.
 //   - The acting sequencer assigns each entry its global index in
-//     arrival order and forwards the entry's bytes to every other ghost
-//     — byte-for-byte and in the same iteration order as the legacy
-//     path, so fault worlds without a sequencer crash are bit-identical
-//     to the seed behavior.
+//     arrival order and forwards the entry's bytes to every other ghost,
+//     in ghost-rank order by node.
 //   - When the failure detector *confirms* the sequencer dead (which
 //     implies ground-truth death, see internal/mpi/health.go), a death
 //     hook deterministically elects the next-lowest surviving ghost,
@@ -55,15 +54,15 @@ type cmdEntry struct {
 }
 
 // journalFor returns the world-global journal singleton, creating it on
-// first use and registering its succession death hook. Only called in
-// fault worlds.
+// first use and registering its succession death hook (which a world
+// without a fault plan never runs).
 func journalFor(r *mpi.Rank, d *deployment) *cmdJournal {
 	v := r.World().SharedState("casper.cmdjournal", func() interface{} {
 		j := &cmdJournal{
 			w:       r.World(),
 			comm:    d.world,
 			ghosts:  d.ghosts,
-			seqRank: d.sequencer(),
+			seqRank: d.ghosts[0],
 			pending: map[int][]*cmdEntry{},
 			next:    map[int]int{},
 			exited:  map[int]bool{},
@@ -74,17 +73,12 @@ func journalFor(r *mpi.Rank, d *deployment) *cmdJournal {
 	return v.(*cmdJournal)
 }
 
-// sendCmd delivers one command toward the ghosts. Without a journal
-// (fault-free worlds) this is exactly the legacy send to the static
-// sequencer. With one, the command is logged first and the send is a
-// doorbell to the acting sequencer — skipped entirely once every ghost
-// is confirmed dead (collectives already complete over survivors).
+// sendCmd delivers one command toward the ghosts: the command is logged
+// first and the send is a doorbell to the acting sequencer — skipped
+// entirely once every ghost is confirmed dead (collectives already
+// complete over survivors).
 func (d *deployment) sendCmd(data []byte) {
 	j := d.journal
-	if j == nil {
-		d.world.Send(d.sequencer(), tagGhostCmd, data)
-		return
-	}
 	e := &cmdEntry{
 		data:   append([]byte(nil), data...),
 		origin: d.world.Rank(),

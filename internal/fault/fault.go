@@ -65,9 +65,9 @@ type Plan struct {
 	DupRate   float64
 
 	// CorruptRate is the per-transmission probability of payload
-	// corruption on the wire. The reliable transport detects a corrupt
-	// packet by CRC32 checksum mismatch at the receiver, drops it, and
-	// recovers by ordinary timeout/retransmission. Its random draw
+	// corruption on the wire. The reliable transport marks a corrupt
+	// packet, drops it at the receiver, and recovers by ordinary
+	// timeout/retransmission. Its random draw
 	// happens only when the rate is nonzero, so plans without it keep
 	// their historical fault sequences bit-identical.
 	CorruptRate float64

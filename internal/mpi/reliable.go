@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -93,12 +91,8 @@ type packet struct {
 	tAt   sim.Time
 	tSeq  uint64
 
-	// wireCRC is the CRC32 checksum stamped on the packet at (re)
-	// transmission. A corrupting injector flips it on the wire; the
-	// receiver recomputes the payload checksum and drops mismatches.
-	wireCRC uint32
-
 	attempts  int32
+	corrupt   bool // last data transmission corrupted by the injector
 	dataLost  bool // last data transmission dropped by the injector
 	ackLost   bool // last ack transmission dropped by the injector
 	delivered bool // p2p: accepted into the destination mailbox
@@ -125,22 +119,6 @@ type (
 func (p *pktRecv) Step()    { pkt := (*packet)(p); pkt.st.rel.receive(pkt) }
 func (p *pktAck) Step()     { pkt := (*packet)(p); pkt.st.rel.deliverAck(pkt) }
 func (p *pktTimeout) Step() { pkt := (*packet)(p); pkt.st.rel.timerFired(pkt) }
-
-// payloadCRC is the CRC32 checksum of the packet's payload as the
-// receiver would compute it.
-func (pkt *packet) payloadCRC() uint32 {
-	if pkt.msg != nil {
-		return crc32.ChecksumIEEE(pkt.msg.data)
-	}
-	if op := pkt.op; op.data != nil {
-		return crc32.ChecksumIEEE(op.data)
-	}
-	// Header-only request (e.g. GET): checksum the wire header.
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(pkt.seq))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(pkt.op.disp))
-	return crc32.ChecksumIEEE(hdr[:])
-}
 
 // wireBytes is the payload size charged for (re)transmission.
 func (pkt *packet) wireBytes() int {
@@ -245,25 +223,9 @@ func (rel *reliability) stream(key streamKey) *stream {
 	return st
 }
 
-// relStream returns the stream from this handle to comm rank target. The
-// map is consulted once per (handle, target); after that the window's
-// table answers.
+// relStream returns the stream from this handle to comm rank target.
 func (w *Win) relStream(rel *reliability, target int) *stream {
-	g := w.g
-	if g.streams == nil {
-		g.streams = make([][]*stream, len(g.comm.ranks))
-	}
-	row := g.streams[w.me]
-	if row == nil {
-		row = make([]*stream, len(g.comm.ranks))
-		g.streams[w.me] = row
-	}
-	st := row[target]
-	if st == nil {
-		st = rel.stream(streamKey{win: g, origin: w.r.id, target: g.comm.ranks[target]})
-		row[target] = st
-	}
-	return st
+	return rel.stream(streamKey{win: w.g, origin: w.r.id, target: w.g.comm.ranks[target]})
 }
 
 // --- Send side --------------------------------------------------------
@@ -304,12 +266,9 @@ func (rel *reliability) transmit(pkt *packet, arrival sim.Time, first bool) {
 	pkt.dataLost = false
 	eng := rel.w.eng
 	dec := rel.w.inj.Transmission()
-	pkt.wireCRC = pkt.payloadCRC()
-	if dec.Corrupt {
-		// Wire corruption: the payload arrives but its checksum no
-		// longer matches; the receiver detects and drops it.
-		pkt.wireCRC = ^pkt.wireCRC
-	}
+	// Wire corruption: the payload arrives marked, and the receiver drops
+	// it.
+	pkt.corrupt = dec.Corrupt
 	if dec.Drop {
 		pkt.dataLost = true
 	} else {
@@ -442,10 +401,9 @@ func (rel *reliability) receive(pkt *packet) {
 		pkt.dataLost = true
 		return
 	}
-	if pkt.wireCRC != pkt.payloadCRC() {
-		// Checksum mismatch: the packet was corrupted on the wire. Drop
-		// it exactly like a loss — the sender's timeout sees dataLost
-		// and retransmits with a fresh checksum.
+	if pkt.corrupt {
+		// Corrupted on the wire: drop it exactly like a loss — the
+		// sender's timeout sees dataLost and retransmits it.
 		dst.stats[CorruptDropped]++
 		pkt.dataLost = true
 		return

@@ -33,7 +33,7 @@ const (
 	DupsSuppressed // duplicate packets discarded at this rank
 	Reroutes       // ops failed over to a replacement target
 	Abandoned      // ops given up on (the transport then panics)
-	CorruptDropped // packets dropped at this rank on CRC mismatch
+	CorruptDropped // packets dropped at this rank as corrupted on the wire
 
 	// Flow control (zero without a FlowConfig, except the peaks).
 	CreditStalls       // issues that had to wait for a credit

@@ -107,7 +107,7 @@ func TestSummaryMatchesIndependentAggregation(t *testing.T) {
 			plan := fault.Plan{DropRate: 0.25, Crashes: []fault.Crash{
 				{Rank: tcUsers/2 + 1, At: sim.Time(60 * sim.Microsecond)}, // ghost 3, mid-dwell
 			}}
-			return timerChainRun(t, 1, plan, false).world
+			return timerChainRun(t, 1, &plan, false).world
 		}, []mpi.Counter{mpi.FaultDrops, mpi.Retransmits, mpi.RanksFailed, mpi.Suspects, mpi.Rebinds, mpi.Redirected}},
 		{"flow-stall", func(t *testing.T) *mpi.World {
 			return mpi.CreditStorm(t, &mpi.FlowConfig{Credits: 2}, 64)

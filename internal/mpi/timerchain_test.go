@@ -39,9 +39,15 @@ type tcRun struct {
 	census  mpi.TimerCensus
 }
 
-func timerChainRun(t *testing.T, seed int64, plan fault.Plan, eager bool) tcRun {
+// timerChainRun runs the workload at seed under plan; a nil plan is a
+// world without a fault plan.
+func timerChainRun(t *testing.T, seed int64, plan *fault.Plan, eager bool) tcRun {
 	t.Helper()
-	plan.Seed = seed
+	if plan != nil {
+		seeded := *plan
+		seeded.Seed = seed
+		plan = &seeded
+	}
 	cfg := mpi.Config{
 		Machine:       cluster.Machine{Nodes: 2, CoresPerNode: 24, NUMAPerNode: 2},
 		N:             tcN,
@@ -49,7 +55,7 @@ func timerChainRun(t *testing.T, seed int64, plan fault.Plan, eager bool) tcRun 
 		Net:           netmodel.CrayXC30(),
 		Seed:          seed,
 		Validate:      true,
-		Fault:         &plan,
+		Fault:         plan,
 		NoSimFastPath: eager,
 	}
 	run := tcRun{tables: make([][]byte, tcUsers), ends: make([]sim.Time, tcUsers)}
@@ -137,8 +143,8 @@ func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var armed, dropped, saved, elided, retransmits, reroutes int64
 			for seed := int64(1); seed <= 16; seed++ {
-				chain := timerChainRun(t, seed, tc.plan, false)
-				eager := timerChainRun(t, seed, tc.plan, true)
+				chain := timerChainRun(t, seed, &tc.plan, false)
+				eager := timerChainRun(t, seed, &tc.plan, true)
 				at := fmt.Sprintf("seed %d", seed)
 				if !reflect.DeepEqual(chain.ends, eager.ends) {
 					t.Fatalf("%s: end times differ:\nchain %v\neager %v", at, chain.ends, eager.ends)
@@ -196,5 +202,33 @@ func TestRetransmitTimersMatchEagerSchedule(t *testing.T) {
 				t.Fatal("the crashed ghost's packets never failed over")
 			}
 		})
+	}
+}
+
+// TestCorruptArrivalsAreDroppedAndRetransmitted: under a plan that only
+// corrupts, the receiver drops every arrival the injector marked corrupt,
+// the sender retransmits each of them and nothing else, and every window
+// ends as a world without a fault plan leaves it.
+func TestCorruptArrivalsAreDroppedAndRetransmitted(t *testing.T) {
+	plan := fault.Plan{CorruptRate: 0.2}
+	var corrupted, retransmits int64
+	for seed := int64(1); seed <= 16; seed++ {
+		run := timerChainRun(t, seed, &plan, false)
+		clean := timerChainRun(t, seed, nil, false)
+		for r := range run.tables {
+			if !bytes.Equal(run.tables[r], clean.tables[r]) {
+				t.Fatalf("seed %d: rank %d's window differs from the run without a fault plan", seed, r)
+			}
+		}
+		c := run.summary.Counters
+		if c[mpi.CorruptDropped] != c[mpi.Retransmits] {
+			t.Fatalf("seed %d: %d corrupt arrivals dropped, %d retransmissions", seed, c[mpi.CorruptDropped], c[mpi.Retransmits])
+		}
+		corrupted += c[mpi.CorruptDropped]
+		retransmits += c[mpi.Retransmits]
+	}
+	t.Logf("16 seeds: %d corrupt arrivals dropped, %d retransmissions", corrupted, retransmits)
+	if corrupted == 0 {
+		t.Fatal("no corrupt arrival was ever dropped")
 	}
 }

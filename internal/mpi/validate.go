@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -197,38 +196,17 @@ func (v *Validator) recordApply(o *rmaOp, reg Region, disp, ownerWorld int) {
 	}
 }
 
-// ring returns segment id's ring, taking one on the segment's first apply.
+// ring returns segment id's ring, making one on the segment's first apply.
 func (v *Validator) ring(id int) *applyRing {
 	if id >= len(v.recent) {
 		v.recent = append(v.recent, make([]*applyRing, id+1-len(v.recent))...)
 	}
 	ring := v.recent[id]
 	if ring == nil {
-		if ring, _ = ringPool.Get().(*applyRing); ring == nil {
-			ring = &applyRing{}
-		}
+		ring = &applyRing{}
 		v.recent[id] = ring
 	}
 	return ring
-}
-
-// ringPool holds the emptied rings of closed worlds (Validator.release)
-// for the next world's segments. A ring grows by doubling to its 512
-// records, 44 KB, and a sweep builds world after world of like shape:
-// without the pool the rings were a fifth of the bytes faultchaos
-// allocates.
-var ringPool sync.Pool
-
-// release empties the validator's rings into ringPool once its world is
-// closed (World.Close); the violations stay readable.
-func (v *Validator) release() {
-	for _, ring := range v.recent {
-		if ring != nil {
-			*ring = applyRing{spans: ring.spans[:0], recs: ring.recs[:0], origins: ring.origins[:0]}
-			ringPool.Put(ring)
-		}
-	}
-	v.recent = nil
 }
 
 // checkOlder checks rec against the records of its origin older than the

@@ -354,8 +354,7 @@ func (s *applyStream) overtaker() *rmaOp {
 // the production size wrapping a few, end times recorded out of order,
 // which must fall back to the full scan, and an origin overtaken by hundreds
 // of its own accumulates, whose seq steps back that far at the production
-// ring size (the walk back along its chain stops early there). Each seed's
-// validator releases its rings for the next one's, as World.Close does.
+// ring size (the walk back along its chain stops early there).
 func TestValidatorScanMatchesFullRing(t *testing.T) {
 	for _, tc := range []struct {
 		name                                        string
@@ -399,7 +398,6 @@ func TestValidatorScanMatchesFullRing(t *testing.T) {
 				if s.maxBack < int64(tc.overtake) {
 					t.Fatalf("seed %d: the overtaken origin's seq stepped back at most %d", seed, s.maxBack)
 				}
-				v.release() // the next seed's validator takes these rings, as a closed world's successor does
 				for _, kind := range []string{"atomicity", "ordering", "exclusivity"} {
 					n := 0
 					for _, s := range got {

@@ -38,7 +38,6 @@ type Tracer struct {
 	enabled  bool
 	services []Service
 	faults   []Fault
-	labels   map[string]string
 }
 
 // New returns an enabled tracer.
@@ -59,27 +58,11 @@ func (t *Tracer) Reserve(n int) {
 	t.services = grown
 }
 
-// intern returns the canonical instance of a label. Producers that
-// build label strings dynamically would otherwise leave one copy per
-// retained record; deduplicating at record time keeps a trace's label
-// footprint proportional to the number of distinct labels.
-func (t *Tracer) intern(s string) string {
-	if c, ok := t.labels[s]; ok {
-		return c
-	}
-	if t.labels == nil {
-		t.labels = make(map[string]string, 8)
-	}
-	t.labels[s] = s
-	return s
-}
-
 // RecordService appends one record. Safe to call on a nil tracer.
 func (t *Tracer) RecordService(s Service) {
 	if !t.Enabled() {
 		return
 	}
-	s.Kind = t.intern(s.Kind)
 	t.services = append(t.services, s)
 }
 
@@ -107,7 +90,6 @@ func (t *Tracer) RecordFault(f Fault) {
 	if !t.Enabled() {
 		return
 	}
-	f.Kind = t.intern(f.Kind)
 	t.faults = append(t.faults, f)
 }
 

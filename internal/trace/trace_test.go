@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -62,33 +61,6 @@ func TestServiceDelay(t *testing.T) {
 	s := svc(0, 0, 10, 35, 40, false, false)
 	if s.Delay() != 25 {
 		t.Fatalf("delay = %v", s.Delay())
-	}
-}
-
-// TestLabelInterning: records with equal but distinct label strings
-// must share one canonical instance after recording, so retained traces
-// hold one copy per distinct label rather than one per record.
-func TestLabelInterning(t *testing.T) {
-	tr := New()
-	a := strings.Clone("DYN_KIND")
-	b := strings.Clone("DYN_KIND")
-	s := svc(0, 1, 0, 0, 1, false, false)
-	s.Kind = a
-	tr.RecordService(s)
-	s.Kind = b
-	tr.RecordService(s)
-	got := tr.Services()
-	if got[0].Kind != "DYN_KIND" || got[1].Kind != "DYN_KIND" {
-		t.Fatalf("kinds = %q, %q", got[0].Kind, got[1].Kind)
-	}
-	if unsafe.StringData(got[0].Kind) != unsafe.StringData(got[1].Kind) {
-		t.Error("equal service labels not interned to one instance")
-	}
-	tr.RecordFault(Fault{Kind: strings.Clone("reroute"), Rank: 1, Peer: 2})
-	tr.RecordFault(Fault{Kind: strings.Clone("reroute"), Rank: 2, Peer: 1})
-	fs := tr.Faults()
-	if unsafe.StringData(fs[0].Kind) != unsafe.StringData(fs[1].Kind) {
-		t.Error("equal fault labels not interned to one instance")
 	}
 }
 
