@@ -41,26 +41,13 @@ func runStencilFault(users, g int, p stencil.Params, seed int64, plan *fault.Pla
 	cfg := worldConfig(netmodel.CrayXC30(), n, ppn, mpi.ProgressNone, false, seed)
 	cfg.Fault = plan
 	out := stencilResult{interior: make([][]float64, users)}
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	w.Launch(func(r *mpi.Rank) {
-		pr, ghost := core.Init(r, core.Config{NumGhosts: g})
-		if ghost {
-			return
-		}
-		res := stencil.Run(pr, p)
-		out.interior[pr.Rank()] = res.Local
+	w := runCasper(cfg, core.Config{NumGhosts: g}, func(env mpi.Env) {
+		res := stencil.Run(env, p)
+		out.interior[env.Rank()] = res.Local
 		if res.Elapsed > out.elapsed {
 			out.elapsed = res.Elapsed
 		}
-		pr.Finalize()
 	})
-	if err := w.Run(); err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	w.Close()
 	out.summary = w.Summary()
 	return out
 }

@@ -76,34 +76,10 @@ func runScaling(a approach, kind mpi.OpKind, procs int, seed int64) float64 {
 	}
 	if a.ghosts > 0 {
 		ppn := 1 + a.ghosts
-		cfg := worldConfig(a.net(), procs*ppn, ppn, a.prog, a.oversub, seed)
-		w, err := mpi.NewWorld(cfg)
-		if err != nil {
-			panic(err)
-		}
-		w.Launch(func(r *mpi.Rank) {
-			p, ghost := core.Init(r, core.Config{NumGhosts: a.ghosts})
-			if ghost {
-				return
-			}
-			body(p)
-			p.Finalize()
-		})
-		if err := w.Run(); err != nil {
-			panic(err)
-		}
-		w.Close()
+		runCasper(worldConfig(a.net(), procs*ppn, ppn, a.prog, a.oversub, seed),
+			core.Config{NumGhosts: a.ghosts}, body)
 	} else {
-		cfg := worldConfig(a.net(), procs, 1, a.prog, a.oversub, seed)
-		w, err := mpi.NewWorld(cfg)
-		if err != nil {
-			panic(err)
-		}
-		w.Launch(func(r *mpi.Rank) { body(r) })
-		if err := w.Run(); err != nil {
-			panic(err)
-		}
-		w.Close()
+		runPlain(worldConfig(a.net(), procs, 1, a.prog, a.oversub, seed), body)
 	}
 	return maxEl.Millis()
 }

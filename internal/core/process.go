@@ -38,9 +38,6 @@ func (p *Process) Compute(d sim.Duration) { p.r.Compute(d) }
 // Now implements mpi.Env.
 func (p *Process) Now() sim.Time { return p.r.Now() }
 
-// NumGhosts returns the per-node ghost count of this deployment.
-func (p *Process) NumGhosts() int { return p.d.cfg.NumGhosts }
-
 // Finalize shuts down the ghost processes. Collective over
 // COMM_USER_WORLD; call once, after all windows are done.
 func (p *Process) Finalize() {

@@ -136,9 +136,6 @@ func MustCreate(env mpi.Env, name string, rows, cols int) *Array {
 	return a
 }
 
-// Name returns the array's name.
-func (a *Array) Name() string { return a.name }
-
 // Dims returns the global dimensions.
 func (a *Array) Dims() (rows, cols int) { return a.rows, a.cols }
 
@@ -168,9 +165,6 @@ func (a *Array) tileBounds(rank int) (r0, r1, c0, c1 int) {
 func (a *Array) Distribution() (r0, r1, c0, c1 int) {
 	return a.tileBounds(a.env.Rank())
 }
-
-// Local returns the caller's local tile data (row-major).
-func (a *Array) Local() []float64 { return mpi.GetFloat64s(a.loc) }
 
 // SetLocal overwrites the caller's local tile data (row-major, exactly
 // the tile's size).

@@ -486,16 +486,6 @@ func groupHash(sorted []int) uint64 {
 	return h
 }
 
-// Dup duplicates the communicator (MPI_COMM_DUP).
-func (c *Comm) Dup() *Comm {
-	res := c.collective("MPI_Comm_dup", nil, c.barrierCost(),
-		func([]interface{}) interface{} {
-			return c.g.w.newCommGlobal(c.g.ranks)
-		})
-	ng := res.(*commGlobal)
-	return &Comm{g: ng, me: c.me, r: c.r}
-}
-
 // handleFor returns a Comm handle on g for world rank owner.
 func (g *commGlobal) handleFor(r *Rank) *Comm {
 	me, ok := g.index[r.id]

@@ -87,3 +87,13 @@ func (w *Win) DeferredAck(target int) (n int, at sim.Time) {
 	}
 	return 0, 0
 }
+
+// Dup duplicates the communicator (MPI_COMM_DUP).
+func (c *Comm) Dup() *Comm {
+	res := c.collective("MPI_Comm_dup", nil, c.barrierCost(),
+		func([]interface{}) interface{} {
+			return c.g.w.newCommGlobal(c.g.ranks)
+		})
+	ng := res.(*commGlobal)
+	return &Comm{g: ng, me: c.me, r: c.r}
+}

@@ -71,8 +71,8 @@ import "repro/internal/sim"
 // queue's own block (144-byte items, about 5 KB per queueing rank) against
 // switches: 32 is the smallest power of two that holds fig5a -quick to 0.2
 // switches per RMA op, and 128 gains nothing on wide worlds
-// (EXPERIMENTS.md, "Issue without switching" and "Served passive-target
-// epochs"). An expansion may queue past it.
+// (EXPERIMENTS.md, "The served issue queue" and "Tried and lost"). An
+// expansion may queue past it.
 const issueQueueCap = 32
 
 // itemKind is what a queued item does once the event loop reaches it.

@@ -19,7 +19,7 @@ import (
 // worldEvents accumulates simulation events executed by every World.Run
 // in the process, across goroutines — the benchmark's events/sec and
 // allocs/event metrics are computed from deltas of this counter (see
-// benchmark/child.go and EXPERIMENTS.md).
+// benchmark/child.go and EXPERIMENTS.md, "The yardstick").
 var worldEvents atomic.Int64
 
 // TotalEventsExecuted returns the simulation events executed by all
@@ -28,8 +28,8 @@ func TotalEventsExecuted() int64 { return worldEvents.Load() }
 
 // worldSwitches and worldOps accumulate, like worldEvents, the coroutine
 // switches into a rank (sim.Engine.Switches) and the RMA operations issued
-// (the OpsIssued counter) of every completed World.Run: the switch census
-// of EXPERIMENTS.md divides the first by the second.
+// (the OpsIssued counter) of every completed World.Run: the switches-per-op
+// pins in internal/bench divide the first by the second.
 var worldSwitches, worldOps atomic.Int64
 
 // TotalSwitches returns the coroutine switches into a process made by all
@@ -377,9 +377,6 @@ func (w *World) Launch(main func(r *Rank)) {
 // layer (Config.Fault was set).
 func (w *World) FaultsEnabled() bool { return w.inj != nil }
 
-// Failed reports this rank's ground-truth crash state.
-func (r *Rank) Failed() bool { return r.failed }
-
 // Run executes the simulation to completion.
 func (w *World) Run() error {
 	err := w.eng.Run()
@@ -513,8 +510,8 @@ var heapStats struct {
 // exception, however many windows the free list holds: when a mark fell
 // while two large GA worlds were live, the goal it left let the heap grow
 // some 20 MB further before the runtime collected, and the peak RSS of a
-// tce_ga pass read 205 or 230 MB by that timing alone (EXPERIMENTS.md "GA
-// tiles with one copy").
+// tce_ga pass read 205 or 230 MB by that timing alone (EXPERIMENTS.md
+// "Collecting dropped worlds").
 func collectDroppedWorlds() {
 	h := &heapStats
 	h.Lock()

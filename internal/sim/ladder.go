@@ -19,8 +19,8 @@ import "math/bits"
 // and the shadow oracle (schedQ.shadow) assert exactly that, pop by pop.
 //
 // Quantization: rung-0 buckets span 2^ladShift = 16 ns, the span the six
-// BENCHMARK.json rows run fastest at (EXPERIMENTS.md, "The event
-// scheduler"): the lockstep all-to-all rows put hundreds of events on a
+// BENCHMARK.json rows run fastest at (EXPERIMENTS.md, "The ladder
+// queue"): the lockstep all-to-all rows put hundreds of events on a
 // few instants per microsecond, and a bucket holding one or two instants
 // mostly arrives in (at, seq) order and is not sorted at all. Each coarser
 // rung widens the span by 2^ladBits — 4 us, 1 ms, 268 ms, ... buckets —
